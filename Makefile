@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke ci
+.PHONY: all build vet test race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
 
 all: build
 
@@ -10,8 +10,10 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Uncached and in shuffled order: no test may lean on another having
+# run first, or on who wins a race with the scheduler.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 -shuffle=on ./...
 
 race:
 	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs
@@ -164,6 +166,15 @@ profile-smoke:
 	$(GO) run ./cmd/asmprof -merge-out $(PROF_TMP)/merged.cpu.pb.gz $(PROF_TMP)
 	rm -rf $(PROF_TMP)
 
+# Command-line contract under the race detector: asmcluster,
+# asmpipeline and asmnode are built with -race and driven through the
+# benchmark's argv shapes — serial-equal partition, transport- and
+# store-independent contigs, checkable per-process dumps, a decodable
+# profile, and a clean TMPDIR with no surviving rank after success,
+# failure and SIGINT/SIGTERM.
+cli-smoke:
+	$(GO) test -race -count=1 -v -run 'TestCLIContract' ./internal/launch
+
 # Out-of-core smoke: the disk-backed pipeline end to end under the
 # race detector — fresh run matches the in-memory contigs, the store
 # artifact is journaled, resume from every rollback depth is
@@ -172,4 +183,4 @@ profile-smoke:
 outofcore-smoke:
 	$(GO) test -race -v -run 'TestOutOfCore' ./internal/pipeline
 
-ci: vet build test race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke bench-check
+ci: vet build test race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke bench-check

@@ -24,40 +24,29 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/cluster"
 	"repro/internal/launch"
-	"repro/internal/obs"
-	"repro/internal/obs/analyze"
-	"repro/internal/obs/collector"
-	"repro/internal/par/nettrans"
 	"repro/internal/report"
+	"repro/internal/seq"
 )
 
-func fatal(a ...any) {
+func usage(a ...any) {
 	fmt.Fprintln(os.Stderr, append([]any{"asmnode:"}, a...)...)
-	os.Exit(1)
+	os.Exit(2)
 }
 
 func main() {
 	in := flag.String("in", "", "input FASTA file (required)")
 	out := flag.String("out", "clusters.tsv", "output cluster assignment TSV (rank 0 only)")
 	size := flag.Int("size", 2, "total ranks in the machine")
-	rank := flag.Int("rank", 0, "this process's rank (manual mode)")
-	network := flag.String("transport", "tcp", "socket transport: tcp or unix")
 	spawn := flag.Bool("spawn", false, "fork all worker ranks from this process (which becomes rank 0)")
-	registry := flag.String("registry", "", "shared rendezvous directory (spawn mode creates one)")
 	peers := flag.String("peers", "", "comma-separated peer addresses, index = rank (alternative to -registry)")
-	listen := flag.String("listen", "", "listen address for this rank (default: ephemeral)")
-	epoch := flag.Uint64("epoch", 1, "job epoch guarding against stale incarnations")
-	liveness := flag.Duration("liveness", 0, "declare a silent peer dead after this long (0 = transport default)")
 	lease := flag.Duration("lease", 250*time.Millisecond, "master lease timeout for re-executing lost work")
 	psi := flag.Int("psi", 20, "minimum maximal-match length ψ")
 	w := flag.Int("w", 10, "GST bucket prefix length (≤ ψ)")
@@ -65,264 +54,79 @@ func main() {
 	minIdentity := flag.Float64("minidentity", 0.90, "minimum overlap identity")
 	killRank := flag.Int("kill-rank", 0, "spawn mode: SIGKILL this worker rank mid-run (0 disables)")
 	killAfter := flag.Duration("kill-after", 200*time.Millisecond, "spawn mode: delay before -kill-rank fires")
-	eventsOut := flag.String("events-out", "", "write this rank's events dump to FILE.rank<r> (merge with tracecheck -events)")
-	obsAddr := flag.String("obs-addr", "", "serve this rank's /metrics, /trace, /analyze and /debug/pprof on this host:port; spawn mode gives every child an ephemeral server published to the registry")
-	traceOut := flag.String("trace-out", "", "write this rank's Chrome trace JSON to FILE.rank<r> (load in ui.perfetto.dev)")
-	collectorAddr := flag.String("collector", "", "live telemetry collector: a host:port to serve on (spawn mode), or an http:// URL of a running collector to stream to (manual mode)")
-	collectorLinger := flag.Duration("collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
+	// The manual-rendezvous flags are deployment settings layered on
+	// the same run session the other commands use.
+	so := launch.RegisterFlags(flag.CommandLine, "tcp")
+	flag.IntVar(&so.Rank, "rank", 0, "this process's rank (manual mode)")
+	flag.StringVar(&so.Registry, "registry", "", "shared rendezvous directory (spawn mode creates one)")
+	flag.StringVar(&so.Listen, "listen", "", "listen address for this rank (default: ephemeral)")
+	flag.Uint64Var(&so.Epoch, "epoch", 1, "job epoch guarding against stale incarnations (manual mode)")
+	flag.DurationVar(&so.Liveness, "liveness", 0, "declare a silent peer dead after this long (0 = transport default)")
 	flag.Parse()
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	// A child re-executed by -spawn finds its identity in the
-	// environment and ignores the rank/rendezvous flags it inherited.
-	child, isChild, err := launch.FromEnv()
-	if isChild {
-		*rank = child.Rank
-		*size = child.Size
-		*network = child.Network
-		*registry = child.Registry
-		*epoch = child.Epoch
-		*spawn = false
-		*obsAddr = child.ObsAddr
-		*collectorAddr = child.Collector
-	} else if err != nil {
-		fatal(err)
+	if so.Transport == "inproc" {
+		usage("every rank is an OS process here: -transport tcp or unix (asmcluster runs the in-process machine)")
 	}
-
-	// Resolve the collector URL this rank streams to: an http:// value
-	// is a running collector (manual mode / forwarded by the parent);
-	// anything else is a listen address the spawn parent serves on.
-	colURL := ""
-	if strings.HasPrefix(*collectorAddr, "http://") || strings.HasPrefix(*collectorAddr, "https://") {
-		colURL = *collectorAddr
-	} else if *collectorAddr != "" && !*spawn {
-		fatal("-collector", *collectorAddr, "is a listen address; that needs -spawn (manual ranks take the collector's http:// URL)")
+	if *killRank >= *size {
+		usage(fmt.Sprintf("-kill-rank %d out of range for size %d", *killRank, *size))
 	}
-
-	var fleet *launch.Fleet
-	if *spawn {
-		*rank = 0
-		if *registry == "" {
-			dir, err := os.MkdirTemp("", "asmnode-registry-")
-			if err != nil {
-				fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			*registry = dir
-		}
-		*epoch = launch.Epoch()
-		if *collectorAddr != "" && colURL == "" {
-			var colSrv *obs.Server
-			_, colSrv, colURL, err = launch.StartCollector(collector.Config{Ranks: *size, Job: "asmnode"}, *collectorAddr, *registry, *epoch)
-			if err != nil {
-				fatal(err)
-			}
-			defer func() { time.Sleep(*collectorLinger); colSrv.Close() }()
-			fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze/live /events)\n", colURL)
-		}
-		childObs := ""
-		if *obsAddr != "" {
-			childObs = "127.0.0.1:0" // per-rank ephemeral server, address published to the registry
-		}
-		tel := launch.Telemetry{ObsAddr: childObs, Collector: colURL}
-		if fleet, err = launch.Spawn(*size, *network, *registry, *epoch, tel); err != nil {
-			fatal(err)
-		}
-		defer fleet.Wait()
-		if *killRank > 0 {
-			if *killRank >= *size {
-				fatal(fmt.Sprintf("-kill-rank %d out of range for size %d", *killRank, *size))
-			}
-			f, r := fleet, *killRank
-			time.AfterFunc(*killAfter, func() {
-				fmt.Fprintf(os.Stderr, "asmnode: injecting SIGKILL into rank %d\n", r)
-				_ = f.Kill(r)
-			})
-		}
+	so.Manual = !*spawn
+	if *peers != "" {
+		so.Peers = strings.Split(*peers, ",")
 	}
-
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	frags, err := repro.ReadFASTA(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	store := repro.NewStore(frags)
 
 	cfg := cluster.DefaultConfig()
 	cfg.Psi = *psi
 	cfg.W = *w
 	cfg.Criteria.MinOverlap = *minOverlap
 	cfg.Criteria.MinIdentity = *minIdentity
-
 	pcfg := cluster.DefaultParallelConfig(*size)
 	pcfg.FT = true // real processes genuinely die
 	pcfg.LeaseTimeout = *lease
-	tr := obs.NewTracer(*size, obs.DefaultRingCap)
-	reg := obs.NewRegistry()
-	pcfg.Trace = tr
-	pcfg.Metrics = reg
 
-	if *obsAddr != "" {
-		srv, err := launch.ServeRankObs(*obsAddr, *rank, reg, tr, *registry, *epoch, analyze.Endpoint(tr))
+	os.Exit(launch.Run("asmnode", *size, so, func(s *launch.Session) error {
+		if *killRank > 0 && *spawn && s.Rank == 0 {
+			time.AfterFunc(*killAfter, func() {
+				fmt.Fprintf(os.Stderr, "asmnode: injecting SIGKILL into rank %d\n", *killRank)
+				_ = s.Kill(*killRank) // the rank may already have exited
+			})
+		}
+
+		frags, err := seq.ReadFragmentsFile(*in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "asmnode: rank %d observability server on http://%s\n", *rank, srv.Addr)
-	}
-	var rep *collector.Reporter
-	if colURL != "" {
-		rep = collector.StartReporter(collector.ReporterConfig{
-			URL: colURL, Rank: *rank, Job: "asmnode",
-			Tracer: tr, Registry: reg,
-		})
-	}
+		store := seq.NewStore(frags)
 
-	// Graceful interrupt: flush this rank's dumps and deliver the
-	// reporter's final report with an "interrupted" verdict; the spawn
-	// parent also takes its worker ranks down with it.
-	launch.OnSignal(func(sig os.Signal) {
-		dump := tr.Dump()
-		rep.Close(dump, false, "interrupted: "+sig.String())
-		if *eventsOut != "" {
-			if ef, err := os.Create(fmt.Sprintf("%s.rank%d.interrupted", *eventsOut, *rank)); err == nil {
-				dump.WriteJSON(ef)
-				ef.Close()
-			}
+		pcfg.Trace, pcfg.Metrics = s.Tracer, s.Registry
+		res, _, exit, err := cluster.ParallelRank(store, cfg, pcfg, s.Rank, s.Transport)
+		if err == nil && !exit.OK {
+			err = fmt.Errorf("rank %d died: %s", s.Rank, exit.Reason)
 		}
-		if *traceOut != "" {
-			if tf, err := os.Create(fmt.Sprintf("%s.rank%d.interrupted", *traceOut, *rank)); err == nil {
-				tr.WriteChromeTrace(tf)
-				tf.Close()
-			}
+		if err != nil || s.Rank != 0 {
+			return err
 		}
-		if fleet != nil {
-			fleet.KillAll()
-		}
-	})
 
-	t, err := buildTransport(*rank, *size, *network, *registry, *peers, *listen, *epoch, *liveness)
-	if err != nil {
-		rep.Close(nil, false, err.Error())
-		fatal(err)
-	}
-	res, _, exit, err := cluster.ParallelRank(store, cfg, pcfg, *rank, t)
-	if cerr := t.Close(); cerr != nil && err == nil {
-		fmt.Fprintln(os.Stderr, "asmnode: transport close:", cerr)
-	}
-	if err != nil {
-		rep.Close(nil, false, err.Error())
-		fatal(err)
-	}
+		sum := res.Summarize()
+		tb := report.NewTable("Clustering summary", "metric", "value")
+		tb.AddRow("ranks (OS processes)", report.Int(int64(*size)))
+		tb.AddRow("transport", so.Transport)
+		tb.AddRow("fragments", report.Int(int64(store.N())))
+		tb.AddRow("multi-fragment clusters", report.Int(int64(sum.NumClusters)))
+		tb.AddRow("singletons", report.Int(int64(sum.NumSingletons)))
+		tb.AddRow("pairs generated", report.Int(res.Stats.Generated))
+		tb.AddRow("pairs aligned", report.Int(res.Stats.Aligned))
+		tb.AddRow("workers lost", report.Int(res.Stats.WorkersLost))
+		tb.AddRow("pairs requeued", report.Int(res.Stats.Requeued))
+		tb.Fprint(os.Stdout)
 
-	// One tracer snapshot shared by the events file and the reporter's
-	// final flush, so the collector's merged trace is byte-identical to
-	// merging the per-rank dump files.
-	dump := tr.Dump()
-	if *eventsOut != "" {
-		path := fmt.Sprintf("%s.rank%d", *eventsOut, *rank)
-		ef, err := os.Create(path)
-		if err != nil {
-			fatal(err)
+		if err := cluster.WriteTSV(*out, store, res); err != nil {
+			return err
 		}
-		if err := dump.WriteJSON(ef); err == nil {
-			err = ef.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "asmnode: rank %d wrote %s\n", *rank, path)
-	}
-	if *traceOut != "" {
-		path := fmt.Sprintf("%s.rank%d", *traceOut, *rank)
-		tf, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.WriteChromeTrace(tf); err == nil {
-			err = tf.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "asmnode: rank %d wrote %s\n", *rank, path)
-	}
-	rep.Close(dump, exit.OK, exit.Reason)
-
-	if *rank != 0 {
-		if !exit.OK {
-			fatal(fmt.Sprintf("rank %d died: %s", *rank, exit.Reason))
-		}
-		return
-	}
-
-	sum := res.Summarize()
-	tb := report.NewTable("Clustering summary", "metric", "value")
-	tb.AddRow("ranks (OS processes)", report.Int(int64(*size)))
-	tb.AddRow("transport", *network)
-	tb.AddRow("fragments", report.Int(int64(store.N())))
-	tb.AddRow("multi-fragment clusters", report.Int(int64(sum.NumClusters)))
-	tb.AddRow("singletons", report.Int(int64(sum.NumSingletons)))
-	tb.AddRow("pairs generated", report.Int(res.Stats.Generated))
-	tb.AddRow("pairs aligned", report.Int(res.Stats.Aligned))
-	tb.AddRow("workers lost", report.Int(res.Stats.WorkersLost))
-	tb.AddRow("pairs requeued", report.Int(res.Stats.Requeued))
-	tb.Fprint(os.Stdout)
-
-	of, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	bw := bufio.NewWriter(of)
-	labels := make([]int, store.N())
-	for _, g := range res.UF.Groups() {
-		for _, fid := range g {
-			labels[fid] = g[0]
-		}
-	}
-	for i := 0; i < store.N(); i++ {
-		fmt.Fprintf(bw, "%s\t%d\n", store.FragName(i), labels[i])
-	}
-	if err := bw.Flush(); err == nil {
-		err = of.Close()
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", *out)
-}
-
-// buildTransport wires this rank's socket endpoint from either a
-// static peer list or the registry directory.
-func buildTransport(rank, size int, network, registry, peers, listen string, epoch uint64, liveness time.Duration) (*nettrans.Transport, error) {
-	var plist []string
-	if peers != "" {
-		plist = strings.Split(peers, ",")
-		if len(plist) != size {
-			return nil, fmt.Errorf("-peers names %d ranks, -size is %d", len(plist), size)
-		}
-	}
-	if plist == nil && registry == "" {
-		return nil, fmt.Errorf("need -registry or a full -peers list (or -spawn)")
-	}
-	cfg := nettrans.Config{
-		Rank:        rank,
-		Size:        size,
-		Network:     network,
-		Listen:      listen,
-		Peers:       plist,
-		RegistryDir: registry,
-		Epoch:       epoch,
-	}
-	if liveness > 0 {
-		cfg.Liveness = liveness
-	}
-	return nettrans.New(cfg)
+		fmt.Printf("wrote %s\n", *out)
+		return nil
+	}))
 }

@@ -31,19 +31,14 @@ import (
 	"repro/internal/assembly"
 	"repro/internal/cluster"
 	"repro/internal/launch"
-	"repro/internal/obs"
-	"repro/internal/obs/analyze"
-	"repro/internal/obs/collector"
-	"repro/internal/obs/prof"
-	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/preprocess"
 	"repro/internal/seq"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "asmpipeline:", err)
-	os.Exit(1)
+func usage(a ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"asmpipeline:"}, a...)...)
+	os.Exit(2)
 }
 
 func main() {
@@ -62,320 +57,124 @@ func main() {
 	memBudget := flag.Int64("mem-budget", 0, "spilling GST byte budget; 0 builds the full forest in memory")
 	retries := flag.Int("assembly-retries", 1, "per-cluster assembly retries before quarantine")
 	deadline := flag.Duration("assembly-deadline", 0, "per-attempt assembly wall budget (0 = none)")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /trace, /analyze and /debug/pprof on this host:port while running")
-	eventsOut := flag.String("events-out", "", "write the raw events dump to this file (input for traceanalyze)")
-	transport := flag.String("transport", "inproc", "run parallel clustering ranks as: inproc goroutines, or tcp / unix OS processes")
-	collectorAddr := flag.String("collector", "", "run a live telemetry collector on this host:port; every rank streams health, metrics and trace deltas to it (poll with asmtop)")
-	collectorLinger := flag.Duration("collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
-	profDir := flag.String("prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")
+	so := launch.RegisterFlags(flag.CommandLine, "inproc")
 	flag.Parse()
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *resume && *workdir == "" {
-		fail(fmt.Errorf("-resume requires -workdir"))
-	}
-
-	// Multi-process transport: this process is either the job root
-	// (becomes rank 0 and forks the workers) or a re-executed child
-	// that finds its rank in the environment. Every rank re-reads and
-	// re-preprocesses the same input deterministically; only rank 0
-	// assembles and writes output.
-	rank := 0
-	registry, epoch := "", uint64(0)
-	colURL := ""
-	var colSrv *obs.Server
-	var fleet *launch.Fleet
-	var trans par.Transport
-	switch *transport {
-	case "inproc":
-	case "tcp", "unix":
-		if *ranks < 2 {
-			fail(fmt.Errorf("-transport %s requires -ranks ≥ 2", *transport))
-		}
-		if *faults != "" {
-			fail(fmt.Errorf("-faults is for the simulated in-process machine; use real process kills with -transport %s", *transport))
-		}
-		child, isChild, err := launch.FromEnv()
-		if err != nil {
-			fail(err)
-		}
-		if isChild {
-			rank, registry, epoch = child.Rank, child.Registry, child.Epoch
-			// The parent decides per-rank observability: children listen
-			// on the ephemeral address it forwarded (or not at all) and
-			// stream to the collector it started.
-			*obsAddr = child.ObsAddr
-			colURL = child.Collector
-		} else {
-			if registry, err = os.MkdirTemp("", "asmpipeline-registry-"); err != nil {
-				fail(err)
-			}
-			defer os.RemoveAll(registry)
-			epoch = launch.Epoch()
-			if *collectorAddr != "" {
-				_, colSrv, colURL, err = launch.StartCollector(collector.Config{Ranks: *ranks, Job: "asmpipeline"}, *collectorAddr, registry, epoch)
-				if err != nil {
-					fail(err)
-				}
-				defer func() { time.Sleep(*collectorLinger); colSrv.Close() }()
-				fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze/live /events)\n", colURL)
-			}
-			childObs := ""
-			if *obsAddr != "" {
-				childObs = "127.0.0.1:0" // per-rank ephemeral server, address published to the registry
-			}
-			tel := launch.Telemetry{ObsAddr: childObs, Collector: colURL}
-			if fleet, err = launch.Spawn(*ranks, *transport, registry, epoch, tel); err != nil {
-				fail(err)
-			}
-			defer fleet.Wait()
-		}
-		if trans, err = launch.NewTransport(rank, *ranks, *transport, registry, epoch, 0); err != nil {
-			fail(err)
-		}
-		defer trans.Close()
-	default:
-		fail(fmt.Errorf("unknown -transport %q (inproc, tcp, unix)", *transport))
-	}
-
-	if *collectorAddr != "" && trans == nil {
-		// In-process machine: one collector, one reporter covering all
-		// ranks (the single tracer spans the whole run).
-		var err error
-		_, colSrv, colURL, err = launch.StartCollector(collector.Config{Ranks: *ranks, Job: "asmpipeline"}, *collectorAddr, "", 0)
-		if err != nil {
-			fail(err)
-		}
-		defer func() { time.Sleep(*collectorLinger); colSrv.Close() }()
-		fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze/live /events)\n", colURL)
-	}
-
-	var tr *obs.Tracer
-	var reg *obs.Registry
-	if *obsAddr != "" || *eventsOut != "" || colURL != "" {
-		tr = obs.NewTracer(*ranks, obs.DefaultRingCap)
-		reg = obs.NewRegistry()
-	}
-	if *obsAddr != "" {
-		srv, err := launch.ServeRankObs(*obsAddr, rank, reg, tr, registry, epoch, analyze.Endpoint(tr))
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		if rank == 0 {
-			fmt.Printf("observability server on http://%s (/metrics /trace /timeline /analyze /debug/pprof)\n", srv.Addr)
-		}
-	}
-	var rep *collector.Reporter
-	if colURL != "" {
-		covers := []int{rank}
-		if trans == nil {
-			covers = launch.AllRanks(*ranks)
-		}
-		rep = collector.StartReporter(collector.ReporterConfig{
-			URL: colURL, Rank: rank, Covers: covers, Job: "asmpipeline",
-			Tracer: tr, Registry: reg,
-		})
-	}
-
-	// Graceful interrupt: flush the telemetry that exists so far (events
-	// dump, reporter final flush with an "interrupted" verdict), stop
-	// spawned worker ranks, and drain the collector before exiting.
-	launch.OnSignal(func(sig os.Signal) {
-		var dump *obs.Dump
-		if tr != nil {
-			dump = tr.Dump()
-		}
-		rep.Close(dump, false, "interrupted: "+sig.String())
-		if *eventsOut != "" && dump != nil {
-			writeEvents(dump, *eventsOut, rank, *transport)
-		}
-		if fleet != nil {
-			fleet.KillAll()
-		}
-		if colSrv != nil {
-			colSrv.Close()
-		}
-	})
-
-	f, err := os.Open(*in)
-	if err != nil {
-		fail(err)
-	}
-	frags, err := repro.ReadFASTA(f)
-	f.Close()
-	if err != nil {
-		fail(fmt.Errorf("malformed input %s: %w", *in, err))
-	}
-
-	if *qual != "" {
-		qf, err := os.Open(*qual)
-		if err != nil {
-			fail(err)
-		}
-		quals, err := seq.ReadQual(qf)
-		qf.Close()
-		if err == nil {
-			err = repro.AttachQuals(frags, quals)
-		}
-		if err != nil {
-			fail(fmt.Errorf("malformed qualities %s: %w", *qual, err))
-		}
+		usage("-resume requires -workdir")
 	}
 
 	cfg := repro.DefaultConfig()
 	cfg.Cluster.Psi = *psi
 	cfg.Cluster.W = *w
 	cfg.Cluster.MemBudget = *memBudget
-	switch *store {
-	case "", repro.StoreMem:
-	case repro.StoreDisk:
-		cfg.Store = repro.StoreConfig{Backend: repro.StoreDisk}
-	default:
-		fail(fmt.Errorf("unknown -store %q (mem, disk)", *store))
-	}
+	cfg.Store = repro.StoreConfig{Backend: *store}
 	cfg.PreprocessEnabled = *mask || *qual != ""
-	if *mask {
-		rng := rand.New(rand.NewSource(*seed))
-		sample := preprocess.Sample(rng, frags, 0.3)
-		cfg.Preprocess.Repeats = repro.DetectRepeats(sample, 16, 4)
-	}
 	if *ranks >= 2 {
 		cfg.Parallel = repro.DefaultParallelConfig(*ranks)
-		cfg.Parallel.Trace = tr
-		cfg.Parallel.Metrics = reg
-		if *faults != "" {
-			plan, err := cluster.ParseFaults(*faults)
-			if err != nil {
-				fail(err)
-			}
-			cfg.Parallel.Faults = plan
-		}
-		if trans != nil {
-			cfg.Parallel.FT = true // real processes genuinely die
-			cfg.Transport = trans
-			cfg.TransportRank = rank
-		}
-	} else if *faults != "" {
-		fail(fmt.Errorf("-faults requires -ranks ≥ 2"))
 	}
-	cfg.AssemblyGuard = &assembly.Guard{
-		Retries:  *retries,
-		Backoff:  10 * time.Millisecond,
-		Deadline: *deadline,
-		Trace:    tr,
-		Metrics:  reg,
+	switch {
+	case *faults == "":
+	case so.Transport != "inproc":
+		usage("-faults is for the simulated in-process machine; use real process kills with -transport", so.Transport)
+	case *ranks < 2:
+		usage("-faults requires -ranks ≥ 2")
+	default:
+		plan, err := cluster.ParseFaults(*faults)
+		if err != nil {
+			usage(err)
+		}
+		cfg.Parallel.Faults = plan
 	}
 
 	// Out-of-core fields join the fingerprint only when set, so
 	// existing all-RAM workdirs keep resuming.
 	manifestFlags := fmt.Sprintf("psi=%d w=%d ranks=%d mask=%v qual=%v seed=%d",
 		*psi, *w, *ranks, *mask, *qual != "", *seed)
-	if cfg.Store.Backend == repro.StoreDisk {
+	if *store == repro.StoreDisk {
 		manifestFlags += " store=disk"
 	}
 	if *memBudget > 0 {
 		manifestFlags += fmt.Sprintf(" membudget=%d", *memBudget)
 	}
-	var profSess *prof.Session
-	if *profDir != "" {
-		// PID-unique stems keep multi-process ranks from clobbering
-		// each other in a shared -prof-dir.
-		profSess, err = prof.Start(prof.Config{
-			Dir:      *profDir,
-			Name:     fmt.Sprintf("rank%d-p%d", rank, os.Getpid()),
-			Registry: reg,
+
+	// Under -transport tcp / unix the job root becomes rank 0 and forks
+	// the workers. Every rank re-reads and re-preprocesses the same
+	// input deterministically; only rank 0 assembles and writes output.
+	os.Exit(launch.Run("asmpipeline", *ranks, so, func(s *launch.Session) error {
+		frags, err := seq.ReadFragmentsFile(*in)
+		if err != nil {
+			return err
+		}
+		if *qual != "" {
+			qf, err := os.Open(*qual)
+			if err != nil {
+				return err
+			}
+			quals, err := seq.ReadQual(qf)
+			qf.Close()
+			if err == nil {
+				err = repro.AttachQuals(frags, quals)
+			}
+			if err != nil {
+				return fmt.Errorf("malformed qualities %s: %w", *qual, err)
+			}
+		}
+		if *mask {
+			rng := rand.New(rand.NewSource(*seed))
+			sample := preprocess.Sample(rng, frags, 0.3)
+			cfg.Preprocess.Repeats = repro.DetectRepeats(sample, 16, 4)
+		}
+		if *ranks >= 2 {
+			cfg.Parallel.Trace, cfg.Parallel.Metrics = s.Tracer, s.Registry
+		}
+		if s.Transport != nil {
+			cfg.Parallel.FT = true // real processes genuinely die
+			cfg.Transport = s.Transport
+			cfg.TransportRank = s.Rank
+		}
+		cfg.AssemblyGuard = &assembly.Guard{
+			Retries:  *retries,
+			Backoff:  10 * time.Millisecond,
+			Deadline: *deadline,
+			Trace:    s.Tracer,
+			Metrics:  s.Registry,
+		}
+
+		res, err := pipeline.Run(frags, pipeline.Config{
+			Core:    cfg,
+			Workdir: *workdir,
+			Resume:  *resume,
+			Flags:   manifestFlags,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "asmpipeline: profiling disabled:", err)
+			return err
 		}
-	}
-	stopProf := func() {
-		if profSess == nil {
-			return
+		defer res.Close()
+		if s.Rank != 0 {
+			// Worker-rank process: clustering is done, the master owns
+			// all remaining phases and every output file.
+			return nil
 		}
-		arts, perr := profSess.Stop()
-		profSess = nil
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "asmpipeline: profile stop:", perr)
-		} else if rank == 0 {
-			fmt.Printf("profile artifacts: %s (asmprof %s)\n", arts.CPU, *profDir)
+
+		summaryTable(len(frags), res, os.Stdout)
+
+		recs := res.ContigRecords()
+		of, err := os.Create(*out)
+		if err != nil {
+			return err
 		}
-	}
-
-	res, err := pipeline.Run(frags, pipeline.Config{
-		Core:    cfg,
-		Workdir: *workdir,
-		Resume:  *resume,
-		Flags:   manifestFlags,
-	})
-	stopProf()
-	if err != nil {
-		rep.Close(nil, false, err.Error())
-		fail(err)
-	}
-
-	// One tracer snapshot shared by the events file and the reporter's
-	// final flush, so the collector's merged trace is byte-identical to
-	// merging the dump files.
-	var dump *obs.Dump
-	if tr != nil {
-		dump = tr.Dump()
-	}
-	if rank != 0 {
-		// Worker-rank process: clustering is done, the master owns
-		// all remaining phases and every output file.
-		writeEvents(dump, *eventsOut, rank, *transport)
-		rep.Close(dump, true, "")
-		return
-	}
-
-	summaryTable(len(frags), res, os.Stdout)
-
-	of, err := os.Create(*out)
-	if err != nil {
-		fail(err)
-	}
-	defer of.Close()
-	var contigFrags []*repro.Fragment
-	for ci, cs := range res.Contigs {
-		for ki, c := range cs {
-			contigFrags = append(contigFrags, &repro.Fragment{
-				Name:  fmt.Sprintf("contig_%d_%d len=%d reads=%d depth=%.1f", ci, ki, len(c.Bases), len(c.Reads), c.Depth),
-				Bases: c.Bases,
-			})
+		if err := seq.WriteFASTA(of, recs, 0); err != nil {
+			of.Close()
+			return err
 		}
-	}
-	if err := repro.WriteFASTA(of, contigFrags); err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote %d contigs to %s\n", len(contigFrags), *out)
-
-	writeEvents(dump, *eventsOut, 0, *transport)
-	rep.Close(dump, true, "")
-}
-
-// writeEvents writes one process's events dump. Transport runs suffix
-// the path with the rank, one dump per OS process, so cross-rank
-// analysis can merge them afterwards (tracecheck -events a.rank0 ...).
-func writeEvents(d *obs.Dump, path string, rank int, transport string) {
-	if path == "" || d == nil {
-		return
-	}
-	if transport != "inproc" {
-		path = fmt.Sprintf("%s.rank%d", path, rank)
-	}
-	ef, err := os.Create(path)
-	if err != nil {
-		fail(err)
-	}
-	if err := d.WriteJSON(ef); err == nil {
-		err = ef.Close()
-	}
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("wrote %s\n", path)
+		if err := of.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d contigs to %s\n", len(recs), *out)
+		return nil
+	}))
 }

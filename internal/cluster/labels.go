@@ -1,5 +1,13 @@
 package cluster
 
+import (
+	"bufio"
+	"fmt"
+	"os"
+
+	"repro/internal/seq"
+)
+
 // PartitionLabels canonicalizes a clustering result: each fragment is
 // labeled with the smallest fragment index in its cluster, so two
 // results describe the same partition exactly when their label slices
@@ -30,4 +38,24 @@ func SamePartition(got, want []int) bool {
 		}
 	}
 	return true
+}
+
+// WriteTSV writes the cluster assignment to path, one line per
+// fragment: its name and its canonical label (PartitionLabels). A
+// failed flush or close is returned — a short file must not pass for
+// a partition.
+func WriteTSV(path string, names seq.Seqs, res *Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	for i, l := range PartitionLabels(res) {
+		fmt.Fprintf(bw, "%s\t%d\n", names.FragName(i), l)
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

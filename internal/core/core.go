@@ -6,6 +6,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 
 	"repro/internal/assembly"
@@ -143,6 +144,22 @@ func (r *Result) TotalContigs() int {
 	return total
 }
 
+// ContigRecords renders the contigs as FASTA records in cluster order,
+// named contig_<cluster>_<k> with length, read count and depth — the
+// one naming the CLI, the job service and their checks share.
+func (r *Result) ContigRecords() []seq.Record {
+	recs := make([]seq.Record, 0, r.TotalContigs())
+	for ci, cs := range r.Contigs {
+		for ki, c := range cs {
+			recs = append(recs, seq.Record{
+				Name:  fmt.Sprintf("contig_%d_%d len=%d reads=%d depth=%.1f", ci, ki, len(c.Bases), len(c.Reads), c.Depth),
+				Bases: c.Bases,
+			})
+		}
+	}
+	return recs
+}
+
 // Run executes the pipeline on the given fragments. It returns an
 // error when the parallel machine is misconfigured or a fault run
 // loses so many workers the clustering cannot finish.
@@ -161,6 +178,7 @@ func Run(frags []*seq.Fragment, cfg Config) (*Result, error) {
 		if cfg.Transport != nil {
 			res.Clustering, _, _, err = cluster.ParallelRank(res.Store, cfg.Cluster, cfg.Parallel, cfg.TransportRank, cfg.Transport)
 			if err != nil {
+				res.Close() // a failed run must not leave its store's temp dir behind
 				return nil, err
 			}
 			if cfg.TransportRank != 0 {
@@ -169,6 +187,7 @@ func Run(frags []*seq.Fragment, cfg Config) (*Result, error) {
 		} else {
 			res.Clustering, res.Phases, err = cluster.Parallel(res.Store, cfg.Cluster, cfg.Parallel)
 			if err != nil {
+				res.Close()
 				return nil, err
 			}
 		}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,8 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/launch"
-	"repro/internal/obs"
-	"repro/internal/obs/collector"
 	"repro/internal/obs/prof"
 	"repro/internal/pipeline"
 	"repro/internal/preprocess"
@@ -88,6 +87,18 @@ func MaybeRunJob() bool {
 // its artifacts — all byte-identical by the pipeline's manifest
 // contract.
 func RunJob(dir string) int {
+	// Graceful drain: SIGTERM requests a checkpoint at the next phase
+	// boundary instead of killing the attempt mid-phase. Registered
+	// before anything else so a drain landing in the attempt's first
+	// milliseconds is not a death by default disposition.
+	interrupt := make(chan struct{})
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
+	go func() {
+		<-sigs
+		close(interrupt)
+	}()
+
 	var spec Spec
 	if err := readJSON(filepath.Join(dir, specFile), &spec); err != nil {
 		fmt.Fprintln(os.Stderr, "runner:", err)
@@ -105,87 +116,48 @@ func RunJob(dir string) int {
 		select {}
 	}
 
-	// Graceful drain: SIGTERM requests a checkpoint at the next phase
-	// boundary instead of killing the attempt mid-phase.
-	interrupt := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		<-sigs
-		close(interrupt)
-	}()
-
-	f, err := os.Open(filepath.Join(dir, inputFile))
+	frags, err := seq.ReadFragmentsFile(filepath.Join(dir, inputFile))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "runner:", err)
 		return 1
 	}
-	recs, err := seq.ReadFASTA(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "runner: malformed input:", err)
-		return 1
-	}
-	frags := make([]*seq.Fragment, len(recs))
-	for i, rec := range recs {
-		frags[i] = &seq.Fragment{Name: rec.Name, Bases: rec.Bases}
-	}
 
 	// Per-job telemetry: this attempt serves its own run collector so
 	// asmtop (pointed at the URL from the job status) can attach live.
-	tr := obs.NewTracer(spec.Ranks, obs.DefaultRingCap)
-	reg := obs.NewRegistry()
-	var rep *collector.Reporter
-	_, colSrv, colURL, err := launch.StartCollector(collector.Config{Ranks: spec.Ranks, Job: id}, "127.0.0.1:0", "", 0)
-	if err == nil {
-		writeFileAtomic(filepath.Join(dir, collectorFile), []byte(colURL+"\n"))
-		rep = collector.StartReporter(collector.ReporterConfig{
-			URL: colURL, Rank: 0, Covers: launch.AllRanks(spec.Ranks), Job: id,
-			Tracer: tr, Registry: reg,
-		})
-		defer colSrv.Close()
-	} else {
-		// Telemetry must never take the job down.
-		fmt.Fprintln(os.Stderr, "runner: collector disabled:", err)
-	}
-
-	// Profiling session: artifacts under <job>/prof with a PID-unique
-	// stem. A SIGKILLed attempt leaves a truncated CPU stream behind;
-	// the completing attempt's merge skips what cannot parse, so the
-	// archived profile is reproducible whatever happened in between.
-	var profSess *prof.Session
+	// Profiling artifacts go under <job>/prof; a SIGKILLed attempt
+	// leaves a truncated CPU stream behind, and the completing attempt's
+	// merge skips what cannot parse, so the archived profile is
+	// reproducible whatever happened in between.
+	topts := launch.Options{Collector: "127.0.0.1:0"}
 	if spec.Profile {
-		s, perr := prof.Start(prof.Config{
-			Dir:      filepath.Join(dir, profDir),
-			Name:     fmt.Sprintf("rank0-p%d", os.Getpid()),
-			Registry: reg,
-		})
-		if perr != nil {
-			// Profiling must never take the job down.
-			fmt.Fprintln(os.Stderr, "runner: profiling disabled:", perr)
-		} else {
-			profSess = s
+		topts.ProfDir = filepath.Join(dir, profDir)
+	}
+	tel, err := launch.StartTelemetry(id, spec.Ranks, topts)
+	if err != nil {
+		// Telemetry must never take the job down: run on without the
+		// collector (nothing else in the session can fail to start).
+		fmt.Fprintln(os.Stderr, "runner: collector disabled:", err)
+		topts.Collector = ""
+		if tel, err = launch.StartTelemetry(id, spec.Ranks, topts); err != nil {
+			fmt.Fprintln(os.Stderr, "runner:", err)
+			return 1
 		}
 	}
-	stopProf := func() {
-		if profSess == nil {
-			return
+	if tel.CollectorURL != "" {
+		writeFileAtomic(filepath.Join(dir, collectorFile), []byte(tel.CollectorURL+"\n"))
+	}
+	// fail closes the telemetry with the failing verdict and maps the
+	// error to the runner's exit code.
+	fail := func(err error) int {
+		tel.Close(err)
+		fmt.Fprintln(os.Stderr, "runner:", err)
+		switch {
+		case errors.Is(err, pipeline.ErrInterrupted):
+			return ExitInterrupted
+		case errors.Is(err, pipeline.ErrWorkdirLocked):
+			return ExitBusy
 		}
-		arts, perr := profSess.Stop()
-		profSess = nil
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "runner: profile stop:", perr)
-			return
-		}
-		// Best-effort upload so the collector's /profiles plane can
-		// serve the cross-rank merge while artifacts stay job-local.
-		if rep != nil {
-			if data, rerr := os.ReadFile(arts.CPU); rerr == nil {
-				if uerr := rep.PostProfile(filepath.Base(arts.CPU), data); uerr != nil {
-					fmt.Fprintln(os.Stderr, "runner: profile upload:", uerr)
-				}
-			}
-		}
+		return 1
 	}
 
 	cfg := core.DefaultConfig()
@@ -199,14 +171,14 @@ func RunJob(dir string) int {
 	}
 	if spec.Ranks >= 2 {
 		cfg.Parallel = cluster.DefaultParallelConfig(spec.Ranks)
-		cfg.Parallel.Trace = tr
-		cfg.Parallel.Metrics = reg
+		cfg.Parallel.Trace = tel.Tracer
+		cfg.Parallel.Metrics = tel.Registry
 	}
 	cfg.AssemblyGuard = &assembly.Guard{
 		Retries: spec.AssemblyRetries,
 		Backoff: 10 * time.Millisecond,
-		Trace:   tr,
-		Metrics: reg,
+		Trace:   tel.Tracer,
+		Metrics: tel.Registry,
 	}
 	if spec.Store == "disk" {
 		// Dir is left empty: the pipeline anchors the store under the
@@ -228,25 +200,11 @@ func RunJob(dir string) int {
 		},
 	})
 	if err != nil {
-		stopProf()
-		switch {
-		case errors.Is(err, pipeline.ErrInterrupted):
-			rep.Close(nil, false, "interrupted: checkpointed at phase boundary")
-			fmt.Fprintln(os.Stderr, "runner:", err)
-			return ExitInterrupted
-		case errors.Is(err, pipeline.ErrWorkdirLocked):
-			rep.Close(nil, false, "workdir busy")
-			fmt.Fprintln(os.Stderr, "runner:", err)
-			return ExitBusy
-		default:
-			rep.Close(nil, false, err.Error())
-			fmt.Fprintln(os.Stderr, "runner:", err)
-			return 1
-		}
+		return fail(err)
 	}
-
 	defer res.Close()
-	stopProf()
+
+	tel.StopProfile() // the merge below reads this attempt's artifact
 	if spec.Profile {
 		if merr := writeMergedProfile(dir); merr != nil {
 			// The job result stands; only the profile archive is lost.
@@ -254,12 +212,10 @@ func RunJob(dir string) int {
 		}
 	}
 	if err := writeResults(dir, res, started); err != nil {
-		rep.Close(nil, false, err.Error())
-		fmt.Fprintln(os.Stderr, "runner:", err)
-		return 1
+		return fail(err)
 	}
 	writeFileAtomic(filepath.Join(dir, progressFile), []byte("done\n"))
-	rep.Close(nil, true, "")
+	tel.Close(nil)
 	return 0
 }
 
@@ -292,26 +248,16 @@ func writeMergedProfile(dir string) error {
 // writeResults persists the contigs and summary report atomically, so
 // a crash mid-write never leaves a half-result behind a valid name.
 func writeResults(dir string, res *core.Result, started time.Time) error {
-	var contigRecs []seq.Record
+	contigRecs := res.ContigRecords()
 	bases := 0
-	for ci, cs := range res.Contigs {
-		for ki, c := range cs {
-			contigRecs = append(contigRecs, seq.Record{
-				Name:  fmt.Sprintf("contig_%d_%d len=%d reads=%d depth=%.1f", ci, ki, len(c.Bases), len(c.Reads), c.Depth),
-				Bases: c.Bases,
-			})
-			bases += len(c.Bases)
-		}
+	for _, rec := range contigRecs {
+		bases += len(rec.Bases)
 	}
-	var buf []byte
-	{
-		var sb writerBuf
-		if err := seq.WriteFASTA(&sb, contigRecs, 0); err != nil {
-			return fmt.Errorf("encode contigs: %w", err)
-		}
-		buf = sb
+	var buf bytes.Buffer
+	if err := seq.WriteFASTA(&buf, contigRecs, 0); err != nil {
+		return fmt.Errorf("encode contigs: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, contigsFile), buf); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, contigsFile), buf.Bytes()); err != nil {
 		return err
 	}
 	rpt := Report{
@@ -328,14 +274,6 @@ func writeResults(dir string, res *core.Result, started time.Time) error {
 		return err
 	}
 	return writeFileAtomic(filepath.Join(dir, reportFile), append(b, '\n'))
-}
-
-// writerBuf is a minimal io.Writer onto a byte slice.
-type writerBuf []byte
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
 }
 
 func readJSON(path string, v any) error {

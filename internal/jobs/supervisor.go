@@ -143,29 +143,47 @@ wait:
 		}
 	}
 
+	rec, backoff := classify(drained, killed, waitErr)
+	rec.Job = job.ID
+	s.finish(job, rec)
+	if backoff {
+		s.backoffJob(job)
+	}
+	switch rec.Op {
+	case OpDone:
+		s.logf("worker %d: job %s done", w, job.ID)
+	case OpFail:
+		s.logf("worker %d: job %s attempt failed: %s", w, job.ID, rec.Err)
+	}
+}
+
+// classify maps how an attempt ended to the record the supervisor
+// journals (Job left for the caller) and whether the job waits out a
+// backoff before its next attempt. drained says the supervisor sent
+// the drain SIGTERM; killed, when non-empty, why it sent SIGKILL;
+// waitErr is the child's exit. Only genuine failures are charged:
+// once a drain has signalled the child, no exit is the job's fault —
+// not a missed checkpoint deadline, and not a death by the signal's
+// default disposition before the runner installed its handler.
+func classify(drained bool, killed string, waitErr error) (rec Record, backoff bool) {
+	code := exitCode(waitErr)
 	switch {
 	case killed != "" && drained:
-		// Couldn't checkpoint in time, but drain kills are not the
-		// job's fault: the manifest still resumes from the last phase.
-		s.finish(job, Record{Op: OpRequeue, Job: job.ID, Reason: "drain (killed: " + killed + ")"})
+		// Couldn't checkpoint in time: the manifest still resumes from
+		// the last phase.
+		return Record{Op: OpRequeue, Reason: "drain (killed: " + killed + ")"}, false
 	case killed != "":
-		s.finish(job, Record{Op: OpFail, Job: job.ID, Err: killed})
-		s.backoffJob(job)
+		return Record{Op: OpFail, Err: killed}, true
 	case waitErr == nil:
-		s.finish(job, Record{Op: OpDone, Job: job.ID})
-		s.logf("worker %d: job %s done", w, job.ID)
+		return Record{Op: OpDone}, false
+	case code == ExitInterrupted:
+		return Record{Op: OpRequeue, Reason: "interrupted: checkpointed"}, false
+	case code == ExitBusy:
+		return Record{Op: OpRequeue, Reason: "workdir busy"}, true
+	case drained:
+		return Record{Op: OpRequeue, Reason: "drain (" + waitErr.Error() + ")"}, false
 	default:
-		switch exitCode(waitErr) {
-		case ExitInterrupted:
-			s.finish(job, Record{Op: OpRequeue, Job: job.ID, Reason: "interrupted: checkpointed"})
-		case ExitBusy:
-			s.finish(job, Record{Op: OpRequeue, Job: job.ID, Reason: "workdir busy"})
-			s.backoffJob(job)
-		default:
-			s.finish(job, Record{Op: OpFail, Job: job.ID, Err: waitErr.Error()})
-			s.backoffJob(job)
-			s.logf("worker %d: job %s attempt failed: %v", w, job.ID, waitErr)
-		}
+		return Record{Op: OpFail, Err: waitErr.Error()}, true
 	}
 }
 

@@ -5,7 +5,8 @@
 // socket transport from them, and runs only its own rank. Because
 // every process parses the same flags, deterministic input loading
 // and preprocessing reproduce the identical fragment set in each
-// rank without shipping it over the wire.
+// rank without shipping it over the wire. Session (session.go) is the
+// one startup and exit every command runs around its payload.
 package launch
 
 import (
@@ -14,124 +15,80 @@ import (
 	"os/exec"
 	"strconv"
 	"syscall"
-	"time"
-
-	"repro/internal/par"
-	"repro/internal/par/nettrans"
 )
 
 const (
 	rankEnv      = "ASM_SPMD_RANK"
 	sizeEnv      = "ASM_SPMD_SIZE"
-	networkEnv   = "ASM_SPMD_NETWORK"
 	registryEnv  = "ASM_SPMD_REGISTRY"
 	epochEnv     = "ASM_SPMD_EPOCH"
 	obsEnv       = "ASM_SPMD_OBS"       // per-rank obs server listen addr ("" = off)
 	collectorEnv = "ASM_SPMD_COLLECTOR" // run collector base URL
-	eventsEnv    = "ASM_SPMD_EVENTS"    // events-dump base path (rank suffix added)
-	traceEnv     = "ASM_SPMD_TRACE"     // Chrome-trace base path (rank suffix added)
 )
 
-// Child describes this process's role in a spawned SPMD job.
-type Child struct {
+// child describes this process's role in a spawned SPMD job.
+type child struct {
 	Rank     int
 	Size     int
-	Network  string // "tcp" or "unix"
 	Registry string // rendezvous registry directory
 	Epoch    uint64
 
-	// Telemetry wiring inherited from the parent. ObsAddr is this
-	// rank's own observability listen address (parents pass an
-	// ephemeral ":0"-style address so every rank is individually
-	// scrapeable; the rank publishes the bound address back into the
-	// registry). Collector is the run collector's base URL. EventsOut
-	// and TraceOut are dump-path bases the rank suffixes with its
-	// rank number. All empty when the parent ran without telemetry.
+	// Telemetry wiring decided by the parent. ObsAddr is this rank's
+	// own observability listen address (parents pass an ephemeral
+	// ":0"-style address so every rank is individually scrapeable; the
+	// rank publishes the bound address back into the registry).
+	// Collector is the run collector's base URL. Both empty when the
+	// parent ran without telemetry.
 	ObsAddr   string
 	Collector string
-	EventsOut string
-	TraceOut  string
 }
 
-// Telemetry is the optional observability wiring Spawn forwards to
-// every child rank through the environment.
-type Telemetry struct {
-	ObsAddr   string // children listen here (use "127.0.0.1:0" for per-rank ephemeral ports)
-	Collector string // run collector base URL children report to
-	EventsOut string // events-dump base path (children append .rank<r>)
-	TraceOut  string // Chrome-trace base path (children append .rank<r>)
-}
-
-// env renders the telemetry wiring as environment entries.
-func (t Telemetry) env() []string {
-	var out []string
-	if t.ObsAddr != "" {
-		out = append(out, obsEnv+"="+t.ObsAddr)
+// env renders the child's identity as the environment entries fromEnv
+// decodes.
+func (c child) env() []string {
+	out := []string{
+		rankEnv + "=" + strconv.Itoa(c.Rank),
+		sizeEnv + "=" + strconv.Itoa(c.Size),
+		registryEnv + "=" + c.Registry,
+		epochEnv + "=" + strconv.FormatUint(c.Epoch, 10),
 	}
-	if t.Collector != "" {
-		out = append(out, collectorEnv+"="+t.Collector)
+	if c.ObsAddr != "" {
+		out = append(out, obsEnv+"="+c.ObsAddr)
 	}
-	if t.EventsOut != "" {
-		out = append(out, eventsEnv+"="+t.EventsOut)
-	}
-	if t.TraceOut != "" {
-		out = append(out, traceEnv+"="+t.TraceOut)
+	if c.Collector != "" {
+		out = append(out, collectorEnv+"="+c.Collector)
 	}
 	return out
 }
 
-// FromEnv reports whether this process was re-executed as a worker
+// fromEnv reports whether this process was re-executed as a worker
 // rank, and with what parameters.
-func FromEnv() (Child, bool, error) {
+func fromEnv() (child, bool, error) {
 	rs := os.Getenv(rankEnv)
 	if rs == "" {
-		return Child{}, false, nil
+		return child{}, false, nil
 	}
-	var c Child
+	var c child
 	var err error
 	if c.Rank, err = strconv.Atoi(rs); err != nil {
-		return Child{}, false, fmt.Errorf("launch: bad %s=%q", rankEnv, rs)
+		return child{}, false, fmt.Errorf("launch: bad %s=%q", rankEnv, rs)
 	}
 	if c.Size, err = strconv.Atoi(os.Getenv(sizeEnv)); err != nil {
-		return Child{}, false, fmt.Errorf("launch: bad %s=%q", sizeEnv, os.Getenv(sizeEnv))
+		return child{}, false, fmt.Errorf("launch: bad %s=%q", sizeEnv, os.Getenv(sizeEnv))
 	}
 	if c.Epoch, err = strconv.ParseUint(os.Getenv(epochEnv), 10, 64); err != nil {
-		return Child{}, false, fmt.Errorf("launch: bad %s=%q", epochEnv, os.Getenv(epochEnv))
+		return child{}, false, fmt.Errorf("launch: bad %s=%q", epochEnv, os.Getenv(epochEnv))
 	}
-	c.Network = os.Getenv(networkEnv)
 	c.Registry = os.Getenv(registryEnv)
 	if c.Registry == "" {
-		return Child{}, false, fmt.Errorf("launch: %s set but %s empty", rankEnv, registryEnv)
+		return child{}, false, fmt.Errorf("launch: %s set but %s empty", rankEnv, registryEnv)
 	}
 	c.ObsAddr = os.Getenv(obsEnv)
 	c.Collector = os.Getenv(collectorEnv)
-	c.EventsOut = os.Getenv(eventsEnv)
-	c.TraceOut = os.Getenv(traceEnv)
 	if c.Rank < 1 || c.Rank >= c.Size {
-		return Child{}, false, fmt.Errorf("launch: child rank %d out of range for size %d", c.Rank, c.Size)
+		return child{}, false, fmt.Errorf("launch: child rank %d out of range for size %d", c.Rank, c.Size)
 	}
 	return c, true, nil
-}
-
-// Transport builds this rank's socket endpoint. Liveness ≤ 0 keeps
-// the nettrans default.
-func (c Child) Transport(liveness time.Duration) (par.Transport, error) {
-	return NewTransport(c.Rank, c.Size, c.Network, c.Registry, c.Epoch, liveness)
-}
-
-// NewTransport builds a nettrans endpoint for one rank of a job.
-func NewTransport(rank, size int, network, registry string, epoch uint64, liveness time.Duration) (par.Transport, error) {
-	cfg := nettrans.Config{
-		Rank:        rank,
-		Size:        size,
-		Network:     network,
-		RegistryDir: registry,
-		Epoch:       epoch,
-	}
-	if liveness > 0 {
-		cfg.Liveness = liveness
-	}
-	return nettrans.New(cfg)
 }
 
 // Fleet is the set of worker-rank processes spawned by rank 0.
@@ -139,35 +96,24 @@ type Fleet struct {
 	procs map[int]*exec.Cmd
 }
 
-// Spawn re-executes the current binary as ranks 1..size-1 of a job
-// rooted at this process (which becomes rank 0). Children inherit
-// the parent's arguments verbatim; their stdout is redirected to the
-// parent's stderr so rank 0 alone owns the job's stdout. An optional
-// Telemetry argument forwards observability wiring to every child.
-func Spawn(size int, network, registry string, epoch uint64, tel ...Telemetry) (*Fleet, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("launch: resolve executable: %w", err)
-	}
-	var telEnv []string
-	for _, t := range tel {
-		telEnv = append(telEnv, t.env()...)
-	}
+// spawn re-executes the current binary as ranks 1..tmpl.Size-1 of a
+// job rooted at this process (which becomes rank 0); tmpl carries the
+// job identity and telemetry wiring every child shares. Children
+// inherit the parent's arguments verbatim; their stdout is redirected
+// to the parent's stderr so rank 0 alone owns the job's stdout.
+func spawn(tmpl child) (*Fleet, error) {
 	f := &Fleet{procs: make(map[int]*exec.Cmd)}
-	for r := 1; r < size; r++ {
-		cmd := exec.Command(exe, os.Args[1:]...)
-		cmd.Env = append(os.Environ(),
-			rankEnv+"="+strconv.Itoa(r),
-			sizeEnv+"="+strconv.Itoa(size),
-			networkEnv+"="+network,
-			registryEnv+"="+registry,
-			epochEnv+"="+strconv.FormatUint(epoch, 10),
-		)
-		cmd.Env = append(cmd.Env, telEnv...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
+	for r := 1; r < tmpl.Size; r++ {
+		tmpl.Rank = r
+		cmd, err := SelfExec(tmpl.env(), os.Args[1:]...)
+		if err == nil {
+			cmd.Stdout = os.Stderr
+			cmd.Stderr = os.Stderr
+			err = cmd.Start()
+		}
+		if err != nil {
 			f.KillAll()
+			f.Wait()
 			return nil, fmt.Errorf("launch: spawn rank %d: %w", r, err)
 		}
 		f.procs[r] = cmd
@@ -203,13 +149,6 @@ func (f *Fleet) Wait() map[int]error {
 		out[r] = cmd.Wait()
 	}
 	return out
-}
-
-// Epoch derives a job epoch from the wall clock. Epochs distinguish
-// concurrent or successive jobs sharing a registry directory; they
-// need only be unique per registry, not globally.
-func Epoch() uint64 {
-	return uint64(time.Now().UnixNano())
 }
 
 // SelfExec builds (without starting) a command that re-executes the

@@ -1,88 +1,77 @@
 package launch
 
 import (
+	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/obs/collector"
 	"repro/internal/par/nettrans"
 )
 
-// setJobEnv populates the SPMD child environment the way Spawn does,
-// with t.Setenv so the test runner restores it.
+// setJobEnv populates the SPMD child environment with t.Setenv so the
+// test runner restores it; unnamed variables are cleared.
 func setJobEnv(t *testing.T, kv map[string]string) {
 	t.Helper()
-	for _, k := range []string{rankEnv, sizeEnv, networkEnv, registryEnv, epochEnv, obsEnv, collectorEnv, eventsEnv, traceEnv} {
+	for _, k := range []string{rankEnv, sizeEnv, registryEnv, epochEnv, obsEnv, collectorEnv} {
 		t.Setenv(k, kv[k])
 	}
 }
 
+// TestFromEnvTelemetryRoundTrip: what spawn renders into a child's
+// environment is exactly what the child decodes.
 func TestFromEnvTelemetryRoundTrip(t *testing.T) {
-	tel := Telemetry{
-		ObsAddr:   "127.0.0.1:0",
-		Collector: "http://127.0.0.1:9090",
-		EventsOut: "/tmp/ev.json",
-		TraceOut:  "/tmp/trace.json",
+	want := child{
+		Rank: 2, Size: 4, Registry: "/tmp/reg", Epoch: 17,
+		ObsAddr: "127.0.0.1:0", Collector: "http://127.0.0.1:9090",
 	}
-	kv := map[string]string{
-		rankEnv: "2", sizeEnv: "4", networkEnv: "tcp",
-		registryEnv: "/tmp/reg", epochEnv: "17",
-	}
-	for _, e := range tel.env() {
-		for i := 0; i < len(e); i++ {
-			if e[i] == '=' {
-				kv[e[:i]] = e[i+1:]
-				break
-			}
-		}
+	kv := map[string]string{}
+	for _, e := range want.env() {
+		k, v, _ := strings.Cut(e, "=")
+		kv[k] = v
 	}
 	setJobEnv(t, kv)
 
-	c, ok, err := FromEnv()
+	c, ok, err := fromEnv()
 	if err != nil || !ok {
-		t.Fatalf("FromEnv = %v, %v", ok, err)
+		t.Fatalf("fromEnv = %v, %v", ok, err)
 	}
-	if c.Rank != 2 || c.Size != 4 || c.Network != "tcp" || c.Registry != "/tmp/reg" || c.Epoch != 17 {
-		t.Fatalf("job fields mangled: %+v", c)
-	}
-	if c.ObsAddr != tel.ObsAddr || c.Collector != tel.Collector ||
-		c.EventsOut != tel.EventsOut || c.TraceOut != tel.TraceOut {
-		t.Fatalf("telemetry fields mangled: %+v", c)
+	if c != want {
+		t.Fatalf("round trip mangled the child: got %+v, want %+v", c, want)
 	}
 }
 
 func TestFromEnvNotAChild(t *testing.T) {
 	setJobEnv(t, nil)
-	if _, ok, err := FromEnv(); ok || err != nil {
+	if _, ok, err := fromEnv(); ok || err != nil {
 		t.Fatalf("empty env should mean not-a-child, got ok=%v err=%v", ok, err)
 	}
 }
 
 func TestFromEnvRejectsBadRank(t *testing.T) {
 	setJobEnv(t, map[string]string{
-		rankEnv: "7", sizeEnv: "4", networkEnv: "tcp",
+		rankEnv: "7", sizeEnv: "4",
 		registryEnv: "/tmp/reg", epochEnv: "1",
 	})
-	if _, _, err := FromEnv(); err == nil {
+	if _, _, err := fromEnv(); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
 }
 
-// TestCollectorRegistryDiscovery: StartCollector publishes its bound
-// address as the "collector" service, the same rendezvous asmtop's
-// -registry flag resolves.
+// TestCollectorRegistryDiscovery: a served collector publishes its
+// bound address as the "collector" service, the same rendezvous
+// asmtop's -registry flag resolves.
 func TestCollectorRegistryDiscovery(t *testing.T) {
 	dir := t.TempDir()
-	_, srv, url, err := StartCollector(collector.Config{Ranks: 2, Job: "launch-test"}, "127.0.0.1:0", dir, 1)
-	if err != nil {
+	tel := &Telemetry{job: "launch-test", size: 2, registry: dir, epoch: 1, opts: Options{Collector: "127.0.0.1:0"}}
+	if err := tel.startCollector(); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer tel.stop(false)
 	got, err := nettrans.WaitService(dir, CollectorService, 0, time.Now().Add(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != url {
-		t.Fatalf("registry names %q, StartCollector returned %q", got, url)
+	if got != tel.CollectorURL {
+		t.Fatalf("registry names %q, the collector serves %q", got, tel.CollectorURL)
 	}
 }

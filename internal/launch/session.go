@@ -1,0 +1,243 @@
+package launch
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"sync"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/par"
+	"repro/internal/par/nettrans"
+)
+
+// ErrUsage marks a Start error caused by the flag combination rather
+// than the environment; Run exits 2 on it, as flag parsing does.
+var ErrUsage = errors.New("usage")
+
+// Options are a run session's settings. The first block is the flag
+// surface every command shares (RegisterFlags). The second is
+// asmnode's manual-rendezvous deployment settings, zero elsewhere:
+// where this rank sits in a machine launched by hand.
+type Options struct {
+	Transport       string        // inproc goroutines, or tcp / unix OS processes
+	ObsAddr         string        // this process's observability listen address
+	TraceOut        string        // Chrome trace path
+	EventsOut       string        // raw events dump path
+	Collector       string        // host:port the job root serves a collector on, or the http:// URL of a running one
+	CollectorLinger time.Duration // how long that collector outlives the run
+	ProfDir         string        // profiling artifact directory
+
+	Manual   bool          // this process is rank Rank of a hand-launched machine; nothing is spawned
+	Rank     int           // manual mode only
+	Epoch    uint64        // manual mode only; a spawning root draws a fresh one
+	Registry string        // shared rendezvous directory; a spawning root defaults to a temp dir it removes
+	Peers    []string      // static peer addresses, index = rank (alternative to Registry)
+	Listen   string        // this rank's listen address (default: ephemeral)
+	Liveness time.Duration // declare a silent peer dead after this long (0 = transport default)
+}
+
+// RegisterFlags registers the session flags on fs, once for every
+// command, and returns the Options they fill. transport is the
+// command's default for -transport.
+func RegisterFlags(fs *flag.FlagSet, transport string) *Options {
+	o := &Options{}
+	fs.StringVar(&o.Transport, "transport", transport, "run parallel ranks as: inproc goroutines, or tcp / unix OS processes")
+	fs.StringVar(&o.ObsAddr, "obs-addr", "", "serve /metrics, /trace, /analyze and /debug/pprof on this host:port while running; spawned ranks get ephemeral servers published to the registry")
+	fs.StringVar(&o.TraceOut, "trace-out", "", "write a Chrome trace JSON of the run to this file (load in ui.perfetto.dev); one FILE.rank<r> per process under tcp / unix")
+	fs.StringVar(&o.EventsOut, "events-out", "", "write the raw events dump to this file (input for traceanalyze); one FILE.rank<r> per process under tcp / unix (merge with tracecheck -events)")
+	fs.StringVar(&o.Collector, "collector", "", "live telemetry collector every rank streams health, metrics and trace deltas to (poll with asmtop): a host:port to serve one on, or the http:// URL of a running one")
+	fs.DurationVar(&o.CollectorLinger, "collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
+	fs.StringVar(&o.ProfDir, "prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")
+	return o
+}
+
+// Session is one process's membership in a run: its rank, the
+// transport to the other ranks (nil on the in-process machine, where
+// one process holds them all), and the telemetry sinks the payload
+// threads into the engine (nil when no telemetry was requested).
+type Session struct {
+	Rank      int
+	Transport par.Transport
+	Tracer    *obs.Tracer
+	Registry  *obs.Registry
+
+	tel          *Telemetry
+	fleet        *Fleet
+	tempRegistry string // registry directory this session created and removes
+
+	mu     sync.Mutex // serialises Close against the signal handler
+	closed bool
+}
+
+// Start joins (or, as the job root, creates) the run described by o:
+// child detection → registry and epoch → collector → spawn → transport
+// → tracer and registry → rank obs server → reporter → profiling →
+// signal handler. Every rank of an SPMD job runs the same Start and
+// only then diverges on Rank. On error nothing is left behind.
+func Start(job string, ranks int, o Options) (*Session, error) {
+	t := &Telemetry{job: job, opts: o, size: ranks}
+	s := &Session{tel: t}
+	root := false // this process forks the worker ranks
+	switch o.Transport {
+	case "inproc":
+		if o.Manual {
+			return nil, fmt.Errorf("%w: a hand-launched rank needs -transport tcp or unix", ErrUsage)
+		}
+	case "tcp", "unix":
+		if ranks < 2 {
+			return nil, fmt.Errorf("%w: -transport %s requires at least 2 ranks", ErrUsage, o.Transport)
+		}
+		t.perProc = true
+		c, isChild, err := fromEnv()
+		switch {
+		case err != nil:
+			return nil, err
+		case isChild:
+			// A re-executed worker finds its identity in the environment
+			// and ignores the rendezvous flags it inherited. The parent
+			// decided its observability: listen on the ephemeral address
+			// it forwarded (or not at all), stream to its collector.
+			t.rank, t.registry, t.epoch, t.spawned = c.Rank, c.Registry, c.Epoch, true
+			t.opts.ObsAddr, t.opts.Collector = c.ObsAddr, c.Collector
+		case o.Manual:
+			if o.Collector != "" && !isURL(o.Collector) {
+				return nil, fmt.Errorf("%w: -collector %s is a listen address, which only a spawning root serves; manual ranks take the collector's http:// URL", ErrUsage, o.Collector)
+			}
+			if len(o.Peers) != 0 && len(o.Peers) != ranks {
+				return nil, fmt.Errorf("%w: -peers names %d ranks of %d", ErrUsage, len(o.Peers), ranks)
+			}
+			if len(o.Peers) == 0 && o.Registry == "" {
+				return nil, fmt.Errorf("%w: need -registry or a full -peers list (or -spawn)", ErrUsage)
+			}
+			t.rank, t.registry, t.epoch = o.Rank, o.Registry, o.Epoch
+		default:
+			root = true
+			// Epochs tell apart successive jobs sharing a registry
+			// directory; the wall clock is unique enough per registry.
+			t.registry, t.epoch = o.Registry, uint64(time.Now().UnixNano())
+			if t.registry == "" {
+				dir, err := os.MkdirTemp("", job+"-registry-")
+				if err != nil {
+					return nil, err
+				}
+				t.registry, s.tempRegistry = dir, dir
+			}
+		}
+	default:
+		return nil, fmt.Errorf("%w: unknown -transport %q (inproc, tcp, unix)", ErrUsage, o.Transport)
+	}
+
+	err := t.startCollector()
+	if err == nil && root {
+		tmpl := child{Size: ranks, Registry: t.registry, Epoch: t.epoch, Collector: t.CollectorURL}
+		if o.ObsAddr != "" {
+			tmpl.ObsAddr = "127.0.0.1:0" // per-rank ephemeral server, address published to the registry
+		}
+		s.fleet, err = spawn(tmpl)
+	}
+	if err == nil && t.perProc {
+		cfg := nettrans.Config{
+			Rank: t.rank, Size: ranks, Network: o.Transport, RegistryDir: t.registry, Epoch: t.epoch,
+			Listen: o.Listen, Peers: o.Peers, Liveness: o.Liveness,
+		}
+		var nt *nettrans.Transport
+		if nt, err = nettrans.New(cfg); err == nil {
+			s.Transport = nt
+		}
+	}
+	if err == nil {
+		err = t.start()
+	}
+	if err != nil {
+		if s.Transport != nil {
+			s.Transport.Close()
+		}
+		s.release(true, false)
+		return nil, err
+	}
+	s.Rank, s.Tracer, s.Registry = t.rank, t.Tracer, t.Registry
+
+	// Graceful interrupt: the same exit as Close, with an "interrupted"
+	// verdict, dumps under .interrupted names, and the fleet killed.
+	OnSignal(func(sig os.Signal) {
+		s.shutdown(fmt.Errorf("interrupted: %s", sig), true)
+	})
+	return s, nil
+}
+
+// Kill SIGKILLs one spawned worker rank (failure injection).
+func (s *Session) Kill(rank int) error {
+	if s.fleet == nil {
+		return fmt.Errorf("launch: this process spawned no ranks")
+	}
+	return s.fleet.Kill(rank)
+}
+
+// Close is the run's only exit: it stops the profiler, takes one
+// tracer snapshot and writes the requested dumps from it, delivers the
+// reporter's final flush with the verdict (runErr nil = ok), closes
+// the transport, waits for the worker ranks — kills them first when
+// the run failed, so none outlives a dead master — lets the collector
+// linger and closes it, and removes the registry it created. It
+// returns runErr, or else the first error of its own.
+func (s *Session) Close(runErr error) error {
+	return s.shutdown(runErr, false)
+}
+
+func (s *Session) shutdown(runErr error, interrupted bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return runErr
+	}
+	s.closed = true
+	err := s.tel.flush(runErr, interrupted)
+	// An interrupted rank skips the transport's drain: the engine may
+	// still be sending, and the process is about to exit anyway.
+	if s.Transport != nil && !interrupted {
+		if cerr := s.Transport.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("transport close: %w", cerr)
+		}
+	}
+	s.release(runErr != nil, !interrupted)
+	if runErr != nil {
+		return runErr
+	}
+	return err
+}
+
+// release reaps the fleet, stops the servers and removes the temp
+// registry, in that order: the collector must outlive every rank's
+// final flush, the registry every rank's rendezvous.
+func (s *Session) release(kill, linger bool) {
+	if s.fleet != nil {
+		if kill {
+			s.fleet.KillAll()
+		}
+		s.fleet.Wait()
+	}
+	s.tel.stop(linger)
+	if s.tempRegistry != "" {
+		os.RemoveAll(s.tempRegistry)
+	}
+}
+
+// Run is a command's main after flag parsing: Start, the payload,
+// Close, and the exit status — 0, 1 for a failed run, 2 for ErrUsage.
+func Run(job string, ranks int, o *Options, payload func(*Session) error) int {
+	s, err := Start(job, ranks, *o)
+	if err == nil {
+		err = s.Close(payload(s))
+	}
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "%s: %v\n", job, err)
+	if errors.Is(err, ErrUsage) {
+		return 2
+	}
+	return 1
+}

@@ -65,7 +65,7 @@ func InputHash(frags []*seq.Fragment) string {
 // every phase boundary. Completed phases are skipped on resume by
 // loading their artifacts, which yields byte-identical contigs to an
 // uninterrupted run.
-func Run(frags []*seq.Fragment, cfg Config) (*core.Result, error) {
+func Run(frags []*seq.Fragment, cfg Config) (_ *core.Result, err error) {
 	if cfg.Core.Transport != nil && cfg.Core.TransportRank != 0 {
 		// Worker-rank processes never touch the manifest: only the
 		// master journals phases, so a resumed run sees one writer.
@@ -92,6 +92,13 @@ func Run(frags []*seq.Fragment, cfg Config) (*core.Result, error) {
 	}
 	ccfg := cfg.Core
 	res := &core.Result{}
+	// A failed or interrupted run hands no Result back, so nobody else
+	// can release the store (a temp dir when there is no workdir).
+	defer func() {
+		if err != nil {
+			res.Close()
+		}
+	}()
 
 	// Phase 1: preprocessing (recorded even when disabled, so the
 	// cluster phase always resumes over the exact fragment set).

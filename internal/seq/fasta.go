@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Record is one FASTA record.
@@ -41,6 +42,34 @@ func ReadFASTA(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("fasta: %w", err)
 	}
 	return recs, nil
+}
+
+// ReadFragments parses FASTA records from r into fragments.
+func ReadFragments(r io.Reader) ([]*Fragment, error) {
+	recs, err := ReadFASTA(r)
+	if err != nil {
+		return nil, err
+	}
+	frags := make([]*Fragment, len(recs))
+	for i, rec := range recs {
+		frags[i] = &Fragment{Name: rec.Name, Bases: rec.Bases}
+	}
+	return frags, nil
+}
+
+// ReadFragmentsFile parses the FASTA file at path into fragments; a
+// parse error names the file.
+func ReadFragmentsFile(path string) ([]*Fragment, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	frags, err := ReadFragments(f)
+	if err != nil {
+		return nil, fmt.Errorf("malformed input %s: %w", path, err)
+	}
+	return frags, nil
 }
 
 // WriteFASTA writes records to w, wrapping sequence lines at width

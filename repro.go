@@ -79,17 +79,7 @@ func Run(frags []*Fragment, cfg Config) (*Result, error) { return core.Run(frags
 func NewStore(frags []*Fragment) *Store { return seq.NewStore(frags) }
 
 // ReadFASTA parses FASTA records into fragments.
-func ReadFASTA(r io.Reader) ([]*Fragment, error) {
-	recs, err := seq.ReadFASTA(r)
-	if err != nil {
-		return nil, err
-	}
-	frags := make([]*Fragment, len(recs))
-	for i, rec := range recs {
-		frags[i] = &Fragment{Name: rec.Name, Bases: rec.Bases}
-	}
-	return frags, nil
-}
+func ReadFASTA(r io.Reader) ([]*Fragment, error) { return seq.ReadFragments(r) }
 
 // WriteFASTA writes fragments as FASTA.
 func WriteFASTA(w io.Writer, frags []*Fragment) error {
