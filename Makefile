@@ -16,7 +16,7 @@ test:
 	$(GO) test -count=1 -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs
+	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/align
 
 # Race detector over the concurrency-heavy packages the simulation
 # harness exercises (runtime, clustering protocol, GST build, harness).
@@ -62,10 +62,12 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/par/nettrans/testdata/fuzz/FuzzDecodeFrame \
 	internal/seq/diskstore/testdata/fuzz/FuzzOpenIndex \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
-	internal/obs/prof/testdata/fuzz/FuzzParseProfile
+	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
+	internal/align/testdata/fuzz/FuzzAnchoredOverlap
 
 # Short fuzz passes over every parser the pipeline feeds untrusted
-# bytes to: FASTA and qual readers plus the wire-format decoders.
+# bytes to: FASTA and qual readers plus the wire-format decoders — and
+# over the banded extension kernel, held to its differential oracle.
 fuzz-smoke:
 	@for d in $(FUZZ_CORPORA); do \
 		ls $$d/* >/dev/null 2>&1 || { echo "fuzz-smoke: empty corpus: $$d"; exit 1; }; \
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpenIndex -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzReadData -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
+	$(GO) test -run=NONE -fuzz=FuzzAnchoredOverlap -fuzztime=10s ./internal/align
 
 # Instrumented quickstart: runs two quick experiments with tracing on
 # and validates that every emitted trace file parses as balanced

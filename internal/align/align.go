@@ -46,7 +46,8 @@ const (
 // A[AStart:AEnd] against B[BStart:BEnd]; Matches of the Length alignment
 // columns are identities. Ops lists the column operations from the
 // start of the aligned region (full-matrix aligners only; the banded
-// anchored overlap does not trace back).
+// anchored overlap traces back just to count Matches and Length and
+// leaves Ops nil).
 type Result struct {
 	Score  int
 	AStart int

@@ -1,5 +1,11 @@
 package align
 
+import (
+	"sync"
+
+	"repro/internal/seq"
+)
+
 // Banded overlap alignment anchored at a maximal exact match. The
 // clustering phase generates promising pairs together with the
 // coordinates of a shared maximal match (paper, Section 5); anchoring
@@ -14,17 +20,13 @@ package align
 // fragment. An extension must reach a fragment boundary — overlaps span
 // to sequence ends, with the dangling tail of the other fragment free.
 
-// DefaultBand is the default half-width of the extension band,
-// generous for ~2 % sequencing error over sub-kilobase fragments.
+// DefaultBand is the default half-width of the extension band: an
+// extension may drift up to 12 diagonals off the anchor, i.e. absorb a
+// net 12 inserted or deleted bases. At ~2 % sequencing error a
+// sub-kilobase fragment carries about ten indels whose net drift has a
+// standard deviation near 3, so a true overlap leaves the band only
+// when the reads do not really overlap.
 const DefaultBand = 12
-
-type bandCell struct {
-	sc int32
-	m  int32 // identical columns on the best path here
-	ln int32 // total columns on the best path here
-}
-
-var bandNegInf = bandCell{sc: -1 << 30}
 
 // AnchoredOverlap aligns a and b given the anchor
 // a[apos:apos+mlen] == b[bpos:bpos+mlen], using banded extensions of
@@ -35,12 +37,16 @@ func AnchoredOverlap(a, b []byte, apos, bpos, mlen, band int, sc Scoring) (Resul
 	if band < 1 {
 		band = DefaultBand
 	}
-	right, okR := extendBanded(a[apos+mlen:], b[bpos+mlen:], band, sc, false)
-	if !okR {
-		return Result{}, false
+	s := scratchPool.Get().(*bandScratch)
+	right, ok := extendBanded(s, a[apos+mlen:], b[bpos+mlen:], band, sc, false)
+	var left extension
+	if ok {
+		left, ok = extendBanded(s, a[:apos], b[:bpos], band, sc, true)
 	}
-	left, okL := extendBanded(a[:apos], b[:bpos], band, sc, true)
-	if !okL {
+	if 4*cap(s.rows)+cap(s.dir)+cap(s.rev) <= maxPooledScratch {
+		scratchPool.Put(s)
+	}
+	if !ok {
 		return Result{}, false
 	}
 	res := Result{
@@ -63,150 +69,231 @@ type extension struct {
 	bUsed   int
 }
 
+// bandScratch is the working memory of one AnchoredOverlap call, reused
+// across calls through scratchPool so the steady state allocates
+// nothing. For 700 bp reads at the default band it is about 20 KB.
+type bandScratch struct {
+	rows []int32 // six score rows (previous and current M, X, Y), each width+2
+	dir  []byte  // one direction byte per band cell, (rows+1) × width
+	rev  []byte  // reversed u then v, for the leftward extension
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(bandScratch) }}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is too small; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// maxPooledScratch bounds what goes back into scratchPool: a scratch
+// grown by one very long fragment is dropped rather than pinned.
+const maxPooledScratch = 1 << 20
+
+const (
+	// unreached initialises cells no path has reached; noPath is the
+	// test for them. Sums of a few penalties onto unreached stay below
+	// noPath and every reachable score stays above it (scoring
+	// magnitude × fragment length is far inside ±2^29), so the
+	// recurrence adds without clamping.
+	unreached int32 = -1 << 30
+	noPath    int32 = -1 << 29
+
+	// Direction byte: the state the M cell's diagonal predecessor was
+	// taken in (stM, stX or stY), and whether the X and Y cells extend a
+	// gap (set) or open one from M (clear).
+	dirMask = 3
+	dirXExt = 4
+	dirYExt = 8
+)
+
 // extendBanded aligns u against v (both already oriented away from the
 // anchor; pass reversed=true for the leftward extension, which walks the
 // prefixes backwards) requiring the alignment to reach the end of u or
 // the end of v. Gap penalties are affine; the band is centered on the
 // anchor diagonal.
-func extendBanded(u, v []byte, band int, sc Scoring, reversed bool) (extension, bool) {
+//
+// Row i of the band holds columns j = i + o - band for offsets o in
+// [0, width). The forward pass keeps only scores — the previous and
+// current row of each Gotoh state, stored at index o+1 with a pad cell
+// on either side that stays unreached, so the up (o+1) and left (o-1)
+// neighbours need no bounds test — plus one direction byte per cell. A
+// traceback from the best boundary cell then counts columns and
+// identities. The choices the direction bytes record are exactly: the
+// diagonal predecessor prefers M, then X, then Y (strict >); a gap
+// prefers opening over extending (>=); among boundary cells the first
+// in (row, offset, M/X/Y) order with the strictly highest score wins.
+func extendBanded(s *bandScratch, u, v []byte, band int, sc Scoring, reversed bool) (extension, bool) {
 	lu, lv := len(u), len(v)
 	if lu == 0 || lv == 0 {
 		// The boundary is already reached; nothing to extend.
 		return extension{}, true
 	}
-	at := func(s []byte, i int) byte {
-		if reversed {
-			return s[len(s)-1-i]
-		}
-		return s[i]
-	}
-
 	width := 2*band + 1
-	// Rolling rows indexed by diagonal offset: column j = i + off - band,
-	// off in [0, width).
-	curM := make([]bandCell, width)
-	curX := make([]bandCell, width)
-	curY := make([]bandCell, width)
-	prvM := make([]bandCell, width)
-	prvX := make([]bandCell, width)
-	prvY := make([]bandCell, width)
-
-	for o := range prvM {
-		prvM[o], prvX[o], prvY[o] = bandNegInf, bandNegInf, bandNegInf
+	// Rows past lv+band and columns past lu+band hold no band cell.
+	nrows := min(lu, lv+band)
+	ncols := min(lv, lu+band)
+	if reversed {
+		s.rev = grow(s.rev, nrows+ncols)
+		ru, rv := s.rev[:nrows], s.rev[nrows:]
+		for i := range ru {
+			ru[i] = u[lu-1-i]
+		}
+		for j := range rv {
+			rv[j] = v[lv-1-j]
+		}
+		u, v = ru, rv
 	}
+
+	stride := width + 2
+	s.rows = grow(s.rows, 6*stride)
+	rows := s.rows
+	for k := range rows {
+		rows[k] = unreached
+	}
+	pM, pX, pY := rows[0:stride], rows[stride:2*stride], rows[2*stride:3*stride]
+	cM, cX, cY := rows[3*stride:4*stride], rows[4*stride:5*stride], rows[5*stride:6*stride]
+	s.dir = grow(s.dir, (nrows+1)*width)
+	dir := s.dir
+
+	match, mismatch := int32(sc.Match), int32(sc.Mismatch)
+	gapExt := int32(sc.GapExtend)
+	gapOpen := int32(sc.GapOpen + sc.GapExtend) // first column of a gap
+
+	best, bestI, bestJ, bestSt := noPath, 0, 0, stM
+
 	// Row 0: cell (0,0) sits at offset band; cells (0,j) for j ≤ band are
 	// leading gaps in u (charged — they are interior to the overall
 	// overlap alignment).
-	prvM[band] = bandCell{}
+	pM[band+1] = 0
 	for j := 1; j <= band && j <= lv; j++ {
-		prvY[band+j] = bandCell{
-			sc: int32(sc.GapOpen + j*sc.GapExtend),
-			ln: int32(j),
-		}
+		pY[band+1+j] = int32(sc.GapOpen + j*sc.GapExtend)
+	}
+	if lv <= band {
+		// v fully consumed by leading gaps — degenerate, but legal.
+		best, bestJ, bestSt = pY[band+1+lv], lv, stY
 	}
 
-	best := extension{score: int(bandNegInf.sc)}
-	found := false
-	noteBoundary := func(i, j int, c bandCell) {
-		if c.sc <= bandNegInf.sc {
-			return
+	for i := 1; i <= nrows; i++ {
+		jLo, jHi := i-band, min(i+band, lv)
+		if jLo <= 0 {
+			// Column 0: a leading gap in v (consuming u only).
+			k := band - i + 1
+			cM[k], cX[k], cY[k] = unreached, int32(sc.GapOpen+i*sc.GapExtend), unreached
+			jLo = 1
 		}
-		if i == lu || j == lv {
-			if !found || int(c.sc) > best.score {
-				best = extension{
-					score:   int(c.sc),
-					matches: int(c.m),
-					length:  int(c.ln),
-					aUsed:   i,
-					bUsed:   j,
-				}
-				found = true
+		// A non-base never matches, itself included.
+		ui := int(u[i-1])
+		if !seq.IsBase(u[i-1]) {
+			ui = -1
+		}
+		shift := band + 1 - i // index k = j + shift
+		kLo, kHi := jLo+shift, jHi+shift
+		vrow := v[jLo-1 : jHi]
+		drow := dir[i*width+kLo-1 : i*width+kHi]
+		dm, dx, dy := pM[kLo:kHi+1], pX[kLo:kHi+1], pY[kLo:kHi+1]
+		um, ux := pM[kLo+1:kHi+2], pX[kLo+1:kHi+2]
+		om, ox, oy := cM[kLo:kHi+1], cX[kLo:kHi+1], cY[kLo:kHi+1]
+		dm, dx, dy = dm[:len(vrow)], dx[:len(vrow)], dy[:len(vrow)]
+		um, ux = um[:len(vrow)], ux[:len(vrow)]
+		om, ox, oy = om[:len(vrow)], ox[:len(vrow)], oy[:len(vrow)]
+		drow = drow[:len(vrow)]
+		leftM, leftY := cM[kLo-1], cY[kLo-1]
+		for t, vj := range vrow {
+			// Diagonal predecessor (i-1, j-1): same offset, previous row.
+			// Every choice is a lone conditional assignment, which
+			// compiles to a conditional move, not a branch.
+			d, from := dm[t], uint32(stM)
+			if dx[t] > d {
+				from = stX
 			}
+			d = max(d, dx[t])
+			if dy[t] > d {
+				from = stY
+			}
+			d = max(d, dy[t])
+			sub := mismatch
+			if int(vj) == ui {
+				sub = match
+			}
+			d += sub
+			// Up predecessor (i-1, j): offset o+1 in the previous row.
+			x, e := um[t]+gapOpen, ux[t]+gapExt
+			var xExt uint32
+			if e > x {
+				xExt = dirXExt
+			}
+			x = max(x, e)
+			// Left predecessor (i, j-1): offset o-1 in the current row.
+			y, e := leftM+gapOpen, leftY+gapExt
+			var yExt uint32
+			if e > y {
+				yExt = dirYExt
+			}
+			y = max(y, e)
+			om[t], ox[t], oy[t], drow[t] = d, x, y, byte(from|xExt|yExt)
+			leftM, leftY = d, y
 		}
-	}
-	// Row 0 boundary cells (possible when lv ≤ band): v fully consumed by
-	// leading gaps — degenerate, but legal.
-	for j := 0; j <= band && j <= lv; j++ {
-		if j == 0 {
-			noteBoundary(0, 0, prvM[band])
-		} else {
-			noteBoundary(0, j, prvY[band+j])
-		}
-	}
 
-	addCol := func(p bandCell, match bool, s int32) bandCell {
-		if p.sc <= bandNegInf.sc {
-			return bandNegInf
+		// Boundary cells: the whole last row of u (column 0 included),
+		// otherwise only the column that ends v, if this row holds it.
+		kFrom := kHi
+		switch {
+		case i == lu && i <= band:
+			kFrom = kLo - 1
+		case i == lu:
+			kFrom = kLo
+		case jHi < lv:
+			kFrom = kHi + 1
 		}
-		c := bandCell{sc: p.sc + s, m: p.m, ln: p.ln + 1}
-		if match {
-			c.m++
+		for k := kFrom; k <= kHi; k++ {
+			if c := cM[k]; c > best {
+				best, bestI, bestJ, bestSt = c, i, k-shift, stM
+			}
+			if c := cX[k]; c > best {
+				best, bestI, bestJ, bestSt = c, i, k-shift, stX
+			}
+			if c := cY[k]; c > best {
+				best, bestI, bestJ, bestSt = c, i, k-shift, stY
+			}
 		}
-		return c
+		pM, cM = cM, pM
+		pX, cX = cX, pX
+		pY, cY = cY, pY
 	}
-
-	for i := 1; i <= lu; i++ {
-		ui := at(u, i-1)
-		for o := 0; o < width; o++ {
-			curM[o], curX[o], curY[o] = bandNegInf, bandNegInf, bandNegInf
-			j := i + o - band
-			if j < 0 || j > lv {
-				continue
-			}
-			if j == 0 {
-				// Leading gap in v (consuming u only).
-				if i <= band {
-					curX[o] = bandCell{sc: int32(sc.GapOpen + i*sc.GapExtend), ln: int32(i)}
-				}
-				noteBoundary(i, 0, curX[o])
-				continue
-			}
-			vj := at(v, j-1)
-			match := ui == vj && isBase(ui)
-			s := int32(sc.Mismatch)
-			if match {
-				s = int32(sc.Match)
-			}
-			// Diagonal predecessor (i-1, j-1) is offset o in the previous row.
-			dBest := prvM[o]
-			if prvX[o].sc > dBest.sc {
-				dBest = prvX[o]
-			}
-			if prvY[o].sc > dBest.sc {
-				dBest = prvY[o]
-			}
-			curM[o] = addCol(dBest, match, s)
-
-			// Up predecessor (i-1, j) is offset o+1 in the previous row.
-			if o+1 < width {
-				open := addCol(prvM[o+1], false, int32(sc.GapOpen+sc.GapExtend))
-				ext := addCol(prvX[o+1], false, int32(sc.GapExtend))
-				if open.sc >= ext.sc {
-					curX[o] = open
-				} else {
-					curX[o] = ext
-				}
-			}
-			// Left predecessor (i, j-1) is offset o-1 in the current row.
-			if o-1 >= 0 {
-				open := addCol(curM[o-1], false, int32(sc.GapOpen+sc.GapExtend))
-				ext := addCol(curY[o-1], false, int32(sc.GapExtend))
-				if open.sc >= ext.sc {
-					curY[o] = open
-				} else {
-					curY[o] = ext
-				}
-			}
-			noteBoundary(i, j, curM[o])
-			noteBoundary(i, j, curX[o])
-			noteBoundary(i, j, curY[o])
-		}
-		curM, prvM = prvM, curM
-		curX, prvX = prvX, curX
-		curY, prvY = prvY, curY
-	}
-	if !found {
+	if best <= noPath {
 		return extension{}, false
 	}
-	return best, true
+
+	// Traceback. Row 0 and column 0 are pure leading gaps, so the walk
+	// stops there and books the remainder as gap columns.
+	ext := extension{score: int(best), aUsed: bestI, bUsed: bestJ}
+	i, j, st := bestI, bestJ, bestSt
+	for i > 0 && j > 0 {
+		d := dir[i*width+j-i+band]
+		ext.length++
+		switch st {
+		case stM:
+			i, j = i-1, j-1
+			if u[i] == v[j] && seq.IsBase(u[i]) {
+				ext.matches++
+			}
+			st = int(d & dirMask)
+		case stX:
+			i--
+			if d&dirXExt == 0 {
+				st = stM
+			}
+		default:
+			j--
+			if d&dirYExt == 0 {
+				st = stM
+			}
+		}
+	}
+	ext.length += i + j
+	return ext, true
 }

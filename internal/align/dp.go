@@ -6,6 +6,8 @@ package align
 // alignment that defines fragment overlaps in the paper (Section 4).
 // All use Gotoh's three-state recurrence.
 
+import "repro/internal/seq"
+
 type dpMode int
 
 const (
@@ -174,7 +176,7 @@ func dpFull(a, b []byte, sc Scoring, mode dpMode) Result {
 			i, j = i-1, j-1
 			res.Length++
 			res.Ops = append(res.Ops, OpM)
-			if a[i] == b[j] && isBase(a[i]) {
+			if a[i] == b[j] && seq.IsBase(a[i]) {
 				res.Matches++
 			}
 			st = int(nxt)
@@ -200,12 +202,4 @@ done:
 		res.Ops[x], res.Ops[y] = res.Ops[y], res.Ops[x]
 	}
 	return res
-}
-
-func isBase(b byte) bool {
-	switch b {
-	case 'A', 'C', 'G', 'T':
-		return true
-	}
-	return false
 }

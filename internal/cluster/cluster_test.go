@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/seq"
@@ -169,28 +170,45 @@ func TestParallelPhaseStats(t *testing.T) {
 }
 
 // TestParallelScaling checks the Fig. 9 shape: modeled clustering time
-// shrinks as workers are added. The check presumes wall-clock
-// scheduling roughly tracks modeled time, which holds in normal runs
-// but not under the race detector: its serialization lets whichever
-// worker wakes first claim most of the demand-driven batches, so one
-// rank carries nearly all the modeled work at any p and no max-based
-// metric can show a speedup.
+// shrinks as workers are added.
+//
+// The modeled makespan of one run is not a function of the input alone:
+// which worker's report the master sees first is the host scheduler's
+// choice, and that decides both who gets the next batch and how many
+// pairs are aligned before the union that would have skipped them
+// arrives. So the assertion must not hinge on one run of a marginal
+// input. Two things keep it schedule-independent in practice: many
+// small islands, where concurrency inflates the alignment work 1.6×
+// (not the 2.5× of a few large ones) and seven workers share it, so
+// p=8 sits near a third of p=2 while the scheduler moves it by ±10 %;
+// and the median of three runs per machine size, so one outlier
+// schedule cannot decide the outcome.
+//
+// The race detector is a different regime, not noise: its
+// serialization lets whichever worker wakes first claim most of the
+// demand-driven batches, so one rank carries nearly all the modeled
+// work at any p and no max-based metric can show a speedup.
 func TestParallelScaling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("demand-driven work distribution degenerates under the race detector")
 	}
-	st, _ := islandStore(5, 3, 3000, 150)
+	st, _ := islandStore(5, 30, 1500, 300)
 	cfg := testConfig()
 	modeled := func(p int) float64 {
-		_, ph, err := Parallel(st, cfg, DefaultParallelConfig(p))
-		if err != nil {
-			t.Fatal(err)
+		runs := make([]float64, 3)
+		for i := range runs {
+			_, ph, err := Parallel(st, cfg, DefaultParallelConfig(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = ph.Cluster.MaxModeled
 		}
-		return ph.Cluster.MaxModeled
+		sort.Float64s(runs)
+		return runs[1]
 	}
 	t2, t8 := modeled(2), modeled(8)
 	if t8 >= t2 {
-		t.Errorf("no speedup: p=2 %.4fs vs p=8 %.4fs", t2, t8)
+		t.Errorf("no speedup: median of 3 runs p=2 %.4fs vs p=8 %.4fs", t2, t8)
 	}
 }
 
