@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
+.PHONY: all build vet fmt-check test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
 
 all: build
 
@@ -10,10 +10,22 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Every Go file in the checkout is gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; }
+
 # Uncached and in shuffled order: no test may lean on another having
 # run first, or on who wins a race with the scheduler.
 test:
 	$(GO) test -count=1 -shuffle=on ./...
+
+# The GST-to-assembly core three times over, shuffled, on one core and
+# on the default: a PR that speeds a layer up moves every race a test
+# had with it, so it must re-run this (ROADMAP item 4a).
+FLAKE_PKGS := ./internal/assembly ./internal/suffixtree ./internal/pgst ./internal/pairgen ./internal/cluster
+flake-check:
+	GOMAXPROCS=1 $(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
+	$(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
 
 race:
 	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/align
@@ -186,4 +198,4 @@ cli-smoke:
 outofcore-smoke:
 	$(GO) test -race -v -run 'TestOutOfCore' ./internal/pipeline
 
-ci: vet build test race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke bench-check
+ci: vet fmt-check build test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke bench-check

@@ -80,9 +80,9 @@ type Placement struct {
 
 // Contig is one assembled contiguous sequence.
 type Contig struct {
-	Bases  []byte
-	Reads  []Placement
-	Depth  float64 // mean read coverage
+	Bases []byte
+	Reads []Placement
+	Depth float64 // mean read coverage
 }
 
 // overlap is an accepted pairwise overlap between oriented reads.

@@ -57,6 +57,10 @@ type attemptResult struct {
 	err     error
 }
 
+// assembleCluster is the assembler attemptCluster guards; tests swap in
+// one that blocks, so a deadline never races a fast host.
+var assembleCluster = AssembleCluster
+
 // attemptCluster runs one assembly attempt with panic containment and
 // an optional wall deadline. On deadline the attempt's goroutine is
 // abandoned (it parks its result in a buffered channel and exits).
@@ -68,7 +72,7 @@ func attemptCluster(store seq.Seqs, members []int, cfg Config, deadline time.Dur
 				ch <- attemptResult{err: fmt.Errorf("assembler panic: %v", r)}
 			}
 		}()
-		ch <- attemptResult{contigs: AssembleCluster(store, members, cfg)}
+		ch <- attemptResult{contigs: assembleCluster(store, members, cfg)}
 	}()
 	if deadline <= 0 {
 		r := <-ch

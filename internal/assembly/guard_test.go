@@ -50,7 +50,18 @@ func TestGuardDeadlineQuarantines(t *testing.T) {
 	st, members := guardStore(t)
 	tr := obs.NewTracer(1, 0)
 	reg := obs.NewRegistry()
-	g := Guard{Retries: 2, Backoff: time.Microsecond, Deadline: time.Nanosecond, Trace: tr, Metrics: reg}
+	// Every attempt hangs until the test is over, so the deadline
+	// decides each one however fast the real assembler is.
+	release := make(chan struct{})
+	assembleCluster = func(seq.Seqs, []int, Config) []Contig {
+		<-release
+		return nil
+	}
+	t.Cleanup(func() {
+		close(release)
+		assembleCluster = AssembleCluster
+	})
+	g := Guard{Retries: 2, Backoff: time.Microsecond, Deadline: 10 * time.Millisecond, Trace: tr, Metrics: reg}
 	contigs, out := AssembleClusterGuarded(st, 7, members, Config{}, g)
 	if !out.Quarantined || out.Attempts != 3 || out.Err == "" {
 		t.Fatalf("outcome = %+v, want quarantined after 3 attempts", out)

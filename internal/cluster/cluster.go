@@ -55,13 +55,14 @@ type Config struct {
 	// parallelism (Section 10). The result then depends on processing
 	// order, so this is a serial-driver heuristic only.
 	MaxClusterSize int
-	// MemBudget, when positive, selects the spilling GST: construction
-	// never holds more than roughly this many bytes of tree state,
-	// building, generating and dropping contiguous key-range segments
-	// instead of the whole forest (pgst.Config.SpillBytes). Pair order
-	// changes across segments, so Stats like Skipped/Aligned shift,
-	// but the partition — the transitive closure of accepted overlaps
-	// — is provably identical (order independence, Section 4).
+	// MemBudget, when positive, bounds the GST: construction never
+	// holds more than roughly this many bytes of tree state, building,
+	// generating and dropping contiguous key-range segments; without
+	// it the whole forest is one segment (pgst.Config.SpillBytes).
+	// Pair order changes across segments, so Stats like
+	// Skipped/Aligned shift, but the partition — the transitive
+	// closure of accepted overlaps — is provably identical (order
+	// independence, Section 4).
 	MemBudget int64
 }
 
@@ -191,15 +192,20 @@ func (r *Result) Summarize() Summary {
 	return s
 }
 
+// serialSweep runs the serial GST construction: one forest per bounded
+// key-range segment under a byte budget, the whole tree as a single
+// forest without one.
+func serialSweep(store seq.Seqs, cfg Config, budget int64, yield func(*suffixtree.Tree) bool) {
+	pgst.SweepSerial(store, pgst.Config{W: cfg.W, MinLen: cfg.Psi, SpillBytes: budget}, yield)
+}
+
 // BuildSerialTree constructs the full GST for a store serially.
-func BuildSerialTree(store seq.Seqs, cfg Config) *suffixtree.Tree {
-	cfg = cfg.withDefaults()
-	acc := func(sid int32) []byte { return store.Seq(int(sid)) }
-	sids := make([]int32, store.NumSeqs())
-	for i := range sids {
-		sids[i] = int32(i)
-	}
-	return suffixtree.Build(acc, suffixtree.EnumerateSuffixes(acc, sids, cfg.Psi), cfg.W)
+func BuildSerialTree(store seq.Seqs, cfg Config) (tree *suffixtree.Tree) {
+	serialSweep(store, cfg.withDefaults(), 0, func(t *suffixtree.Tree) bool {
+		tree = t
+		return true
+	})
+	return tree
 }
 
 // AlignPair runs the anchored overlap test for one promising pair and
@@ -249,20 +255,10 @@ func Serial(store seq.Seqs, cfg Config) *Result {
 		}
 		return true
 	}
-	if cfg.MemBudget > 0 {
-		// Out-of-core: build, generate and drop one bounded key-range
-		// segment at a time instead of the full tree.
-		pgst.SweepSerial(store, pgst.Config{
-			W:          cfg.W,
-			MinLen:     cfg.Psi,
-			SpillBytes: cfg.MemBudget,
-		}, func(t *suffixtree.Tree) bool {
-			pairgen.Generate(t, pgCfg, process)
-			return true
-		})
-	} else {
-		pairgen.Generate(BuildSerialTree(store, cfg), pgCfg, process)
-	}
+	serialSweep(store, cfg, cfg.MemBudget, func(t *suffixtree.Tree) bool {
+		pairgen.Generate(t, pgCfg, process)
+		return true
+	})
 	st.WallSeconds = time.Since(start).Seconds()
 	return &Result{N: store.N(), UF: uf, Stats: st}
 }

@@ -48,8 +48,8 @@ type Config struct {
 
 // Stats counts generator activity.
 type Stats struct {
-	Emitted     int64 // pairs delivered (canonical orientation)
-	Skipped     int64 // cross-product pairs dropped by canonicalization
+	Emitted      int64 // pairs delivered (canonical orientation)
+	Skipped      int64 // cross-product pairs dropped by canonicalization
 	NodesVisited int64
 }
 

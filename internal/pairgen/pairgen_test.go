@@ -235,7 +235,7 @@ func TestOverlappingReadsPlanted(t *testing.T) {
 	for i := range genome {
 		genome[i] = seq.Base(rng.Intn(4))
 	}
-	readA := string(genome[:80])                            // forward
+	readA := string(genome[:80])                           // forward
 	readB := string(seq.ReverseComplement(genome[40:120])) // reverse strand
 	st := makeStore(readA, readB)
 	tree := buildTree(st, 8)

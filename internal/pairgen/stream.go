@@ -22,27 +22,7 @@ type Stream struct {
 // NewStream starts streaming pairs from the tree. The buffer size
 // bounds how far generation can run ahead of consumption.
 func NewStream(tree *suffixtree.Tree, cfg Config, buffer int) *Stream {
-	if buffer < 1 {
-		buffer = 64
-	}
-	s := &Stream{
-		ch:   make(chan Pair, buffer),
-		stop: make(chan struct{}),
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(s.ch)
-		s.stats = Generate(tree, cfg, func(p Pair) bool {
-			select {
-			case s.ch <- p:
-				return true
-			case <-s.stop:
-				return false
-			}
-		})
-	}()
-	return s
+	return NewSweep(func(yield func(*suffixtree.Tree) bool) { yield(tree) }, cfg, buffer)
 }
 
 // NewSweep streams pairs from a sequence of forests produced on
@@ -50,7 +30,8 @@ func NewStream(tree *suffixtree.Tree, cfg Config, buffer int) *Stream {
 // once per forest and stop when yield returns false; each forest is
 // generated to exhaustion and dropped before the next is built, so the
 // resident tree memory is one segment's, while the consumer sees a
-// single continuous stream. Stats accumulate across all segments.
+// single continuous stream. Stats accumulate across all segments. The
+// buffer size bounds how far generation can run ahead of consumption.
 func NewSweep(sweep func(yield func(*suffixtree.Tree) bool), cfg Config, buffer int) *Stream {
 	if buffer < 1 {
 		buffer = 64

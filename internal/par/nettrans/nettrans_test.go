@@ -39,13 +39,13 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{0},                               // unknown kind
-		{99},                              // unknown kind
-		{kHello},                          // truncated hello
-		{kData, 2, 4},                     // truncated data
+		{0},           // unknown kind
+		{99},          // unknown kind
+		{kHello},      // truncated hello
+		{kData, 2, 4}, // truncated data
 		append(encodeFrame(frame{Kind: kHeartbeat}), 0xff), // trailing bytes
-		{kAck, 0x80},                      // truncated uvarint
-		{kBye, 2},                         // invalid bool
+		{kAck, 0x80}, // truncated uvarint
+		{kBye, 2},    // invalid bool
 	}
 	for i, p := range cases {
 		if _, err := decodeFrame(p); err == nil {

@@ -71,6 +71,7 @@ type Config struct {
 	// segments whose estimated resident bytes stay under this budget,
 	// each segment's forest built, consumed and dropped (see spill.go).
 	// The union of swept forests is identical to the in-memory build.
+	// A sweep with no budget covers its whole range in one segment.
 	SpillBytes int64
 }
 
@@ -148,9 +149,13 @@ func ownerOf(bounds []int, fid int) int {
 	return lo
 }
 
-type keyedSuffix struct {
-	key seq.Kmer
-	suf suffixtree.Suffix
+// scanOwner runs the suffix scan over owner rank me's fragment share,
+// forward then reverse-complement sequence IDs. Returns the characters
+// examined.
+func scanOwner(st seq.Seqs, bounds []int, me int, cfg Config, keep func(seq.Kmer) bool, fn func(suffixtree.Keyed)) int64 {
+	lo, hi, n := bounds[me], bounds[me+1], st.N()
+	return suffixtree.Scan(st, lo, hi, cfg.W, cfg.MinLen, keep, fn) +
+		suffixtree.Scan(st, lo+n, hi+n, cfg.W, cfg.MinLen, keep, fn)
 }
 
 // enumerateOwner enumerates and keys the suffixes of owner rank me's
@@ -159,25 +164,9 @@ type keyedSuffix struct {
 // the character count examined, so callers can charge the work. Every
 // rank holds the full store, so any survivor can re-run a dead rank's
 // enumeration — the redundancy the fault-tolerant build recovers from.
-func enumerateOwner(st seq.Seqs, bounds []int, me int, cfg Config, keep func(seq.Kmer) bool) ([]keyedSuffix, int64) {
-	n := st.N()
-	var out []keyedSuffix
-	var chars int64
-	for fid := bounds[me]; fid < bounds[me+1]; fid++ {
-		for _, sid := range [2]int32{int32(fid), int32(fid + n)} {
-			s := st.Seq(int(sid))
-			chars += int64(len(s))
-			sufs := suffixtree.EnumerateSuffixes(
-				func(int32) []byte { return s }, []int32{sid}, cfg.MinLen)
-			for _, sf := range sufs {
-				if key, ok := suffixtree.BucketKey(s, int(sf.Pos), cfg.W); ok {
-					if keep == nil || keep(key) {
-						out = append(out, keyedSuffix{key, sf})
-					}
-				}
-			}
-		}
-	}
+func enumerateOwner(st seq.Seqs, bounds []int, me int, cfg Config, keep func(seq.Kmer) bool) ([]suffixtree.Keyed, int64) {
+	var out []suffixtree.Keyed
+	chars := scanOwner(st, bounds, me, cfg, keep, func(k suffixtree.Keyed) { out = append(out, k) })
 	return out, chars
 }
 
@@ -200,7 +189,7 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 
 	// Phase 1: enumerate and key the suffixes of this rank's fragments
 	// (both orientations). Ranks below FirstOwner hold no fragments.
-	var local []keyedSuffix
+	var local []suffixtree.Keyed
 	if me := c.Rank() - cfg.FirstOwner; me >= 0 {
 		var chars int64
 		local, chars = enumerateOwner(st, bounds, me, cfg, nil)
@@ -208,7 +197,7 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	}
 
 	// Phase 2: sort local suffixes by key and agree on splitters.
-	sort.Slice(local, func(i, j int) bool { return local[i].key < local[j].key })
+	sort.Slice(local, func(i, j int) bool { return local[i].Key < local[j].Key })
 	c.ChargeCompute(float64(len(local)) * log2f(len(local)) * costSort)
 	splitters := chooseSplitters(c, local, owners, cfg)
 
@@ -218,25 +207,18 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGSTRedist, 0, 0)
 	mine := redistribute(c, st, local, splitters, bounds, cfg)
 	c.TraceEvent(obs.EvPhaseExit, obs.PhaseGSTRedist, 0, 0)
-	sort.Slice(mine, func(i, j int) bool { return mine[i].key < mine[j].key })
+	sort.Slice(mine, func(i, j int) bool { return mine[i].Key < mine[j].Key })
 	c.ChargeCompute(float64(len(mine)) * log2f(len(mine)) * costSort)
 
 	// Phase 4: split into buckets and plan fetch batches.
 	var buckets [][]suffixtree.Suffix
-	var keys []seq.Kmer
-	for lo := 0; lo < len(mine); {
-		hi := lo
-		for hi < len(mine) && mine[hi].key == mine[lo].key {
-			hi++
-		}
+	suffixtree.EachRun(mine, func(lo, hi int) {
 		b := make([]suffixtree.Suffix, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			b = append(b, mine[i].suf)
+		for _, k := range mine[lo:hi] {
+			b = append(b, k.Suf)
 		}
 		buckets = append(buckets, b)
-		keys = append(keys, mine[lo].key)
-		lo = hi
-	}
+	})
 	batches := planBatches(st, buckets, cfg.BatchBytes)
 	var rounds int
 	if cfg.FT {
@@ -248,6 +230,7 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	// Phase 5: per batch, fetch the needed fragments with two
 	// collective steps (request, serve), then build the subtrees.
 	ib := suffixtree.NewIncrementalBuilder(cfg.W)
+	table := newFetchTable(st, cfg.FT)
 	var prevWork int64
 	for round := 0; round < rounds; round++ {
 		var batch []int
@@ -255,11 +238,11 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 			batch = batches[round]
 		}
 		c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGSTFetch, int64(round), 0)
-		cache := fetchFragments(c, st, buckets, batch, bounds, cfg)
+		table.reset()
+		fetchFragments(c, st, buckets, batch, bounds, cfg, table)
 		c.TraceEvent(obs.EvPhaseExit, obs.PhaseGSTFetch, int64(round), 0)
-		access := cacheAccess(st, cache, cfg.FT)
 		for _, bi := range batch {
-			ib.AddBucket(access, buckets[bi])
+			ib.AddBucket(table.Seq, buckets[bi])
 		}
 		c.ChargeCompute(float64(ib.Work()-prevWork) * costChar)
 		prevWork = ib.Work()
@@ -328,7 +311,7 @@ func log2f(n int) float64 {
 // contributes no samples — the splitters steer only the bucket→rank
 // partition, never the union of bucket contents, so equivalence with a
 // fault-free build is unaffected.
-func chooseSplitters(c *par.Comm, local []keyedSuffix, owners int, cfg Config) []seq.Kmer {
+func chooseSplitters(c *par.Comm, local []suffixtree.Keyed, owners int, cfg Config) []seq.Kmer {
 	const perRank = 64
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(c.Rank())))
 	w := wire.NewBuffer(perRank * 9)
@@ -340,7 +323,7 @@ func chooseSplitters(c *par.Comm, local []keyedSuffix, owners int, cfg Config) [
 			if idx >= len(local) {
 				idx = len(local) - 1
 			}
-			w.PutUint(uint64(local[idx].key))
+			w.PutUint(uint64(local[idx].Key))
 		}
 	}
 	var gathered [][]byte
@@ -406,19 +389,19 @@ func destOf(splitters []seq.Kmer, key seq.Kmer, firstOwner int) int {
 // sources and each re-enumerates those ranks' fragment ranges from its
 // own full copy of the store, keeping the keys it owns — so its bucket
 // contents end up identical to a fault-free exchange.
-func redistribute(c *par.Comm, st seq.Seqs, local []keyedSuffix, splitters []seq.Kmer, bounds []int, cfg Config) []keyedSuffix {
+func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters []seq.Kmer, bounds []int, cfg Config) []suffixtree.Keyed {
 	p := c.Size()
 	bufs := make([]*wire.Buffer, p)
 	for i := range bufs {
 		bufs[i] = wire.NewBuffer(0)
 	}
 	for _, ks := range local {
-		d := destOf(splitters, ks.key, cfg.FirstOwner)
+		d := destOf(splitters, ks.Key, cfg.FirstOwner)
 		w := bufs[d]
-		w.PutUint(uint64(ks.key))
-		w.PutInt(int(ks.suf.Sid))
-		w.PutInt(int(ks.suf.Pos))
-		w.PutInt(int(ks.suf.Prev))
+		w.PutUint(uint64(ks.Key))
+		w.PutInt(int(ks.Suf.Sid))
+		w.PutInt(int(ks.Suf.Pos))
+		w.PutInt(int(ks.Suf.Prev))
 	}
 	c.ChargeCompute(float64(len(local)) * costSuf)
 	raw := make([][]byte, p)
@@ -444,7 +427,7 @@ func redistribute(c *par.Comm, st seq.Seqs, local []keyedSuffix, splitters []seq
 	default:
 		recv = c.Alltoallv(raw)
 	}
-	var mine []keyedSuffix
+	var mine []suffixtree.Keyed
 	for _, buf := range recv {
 		r := wire.NewReader(buf)
 		for r.Remaining() > 0 {
@@ -452,7 +435,7 @@ func redistribute(c *par.Comm, st seq.Seqs, local []keyedSuffix, splitters []seq
 			sid := r.Int32()
 			pos := r.Int32()
 			prev := int8(r.Int())
-			mine = append(mine, keyedSuffix{key, suffixtree.Suffix{Sid: sid, Pos: pos, Prev: prev}})
+			mine = append(mine, suffixtree.Keyed{Key: key, Suf: suffixtree.Suffix{Sid: sid, Pos: pos, Prev: prev}})
 		}
 	}
 	// Recover the severed exchanges: replay each dead source's
@@ -568,8 +551,8 @@ func planBatches(st seq.Seqs, buckets [][]suffixtree.Suffix, batchBytes int) [][
 
 // fetchFragments performs the two collective steps of one batch:
 // request the owners of every fragment the batch's buckets reference,
-// then receive their bases. Returns fid → forward bases.
-func fetchFragments(c *par.Comm, st seq.Seqs, buckets [][]suffixtree.Suffix, batch []int, bounds []int, cfg Config) map[int32][]byte {
+// then receive their bases into table.
+func fetchFragments(c *par.Comm, st seq.Seqs, buckets [][]suffixtree.Suffix, batch []int, bounds []int, cfg Config, table *seqTable) {
 	p := c.Size()
 	n := st.N()
 	need := make(map[int32]bool)
@@ -623,53 +606,92 @@ func fetchFragments(c *par.Comm, st seq.Seqs, buckets [][]suffixtree.Suffix, bat
 	switch {
 	case cfg.FT:
 		// A dead owner serves nothing; its fragments are read from the
-		// local copy of the store via the cache-miss fallback.
+		// local copy of the store via the table's miss fallback.
 		resps, _ = c.FTAlltoallv(raw, cfg.FTPoll)
 	case cfg.Staged:
 		resps = c.AlltoallvStaged(raw)
 	default:
 		resps = c.Alltoallv(raw)
 	}
-	cache := make(map[int32][]byte, len(need))
 	for _, buf := range resps {
 		r := wire.NewReader(buf)
 		for r.Remaining() > 0 {
 			fid := r.Int32()
-			cache[fid] = r.Bytes()
+			table.put(fid, r.Bytes())
 		}
 	}
-	return cache
 }
 
-// cacheAccess builds the Access function for one batch: forward bases
-// come from the fetched cache; reverse complements are derived on
-// demand and memoized. With fallback (FT mode) a fragment a dead owner
-// never served is read from the local copy of the store instead of
-// panicking.
-func cacheAccess(st seq.Seqs, cache map[int32][]byte, fallback bool) suffixtree.Access {
+// seqTable is the sequence-access table every trie build reads through:
+// a dense slice over the 2n sequence IDs, so a character lookup is one
+// index and never a map probe. At most max sequences are resident (0:
+// unbounded); at the bound the table empties itself in O(resident) and
+// refills from load on demand, which keeps the decoded bases of a
+// disk-backed store bounded. Allocate one per build or sweep: the slice
+// headers are O(n).
+type seqTable struct {
+	seqs [][]byte
+	live []int32 // resident sids
+	max  int
+	load func(sid int32) []byte
+}
+
+// seqTableResident bounds a store-backed table: tree construction
+// touches the same few sequences repeatedly within a bucket.
+const seqTableResident = 256
+
+// newStoreTable returns a bounded table that loads misses from st.
+func newStoreTable(st seq.Seqs) *seqTable {
+	return &seqTable{
+		seqs: make([][]byte, st.NumSeqs()),
+		max:  seqTableResident,
+		load: func(sid int32) []byte { return st.Seq(int(sid)) },
+	}
+}
+
+// newFetchTable returns the table of the distributed build, filled per
+// batch with the forward fragments their owners served (put) and
+// bounded by the batch, not by max. Reverse complements are derived on
+// demand. With fallback (FT mode) a fragment a dead owner never served
+// is read from the local copy of the store instead of panicking.
+func newFetchTable(st seq.Seqs, fallback bool) *seqTable {
 	n := int32(st.N())
-	rcCache := make(map[int32][]byte)
-	fetch := func(fid int32) []byte {
-		b, ok := cache[fid]
-		if !ok {
-			if !fallback {
-				panic("pgst: access to unfetched fragment")
-			}
-			b = st.Seq(int(fid))
+	t := &seqTable{seqs: make([][]byte, st.NumSeqs())}
+	t.load = func(sid int32) []byte {
+		if sid >= n {
+			return seq.ReverseComplement(t.Seq(sid - n))
 		}
-		return b
+		if !fallback {
+			panic("pgst: access to unfetched fragment")
+		}
+		return st.Seq(int(sid))
 	}
-	return func(sid int32) []byte {
-		if sid < n {
-			return fetch(sid)
-		}
-		if rc, ok := rcCache[sid]; ok {
-			return rc
-		}
-		rc := seq.ReverseComplement(fetch(sid - n))
-		rcCache[sid] = rc
-		return rc
+	return t
+}
+
+// Seq is the table's suffixtree.Access.
+func (t *seqTable) Seq(sid int32) []byte {
+	if s := t.seqs[sid]; s != nil {
+		return s
 	}
+	if t.max > 0 && len(t.live) >= t.max {
+		t.reset()
+	}
+	s := t.load(sid)
+	t.put(sid, s)
+	return s
+}
+
+func (t *seqTable) put(sid int32, s []byte) {
+	t.seqs[sid] = s
+	t.live = append(t.live, sid)
+}
+
+func (t *seqTable) reset() {
+	for _, sid := range t.live {
+		t.seqs[sid] = nil
+	}
+	t.live = t.live[:0]
 }
 
 // recoverAssignments is the FT epilogue's agreement step: rank 0
@@ -714,7 +736,7 @@ func recoverAssignments(c *par.Comm, firstOwner int, poll time.Duration) []int {
 // ib. Returns the bucket and suffix counts added plus the modeled
 // compute cost of the rebuild.
 func rebuildInto(ib *suffixtree.IncrementalBuilder, st seq.Seqs, splitters []seq.Kmer, cfg Config, dead int) (nbuckets, nsuf int, cost float64) {
-	return buildFiltered(ib, st, cfg, func(key seq.Kmer) bool {
+	return buildFiltered(ib, st, cfg, newStoreTable(st), func(key seq.Kmer) bool {
 		return destOf(splitters, key, cfg.FirstOwner) == dead
 	})
 }

@@ -1,6 +1,7 @@
 package pgst
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/pairgen"
 	"repro/internal/par"
 	"repro/internal/seq"
+	"repro/internal/seq/diskstore"
 	"repro/internal/simulate"
 	"repro/internal/suffixtree"
 )
@@ -317,4 +319,75 @@ func TestRebuildPortion(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSeqTable: the access table serves, for all 2n sequence IDs, the
+// bytes st.Seq does — from the mem and the disk store, and from
+// fetched forward fragments with reverse complements derived and a
+// dead owner's fragments falling back to the store — and a bounded
+// table never holds more than its cap resident.
+func TestSeqTable(t *testing.T) {
+	mem := testStore(9, 4000, 3.0)
+	disk, err := diskstore.Create(t.TempDir(), mem.Fragments(), diskstore.Options{CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	n := mem.N()
+	rng := rand.New(rand.NewSource(4))
+
+	checkAll := func(name string, tb *seqTable, st seq.Seqs) {
+		t.Helper()
+		for _, i := range rng.Perm(3 * 2 * n) {
+			sid := i % (2 * n) // every ID three times: hits and misses
+			if got := tb.Seq(int32(sid)); !bytes.Equal(got, st.Seq(sid)) {
+				t.Fatalf("%s: sid %d differs from the store", name, sid)
+			}
+			resident := 0
+			for _, s := range tb.seqs {
+				if s != nil {
+					resident++
+				}
+			}
+			if tb.max > 0 && (resident > tb.max || len(tb.live) > tb.max) {
+				t.Fatalf("%s: %d resident (%d tracked), cap %d", name, resident, len(tb.live), tb.max)
+			}
+		}
+	}
+
+	for name, st := range map[string]seq.Seqs{"mem": mem, "disk": disk} {
+		tb := newStoreTable(st)
+		if tb.max != seqTableResident {
+			t.Fatalf("store table cap %d, want %d", tb.max, seqTableResident)
+		}
+		tb.max = 7 // far below 2n, so the walk crosses the bound often
+		checkAll(name, tb, st)
+	}
+
+	// Fetched batch: owners served the even fragments, a dead owner
+	// never served the odd ones.
+	serve := func(tb *seqTable) {
+		for fid := 0; fid < n; fid += 2 {
+			tb.put(int32(fid), append([]byte(nil), mem.Seq(fid)...))
+		}
+	}
+	ft := newFetchTable(mem, true)
+	serve(ft)
+	checkAll("fetched+fallback", ft, mem)
+	ft.reset()
+	if len(ft.live) != 0 || ft.seqs[0] != nil {
+		t.Fatal("reset left fragments resident")
+	}
+
+	strict := newFetchTable(mem, false)
+	serve(strict)
+	if !bytes.Equal(strict.Seq(int32(n+2)), mem.Seq(n+2)) {
+		t.Fatal("reverse complement of a served fragment differs from the store")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unfetched fragment served without fallback")
+		}
+	}()
+	strict.Seq(1)
 }

@@ -1,4 +1,7 @@
-// Spilling construction: the out-of-core GST mode (Config.SpillBytes).
+// Segment sweeps: how every GST other than the distributed resident
+// build is constructed. A positive Config.SpillBytes is the out-of-core
+// mode; without a budget the whole range is one segment, which is the
+// serial tree.
 //
 // Bucket-by-w-prefix already makes the tree a forest of independent
 // subtrees, so nothing ever requires the whole tree in memory: pair
@@ -11,11 +14,11 @@
 // drop it, move on. Combined with the disk-backed sequence store the
 // resident set is O(budget + cache), independent of input size.
 //
-// The filtered re-enumeration is the same mechanism the fault-recovery
-// path (rebuildInto) already uses and proves equivalent: the union of
-// segment forests carries exactly the suffixes of a monolithic build,
-// and each bucket lands whole in exactly one segment, so the forest
-// union — and therefore the generated pair set — is identical.
+// The filtered re-enumeration (buildFiltered) also serves fault
+// recovery (rebuildInto): the union of segment forests carries exactly
+// the suffixes of a monolithic build, and each bucket lands whole in
+// exactly one segment, so the forest union — and therefore the
+// generated pair set — is identical.
 package pgst
 
 import (
@@ -29,8 +32,8 @@ import (
 const (
 	// spillBytesPerSuffix estimates the resident bytes one suffix costs
 	// while its segment is being built and generated: the keyed record
-	// (16), its sorted-slice and bucket slots (~24), amortized tree
-	// nodes (~24), and pair-generation lset cells (~32).
+	// (24), its bucket and leaf slots (~24), amortized tree nodes
+	// (~16), and pair-generation lset cells (~32).
 	spillBytesPerSuffix = 96
 	// spillMaxBinBits caps the segment-planning histogram at 16K bins
 	// (128 KiB of counters) regardless of W.
@@ -57,27 +60,6 @@ func spillBinBits(w int) uint {
 // spillBinShift maps a key to its histogram bin: bins are contiguous,
 // order-preserving ranges of the packed key space.
 func spillBinShift(w int) uint { return uint(2*w) - spillBinBits(w) }
-
-// enumKeys streams every suffix key of sequences [sidLo, sidHi) that
-// passes keep (nil: all), in deterministic (sid, pos) order, without
-// retaining anything. Returns the characters examined.
-func enumKeys(st seq.Seqs, sidLo, sidHi int, cfg Config, keep func(seq.Kmer) bool, fn func(seq.Kmer)) int64 {
-	var chars int64
-	for sid := sidLo; sid < sidHi; sid++ {
-		s := st.Seq(sid)
-		chars += int64(len(s))
-		sufs := suffixtree.EnumerateSuffixes(
-			func(int32) []byte { return s }, []int32{int32(sid)}, cfg.MinLen)
-		for _, sf := range sufs {
-			if key, ok := suffixtree.BucketKey(s, int(sf.Pos), cfg.W); ok {
-				if keep == nil || keep(key) {
-					fn(key)
-				}
-			}
-		}
-	}
-	return chars
-}
 
 // spillSegment is a contiguous histogram-bin range [loBin, hiBin).
 type spillSegment struct{ loBin, hiBin int }
@@ -116,78 +98,43 @@ func planSpillSegments(hist []int64, budget int64) []spillSegment {
 }
 
 // buildFiltered re-enumerates every suffix of the store, keeps those
-// whose key passes keep, and builds their buckets into ib — the shared
-// core of fault recovery (rebuildInto) and segment sweeping. Returns
-// bucket/suffix counts and the modeled compute cost.
-func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, keep func(seq.Kmer) bool) (nbuckets, nsuf int, cost float64) {
-	var mine []keyedSuffix
-	var chars int64
-	for sid := 0; sid < st.NumSeqs(); sid++ {
-		s := st.Seq(sid)
-		chars += int64(len(s))
-		sufs := suffixtree.EnumerateSuffixes(
-			func(int32) []byte { return s }, []int32{int32(sid)}, cfg.MinLen)
-		for _, sf := range sufs {
-			if key, ok := suffixtree.BucketKey(s, int(sf.Pos), cfg.W); ok && keep(key) {
-				mine = append(mine, keyedSuffix{key, sf})
-			}
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool { return mine[i].key < mine[j].key })
-	cost = float64(chars)*costChar +
-		float64(len(mine))*(costSuf+log2f(len(mine))*costSort)
-
-	access := memoAccess(st, 256)
+// whose key passes keep (nil: all), and builds their buckets into ib —
+// the shared core of fault recovery (rebuildInto) and segment sweeping.
+// Returns bucket/suffix counts and the modeled compute cost.
+func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, table *seqTable, keep func(seq.Kmer) bool) (nbuckets, nsuf int, cost float64) {
+	var mine []suffixtree.Keyed
+	chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, keep,
+		func(k suffixtree.Keyed) { mine = append(mine, k) })
 	before := ib.Work()
-	for lo := 0; lo < len(mine); {
-		hi := lo
-		for hi < len(mine) && mine[hi].key == mine[lo].key {
-			hi++
-		}
-		b := make([]suffixtree.Suffix, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			b = append(b, mine[i].suf)
-		}
-		ib.AddBucket(access, b)
-		nbuckets++
-		lo = hi
-	}
-	cost += float64(ib.Work()-before) * costChar
+	nbuckets = ib.AddKeyed(table.Seq, mine)
+	cost = float64(chars)*costChar +
+		float64(len(mine))*(costSuf+log2f(len(mine))*costSort) +
+		float64(ib.Work()-before)*costChar
 	return nbuckets, len(mine), cost
 }
 
-// memoAccess wraps st.Seq in a bounded memo so tree construction —
-// which touches the same few sequences repeatedly within a bucket —
-// does not re-decode a disk-backed sequence on every access. The memo
-// resets past maxEntries, keeping resident decoded bases bounded.
-func memoAccess(st seq.Seqs, maxEntries int) suffixtree.Access {
-	m := make(map[int32][]byte, maxEntries)
-	return func(sid int32) []byte {
-		if b, ok := m[sid]; ok {
-			return b
-		}
-		if len(m) >= maxEntries {
-			m = make(map[int32][]byte, maxEntries)
-		}
-		b := st.Seq(int(sid))
-		m[sid] = b
-		return b
-	}
-}
-
-// sweepFiltered plans segments for the keys passing own and yields one
-// forest per segment, building and dropping them in turn. Returns
-// false if yield stopped the sweep.
+// sweepFiltered yields one forest per segment of the keys passing own
+// (nil: all), building and dropping them in turn. With a byte budget
+// the segments come from a histogram pass; without one the whole range
+// is a single segment. Returns false if yield stopped the sweep.
 func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree) bool) bool {
-	shift := spillBinShift(cfg.W)
-	hist := make([]int64, 1<<spillBinBits(cfg.W))
-	enumKeys(st, 0, st.NumSeqs(), cfg, own, func(k seq.Kmer) { hist[k>>shift]++ })
-	for _, sg := range planSpillSegments(hist, cfg.SpillBytes) {
-		keep := func(k seq.Kmer) bool {
-			return sg.contains(k, shift) && (own == nil || own(k))
+	keeps := []func(seq.Kmer) bool{own}
+	if cfg.SpillBytes > 0 {
+		shift := spillBinShift(cfg.W)
+		hist := make([]int64, 1<<spillBinBits(cfg.W))
+		suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own,
+			func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
+		keeps = keeps[:0]
+		for _, sg := range planSpillSegments(hist, cfg.SpillBytes) {
+			keeps = append(keeps, func(k seq.Kmer) bool {
+				return sg.contains(k, shift) && (own == nil || own(k))
+			})
 		}
+	}
+	table := newStoreTable(st)
+	for _, keep := range keeps {
 		ib := suffixtree.NewIncrementalBuilder(cfg.W)
-		buildFiltered(ib, st, cfg, keep)
+		buildFiltered(ib, st, cfg, table, keep)
 		if !yield(ib.Tree()) {
 			return false
 		}
@@ -197,9 +144,10 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 
 // SweepSerial builds the store's full GST in bounded segments, calling
 // yield with each segment's forest in ascending key order; the forest
-// is dropped after yield returns. The union of yielded forests is
-// identical to BuildSerialTree's content — consume-and-drop is what
-// makes serial clustering run in O(SpillBytes) tree memory.
+// is dropped after yield returns. The union of yielded forests is the
+// serial tree, which is what a sweep without a budget yields whole —
+// consume-and-drop is what makes serial clustering run in
+// O(SpillBytes) tree memory.
 func SweepSerial(st seq.Seqs, cfg Config, yield func(*suffixtree.Tree) bool) {
 	cfg = cfg.withDefaults()
 	sweepFiltered(st, cfg, nil, yield)
@@ -221,13 +169,8 @@ func (l *Local) SweepRank(st seq.Seqs, r int, yield func(*suffixtree.Tree) bool)
 // collect) — the spilling substitute for sampling the materialized
 // enumeration. Returns sorted keys and the characters examined.
 func sampleOwnerKeys(st seq.Seqs, bounds []int, me int, cfg Config, perRank int) ([]seq.Kmer, int64) {
-	n := st.N()
-	sidRanges := [2][2]int{{bounds[me], bounds[me+1]}, {bounds[me] + n, bounds[me+1] + n}}
 	var cnt int64
-	var chars int64
-	for _, r := range sidRanges {
-		chars += enumKeys(st, r[0], r[1], cfg, nil, func(seq.Kmer) { cnt++ })
-	}
+	chars := scanOwner(st, bounds, me, cfg, nil, func(suffixtree.Keyed) { cnt++ })
 	if cnt == 0 {
 		return nil, chars
 	}
@@ -237,15 +180,13 @@ func sampleOwnerKeys(st seq.Seqs, bounds []int, me int, cfg Config, perRank int)
 	keys := make([]seq.Kmer, 0, perRank)
 	var idx, next int64
 	step := cnt / int64(perRank)
-	for _, r := range sidRanges {
-		chars += enumKeys(st, r[0], r[1], cfg, nil, func(k seq.Kmer) {
-			if idx == next && len(keys) < perRank {
-				keys = append(keys, k)
-				next += step
-			}
-			idx++
-		})
-	}
+	chars += scanOwner(st, bounds, me, cfg, nil, func(k suffixtree.Keyed) {
+		if idx == next && len(keys) < perRank {
+			keys = append(keys, k.Key)
+			next += step
+		}
+		idx++
+	})
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys, chars
 }
@@ -258,12 +199,12 @@ func sampleOwnerKeys(st seq.Seqs, bounds []int, me int, cfg Config, perRank int)
 // redistribution and fragment-fetch collectives of the in-memory path
 // have nothing to move.
 func buildSpill(c *par.Comm, st seq.Seqs, cfg Config, bounds []int, owners int) *Local {
-	var samples []keyedSuffix
+	var samples []suffixtree.Keyed
 	if me := c.Rank() - cfg.FirstOwner; me >= 0 {
 		keys, chars := sampleOwnerKeys(st, bounds, me, cfg, 64)
 		c.ChargeCompute(float64(chars) * costChar)
 		for _, k := range keys {
-			samples = append(samples, keyedSuffix{key: k})
+			samples = append(samples, suffixtree.Keyed{Key: k})
 		}
 	}
 	splitters := chooseSplitters(c, samples, owners, cfg)

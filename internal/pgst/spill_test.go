@@ -2,6 +2,7 @@ package pgst
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -22,49 +23,64 @@ func sweepPairs(st seq.Seqs, cfg Config, psi int) (pairs []string, segments int)
 	return pairs, segments
 }
 
-// TestSweepSerialMatchesSerial: the union of the spilling sweep's
-// segment forests — and the pair multiset generated from them — must
-// equal the monolithic serial tree's exactly, at budgets from "one
-// segment per bucket bin" up to "everything in one segment".
+// TestSweepSerialMatchesSerial: the union of the sweep's segment
+// forests — and the pair multiset generated from them — must equal the
+// monolithic serial tree's exactly, at budgets from "one segment per
+// bucket bin" up to "everything in one segment", over the in-memory and
+// the disk-backed store. Without a budget the sweep is the tree build:
+// one forest, node for node the reference tree, so its pairs come out
+// in the reference order too.
 func TestSweepSerialMatchesSerial(t *testing.T) {
-	st := testStore(3, 6000, 3.0)
+	mem := testStore(3, 6000, 3.0)
+	disk, err := diskstore.Create(t.TempDir(), mem.Fragments(), diskstore.Options{CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
 	const w, psi = 6, 8
-	ref := serialTree(st, w, psi)
+	ref := serialTree(mem, w, psi)
 	want := TreeSignature(ref)
-	wantPairs := collectPairs(ref, psi, st.N())
+	wantSeq := collectPairs(ref, psi, mem.N())
+	wantPairs := append([]string(nil), wantSeq...)
 	sort.Strings(wantPairs)
 	if len(wantPairs) == 0 {
 		t.Fatal("test input generates no pairs; weak test")
 	}
 
-	for _, budget := range []int64{1, 64 << 10, 1 << 20, 1 << 30} {
-		cfg := Config{W: w, MinLen: psi, SpillBytes: budget}
-		got := Signature{Nodes: map[string]int{}}
-		segments := 0
-		SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
-			segments++
-			s := TreeSignature(tr)
-			for k, v := range s.Nodes {
-				got.Nodes[k] += v
+	for name, st := range map[string]seq.Seqs{"mem": mem, "disk": disk} {
+		for _, budget := range []int64{0, 1, 64 << 10, 1 << 20, 1 << 30} {
+			cfg := Config{W: w, MinLen: psi, SpillBytes: budget}
+			var forests []*suffixtree.Tree
+			var gotSeq []string
+			SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
+				forests = append(forests, tr)
+				gotSeq = append(gotSeq, collectPairs(tr, psi, st.N())...)
+				return true
+			})
+			segments := len(forests)
+			if !TreeSignature(forests...).Equal(want) {
+				t.Fatalf("%s budget %d: sweep union signature differs from serial tree", name, budget)
 			}
-			got.Suffixes = append(got.Suffixes, s.Suffixes...)
-			return true
-		})
-		sort.Strings(got.Suffixes)
-		if !got.Equal(want) {
-			t.Fatalf("budget %d: sweep union signature differs from serial tree", budget)
-		}
-		gotPairs, _ := sweepPairs(st, cfg, psi)
-		sort.Strings(gotPairs)
-		if fmt.Sprint(gotPairs) != fmt.Sprint(wantPairs) {
-			t.Fatalf("budget %d: sweep pair multiset differs (%d vs %d pairs)",
-				budget, len(gotPairs), len(wantPairs))
-		}
-		if budget == 1 && segments < 8 {
-			t.Fatalf("budget 1 produced only %d segments; spilling is not segmenting", segments)
-		}
-		if budget == 1<<30 && segments != 1 {
-			t.Fatalf("huge budget produced %d segments, want 1", segments)
+			gotPairs := append([]string(nil), gotSeq...)
+			sort.Strings(gotPairs)
+			if fmt.Sprint(gotPairs) != fmt.Sprint(wantPairs) {
+				t.Fatalf("%s budget %d: sweep pair multiset differs (%d vs %d pairs)",
+					name, budget, len(gotPairs), len(wantPairs))
+			}
+			if budget == 1 && segments < 8 {
+				t.Fatalf("%s budget 1 produced only %d segments; spilling is not segmenting", name, segments)
+			}
+			if budget == 1<<30 && segments != 1 {
+				t.Fatalf("%s huge budget produced %d segments, want 1", name, segments)
+			}
+			if budget == 0 {
+				if segments != 1 || !reflect.DeepEqual(forests[0], ref) {
+					t.Fatalf("%s no budget: %d forests, want the reference tree itself", name, segments)
+				}
+				if fmt.Sprint(gotSeq) != fmt.Sprint(wantSeq) {
+					t.Fatalf("%s no budget: pair sequence differs from the reference tree's", name)
+				}
+			}
 		}
 	}
 }
@@ -78,7 +94,8 @@ func TestSweepBudgetBounds(t *testing.T) {
 
 	shift := spillBinShift(cfg.W)
 	hist := make([]int64, 1<<spillBinBits(cfg.W))
-	enumKeys(st, 0, st.NumSeqs(), cfg, nil, func(k seq.Kmer) { hist[k>>shift]++ })
+	suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, nil,
+		func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
 	var maxBin int64
 	for _, h := range hist {
 		if h > maxBin {

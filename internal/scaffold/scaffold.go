@@ -226,10 +226,10 @@ func Build(contigs []assembly.Contig, links []MateLink, cfg Config) []Scaffold {
 
 // Stats summarizes a scaffolding result.
 type Stats struct {
-	Scaffolds     int
-	Singletons    int
-	LargestChain  int
-	TotalContigs  int
+	Scaffolds    int
+	Singletons   int
+	LargestChain int
+	TotalContigs int
 }
 
 // Summarize computes scaffold statistics.

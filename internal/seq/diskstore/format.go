@@ -99,12 +99,12 @@ func decodeHeader(b []byte) (header, error) {
 
 // entry is one fragment's index record.
 type entry struct {
-	dataOff  uint64
-	baseLen  uint32
-	nameOff  uint64
-	nameLen  uint32
-	maskOff  uint64
-	maskLen  uint32
+	dataOff uint64
+	baseLen uint32
+	nameOff uint64
+	nameLen uint32
+	maskOff uint64
+	maskLen uint32
 }
 
 func (e entry) encode(b []byte) {

@@ -38,7 +38,7 @@ func UnpackKmer(km Kmer, k int) []byte {
 func KmerRC(km Kmer, k int) Kmer {
 	var rc Kmer
 	for i := 0; i < k; i++ {
-		rc = rc<<2 | (km&3)^3
+		rc = rc<<2 | (km & 3) ^ 3
 		km >>= 2
 	}
 	return rc

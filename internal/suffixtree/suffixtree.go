@@ -16,6 +16,7 @@
 package suffixtree
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/seq"
@@ -50,12 +51,12 @@ const NoNode int32 = -1
 // (FirstChild / NextSib). A leaf (no children) owns the suffixes
 // Sufs[SufStart:SufEnd] of the Tree; internal nodes own none.
 type Node struct {
-	Parent   int32
-	Depth    int32 // string-depth: length of the root-to-node path label
+	Parent     int32
+	Depth      int32 // string-depth: length of the root-to-node path label
 	FirstChild int32
-	NextSib  int32
-	SufStart int32
-	SufEnd   int32
+	NextSib    int32
+	SufStart   int32
+	SufEnd     int32
 }
 
 // Tree is a bucket forest: the part of the generalized suffix tree at
@@ -132,9 +133,41 @@ func (t *Tree) NodesByDepthDesc(minDepth int) []int32 {
 	return out
 }
 
+// Keyed is a suffix with its bucket key, the packed w-prefix.
+type Keyed struct {
+	Key seq.Kmer
+	Suf Suffix
+}
+
+// Scan is the one pass GST construction makes over reads: it calls fn
+// for every suffix of sequences [sidLo, sidHi) that is at least minLen
+// long, has an unmasked w-window and whose key passes keep (nil: all),
+// in (sid, pos) order, rolling the key in O(1) per position and
+// retaining nothing. Returns the characters examined.
+func Scan(st seq.Seqs, sidLo, sidHi, w, minLen int, keep func(seq.Kmer) bool, fn func(Keyed)) (chars int64) {
+	for sid := sidLo; sid < sidHi; sid++ {
+		s := st.Seq(sid)
+		chars += int64(len(s))
+		// A suffix shorter than minLen starts in the last minLen-1
+		// positions; trimming the tail keeps their windows out.
+		windows := s
+		if minLen > w {
+			windows = s[:max(len(s)-(minLen-w), 0)]
+		}
+		seq.EachKmer(windows, w, func(pos int, key seq.Kmer) {
+			if keep == nil || keep(key) {
+				fn(Keyed{key, Suffix{Sid: int32(sid), Pos: int32(pos), Prev: prevClass(s, pos)}})
+			}
+		})
+	}
+	return chars
+}
+
 // EnumerateSuffixes lists every suffix of the given sequence IDs with
 // its preceding-character class. Suffixes shorter than minLen are
 // skipped (they cannot carry a maximal match of length ≥ minLen).
+// Together with BucketKey it is the independent reference Scan is
+// tested against; construction itself goes through Scan.
 func EnumerateSuffixes(access Access, sids []int32, minLen int) []Suffix {
 	var out []Suffix
 	for _, sid := range sids {
@@ -167,47 +200,28 @@ func BucketKey(s []byte, pos, w int) (seq.Kmer, bool) {
 // Build constructs the bucket forest for the given suffixes with
 // prefix length w. Suffixes whose w-window is invalid are dropped.
 func Build(access Access, sufs []Suffix, w int) *Tree {
-	type keyed struct {
-		key seq.Kmer
-		suf Suffix
-	}
-	ks := make([]keyed, 0, len(sufs))
+	ks := make([]Keyed, 0, len(sufs))
 	for _, sf := range sufs {
 		if key, ok := BucketKey(access(sf.Sid), int(sf.Pos), w); ok {
-			ks = append(ks, keyed{key, sf})
+			ks = append(ks, Keyed{key, sf})
 		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-
 	ib := NewIncrementalBuilder(w)
-	ib.b.tree.Nodes = make([]Node, 0, len(ks)/2+4)
-	ib.b.tree.Sufs = make([]Suffix, 0, len(ks))
-	bucket := make([]Suffix, 0, 64)
-	for lo := 0; lo < len(ks); {
-		hi := lo
-		for hi < len(ks) && ks[hi].key == ks[lo].key {
-			hi++
-		}
-		bucket = bucket[:0]
-		for i := lo; i < hi; i++ {
-			bucket = append(bucket, ks[i].suf)
-		}
-		ib.AddBucket(access, bucket)
-		lo = hi
-	}
+	ib.AddKeyed(access, ks)
 	return ib.Tree()
 }
 
-// BuildBuckets constructs subtrees for pre-grouped buckets (the
-// parallel construction path, which receives its buckets from the
-// redistribution step). Each bucket's suffixes must share their first
-// w characters.
-func BuildBuckets(access Access, buckets [][]Suffix, w int) *Tree {
-	ib := NewIncrementalBuilder(w)
-	for _, bucket := range buckets {
-		ib.AddBucket(access, bucket)
+// EachRun calls fn with every maximal equal-key run ks[lo:hi] of the
+// key-sorted ks, in ascending key order: one run is one bucket.
+func EachRun(ks []Keyed, fn func(lo, hi int)) {
+	for lo := 0; lo < len(ks); {
+		hi := lo + 1
+		for hi < len(ks) && ks[hi].Key == ks[lo].Key {
+			hi++
+		}
+		fn(lo, hi)
+		lo = hi
 	}
-	return ib.Tree()
 }
 
 // IncrementalBuilder accumulates bucket subtrees into one forest. The
@@ -244,6 +258,26 @@ func (ib *IncrementalBuilder) AddBucket(access Access, bucket []Suffix) {
 	root := ib.b.build(bucket, int32(ib.b.tree.W), NoNode)
 	ib.b.tree.Roots = append(ib.b.tree.Roots, root)
 	ib.b.access = nil
+}
+
+// AddKeyed sorts ks by key and builds every equal-key run as one
+// bucket, in ascending key order; it returns the number of buckets.
+// The access function must serve every sequence ks references.
+func (ib *IncrementalBuilder) AddKeyed(access Access, ks []Keyed) (nbuckets int) {
+	sort.Slice(ks, func(i, j int) bool { return ks[i].Key < ks[j].Key })
+	t := ib.b.tree
+	t.Nodes = slices.Grow(t.Nodes, len(ks)/2+4)
+	t.Sufs = slices.Grow(t.Sufs, len(ks))
+	var bucket []Suffix
+	EachRun(ks, func(lo, hi int) {
+		bucket = bucket[:0]
+		for _, k := range ks[lo:hi] {
+			bucket = append(bucket, k.Suf)
+		}
+		ib.AddBucket(access, bucket)
+		nbuckets++
+	})
+	return nbuckets
 }
 
 // Tree returns the accumulated forest.

@@ -3,6 +3,7 @@ package suffixtree
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/seq"
@@ -393,26 +394,121 @@ func TestIdenticalFragmentsShareLeaf(t *testing.T) {
 	}
 }
 
-func TestBuildBucketsMatchesBuild(t *testing.T) {
+// referenceKeyed is Scan's independent reference: EnumerateSuffixes
+// then BucketKey, one PackKmer per position.
+func referenceKeyed(st *seq.Store, sidLo, sidHi, w, minLen int, keep func(seq.Kmer) bool) (ks []Keyed, chars int64) {
+	acc := storeAccess(st)
+	for sid := sidLo; sid < sidHi; sid++ {
+		chars += int64(len(acc(int32(sid))))
+		for _, sf := range EnumerateSuffixes(acc, []int32{int32(sid)}, minLen) {
+			if key, ok := BucketKey(acc(sf.Sid), int(sf.Pos), w); ok && (keep == nil || keep(key)) {
+				ks = append(ks, Keyed{key, sf})
+			}
+		}
+	}
+	return ks, chars
+}
+
+// TestScanMatchesReference: the rolling scan must yield exactly the
+// reference enumeration — same suffixes, keys, prev classes, order and
+// character count — over both orientations, sub-ranges and a key
+// filter, on inputs that put masked runs at window edges and mix in
+// reads shorter than w, shorter than minLen, and empty.
+func TestScanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	odd := func(k seq.Kmer) bool { return k&1 == 1 }
+	cases := []struct {
+		name      string
+		st        *seq.Store
+		w, minLen int
+	}{
+		{"masked window edges", buildStore("NACGTN", "ACGNACG", "NNNN", "ACGTNACGT", "ACGTACGN", "NACGTACG"), 4, 4},
+		{"short and empty reads", buildStore("", "A", "ACG", "ACGT", "ACGTA", "", "ACGTACGTAC"), 4, 6},
+		{"minLen above w", randomStore(rng, 12, 1, 40, 0.05), 3, 9},
+		{"minLen below w", randomStore(rng, 12, 1, 40, 0.05), 5, 2},
+		{"dense masking", randomStore(rng, 20, 10, 60, 0.3), 4, 4},
+		{"clean long reads", randomStore(rng, 8, 80, 120, 0), 8, 12},
+		{"w beyond MaxK", randomStore(rng, 3, 40, 50, 0), seq.MaxK + 1, seq.MaxK + 1},
+	}
+	for _, tc := range cases {
+		n := tc.st.NumSeqs()
+		ranges := [][2]int{{0, n}, {0, n / 2}, {n / 2, n}, {n / 3, n/3 + 1}, {2, 2}}
+		for _, r := range ranges {
+			for _, keep := range []func(seq.Kmer) bool{nil, odd} {
+				want, wantChars := referenceKeyed(tc.st, r[0], r[1], tc.w, tc.minLen, keep)
+				var got []Keyed
+				gotChars := Scan(tc.st, r[0], r[1], tc.w, tc.minLen, keep, func(k Keyed) { got = append(got, k) })
+				if gotChars != wantChars {
+					t.Errorf("%s %v: %d chars examined, want %d", tc.name, r, gotChars, wantChars)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v filter=%v: scan yields %d suffixes %v, want %d %v",
+						tc.name, r, keep != nil, len(got), got, len(want), want)
+				}
+			}
+		}
+	}
+}
+
+// TestScanDoesNotAllocate: the scan retains nothing and rolls its keys,
+// so a pass over an in-memory store allocates nothing.
+func TestScanDoesNotAllocate(t *testing.T) {
+	st := randomStore(rand.New(rand.NewSource(3)), 30, 50, 90, 0.02)
+	var n int
+	odd := func(k seq.Kmer) bool { return k&1 == 1 }
+	allocs := testing.AllocsPerRun(10, func() {
+		Scan(st, 0, st.NumSeqs(), 6, 9, odd, func(Keyed) { n++ })
+	})
+	if n == 0 {
+		t.Fatal("scan yielded nothing; weak test")
+	}
+	if allocs != 0 {
+		t.Fatalf("scan allocates %.0f objects per pass, want 0", allocs)
+	}
+}
+
+// TestAddKeyedMatchesBuckets: one keyed sort plus one run split must
+// give the tree of the reference keying loop node for node, whatever
+// order the keyed suffixes arrive in, and the same node multiset as
+// adding pre-grouped buckets in arbitrary order.
+func TestAddKeyedMatchesBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	st := randomStore(rng, 6, 30, 50, 0)
+	st := randomStore(rng, 6, 30, 50, 0.03)
 	w := 3
 	acc := storeAccess(st)
 	sufs := EnumerateSuffixes(acc, allSids(st), w)
 
 	t1 := Build(acc, sufs, w)
 
-	byKey := make(map[seq.Kmer][]Suffix)
-	for _, sf := range sufs {
-		if key, ok := BucketKey(acc(sf.Sid), int(sf.Pos), w); ok {
-			byKey[key] = append(byKey[key], sf)
+	var ks []Keyed
+	Scan(st, 0, st.NumSeqs(), w, w, nil, func(k Keyed) { ks = append(ks, k) })
+	rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+	ib := NewIncrementalBuilder(w)
+	nbuckets := ib.AddKeyed(acc, ks)
+	if !reflect.DeepEqual(ib.Tree(), t1) {
+		t.Fatal("AddKeyed over shuffled scan output differs from Build")
+	}
+	for i := 1; i < len(t1.Roots); i++ {
+		a, b := t1.LeafSuffixes(firstLeaf(t1, t1.Roots[i-1]))[0], t1.LeafSuffixes(firstLeaf(t1, t1.Roots[i]))[0]
+		ka, _ := BucketKey(acc(a.Sid), int(a.Pos), w)
+		kb, _ := BucketKey(acc(b.Sid), int(b.Pos), w)
+		if ka >= kb {
+			t.Fatalf("bucket %d key %d not above bucket %d key %d", i, kb, i-1, ka)
 		}
 	}
-	var buckets [][]Suffix
-	for _, b := range byKey {
-		buckets = append(buckets, b)
+
+	byKey := make(map[seq.Kmer][]Suffix)
+	for _, k := range ks {
+		byKey[k.Key] = append(byKey[k.Key], k.Suf)
 	}
-	t2 := BuildBuckets(acc, buckets, w)
+	if nbuckets != len(byKey) || len(t1.Roots) != len(byKey) {
+		t.Fatalf("%d buckets reported, %d roots, want %d", nbuckets, len(t1.Roots), len(byKey))
+	}
+	ib = NewIncrementalBuilder(w)
+	for _, b := range byKey {
+		ib.AddBucket(acc, b)
+	}
+	t2 := ib.Tree()
 
 	if t1.NumNodes() != t2.NumNodes() || len(t1.Roots) != len(t2.Roots) {
 		t.Fatalf("shape mismatch: %d/%d nodes, %d/%d roots",
@@ -435,6 +531,14 @@ func TestBuildBucketsMatchesBuild(t *testing.T) {
 			t.Fatalf("node signature %q: %d != %d", k, v, s2[k])
 		}
 	}
+}
+
+// firstLeaf descends first children from u to a leaf.
+func firstLeaf(t *Tree, u int32) int32 {
+	for !t.IsLeaf(u) {
+		u = t.Nodes[u].FirstChild
+	}
+	return u
 }
 
 func TestDeepRepeatDoesNotExplode(t *testing.T) {

@@ -53,7 +53,7 @@ func TestMain(m *testing.M) {
 
 // workload synthesizes the fixed conformance read set: a
 // repeat-bearing genome every rank regenerates identically, sized so
-// a 4-rank socket run takes long enough for a mid-phase kill to land.
+// clustering is a real multi-round exchange on every rank.
 func workload() []*seq.Fragment {
 	rng := rand.New(rand.NewSource(99))
 	g := simulate.NewGenome(rng, "g", simulate.GenomeConfig{
@@ -187,27 +187,48 @@ func spawnChildren(t *testing.T, network, registry string, extraEnv ...string) m
 	return children
 }
 
+// killOnceClustering SIGKILLs p the moment rank 0's trace enters the
+// clustering phase. Every worker is then past the GST barrier, owes the
+// master its first report and cannot finish before the master says so,
+// so the kill lands mid-phase however fast or slow the run is — no
+// delay to tune against the host. It gives up when stop closes.
+func killOnceClustering(tr *obs.Tracer, p *os.Process, stop <-chan struct{}) {
+	var cursor uint64
+	for {
+		var evs []obs.Event
+		evs, cursor, _ = tr.EventsSince(0, cursor)
+		for _, e := range evs {
+			if e.Kind == obs.EvPhaseEnter && e.A == obs.PhaseCluster {
+				_ = p.Signal(syscall.SIGKILL)
+				return
+			}
+		}
+		select {
+		case <-stop:
+			return
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 // runJob drives one multi-process clustering job: worker ranks are
 // re-executions of this test binary, rank 0 runs in-test. killRank,
-// when ≥ 1, is SIGKILLed killAfter into the run. It returns the
+// when ≥ 1, is SIGKILLed as clustering begins. It returns the
 // master's partition labels, the run statistics, and the merged
 // per-process event dump (the killed rank's dump is missing, which
 // the merge marks as truncated).
-func runJob(t *testing.T, network string, killRank int, killAfter time.Duration) ([]int, cluster.Stats, *obs.Dump) {
+func runJob(t *testing.T, network string, killRank int) ([]int, cluster.Stats, *obs.Dump) {
 	t.Helper()
 	registry := t.TempDir()
 	children := spawnChildren(t, network, registry)
 
-	if killRank >= 1 {
-		cmd := children[killRank]
-		time.AfterFunc(killAfter, func() {
-			t.Logf("SIGKILL rank %d after %v", killRank, killAfter)
-			_ = cmd.Process.Signal(syscall.SIGKILL)
-		})
-	}
-
 	store := seq.NewStore(workload())
 	tr := obs.NewTracer(jobSize, 1<<16)
+	if killRank >= 1 {
+		finished := make(chan struct{})
+		defer close(finished)
+		go killOnceClustering(tr, children[killRank].Process, finished)
+	}
 	trans, err := newTransport(0, network, registry)
 	if err != nil {
 		t.Fatal(err)
@@ -290,12 +311,12 @@ func TestConformanceInproc(t *testing.T) {
 }
 
 func TestConformanceTCP(t *testing.T) {
-	labels, _, merged := runJob(t, "tcp", 0, 0)
+	labels, _, merged := runJob(t, "tcp", 0)
 	assertCanonical(t, labels, merged)
 }
 
 func TestConformanceUnix(t *testing.T) {
-	labels, _, merged := runJob(t, "unix", 0, 0)
+	labels, _, merged := runJob(t, "unix", 0)
 	assertCanonical(t, labels, merged)
 }
 
@@ -305,7 +326,7 @@ func TestConformanceUnix(t *testing.T) {
 // writes its events dump — the merge marks it truncated and the
 // remaining streams must still satisfy the causal invariants.
 func TestConformanceSIGKILL(t *testing.T) {
-	labels, stats, merged := runJob(t, "tcp", 2, 250*time.Millisecond)
+	labels, stats, merged := runJob(t, "tcp", 2)
 	assertCanonical(t, labels, merged)
 	if stats.WorkersLost < 1 {
 		t.Errorf("kill landed after the run finished: WorkersLost=%d (expected ≥ 1); partition still canonical", stats.WorkersLost)

@@ -53,7 +53,7 @@ func getStatus(t *testing.T, base string) *collector.Status {
 // runLiveJob runs one collector-observed multi-process job and returns
 // the master's stats, the collector, its base URL, and the per-process
 // dumps post-hoc merging would use (rank → dump; killed ranks absent).
-func runLiveJob(t *testing.T, network string, killRank int, killAfter time.Duration, cfg collector.Config) (cluster.Stats, *collector.Collector, string, map[int]*obs.Dump) {
+func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config) (cluster.Stats, *collector.Collector, string, map[int]*obs.Dump) {
 	t.Helper()
 	registry := t.TempDir()
 	cfg.Ranks = jobSize
@@ -67,38 +67,28 @@ func runLiveJob(t *testing.T, network string, killRank int, killAfter time.Durat
 	base := "http://" + srv.Addr
 
 	children := spawnChildren(t, network, registry, envCollector+"="+base)
-	if killRank >= 1 {
-		cmd := children[killRank]
-		// Kill only once the collector has heard from the rank: its
-		// death then shows up as a growing heartbeat lag rather than a
-		// rank that never reported, regardless of how slowly the child
-		// process starts (the race detector makes startup ~10x slower).
-		go func() {
-			deadline := time.Now().Add(2 * time.Minute)
-			for time.Now().Before(deadline) {
-				resp, err := http.Get(base + "/status")
-				if err != nil {
-					return // collector gone: the test is over
-				}
-				var st collector.Status
-				derr := json.NewDecoder(resp.Body).Decode(&st)
-				resp.Body.Close()
-				if derr == nil {
-					for _, row := range st.Ranks {
-						if row.Rank == killRank && row.State != collector.StateWaiting {
-							time.Sleep(killAfter)
-							_ = cmd.Process.Kill()
-							return
-						}
-					}
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-		}()
-	}
-
 	store := seq.NewStore(workload())
 	tr := obs.NewTracer(jobSize, 1<<16)
+	if killRank >= 1 {
+		// Rank 0 joins only once the collector has heard from the rank
+		// to be killed (it reports while waiting at the rendezvous):
+		// its death then shows up as a growing heartbeat lag rather
+		// than a rank that never reported. The kill itself is ordered
+		// by the run, not by a clock: it fires as clustering begins.
+		deadline := time.Now().Add(2 * time.Minute)
+		for heard := false; !heard; time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("collector never heard from rank %d", killRank)
+			}
+			for _, row := range getStatus(t, base).Ranks {
+				heard = heard || row.Rank == killRank && row.State != collector.StateWaiting
+			}
+		}
+		finished := make(chan struct{})
+		defer close(finished)
+		go killOnceClustering(tr, children[killRank].Process, finished)
+	}
+
 	rep := collector.StartReporter(collector.ReporterConfig{
 		URL: base, Rank: 0, Job: "transconf",
 		Interval: 50 * time.Millisecond, Tracer: tr,
@@ -243,7 +233,7 @@ func assertLiveMatchesPostHoc(t *testing.T, col *collector.Collector, merged *ob
 
 // TestObsLiveTCP: clean 4-process TCP run under a collector.
 func TestObsLiveTCP(t *testing.T) {
-	_, col, base, dumps := runLiveJob(t, "tcp", 0, 0, collector.Config{})
+	_, col, base, dumps := runLiveJob(t, "tcp", 0, collector.Config{})
 
 	st := getStatus(t, base)
 	if !st.Complete || !st.ExitOK {
@@ -287,7 +277,7 @@ func partialStream(t *testing.T, col *collector.Collector, rank int) *obs.Dump {
 // merging and analysis.
 func TestObsLiveSIGKILL(t *testing.T) {
 	const killRank = 2
-	stats, col, base, dumps := runLiveJob(t, "tcp", killRank, 250*time.Millisecond,
+	stats, col, base, dumps := runLiveJob(t, "tcp", killRank,
 		collector.Config{WarnAfter: 500 * time.Millisecond, DeadAfter: 2 * time.Second})
 
 	if stats.WorkersLost < 1 {
