@@ -86,18 +86,10 @@ func main() {
 			defer closeStore()
 		}
 
-		var res *cluster.Result
-		switch {
-		case *ranks < 2:
-			res = cluster.Serial(store, cfg)
-		case s.Transport != nil:
-			pcfg.Trace, pcfg.Metrics = s.Tracer, s.Registry
-			pcfg.FT = true // real processes genuinely die
-			res, _, _, err = cluster.ParallelRank(store, cfg, pcfg, s.Rank, s.Transport)
-		default:
-			pcfg.Trace, pcfg.Metrics = s.Tracer, s.Registry
-			res, _, err = cluster.Parallel(store, cfg, pcfg)
-		}
+		pcfg.Trace, pcfg.Metrics = s.Tracer, s.Registry
+		res, _, err := core.ClusterStage(store, core.Config{
+			Cluster: cfg, Parallel: pcfg, Transport: s.Transport, TransportRank: s.Rank,
+		})
 		if err != nil || s.Rank != 0 {
 			return err
 		}

@@ -84,7 +84,6 @@ func main() {
 	cfg.Criteria.MinOverlap = *minOverlap
 	cfg.Criteria.MinIdentity = *minIdentity
 	pcfg := cluster.DefaultParallelConfig(*size)
-	pcfg.FT = true // real processes genuinely die
 	pcfg.LeaseTimeout = *lease
 
 	os.Exit(launch.Run("asmnode", *size, so, func(s *launch.Session) error {

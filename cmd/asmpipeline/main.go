@@ -132,7 +132,6 @@ func main() {
 			cfg.Parallel.Trace, cfg.Parallel.Metrics = s.Tracer, s.Registry
 		}
 		if s.Transport != nil {
-			cfg.Parallel.FT = true // real processes genuinely die
 			cfg.Transport = s.Transport
 			cfg.TransportRank = s.Rank
 		}

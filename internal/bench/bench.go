@@ -159,7 +159,6 @@ func workloadBody(workload string, cfg Config, frags []*seq.Fragment) (func(tr *
 					machine.Trace = tr
 					pcfg := cluster.DefaultParallelConfig(cfg.Ranks)
 					pcfg.Machine = machine
-					pcfg.FT = true
 					_, _, _, err = cluster.ParallelRank(store, ccfg, pcfg, r, t)
 					if cerr := t.Close(); err == nil {
 						err = cerr

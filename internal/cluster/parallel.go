@@ -34,8 +34,8 @@ type ParallelConfig struct {
 	// UseSsend makes workers use synchronous sends for reports, the
 	// paper's protection against master-side buffer overflow; eager
 	// sends are the (faster, riskier) alternative it compares against.
-	// Message-drop fault injection only affects eager sends, so drop
-	// experiments must run with UseSsend false.
+	// It applies on a fail-stop machine only: under the lease protocol
+	// of a survivable machine reports are always eager (see runWorker).
 	UseSsend bool
 	// ScaleBatchWithWorkers grows the dispatch granularity with the
 	// machine so the frequency of messages arriving at the master does
@@ -43,21 +43,16 @@ type ParallelConfig struct {
 	// The effective batch size becomes BatchSize × max(1, workers/8).
 	ScaleBatchWithWorkers bool
 
-	// Faults, when non-nil, injects the plan into the machine and
-	// switches the master–worker protocol into its fault-tolerant
-	// (lease-based) mode. Nil keeps the fault-free fast path, whose
-	// message pattern and modeled statistics are identical to the
-	// fault-unaware implementation.
+	// Faults, when non-nil, injects the plan into the machine. Whether
+	// the run survives rank death is then not a choice: a machine with
+	// a fault plan or a transport (real processes genuinely die — OOM
+	// kill, SIGKILL, node loss) is survivable (par.Comm.Survivable) and
+	// runs the lease-based protocol; any other machine is fail-stop and
+	// keeps the paper's message pattern and modeled statistics exactly.
 	Faults *par.FaultPlan
-	// FT forces the fault-tolerant (lease-based) protocol even with no
-	// injected fault plan. Multi-process transport runs set it: real
-	// processes genuinely die (OOM kill, SIGKILL, node loss), so the
-	// protocol must survive rank death even though nothing is being
-	// injected. Setting Faults implies FT.
-	FT bool
 	// LeaseTimeout is how long the master waits for a report from a
-	// worker with outstanding work before declaring it dead (fault
-	// mode only). Workers give up on a silent master after 4× this.
+	// worker with outstanding work before declaring it dead (survivable
+	// machines only). Workers give up on a silent master after 4× this.
 	// Default 3 s.
 	LeaseTimeout time.Duration
 	// CheckpointEvery, when positive, snapshots the master state every
@@ -123,16 +118,6 @@ func (c ParallelConfig) withDefaults() ParallelConfig {
 	}
 	if c.Faults != nil {
 		c.Machine.Faults = c.Faults
-		c.FT = true
-	}
-	if c.FT {
-		// The lease protocol requires workers' sends to be
-		// non-blocking: a worker the master has already given up on
-		// (fired on lease expiry while merely slow) may Ssend one last
-		// report after the master stops reading, and would wedge
-		// waiting for a match that never comes. Eager reports make a
-		// fired worker's last words harmless.
-		c.UseSsend = false
 	}
 	if c.ScaleBatchWithWorkers {
 		if f := (c.Ranks - 1) / 8; f > 1 {
@@ -195,8 +180,8 @@ func (q *pairQueue) slice() []pairgen.Pair { return q.buf[q.head:] }
 // Parallel clusters the store's fragments on a p-rank machine:
 // parallel GST construction (buckets on workers only), then the
 // iterative master–worker overlap detection of Figs. 7–8. With a
-// fault plan set it runs the lease-based fault-tolerant protocol and
-// finishes on the surviving workers; the partition it returns is then
+// fault plan set the machine is survivable: the lease-based protocol
+// finishes on the surviving workers, and the partition it returns is
 // identical to a fault-free run's (union–find merges are
 // order-independent and duplicated pairs are harmless).
 func Parallel(store seq.Seqs, cfg Config, pcfg ParallelConfig) (*Result, PhaseStats, error) {
@@ -205,16 +190,9 @@ func Parallel(store seq.Seqs, cfg Config, pcfg ParallelConfig) (*Result, PhaseSt
 	if pcfg.Ranks < 2 {
 		return nil, PhaseStats{}, fmt.Errorf("cluster: parallel run needs at least 2 ranks (1 master + 1 worker), got %d", pcfg.Ranks)
 	}
-	var resume *Checkpoint
-	if len(pcfg.ResumeFrom) > 0 {
-		cp, err := DecodeCheckpoint(pcfg.ResumeFrom)
-		if err != nil {
-			return nil, PhaseStats{}, err
-		}
-		if cp.N != store.N() {
-			return nil, PhaseStats{}, fmt.Errorf("cluster: checkpoint is for %d fragments, store has %d", cp.N, store.N())
-		}
-		resume = cp
+	resume, err := decodeResume(pcfg.ResumeFrom, store)
+	if err != nil {
+		return nil, PhaseStats{}, err
 	}
 
 	result := &Result{N: store.N()}
@@ -241,7 +219,7 @@ func Parallel(store seq.Seqs, cfg Config, pcfg ParallelConfig) (*Result, PhaseSt
 	if outs[0].masterErr != nil {
 		return nil, PhaseStats{Exits: exits}, outs[0].masterErr
 	}
-	if !pcfg.FT {
+	if pcfg.Machine.Faults == nil { // in process, only a fault plan makes deaths survivable
 		for r, e := range exits {
 			if !e.OK {
 				return nil, PhaseStats{Exits: exits}, fmt.Errorf("cluster: rank %d died without a fault plan: %s", r, e.Reason)
@@ -275,6 +253,22 @@ func Parallel(store seq.Seqs, cfg Config, pcfg ParallelConfig) (*Result, PhaseSt
 	return result, ph, nil
 }
 
+// decodeResume decodes the warm-start checkpoint (nil when there is
+// none) and refuses one taken over a different fragment set.
+func decodeResume(enc []byte, store seq.Seqs) (*Checkpoint, error) {
+	if len(enc) == 0 {
+		return nil, nil
+	}
+	cp, err := DecodeCheckpoint(enc)
+	if err != nil {
+		return nil, err
+	}
+	if cp.N != store.N() {
+		return nil, fmt.Errorf("cluster: checkpoint is for %d fragments, store has %d", cp.N, store.N())
+	}
+	return cp, nil
+}
+
 // rankOut collects what one rank's body produces: the GST-phase
 // snapshot on every rank, and the clustering result on the master.
 type rankOut struct {
@@ -291,9 +285,9 @@ type rankOut struct {
 // (ParallelRank).
 func clusterRankBody(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, resume *Checkpoint, mx clusterMetrics, out *rankOut) {
 	// Phase 1: distributed GST over workers (rank 0 owns no buckets).
-	// In FT mode the build itself is survivable: a rank that dies
-	// mid-construction has its exchanges re-enumerated and its bucket
-	// range rebuilt by survivors (see pgst.Config.FT).
+	// On a survivable machine the build outlives its ranks: one that
+	// dies mid-construction has its exchanges re-enumerated and its
+	// bucket range rebuilt by survivors (see package pgst).
 	c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGST, 0, 0)
 	local := pgst.Build(c, store, pgst.Config{
 		W:          cfg.W,
@@ -302,14 +296,9 @@ func clusterRankBody(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfi
 		BatchBytes: pcfg.BatchBytes,
 		Staged:     pcfg.Staged,
 		Seed:       12345,
-		FT:         pcfg.FT,
 		SpillBytes: cfg.MemBudget,
 	})
-	if pcfg.FT {
-		c.FTBarrier(10 * time.Millisecond)
-	} else {
-		c.Barrier()
-	}
+	c.Barrier()
 	c.TraceEvent(obs.EvPhaseExit, obs.PhaseGST, 0, 0)
 	out.gstSnap = c.Snapshot()
 
@@ -332,8 +321,9 @@ func clusterRankBody(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfi
 // ParallelRank runs exactly one rank of the parallel clustering as
 // this process's share of a multi-process machine, with peers reached
 // through t. Rank 0 (the master) returns the clustering Result; other
-// ranks return a nil Result. Transport runs normally set pcfg.FT so
-// the protocol survives real process death.
+// ranks return a nil Result. Peers are real processes, which genuinely
+// die, so the machine is survivable and the lease protocol always
+// runs: a worker rank's death is its exit status, never an error.
 //
 // Because each process sees only its own rank, the returned Stats and
 // phase seconds describe this rank alone rather than a machine-wide
@@ -348,16 +338,9 @@ func ParallelRank(store seq.Seqs, cfg Config, pcfg ParallelConfig, rank int, t p
 	if rank < 0 || rank >= pcfg.Ranks {
 		return nil, par.Stats{}, par.Exit{}, fmt.Errorf("cluster: rank %d out of range for %d ranks", rank, pcfg.Ranks)
 	}
-	var resume *Checkpoint
-	if len(pcfg.ResumeFrom) > 0 {
-		cp, err := DecodeCheckpoint(pcfg.ResumeFrom)
-		if err != nil {
-			return nil, par.Stats{}, par.Exit{}, err
-		}
-		if cp.N != store.N() {
-			return nil, par.Stats{}, par.Exit{}, fmt.Errorf("cluster: checkpoint is for %d fragments, store has %d", cp.N, store.N())
-		}
-		resume = cp
+	resume, err := decodeResume(pcfg.ResumeFrom, store)
+	if err != nil {
+		return nil, par.Stats{}, par.Exit{}, err
 	}
 
 	mx := newClusterMetrics(pcfg.Metrics)
@@ -368,9 +351,6 @@ func ParallelRank(store seq.Seqs, cfg Config, pcfg ParallelConfig, rank int, t p
 	})
 	mx.publishRankStats([]par.Stats{st})
 	if rank != 0 {
-		if !exit.OK && !pcfg.FT {
-			return nil, st, exit, fmt.Errorf("cluster: rank %d died: %s", rank, exit.Reason)
-		}
 		return nil, st, exit, nil
 	}
 	if !exit.OK {
@@ -405,7 +385,14 @@ func subtractStats(a, b par.Stats) par.Stats {
 // fault protocol. It returns the final clustering, statistics, and
 // its modeled busy seconds (for the availability metric).
 //
-// Fault mode invariants: expected[w] counts reports w still owes (its
+// The lease bookkeeping below runs on every machine, but only a
+// survivable one ever reaps a worker, so on a fail-stop machine dead
+// and orphans stay empty and every branch on them is inert. ft marks
+// the genuine policy differences: polling receives under a lease
+// versus one blocking receive, recovering from a bad worker versus
+// aborting, and checking that a reporter is still alive.
+//
+// Lease invariants: expected[w] counts reports w still owes (its
 // lease); owed[w] is the FIFO of dispatched batches not yet
 // acknowledged by a result-carrying report; covers[w] is the set of
 // GST portions w generates pairs from (its own, plus any adopted from
@@ -423,7 +410,7 @@ func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, res
 		c.ChargeCompute(sec)
 	}
 
-	ft := pcfg.FT
+	ft := c.Survivable()
 	lease := pcfg.LeaseTimeout
 	pollSlice := lease / 4
 	if pollSlice > 50*time.Millisecond {
@@ -538,7 +525,7 @@ func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, res
 			owed[worker] = append(owed[worker], batch)
 		}
 		wk := work{batch: batch}
-		if ft && len(orphans) > 0 {
+		if len(orphans) > 0 {
 			// Piggyback pending adoptions on the reply; recorded
 			// optimistically so a lost reply re-orphans them with the
 			// adopter's lease.
@@ -552,9 +539,7 @@ func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, res
 		c.TraceEvent(obs.EvLeaseGrant, int64(worker), int64(len(batch)), int64(wk.r))
 		c.Send(worker, tagWork, encodeWork(wk))
 		expected[worker]++
-		if ft {
-			lastHeard[worker] = adoptDeadline(len(wk.adopt))
-		}
+		lastHeard[worker] = adoptDeadline(len(wk.adopt))
 		inFlight++
 	}
 
@@ -660,7 +645,7 @@ func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, res
 		// Hand orphaned GST portions to an idle (parked) worker first:
 		// it resumes generation immediately instead of waiting for a
 		// busy worker's next report.
-		if ft && len(orphans) > 0 && len(parked) > 0 {
+		if len(orphans) > 0 && len(parked) > 0 {
 			a := parked[0]
 			parked = parked[1:]
 			covers[a] = append(covers[a], orphans...)
@@ -684,7 +669,7 @@ func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, res
 			sendWork(wkr, batch)
 		}
 		if inFlight == 0 {
-			if ft && liveWorkers() == 0 {
+			if liveWorkers() == 0 {
 				// Everything left is either already done or
 				// unrecoverable; any orphaned coverage or real pending
 				// pair means lost work.
@@ -712,34 +697,32 @@ func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, res
 		} else {
 			msg = c.Recv(par.AnySource, tagReport)
 		}
-		if ft && dead[msg.Src] {
+		if dead[msg.Src] {
 			// Zombie: a worker already fired (late or delayed report).
 			// Fence it without touching the bookkeeping.
 			c.Send(msg.Src, tagDone, nil)
 			continue
 		}
 		inFlight--
-		if ft {
-			expected[msg.Src]--
-			lastHeard[msg.Src] = time.Now()
-		}
-		rep, derr := decodeReport(msg.Data)
-		if derr != nil {
-			if !ft {
-				return abort(fmt.Errorf("cluster: malformed report from worker %d: %w", msg.Src, derr))
-			}
-			// A corrupted report means the channel to this worker is
-			// unreliable; fire it and recover its state.
-			c.Send(msg.Src, tagDone, nil)
-			reap(msg.Src)
-			continue
-		}
-		if rep.fail != "" {
+		expected[msg.Src]--
+		lastHeard[msg.Src] = time.Now()
+		rep, err := decodeReport(msg.Data)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("cluster: malformed report from worker %d: %w", msg.Src, err)
+		case rep.fail != "":
 			// The worker hit a protocol error and exited after sending
 			// this report.
-			werr := fmt.Errorf("cluster: worker %d failed: %s", msg.Src, rep.fail)
+			err = fmt.Errorf("cluster: worker %d failed: %s", msg.Src, rep.fail)
+		}
+		if err != nil {
 			if !ft {
-				return abort(werr)
+				return abort(err)
+			}
+			if rep.fail == "" {
+				// A corrupted report means the channel to this worker
+				// is unreliable: fence it before recovering its state.
+				c.Send(msg.Src, tagDone, nil)
 			}
 			reap(msg.Src)
 			continue
@@ -807,7 +790,7 @@ func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, res
 		// active worker generating or flush outstanding results with an
 		// empty reply; park only a passive worker that owes nothing.
 		batch := takeBatch()
-		if len(batch) > 0 || !passive[msg.Src] || len(owed[msg.Src]) > 0 || (ft && len(orphans) > 0) {
+		if len(batch) > 0 || !passive[msg.Src] || len(owed[msg.Src]) > 0 || len(orphans) > 0 {
 			sendWork(msg.Src, batch)
 		} else {
 			parked = append(parked, msg.Src)
@@ -822,11 +805,11 @@ func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, res
 
 // runWorker is the Fig. 8 algorithm: generate pairs on request, align
 // allocated batches while waiting for the master, and generate ahead
-// into the bounded buffer when otherwise idle. Under a fault plan it
-// can adopt dead ranks' GST portions (rebuilding them locally) and
+// into the bounded buffer when otherwise idle. On a survivable machine
+// it can adopt dead ranks' GST portions (rebuilding them locally) and
 // gives up on a silent master instead of blocking forever.
 func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg ParallelConfig, mx clusterMetrics) {
-	ft := pcfg.FT
+	ft := c.Survivable()
 	pgCfg := pairgen.Config{
 		Psi:                  cfg.Psi,
 		NumFragments:         store.N(),
@@ -938,7 +921,12 @@ func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg 
 			results: results,
 			passive: exhausted && len(buffered) == 0,
 		})
-		if pcfg.UseSsend {
+		// The lease protocol needs non-blocking reports: a worker the
+		// master already gave up on (fired on lease expiry while merely
+		// slow) may report once more after the master stops reading, and
+		// an Ssend would wedge waiting for a match that never comes.
+		// Eager reports make a fired worker's last words harmless.
+		if pcfg.UseSsend && !ft {
 			c.Ssend(0, tagReport, rep)
 		} else {
 			c.Send(0, tagReport, rep)

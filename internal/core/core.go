@@ -173,41 +173,50 @@ func Run(frags []*seq.Fragment, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if cfg.Parallel.Ranks >= 2 {
-		var err error
-		if cfg.Transport != nil {
-			res.Clustering, _, _, err = cluster.ParallelRank(res.Store, cfg.Cluster, cfg.Parallel, cfg.TransportRank, cfg.Transport)
-			if err != nil {
-				res.Close() // a failed run must not leave its store's temp dir behind
-				return nil, err
-			}
-			if cfg.TransportRank != 0 {
-				return res, nil // worker process: clustering only
-			}
-		} else {
-			res.Clustering, res.Phases, err = cluster.Parallel(res.Store, cfg.Cluster, cfg.Parallel)
-			if err != nil {
-				res.Close()
-				return nil, err
-			}
-		}
-	} else {
-		res.Clustering = cluster.Serial(res.Store, cfg.Cluster)
+	if res.Clustering, res.Phases, err = ClusterStage(res.Store, cfg); err != nil {
+		res.Close() // a failed run must not leave its store's temp dir behind
+		return nil, err
+	}
+	if res.Clustering == nil {
+		return res, nil // worker process: clustering only
 	}
 	res.Clusters = res.Clustering.Clusters()
 	res.Singletons = res.Clustering.Singletons()
 
 	if !cfg.SkipAssembly {
-		workers := cfg.AssemblyWorkers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if cfg.AssemblyGuard != nil {
-			res.Contigs, res.AssemblyOutcomes = assembly.AssembleAllGuarded(
-				res.Store, res.Clusters, cfg.Assembly, workers, *cfg.AssemblyGuard)
-		} else {
-			res.Contigs = assembly.AssembleAll(res.Store, res.Clusters, cfg.Assembly, workers)
-		}
+		res.Contigs, res.AssemblyOutcomes = AssembleStage(res.Store, res.Clusters, cfg)
 	}
 	return res, nil
+}
+
+// ClusterStage runs the clustering stage the configuration selects:
+// serially, on the in-process master–worker machine, or as this
+// process's rank of a multi-process machine. A worker-rank process
+// (Transport set, TransportRank ≠ 0) gets a nil Result — only the
+// master holds the partition. PhaseStats are machine-wide, so only the
+// in-process machine reports them.
+func ClusterStage(store seq.Seqs, cfg Config) (*cluster.Result, cluster.PhaseStats, error) {
+	switch {
+	case cfg.Parallel.Ranks < 2:
+		return cluster.Serial(store, cfg.Cluster), cluster.PhaseStats{}, nil
+	case cfg.Transport != nil:
+		res, _, _, err := cluster.ParallelRank(store, cfg.Cluster, cfg.Parallel, cfg.TransportRank, cfg.Transport)
+		return res, cluster.PhaseStats{}, err
+	default:
+		return cluster.Parallel(store, cfg.Cluster, cfg.Parallel)
+	}
+}
+
+// AssembleStage assembles every cluster over AssemblyWorkers
+// goroutines (default: GOMAXPROCS), under the guard's retry/quarantine
+// budget when one is set; the outcomes are nil without a guard.
+func AssembleStage(store seq.Seqs, clusters [][]int, cfg Config) ([][]assembly.Contig, []assembly.Outcome) {
+	workers := cfg.AssemblyWorkers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.AssemblyGuard != nil {
+		return assembly.AssembleAllGuarded(store, clusters, cfg.Assembly, workers, *cfg.AssemblyGuard)
+	}
+	return assembly.AssembleAll(store, clusters, cfg.Assembly, workers), nil
 }

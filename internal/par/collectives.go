@@ -1,11 +1,19 @@
 package par
 
 // Collective operations, all built on the point-to-point layer so their
-// cost is charged through the same α + n/β model.
+// cost is charged through the same α + n/β model. There is one family.
+// What a rank death does to a collective is a property of the machine
+// (Survivable), not of the call: on a fail-stop machine every rank
+// waiting on the corpse cascades; on a survivable one the collective
+// completes over the surviving ranks — every live rank must still call
+// it in the same order — and reports whose contribution is missing. A
+// death wakes the blocked receives itself, so no collective polls. The
+// root of the rooted steps must survive (the clustering master plays
+// that role): a rank whose root died cascades on either machine.
 
-// Barrier blocks until every rank has entered it. Linear gather to rank
-// 0 followed by a broadcast — adequate at the rank counts simulated
-// here.
+// Barrier blocks until every rank (every surviving rank) has entered
+// it. Linear gather to rank 0 followed by a broadcast — adequate at the
+// rank counts simulated here.
 func (c *Comm) Barrier() {
 	p := c.Size()
 	if p == 1 {
@@ -15,7 +23,7 @@ func (c *Comm) Barrier() {
 		// Receive from explicit sources: per-sender FIFO ordering then
 		// keeps consecutive collective epochs from interleaving.
 		for i := 1; i < p; i++ {
-			c.Recv(i, tagBarrier)
+			c.recvFrom(i, tagBarrier)
 		}
 		for i := 1; i < p; i++ {
 			c.Send(i, tagBarrier, nil)
@@ -27,10 +35,23 @@ func (c *Comm) Barrier() {
 }
 
 // Bcast distributes root's data to every rank and returns it. Non-root
-// ranks pass nil. Binomial-tree dissemination.
+// ranks pass nil. Binomial-tree dissemination on a fail-stop machine;
+// on a survivable one the root sends to each rank directly, so there
+// is no intermediate hop a dead rank could sever.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	p := c.Size()
 	if p == 1 {
+		return data
+	}
+	if c.Survivable() {
+		if c.rank != root {
+			return c.Recv(root, tagBcast).Data
+		}
+		for i := 0; i < p; i++ {
+			if i != root {
+				c.Send(i, tagBcast, data)
+			}
+		}
 		return data
 	}
 	// Re-index so the root is virtual rank 0. In a binomial tree,
@@ -51,42 +72,32 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 	return data
 }
 
-// Gather collects each rank's data at root. At the root the returned
-// slice has one entry per rank (the root's own at its index); other
-// ranks get nil.
-func (c *Comm) Gather(root int, data []byte) [][]byte {
-	p := c.Size()
+// Gather collects each rank's data at root. At the root, out has one
+// entry per rank (the root's own at its index) and got[i] reports
+// whether rank i's contribution arrived — false only for a rank that
+// died on a survivable machine. Other ranks get nil slices.
+func (c *Comm) Gather(root int, data []byte) (out [][]byte, got []bool) {
 	if c.rank != root {
 		c.Send(root, tagGather, data)
-		return nil
+		return nil, nil
 	}
-	out := make([][]byte, p)
-	out[root] = data
-	for i := 0; i < p; i++ {
-		if i == root {
-			continue
-		}
-		out[i] = c.Recv(i, tagGather).Data
-	}
-	return out
+	return c.collect(tagGather, data)
 }
 
-// Scatter distributes parts[i] from root to rank i and returns this
-// rank's part. Non-root ranks pass nil.
-func (c *Comm) Scatter(root int, parts [][]byte) []byte {
+// collect receives one tag-message from every other rank, in rank
+// order, next to this rank's own contribution.
+func (c *Comm) collect(tag int, own []byte) (out [][]byte, got []bool) {
 	p := c.Size()
-	if c.rank == root {
-		if len(parts) != p {
-			panic("par: scatter needs one part per rank")
+	out = make([][]byte, p)
+	got = make([]bool, p)
+	out[c.rank], got[c.rank] = own, true
+	for s := 0; s < p; s++ {
+		if s != c.rank {
+			m, ok := c.recvFrom(s, tag)
+			out[s], got[s] = m.Data, ok
 		}
-		for i := 0; i < p; i++ {
-			if i != root {
-				c.Send(i, tagScatter, parts[i])
-			}
-		}
-		return parts[root]
 	}
-	return c.Recv(root, tagScatter).Data
+	return out, got
 }
 
 // ReduceOp combines two values.
@@ -111,30 +122,19 @@ func Min(a, b int64) int64 {
 	return b
 }
 
-// Reduce combines each rank's v with op at root; only the root's return
-// value is meaningful.
-func (c *Comm) Reduce(root int, v int64, op ReduceOp) int64 {
-	vals := c.Gather(root, encodeInt64(v))
-	if c.rank != root {
-		return 0
-	}
-	acc := v
-	for i, raw := range vals {
-		if i == root {
-			continue
-		}
-		acc = op(acc, decodeInt64(raw))
-	}
-	return acc
-}
-
 // Allreduce combines every rank's v with op and returns the result on
-// all ranks.
+// all ranks; a dead rank simply does not contribute.
 func (c *Comm) Allreduce(v int64, op ReduceOp) int64 {
-	r := c.Reduce(0, v, op)
+	vals, got := c.Gather(0, encodeInt64(v))
 	var out []byte
 	if c.rank == 0 {
-		out = encodeInt64(r)
+		acc := v
+		for i := 1; i < len(vals); i++ {
+			if got[i] {
+				acc = op(acc, decodeInt64(vals[i]))
+			}
+		}
+		out = encodeInt64(acc)
 	}
 	return decodeInt64(c.Bcast(0, out))
 }
@@ -144,25 +144,30 @@ func (c *Comm) Allreduce(v int64, op ReduceOp) int64 {
 // received, so a rank's receive buffers may hold up to the full
 // incoming volume at once — the behaviour whose worst-case buffer
 // growth the paper's customized version exists to avoid (Section 6).
-// Returns recv[src] = the buffer src sent to this rank.
-func (c *Comm) Alltoallv(bufs [][]byte) [][]byte {
+// Returns out[src] = the buffer src sent to this rank. A send to a dead
+// rank vanishes harmlessly; got[src] = false means src died before its
+// send reached this rank (survivable machine only), and the caller
+// must recover that exchange from redundant data.
+func (c *Comm) Alltoallv(bufs [][]byte) (out [][]byte, got []bool) {
 	p := c.Size()
 	if len(bufs) != p {
 		panic("par: alltoallv needs one buffer per rank")
 	}
-	out := make([][]byte, p)
-	out[c.rank] = bufs[c.rank]
 	for d := 0; d < p; d++ {
 		if d != c.rank {
 			c.Send(d, tagAlltoall, bufs[d])
 		}
 	}
-	for s := 0; s < p; s++ {
-		if s != c.rank {
-			out[s] = c.Recv(s, tagAlltoall).Data
-		}
-	}
-	return out
+	return c.collect(tagAlltoall, bufs[c.rank])
+}
+
+// CrashAtAlltoallSend returns a Crash trigger that kills rank
+// immediately before its n-th send inside an Alltoallv exchange (the
+// redistribution and fragment-fetch steps of GST construction use
+// these internal tags), so fault plans can target GST construction
+// deterministically.
+func CrashAtAlltoallSend(rank, n int) Crash {
+	return Crash{Rank: rank, AfterSends: n, Tag: tagAlltoall}
 }
 
 // AlltoallvStaged is the paper's customized Alltoallv: p−1 rounds of

@@ -21,6 +21,9 @@
 // RecvTimeout, ProbeDeadline and RankDead. A rank that would block
 // forever on a crashed peer is itself crashed (dead-rank cascade), so
 // Run always returns with a per-rank exit status instead of hanging.
+// A machine with a fault plan or a transport is survivable
+// (Comm.Survivable): there the collectives complete over the surviving
+// ranks instead of cascading.
 package par
 
 import (
@@ -45,8 +48,8 @@ const (
 	tagBarrier = -10 - iota
 	tagBcast
 	tagGather
-	tagScatter
-	tagReduce
+	_ // retired (Scatter); the slot stays so later tags keep their trace values
+	_ // retired (Reduce)
 	tagAlltoall
 	tagSendRecv
 )
@@ -532,20 +535,49 @@ func (c *Comm) accountRecv(e envelope) Message {
 	return Message{Src: e.src, Tag: e.tag, Seq: e.seq, Data: e.data}
 }
 
+// Survivable reports whether a rank death is something this machine's
+// protocols are expected to outlive: it has a fault plan (deaths are
+// injected) or a transport (peers are real processes, which genuinely
+// die). On any other machine a death is a bug and fail-stop is the
+// right answer: every rank that waits on the corpse cascades.
+func (c *Comm) Survivable() bool { return c.m.cfg.Faults != nil || c.m.trans != nil }
+
+// recv is the one receive body behind Recv, RecvTimeout and recvFrom.
+// It blocks until a message matching (src, tag) arrives, the deadline
+// passes (zero: none), or the source rank(s) are known dead — a death
+// wakes every blocked receive, so nothing here polls. A dead source
+// either cascades the caller or is reported as ok=false like a
+// timeout. A rank with a planned time crash waits no longer than its
+// own death time, so the crash fires even while the rank is parked.
+func (c *Comm) recv(src, tag int, deadline time.Time, cascade bool) (Message, bool) {
+	c.checkTime()
+	c.trace(obs.EvRecvBegin, int64(src), int64(tag), 0)
+	if c.fs != nil && c.fs.deadAt > 0 {
+		if kill := c.start.Add(c.fs.deadAt); deadline.IsZero() || kill.Before(deadline) {
+			deadline = kill
+		}
+	}
+	e, blocked, out := c.m.boxes[c.rank].take(c.m, c.rank, src, tag, deadline)
+	c.st.Blocked += blocked
+	if out != takeOK {
+		c.checkTime()
+		if out == takeDeadRank && cascade {
+			c.die(false, fmt.Sprintf("blocked in Recv(src=%d, tag=%d) on crashed rank(s)", src, tag))
+		}
+		c.trace(obs.EvRecvEnd, int64(src), int64(tag), -1)
+		return Message{}, false
+	}
+	msg := c.accountRecv(e)
+	c.traceSeq(obs.EvRecvEnd, int64(msg.Src), int64(msg.Tag), int64(len(msg.Data)), msg.Seq)
+	return msg, true
+}
+
 // Recv blocks until a message matching (src, tag) arrives; wildcards
 // AnySource and AnyTag match anything. If the wait can never be
 // satisfied because the source rank(s) crashed, the receiving rank
 // itself crashes (dead-rank cascade) so the machine never hangs.
 func (c *Comm) Recv(src, tag int) Message {
-	c.checkTime()
-	c.trace(obs.EvRecvBegin, int64(src), int64(tag), 0)
-	e, blocked, out := c.m.boxes[c.rank].take(c.m, c.rank, src, tag, time.Time{})
-	c.st.Blocked += blocked
-	if out == takeDeadRank {
-		c.die(false, fmt.Sprintf("blocked in Recv(src=%d, tag=%d) on crashed rank(s)", src, tag))
-	}
-	msg := c.accountRecv(e)
-	c.traceSeq(obs.EvRecvEnd, int64(msg.Src), int64(msg.Tag), int64(len(msg.Data)), msg.Seq)
+	msg, _ := c.recv(src, tag, time.Time{}, true)
 	return msg
 }
 
@@ -555,17 +587,14 @@ func (c *Comm) Recv(src, tag int) Message {
 // one with RankDead). It is the primitive lease-based protocols poll
 // on.
 func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, bool) {
-	c.checkTime()
-	c.trace(obs.EvRecvBegin, int64(src), int64(tag), 0)
-	e, blocked, out := c.m.boxes[c.rank].take(c.m, c.rank, src, tag, time.Now().Add(d))
-	c.st.Blocked += blocked
-	if out != takeOK {
-		c.trace(obs.EvRecvEnd, int64(src), int64(tag), -1)
-		return Message{}, false
-	}
-	msg := c.accountRecv(e)
-	c.traceSeq(obs.EvRecvEnd, int64(msg.Src), int64(msg.Tag), int64(len(msg.Data)), msg.Seq)
-	return msg, true
+	return c.recv(src, tag, time.Now().Add(d), false)
+}
+
+// recvFrom is the collectives' receive from a peer that may die: on a
+// survivable machine ok=false means src died before its message
+// reached this rank; on a fail-stop machine it cascades like Recv.
+func (c *Comm) recvFrom(src, tag int) (Message, bool) {
+	return c.recv(src, tag, time.Time{}, !c.Survivable())
 }
 
 // ProbeDeadline blocks until a message matching (src, tag) is

@@ -141,27 +141,20 @@ func TestRepeatedBcastEpochSafety(t *testing.T) {
 	})
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
+func TestGatherRoundTrip(t *testing.T) {
 	const p = 7
 	Run(testCfg(p), func(c *Comm) {
-		parts := c.Gather(2, []byte{byte(c.Rank() * 3)})
-		if c.Rank() == 2 {
-			for i := 0; i < p; i++ {
-				if len(parts[i]) != 1 || parts[i][0] != byte(i*3) {
-					panic("gather wrong")
-				}
+		parts, got := c.Gather(2, []byte{byte(c.Rank() * 3)})
+		if c.Rank() != 2 {
+			if parts != nil || got != nil {
+				panic("gather returned data off the root")
 			}
+			return
 		}
-		var out [][]byte
-		if c.Rank() == 2 {
-			out = make([][]byte, p)
-			for i := range out {
-				out[i] = []byte{byte(i + 100)}
+		for i := 0; i < p; i++ {
+			if !got[i] || len(parts[i]) != 1 || parts[i][0] != byte(i*3) {
+				panic("gather wrong")
 			}
-		}
-		mine := c.Scatter(2, out)
-		if len(mine) != 1 || mine[0] != byte(c.Rank()+100) {
-			panic("scatter wrong")
 		}
 	})
 }
@@ -169,9 +162,9 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 func TestReduceAndAllreduce(t *testing.T) {
 	const p = 9
 	Run(testCfg(p), func(c *Comm) {
-		sum := c.Reduce(0, int64(c.Rank()+1), Sum)
-		if c.Rank() == 0 && sum != int64(p*(p+1)/2) {
-			panic(fmt.Sprintf("reduce sum = %d", sum))
+		sum := c.Allreduce(int64(c.Rank()+1), Sum)
+		if sum != int64(p*(p+1)/2) {
+			panic(fmt.Sprintf("allreduce sum = %d on rank %d", sum, c.Rank()))
 		}
 		m := c.Allreduce(int64(c.Rank()), Max)
 		if m != int64(p-1) {
@@ -200,7 +193,7 @@ func TestAlltoallvBothVariants(t *testing.T) {
 				if staged {
 					got = c.AlltoallvStaged(bufs)
 				} else {
-					got = c.Alltoallv(bufs)
+					got, _ = c.Alltoallv(bufs)
 				}
 				for s := range got {
 					want := string(alltoallPayload(s, c.Rank()))
@@ -222,7 +215,7 @@ func TestRepeatedAlltoallvEpochSafety(t *testing.T) {
 			for d := range bufs {
 				bufs[d] = []byte{byte(epoch), byte(c.Rank()), byte(d)}
 			}
-			got := c.Alltoallv(bufs)
+			got, _ := c.Alltoallv(bufs)
 			for s := range got {
 				if got[s][0] != byte(epoch) || got[s][1] != byte(s) || got[s][2] != byte(c.Rank()) {
 					panic(fmt.Sprintf("epoch %d corrupted: %v", epoch, got[s]))
@@ -320,8 +313,8 @@ func TestSingleRankDegenerates(t *testing.T) {
 		if out := c.Bcast(0, []byte("x")); string(out) != "x" {
 			panic("bcast p=1")
 		}
-		got := c.Alltoallv([][]byte{[]byte("self")})
-		if string(got[0]) != "self" {
+		got, ok := c.Alltoallv([][]byte{[]byte("self")})
+		if string(got[0]) != "self" || !ok[0] {
 			panic("alltoallv p=1")
 		}
 		if c.Allreduce(7, Sum) != 7 {

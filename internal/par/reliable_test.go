@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestRetransmitDelivers: with the reliable link enabled, a lossy
@@ -106,9 +108,9 @@ func TestRetransmitBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestCollectivesOverLossyLink: the plain (non-FT) collectives run on
-// internal tags, which the reliable link also protects — so a
-// corrupting, dropping link must not change any collective's result.
+// TestCollectivesOverLossyLink: the collectives run on internal tags,
+// which the reliable link also protects — so a corrupting, dropping
+// link must not change any collective's result.
 func TestCollectivesOverLossyLink(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Faults = &FaultPlan{Seed: 21, Retransmit: true, DropProb: 0.15, CorruptProb: 0.15}
@@ -136,10 +138,10 @@ func TestCollectivesOverLossyLink(t *testing.T) {
 	}
 }
 
-// TestFTCollectivesSurviveDeath: a rank killed mid-alltoall must not
-// wedge or cascade the surviving ranks' FT collectives.
+// TestFTCollectivesSurviveDeath: on a survivable machine a rank killed
+// mid-alltoall must not wedge or cascade the surviving ranks'
+// collectives.
 func TestFTCollectivesSurviveDeath(t *testing.T) {
-	const poll = 2 * time.Millisecond
 	cfg := DefaultConfig(4)
 	cfg.Faults = &FaultPlan{Seed: 1, Crashes: []Crash{CrashAtAlltoallSend(2, 1)}}
 	gots := make([][]bool, 4)
@@ -149,7 +151,7 @@ func TestFTCollectivesSurviveDeath(t *testing.T) {
 		for d := range bufs {
 			bufs[d] = []byte{byte(c.Rank()), byte(d)}
 		}
-		out, got := c.FTAlltoallv(bufs, poll)
+		out, got := c.Alltoallv(bufs)
 		gots[c.Rank()] = got
 		for s, b := range out {
 			if !got[s] {
@@ -159,10 +161,10 @@ func TestFTCollectivesSurviveDeath(t *testing.T) {
 				t.Errorf("rank %d got bad buffer from %d: %v", c.Rank(), s, b)
 			}
 		}
-		c.FTBarrier(poll)
-		sums[c.Rank()] = c.FTAllreduce(int64(c.Rank()+1), Sum, poll)
-		if b := c.FTBcast(0, []byte("go"), poll); string(b) != "go" {
-			t.Errorf("rank %d FTBcast got %q", c.Rank(), b)
+		c.Barrier()
+		sums[c.Rank()] = c.Allreduce(int64(c.Rank()+1), Sum)
+		if b := c.Bcast(0, []byte("go")); string(b) != "go" {
+			t.Errorf("rank %d Bcast got %q", c.Rank(), b)
 		}
 	})
 	if !exits[2].FaultKilled {
@@ -177,7 +179,148 @@ func TestFTCollectivesSurviveDeath(t *testing.T) {
 		}
 		// 1 + 2 + 4: the dead rank contributes nothing.
 		if sums[r] != 7 {
-			t.Errorf("survivor %d FTAllreduce = %d, want 7", r, sums[r])
+			t.Errorf("survivor %d Allreduce = %d, want 7", r, sums[r])
+		}
+	}
+}
+
+// deadRecvEnds returns the sources of the receives on rank's track that
+// ended without a message (EvRecvEnd with C == -1): one per wait a dead
+// peer or a deadline ended, so a polling loop would show up as many.
+func deadRecvEnds(tr *obs.Tracer, rank int) []int64 {
+	var srcs []int64
+	for _, e := range tr.Events(rank) {
+		if e.Kind == obs.EvRecvEnd && e.C == -1 {
+			srcs = append(srcs, e.A)
+		}
+	}
+	return srcs
+}
+
+// TestCollectivesWakeOnDeath: survivors parked in a collective on a
+// peer the plan kills are woken by the death itself. Each waiter's
+// trace holds exactly one failed receive, naming the dead source — the
+// wait is one blocking span, not a train of poll spans — and the
+// collective reports the missing contribution.
+func TestCollectivesWakeOnDeath(t *testing.T) {
+	const p, victim, tagDie = 4, 2, 99
+	cases := []struct {
+		name    string
+		crash   Crash
+		waiters []int // survivors whose collective waits on the victim
+		body    func(c *Comm) []bool
+	}{
+		{"gather", Crash{Rank: victim, AfterSends: 1, Tag: tagGather}, []int{0},
+			func(c *Comm) []bool { _, got := c.Gather(0, []byte{1}); return got }},
+		{"alltoallv", CrashAtAlltoallSend(victim, 1), []int{0, 1, 3},
+			func(c *Comm) []bool { _, got := c.Alltoallv(make([][]byte, p)); return got }},
+		{"barrier", Crash{Rank: victim, AfterSends: 1, Tag: tagBarrier}, []int{0},
+			func(c *Comm) []bool { c.Barrier(); return nil }},
+	}
+	for _, tc := range cases {
+		tr := obs.NewTracer(p, 1<<10)
+		cfg := DefaultConfig(p)
+		cfg.Trace = tr
+		cfg.Faults = &FaultPlan{Crashes: []Crash{tc.crash}}
+		gots := make([][]bool, p)
+		_, exits := RunStatus(cfg, func(c *Comm) {
+			if c.Rank() == victim {
+				// Let the survivors park before dying at the first send.
+				time.Sleep(20 * time.Millisecond)
+			}
+			gots[c.Rank()] = tc.body(c)
+		})
+		if !exits[victim].FaultKilled {
+			t.Fatalf("%s: rank %d was not fault-killed: %+v", tc.name, victim, exits[victim])
+		}
+		waits := make(map[int]bool)
+		for _, r := range tc.waiters {
+			waits[r] = true
+		}
+		for r := 0; r < p; r++ {
+			if r == victim {
+				continue
+			}
+			if !exits[r].OK {
+				t.Fatalf("%s: survivor %d did not finish: %+v", tc.name, r, exits[r])
+			}
+			if got := gots[r]; got != nil && (got[victim] || !got[r]) {
+				t.Errorf("%s: survivor %d got = %v, want the dead rank %d missing", tc.name, r, got, victim)
+			}
+			ends := deadRecvEnds(tr, r)
+			switch {
+			case !waits[r] && len(ends) != 0:
+				t.Errorf("%s: rank %d never waits on the victim but traced failed receives from %v", tc.name, r, ends)
+			case waits[r] && (len(ends) != 1 || ends[0] != victim):
+				t.Errorf("%s: rank %d traced failed receives from %v, want exactly one from rank %d", tc.name, r, ends, victim)
+			}
+		}
+	}
+}
+
+// TestTimeCrashFiresInsideCollective: a rank with a planned time crash
+// parked inside a collective dies on time — its own death time is the
+// wait's deadline — instead of sleeping through it until a message
+// happens to arrive.
+func TestTimeCrashFiresInsideCollective(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Faults = &FaultPlan{Crashes: []Crash{{Rank: 1, After: 20 * time.Millisecond}}}
+	done := make(chan []Exit, 1)
+	go func() {
+		_, exits := RunStatus(cfg, func(c *Comm) {
+			if c.Rank() == 2 {
+				// The barrier cannot complete before rank 1 is dead, so
+				// rank 1 can only die while parked inside it.
+				for !c.RankDead(1) {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			c.Barrier()
+		})
+		done <- exits
+	}()
+	select {
+	case exits := <-done:
+		if !exits[1].FaultKilled {
+			t.Errorf("rank 1 should have been killed by its time trigger, got %+v", exits[1])
+		}
+		if !exits[0].OK || !exits[2].OK {
+			t.Errorf("survivors did not finish: %+v %+v", exits[0], exits[2])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("time crash never fired: rank 1 slept through it inside Barrier")
+	}
+}
+
+// TestFailStopCollectivesCascade: on a machine with no fault plan and
+// no transport a death is a bug, and every rank blocked in a collective
+// on the panicked rank — directly, or on a root that cascaded — dies
+// with it instead of finishing on partial data.
+func TestFailStopCollectivesCascade(t *testing.T) {
+	const p, victim = 4, 2
+	bodies := map[string]func(c *Comm){
+		"barrier":   func(c *Comm) { c.Barrier() },
+		"allreduce": func(c *Comm) { c.Allreduce(1, Sum) },
+		"alltoallv": func(c *Comm) { c.Alltoallv(make([][]byte, p)) },
+		"staged":    func(c *Comm) { c.AlltoallvStaged(make([][]byte, p)) },
+	}
+	for name, body := range bodies {
+		_, exits := RunStatus(DefaultConfig(p), func(c *Comm) {
+			if c.Survivable() {
+				t.Errorf("%s: a plain machine must be fail-stop", name)
+			}
+			if c.Rank() == victim {
+				panic("boom")
+			}
+			body(c)
+		})
+		for r, e := range exits {
+			switch {
+			case r == victim && e.Reason != "panic: boom":
+				t.Errorf("%s: victim exit %+v", name, e)
+			case r != victim && (e.OK || e.FaultKilled):
+				t.Errorf("%s: rank %d blocked on a dead peer should cascade, got %+v", name, r, e)
+			}
 		}
 	}
 }

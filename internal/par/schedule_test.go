@@ -121,7 +121,7 @@ func TestScheduleWithCollectives(t *testing.T) {
 		for d := range bufs {
 			bufs[d] = []byte{byte(c.Rank()), byte(d)}
 		}
-		recv := c.Alltoallv(bufs)
+		recv, _ := c.Alltoallv(bufs)
 		for s, b := range recv {
 			if int(b[0]) != s || int(b[1]) != c.Rank() {
 				panic("alltoallv under schedule jitter delivered wrong buffer")

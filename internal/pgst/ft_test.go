@@ -34,9 +34,9 @@ func checkUnion(t *testing.T, name string, locals []*Local, wantNodes map[string
 	}
 }
 
-// TestFTBuildMatchesSerial: the fault-tolerant build with no faults
-// injected must produce exactly the serial GST (the FT collectives
-// change the message pattern, never the content).
+// TestFTBuildMatchesSerial: the build on a survivable machine with no
+// fault injected (an empty plan) must produce exactly the serial GST —
+// survivability changes the message pattern, never the content.
 func TestFTBuildMatchesSerial(t *testing.T) {
 	st := testStore(1, 6000, 3.0)
 	const w, psi = 6, 8
@@ -44,9 +44,14 @@ func TestFTBuildMatchesSerial(t *testing.T) {
 
 	const p = 5
 	locals := make([]*Local, p)
-	par.Run(par.DefaultConfig(p), func(c *par.Comm) {
+	cfg := par.DefaultConfig(p)
+	cfg.Faults = &par.FaultPlan{}
+	par.Run(cfg, func(c *par.Comm) {
+		if !c.Survivable() {
+			t.Error("a machine with a fault plan must be survivable")
+		}
 		locals[c.Rank()] = Build(c, st, Config{
-			W: w, MinLen: psi, BatchBytes: 1 << 20, Seed: 7, FT: true,
+			W: w, MinLen: psi, BatchBytes: 1 << 20, Seed: 7,
 		})
 	})
 	checkUnion(t, "ft fault-free", locals, wantNodes, wantSufs)
@@ -82,7 +87,7 @@ func TestFTBuildSurvivesCrash(t *testing.T) {
 		cfg.Faults = tc.plan
 		_, exits := par.RunStatus(cfg, func(c *par.Comm) {
 			locals[c.Rank()] = Build(c, st, Config{
-				W: w, MinLen: psi, BatchBytes: 1 << 20, Seed: 7, FT: true,
+				W: w, MinLen: psi, BatchBytes: 1 << 20, Seed: 7,
 			})
 		})
 		crashed := tc.plan.Crashes[0].Rank
@@ -107,7 +112,7 @@ func TestFTBuildSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestFTBuildDeterminism: two FT builds under the same crashing,
+// TestFTBuildDeterminism: two builds under the same crashing,
 // corrupting plan must produce identical survivor forests.
 func TestFTBuildDeterminism(t *testing.T) {
 	st := testStore(2, 4000, 2.5)
@@ -123,7 +128,7 @@ func TestFTBuildDeterminism(t *testing.T) {
 		}
 		par.RunStatus(cfg, func(c *par.Comm) {
 			locals[c.Rank()] = Build(c, st, Config{
-				W: w, MinLen: psi, BatchBytes: 1 << 20, Seed: 7, FT: true,
+				W: w, MinLen: psi, BatchBytes: 1 << 20, Seed: 7,
 			})
 		})
 		return unionSignature(locals)
@@ -131,6 +136,6 @@ func TestFTBuildDeterminism(t *testing.T) {
 	n1, s1 := run()
 	n2, s2 := run()
 	if fmt.Sprint(n1) != fmt.Sprint(n2) || fmt.Sprint(s1) != fmt.Sprint(s2) {
-		t.Error("FT build not deterministic under a fixed fault plan")
+		t.Error("build not deterministic under a fixed fault plan")
 	}
 }

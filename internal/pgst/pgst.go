@@ -11,12 +11,21 @@
 // w-prefix keys: a bucket's suffixes all share one key, so a range
 // partition of the key space keeps buckets whole while balancing
 // suffix counts (the paper's load-balanced redistribution).
+//
+// On a survivable machine (par.Comm.Survivable: a fault plan or a
+// transport) the build outlives its ranks, provided rank 0 — the
+// clustering master's role — survives: the collectives skip dead
+// ranks, exchanges severed by a mid-build death are re-enumerated by
+// the survivors from the store every rank can read, and dead owners'
+// bucket ranges are rebuilt whole by designated survivors, so the union
+// of the surviving per-bucket tries is identical to a fault-free build.
+// There is no configuration for this; on a fail-stop machine the
+// recovery steps send nothing and the paper's message pattern is kept.
 package pgst
 
 import (
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -49,22 +58,12 @@ type Config struct {
 	// batch (per-rank Θ(N/p) space); default 1 MiB.
 	BatchBytes int
 	// Staged selects the customized Alltoallv (p−1 pairwise exchanges)
-	// for the redistribution and fetch steps.
+	// for the redistribution and fetch steps. Its rendezvous rounds
+	// cannot skip a dead rank, so a survivable machine always runs the
+	// eager exchange.
 	Staged bool
 	// Seed for splitter sampling.
 	Seed int64
-	// FT selects the fault-tolerant build: collectives poll with
-	// deadlines and skip dead ranks, exchanges lost to a mid-build rank
-	// death are re-enumerated by survivors from the fragments they
-	// already hold, and dead ranks' bucket ranges are rebuilt whole by
-	// designated survivors — so the union of the surviving per-bucket
-	// tries is identical to a fault-free build. FT assumes rank 0
-	// survives (the clustering master's role). Staged exchanges are
-	// not fault-tolerant; FT forces the eager Alltoallv.
-	FT bool
-	// FTPoll is the poll interval of the fault-tolerant collectives
-	// (default 10ms).
-	FTPoll time.Duration
 	// SpillBytes, when positive, selects the out-of-core build: no
 	// rank ever materializes its full forest. Construction only agrees
 	// on splitters; the owned key range is swept later in contiguous
@@ -81,12 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinLen < c.W {
 		c.MinLen = c.W
-	}
-	if c.FTPoll == 0 {
-		c.FTPoll = 10 * time.Millisecond
-	}
-	if c.FT {
-		c.Staged = false
 	}
 	return c
 }
@@ -202,8 +195,8 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	splitters := chooseSplitters(c, local, owners, cfg)
 
 	// Phase 3: redistribute suffixes so each bucket lands whole on its
-	// owner rank. Under FT, exchanges severed by a rank death are
-	// re-enumerated locally from the full store.
+	// owner rank; exchanges severed by a rank death are re-enumerated
+	// locally from the full store.
 	c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGSTRedist, 0, 0)
 	mine := redistribute(c, st, local, splitters, bounds, cfg)
 	c.TraceEvent(obs.EvPhaseExit, obs.PhaseGSTRedist, 0, 0)
@@ -220,17 +213,12 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 		buckets = append(buckets, b)
 	})
 	batches := planBatches(st, buckets, cfg.BatchBytes)
-	var rounds int
-	if cfg.FT {
-		rounds = int(c.FTAllreduce(int64(len(batches)), par.Max, cfg.FTPoll))
-	} else {
-		rounds = int(c.Allreduce(int64(len(batches)), par.Max))
-	}
+	rounds := int(c.Allreduce(int64(len(batches)), par.Max))
 
 	// Phase 5: per batch, fetch the needed fragments with two
 	// collective steps (request, serve), then build the subtrees.
 	ib := suffixtree.NewIncrementalBuilder(cfg.W)
-	table := newFetchTable(st, cfg.FT)
+	table := newFetchTable(st, c.Survivable())
 	var prevWork int64
 	for round := 0; round < rounds; round++ {
 		var batch []int
@@ -254,17 +242,14 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	}
 	nbuckets := len(buckets)
 
-	// FT epilogue: agree on which owner ranks died at any point during
-	// construction and rebuild their whole bucket ranges on designated
-	// survivors, so the union of surviving tries matches a fault-free
-	// build exactly.
-	if cfg.FT {
-		for _, dead := range recoverAssignments(c, cfg.FirstOwner, cfg.FTPoll) {
-			nb, ns, cost := rebuildInto(ib, st, splitters, cfg, dead)
-			nbuckets += nb
-			nsuf += ns
-			c.ChargeCompute(cost)
-		}
+	// Recovery epilogue: rebuild the whole bucket range of every owner
+	// that died at any point during construction, so the union of
+	// surviving tries matches a fault-free build exactly.
+	for _, dead := range recoverAssignments(c, cfg.FirstOwner) {
+		nb, ns, cost := rebuildInto(ib, st, splitters, cfg, dead)
+		nbuckets += nb
+		nsuf += ns
+		c.ChargeCompute(cost)
 	}
 
 	return &Local{
@@ -307,7 +292,7 @@ func log2f(n int) float64 {
 }
 
 // chooseSplitters gathers evenly spaced key samples at rank 0, sorts
-// them, and broadcasts owners−1 splitters. Under FT a dead rank simply
+// them, and broadcasts owners−1 splitters. A dead rank simply
 // contributes no samples — the splitters steer only the bucket→rank
 // partition, never the union of bucket contents, so equivalence with a
 // fault-free build is unaffected.
@@ -326,12 +311,7 @@ func chooseSplitters(c *par.Comm, local []suffixtree.Keyed, owners int, cfg Conf
 			w.PutUint(uint64(local[idx].Key))
 		}
 	}
-	var gathered [][]byte
-	if cfg.FT {
-		gathered, _ = c.FTGather(0, w.Bytes(), cfg.FTPoll)
-	} else {
-		gathered = c.Gather(0, w.Bytes())
-	}
+	gathered, _ := c.Gather(0, w.Bytes())
 	var enc []byte
 	if c.Rank() == 0 {
 		var samples []seq.Kmer
@@ -355,11 +335,7 @@ func chooseSplitters(c *par.Comm, local []suffixtree.Keyed, owners int, cfg Conf
 		}
 		enc = out.Bytes()
 	}
-	if cfg.FT {
-		enc = c.FTBcast(0, enc, cfg.FTPoll)
-	} else {
-		enc = c.Bcast(0, enc)
-	}
+	enc = c.Bcast(0, enc)
 	var splitters []seq.Kmer
 	r := wire.NewReader(enc)
 	for r.Remaining() > 0 {
@@ -383,18 +359,37 @@ func destOf(splitters []seq.Kmer, key seq.Kmer, firstOwner int) int {
 	return firstOwner + lo
 }
 
-// redistribute exchanges keyed suffixes so each lands on its bucket's
-// owner rank. Under FT a rank death mid-exchange is detected through
-// the poll deadlines; the survivors agree on the set of severed
-// sources and each re-enumerates those ranks' fragment ranges from its
-// own full copy of the store, keeping the keys it owns — so its bucket
-// contents end up identical to a fault-free exchange.
-func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters []seq.Kmer, bounds []int, cfg Config) []suffixtree.Keyed {
-	p := c.Size()
+// exchange is the one all-to-all of GST construction: the paper's
+// staged variant when asked for on a fail-stop machine, the eager one
+// otherwise. got[src] is false where src died before its buffer
+// arrived (survivable machine only).
+func exchange(c *par.Comm, cfg Config, bufs []*wire.Buffer) (recv [][]byte, got []bool) {
+	raw := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		raw[i] = b.Bytes()
+	}
+	if cfg.Staged && !c.Survivable() {
+		return c.AlltoallvStaged(raw), nil
+	}
+	return c.Alltoallv(raw)
+}
+
+// newBufs returns one empty wire buffer per rank.
+func newBufs(p int) []*wire.Buffer {
 	bufs := make([]*wire.Buffer, p)
 	for i := range bufs {
 		bufs[i] = wire.NewBuffer(0)
 	}
+	return bufs
+}
+
+// redistribute exchanges keyed suffixes so each lands on its bucket's
+// owner rank. When a rank dies mid-exchange the survivors agree on the
+// set of severed sources and each re-enumerates those ranks' fragment
+// ranges from its own full copy of the store, keeping the keys it owns
+// — so its bucket contents end up identical to a fault-free exchange.
+func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters []seq.Kmer, bounds []int, cfg Config) []suffixtree.Keyed {
+	bufs := newBufs(c.Size())
 	for _, ks := range local {
 		d := destOf(splitters, ks.Key, cfg.FirstOwner)
 		w := bufs[d]
@@ -404,28 +399,14 @@ func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters 
 		w.PutInt(int(ks.Suf.Prev))
 	}
 	c.ChargeCompute(float64(len(local)) * costSuf)
-	raw := make([][]byte, p)
-	for i := range raw {
-		raw[i] = bufs[i].Bytes()
-	}
-	var recv [][]byte
-	var severed []int
-	switch {
-	case cfg.FT:
-		var got []bool
-		recv, got = c.FTAlltoallv(raw, cfg.FTPoll)
-		severed = agreeSevered(c, got, cfg)
-		// Discard partial data from severed sources: a rank that died
-		// mid-exchange reached some destinations and not others, and
-		// only a uniform re-enumeration keeps every survivor's view
-		// consistent (no lost and no duplicated suffixes).
-		for _, s := range severed {
-			recv[s] = nil
-		}
-	case cfg.Staged:
-		recv = c.AlltoallvStaged(raw)
-	default:
-		recv = c.Alltoallv(raw)
+	recv, got := exchange(c, cfg, bufs)
+	severed := agreeSevered(c, got)
+	// Discard partial data from severed sources: a rank that died
+	// mid-exchange reached some destinations and not others, and only a
+	// uniform re-enumeration keeps every survivor's view consistent (no
+	// lost and no duplicated suffixes).
+	for _, s := range severed {
+		recv[s] = nil
 	}
 	var mine []suffixtree.Keyed
 	for _, buf := range recv {
@@ -457,15 +438,19 @@ func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters 
 
 // agreeSevered merges every survivor's view of which alltoall sources
 // went missing (rank 0 unions the reports and broadcasts the result),
-// so all survivors recover the same set of exchanges.
-func agreeSevered(c *par.Comm, got []bool, cfg Config) []int {
+// so all survivors recover the same set of exchanges. On a fail-stop
+// machine no exchange can be severed and nothing is sent.
+func agreeSevered(c *par.Comm, got []bool) []int {
+	if !c.Survivable() {
+		return nil
+	}
 	w := wire.NewBuffer(8)
 	for s, ok := range got {
 		if !ok {
 			w.PutInt(s)
 		}
 	}
-	reports, reported := c.FTGather(0, w.Bytes(), cfg.FTPoll)
+	reports, reported := c.Gather(0, w.Bytes())
 	var enc []byte
 	if c.Rank() == 0 {
 		miss := make(map[int]bool)
@@ -492,7 +477,7 @@ func agreeSevered(c *par.Comm, got []bool, cfg Config) []int {
 		}
 		enc = out.Bytes()
 	}
-	enc = c.FTBcast(0, enc, cfg.FTPoll)
+	enc = c.Bcast(0, enc)
 	r := wire.NewReader(enc)
 	var severed []int
 	for r.Remaining() > 0 {
@@ -562,32 +547,16 @@ func fetchFragments(c *par.Comm, st seq.Seqs, buckets [][]suffixtree.Suffix, bat
 		}
 	}
 	// Step 1: send request lists to owners.
-	reqBufs := make([]*wire.Buffer, p)
-	for i := range reqBufs {
-		reqBufs[i] = wire.NewBuffer(0)
-	}
+	reqBufs := newBufs(p)
 	for fid := range need {
 		owner := cfg.FirstOwner + ownerOf(bounds, int(fid))
 		reqBufs[owner].PutInt(int(fid))
 	}
-	raw := make([][]byte, p)
-	for i := range raw {
-		raw[i] = reqBufs[i].Bytes()
-	}
-	var reqs [][]byte
-	switch {
-	case cfg.FT:
-		reqs, _ = c.FTAlltoallv(raw, cfg.FTPoll)
-	case cfg.Staged:
-		reqs = c.AlltoallvStaged(raw)
-	default:
-		reqs = c.Alltoallv(raw)
-	}
-	// Step 2: serve the requests.
-	respBufs := make([]*wire.Buffer, p)
-	for i := range respBufs {
-		respBufs[i] = wire.NewBuffer(0)
-	}
+	reqs, _ := exchange(c, cfg, reqBufs)
+	// Step 2: serve the requests. A dead owner serves nothing; its
+	// fragments are read from the local copy of the store via the
+	// table's miss fallback.
+	respBufs := newBufs(p)
 	served := 0
 	for src, buf := range reqs {
 		r := wire.NewReader(buf)
@@ -599,20 +568,7 @@ func fetchFragments(c *par.Comm, st seq.Seqs, buckets [][]suffixtree.Suffix, bat
 		}
 	}
 	c.ChargeCompute(float64(served) * costSuf)
-	for i := range raw {
-		raw[i] = respBufs[i].Bytes()
-	}
-	var resps [][]byte
-	switch {
-	case cfg.FT:
-		// A dead owner serves nothing; its fragments are read from the
-		// local copy of the store via the table's miss fallback.
-		resps, _ = c.FTAlltoallv(raw, cfg.FTPoll)
-	case cfg.Staged:
-		resps = c.AlltoallvStaged(raw)
-	default:
-		resps = c.Alltoallv(raw)
-	}
+	resps, _ := exchange(c, cfg, respBufs)
 	for _, buf := range resps {
 		r := wire.NewReader(buf)
 		for r.Remaining() > 0 {
@@ -652,8 +608,9 @@ func newStoreTable(st seq.Seqs) *seqTable {
 // newFetchTable returns the table of the distributed build, filled per
 // batch with the forward fragments their owners served (put) and
 // bounded by the batch, not by max. Reverse complements are derived on
-// demand. With fallback (FT mode) a fragment a dead owner never served
-// is read from the local copy of the store instead of panicking.
+// demand. With fallback (a survivable machine) a fragment a dead owner
+// never served is read from the local copy of the store instead of
+// panicking.
 func newFetchTable(st seq.Seqs, fallback bool) *seqTable {
 	n := int32(st.N())
 	t := &seqTable{seqs: make([][]byte, st.NumSeqs())}
@@ -694,12 +651,16 @@ func (t *seqTable) reset() {
 	t.live = t.live[:0]
 }
 
-// recoverAssignments is the FT epilogue's agreement step: rank 0
+// recoverAssignments is the recovery epilogue's agreement step: rank 0
 // gathers a liveness ping, pairs each dead owner rank with a surviving
 // owner round-robin, and broadcasts the assignment. Returns the dead
-// ranks assigned to the calling rank for rebuilding.
-func recoverAssignments(c *par.Comm, firstOwner int, poll time.Duration) []int {
-	_, alive := c.FTGather(0, nil, poll)
+// ranks assigned to the calling rank for rebuilding — none, and with
+// nothing sent, on a fail-stop machine, where no rank outlives a death.
+func recoverAssignments(c *par.Comm, firstOwner int) []int {
+	if !c.Survivable() {
+		return nil
+	}
+	_, alive := c.Gather(0, nil)
 	var enc []byte
 	if c.Rank() == 0 {
 		var deadOwners, liveOwners []int
@@ -719,7 +680,7 @@ func recoverAssignments(c *par.Comm, firstOwner int, poll time.Duration) []int {
 		}
 		enc = w.Bytes()
 	}
-	enc = c.FTBcast(0, enc, poll)
+	enc = c.Bcast(0, enc)
 	r := wire.NewReader(enc)
 	var mine []int
 	for r.Remaining() > 0 {

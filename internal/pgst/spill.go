@@ -44,7 +44,7 @@ const (
 // instead the covered owner ranks' key ranges are swept on demand.
 type SpillState struct {
 	// Ranks are the owner ranks whose key ranges this rank sweeps: its
-	// own, plus any dead ranks the FT epilogue assigned to it.
+	// own, plus any dead ranks the recovery epilogue assigned to it.
 	Ranks []int
 }
 
@@ -217,14 +217,12 @@ func buildSpill(c *par.Comm, st seq.Seqs, cfg Config, bounds []int, owners int) 
 	if c.Rank() >= cfg.FirstOwner {
 		l.Spill.Ranks = []int{c.Rank()}
 	}
-	// FT epilogue: adopt dead owners' ranges by recording them for the
-	// sweep — recovery is a deferred re-enumeration, exactly like
+	// Recovery epilogue: adopt dead owners' ranges by recording them for
+	// the sweep — recovery is a deferred re-enumeration, exactly like
 	// rebuildInto, but it stays within the byte budget.
-	if cfg.FT {
-		for _, dead := range recoverAssignments(c, cfg.FirstOwner, cfg.FTPoll) {
-			if dead != c.Rank() {
-				l.Spill.Ranks = append(l.Spill.Ranks, dead)
-			}
+	for _, dead := range recoverAssignments(c, cfg.FirstOwner) {
+		if dead != c.Rank() {
+			l.Spill.Ranks = append(l.Spill.Ranks, dead)
 		}
 	}
 	return l

@@ -197,7 +197,7 @@ func TestSpillBuildSurvivesCrash(t *testing.T) {
 	}
 	_, exits := par.RunStatus(cfg, func(c *par.Comm) {
 		locals[c.Rank()] = Build(c, st, Config{
-			W: w, MinLen: psi, Seed: 7, FT: true, SpillBytes: 32 << 10,
+			W: w, MinLen: psi, Seed: 7, SpillBytes: 32 << 10,
 		})
 	})
 	if !exits[crashed].FaultKilled {

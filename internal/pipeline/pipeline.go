@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/assembly"
 	"repro/internal/cluster"
@@ -140,17 +139,8 @@ func Run(frags []*seq.Fragment, cfg Config) (_ *core.Result, err error) {
 		res.Clustering = cp.Result()
 	} else {
 		onPhase(PhaseCluster)
-		if ccfg.Parallel.Ranks >= 2 {
-			if ccfg.Transport != nil {
-				res.Clustering, _, _, err = cluster.ParallelRank(res.Store, ccfg.Cluster, ccfg.Parallel, ccfg.TransportRank, ccfg.Transport)
-			} else {
-				res.Clustering, res.Phases, err = cluster.Parallel(res.Store, ccfg.Cluster, ccfg.Parallel)
-			}
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			res.Clustering = cluster.Serial(res.Store, ccfg.Cluster)
+		if res.Clustering, res.Phases, err = core.ClusterStage(res.Store, ccfg); err != nil {
+			return nil, err
 		}
 		if err := m.complete(PhaseCluster, cluster.CheckpointOf(res.Clustering).Encode()); err != nil {
 			return nil, err
@@ -177,16 +167,7 @@ func Run(frags []*seq.Fragment, cfg Config) (_ *core.Result, err error) {
 		}
 	} else {
 		onPhase(PhaseAssembly)
-		workers := ccfg.AssemblyWorkers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if ccfg.AssemblyGuard != nil {
-			res.Contigs, res.AssemblyOutcomes = assembly.AssembleAllGuarded(
-				res.Store, res.Clusters, ccfg.Assembly, workers, *ccfg.AssemblyGuard)
-		} else {
-			res.Contigs = assembly.AssembleAll(res.Store, res.Clusters, ccfg.Assembly, workers)
-		}
+		res.Contigs, res.AssemblyOutcomes = core.AssembleStage(res.Store, res.Clusters, ccfg)
 		if err := m.complete(PhaseAssembly, encodeContigs(res.Contigs, res.AssemblyOutcomes)); err != nil {
 			return nil, err
 		}

@@ -195,9 +195,10 @@ func (r *Result) checkClustering(c Case, store seq.Seqs, ccfg cluster.Config, wa
 	}
 }
 
-// checkGST runs oracle 2: a standalone fault-tolerant GST build under
-// the GST-meaningful subset of the case's faults; the union of the
-// survivors' forests must carry exactly the serial tree's content.
+// checkGST runs oracle 2: a standalone GST build under the
+// GST-meaningful subset of the case's faults (a fault plan is what
+// makes the machine survivable); the union of the survivors' forests
+// must carry exactly the serial tree's content.
 func (r *Result) checkGST(c Case, store seq.Seqs, ccfg cluster.Config) {
 	spec := c.gstFaultSpec()
 	machine := par.DefaultConfig(c.Ranks)
@@ -221,7 +222,6 @@ func (r *Result) checkGST(c Case, store seq.Seqs, ccfg cluster.Config) {
 	_, exits := par.RunStatus(machine, func(pc *par.Comm) {
 		locals[pc.Rank()] = pgst.Build(pc, store, pgst.Config{
 			W: ccfg.W, MinLen: ccfg.Psi, BatchBytes: 1 << 20, Seed: 7,
-			FT: machine.Faults != nil,
 			// Out-of-core cases build spilling forests; the union
 			// oracle below sweeps them segment by segment.
 			SpillBytes: ccfg.MemBudget,

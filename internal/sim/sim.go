@@ -176,8 +176,8 @@ func (c Case) frags() []*seq.Fragment {
 // meaningful for the standalone GST-build oracle run: GST-phase
 // crashes and wire corruption. Report-indexed crashes never fire
 // without the clustering protocol, and raw drops without the framed
-// link would silently lose exchange data the FT build has no lease
-// protocol to recover — that path belongs to the clustering run.
+// link would silently lose exchange data the survivable build has no
+// lease protocol to recover — that path belongs to the clustering run.
 func (c Case) gstFaultSpec() string {
 	if c.FaultSpec == "" {
 		return ""

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/check"
 	"repro/internal/obs/collector"
+	"repro/internal/par"
 	"repro/internal/par/nettrans"
 	"repro/internal/seq"
 	"repro/internal/simulate"
@@ -67,9 +68,12 @@ func workload() []*seq.Fragment {
 	return simulate.SampleWGS(rng, g, 4.0, rc, "r")
 }
 
+// jobParallelConfig is the one protocol configuration every backend
+// runs. It keeps the default UseSsend: true on purpose: a transport
+// makes the machine survivable, and that alone must switch the worker
+// reports to eager sends.
 func jobParallelConfig(tr *obs.Tracer) cluster.ParallelConfig {
 	pcfg := cluster.DefaultParallelConfig(jobSize)
-	pcfg.FT = true
 	pcfg.LeaseTimeout = lease
 	pcfg.BatchSize = 16
 	pcfg.Trace = tr
@@ -289,20 +293,33 @@ func assertCanonical(t *testing.T, got []int, merged *obs.Dump) {
 	if sum.Events == 0 {
 		t.Fatal("merged trace is empty")
 	}
+	// Worker reports are the protocol's only rendezvous sends, and the
+	// lease protocol must never block on one (a fired worker's last
+	// report would wedge): no ssend span on a user tag.
+	for _, rd := range merged.Ranks {
+		for _, e := range rd.Events {
+			if (e.Kind == obs.EvSsendBegin || e.Kind == obs.EvSsendEnd) && e.B >= 0 {
+				t.Fatalf("rank %d traced a rendezvous send on tag %d: reports must be eager on a survivable machine", rd.Rank, e.B)
+			}
+		}
+	}
 }
 
 // TestConformanceInproc anchors the suite: the in-process backend
-// running the same fault-tolerant protocol configuration must produce
-// the canonical partition and pass the stream invariants.
+// running the same protocol configuration on a survivable machine (an
+// empty fault plan stands in for the transport) must produce the
+// canonical partition and pass the stream invariants.
 func TestConformanceInproc(t *testing.T) {
 	store := seq.NewStore(workload())
 	tr := obs.NewTracer(jobSize, 1<<16)
-	res, ph, err := cluster.Parallel(store, cluster.DefaultConfig(), jobParallelConfig(tr))
+	pcfg := jobParallelConfig(tr)
+	pcfg.Faults = &par.FaultPlan{}
+	res, ph, err := cluster.Parallel(store, cluster.DefaultConfig(), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cluster.SamePartition(cluster.PartitionLabels(res), serialLabels(store)) {
-		t.Fatal("partition oracle: in-process FT run diverged from serial")
+		t.Fatal("partition oracle: in-process survivable run diverged from serial")
 	}
 	okRank := func(r int) bool { return ph.Exits == nil || ph.Exits[r].OK }
 	if _, err := check.Stream(tr, okRank); err != nil {
