@@ -222,6 +222,24 @@ func AlignPair(store seq.Seqs, p pairgen.Pair, cfg Config) (accepted bool, cells
 	return ok && cfg.Criteria.Accept(res), cells
 }
 
+// acceptOverlap is the one merge rule, applied by the serial driver and
+// the parallel master alike to every pair whose alignment passed the
+// overlap criterion: fragments fa and fb join one cluster unless that
+// would exceed a positive maxCluster (the bounded-cluster heuristic of
+// Section 10, which defers the overlap to assembly). It reports
+// whether two clusters merged.
+func acceptOverlap(uf *unionfind.UF, st *Stats, maxCluster, fa, fb int) bool {
+	st.Accepted++
+	if maxCluster > 0 && uf.Size(fa)+uf.Size(fb) > maxCluster {
+		return false
+	}
+	if !uf.Union(fa, fb) {
+		return false
+	}
+	st.Merges++
+	return true
+}
+
 // Serial clusters the store's fragments with the Fig. 3 strategy on a
 // single processor.
 func Serial(store seq.Seqs, cfg Config) *Result {
@@ -245,13 +263,7 @@ func Serial(store seq.Seqs, cfg Config) *Result {
 		accepted, _ := AlignPair(store, p, cfg)
 		st.Aligned++
 		if accepted {
-			st.Accepted++
-			if cfg.MaxClusterSize > 0 && uf.Size(fa)+uf.Size(fb) > cfg.MaxClusterSize {
-				return true // bounded-cluster heuristic: defer to assembly
-			}
-			if uf.Union(fa, fb) {
-				st.Merges++
-			}
+			acceptOverlap(uf, &st, cfg.MaxClusterSize, fa, fb)
 		}
 		return true
 	}

@@ -258,18 +258,3 @@ func TestFaultEndToEndCombined(t *testing.T) {
 		t.Error("corrupted frames caused no retransmissions")
 	}
 }
-
-// TestWorkerFailReportAborts: a worker that cannot decode a master
-// message reports the failure instead of panicking, and in non-fault
-// mode the master aborts the run with an error (satellite: no decode
-// panics anywhere in the protocol).
-func TestWorkerFailReportAborts(t *testing.T) {
-	rep := encodeReport(report{fail: "boom"})
-	dec, err := decodeReport(rep)
-	if err != nil {
-		t.Fatalf("fail report round-trip: %v", err)
-	}
-	if dec.fail != "boom" {
-		t.Fatalf("fail = %q, want boom", dec.fail)
-	}
-}

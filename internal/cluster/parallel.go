@@ -177,6 +177,55 @@ func (q *pairQueue) pop() pairgen.Pair {
 // slice returns the queued pairs in order (for checkpoints).
 func (q *pairQueue) slice() []pairgen.Pair { return q.buf[q.head:] }
 
+// parallelRun is what Parallel and ParallelRank share around their
+// machines: the validated, defaulted configuration, the decoded warm
+// start, the metric handles and the host clock.
+type parallelRun struct {
+	store  seq.Seqs
+	cfg    Config
+	pcfg   ParallelConfig
+	resume *Checkpoint
+	mx     clusterMetrics
+	start  time.Time
+}
+
+// newParallelRun is the common prologue. It refuses a machine without
+// a worker and a warm-start checkpoint taken over a different fragment
+// set.
+func newParallelRun(store seq.Seqs, cfg Config, pcfg ParallelConfig) (*parallelRun, error) {
+	run := &parallelRun{store: store, cfg: cfg.withDefaults(), pcfg: pcfg.withDefaults()}
+	if run.pcfg.Ranks < 2 {
+		return nil, fmt.Errorf("cluster: parallel run needs at least 2 ranks (1 master + 1 worker), got %d", run.pcfg.Ranks)
+	}
+	if enc := run.pcfg.ResumeFrom; len(enc) > 0 {
+		cp, err := DecodeCheckpoint(enc)
+		if err != nil {
+			return nil, err
+		}
+		if cp.N != store.N() {
+			return nil, fmt.Errorf("cluster: checkpoint is for %d fragments, store has %d", cp.N, store.N())
+		}
+		run.resume = cp
+	}
+	run.mx = newClusterMetrics(run.pcfg.Metrics)
+	run.start = time.Now()
+	return run, nil
+}
+
+// masterResult is the common epilogue on rank 0's side: the master's
+// death or protocol error, else its clustering with the host wall time.
+func (run *parallelRun) masterResult(out *rankOut, exit par.Exit) (*Result, error) {
+	if !exit.OK {
+		return nil, fmt.Errorf("cluster: master rank died: %s", exit.Reason)
+	}
+	if out.masterErr != nil {
+		return nil, out.masterErr
+	}
+	res := &Result{N: run.store.N(), UF: out.uf, Stats: out.stats}
+	res.Stats.WallSeconds = time.Since(run.start).Seconds()
+	return res, nil
+}
+
 // Parallel clusters the store's fragments on a p-rank machine:
 // parallel GST construction (buckets on workers only), then the
 // iterative master–worker overlap detection of Figs. 7–8. With a
@@ -185,54 +234,35 @@ func (q *pairQueue) slice() []pairgen.Pair { return q.buf[q.head:] }
 // identical to a fault-free run's (union–find merges are
 // order-independent and duplicated pairs are harmless).
 func Parallel(store seq.Seqs, cfg Config, pcfg ParallelConfig) (*Result, PhaseStats, error) {
-	cfg = cfg.withDefaults()
-	pcfg = pcfg.withDefaults()
-	if pcfg.Ranks < 2 {
-		return nil, PhaseStats{}, fmt.Errorf("cluster: parallel run needs at least 2 ranks (1 master + 1 worker), got %d", pcfg.Ranks)
-	}
-	resume, err := decodeResume(pcfg.ResumeFrom, store)
+	run, err := newParallelRun(store, cfg, pcfg)
 	if err != nil {
 		return nil, PhaseStats{}, err
 	}
-
-	result := &Result{N: store.N()}
-	outs := make([]rankOut, pcfg.Ranks)
-	mx := newClusterMetrics(pcfg.Metrics)
-	start := time.Now()
-
-	stats, exits := par.RunStatus(pcfg.Machine, func(c *par.Comm) {
-		clusterRankBody(c, store, cfg, pcfg, resume, mx, &outs[c.Rank()])
+	outs := make([]rankOut, run.pcfg.Ranks)
+	stats, exits := par.RunStatus(run.pcfg.Machine, func(c *par.Comm) {
+		run.rankBody(c, &outs[c.Rank()])
 	})
-	mx.publishRankStats(stats)
+	run.mx.publishRankStats(stats)
 
-	gstSnaps := make([]par.Stats, pcfg.Ranks)
-	for i := range outs {
-		gstSnaps[i] = outs[i].gstSnap
-	}
-	result.UF = outs[0].uf
-	result.Stats = outs[0].stats
-	masterWork := outs[0].masterWork
-
-	if !exits[0].OK {
-		return nil, PhaseStats{Exits: exits}, fmt.Errorf("cluster: master rank died: %s", exits[0].Reason)
-	}
-	if outs[0].masterErr != nil {
-		return nil, PhaseStats{Exits: exits}, outs[0].masterErr
-	}
-	if pcfg.Machine.Faults == nil { // in process, only a fault plan makes deaths survivable
+	result, err := run.masterResult(&outs[0], exits[0])
+	if err == nil && run.pcfg.Machine.Faults == nil { // in process, only a fault plan makes deaths survivable
 		for r, e := range exits {
 			if !e.OK {
-				return nil, PhaseStats{Exits: exits}, fmt.Errorf("cluster: rank %d died without a fault plan: %s", r, e.Reason)
+				err = fmt.Errorf("cluster: rank %d died without a fault plan: %s", r, e.Reason)
+				break
 			}
 		}
 	}
-
-	result.Stats.WallSeconds = time.Since(start).Seconds()
+	if err != nil {
+		return nil, PhaseStats{Exits: exits}, err
+	}
 
 	// Phase accounting: the snapshot taken at the barrier separates
 	// GST construction from clustering.
+	gstSnaps := make([]par.Stats, len(stats))
 	clusterStats := make([]par.Stats, len(stats))
 	for i := range stats {
+		gstSnaps[i] = outs[i].gstSnap
 		clusterStats[i] = subtractStats(stats[i], gstSnaps[i])
 	}
 	ph := PhaseStats{
@@ -243,30 +273,11 @@ func Parallel(store seq.Seqs, cfg Config, pcfg ParallelConfig) (*Result, PhaseSt
 		Exits:              exits,
 	}
 	if m := clusterStats[0].Modeled(); m > 0 && ph.Cluster.MaxModeled > 0 {
-		ph.MasterAvailability = 1 - masterWork/ph.Cluster.MaxModeled
-		if ph.MasterAvailability < 0 {
-			ph.MasterAvailability = 0
-		}
+		ph.MasterAvailability = max(1-outs[0].masterWork/ph.Cluster.MaxModeled, 0)
 	}
 	result.Stats.GSTSeconds = ph.GST.MaxModeled
 	result.Stats.ClusterSeconds = ph.Cluster.MaxModeled
 	return result, ph, nil
-}
-
-// decodeResume decodes the warm-start checkpoint (nil when there is
-// none) and refuses one taken over a different fragment set.
-func decodeResume(enc []byte, store seq.Seqs) (*Checkpoint, error) {
-	if len(enc) == 0 {
-		return nil, nil
-	}
-	cp, err := DecodeCheckpoint(enc)
-	if err != nil {
-		return nil, err
-	}
-	if cp.N != store.N() {
-		return nil, fmt.Errorf("cluster: checkpoint is for %d fragments, store has %d", cp.N, store.N())
-	}
-	return cp, nil
 }
 
 // rankOut collects what one rank's body produces: the GST-phase
@@ -279,11 +290,11 @@ type rankOut struct {
 	masterErr  error
 }
 
-// clusterRankBody is the SPMD body one rank executes — the same code
-// whether the rank is a goroutine of an in-process machine (Parallel)
-// or an OS process speaking to its peers through a transport
-// (ParallelRank).
-func clusterRankBody(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, resume *Checkpoint, mx clusterMetrics, out *rankOut) {
+// rankBody is the SPMD body one rank executes — the same code whether
+// the rank is a goroutine of an in-process machine (Parallel) or an OS
+// process speaking to its peers through a transport (ParallelRank).
+func (run *parallelRun) rankBody(c *par.Comm, out *rankOut) {
+	store, cfg, pcfg := run.store, run.cfg, run.pcfg
 	// Phase 1: distributed GST over workers (rank 0 owns no buckets).
 	// On a survivable machine the build outlives its ranks: one that
 	// dies mid-construction has its exchanges re-enumerated and its
@@ -306,14 +317,10 @@ func clusterRankBody(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfi
 	c.TraceEvent(obs.EvPhaseEnter, obs.PhaseCluster, 0, 0)
 	if c.Rank() == 0 {
 		c.TraceEvent(obs.EvPhaseEnter, obs.PhaseMaster, 0, 0)
-		uf, st, busy, err := runMaster(c, store, cfg, pcfg, resume, mx)
+		out.uf, out.stats, out.masterWork, out.masterErr = runMaster(c, run)
 		c.TraceEvent(obs.EvPhaseExit, obs.PhaseMaster, 0, 0)
-		out.uf = uf
-		out.stats = st
-		out.masterWork = busy
-		out.masterErr = err
 	} else {
-		runWorker(c, store, local, cfg, pcfg, mx)
+		runWorker(c, store, local, cfg, pcfg, run.mx)
 	}
 	c.TraceEvent(obs.EvPhaseExit, obs.PhaseCluster, 0, 0)
 }
@@ -330,37 +337,25 @@ func clusterRankBody(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfi
 // aggregate; cross-rank analysis merges the per-process trace dumps
 // instead.
 func ParallelRank(store seq.Seqs, cfg Config, pcfg ParallelConfig, rank int, t par.Transport) (*Result, par.Stats, par.Exit, error) {
-	cfg = cfg.withDefaults()
-	pcfg = pcfg.withDefaults()
-	if pcfg.Ranks < 2 {
-		return nil, par.Stats{}, par.Exit{}, fmt.Errorf("cluster: parallel run needs at least 2 ranks, got %d", pcfg.Ranks)
+	run, err := newParallelRun(store, cfg, pcfg)
+	if err == nil && (rank < 0 || rank >= run.pcfg.Ranks) {
+		err = fmt.Errorf("cluster: rank %d out of range for %d ranks", rank, run.pcfg.Ranks)
 	}
-	if rank < 0 || rank >= pcfg.Ranks {
-		return nil, par.Stats{}, par.Exit{}, fmt.Errorf("cluster: rank %d out of range for %d ranks", rank, pcfg.Ranks)
-	}
-	resume, err := decodeResume(pcfg.ResumeFrom, store)
 	if err != nil {
 		return nil, par.Stats{}, par.Exit{}, err
 	}
-
-	mx := newClusterMetrics(pcfg.Metrics)
 	var out rankOut
-	start := time.Now()
-	st, exit := par.RunRank(pcfg.Machine, rank, t, func(c *par.Comm) {
-		clusterRankBody(c, store, cfg, pcfg, resume, mx, &out)
+	st, exit := par.RunRank(run.pcfg.Machine, rank, t, func(c *par.Comm) {
+		run.rankBody(c, &out)
 	})
-	mx.publishRankStats([]par.Stats{st})
+	run.mx.publishRankStats([]par.Stats{st})
 	if rank != 0 {
 		return nil, st, exit, nil
 	}
-	if !exit.OK {
-		return nil, st, exit, fmt.Errorf("cluster: master rank died: %s", exit.Reason)
+	result, err := run.masterResult(&out, exit)
+	if err != nil {
+		return nil, st, exit, err
 	}
-	if out.masterErr != nil {
-		return nil, st, exit, out.masterErr
-	}
-	result := &Result{N: store.N(), UF: out.uf, Stats: out.stats}
-	result.Stats.WallSeconds = time.Since(start).Seconds()
 	result.Stats.GSTSeconds = out.gstSnap.Modeled()
 	result.Stats.ClusterSeconds = subtractStats(st, out.gstSnap).Modeled()
 	return result, st, exit, nil
@@ -381,426 +376,51 @@ func subtractStats(a, b par.Stats) par.Stats {
 	return a
 }
 
-// runMaster is the Fig. 7 algorithm, extended with the lease-based
-// fault protocol. It returns the final clustering, statistics, and
-// its modeled busy seconds (for the availability metric).
-//
-// The lease bookkeeping below runs on every machine, but only a
-// survivable one ever reaps a worker, so on a fail-stop machine dead
-// and orphans stay empty and every branch on them is inert. ft marks
-// the genuine policy differences: polling receives under a lease
-// versus one blocking receive, recovering from a bad worker versus
-// aborting, and checking that a reporter is still alive.
-//
-// Lease invariants: expected[w] counts reports w still owes (its
-// lease); owed[w] is the FIFO of dispatched batches not yet
-// acknowledged by a result-carrying report; covers[w] is the set of
-// GST portions w generates pairs from (its own, plus any adopted from
-// dead ranks). Per-worker traffic strictly alternates, so a received
-// report implies every earlier report from that worker was received —
-// which is why a worker that reported passive can die without losing
-// coverage, and any dropped message eventually expires the lease and
-// re-assigns both the leased batches and the coverage.
-func runMaster(c *par.Comm, store seq.Seqs, cfg Config, pcfg ParallelConfig, resume *Checkpoint, mx clusterMetrics) (*unionfind.UF, Stats, float64, error) {
-	uf := unionfind.New(store.N())
-	var st Stats
-	busy := 0.0
-	charge := func(sec float64) {
-		busy += sec
-		c.ChargeCompute(sec)
-	}
-
-	ft := c.Survivable()
-	lease := pcfg.LeaseTimeout
-	pollSlice := lease / 4
-	if pollSlice > 50*time.Millisecond {
-		pollSlice = 50 * time.Millisecond
-	}
-	// adoptDeadline grants lease grace to a worker that was just asked
-	// to adopt dead ranks' GST portions: rebuilding them is real
-	// compute on the lease clock, and firing a slow adopter re-orphans
-	// an even larger portion onto the next one — a cascade that can
-	// consume every worker. The grace scales with the adoption size.
-	adoptDeadline := func(adopted int) time.Time {
-		return time.Now().Add(time.Duration(3*adopted) * lease)
-	}
-
-	var pending pairQueue
-	parked := []int{}
-	passive := make(map[int]bool)
-	// owed[w] holds the batches whose results are still outstanding: a
-	// non-empty batch sent to w is acknowledged by w's next
-	// result-carrying report (the worker aligns a batch after sending
-	// its following report, so at most two replies separate dispatch
-	// and acknowledgment, but at most one non-empty batch is ever
-	// unacknowledged at a decision point). A worker owing results must
-	// not be parked until an empty reply has flushed them out.
-	owed := make(map[int][][]pairgen.Pair)
-	expected := make(map[int]int) // reports outstanding per worker
-	lastHeard := make(map[int]time.Time)
-	dead := make(map[int]bool)
-	covers := make(map[int][]int) // GST portions each worker generates from
-	var orphans []int             // dead ranks' portions awaiting adoption
-	inFlight := c.Size() - 1      // every worker owes an initial report
-	now := time.Now()
-	for w := 1; w < c.Size(); w++ {
-		expected[w] = 1
-		lastHeard[w] = now
-		covers[w] = []int{w}
-	}
-	if resume != nil {
-		uf = resume.restore()
-		st = resume.Stats
-		pending.pushAll(resume.Pending)
-	}
-
-	// takeBatch extracts up to BatchSize non-stale pairs.
-	takeBatch := func() []pairgen.Pair {
-		var batch []pairgen.Pair
-		n := int32(store.N())
-		for len(batch) < pcfg.BatchSize && pending.Len() > 0 {
-			p := pending.pop()
-			if uf.Same(int(p.ASid%n), int(p.BSid%n)) {
-				st.Skipped++ // merged since it was enqueued
-				charge(costUF)
-				continue
-			}
-			batch = append(batch, p)
-		}
-		return batch
-	}
-
-	activeWorkers := func() int {
-		a := 0
-		for w := 1; w < c.Size(); w++ {
-			if !dead[w] && !passive[w] {
-				a++
-			}
-		}
-		if a < 1 {
-			a = 1
-		}
-		return a
-	}
-
-	liveWorkers := func() int {
-		n := 0
-		for w := 1; w < c.Size(); w++ {
-			if !dead[w] {
-				n++
-			}
-		}
-		return n
-	}
-
-	// requestSize implements the paper's r formula: ask for enough
-	// pairs that ≈ b survive selection, without overflowing the
-	// pending buffer.
-	requestSize := func(worker int) int {
-		if passive[worker] {
-			return 0
-		}
-		selectivity := 1.0
-		if st.Generated > 0 {
-			selectivity = float64(st.Generated-st.Skipped) / float64(st.Generated)
-			if selectivity < 0.05 {
-				selectivity = 0.05
-			}
-		}
-		r := int(float64(pcfg.BatchSize) / selectivity)
-		free := pcfg.MaxPending - pending.Len()
-		if free < 0 {
-			free = 0
-		}
-		if quota := free / activeWorkers(); r > quota {
-			r = quota
-		}
-		return r
-	}
-
-	sendWork := func(worker int, batch []pairgen.Pair) {
-		st.Aligned += int64(len(batch))
-		mx.pairsAligned.Add(int64(len(batch)))
-		if len(batch) > 0 {
-			owed[worker] = append(owed[worker], batch)
-		}
-		wk := work{batch: batch}
-		if len(orphans) > 0 {
-			// Piggyback pending adoptions on the reply; recorded
-			// optimistically so a lost reply re-orphans them with the
-			// adopter's lease.
-			wk.adopt = orphans
-			covers[worker] = append(covers[worker], orphans...)
-			delete(passive, worker)
-			orphans = nil
-			c.TraceEvent(obs.EvLeaseAdopt, int64(worker), int64(len(wk.adopt)), 0)
-		}
-		wk.r = requestSize(worker)
-		c.TraceEvent(obs.EvLeaseGrant, int64(worker), int64(len(batch)), int64(wk.r))
-		c.Send(worker, tagWork, encodeWork(wk))
-		expected[worker]++
-		lastHeard[worker] = adoptDeadline(len(wk.adopt))
-		inFlight++
-	}
-
-	// reap fires a worker: its lease is cancelled, leased batches are
-	// requeued, and — unless it had reported passive, meaning its
-	// covered portions were fully generated and received — its GST
-	// coverage is orphaned for adoption by a survivor.
-	reap := func(w int) {
-		if dead[w] {
-			return
-		}
-		dead[w] = true
-		st.WorkersLost++
-		mx.workersLost.Inc()
-		inFlight -= expected[w]
-		expected[w] = 0
-		requeued := int64(0)
-		for _, b := range owed[w] {
-			st.Aligned -= int64(len(b))
-			st.Requeued += int64(len(b))
-			requeued += int64(len(b))
-			pending.pushAll(b)
-		}
-		c.TraceEvent(obs.EvLeaseExpire, int64(w), requeued, 0)
-		delete(owed, w)
-		for i, x := range parked {
-			if x == w {
-				parked = append(parked[:i], parked[i+1:]...)
-				break
-			}
-		}
-		if !passive[w] {
-			orphans = append(orphans, covers[w]...)
-		}
-		delete(passive, w)
-		delete(covers, w)
-	}
-
-	// reapDead fires crashed workers (detected by the runtime) and
-	// silent ones whose lease expired; the latter get a done fence
-	// first, in case they are alive but cut off.
-	reapDead := func() bool {
-		any := false
-		now := time.Now()
-		for w := 1; w < c.Size(); w++ {
-			if dead[w] {
-				continue
-			}
-			if c.RankDead(w) {
-				reap(w)
-				any = true
-				continue
-			}
-			if expected[w] > 0 && now.Sub(lastHeard[w]) > lease {
-				c.Send(w, tagDone, nil)
-				reap(w)
-				any = true
-			}
-		}
-		return any
-	}
-
-	// abort tears the protocol down after an unrecoverable error:
-	// every live worker is fenced with a done message, outstanding
-	// reports are drained (releasing rendezvous senders that would
-	// otherwise wedge the run), and the error propagates to the caller
-	// instead of panicking.
-	abort := func(cause error) (*unionfind.UF, Stats, float64, error) {
-		for w := 1; w < c.Size(); w++ {
-			if !dead[w] && !c.RankDead(w) {
-				c.Send(w, tagDone, nil)
-			}
-		}
-		quiet := 0
-		for inFlight > 0 && quiet < 8 {
-			if _, ok := c.RecvTimeout(par.AnySource, tagReport, 250*time.Millisecond); ok {
-				inFlight--
-				quiet = 0
-			} else {
-				quiet++
-			}
-		}
-		return uf, st, busy, cause
-	}
-
-	reports := 0
-	maybeCheckpoint := func() {
-		if pcfg.CheckpointEvery <= 0 || pcfg.CheckpointSink == nil {
-			return
-		}
-		reports++
-		if reports%pcfg.CheckpointEvery != 0 {
-			return
-		}
-		charge(float64(uf.N()) * costUF) // the Find sweep over all labels
-		cp := snapshotCheckpoint(uf, st, pending.slice()).Encode()
-		c.TraceEvent(obs.EvCheckpoint, int64(len(cp)), 0, 0)
-		mx.checkpoints.Inc()
-		pcfg.CheckpointSink(cp)
-	}
-
+// runMaster is the receive loop around the master core, the part that
+// is genuinely policy: where the clock is read, and how a report is
+// waited for — polling under a lease on a survivable machine so that
+// silence can fire a worker, one blocking receive on a fail-stop one.
+// It returns the final clustering, statistics, and the master's modeled
+// busy seconds (for the availability metric).
+func runMaster(c *par.Comm, run *parallelRun) (*unionfind.UF, Stats, float64, error) {
+	survivable := c.Survivable()
+	m := newMaster(c, c.Size(), run.store.N(), survivable, run.cfg, run.pcfg, run.resume, run.mx, time.Now())
+	pollSlice := min(run.pcfg.LeaseTimeout/4, 50*time.Millisecond)
 	for {
-		// Hand orphaned GST portions to an idle (parked) worker first:
-		// it resumes generation immediately instead of waiting for a
-		// busy worker's next report.
-		if len(orphans) > 0 && len(parked) > 0 {
-			a := parked[0]
-			parked = parked[1:]
-			covers[a] = append(covers[a], orphans...)
-			delete(passive, a)
-			c.TraceEvent(obs.EvLeaseAdopt, int64(a), int64(len(orphans)), 0)
-			c.Send(a, tagAdopt, encodeAdopt(adopt{deadRanks: orphans}))
-			lastHeard[a] = adoptDeadline(len(orphans))
-			orphans = nil
-			expected[a]++
-			inFlight++
+		m.dispatch(time.Now())
+		if done, err := m.finished(); done {
+			return m.uf, m.st, m.busy, err
 		}
-		// Dispatch pending work to parked workers (keeping passive
-		// workers busy, Section 7).
-		for len(parked) > 0 && pending.Len() > 0 {
-			batch := takeBatch()
-			if len(batch) == 0 {
-				break
-			}
-			wkr := parked[0]
-			parked = parked[1:]
-			sendWork(wkr, batch)
-		}
-		if inFlight == 0 {
-			if liveWorkers() == 0 {
-				// Everything left is either already done or
-				// unrecoverable; any orphaned coverage or real pending
-				// pair means lost work.
-				if len(orphans) > 0 || len(takeBatch()) > 0 {
-					return uf, st, busy, fmt.Errorf("cluster: all %d workers died with work remaining", st.WorkersLost)
-				}
-			}
-			break
-		}
-
 		var msg par.Message
-		if ft {
-			got := false
-			for !got {
-				m, ok := c.RecvTimeout(par.AnySource, tagReport, pollSlice)
-				if ok {
-					msg, got = m, true
-				} else if reapDead() {
-					break
-				}
-			}
-			if !got {
-				continue // reaped instead of received: redo dispatch
+		if survivable {
+			var ok bool
+			if msg, ok = c.RecvTimeout(par.AnySource, tagReport, pollSlice); !ok {
+				m.onSilence(time.Now())
+				continue
 			}
 		} else {
 			msg = c.Recv(par.AnySource, tagReport)
 		}
-		if dead[msg.Src] {
-			// Zombie: a worker already fired (late or delayed report).
-			// Fence it without touching the bookkeeping.
-			c.Send(msg.Src, tagDone, nil)
-			continue
+		if err := m.onReport(msg.Src, msg.Data, time.Now()); err != nil {
+			drainReports(c, m.inFlight)
+			return m.uf, m.st, m.busy, err
 		}
-		inFlight--
-		expected[msg.Src]--
-		lastHeard[msg.Src] = time.Now()
-		rep, err := decodeReport(msg.Data)
-		switch {
-		case err != nil:
-			err = fmt.Errorf("cluster: malformed report from worker %d: %w", msg.Src, err)
-		case rep.fail != "":
-			// The worker hit a protocol error and exited after sending
-			// this report.
-			err = fmt.Errorf("cluster: worker %d failed: %s", msg.Src, rep.fail)
-		}
-		if err != nil {
-			if !ft {
-				return abort(err)
-			}
-			if rep.fail == "" {
-				// A corrupted report means the channel to this worker
-				// is unreliable: fence it before recovering its state.
-				c.Send(msg.Src, tagDone, nil)
-			}
-			reap(msg.Src)
-			continue
-		}
-		charge(costPerMsgC)
+	}
+}
 
-		// Interpret alignment results; they acknowledge the oldest
-		// outstanding batch.
-		if len(rep.results) > 0 && len(owed[msg.Src]) > 0 {
-			owed[msg.Src] = owed[msg.Src][1:]
-		}
-		for _, ar := range rep.results {
-			charge(costUF)
-			if ar.accepted {
-				st.Accepted++
-				mx.pairsAccepted.Inc()
-				fa, fb := int(ar.fa), int(ar.fb)
-				if cfg.MaxClusterSize > 0 && uf.Size(fa)+uf.Size(fb) > cfg.MaxClusterSize {
-					continue // bounded-cluster heuristic (Section 10)
-				}
-				if uf.Union(fa, fb) {
-					st.Merges++
-					mx.merges.Inc()
-					c.TraceEvent(obs.EvClusterMerge, int64(fa), int64(fb), 0)
-				}
-			}
-		}
-		// Scan new pairs; keep only those needing alignment.
-		n := int32(store.N())
-		skippedHere := int64(0)
-		for _, p := range rep.pairs {
-			st.Generated++
-			charge(costPair + costUF)
-			if uf.Same(int(p.ASid%n), int(p.BSid%n)) {
-				st.Skipped++
-				skippedHere++
-				continue
-			}
-			pending.push(p)
-		}
-		if len(rep.pairs) > 0 {
-			c.TraceEvent(obs.EvPairGenerated, int64(len(rep.pairs)), int64(msg.Src), 0)
-			mx.pairsGenerated.Add(int64(len(rep.pairs)))
-		}
-		if skippedHere > 0 {
-			c.TraceEvent(obs.EvPairDiscarded, skippedHere, int64(msg.Src), 0)
-			mx.pairsSkipped.Add(skippedHere)
-		}
-		mx.reports.Inc()
-		mx.pendingDepth.Set(int64(pending.Len()))
-		mx.pendingPeak.SetMax(int64(pending.Len()))
-		if rep.passive {
-			passive[msg.Src] = true
-		}
-		maybeCheckpoint()
-
-		if ft && c.RankDead(msg.Src) {
-			// The reporter died after sending: replying would leak a
-			// lease on a corpse.
-			reap(msg.Src)
-			continue
-		}
-
-		// Reply to the sender: work if available; otherwise keep an
-		// active worker generating or flush outstanding results with an
-		// empty reply; park only a passive worker that owes nothing.
-		batch := takeBatch()
-		if len(batch) > 0 || !passive[msg.Src] || len(owed[msg.Src]) > 0 || len(orphans) > 0 {
-			sendWork(msg.Src, batch)
+// drainReports finishes an aborted run: the core has fenced every live
+// worker, and the reports still in flight are received and dropped,
+// releasing rendezvous senders that would otherwise wedge the run, so
+// the error reaches the caller instead of a panic.
+func drainReports(c *par.Comm, inFlight int) {
+	for quiet := 0; inFlight > 0 && quiet < 8; {
+		if _, ok := c.RecvTimeout(par.AnySource, tagReport, 250*time.Millisecond); ok {
+			inFlight--
+			quiet = 0
 		} else {
-			parked = append(parked, msg.Src)
+			quiet++
 		}
 	}
-
-	for _, wkr := range parked {
-		c.Send(wkr, tagDone, nil)
-	}
-	return uf, st, busy, nil
 }
 
 // runWorker is the Fig. 8 algorithm: generate pairs on request, align
@@ -838,7 +458,7 @@ func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg 
 		}
 	}()
 
-	var buffered []pairgen.Pair
+	var buffered pairQueue
 	exhausted := false
 	n := int32(store.N())
 
@@ -864,9 +484,8 @@ func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg 
 	// separates generation time from alignment and protocol waits.
 	takeN := func(r int) []pairgen.Pair {
 		var out []pairgen.Pair
-		for len(out) < r && len(buffered) > 0 {
-			out = append(out, buffered[0])
-			buffered = buffered[1:]
+		for len(out) < r && buffered.Len() > 0 {
+			out = append(out, buffered.pop())
 		}
 		if len(out) >= r || exhausted {
 			return out
@@ -903,13 +522,6 @@ func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg 
 		return results
 	}
 
-	// sendFail reports a protocol error to the master (eagerly — the
-	// worker is about to exit and must not wedge on a rendezvous) so
-	// the master aborts or recovers instead of waiting out a lease.
-	sendFail := func(err error) {
-		c.Send(0, tagReport, encodeReport(report{fail: err.Error()}))
-	}
-
 	r := pcfg.BatchSize // initial request size before the master says otherwise
 	var curBatch []pairgen.Pair
 	var results []alignResult
@@ -919,7 +531,7 @@ func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg 
 		rep := encodeReport(report{
 			pairs:   np,
 			results: results,
-			passive: exhausted && len(buffered) == 0,
+			passive: exhausted && buffered.Len() == 0,
 		})
 		// The lease protocol needs non-blocking reports: a worker the
 		// master already gave up on (fired on lease expiry while merely
@@ -941,9 +553,9 @@ func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg 
 		// Still no reply? Generate ahead into the bounded buffer.
 		var msg par.Message
 		got := false
-		if !exhausted && len(buffered) < pcfg.NewPairsBuf {
+		if !exhausted && buffered.Len() < pcfg.NewPairsBuf {
 			c.TraceEvent(obs.EvPhaseEnter, obs.PhasePairGen, 0, 0)
-			for !exhausted && len(buffered) < pcfg.NewPairsBuf {
+			for !exhausted && buffered.Len() < pcfg.NewPairsBuf {
 				if m, ok := c.Probe(0, par.AnyTag); ok {
 					msg, got = m, true
 					break
@@ -957,7 +569,7 @@ func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg 
 					continue
 				}
 				c.ChargeCompute(costPair)
-				buffered = append(buffered, p)
+				buffered.push(p)
 			}
 			c.TraceEvent(obs.EvPhaseExit, obs.PhasePairGen, 0, 0)
 		}
@@ -972,28 +584,21 @@ func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg 
 				msg = c.Recv(0, par.AnyTag)
 			}
 		}
-		switch msg.Tag {
-		case tagDone:
+		if msg.Tag == tagDone {
 			return
-		case tagAdopt:
-			ad, err := decodeAdopt(msg.Data)
-			if err != nil {
-				sendFail(err)
-				return
-			}
-			adoptPortions(ad.deadRanks)
-			curBatch = nil
-		default:
-			wk, err := decodeWork(msg.Data)
-			if err != nil {
-				sendFail(err)
-				return
-			}
-			if len(wk.adopt) > 0 {
-				adoptPortions(wk.adopt)
-			}
-			r = wk.r
-			curBatch = wk.batch
 		}
+		wk, err := decodeWork(msg.Data)
+		if err != nil {
+			// Tell the master (eagerly — this worker is about to exit
+			// and must not wedge on a rendezvous) so it aborts or
+			// recovers instead of waiting out a lease.
+			c.Send(0, tagReport, encodeReport(report{fail: err.Error()}))
+			return
+		}
+		if len(wk.adopt) > 0 {
+			adoptPortions(wk.adopt)
+		}
+		r = wk.r
+		curBatch = wk.batch
 	}
 }

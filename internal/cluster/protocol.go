@@ -10,14 +10,13 @@ import (
 
 // Message tags of the master–worker protocol (Fig. 6): workers send
 // reports (new pairs NP + alignment results AR); the master sends work
-// allocations (batch AW + request size r) and finally done. tagAdopt
-// is the fault-recovery extension: it hands a surviving worker the
-// GST portions of dead ranks so their pair generation is not lost.
+// allocations (batch AW + request size r) and finally done. Fault
+// recovery adds no message: the GST portions of dead ranks reach a
+// surviving worker on a work allocation (work.adopt).
 const (
 	tagReport = 1
 	tagWork   = 2
 	tagDone   = 3
-	tagAdopt  = 4
 )
 
 // alignResult is one AR entry: the fragment pair and the outcome of
@@ -161,28 +160,4 @@ func decodeWork(b []byte) (wk work, err error) {
 		return work{}, fmt.Errorf("wire: %d trailing bytes after work", r.Remaining())
 	}
 	return wk, nil
-}
-
-// adopt is a master → worker fault-recovery message: the ranks whose
-// GST portions the receiver must rebuild and take over.
-type adopt struct {
-	deadRanks []int
-}
-
-func encodeAdopt(a adopt) []byte {
-	w := wire.NewBuffer(1 + 2*len(a.deadRanks))
-	w.PutInts(a.deadRanks)
-	return w.Bytes()
-}
-
-func decodeAdopt(b []byte) (a adopt, err error) {
-	r := wire.NewReader(b)
-	a.deadRanks = r.Ints()
-	if err := r.Err(); err != nil {
-		return adopt{}, err
-	}
-	if r.Remaining() != 0 {
-		return adopt{}, fmt.Errorf("wire: %d trailing bytes after adopt", r.Remaining())
-	}
-	return a, nil
 }

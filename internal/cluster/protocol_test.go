@@ -101,17 +101,6 @@ func TestWorkRoundTripAdopt(t *testing.T) {
 	}
 }
 
-func TestAdoptRoundTrip(t *testing.T) {
-	in := adopt{deadRanks: []int{2, 5, 9}}
-	out, err := decodeAdopt(encodeAdopt(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.deadRanks) != 3 || out.deadRanks[2] != 9 {
-		t.Errorf("adopt roundtrip: %+v", out)
-	}
-}
-
 // Truncated messages must produce errors, not panics or hangs: fault
 // injection can cut a message at any byte.
 func TestDecodeTruncated(t *testing.T) {
