@@ -78,12 +78,14 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/seq/diskstore/testdata/fuzz/FuzzOpenIndex \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
 	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
-	internal/align/testdata/fuzz/FuzzAnchoredOverlap
+	internal/align/testdata/fuzz/FuzzAnchoredOverlap \
+	internal/suffixtree/testdata/fuzz/FuzzBuildMatchesReference
 
 # Short fuzz passes over every parser the pipeline feeds untrusted
 # bytes to: FASTA and qual readers plus the wire-format decoders — over
-# the banded extension kernel, held to its differential oracle, and over
-# the master core, held to its lease invariants.
+# the banded extension kernel and the GST bucket builder, each held to
+# its differential oracle, and over the master core, held to its lease
+# invariants.
 fuzz-smoke:
 	@for d in $(FUZZ_CORPORA); do \
 		ls $$d/* >/dev/null 2>&1 || { echo "fuzz-smoke: empty corpus: $$d"; exit 1; }; \
@@ -99,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadData -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
 	$(GO) test -run=NONE -fuzz=FuzzAnchoredOverlap -fuzztime=10s ./internal/align
+	$(GO) test -run=NONE -fuzz=FuzzBuildMatchesReference -fuzztime=10s ./internal/suffixtree
 
 # Instrumented quickstart: runs two quick experiments with tracing on
 # and validates that every emitted trace file parses as balanced

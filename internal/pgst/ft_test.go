@@ -7,10 +7,11 @@ import (
 	"repro/internal/par"
 )
 
-// unionSignature wraps the exported UnionSignature in the (nodes,
-// sufs) shape the older tests were written against.
+// unionSignature wraps UnionSignatureOf for resident locals (no store
+// is read) in the (nodes, sufs) shape the older tests were written
+// against.
 func unionSignature(locals []*Local) (map[string]int, []string) {
-	sig := UnionSignature(locals)
+	sig := UnionSignatureOf(nil, locals)
 	return sig.Nodes, sig.Suffixes
 }
 

@@ -24,8 +24,9 @@
 package pgst
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -190,34 +191,34 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	}
 
 	// Phase 2: sort local suffixes by key and agree on splitters.
-	sort.Slice(local, func(i, j int) bool { return local[i].Key < local[j].Key })
+	suffixtree.SortKeyed(local)
 	c.ChargeCompute(float64(len(local)) * log2f(len(local)) * costSort)
 	splitters := chooseSplitters(c, local, owners, cfg)
 
 	// Phase 3: redistribute suffixes so each bucket lands whole on its
-	// owner rank; exchanges severed by a rank death are re-enumerated
-	// locally from the full store.
+	// owner rank (exchanges severed by a rank death are re-enumerated
+	// from the full store), then sort once into the builder's order.
 	c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGSTRedist, 0, 0)
 	mine := redistribute(c, st, local, splitters, bounds, cfg)
 	c.TraceEvent(obs.EvPhaseExit, obs.PhaseGSTRedist, 0, 0)
-	sort.Slice(mine, func(i, j int) bool { return mine[i].Key < mine[j].Key })
+	suffixtree.SortKeyed(mine)
 	c.ChargeCompute(float64(len(mine)) * log2f(len(mine)) * costSort)
 
-	// Phase 4: split into buckets and plan fetch batches.
+	// Phase 4: buckets as sub-slices of one array; plan fetch batches.
+	nsuf := len(mine)
+	all := make([]suffixtree.Suffix, nsuf)
+	for i, k := range mine {
+		all[i] = k.Suf
+	}
 	var buckets [][]suffixtree.Suffix
-	suffixtree.EachRun(mine, func(lo, hi int) {
-		b := make([]suffixtree.Suffix, 0, hi-lo)
-		for _, k := range mine[lo:hi] {
-			b = append(b, k.Suf)
-		}
-		buckets = append(buckets, b)
-	})
+	suffixtree.EachRun(mine, func(lo, hi int) { buckets = append(buckets, all[lo:hi]) })
 	batches := planBatches(st, buckets, cfg.BatchBytes)
 	rounds := int(c.Allreduce(int64(len(batches)), par.Max))
 
 	// Phase 5: per batch, fetch the needed fragments with two
 	// collective steps (request, serve), then build the subtrees.
 	ib := suffixtree.NewIncrementalBuilder(cfg.W)
+	ib.Grow(nsuf)
 	table := newFetchTable(st, c.Survivable())
 	var prevWork int64
 	for round := 0; round < rounds; round++ {
@@ -234,11 +235,6 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 		}
 		c.ChargeCompute(float64(ib.Work()-prevWork) * costChar)
 		prevWork = ib.Work()
-	}
-
-	nsuf := 0
-	for _, b := range buckets {
-		nsuf += len(b)
 	}
 	nbuckets := len(buckets)
 
@@ -280,16 +276,8 @@ func RebuildPortion(c *par.Comm, st seq.Seqs, local *Local, dead int) *suffixtre
 	return ib.Tree()
 }
 
-func log2f(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	l := 0.0
-	for v := n; v > 1; v >>= 1 {
-		l++
-	}
-	return l
-}
+// log2f is ⌊log₂ n⌋, at least 1: the comparison levels of a sort.
+func log2f(n int) float64 { return float64(max(1, bits.Len(uint(n))-1)) }
 
 // chooseSplitters gathers evenly spaced key samples at rank 0, sorts
 // them, and broadcasts owners−1 splitters. A dead rank simply
@@ -321,7 +309,7 @@ func chooseSplitters(c *par.Comm, local []suffixtree.Keyed, owners int, cfg Conf
 				samples = append(samples, seq.Kmer(r.Uint()))
 			}
 		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		slices.Sort(samples)
 		out := wire.NewBuffer((owners - 1) * 9)
 		for i := 1; i < owners; i++ {
 			idx := i * len(samples) / owners
@@ -471,7 +459,7 @@ func agreeSevered(c *par.Comm, got []bool) []int {
 		for s := range miss {
 			sorted = append(sorted, s)
 		}
-		sort.Ints(sorted)
+		slices.Sort(sorted)
 		for _, s := range sorted {
 			out.PutInt(s)
 		}

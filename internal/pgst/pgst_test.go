@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -390,4 +391,33 @@ func TestSeqTable(t *testing.T) {
 		}
 	}()
 	strict.Seq(1)
+}
+
+// TestBuildHoldsTwoSequences: the builder keeps at most two sequence
+// slices in hand at a time, so an access table over a disk store that
+// may forget everything but two sequences on any lookup still yields
+// the serial forest node for node.
+func TestBuildHoldsTwoSequences(t *testing.T) {
+	mem := testStore(10, 4000, 3.0)
+	disk, err := diskstore.Create(t.TempDir(), mem.Fragments(), diskstore.Options{CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	cfg := Config{W: 6, MinLen: 8}
+
+	tb := newStoreTable(disk)
+	tb.max = 2
+	ib := suffixtree.NewIncrementalBuilder(cfg.W)
+	nbuckets, nsuf, _ := buildFiltered(ib, disk, cfg, tb, nil)
+	if nbuckets == 0 || nsuf == 0 {
+		t.Fatal("nothing built; weak test")
+	}
+	if len(tb.live) > 2 {
+		t.Fatalf("%d sequences resident, cap 2", len(tb.live))
+	}
+	if want := serialTree(mem, cfg.W, cfg.MinLen); !reflect.DeepEqual(ib.Tree(), want) {
+		t.Fatalf("forest through a 2-resident table differs from the serial tree (%d vs %d nodes)",
+			ib.Tree().NumNodes(), want.NumNodes())
+	}
 }

@@ -41,24 +41,6 @@ func TreeSignature(trees ...*suffixtree.Tree) Signature {
 	return sig
 }
 
-// UnionSignature summarizes the union of the given locals' forests.
-// Nil entries — dead ranks in a fault-tolerant build — are skipped.
-func UnionSignature(locals []*Local) Signature {
-	sig := Signature{Nodes: make(map[string]int)}
-	for _, l := range locals {
-		if l == nil {
-			continue
-		}
-		t := TreeSignature(l.Tree)
-		for k, v := range t.Nodes {
-			sig.Nodes[k] += v
-		}
-		sig.Suffixes = append(sig.Suffixes, t.Suffixes...)
-	}
-	sort.Strings(sig.Suffixes)
-	return sig
-}
-
 // UnionSignatureOf summarizes the union of the given locals' forests
 // for either build mode: an in-memory local contributes its resident
 // tree, a spilling local materializes its covered key ranges segment

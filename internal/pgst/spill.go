@@ -22,7 +22,7 @@
 package pgst
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/seq"
@@ -32,8 +32,9 @@ import (
 const (
 	// spillBytesPerSuffix estimates the resident bytes one suffix costs
 	// while its segment is being built and generated: the keyed record
-	// (24), its bucket and leaf slots (~24), amortized tree nodes
-	// (~16), and pair-generation lset cells (~32).
+	// (24), its leaf slot (12), tree nodes (~45: 24 each, under two per
+	// suffix) and pair-generation lset cells (~15). The in-place builder
+	// adds one class byte and one Suffix per suffix of the largest bucket.
 	spillBytesPerSuffix = 96
 	// spillMaxBinBits caps the segment-planning histogram at 16K bins
 	// (128 KiB of counters) regardless of W.
@@ -187,7 +188,7 @@ func sampleOwnerKeys(st seq.Seqs, bounds []int, me int, cfg Config, perRank int)
 		}
 		idx++
 	})
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys, chars
 }
 

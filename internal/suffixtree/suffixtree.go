@@ -16,8 +16,8 @@
 package suffixtree
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/seq"
 )
@@ -229,182 +229,211 @@ func EachRun(ks []Keyed, fn func(lo, hi int)) {
 // fetched together, so the access function may differ per AddBucket
 // call (sequence bytes are needed only during that call — the finished
 // tree stores no labels).
+//
+// A bucket is copied to the tail of Tree.Sufs once, in canonical (sid,
+// pos) order, and turned into its trie in place: a branch stably
+// partitions its range of Sufs by next character, in the order its
+// children are created, so every leaf's suffixes already lie where the
+// leaf points and nothing is appended.
 type IncrementalBuilder struct {
-	b builder
+	tree   *Tree
+	access Access // of the bucket being built
+	work   int64  // characters examined; exact construction work measure
+	// Partition scratch, as long as the largest bucket so far.
+	class []uint8  // child class of each suffix of the branching range
+	tmp   []Suffix // the range's stable partition, copied back
 }
 
-// NewIncrementalBuilder returns a builder for a forest with bucket
-// prefix length w.
+// NewIncrementalBuilder returns a builder for bucket prefix length w.
 func NewIncrementalBuilder(w int) *IncrementalBuilder {
-	return &IncrementalBuilder{b: builder{tree: &Tree{W: w}}}
+	return &IncrementalBuilder{tree: &Tree{W: w}}
 }
 
-// AddBucket builds one bucket's subtree. The bucket's suffixes must
-// share their first w characters. Suffixes are ordered canonically
-// (by sequence ID, then position) first, so the tree — and therefore
-// which occurrence duplicate elimination retains during pair
-// generation — is identical no matter how the bucket was assembled.
-func (ib *IncrementalBuilder) AddBucket(access Access, bucket []Suffix) {
+// Tree returns the accumulated forest.
+func (b *IncrementalBuilder) Tree() *Tree { return b.tree }
+
+// Work returns the number of characters the builder has examined, an
+// exact measure of construction work for modeled-time accounting.
+func (b *IncrementalBuilder) Work() int64 { return b.work }
+
+// Grow reserves room for n more suffixes and the fewer than 2n nodes
+// their tries can have (every leaf holds a suffix, every internal node
+// has two children), so building them reallocates nothing.
+func (b *IncrementalBuilder) Grow(n int) {
+	b.tree.Nodes = slices.Grow(b.tree.Nodes, 2*n)
+	b.tree.Sufs = slices.Grow(b.tree.Sufs, n)
+}
+
+// cmpSuffix orders by (sid, pos), packed: neither is negative.
+func cmpSuffix(x, y Suffix) int {
+	return cmp.Compare(uint64(x.Sid)<<32|uint64(x.Pos), uint64(y.Sid)<<32|uint64(y.Pos))
+}
+
+// SortKeyed is the one sort of a build: by key, so every bucket is an
+// equal-key run, then by (sid, pos), the canonical order in a bucket.
+func SortKeyed(ks []Keyed) {
+	slices.SortFunc(ks, func(x, y Keyed) int {
+		if x.Key != y.Key {
+			return cmp.Compare(x.Key, y.Key)
+		}
+		return cmpSuffix(x.Suf, y.Suf)
+	})
+}
+
+// AddBucket builds the subtree of one bucket, suffixes sharing their
+// first w characters. The argument is only read: the builder orders its
+// own copy canonically, so the tree — and with it which occurrence pair
+// generation's duplicate elimination retains — does not depend on how
+// the bucket was assembled.
+func (b *IncrementalBuilder) AddBucket(access Access, bucket []Suffix) {
 	if len(bucket) == 0 {
 		return
 	}
-	sort.Slice(bucket, func(i, j int) bool {
-		if bucket[i].Sid != bucket[j].Sid {
-			return bucket[i].Sid < bucket[j].Sid
-		}
-		return bucket[i].Pos < bucket[j].Pos
-	})
-	ib.b.access = access
-	root := ib.b.build(bucket, int32(ib.b.tree.W), NoNode)
-	ib.b.tree.Roots = append(ib.b.tree.Roots, root)
-	ib.b.access = nil
+	lo := len(b.tree.Sufs)
+	b.tree.Sufs = append(b.tree.Sufs, bucket...)
+	slices.SortFunc(b.tree.Sufs[lo:], cmpSuffix)
+	b.buildTail(access, lo)
 }
 
-// AddKeyed sorts ks by key and builds every equal-key run as one
+// AddKeyed sorts ks (SortKeyed) and builds every equal-key run as one
 // bucket, in ascending key order; it returns the number of buckets.
 // The access function must serve every sequence ks references.
-func (ib *IncrementalBuilder) AddKeyed(access Access, ks []Keyed) (nbuckets int) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i].Key < ks[j].Key })
-	t := ib.b.tree
-	t.Nodes = slices.Grow(t.Nodes, len(ks)/2+4)
-	t.Sufs = slices.Grow(t.Sufs, len(ks))
-	var bucket []Suffix
+func (b *IncrementalBuilder) AddKeyed(access Access, ks []Keyed) (nbuckets int) {
+	SortKeyed(ks)
+	b.Grow(len(ks))
 	EachRun(ks, func(lo, hi int) {
-		bucket = bucket[:0]
+		at := len(b.tree.Sufs)
 		for _, k := range ks[lo:hi] {
-			bucket = append(bucket, k.Suf)
+			b.tree.Sufs = append(b.tree.Sufs, k.Suf)
 		}
-		ib.AddBucket(access, bucket)
+		b.buildTail(access, at)
 		nbuckets++
 	})
 	return nbuckets
 }
 
-// Tree returns the accumulated forest.
-func (ib *IncrementalBuilder) Tree() *Tree { return ib.b.tree }
-
-// Work returns the number of characters the builder has examined, an
-// exact measure of construction work for modeled-time accounting.
-func (ib *IncrementalBuilder) Work() int64 { return ib.b.work }
-
-type builder struct {
-	access Access
-	tree   *Tree
-	work   int64 // characters examined; exact construction work measure
+// buildTail builds the canonically ordered bucket Sufs[lo:] as a root.
+func (b *IncrementalBuilder) buildTail(access Access, lo int) {
+	hi := len(b.tree.Sufs)
+	if n := hi - lo; n > len(b.tmp) {
+		b.class = slices.Grow(b.class[:0], n)[:n]
+		b.tmp = slices.Grow(b.tmp[:0], n)[:n]
+	}
+	b.access = access
+	b.tree.Roots = append(b.tree.Roots, b.build(int32(lo), int32(hi), int32(b.tree.W), NoNode))
+	b.access = nil
 }
 
-func (b *builder) newNode(parent, depth int32) int32 {
+// newNode appends a node, a leaf if it owns Sufs[sufStart:sufEnd], and
+// links it in front of its parent's children.
+func (b *IncrementalBuilder) newNode(parent, depth, sufStart, sufEnd int32) int32 {
 	id := int32(len(b.tree.Nodes))
-	b.tree.Nodes = append(b.tree.Nodes, Node{
-		Parent:     parent,
-		Depth:      depth,
-		FirstChild: NoNode,
-		NextSib:    NoNode,
-		SufStart:   -1,
-		SufEnd:     -1,
-	})
-	return id
-}
-
-func (b *builder) newLeaf(parent, depth int32, sufs []Suffix) int32 {
-	id := b.newNode(parent, depth)
-	n := &b.tree.Nodes[id]
-	n.SufStart = int32(len(b.tree.Sufs))
-	b.tree.Sufs = append(b.tree.Sufs, sufs...)
-	n.SufEnd = int32(len(b.tree.Sufs))
-	return id
-}
-
-func (b *builder) attach(parent, child int32) {
-	c := &b.tree.Nodes[child]
-	c.Parent = parent
-	c.NextSib = b.tree.Nodes[parent].FirstChild
-	b.tree.Nodes[parent].FirstChild = child
-}
-
-// charAt classifies the character of suffix sf at string-depth depth:
-// 0..3 base code, -1 masked, -2 end of string.
-func (b *builder) charAt(sf Suffix, depth int32) int {
-	b.work++
-	s := b.access(sf.Sid)
-	i := int(sf.Pos) + int(depth)
-	if i >= len(s) {
-		return -2
+	b.tree.Nodes = append(b.tree.Nodes, Node{parent, depth, NoNode, NoNode, sufStart, sufEnd})
+	if parent != NoNode {
+		p := &b.tree.Nodes[parent]
+		b.tree.Nodes[id].NextSib, p.FirstChild = p.FirstChild, id
 	}
-	return seq.Code(s[i])
+	return id
 }
 
-// build constructs the subtree for sufs, which all share their first
-// `depth` characters, and returns its node ID.
-func (b *builder) build(sufs []Suffix, depth int32, parent int32) int32 {
+// tail returns what follows the first depth characters of suffix sf.
+func (b *IncrementalBuilder) tail(sf Suffix, depth int32) []byte {
+	return b.access(sf.Sid)[int(sf.Pos)+int(depth):]
+}
+
+// Child classes of a branch in creation order: the shared terminator,
+// masked singletons, then the bases from T down to A (a new child goes
+// in front, so siblings read A, C, G, T, masked, ended). A base with
+// code c is class classA − c, which puts the masked code −1 past classA.
+const (
+	classEnded = iota
+	classMasked
+	classT
+	classA     = classT + 3
+	numClasses = classA + 1
+)
+
+// build constructs the subtree for tree.Sufs[lo:hi], which all share
+// their first depth characters, and returns its node ID. A node costs
+// two sequence lookups per suffix, whatever the length of its edge, with
+// at most two sequences in hand (a disk store's access table is
+// bounded); work is charged as if every suffix were classified once per
+// character of the edge and once at the node.
+func (b *IncrementalBuilder) build(lo, hi, depth, parent int32) int32 {
+	sufs := b.tree.Sufs[lo:hi]
+	// Path compression: the edge grows by the longest prefix the tails
+	// share with the first one, clamped at its first masked byte (equal
+	// bytes that are bases are equal bases; a masked byte matches
+	// nothing) — for a singleton, to the end of its unmasked run.
+	ref := b.tail(sufs[0], depth)
+	for _, sf := range sufs[1:] {
+		t := b.tail(sf, depth)
+		ref = ref[:min(len(ref), len(t))]
+		for k, c := range ref {
+			if t[k] != c {
+				ref = ref[:k]
+				break
+			}
+		}
+	}
+	for k, c := range ref {
+		if !seq.IsBase(c) {
+			ref = ref[:k]
+			break
+		}
+	}
+	depth += int32(len(ref))
+	b.work += int64(len(ref)) * int64(len(sufs))
 	if len(sufs) == 1 {
-		// A singleton's edge extends to the end of its suffix; its
-		// string-depth is the full remaining length. A masked byte in
-		// the remainder cannot matter: singleton leaves generate no
-		// pairs and the depth is only an ordering key, but for exact
-		// semantics clamp the depth at the first masked byte.
-		sf := sufs[0]
-		s := b.access(sf.Sid)
-		end := int(sf.Pos) + int(depth)
-		for end < len(s) && seq.IsBase(s[end]) {
-			end++
-			b.work++
-		}
-		return b.newLeaf(parent, int32(end-int(sf.Pos)), sufs)
+		return b.newNode(parent, depth, lo, hi)
 	}
 
-	var groups [4][]Suffix
-	var ended []Suffix
-	var masked []Suffix
-	for {
-		for i := range groups {
-			groups[i] = groups[i][:0]
-		}
-		ended, masked = ended[:0], masked[:0]
-		for _, sf := range sufs {
-			switch c := b.charAt(sf, depth); c {
-			case -2:
-				ended = append(ended, sf)
-			case -1:
-				masked = append(masked, sf)
-			default:
-				groups[c] = append(groups[c], sf)
+	// Classify every suffix by its character at the branching depth.
+	var count [numClasses]int32
+	class := b.class[:len(sufs)]
+	for i, sf := range sufs {
+		cl := uint8(classEnded)
+		if t := b.tail(sf, depth); len(t) > 0 {
+			cl = uint8(classA - seq.Code(t[0]))
+			if cl > classA {
+				cl = classMasked
 			}
 		}
-		// Path compression: with a single surviving base class and no
-		// terminations the edge simply extends.
-		total := 0
-		for c := range groups {
-			if len(groups[c]) > 0 {
-				total++
-			}
-		}
-		if total == 1 && len(ended) == 0 && len(masked) == 0 {
-			depth++
-			continue
-		}
-		if total == 0 && len(masked) == 0 {
-			// Everything ends here: one leaf of identical suffixes.
-			return b.newLeaf(parent, depth, ended)
-		}
-
-		// Branch point: create the internal node and its children.
-		u := b.newNode(parent, depth)
-		if len(ended) > 0 {
-			leaf := b.newLeaf(u, depth, ended)
-			b.attach(u, leaf)
-		}
-		for _, sf := range masked {
-			leaf := b.newLeaf(u, depth, []Suffix{sf})
-			b.attach(u, leaf)
-		}
-		for c := 3; c >= 0; c-- {
-			if len(groups[c]) == 0 {
-				continue
-			}
-			child := b.build(groups[c], depth+1, u)
-			b.attach(u, child)
-		}
-		return u
+		class[i] = cl
+		count[cl]++
 	}
+	b.work += int64(len(sufs))
+	if count[classEnded] == int32(len(sufs)) {
+		// Everything ends here: one leaf of identical suffixes.
+		return b.newNode(parent, depth, lo, hi)
+	}
+
+	// Branch point: stable partition by class, then the internal node
+	// and its children over the sub-ranges.
+	var next [numClasses]int32
+	for cl := 1; cl < numClasses; cl++ {
+		next[cl] = next[cl-1] + count[cl-1]
+	}
+	tmp := b.tmp[:len(sufs)]
+	for i, sf := range sufs {
+		tmp[next[class[i]]] = sf
+		next[class[i]]++
+	}
+	copy(sufs, tmp)
+	u := b.newNode(parent, depth, -1, -1)
+	for cl, n := range count {
+		switch {
+		case n == 0:
+		case cl == classEnded:
+			b.newNode(u, depth, lo, lo+n)
+		case cl == classMasked:
+			for i := lo; i < lo+n; i++ {
+				b.newNode(u, depth, i, i+1)
+			}
+		default:
+			b.build(lo, lo+n, depth+1, u)
+		}
+		lo += n
+	}
+	return u
 }

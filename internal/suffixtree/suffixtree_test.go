@@ -1,9 +1,13 @@
 package suffixtree
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/seq"
@@ -552,4 +556,320 @@ func TestDeepRepeatDoesNotExplode(t *testing.T) {
 	w := 5
 	tree := Build(acc, EnumerateSuffixes(acc, allSids(st), w), w)
 	checkStructure(t, tree, acc)
+}
+
+// refBuilder is the builder this package had before the in-place one,
+// kept verbatim as the oracle: one charAt per character of every edge,
+// six append-grown groups per level, leaves appended to Sufs.
+type refBuilder struct {
+	access Access
+	tree   *Tree
+	work   int64
+}
+
+func (b *refBuilder) newNode(parent, depth int32) int32 {
+	id := int32(len(b.tree.Nodes))
+	b.tree.Nodes = append(b.tree.Nodes, Node{
+		Parent:     parent,
+		Depth:      depth,
+		FirstChild: NoNode,
+		NextSib:    NoNode,
+		SufStart:   -1,
+		SufEnd:     -1,
+	})
+	return id
+}
+
+func (b *refBuilder) newLeaf(parent, depth int32, sufs []Suffix) int32 {
+	id := b.newNode(parent, depth)
+	n := &b.tree.Nodes[id]
+	n.SufStart = int32(len(b.tree.Sufs))
+	b.tree.Sufs = append(b.tree.Sufs, sufs...)
+	n.SufEnd = int32(len(b.tree.Sufs))
+	return id
+}
+
+func (b *refBuilder) attach(parent, child int32) {
+	c := &b.tree.Nodes[child]
+	c.Parent = parent
+	c.NextSib = b.tree.Nodes[parent].FirstChild
+	b.tree.Nodes[parent].FirstChild = child
+}
+
+// charAt classifies the character of suffix sf at string-depth depth:
+// 0..3 base code, -1 masked, -2 end of string.
+func (b *refBuilder) charAt(sf Suffix, depth int32) int {
+	b.work++
+	s := b.access(sf.Sid)
+	i := int(sf.Pos) + int(depth)
+	if i >= len(s) {
+		return -2
+	}
+	return seq.Code(s[i])
+}
+
+func (b *refBuilder) build(sufs []Suffix, depth int32, parent int32) int32 {
+	if len(sufs) == 1 {
+		sf := sufs[0]
+		s := b.access(sf.Sid)
+		end := int(sf.Pos) + int(depth)
+		for end < len(s) && seq.IsBase(s[end]) {
+			end++
+			b.work++
+		}
+		return b.newLeaf(parent, int32(end-int(sf.Pos)), sufs)
+	}
+
+	var groups [4][]Suffix
+	var ended []Suffix
+	var masked []Suffix
+	for {
+		for i := range groups {
+			groups[i] = groups[i][:0]
+		}
+		ended, masked = ended[:0], masked[:0]
+		for _, sf := range sufs {
+			switch c := b.charAt(sf, depth); c {
+			case -2:
+				ended = append(ended, sf)
+			case -1:
+				masked = append(masked, sf)
+			default:
+				groups[c] = append(groups[c], sf)
+			}
+		}
+		total := 0
+		for c := range groups {
+			if len(groups[c]) > 0 {
+				total++
+			}
+		}
+		if total == 1 && len(ended) == 0 && len(masked) == 0 {
+			depth++
+			continue
+		}
+		if total == 0 && len(masked) == 0 {
+			return b.newLeaf(parent, depth, ended)
+		}
+
+		u := b.newNode(parent, depth)
+		if len(ended) > 0 {
+			leaf := b.newLeaf(u, depth, ended)
+			b.attach(u, leaf)
+		}
+		for _, sf := range masked {
+			leaf := b.newLeaf(u, depth, []Suffix{sf})
+			b.attach(u, leaf)
+		}
+		for c := 3; c >= 0; c-- {
+			if len(groups[c]) == 0 {
+				continue
+			}
+			child := b.build(groups[c], depth+1, u)
+			b.attach(u, child)
+		}
+		return u
+	}
+}
+
+// referenceBuild is the old AddBucket loop over buckets: each sorted by
+// (sid, pos) with sort.Slice, then built by refBuilder.
+func referenceBuild(access Access, buckets [][]Suffix, w int) (*Tree, int64) {
+	b := &refBuilder{access: access, tree: &Tree{W: w}}
+	for _, bucket := range buckets {
+		bucket = slices.Clone(bucket)
+		sort.Slice(bucket, func(i, j int) bool {
+			if bucket[i].Sid != bucket[j].Sid {
+				return bucket[i].Sid < bucket[j].Sid
+			}
+			return bucket[i].Pos < bucket[j].Pos
+		})
+		root := b.build(bucket, int32(w), NoNode)
+		b.tree.Roots = append(b.tree.Roots, root)
+	}
+	return b.tree, b.work
+}
+
+// bucketsOf groups the scan of st by key, in ascending key order.
+func bucketsOf(st *seq.Store, w, minLen int) [][]Suffix {
+	var ks []Keyed
+	Scan(st, 0, st.NumSeqs(), w, minLen, nil, func(k Keyed) { ks = append(ks, k) })
+	slices.SortStableFunc(ks, func(a, b Keyed) int { return cmp.Compare(a.Key, b.Key) })
+	var buckets [][]Suffix
+	EachRun(ks, func(lo, hi int) {
+		var b []Suffix
+		for _, k := range ks[lo:hi] {
+			b = append(b, k.Suf)
+		}
+		buckets = append(buckets, b)
+	})
+	return buckets
+}
+
+// checkMatchesReference builds st's buckets with the product builder —
+// through AddKeyed over shuffled keyed suffixes, and bucket by bucket
+// with the buckets and each bucket's suffixes in shuffled order — and
+// requires the reference's forest over the same bucket order node for
+// node and its work count term for term.
+func checkMatchesReference(t testing.TB, rng *rand.Rand, st *seq.Store, w, minLen int) (nsuf int) {
+	t.Helper()
+	acc := storeAccess(st)
+	buckets := bucketsOf(st, w, minLen)
+	check := func(name string, got *IncrementalBuilder, buckets [][]Suffix) {
+		t.Helper()
+		want, wantWork := referenceBuild(acc, buckets, w)
+		gt := got.Tree()
+		if !reflect.DeepEqual(gt.Nodes, want.Nodes) || !reflect.DeepEqual(gt.Sufs, want.Sufs) || !reflect.DeepEqual(gt.Roots, want.Roots) {
+			t.Fatalf("%s: forest differs from the reference (%d/%d nodes, %d/%d sufs, %d/%d roots)", name,
+				len(gt.Nodes), len(want.Nodes), len(gt.Sufs), len(want.Sufs), len(gt.Roots), len(want.Roots))
+		}
+		if got.Work() != wantWork {
+			t.Fatalf("%s: work %d, reference %d", name, got.Work(), wantWork)
+		}
+	}
+
+	var ks []Keyed
+	for _, b := range buckets {
+		key, _ := BucketKey(acc(b[0].Sid), int(b[0].Pos), w)
+		for _, sf := range b {
+			ks = append(ks, Keyed{key, sf})
+		}
+	}
+	rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+	ib := NewIncrementalBuilder(w)
+	if n := ib.AddKeyed(acc, ks); n != len(buckets) {
+		t.Fatalf("AddKeyed reports %d buckets, want %d", n, len(buckets))
+	}
+	check("AddKeyed", ib, buckets)
+
+	rng.Shuffle(len(buckets), func(i, j int) { buckets[i], buckets[j] = buckets[j], buckets[i] })
+	ib = NewIncrementalBuilder(w)
+	for _, b := range buckets {
+		b = slices.Clone(b)
+		rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		ib.AddBucket(acc, b)
+	}
+	check("AddBucket", ib, buckets)
+	return len(ks)
+}
+
+// TestBuildMatchesReference: the in-place builder against the old
+// append-based one over seeded random stores and the shapes that
+// exercise each arm: masked runs at window edges, identical reads (all
+// suffixes end together), reads shorter than w, reverse-complement
+// sids (every store carries them), and a 500-base homopolymer.
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	homopolymer := strings.Repeat("A", 500)
+	cases := []struct {
+		name      string
+		st        *seq.Store
+		w, minLen int
+	}{
+		{"masked window edges", buildStore("NACGTN", "ACGNACG", "NNNN", "ACGTNACGT", "ACGTACGN", "NACGTACG", "ACGTNACGA", "ACGTN", "ACGTNN"), 4, 4},
+		{"identical reads", buildStore("ACGTACGTACGTTTGA", "ACGTACGTACGTTTGA", "ACGTACGTACGTTTGA", "ACGTACGTACGNTTGA"), 4, 4},
+		{"shorter than w", buildStore("", "A", "ACG", "ACGT", "ACGTA", "ACGTACGTAC"), 4, 4},
+		{"homopolymer", buildStore(homopolymer, homopolymer[:400], "AAAAANAAAAAA"), 5, 5},
+		{"all masked after w", buildStore("ACGTN", "ACGTN", "ACGTNA"), 4, 4},
+	}
+	for i := 0; i < 40; i++ {
+		mask := []float64{0, 0.02, 0.1, 0.3}[i%4]
+		w := 2 + rng.Intn(5)
+		cases = append(cases, struct {
+			name      string
+			st        *seq.Store
+			w, minLen int
+		}{fmt.Sprintf("random %d", i), randomStore(rng, 2+rng.Intn(12), 1, 90, mask), w, w + rng.Intn(3)*rng.Intn(4)})
+	}
+	// A low-complexity alphabet makes deep shared edges and wide leaves.
+	for i := 0; i < 10; i++ {
+		frags := make([]*seq.Fragment, 6)
+		for j := range frags {
+			b := make([]byte, 20+rng.Intn(60))
+			for k := range b {
+				b[k] = "AAAT"[rng.Intn(4)]
+			}
+			frags[j] = &seq.Fragment{Name: fmt.Sprint(j), Bases: b}
+		}
+		cases = append(cases, struct {
+			name      string
+			st        *seq.Store
+			w, minLen int
+		}{fmt.Sprintf("low complexity %d", i), seq.NewStore(frags), 3, 3})
+	}
+	total := 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			total += checkMatchesReference(t, rng, tc.st, tc.w, tc.minLen)
+		})
+	}
+	if total < 20000 {
+		t.Fatalf("only %d suffixes compared; weak test", total)
+	}
+}
+
+// TestBuildAllocsPerSuffix: a build allocates its keyed records, the
+// forest's three slices and the partition scratch — nothing per node.
+func TestBuildAllocsPerSuffix(t *testing.T) {
+	st := randomStore(rand.New(rand.NewSource(8)), 40, 60, 120, 0.02)
+	acc := storeAccess(st)
+	w := 4
+	sufs := EnumerateSuffixes(acc, allSids(st), w)
+	allocs := testing.AllocsPerRun(5, func() { Build(acc, sufs, w) })
+	if per := allocs / float64(len(sufs)); per >= 0.5 {
+		t.Fatalf("%.0f allocations for %d suffixes = %.2f per suffix, want < 0.5", allocs, len(sufs), per)
+	}
+}
+
+// FuzzBuildMatchesReference turns bytes into reads — two bits a base,
+// some bytes a mask or a read break — and compares the product builder
+// with the reference, tree and work.
+func FuzzBuildMatchesReference(f *testing.F) {
+	f.Add([]byte("\x00\x01\x02\x03\x00\x01\x02\x03\xff\x00\x01\x02\x03\x00\x01"), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, wb uint8) {
+		if len(data) > 600 {
+			return
+		}
+		w := 1 + int(wb%8)
+		reads := []string{""}
+		for _, b := range data {
+			switch {
+			case b >= 0xf8:
+				reads = append(reads, "")
+			case b >= 0xe8:
+				reads[len(reads)-1] += "N"
+			default:
+				reads[len(reads)-1] += string(seq.Base(int(b & 3)))
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		checkMatchesReference(t, rng, buildStore(reads...), w, w+int(wb>>6))
+	})
+}
+
+var benchTree *Tree
+
+// BenchmarkBuild measures the builder layer alone: key, sort and build
+// the suffixes of a shotgun-like store.
+func BenchmarkBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	genome := make([]byte, 20000)
+	for i := range genome {
+		genome[i] = seq.Base(rng.Intn(4))
+	}
+	var reads []string
+	for i := 0; i < 400; i++ {
+		at := rng.Intn(len(genome) - 500)
+		reads = append(reads, string(genome[at:at+400+rng.Intn(100)]))
+	}
+	st := buildStore(reads...)
+	acc := storeAccess(st)
+	w := 8
+	sufs := EnumerateSuffixes(acc, allSids(st), 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTree = Build(acc, sufs, w)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sufs)), "ns/suffix")
 }
