@@ -73,7 +73,9 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/seq/testdata/fuzz/FuzzReadQual \
 	internal/wire/testdata/fuzz/FuzzReader \
 	internal/cluster/testdata/fuzz/FuzzDecodeReport \
+	internal/cluster/testdata/fuzz/FuzzDecodeWork \
 	internal/cluster/testdata/fuzz/FuzzMasterStep \
+	internal/cluster/testdata/fuzz/FuzzWorkerStep \
 	internal/par/nettrans/testdata/fuzz/FuzzDecodeFrame \
 	internal/seq/diskstore/testdata/fuzz/FuzzOpenIndex \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
@@ -84,8 +86,8 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 # Short fuzz passes over every parser the pipeline feeds untrusted
 # bytes to: FASTA and qual readers plus the wire-format decoders — over
 # the banded extension kernel and the GST bucket builder, each held to
-# its differential oracle, and over the master core, held to its lease
-# invariants.
+# its differential oracle, and over the master core and the worker
+# core, held to their invariants.
 fuzz-smoke:
 	@for d in $(FUZZ_CORPORA); do \
 		ls $$d/* >/dev/null 2>&1 || { echo "fuzz-smoke: empty corpus: $$d"; exit 1; }; \
@@ -95,7 +97,9 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadQual -fuzztime=10s ./internal/seq
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeReport -fuzztime=10s ./internal/cluster
+	$(GO) test -run=NONE -fuzz=FuzzDecodeWork -fuzztime=10s ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzMasterStep -fuzztime=10s ./internal/cluster
+	$(GO) test -run=NONE -fuzz=FuzzWorkerStep -fuzztime=10s ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/par/nettrans
 	$(GO) test -run=NONE -fuzz=FuzzOpenIndex -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzReadData -fuzztime=10s ./internal/seq/diskstore

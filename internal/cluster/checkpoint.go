@@ -123,7 +123,7 @@ func DecodeCheckpoint(b []byte) (cp *Checkpoint, err error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if cp.Pending, err = decodePairs(r); err != nil {
+	if cp.Pending, err = decodePairs(r, cp.N); err != nil {
 		return nil, err
 	}
 	if r.Remaining() != 0 {

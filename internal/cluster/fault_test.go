@@ -60,25 +60,31 @@ func TestFaultKillHalfMatchesSerial(t *testing.T) {
 
 // TestFaultEarlyDeathAdoption kills a worker before its first report
 // ever arrives: the master has no results from it at all, and its
-// entire GST portion must be rebuilt on a survivor.
+// entire GST portion must be swept again on a survivor — in one segment
+// beside a resident tree, in bounded segments under a memory budget.
 func TestFaultEarlyDeathAdoption(t *testing.T) {
 	st, _ := islandStore(6, 2, 1800, 90)
-	cfg := testConfig()
-	want := clusterLabels(Serial(st, cfg))
+	want := clusterLabels(Serial(st, testConfig()))
 
-	plan := &par.FaultPlan{Crashes: []par.Crash{CrashWorkerAtReport(1, 1)}}
-	res, _, err := Parallel(st, cfg, faultPcfg(3, plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := clusterLabels(res)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fragment %d in cluster %d, serial says %d", i, got[i], want[i])
-		}
-	}
-	if res.Stats.WorkersLost != 1 {
-		t.Errorf("WorkersLost = %d, want 1", res.Stats.WorkersLost)
+	for name, budget := range map[string]int64{"resident": 0, "swept": 32 << 10} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.MemBudget = budget
+			plan := &par.FaultPlan{Crashes: []par.Crash{CrashWorkerAtReport(1, 1)}}
+			res, _, err := Parallel(st, cfg, faultPcfg(3, plan))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := clusterLabels(res)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("fragment %d in cluster %d, serial says %d", i, got[i], want[i])
+				}
+			}
+			if res.Stats.WorkersLost != 1 {
+				t.Errorf("WorkersLost = %d, want 1", res.Stats.WorkersLost)
+			}
+		})
 	}
 }
 

@@ -295,7 +295,7 @@ func (m *master) onReport(src int, data []byte, now time.Time) error {
 	m.inFlight--
 	ws.expected--
 	ws.lastHeard = now
-	rep, err := decodeReport(data)
+	rep, err := decodeReport(data, m.uf.N())
 	switch {
 	case err != nil:
 		err = fmt.Errorf("cluster: malformed report from worker %d: %w", src, err)

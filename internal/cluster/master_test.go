@@ -136,7 +136,7 @@ func lastWork(t *testing.T, msgs []sentMsg, w int) work {
 	if found == nil {
 		t.Fatalf("no work message to %d in %v", w, msgs)
 	}
-	wk, err := decodeWork(found.data)
+	wk, err := decodeWork(found.data, testFragments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,13 +413,16 @@ func TestMasterCheckpointCadenceAndResume(t *testing.T) {
 
 // TestWorkerFailReportAborts: a worker that cannot decode a master
 // message reports the failure instead of panicking, and a report that
-// does not decode is treated the same way. A fail-stop master fences
+// does not decode — or decodes but names a fragment or a sequence the
+// run does not have — is treated the same way. A fail-stop master fences
 // every live worker and returns the error; a survivable one recovers
 // the reporter's state and carries on.
 func TestWorkerFailReportAborts(t *testing.T) {
 	bad := map[string][]byte{
-		"fail":      encodeReport(report{fail: "boom"}),
-		"malformed": {0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f},
+		"fail":                encodeReport(report{fail: "boom"}),
+		"malformed":           {0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f},
+		"result-out-of-range": encodeReport(report{results: []alignResult{{fa: 1 << 20, accepted: true}}}),
+		"pair-out-of-range":   encodeReport(report{pairs: []pairgen.Pair{{ASid: -5, BSid: 1, MatchLen: 20}}}),
 	}
 	batch := []pairgen.Pair{pr(0, 1, 1), pr(2, 3, 2)}
 	for kind, data := range bad {
@@ -446,7 +449,8 @@ func TestWorkerFailReportAborts(t *testing.T) {
 					if err != nil {
 						t.Fatalf("survivable master gave up: %v", err)
 					}
-					if want := map[string]string{"fail": "", "malformed": "2:3"}[kind]; got != want {
+					// Only a worker that said it is leaving needs no fence.
+					if want := map[bool]string{true: "", false: "2:3"}[kind == "fail"]; got != want {
 						t.Fatalf("sent %q, want %q", got, want)
 					}
 					if !m.workers[2].dead || m.st.WorkersLost != 1 || m.st.Requeued != 2 || m.st.Aligned != 0 || m.pending.Len() != 2 {
@@ -531,7 +535,7 @@ func (s *masterSim) absorb() {
 		if msg.tag != tagWork || s.fired[msg.dst] {
 			s.t.Fatalf("tag %d sent to worker %d (fired %v)", msg.tag, msg.dst, s.fired[msg.dst])
 		}
-		wk, err := decodeWork(msg.data)
+		wk, err := decodeWork(msg.data, testFragments)
 		if err != nil {
 			s.t.Fatalf("undecodable work: %v", err)
 		}
@@ -550,10 +554,11 @@ func (s *masterSim) absorb() {
 // report delivers w's due report the way runWorker builds it: results
 // for the batch aligned during the last wait (one report behind the
 // reply that carried it), fresh new pairs, passive once exhausted. Kind
-// simMalformed substitutes undecodable bytes, simFail a worker-side
-// protocol error.
+// simMalformed substitutes undecodable bytes, simOutOfRange poisons the
+// faithful report with a result for a fragment the run does not have,
+// simFail is a worker-side protocol error.
 func (s *masterSim) report(w, kind, newPairs int, exhaust bool) {
-	bad, fail := kind == simMalformed, kind == simFail
+	bad, fail := kind == simMalformed || kind == simOutOfRange, kind == simFail
 	sw := &s.workers[w]
 	sw.owes = false
 	batch := sw.ready
@@ -570,8 +575,11 @@ func (s *masterSim) report(w, kind, newPairs int, exhaust bool) {
 	rep.passive = sw.exhausted
 	data := encodeReport(rep)
 	switch {
-	case bad:
+	case kind == simMalformed:
 		data = []byte{1, 0xff}
+	case kind == simOutOfRange:
+		rep.results = append(rep.results, alignResult{fa: 1 << 20, accepted: true})
+		data = encodeReport(rep)
 	case fail:
 		data = encodeReport(report{fail: "worker gave up"})
 	}
@@ -711,18 +719,20 @@ func (s *masterSim) settle() bool {
 // simSurvivable for a machine that outlives its workers — followed by
 // (op, arg) steps: simOp(worker, code), then for a report the number of
 // new pairs (low three bits), simExhaust when they are the last of the
-// worker's portions, and simBad to turn a simMalformed or simFail step
-// into the bad report; for simSilence the quarter-leases that pass.
+// worker's portions, and simBad to turn a simMalformed, simOutOfRange
+// or simFail step into the bad report; for simSilence the quarter-leases
+// that pass.
 const (
 	simSurvivable = 0x10
 	simExhaust    = 0x08
 	simBad        = 0x10
 
-	simReport    = 0
-	simMalformed = 3
-	simFail      = 4
-	simSilence   = 5
-	simKill      = 6
+	simReport     = 0
+	simOutOfRange = 2
+	simMalformed  = 3
+	simFail       = 4
+	simSilence    = 5
+	simKill       = 6
 )
 
 func simOp(worker, code int) byte { return byte((worker-1)<<4 | code) }

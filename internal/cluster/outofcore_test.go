@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/par"
+	"repro/internal/pgst"
 	"repro/internal/seq/diskstore"
+	"repro/internal/suffixtree"
 )
 
 // TestSerialMemBudgetMatchesUnbounded: the out-of-core serial driver
@@ -81,4 +85,44 @@ func TestParallelMemBudgetMatchesSerial(t *testing.T) {
 			t.Errorf("p=%d: merges %d != serial %d", p, res.Stats.Merges, ref.Stats.Merges)
 		}
 	}
+}
+
+// TestParallelChargesSweeps: under a memory budget the workers build
+// their forests segment by segment while clustering, on their pair
+// streams' goroutines — and the modeled clock of the clustering phase
+// must pay for that: the ranks' compute is at least what the same
+// build's sweeps cost.
+func TestParallelChargesSweeps(t *testing.T) {
+	st, _ := islandStore(12, 3, 2200, 120)
+	cfg := testConfig()
+	cfg.MemBudget = 32 << 10
+	const p = 3
+	pcfg := DefaultParallelConfig(p)
+	_, ph, err := Parallel(st, cfg, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var sweeps float64
+	par.Run(par.DefaultConfig(p), func(c *par.Comm) {
+		local := pgst.Build(c, st, pgst.Config{ // as rankBody builds it
+			W: cfg.W, MinLen: cfg.Psi, FirstOwner: 1, BatchBytes: pcfg.BatchBytes, Seed: 12345, SpillBytes: cfg.MemBudget,
+		})
+		for _, r := range local.Covers {
+			local.Forests(st, r, func(_ *suffixtree.Tree, cost float64) bool {
+				mu.Lock()
+				sweeps += cost
+				mu.Unlock()
+				return true
+			})
+		}
+	})
+	if sweeps <= 0 {
+		t.Fatal("the sweeps cost nothing; weak test")
+	}
+	if ph.Cluster.SumComp < sweeps {
+		t.Fatalf("clustering-phase compute %.6g s over all ranks, the sweeps alone cost %.6g s", ph.Cluster.SumComp, sweeps)
+	}
+	t.Logf("clustering-phase compute %.6g s, of which sweeps %.6g s", ph.Cluster.SumComp, sweeps)
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/pgst"
 	"repro/internal/seq"
-	"repro/internal/suffixtree"
 	"repro/internal/unionfind"
 )
 
@@ -320,7 +319,7 @@ func (run *parallelRun) rankBody(c *par.Comm, out *rankOut) {
 		out.uf, out.stats, out.masterWork, out.masterErr = runMaster(c, run)
 		c.TraceEvent(obs.EvPhaseExit, obs.PhaseMaster, 0, 0)
 	} else {
-		runWorker(c, store, local, cfg, pcfg, run.mx)
+		runWorker(c, run, local)
 	}
 	c.TraceEvent(obs.EvPhaseExit, obs.PhaseCluster, 0, 0)
 }
@@ -423,182 +422,57 @@ func drainReports(c *par.Comm, inFlight int) {
 	}
 }
 
-// runWorker is the Fig. 8 algorithm: generate pairs on request, align
-// allocated batches while waiting for the master, and generate ahead
-// into the bounded buffer when otherwise idle. On a survivable machine
-// it can adopt dead ranks' GST portions (rebuilding them locally) and
-// gives up on a silent master instead of blocking forever.
-func runWorker(c *par.Comm, store seq.Seqs, local *pgst.Local, cfg Config, pcfg ParallelConfig, mx clusterMetrics) {
-	ft := c.Survivable()
-	pgCfg := pairgen.Config{
-		Psi:                  cfg.Psi,
-		NumFragments:         store.N(),
-		DuplicateElimination: cfg.DuplicateElimination,
+// runWorker is the loop around the worker core, the part that is
+// genuinely policy: how a report is sent, how the reply is waited for,
+// and where the clock is read. On a survivable machine the worker gives
+// up on a silent master instead of blocking forever.
+func runWorker(c *par.Comm, run *parallelRun, local *pgst.Local) {
+	survivable, pcfg := c.Survivable(), run.pcfg
+	w := &worker{run: run, port: c, forests: local.Forests, rank: c.Rank(), size: c.Size(),
+		r: pcfg.BatchSize, // initial request size before the master says otherwise
 	}
-	// rangeStream streams the pairs of one owner rank's GST portion in
-	// spilling mode: segments are built, generated and dropped inside
-	// the sweep, so no full forest is ever resident.
-	rangeStream := func(r int) *pairgen.Stream {
-		return pairgen.NewSweep(func(yield func(*suffixtree.Tree) bool) {
-			local.SweepRank(store, r, yield)
-		}, pgCfg, 256)
+	defer w.close()
+	for _, r := range local.Covers {
+		w.cover(r)
 	}
-	var streams []*pairgen.Stream
-	if local.Spill != nil {
-		for _, r := range local.Spill.Ranks {
-			streams = append(streams, rangeStream(r))
-		}
-	} else {
-		streams = []*pairgen.Stream{pairgen.NewStream(local.Tree, pgCfg, 256)}
-	}
-	cur := 0
-	defer func() {
-		for _, s := range streams {
-			s.Close()
-		}
-	}()
-
-	var buffered pairQueue
-	exhausted := false
-	n := int32(store.N())
-
-	// adoptPortions takes over the GST portions of dead ranks and
-	// queues them for generation — rebuilt whole in memory, or swept
-	// under the byte budget in spilling mode.
-	adoptPortions := func(ranks []int) {
-		c.TraceEvent(obs.EvPhaseEnter, obs.PhaseRecover, 0, 0)
-		for _, d := range ranks {
-			if local.Spill != nil {
-				streams = append(streams, rangeStream(d))
-				continue
-			}
-			t := pgst.RebuildPortion(c, store, local, d)
-			streams = append(streams, pairgen.NewStream(t, pgCfg, 256))
-		}
-		exhausted = cur >= len(streams)
-		c.TraceEvent(obs.EvPhaseExit, obs.PhaseRecover, 0, 0)
-	}
-
-	// takeN draws from the buffer first, then the streams in order. The
-	// stream pulls are bracketed as a pairgen phase span so the trace
-	// separates generation time from alignment and protocol waits.
-	takeN := func(r int) []pairgen.Pair {
-		var out []pairgen.Pair
-		for len(out) < r && buffered.Len() > 0 {
-			out = append(out, buffered.pop())
-		}
-		if len(out) >= r || exhausted {
-			return out
-		}
-		c.TraceEvent(obs.EvPhaseEnter, obs.PhasePairGen, 0, 0)
-		for len(out) < r && !exhausted {
-			before := len(out)
-			out = streams[cur].Take(out, r)
-			c.ChargeCompute(float64(len(out)-before) * costPair)
-			if len(out) < r {
-				cur++
-				exhausted = cur >= len(streams)
-			}
-		}
-		c.TraceEvent(obs.EvPhaseExit, obs.PhasePairGen, 0, 0)
-		return out
-	}
-
-	alignBatch := func(batch []pairgen.Pair) []alignResult {
-		c.TraceEvent(obs.EvPhaseEnter, obs.PhaseAlign, 0, 0)
-		batchStart := time.Now()
-		results := make([]alignResult, 0, len(batch))
-		var cells int64
-		for _, p := range batch {
-			accepted, cost := AlignPair(store, p, cfg)
-			cells += cost
-			mx.alignLen.Observe(float64(p.MatchLen))
-			results = append(results, alignResult{fa: p.ASid % n, fb: p.BSid % n, accepted: accepted})
-		}
-		c.ChargeCompute(float64(cells) * costCell)
-		mx.batchLatency.Observe(time.Since(batchStart).Seconds())
-		c.TraceEvent(obs.EvPhaseExit, obs.PhaseAlign, 0, 0)
-		c.TraceEvent(obs.EvPairAligned, int64(len(batch)), 0, 0)
-		return results
-	}
-
-	r := pcfg.BatchSize // initial request size before the master says otherwise
-	var curBatch []pairgen.Pair
-	var results []alignResult
 	for {
-		// Report: new pairs as requested plus results of the last batch.
-		np := takeN(r)
-		rep := encodeReport(report{
-			pairs:   np,
-			results: results,
-			passive: exhausted && buffered.Len() == 0,
-		})
 		// The lease protocol needs non-blocking reports: a worker the
 		// master already gave up on (fired on lease expiry while merely
 		// slow) may report once more after the master stops reading, and
 		// an Ssend would wedge waiting for a match that never comes.
 		// Eager reports make a fired worker's last words harmless.
-		if pcfg.UseSsend && !ft {
+		if rep := w.report(); pcfg.UseSsend && !survivable {
 			c.Ssend(0, tagReport, rep)
 		} else {
 			c.Send(0, tagReport, rep)
 		}
-		results = nil
-
 		// Overlap the wait: align the batch allocated last iteration.
-		if len(curBatch) > 0 {
-			results = alignBatch(curBatch)
-			curBatch = nil
+		if start := time.Now(); w.align() > 0 {
+			run.mx.batchLatency.Observe(time.Since(start).Seconds())
 		}
 		// Still no reply? Generate ahead into the bounded buffer.
 		var msg par.Message
 		got := false
-		if !exhausted && buffered.Len() < pcfg.NewPairsBuf {
-			c.TraceEvent(obs.EvPhaseEnter, obs.PhasePairGen, 0, 0)
-			for !exhausted && buffered.Len() < pcfg.NewPairsBuf {
-				if m, ok := c.Probe(0, par.AnyTag); ok {
-					msg, got = m, true
-					break
-				}
-				p, ok := streams[cur].Next()
-				if !ok {
-					cur++
-					if exhausted = cur >= len(streams); exhausted {
-						break
-					}
-					continue
-				}
-				c.ChargeCompute(costPair)
-				buffered.push(p)
-			}
-			c.TraceEvent(obs.EvPhaseExit, obs.PhasePairGen, 0, 0)
-		}
+		w.generateAhead(func() bool {
+			msg, got = c.Probe(0, par.AnyTag)
+			return got
+		})
 		if !got {
-			if ft {
-				m, ok := c.RecvTimeout(0, par.AnyTag, 4*pcfg.LeaseTimeout)
-				if !ok {
-					return // master dead or fence lost: self-fence
-				}
-				msg = m
-			} else {
+			if !survivable {
 				msg = c.Recv(0, par.AnyTag)
+			} else if msg, got = c.RecvTimeout(0, par.AnyTag, 4*pcfg.LeaseTimeout); !got {
+				return // master dead or fence lost: self-fence
 			}
 		}
 		if msg.Tag == tagDone {
 			return
 		}
-		wk, err := decodeWork(msg.Data)
-		if err != nil {
+		if err := w.take(msg.Data); err != nil {
 			// Tell the master (eagerly — this worker is about to exit
 			// and must not wedge on a rendezvous) so it aborts or
 			// recovers instead of waiting out a lease.
 			c.Send(0, tagReport, encodeReport(report{fail: err.Error()}))
 			return
 		}
-		if len(wk.adopt) > 0 {
-			adoptPortions(wk.adopt)
-		}
-		r = wk.r
-		curBatch = wk.batch
 	}
 }

@@ -60,7 +60,12 @@ func encodePairs(w *wire.Buffer, ps []pairgen.Pair) {
 	}
 }
 
-func decodePairs(r *wire.Reader) ([]pairgen.Pair, error) {
+// decodePairs reads a pair list of a run over frags fragments. Here and
+// below, decoding checks ranges as well as shape — over a transport the
+// bytes come from another process, and the receiver indexes with them:
+// sequence ids lie in [0, 2·frags) (forward and reverse complement),
+// fragment ids in [0, frags).
+func decodePairs(r *wire.Reader, frags int) ([]pairgen.Pair, error) {
 	n := int(r.Uint())
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -76,6 +81,9 @@ func decodePairs(r *wire.Reader) ([]pairgen.Pair, error) {
 			APos:     r.Int32(),
 			BPos:     r.Int32(),
 			MatchLen: r.Int32(),
+		}
+		if p := ps[i]; p.ASid < 0 || int(p.ASid) >= 2*frags || p.BSid < 0 || int(p.BSid) >= 2*frags {
+			return nil, fmt.Errorf("wire: pair %+v names a sequence outside [0, %d)", p, 2*frags)
 		}
 	}
 	return ps, r.Err()
@@ -97,10 +105,10 @@ func encodeReport(rep report) []byte {
 	return w.Bytes()
 }
 
-func decodeReport(b []byte) (rep report, err error) {
+func decodeReport(b []byte, frags int) (rep report, err error) {
 	r := wire.NewReader(b)
 	rep.passive = r.Bool()
-	if rep.pairs, err = decodePairs(r); err != nil {
+	if rep.pairs, err = decodePairs(r, frags); err != nil {
 		return report{}, err
 	}
 	n := int(r.Uint())
@@ -116,6 +124,9 @@ func decodeReport(b []byte) (rep report, err error) {
 			fa:       r.Int32(),
 			fb:       r.Int32(),
 			accepted: r.Bool(),
+		}
+		if ar := rep.results[i]; ar.fa < 0 || int(ar.fa) >= frags || ar.fb < 0 || int(ar.fb) >= frags {
+			return report{}, fmt.Errorf("wire: result %+v names a fragment outside [0, %d)", ar, frags)
 		}
 	}
 	if r.Remaining() > 0 {
@@ -144,20 +155,27 @@ func encodeWork(wk work) []byte {
 	return w.Bytes()
 }
 
-func decodeWork(b []byte) (wk work, err error) {
+func decodeWork(b []byte, frags int) (wk work, err error) {
 	r := wire.NewReader(b)
 	wk.r = int(r.Uint())
-	if wk.batch, err = decodePairs(r); err != nil {
+	if wk.batch, err = decodePairs(r, frags); err != nil {
 		return work{}, err
 	}
 	if r.Remaining() > 0 {
-		wk.adopt = r.Ints()
+		// Optional trailing adopt list; encoded only when non-empty, so
+		// an empty one here is not a valid encoding.
+		if wk.adopt = r.Ints(); len(wk.adopt) == 0 && r.Err() == nil {
+			return work{}, errors.New("wire: empty adopt list in work")
+		}
 	}
 	if err := r.Err(); err != nil {
 		return work{}, err
 	}
 	if r.Remaining() != 0 {
 		return work{}, fmt.Errorf("wire: %d trailing bytes after work", r.Remaining())
+	}
+	if wk.r < 0 {
+		return work{}, errors.New("wire: request size overflows")
 	}
 	return wk, nil
 }

@@ -20,7 +20,7 @@ func TestReportRoundTrip(t *testing.T) {
 		},
 		passive: true,
 	}
-	out, err := decodeReport(encodeReport(in))
+	out, err := decodeReport(encodeReport(in), testFragments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestReportRoundTripEmpty(t *testing.T) {
-	out, err := decodeReport(encodeReport(report{}))
+	out, err := decodeReport(encodeReport(report{}), testFragments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestWorkRoundTrip(t *testing.T) {
 		batch: []pairgen.Pair{{ASid: 7, BSid: 2, APos: 3, BPos: 4, MatchLen: 33}},
 		r:     128,
 	}
-	out, err := decodeWork(encodeWork(in))
+	out, err := decodeWork(encodeWork(in), testFragments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestWorkRoundTrip(t *testing.T) {
 }
 
 func TestWorkRoundTripEmpty(t *testing.T) {
-	out, err := decodeWork(encodeWork(work{r: 0}))
+	out, err := decodeWork(encodeWork(work{r: 0}), testFragments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestWorkRoundTripAdopt(t *testing.T) {
 		r:     64,
 		adopt: []int{3, 7},
 	}
-	out, err := decodeWork(encodeWork(in))
+	out, err := decodeWork(encodeWork(in), testFragments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestDecodeTruncated(t *testing.T) {
 		results: []alignResult{{fa: 1, fb: 2, accepted: true}},
 	})
 	for i := 0; i < len(rep); i++ {
-		if _, err := decodeReport(rep[:i]); err == nil {
+		if _, err := decodeReport(rep[:i], testFragments); err == nil {
 			t.Errorf("report prefix of %d/%d bytes decoded without error", i, len(rep))
 		}
 	}
 	wk := encodeWork(work{batch: []pairgen.Pair{{ASid: 1, BSid: 2, MatchLen: 20}}, r: 9})
 	for i := 0; i < len(wk); i++ {
-		if _, err := decodeWork(wk[:i]); err == nil {
+		if _, err := decodeWork(wk[:i], testFragments); err == nil {
 			t.Errorf("work prefix of %d/%d bytes decoded without error", i, len(wk))
 		}
 	}
@@ -125,17 +125,17 @@ func TestDecodeTruncated(t *testing.T) {
 func TestDecodeHugeCount(t *testing.T) {
 	// passive=0 then a varint pair count of ~2^62 with no payload.
 	b := []byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f}
-	if _, err := decodeReport(b); err == nil {
+	if _, err := decodeReport(b, testFragments); err == nil {
 		t.Error("huge pair count decoded without error")
 	}
-	if _, err := decodeWork(append([]byte{5}, b[1:]...)); err == nil {
+	if _, err := decodeWork(append([]byte{5}, b[1:]...), testFragments); err == nil {
 		t.Error("huge batch count decoded without error")
 	}
 }
 
 func TestDecodeTrailingBytes(t *testing.T) {
 	rep := append(encodeReport(report{}), 0x00)
-	if _, err := decodeReport(rep); err == nil {
+	if _, err := decodeReport(rep, testFragments); err == nil {
 		t.Error("trailing bytes accepted in report")
 	}
 }
@@ -149,7 +149,7 @@ func FuzzDecodeReport(f *testing.F) {
 	}))
 	f.Add([]byte{0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		rep, err := decodeReport(b) // must never panic
+		rep, err := decodeReport(b, fuzzFragments) // must never panic
 		if err == nil {
 			// Anything that decodes must re-encode to the same bytes
 			// (the format has a unique encoding).
@@ -165,13 +165,51 @@ func FuzzDecodeWork(f *testing.F) {
 	f.Add(encodeWork(work{batch: []pairgen.Pair{{ASid: 1, BSid: 2, MatchLen: 20}}, r: 1, adopt: []int{4}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		wk, err := decodeWork(b) // must never panic
-		if err == nil && len(wk.adopt) != 0 {
-			if !bytes.Equal(encodeWork(wk), b) {
-				t.Errorf("decode/encode not idempotent for %x", b)
-			}
+		wk, err := decodeWork(b, fuzzFragments) // must never panic
+		if err == nil && !bytes.Equal(encodeWork(wk), b) {
+			t.Errorf("decode/encode not idempotent for %x", b)
 		}
 	})
+}
+
+// fuzzFragments is the fragment count the decoder fuzzers decode
+// against: large, so that the shape checks are what they explore.
+const fuzzFragments = 1 << 30
+
+// TestDecodeRangeChecks: a well-formed message naming a sequence or a
+// fragment the run does not have is a decode error — the receiver
+// indexes with these — and so are the two encodings encodeWork never
+// produces.
+func TestDecodeRangeChecks(t *testing.T) {
+	const n = testFragments
+	pair := func(a, b int32) []pairgen.Pair { return []pairgen.Pair{{ASid: a, BSid: b, MatchLen: 20}} }
+	for name, rep := range map[string]report{
+		"result fa high": {results: []alignResult{{fa: 1 << 20, accepted: true}}},
+		"result fa = n":  {results: []alignResult{{fa: n}}},
+		"result fb < 0":  {results: []alignResult{{fb: -1}}},
+		"pair sid < 0":   {pairs: pair(-5, 0)},
+		"pair sid = 2n":  {pairs: pair(0, 2*n)},
+	} {
+		if _, err := decodeReport(encodeReport(rep), n); err == nil {
+			t.Errorf("report with %s decoded", name)
+		}
+	}
+	if _, err := decodeReport(encodeReport(report{pairs: pair(2*n-1, 0), results: []alignResult{{fa: n - 1}}}), n); err != nil {
+		t.Errorf("report at the upper bounds refused: %v", err)
+	}
+	for name, wk := range map[string]work{
+		"batch sid high": {batch: pair(1<<30, 0)},
+		"batch sid < 0":  {batch: pair(0, -1)},
+		"r overflow":     {r: -1},
+	} {
+		if _, err := decodeWork(encodeWork(wk), n); err == nil {
+			t.Errorf("work with %s decoded", name)
+		}
+	}
+	explicitEmptyAdopt := append(encodeWork(work{r: 3}), 0)
+	if _, err := decodeWork(explicitEmptyAdopt, n); err == nil {
+		t.Error("work with an explicitly encoded empty adopt list decoded")
+	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

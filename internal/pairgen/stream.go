@@ -17,12 +17,15 @@ type Stream struct {
 	once  sync.Once
 	wg    sync.WaitGroup
 	stats Stats
+
+	mu   sync.Mutex
+	cost float64 // of forests built since the last TakeCost
 }
 
 // NewStream starts streaming pairs from the tree. The buffer size
 // bounds how far generation can run ahead of consumption.
 func NewStream(tree *suffixtree.Tree, cfg Config, buffer int) *Stream {
-	return NewSweep(func(yield func(*suffixtree.Tree) bool) { yield(tree) }, cfg, buffer)
+	return NewSweep(func(yield func(*suffixtree.Tree, float64) bool) { yield(tree, 0) }, cfg, buffer)
 }
 
 // NewSweep streams pairs from a sequence of forests produced on
@@ -32,7 +35,12 @@ func NewStream(tree *suffixtree.Tree, cfg Config, buffer int) *Stream {
 // resident tree memory is one segment's, while the consumer sees a
 // single continuous stream. Stats accumulate across all segments. The
 // buffer size bounds how far generation can run ahead of consumption.
-func NewSweep(sweep func(yield func(*suffixtree.Tree) bool), cfg Config, buffer int) *Stream {
+//
+// The forests are built on the generator's goroutine, out of sight of
+// whatever clock the consumer keeps, so sweep passes with each forest
+// the cost of having built it (any unit) and the consumer collects the
+// sum with TakeCost.
+func NewSweep(sweep func(yield func(*suffixtree.Tree, float64) bool), cfg Config, buffer int) *Stream {
 	if buffer < 1 {
 		buffer = 64
 	}
@@ -45,7 +53,10 @@ func NewSweep(sweep func(yield func(*suffixtree.Tree) bool), cfg Config, buffer 
 		defer s.wg.Done()
 		defer close(s.ch)
 		stopped := false
-		sweep(func(t *suffixtree.Tree) bool {
+		sweep(func(t *suffixtree.Tree, cost float64) bool {
+			s.mu.Lock()
+			s.cost += cost
+			s.mu.Unlock()
 			st := Generate(t, cfg, func(p Pair) bool {
 				select {
 				case s.ch <- p:
@@ -82,6 +93,17 @@ func (s *Stream) Take(dst []Pair, max int) []Pair {
 		dst = append(dst, p)
 	}
 	return dst
+}
+
+// TakeCost returns the cost of the forests built since the last call.
+// A forest's cost is in by the time its first pair, or the end of the
+// stream, is.
+func (s *Stream) TakeCost() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cost := s.cost
+	s.cost = 0
+	return cost
 }
 
 // Close stops generation and releases the generator goroutine. Safe to

@@ -85,9 +85,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Local is one rank's part of the distributed GST.
+// Local is one rank's part of the distributed GST. Its forests reach
+// every consumer one way, through Forests.
 type Local struct {
-	Tree *suffixtree.Tree
+	// tree is the resident forest of this rank's own bucket range (plus
+	// any range the recovery epilogue rebuilt into it); nil for a
+	// spilling build, which keeps nothing resident.
+	tree *suffixtree.Tree
+	// Covers lists the ranks whose bucket ranges this rank hands out:
+	// its own first (empty below FirstOwner), then — in a spilling build,
+	// which rebuilds nothing eagerly — the dead ranks the recovery
+	// epilogue assigned to it.
+	Covers []int
 	// Buckets is the number of buckets this rank built.
 	Buckets int
 	// SuffixesOwned is the number of suffixes in this rank's buckets.
@@ -101,10 +110,6 @@ type Local struct {
 	// Cfg is the construction configuration after defaulting, kept so
 	// a portion can be rebuilt later with identical parameters.
 	Cfg Config
-	// Spill is non-nil for a spilling build (Cfg.SpillBytes > 0): Tree
-	// is nil and the covered ranks' key ranges are swept on demand via
-	// SweepRank instead.
-	Spill *SpillState
 }
 
 // ownerBounds partitions fragment IDs contiguously so each owner rank
@@ -242,38 +247,21 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	// that died at any point during construction, so the union of
 	// surviving tries matches a fault-free build exactly.
 	for _, dead := range recoverAssignments(c, cfg.FirstOwner) {
-		nb, ns, cost := rebuildInto(ib, st, splitters, cfg, dead)
+		nb, ns, cost := buildFiltered(ib, st, cfg, newStoreTable(st), ownedBy(splitters, cfg.FirstOwner, dead))
 		nbuckets += nb
 		nsuf += ns
 		c.ChargeCompute(cost)
 	}
 
 	return &Local{
-		Tree:          ib.Tree(),
+		tree:          ib.Tree(),
+		Covers:        []int{c.Rank()},
 		Buckets:       nbuckets,
 		SuffixesOwned: nsuf,
 		FetchRounds:   rounds,
 		Splitters:     splitters,
 		Cfg:           cfg,
 	}
-}
-
-// RebuildPortion reconstructs, on the calling rank, the GST portion
-// that the bucket partition assigned to rank dead. It is the fault
-// recovery path: the splitters every rank retained determine exactly
-// which w-prefix buckets the dead rank owned, and since every rank can
-// read the full store, a survivor re-enumerates all suffixes, keeps
-// the dead rank's share, and builds those subtrees locally. The
-// result generates exactly the pairs the dead rank's tree would have
-// (pair generation is a per-bucket computation).
-//
-// This is a local (non-collective) operation; its computation is
-// charged to the calling rank, modeling the recovery cost.
-func RebuildPortion(c *par.Comm, st seq.Seqs, local *Local, dead int) *suffixtree.Tree {
-	ib := suffixtree.NewIncrementalBuilder(local.Cfg.W)
-	_, _, cost := rebuildInto(ib, st, local.Splitters, local.Cfg, dead)
-	c.ChargeCompute(cost)
-	return ib.Tree()
 }
 
 // log2f is ⌊log₂ n⌋, at least 1: the comparison levels of a sort.
@@ -347,6 +335,11 @@ func destOf(splitters []seq.Kmer, key seq.Kmer, firstOwner int) int {
 	return firstOwner + lo
 }
 
+// ownedBy is the key filter of owner rank r's bucket range.
+func ownedBy(splitters []seq.Kmer, firstOwner, r int) func(seq.Kmer) bool {
+	return func(key seq.Kmer) bool { return destOf(splitters, key, firstOwner) == r }
+}
+
 // exchange is the one all-to-all of GST construction: the paper's
 // staged variant when asked for on a fail-stop machine, the eager one
 // otherwise. got[src] is false where src died before its buffer
@@ -414,9 +407,7 @@ func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters 
 		if me < 0 || s == c.Rank() {
 			continue // non-owner ranks contribute no suffixes
 		}
-		rec, chars := enumerateOwner(st, bounds, me, cfg, func(k seq.Kmer) bool {
-			return destOf(splitters, k, cfg.FirstOwner) == c.Rank()
-		})
+		rec, chars := enumerateOwner(st, bounds, me, cfg, ownedBy(splitters, cfg.FirstOwner, c.Rank()))
 		mine = append(mine, rec...)
 		c.ChargeCompute(float64(chars)*costChar + float64(len(rec))*costSuf)
 	}
@@ -678,14 +669,4 @@ func recoverAssignments(c *par.Comm, firstOwner int) []int {
 		}
 	}
 	return mine
-}
-
-// rebuildInto re-enumerates every fragment's suffixes, keeps the
-// buckets the partition assigned to rank dead, and builds them into
-// ib. Returns the bucket and suffix counts added plus the modeled
-// compute cost of the rebuild.
-func rebuildInto(ib *suffixtree.IncrementalBuilder, st seq.Seqs, splitters []seq.Kmer, cfg Config, dead int) (nbuckets, nsuf int, cost float64) {
-	return buildFiltered(ib, st, cfg, newStoreTable(st), func(key seq.Kmer) bool {
-		return destOf(splitters, key, cfg.FirstOwner) == dead
-	})
 }

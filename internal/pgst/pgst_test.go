@@ -46,6 +46,25 @@ func treeSignature(trees ...*suffixtree.Tree) (nodes map[string]int, sufs []stri
 	return sig.Nodes, sig.Suffixes
 }
 
+// forestsOf is every forest l hands out for the ranks it covers.
+func forestsOf(st seq.Seqs, l *Local) (trees []*suffixtree.Tree) {
+	for _, r := range l.Covers {
+		l.Forests(st, r, func(t *suffixtree.Tree, _ float64) bool {
+			trees = append(trees, t)
+			return true
+		})
+	}
+	return trees
+}
+
+// localPairs is the pair list generated from everything l covers.
+func localPairs(st seq.Seqs, l *Local, psi int) (out []string) {
+	for _, t := range forestsOf(st, l) {
+		out = append(out, collectPairs(t, psi, st.N())...)
+	}
+	return out
+}
+
 func collectPairs(tree *suffixtree.Tree, psi, n int) []string {
 	var out []string
 	pairgen.Generate(tree, pairgen.Config{Psi: psi, NumFragments: n}, func(p pairgen.Pair) bool {
@@ -97,8 +116,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		var gotPairs []string
 		rounds := 0
 		for r, l := range locals {
-			trees = append(trees, l.Tree)
-			gotPairs = append(gotPairs, collectPairs(l.Tree, psi, st.N())...)
+			trees = append(trees, forestsOf(st, l)...)
+			gotPairs = append(gotPairs, localPairs(st, l, psi)...)
 			if l.FetchRounds > rounds {
 				rounds = l.FetchRounds
 			}
@@ -244,7 +263,7 @@ func TestMoreRanksThanFragments(t *testing.T) {
 	})
 	var got []string
 	for _, l := range locals {
-		got = append(got, collectPairs(l.Tree, psi, st.N())...)
+		got = append(got, localPairs(st, l, psi)...)
 	}
 	sort.Strings(got)
 	if len(got) != len(wantPairs) {
@@ -264,16 +283,18 @@ func TestEmptyStore(t *testing.T) {
 		locals[c.Rank()] = Build(c, st, Config{W: 4, MinLen: 6, Seed: 1})
 	})
 	for r, l := range locals {
-		if l.Buckets != 0 || l.Tree.NumNodes() != 0 {
+		if l.Buckets != 0 || len(localPairs(st, l, 6)) != 0 {
 			t.Errorf("rank %d built %d buckets from nothing", r, l.Buckets)
 		}
 	}
 }
 
-// TestRebuildPortion: a survivor rebuilding a dead rank's GST portion
-// from the shared store must recover exactly the pairs the dead
-// rank's own tree would have generated.
-func TestRebuildPortion(t *testing.T) {
+// TestForestsOfAnotherRank: a survivor asking its Local for a dead
+// rank's range — adoption — gets, from the shared store, exactly the
+// pairs the dead rank's own resident tree would have generated, in one
+// forest (no budget: a one-segment sweep) whose modeled cost it is told;
+// its own resident range comes back as it stands, already paid for.
+func TestForestsOfAnotherRank(t *testing.T) {
 	st := testStore(2, 6000, 3.0)
 	const w, psi = 6, 8
 	const p = 4
@@ -284,24 +305,29 @@ func TestRebuildPortion(t *testing.T) {
 			W: w, MinLen: psi, FirstOwner: 1, BatchBytes: 1 << 20, Seed: 7,
 		})
 	})
+	survivor := locals[2] // an arbitrary survivor adopts
 
 	for _, dead := range []int{1, 3} {
-		want := collectPairs(locals[dead].Tree, psi, st.N())
+		want := localPairs(st, locals[dead], psi)
 		sort.Strings(want)
 		if dead == 1 && len(want) == 0 {
 			t.Fatal("dead rank generates no pairs; weak test")
 		}
 
-		var rebuilt *suffixtree.Tree
-		par.Run(par.DefaultConfig(p), func(c *par.Comm) {
-			if c.Rank() == 2 { // an arbitrary survivor adopts
-				rebuilt = RebuildPortion(c, st, locals[2], dead)
-			}
+		var got []string
+		forests, cost := 0, 0.0
+		survivor.Forests(st, dead, func(tr *suffixtree.Tree, c float64) bool {
+			got = append(got, collectPairs(tr, psi, st.N())...)
+			forests++
+			cost += c
+			return true
 		})
-		got := collectPairs(rebuilt, psi, st.N())
 		sort.Strings(got)
+		if forests != 1 || cost <= 0 {
+			t.Fatalf("dead=%d: %d forests at modeled cost %g, want one paid-for segment", dead, forests, cost)
+		}
 		if len(got) != len(want) {
-			t.Fatalf("dead=%d: rebuilt tree yields %d pairs, original %d", dead, len(got), len(want))
+			t.Fatalf("dead=%d: swept range yields %d pairs, original %d", dead, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -310,15 +336,20 @@ func TestRebuildPortion(t *testing.T) {
 		}
 	}
 
-	// Rank 0 owns no buckets under FirstOwner=1: rebuilding it must
-	// yield an empty tree, not a crash.
-	par.Run(par.DefaultConfig(p), func(c *par.Comm) {
-		if c.Rank() == 1 {
-			empty := RebuildPortion(c, st, locals[1], 0)
-			if n := len(collectPairs(empty, psi, st.N())); n != 0 {
-				t.Errorf("portion of bucketless rank 0 generated %d pairs", n)
-			}
+	survivor.Forests(st, 2, func(tr *suffixtree.Tree, c float64) bool {
+		if tr != survivor.tree || c != 0 {
+			t.Errorf("own range: a rebuilt forest at cost %g, want the resident tree at 0", c)
 		}
+		return true
+	})
+
+	// Rank 0 owns no buckets under FirstOwner=1: its range must yield an
+	// empty forest, not a crash.
+	locals[1].Forests(st, 0, func(tr *suffixtree.Tree, _ float64) bool {
+		if n := len(collectPairs(tr, psi, st.N())); n != 0 {
+			t.Errorf("range of bucketless rank 0 generated %d pairs", n)
+		}
+		return true
 	})
 }
 

@@ -20,53 +20,47 @@ type Signature struct {
 	Suffixes []string
 }
 
+// add counts one tree's nodes and leaf suffixes into sig.
+func (sig *Signature) add(t *suffixtree.Tree) {
+	for i := range t.Nodes {
+		u := int32(i)
+		k := fmt.Sprintf("d%d/leaf%v/n%d", t.Nodes[u].Depth, t.IsLeaf(u),
+			t.Nodes[u].SufEnd-t.Nodes[u].SufStart)
+		sig.Nodes[k]++
+		if t.IsLeaf(u) {
+			for _, sf := range t.LeafSuffixes(u) {
+				sig.Suffixes = append(sig.Suffixes,
+					fmt.Sprintf("%d:%d:%d:%d", sf.Sid, sf.Pos, sf.Prev, t.Nodes[u].Depth))
+			}
+		}
+	}
+}
+
 // TreeSignature summarizes one or more trees as a Signature.
 func TreeSignature(trees ...*suffixtree.Tree) Signature {
 	sig := Signature{Nodes: make(map[string]int)}
 	for _, t := range trees {
-		for i := range t.Nodes {
-			u := int32(i)
-			k := fmt.Sprintf("d%d/leaf%v/n%d", t.Nodes[u].Depth, t.IsLeaf(u),
-				t.Nodes[u].SufEnd-t.Nodes[u].SufStart)
-			sig.Nodes[k]++
-			if t.IsLeaf(u) {
-				for _, sf := range t.LeafSuffixes(u) {
-					sig.Suffixes = append(sig.Suffixes,
-						fmt.Sprintf("%d:%d:%d:%d", sf.Sid, sf.Pos, sf.Prev, t.Nodes[u].Depth))
-				}
-			}
-		}
+		sig.add(t)
 	}
 	sort.Strings(sig.Suffixes)
 	return sig
 }
 
-// UnionSignatureOf summarizes the union of the given locals' forests
-// for either build mode: an in-memory local contributes its resident
-// tree, a spilling local materializes its covered key ranges segment
-// by segment against st (building and dropping each forest, so the
-// oracle itself honors the byte budget). Nil entries — dead ranks —
-// are skipped; their ranges appear through the survivor that adopted
-// them.
+// UnionSignatureOf summarizes the union of the forests the given locals
+// cover, as Forests hands them out: a resident tree as it stands, a
+// spilling local's key ranges segment by segment against st (building
+// and dropping each forest, so the oracle itself honors the byte
+// budget). Nil entries — dead ranks — are skipped; their ranges appear
+// through the survivor that adopted them.
 func UnionSignatureOf(st seq.Seqs, locals []*Local) Signature {
 	sig := Signature{Nodes: make(map[string]int)}
-	add := func(t Signature) {
-		for k, v := range t.Nodes {
-			sig.Nodes[k] += v
-		}
-		sig.Suffixes = append(sig.Suffixes, t.Suffixes...)
-	}
 	for _, l := range locals {
 		if l == nil {
 			continue
 		}
-		if l.Spill == nil {
-			add(TreeSignature(l.Tree))
-			continue
-		}
-		for _, r := range l.Spill.Ranks {
-			l.SweepRank(st, r, func(t *suffixtree.Tree) bool {
-				add(TreeSignature(t))
+		for _, r := range l.Covers {
+			l.Forests(st, r, func(t *suffixtree.Tree, _ float64) bool {
+				sig.add(t)
 				return true
 			})
 		}

@@ -15,10 +15,11 @@
 // resident set is O(budget + cache), independent of input size.
 //
 // The filtered re-enumeration (buildFiltered) also serves fault
-// recovery (rebuildInto): the union of segment forests carries exactly
-// the suffixes of a monolithic build, and each bucket lands whole in
-// exactly one segment, so the forest union — and therefore the
-// generated pair set — is identical.
+// recovery — Build's epilogue, and the adoption of a dead rank's range
+// during clustering, which is a sweep like any other: the union of
+// segment forests carries exactly the suffixes of a monolithic build,
+// and each bucket lands whole in exactly one segment, so the forest
+// union — and therefore the generated pair set — is identical.
 package pgst
 
 import (
@@ -40,14 +41,6 @@ const (
 	// (128 KiB of counters) regardless of W.
 	spillMaxBinBits = 14
 )
-
-// SpillState marks a Local built in spilling mode: no resident Tree;
-// instead the covered owner ranks' key ranges are swept on demand.
-type SpillState struct {
-	// Ranks are the owner ranks whose key ranges this rank sweeps: its
-	// own, plus any dead ranks the recovery epilogue assigned to it.
-	Ranks []int
-}
 
 // spillBinBits returns the histogram resolution for prefix length w.
 func spillBinBits(w int) uint {
@@ -100,7 +93,7 @@ func planSpillSegments(hist []int64, budget int64) []spillSegment {
 
 // buildFiltered re-enumerates every suffix of the store, keeps those
 // whose key passes keep (nil: all), and builds their buckets into ib —
-// the shared core of fault recovery (rebuildInto) and segment sweeping.
+// the shared core of Build's recovery epilogue and segment sweeping.
 // Returns bucket/suffix counts and the modeled compute cost.
 func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, table *seqTable, keep func(seq.Kmer) bool) (nbuckets, nsuf int, cost float64) {
 	var mine []suffixtree.Keyed
@@ -115,10 +108,12 @@ func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, t
 }
 
 // sweepFiltered yields one forest per segment of the keys passing own
-// (nil: all), building and dropping them in turn. With a byte budget
+// (nil: all), building and dropping them in turn, each with the modeled
+// cost of building it — the sweep runs wherever its consumer pulls it,
+// so charging that cost is the consumer's business. With a byte budget
 // the segments come from a histogram pass; without one the whole range
 // is a single segment. Returns false if yield stopped the sweep.
-func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree) bool) bool {
+func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree, float64) bool) bool {
 	keeps := []func(seq.Kmer) bool{own}
 	if cfg.SpillBytes > 0 {
 		shift := spillBinShift(cfg.W)
@@ -135,8 +130,8 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 	table := newStoreTable(st)
 	for _, keep := range keeps {
 		ib := suffixtree.NewIncrementalBuilder(cfg.W)
-		buildFiltered(ib, st, cfg, table, keep)
-		if !yield(ib.Tree()) {
+		_, _, cost := buildFiltered(ib, st, cfg, table, keep)
+		if !yield(ib.Tree(), cost) {
 			return false
 		}
 	}
@@ -150,19 +145,23 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 // consume-and-drop is what makes serial clustering run in
 // O(SpillBytes) tree memory.
 func SweepSerial(st seq.Seqs, cfg Config, yield func(*suffixtree.Tree) bool) {
-	cfg = cfg.withDefaults()
-	sweepFiltered(st, cfg, nil, yield)
+	sweepFiltered(st, cfg.withDefaults(), nil, func(t *suffixtree.Tree, _ float64) bool { return yield(t) })
 }
 
-// SweepRank builds, in bounded segments, the forest of the buckets the
-// splitter partition assigned to owner rank r — this rank's own range,
-// or a dead rank's range during adoption. Returns false if yield
-// stopped the sweep.
-func (l *Local) SweepRank(st seq.Seqs, r int, yield func(*suffixtree.Tree) bool) bool {
-	own := func(k seq.Kmer) bool {
-		return destOf(l.Splitters, k, l.Cfg.FirstOwner) == r
+// Forests is the one way a rank's GST reaches a consumer: it calls
+// yield with each forest of the buckets the splitter partition assigned
+// to owner rank r, and the modeled compute cost of building it. This
+// rank's own range of a resident build is the tree Build left resident,
+// already paid for. Anything else — any range of a spilling build, a
+// dead rank's range during adoption — is swept from the store: bounded
+// segments under Cfg.SpillBytes, one segment without a budget, each
+// forest dropped after yield returns. Returns false if yield stopped
+// the sweep.
+func (l *Local) Forests(st seq.Seqs, r int, yield func(*suffixtree.Tree, float64) bool) bool {
+	if l.tree != nil && r == l.Covers[0] {
+		return yield(l.tree, 0)
 	}
-	return sweepFiltered(st, l.Cfg, own, yield)
+	return sweepFiltered(st, l.Cfg, ownedBy(l.Splitters, l.Cfg.FirstOwner, r), yield)
 }
 
 // sampleOwnerKeys draws perRank evenly spaced suffix keys from owner
@@ -196,7 +195,7 @@ func sampleOwnerKeys(st seq.Seqs, bounds []int, me int, cfg Config, perRank int)
 // streamed samples, then return immediately — no enumeration is
 // retained, no suffixes are exchanged, no tree is resident. Each rank
 // sweeps its own key range (plus any adopted dead ranks') lazily via
-// SweepRank; every rank reads the shared store directly, so the
+// Forests; every rank reads the shared store directly, so the
 // redistribution and fragment-fetch collectives of the in-memory path
 // have nothing to move.
 func buildSpill(c *par.Comm, st seq.Seqs, cfg Config, bounds []int, owners int) *Local {
@@ -211,20 +210,13 @@ func buildSpill(c *par.Comm, st seq.Seqs, cfg Config, bounds []int, owners int) 
 	splitters := chooseSplitters(c, samples, owners, cfg)
 
 	l := &Local{
+		Covers:    []int{c.Rank()},
 		Splitters: splitters,
 		Cfg:       cfg,
-		Spill:     &SpillState{},
-	}
-	if c.Rank() >= cfg.FirstOwner {
-		l.Spill.Ranks = []int{c.Rank()}
 	}
 	// Recovery epilogue: adopt dead owners' ranges by recording them for
-	// the sweep — recovery is a deferred re-enumeration, exactly like
-	// rebuildInto, but it stays within the byte budget.
-	for _, dead := range recoverAssignments(c, cfg.FirstOwner) {
-		if dead != c.Rank() {
-			l.Spill.Ranks = append(l.Spill.Ranks, dead)
-		}
-	}
+	// the sweep — recovery is a deferred re-enumeration that stays within
+	// the byte budget.
+	l.Covers = append(l.Covers, recoverAssignments(c, cfg.FirstOwner)...)
 	return l
 }

@@ -150,14 +150,11 @@ func TestSpillBuildMatchesSerial(t *testing.T) {
 			})
 		})
 		for r, l := range locals {
-			if l.Tree != nil {
+			if l.tree != nil {
 				t.Fatalf("%s: rank %d holds a resident tree in spilling mode", name, r)
 			}
-			if l.Spill == nil {
-				t.Fatalf("%s: rank %d local is not marked spilling", name, r)
-			}
-			if r < tc.firstOwner && len(l.Spill.Ranks) != 0 {
-				t.Fatalf("%s: non-owner rank %d covers ranges %v", name, r, l.Spill.Ranks)
+			if r < tc.firstOwner && len(localPairs(st, l, psi)) != 0 {
+				t.Fatalf("%s: non-owner rank %d generates pairs", name, r)
 			}
 		}
 		if !UnionSignatureOf(st, locals).Equal(want) {
@@ -165,12 +162,7 @@ func TestSpillBuildMatchesSerial(t *testing.T) {
 		}
 		var gotPairs []string
 		for _, l := range locals {
-			for _, r := range l.Spill.Ranks {
-				l.SweepRank(st, r, func(tr *suffixtree.Tree) bool {
-					gotPairs = append(gotPairs, collectPairs(tr, psi, st.N())...)
-					return true
-				})
-			}
+			gotPairs = append(gotPairs, localPairs(st, l, psi)...)
 		}
 		sort.Strings(gotPairs)
 		if fmt.Sprint(gotPairs) != fmt.Sprint(wantPairs) {
@@ -214,10 +206,10 @@ func TestSpillBuildSurvivesCrash(t *testing.T) {
 		if !exits[r].OK {
 			t.Fatalf("survivor %d died: %+v", r, exits[r])
 		}
-		if l.Spill == nil {
-			t.Fatalf("survivor %d not in spilling mode", r)
+		if l.tree != nil {
+			t.Fatalf("survivor %d holds a resident tree in spilling mode", r)
 		}
-		for _, cr := range l.Spill.Ranks {
+		for _, cr := range l.Covers {
 			covered[cr]++
 		}
 	}
@@ -265,10 +257,10 @@ func TestSweepStreamStopsEarly(t *testing.T) {
 	cfg := Config{W: 6, MinLen: 8, SpillBytes: 1}
 	cfg = cfg.withDefaults()
 	built := 0
-	s := pairgen.NewSweep(func(yield func(*suffixtree.Tree) bool) {
+	s := pairgen.NewSweep(func(yield func(*suffixtree.Tree, float64) bool) {
 		SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
 			built++
-			return yield(tr)
+			return yield(tr, 0)
 		})
 	}, pairgen.Config{Psi: 8, NumFragments: st.N()}, 4)
 	if _, ok := s.Next(); !ok {
