@@ -81,13 +81,14 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
 	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
 	internal/align/testdata/fuzz/FuzzAnchoredOverlap \
-	internal/suffixtree/testdata/fuzz/FuzzBuildMatchesReference
+	internal/suffixtree/testdata/fuzz/FuzzBuildMatchesReference \
+	internal/suffixtree/testdata/fuzz/FuzzSortKeyed
 
 # Short fuzz passes over every parser the pipeline feeds untrusted
 # bytes to: FASTA and qual readers plus the wire-format decoders — over
-# the banded extension kernel and the GST bucket builder, each held to
-# its differential oracle, and over the master core and the worker
-# core, held to their invariants.
+# the banded extension kernel, the GST bucket builder and its key sort,
+# each held to its differential oracle, and over the master core and
+# the worker core, held to their invariants.
 fuzz-smoke:
 	@for d in $(FUZZ_CORPORA); do \
 		ls $$d/* >/dev/null 2>&1 || { echo "fuzz-smoke: empty corpus: $$d"; exit 1; }; \
@@ -106,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
 	$(GO) test -run=NONE -fuzz=FuzzAnchoredOverlap -fuzztime=10s ./internal/align
 	$(GO) test -run=NONE -fuzz=FuzzBuildMatchesReference -fuzztime=10s ./internal/suffixtree
+	$(GO) test -run=NONE -fuzz=FuzzSortKeyed -fuzztime=10s ./internal/suffixtree
 
 # Instrumented quickstart: runs two quick experiments with tracing on
 # and validates that every emitted trace file parses as balanced

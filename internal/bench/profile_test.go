@@ -63,18 +63,26 @@ func TestProfileLabelExactness(t *testing.T) {
 			causal[ps.Phase] = ps.CompSec
 		}
 	}
+	// Ranking host CPU against modeled compute is only meaningful for
+	// phases whose modeled compute is charged per unit of the host work
+	// they do: characters and suffixes in the GST phases, DP cells in an
+	// alignment batch. The others are not: clustering work is booked
+	// under align-batch, master and pairgen, so "cluster" has over
+	// 100 ms of samples and modeled compute 0, and pairgen is charged a
+	// flat cost per pair far below its host time. Ranking those among a
+	// few dozen samples of 10 ms made the checks below a coin toss. A
+	// phase of the decomposition with no sample counts as zero CPU.
 	var shared []string
-	for ph := range sampled {
+	for _, ph := range []string{"align-batch", "gst", "gst-fetch", "gst-redistribute"} {
 		if _, ok := causal[ph]; ok {
 			shared = append(shared, ph)
 		}
 	}
 	if len(shared) < 2 {
-		t.Fatalf("only %d phases shared between samples %v and decomposition %v", len(shared), sampled, causal)
+		t.Fatalf("only %d per-unit phases in the decomposition %v", len(shared), causal)
 	}
 	// Both views must agree on the biggest phase, and the rank
 	// correlation over shared phases must be positive.
-	sort.Strings(shared)
 	top := func(score func(string) float64) string {
 		best, bestV := "", -1.0
 		for _, ph := range shared {
@@ -102,7 +110,7 @@ func TestProfileLabelExactness(t *testing.T) {
 func spearman(keys []string, a, b func(string) float64) float64 {
 	rank := func(score func(string) float64) map[string]float64 {
 		ord := append([]string(nil), keys...)
-		sort.Slice(ord, func(i, j int) bool { return score(ord[i]) < score(ord[j]) })
+		sort.SliceStable(ord, func(i, j int) bool { return score(ord[i]) < score(ord[j]) })
 		m := make(map[string]float64, len(ord))
 		for i, k := range ord {
 			m[k] = float64(i)

@@ -117,6 +117,7 @@ type Server struct {
 	byKey map[string]string
 
 	draining chan struct{}
+	wake     chan struct{} // a submission for an idle worker; one slot per worker
 	drainOne sync.Once
 	wg       sync.WaitGroup // workers + gc sweep
 	httpSrv  *http.Server
@@ -151,6 +152,7 @@ func Open(cfg Config) (*Server, error) {
 		jobs:     jobsMap,
 		byKey:    byKey,
 		draining: make(chan struct{}),
+		wake:     make(chan struct{}, cfg.Workers),
 	}
 	adopted := 0
 	for _, job := range s.jobs {
@@ -349,6 +351,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job := s.jobs[id]
 	v := s.view(job, false)
 	s.mu.Unlock()
+	// Wake an idle worker without blocking: wake holds a token per
+	// worker, so when it is full every sleeping worker will wake anyway.
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 	s.logf("job %s submitted (%d input bytes, %s)", id, len(input), spec.Flags())
 	writeJSON(w, http.StatusAccepted, v)
 }

@@ -13,8 +13,10 @@ import (
 )
 
 // supervise is one worker's loop: pick the oldest eligible queued job,
-// run an attempt, classify the outcome, repeat. Workers exit when the
-// server starts draining.
+// run an attempt, classify the outcome, repeat. An idle worker sleeps
+// until a submission wakes it, or until the poll tick, which is only
+// for jobs whose retry backoff expires. Workers exit when the server
+// starts draining.
 func (s *Server) supervise(w int) {
 	defer s.wg.Done()
 	for {
@@ -28,6 +30,7 @@ func (s *Server) supervise(w int) {
 			select {
 			case <-s.draining:
 				return
+			case <-s.wake:
 			case <-time.After(pollInterval):
 			}
 			continue
@@ -36,7 +39,9 @@ func (s *Server) supervise(w int) {
 	}
 }
 
-const pollInterval = 50 * time.Millisecond
+// pollInterval is how often an idle worker looks for a job whose
+// backoff has expired; a variable so a test can stretch it.
+var pollInterval = 50 * time.Millisecond
 
 // claim picks the oldest eligible queued job, journals either its
 // start or its quarantine, and returns it in Running state (nil when

@@ -35,7 +35,9 @@ const (
 	// while its segment is being built and generated: the keyed record
 	// (24), its leaf slot (12), tree nodes (~45: 24 each, under two per
 	// suffix) and pair-generation lset cells (~15). The in-place builder
-	// adds one class byte and one Suffix per suffix of the largest bucket.
+	// adds one class byte and one Suffix per suffix of the largest bucket;
+	// the key sort holds a second keyed record per suffix while it runs,
+	// before any node exists.
 	spillBytesPerSuffix = 96
 	// spillMaxBinBits caps the segment-planning histogram at 16K bins
 	// (128 KiB of counters) regardless of W.
@@ -128,10 +130,12 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 		}
 	}
 	table := newStoreTable(st)
+	// One builder for every segment: its per-sequence table of last
+	// masked bytes is filled once per sweep, not once per segment.
+	ib := suffixtree.NewIncrementalBuilder(cfg.W)
 	for _, keep := range keeps {
-		ib := suffixtree.NewIncrementalBuilder(cfg.W)
 		_, _, cost := buildFiltered(ib, st, cfg, table, keep)
-		if !yield(ib.Tree(), cost) {
+		if !yield(ib.TakeTree(), cost) {
 			return false
 		}
 	}

@@ -228,7 +228,8 @@ func EachRun(ks []Keyed, fn func(lo, hi int)) {
 // parallel construction builds batches of buckets whose fragments are
 // fetched together, so the access function may differ per AddBucket
 // call (sequence bytes are needed only during that call — the finished
-// tree stores no labels).
+// tree stores no labels); all of them must serve the same bytes for a
+// sid, since the builder remembers where each sequence's masks end.
 //
 // A bucket is copied to the tail of Tree.Sufs once, in canonical (sid,
 // pos) order, and turned into its trie in place: a branch stably
@@ -242,6 +243,10 @@ type IncrementalBuilder struct {
 	// Partition scratch, as long as the largest bucket so far.
 	class []uint8  // child class of each suffix of the branching range
 	tmp   []Suffix // the range's stable partition, copied back
+	// basesFrom[sid]-1 is the index just past sequence sid's last masked
+	// byte, 0 while not yet looked up: from there on the sequence is all
+	// bases, so an edge that starts there runs to its end.
+	basesFrom []int32
 }
 
 // NewIncrementalBuilder returns a builder for bucket prefix length w.
@@ -251,6 +256,15 @@ func NewIncrementalBuilder(w int) *IncrementalBuilder {
 
 // Tree returns the accumulated forest.
 func (b *IncrementalBuilder) Tree() *Tree { return b.tree }
+
+// TakeTree returns the accumulated forest and starts an empty one. The
+// builder keeps its work count, scratch and per-sequence table, so the
+// segments of one sweep look each sequence's last masked byte up once.
+func (b *IncrementalBuilder) TakeTree() *Tree {
+	t := b.tree
+	b.tree = &Tree{W: t.W}
+	return t
+}
 
 // Work returns the number of characters the builder has examined, an
 // exact measure of construction work for modeled-time accounting.
@@ -269,14 +283,56 @@ func cmpSuffix(x, y Suffix) int {
 	return cmp.Compare(uint64(x.Sid)<<32|uint64(x.Pos), uint64(y.Sid)<<32|uint64(y.Pos))
 }
 
+// cmpKeyedSuffix orders the records of one equal-key run.
+func cmpKeyedSuffix(x, y Keyed) int { return cmpSuffix(x.Suf, y.Suf) }
+
 // SortKeyed is the one sort of a build: by key, so every bucket is an
 // equal-key run, then by (sid, pos), the canonical order in a bucket.
+//
+// Keys are integers, so the first order is a stable LSD radix sort, a
+// byte per pass, that skips every byte on which all keys agree (a
+// w-prefix key has 2w bits; a key-range segment fixes its top ones).
+// Being stable, it leaves each run in input order, which is already
+// canonical for anything Scan yields; only runs that are not — the
+// concatenation of other ranks' scans that redistribution delivers —
+// are sorted by (sid, pos). Scratch is one copy of ks.
 func SortKeyed(ks []Keyed) {
-	slices.SortFunc(ks, func(x, y Keyed) int {
-		if x.Key != y.Key {
-			return cmp.Compare(x.Key, y.Key)
+	if len(ks) < 2 {
+		return
+	}
+	var differ seq.Kmer
+	for _, k := range ks {
+		differ |= k.Key ^ ks[0].Key
+	}
+	if differ != 0 {
+		src, dst := ks, make([]Keyed, len(ks))
+		for s := uint(0); s < 64; s += 8 {
+			if byte(differ>>s) == 0 {
+				continue
+			}
+			var next [256]int
+			for _, k := range src {
+				next[byte(k.Key>>s)]++
+			}
+			sum := 0
+			for d, c := range next {
+				next[d], sum = sum, sum+c
+			}
+			for _, k := range src {
+				d := byte(k.Key >> s)
+				dst[next[d]] = k
+				next[d]++
+			}
+			src, dst = dst, src
 		}
-		return cmpSuffix(x.Suf, y.Suf)
+		if &src[0] != &ks[0] {
+			copy(ks, src)
+		}
+	}
+	EachRun(ks, func(lo, hi int) {
+		if run := ks[lo:hi]; !slices.IsSortedFunc(run, cmpKeyedSuffix) {
+			slices.SortFunc(run, cmpKeyedSuffix)
+		}
 	})
 }
 
@@ -341,6 +397,23 @@ func (b *IncrementalBuilder) tail(sf Suffix, depth int32) []byte {
 	return b.access(sf.Sid)[int(sf.Pos)+int(depth):]
 }
 
+// basesFromOf returns the index just past the last masked byte of s,
+// the bases of sequence sid, scanning s only the first time it is asked.
+func (b *IncrementalBuilder) basesFromOf(sid int32, s []byte) int {
+	if int(sid) >= len(b.basesFrom) {
+		b.basesFrom = append(b.basesFrom, make([]int32, int(sid)+1-len(b.basesFrom))...)
+	}
+	if e := b.basesFrom[sid]; e > 0 {
+		return int(e) - 1
+	}
+	e := len(s)
+	for e > 0 && seq.IsBase(s[e-1]) {
+		e--
+	}
+	b.basesFrom[sid] = int32(e) + 1
+	return e
+}
+
 // Child classes of a branch in creation order: the shared terminator,
 // masked singletons, then the bases from T down to A (a new child goes
 // in front, so siblings read A, C, G, T, masked, ended). A base with
@@ -364,8 +437,12 @@ func (b *IncrementalBuilder) build(lo, hi, depth, parent int32) int32 {
 	// Path compression: the edge grows by the longest prefix the tails
 	// share with the first one, clamped at its first masked byte (equal
 	// bytes that are bases are equal bases; a masked byte matches
-	// nothing) — for a singleton, to the end of its unmasked run.
-	ref := b.tail(sufs[0], depth)
+	// nothing) — for a singleton, to the end of its unmasked run, which
+	// is the end of the read once the tail starts past its last mask.
+	first := sufs[0]
+	s := b.access(first.Sid)
+	at := int(first.Pos) + int(depth)
+	ref := s[at:]
 	for _, sf := range sufs[1:] {
 		t := b.tail(sf, depth)
 		ref = ref[:min(len(ref), len(t))]
@@ -376,10 +453,12 @@ func (b *IncrementalBuilder) build(lo, hi, depth, parent int32) int32 {
 			}
 		}
 	}
-	for k, c := range ref {
-		if !seq.IsBase(c) {
-			ref = ref[:k]
-			break
+	if at < b.basesFromOf(first.Sid, s) {
+		for k, c := range ref {
+			if !seq.IsBase(c) {
+				ref = ref[:k]
+				break
+			}
 		}
 	}
 	depth += int32(len(ref))

@@ -823,14 +823,15 @@ func TestBuildAllocsPerSuffix(t *testing.T) {
 
 // FuzzBuildMatchesReference turns bytes into reads — two bits a base,
 // some bytes a mask or a read break — and compares the product builder
-// with the reference, tree and work.
+// with the reference, tree and work. w runs to 16, so the keys have up
+// to four bytes to sort on.
 func FuzzBuildMatchesReference(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\x00\x01\x02\x03\xff\x00\x01\x02\x03\x00\x01"), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, wb uint8) {
 		if len(data) > 600 {
 			return
 		}
-		w := 1 + int(wb%8)
+		w := 1 + int(wb%16)
 		reads := []string{""}
 		for _, b := range data {
 			switch {
@@ -847,29 +848,91 @@ func FuzzBuildMatchesReference(f *testing.F) {
 	})
 }
 
+// comparisonSortKeyed is the sort SortKeyed replaced, kept as its
+// oracle: one comparison sort by (key, sid, pos).
+func comparisonSortKeyed(ks []Keyed) {
+	slices.SortFunc(ks, func(x, y Keyed) int {
+		if x.Key != y.Key {
+			return cmp.Compare(x.Key, y.Key)
+		}
+		return cmpSuffix(x.Suf, y.Suf)
+	})
+}
+
+// FuzzSortKeyed holds the radix sort to the comparison sort. The data
+// are keys of 1 + bits%62 bits, big-endian in as few bytes as hold them
+// (few bits: many duplicate keys; up to 2·seq.MaxK bits: every byte a
+// pass). Record i is suffix (i mod nsid, i), so no two records tie on
+// (key, sid, pos) and the order is unique; layout picks nsid and the
+// input order — as decoded, (sid, pos) order as Scan yields it,
+// reversed, or shuffled.
+func FuzzSortKeyed(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, bits, layout uint8) {
+		nb := 1 + int(bits)%(2*seq.MaxK)
+		width := (nb + 7) / 8
+		nsid := 1 + int(layout>>2)
+		var ks []Keyed
+		for i := 0; i+width <= len(data); i += width {
+			var key seq.Kmer
+			for _, c := range data[i : i+width] {
+				key = key<<8 | seq.Kmer(c)
+			}
+			n := len(ks)
+			ks = append(ks, Keyed{key & (1<<nb - 1), Suffix{Sid: int32(n % nsid), Pos: int32(n), Prev: int8(n % NumPrevClasses)}})
+		}
+		switch layout % 4 {
+		case 1:
+			slices.SortFunc(ks, cmpKeyedSuffix)
+		case 2:
+			slices.Reverse(ks)
+		case 3:
+			rng := rand.New(rand.NewSource(int64(len(data))))
+			rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+		}
+		want := slices.Clone(ks)
+		comparisonSortKeyed(want)
+		SortKeyed(ks)
+		if !slices.Equal(ks, want) {
+			t.Fatalf("%d keys of %d bits, layout %d: radix order\n%v\nwant\n%v", len(ks), nb, layout, ks, want)
+		}
+	})
+}
+
 var benchTree *Tree
 
 // BenchmarkBuild measures the builder layer alone: key, sort and build
-// the suffixes of a shotgun-like store.
+// the suffixes of reads sampled from a random genome — a shotgun-like
+// store, and one shaped like a job of the service benchmark (60 reads
+// of about 700 bp, ψ = 20, w = 10).
 func BenchmarkBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	genome := make([]byte, 20000)
-	for i := range genome {
-		genome[i] = seq.Base(rng.Intn(4))
+	for _, c := range []struct {
+		name                  string
+		genome, reads, length int
+		w, minLen             int
+	}{
+		{"shotgun", 20000, 400, 400, 8, 16},
+		{"job", 30000, 60, 650, 10, 20},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(31))
+			genome := make([]byte, c.genome)
+			for i := range genome {
+				genome[i] = seq.Base(rng.Intn(4))
+			}
+			var reads []string
+			for i := 0; i < c.reads; i++ {
+				at := rng.Intn(len(genome) - c.length - 100)
+				reads = append(reads, string(genome[at:at+c.length+rng.Intn(100)]))
+			}
+			st := buildStore(reads...)
+			acc := storeAccess(st)
+			sufs := EnumerateSuffixes(acc, allSids(st), c.minLen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchTree = Build(acc, sufs, c.w)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sufs)), "ns/suffix")
+		})
 	}
-	var reads []string
-	for i := 0; i < 400; i++ {
-		at := rng.Intn(len(genome) - 500)
-		reads = append(reads, string(genome[at:at+400+rng.Intn(100)]))
-	}
-	st := buildStore(reads...)
-	acc := storeAccess(st)
-	w := 8
-	sufs := EnumerateSuffixes(acc, allSids(st), 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchTree = Build(acc, sufs, w)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sufs)), "ns/suffix")
 }
