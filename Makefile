@@ -63,8 +63,13 @@ pipeline-faults:
 # Bounded simulation campaign: randomized (machine, genome, faults,
 # schedule) cases, each checked against the serial-equivalence oracles.
 # Failures print a (campaign, case) tuple that replays them exactly.
+# The campaign must also really kill a rank during GST construction in
+# at least one case, or it has silently lost that coverage.
 sim:
-	$(GO) run ./cmd/simrunner -campaign 1 -seeds 40 -j 4
+	@log=$$(mktemp) && trap 'rm -f "$$log"' EXIT; \
+	$(GO) run ./cmd/simrunner -campaign 1 -seeds 40 -j 4 > "$$log" || { cat "$$log"; exit 1; }; \
+	cat "$$log"; \
+	grep -Eq ' [1-9][0-9]* GST-phase crashes fired' "$$log" || { echo "sim: no case killed a rank during GST construction"; exit 1; }
 
 # Committed seed corpora for every fuzz target; a target whose corpus
 # directory is empty fails before fuzzing starts.

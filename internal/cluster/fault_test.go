@@ -88,6 +88,46 @@ func TestFaultEarlyDeathAdoption(t *testing.T) {
 	}
 }
 
+// TestFaultGSTDeathGeneratesOnce: a rank that dies during GST
+// construction is recovered one way — survivors whose exchange it
+// severed sweep their own ranges, and the master hands the dead range to
+// one worker — so every pair is generated exactly once: the run
+// generates what the fault-free run does, and the partition is Serial's.
+func TestFaultGSTDeathGeneratesOnce(t *testing.T) {
+	st, _ := islandStore(3, 3, 2200, 120)
+	cfg := testConfig()
+	want := clusterLabels(Serial(st, cfg))
+	clean, _, err := Parallel(st, cfg, faultPcfg(5, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, spec := range []string{"gstcrash=2@1", "gstcrash=2@2", "gstcrash=3@4"} {
+		t.Run(spec, func(t *testing.T) {
+			plan, err := ParseFaults(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, ph, err := Parallel(st, cfg, faultPcfg(5, plan))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dead := plan.Crashes[0].Rank; !ph.Exits[dead].FaultKilled {
+				t.Fatalf("rank %d did not die: %+v", dead, ph.Exits[dead])
+			}
+			got := clusterLabels(res)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("fragment %d in cluster %d, serial says %d", i, got[i], want[i])
+				}
+			}
+			if res.Stats.Generated != clean.Stats.Generated {
+				t.Errorf("generated %d pairs, the fault-free run %d", res.Stats.Generated, clean.Stats.Generated)
+			}
+		})
+	}
+}
+
 // TestFaultAllWorkersDie: with no survivors left the master must
 // return an error rather than hang or fabricate a partial result.
 func TestFaultAllWorkersDie(t *testing.T) {

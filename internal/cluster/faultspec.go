@@ -22,7 +22,9 @@ func CrashWorkerAtReport(w, n int) par.Crash {
 //
 //	crash=RANK@N      kill rank RANK before its N-th report (repeatable)
 //	gstcrash=RANK@N   kill rank RANK before its N-th all-to-all send,
-//	                  i.e. during GST construction (repeatable)
+//	                  i.e. during GST construction (repeatable); a
+//	                  spilling build (a memory budget) sends none, so
+//	                  there it never fires
 //	drop=P            drop each eager message with probability P
 //	delay=DUR         delivery delay for delayed messages (e.g. 20ms)
 //	delayp=P          probability a message is delayed
@@ -48,40 +50,16 @@ func ParseFaults(spec string) (*par.FaultPlan, error) {
 			return nil, fmt.Errorf("cluster: fault spec field %q is not key=value", field)
 		}
 		switch key {
-		case "crash":
-			rs, ns, ok := strings.Cut(val, "@")
-			if !ok {
-				return nil, fmt.Errorf("cluster: crash spec %q is not RANK@N", val)
-			}
-			rank, err := strconv.Atoi(rs)
+		case "crash", "gstcrash":
+			rank, n, err := parseRankStep(key, val)
 			if err != nil {
-				return nil, fmt.Errorf("cluster: bad crash rank %q: %v", rs, err)
+				return nil, err
 			}
-			n, err := strconv.Atoi(ns)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bad crash step %q: %v", ns, err)
+			crash := CrashWorkerAtReport(rank, n)
+			if key == "gstcrash" {
+				crash = par.CrashAtAlltoallSend(rank, n)
 			}
-			if rank < 1 || n < 1 {
-				return nil, fmt.Errorf("cluster: crash %q must name a worker rank ≥ 1 and step ≥ 1", val)
-			}
-			plan.Crashes = append(plan.Crashes, CrashWorkerAtReport(rank, n))
-		case "gstcrash":
-			rs, ns, ok := strings.Cut(val, "@")
-			if !ok {
-				return nil, fmt.Errorf("cluster: gstcrash spec %q is not RANK@N", val)
-			}
-			rank, err := strconv.Atoi(rs)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bad gstcrash rank %q: %v", rs, err)
-			}
-			n, err := strconv.Atoi(ns)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bad gstcrash step %q: %v", ns, err)
-			}
-			if rank < 1 || n < 1 {
-				return nil, fmt.Errorf("cluster: gstcrash %q must name a worker rank ≥ 1 and step ≥ 1", val)
-			}
-			plan.Crashes = append(plan.Crashes, par.CrashAtAlltoallSend(rank, n))
+			plan.Crashes = append(plan.Crashes, crash)
 		case "drop":
 			p, err := strconv.ParseFloat(val, 64)
 			if err != nil || p < 0 || p > 1 {
@@ -123,4 +101,23 @@ func ParseFaults(spec string) (*par.FaultPlan, error) {
 		}
 	}
 	return plan, nil
+}
+
+// parseRankStep parses the RANK@N value of a crash or gstcrash field: a
+// worker rank ≥ 1 and a step ≥ 1.
+func parseRankStep(key, val string) (rank, n int, err error) {
+	rs, ns, ok := strings.Cut(val, "@")
+	if !ok {
+		return 0, 0, fmt.Errorf("cluster: %s spec %q is not RANK@N", key, val)
+	}
+	if rank, err = strconv.Atoi(rs); err != nil {
+		return 0, 0, fmt.Errorf("cluster: bad %s rank %q: %v", key, rs, err)
+	}
+	if n, err = strconv.Atoi(ns); err != nil {
+		return 0, 0, fmt.Errorf("cluster: bad %s step %q: %v", key, ns, err)
+	}
+	if rank < 1 || n < 1 {
+		return 0, 0, fmt.Errorf("cluster: %s %q must name a worker rank ≥ 1 and step ≥ 1", key, val)
+	}
+	return rank, n, nil
 }

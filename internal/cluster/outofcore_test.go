@@ -109,14 +109,12 @@ func TestParallelChargesSweeps(t *testing.T) {
 		local := pgst.Build(c, st, pgst.Config{ // as rankBody builds it
 			W: cfg.W, MinLen: cfg.Psi, FirstOwner: 1, BatchBytes: pcfg.BatchBytes, Seed: 12345, SpillBytes: cfg.MemBudget,
 		})
-		for _, r := range local.Covers {
-			local.Forests(st, r, func(_ *suffixtree.Tree, cost float64) bool {
-				mu.Lock()
-				sweeps += cost
-				mu.Unlock()
-				return true
-			})
-		}
+		local.Forests(st, c.Rank(), func(_ *suffixtree.Tree, cost float64) bool {
+			mu.Lock()
+			sweeps += cost
+			mu.Unlock()
+			return true
+		})
 	})
 	if sweeps <= 0 {
 		t.Fatal("the sweeps cost nothing; weak test")

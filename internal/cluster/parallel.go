@@ -295,9 +295,9 @@ type rankOut struct {
 func (run *parallelRun) rankBody(c *par.Comm, out *rankOut) {
 	store, cfg, pcfg := run.store, run.cfg, run.pcfg
 	// Phase 1: distributed GST over workers (rank 0 owns no buckets).
-	// On a survivable machine the build outlives its ranks: one that
-	// dies mid-construction has its exchanges re-enumerated and its
-	// bucket range rebuilt by survivors (see package pgst).
+	// On a survivable machine the build outlives its ranks: a survivor
+	// whose exchange a death severed sweeps its own range, and the
+	// master hands a dead rank's range to a worker (see package pgst).
 	c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGST, 0, 0)
 	local := pgst.Build(c, store, pgst.Config{
 		W:          cfg.W,
@@ -432,9 +432,7 @@ func runWorker(c *par.Comm, run *parallelRun, local *pgst.Local) {
 		r: pcfg.BatchSize, // initial request size before the master says otherwise
 	}
 	defer w.close()
-	for _, r := range local.Covers {
-		w.cover(r)
-	}
+	w.cover(c.Rank())
 	for {
 		// The lease protocol needs non-blocking reports: a worker the
 		// master already gave up on (fired on lease expiry while merely

@@ -2,24 +2,26 @@ package pgst
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/par"
+	"repro/internal/seq"
 )
 
-// unionSignature wraps UnionSignatureOf for resident locals (no store
-// is read) in the (nodes, sufs) shape the older tests were written
-// against.
-func unionSignature(locals []*Local) (map[string]int, []string) {
-	sig := UnionSignatureOf(nil, locals)
+// unionSignature wraps UnionSignatureOf in the (nodes, sufs) shape the
+// older tests were written against.
+func unionSignature(st seq.Seqs, locals []*Local) (map[string]int, []string) {
+	sig := UnionSignatureOf(st, locals)
 	return sig.Nodes, sig.Suffixes
 }
 
-// checkUnion verifies that the union of the locals' trees carries the
-// reference signature.
-func checkUnion(t *testing.T, name string, locals []*Local, wantNodes map[string]int, wantSufs []string) {
+// checkUnion verifies that the union of what the locals hand out — dead
+// ranks' ranges swept, as an adopter would — carries the reference
+// signature.
+func checkUnion(t *testing.T, name string, st seq.Seqs, locals []*Local, wantNodes map[string]int, wantSufs []string) {
 	t.Helper()
-	gotNodes, gotSufs := unionSignature(locals)
+	gotNodes, gotSufs := unionSignature(st, locals)
 	if len(gotSufs) != len(wantSufs) {
 		t.Fatalf("%s: %d leaf suffixes, want %d", name, len(gotSufs), len(wantSufs))
 	}
@@ -55,15 +57,16 @@ func TestFTBuildMatchesSerial(t *testing.T) {
 			W: w, MinLen: psi, BatchBytes: 1 << 20, Seed: 7,
 		})
 	})
-	checkUnion(t, "ft fault-free", locals, wantNodes, wantSufs)
+	checkUnion(t, "ft fault-free", st, locals, wantNodes, wantSufs)
 }
 
-// TestFTBuildSurvivesCrash is the tentpole contract: a rank killed
-// mid-construction (during redistribution or fragment fetch, with or
-// without frame corruption on the wire) must leave the survivors
-// holding, in union, exactly the fault-free GST — the dead rank's
-// exchanges re-enumerated and its bucket range rebuilt from data the
-// survivors already hold.
+// TestFTBuildSurvivesCrash is the survivable build's contract: a rank
+// killed mid-construction (before its first send, during redistribution
+// or fragment fetch, with or without frame corruption on the wire) must
+// leave the survivors handing out, in union with the dead rank's range
+// swept from the store, exactly the fault-free GST. A survivor whose
+// redistribution the death severed keeps no resident tree; one the dead
+// rank reached before dying keeps its own.
 func TestFTBuildSurvivesCrash(t *testing.T) {
 	st := testStore(1, 6000, 3.0)
 	const w, psi = 6, 8
@@ -71,16 +74,19 @@ func TestFTBuildSurvivesCrash(t *testing.T) {
 
 	const p = 5
 	cases := []struct {
-		name string
-		plan *par.FaultPlan
+		name    string
+		plan    *par.FaultPlan
+		severed []int // survivors the death severs
 	}{
+		{"dies before its first send", &par.FaultPlan{
+			Seed: 5, Crashes: []par.Crash{par.CrashAtAlltoallSend(2, 1)}}, []int{0, 1, 3, 4}},
 		{"redistribution crash", &par.FaultPlan{
-			Seed: 5, Crashes: []par.Crash{par.CrashAtAlltoallSend(2, 2)}}},
+			Seed: 5, Crashes: []par.Crash{par.CrashAtAlltoallSend(2, 2)}}, []int{1, 3, 4}},
 		{"fetch crash", &par.FaultPlan{
-			Seed: 5, Crashes: []par.Crash{par.CrashAtAlltoallSend(3, 5)}}},
+			Seed: 5, Crashes: []par.Crash{par.CrashAtAlltoallSend(3, 5)}}, nil},
 		{"crash with corrupting wire", &par.FaultPlan{
 			Seed: 5, Crashes: []par.Crash{par.CrashAtAlltoallSend(2, 3)},
-			Retransmit: true, CorruptProb: 0.05}},
+			Retransmit: true, CorruptProb: 0.05}, []int{3, 4}},
 	}
 	for _, tc := range cases {
 		locals := make([]*Local, p)
@@ -109,7 +115,12 @@ func TestFTBuildSurvivesCrash(t *testing.T) {
 		if alive != p-1 {
 			t.Fatalf("%s: %d survivors, want %d", tc.name, alive, p-1)
 		}
-		checkUnion(t, tc.name, locals, wantNodes, wantSufs)
+		for r, l := range locals {
+			if l != nil && (l.tree == nil) != slices.Contains(tc.severed, r) {
+				t.Fatalf("%s: survivor %d resident %v, severed survivors %v", tc.name, r, l.tree != nil, tc.severed)
+			}
+		}
+		checkUnion(t, tc.name, st, locals, wantNodes, wantSufs)
 	}
 }
 
@@ -132,7 +143,7 @@ func TestFTBuildDeterminism(t *testing.T) {
 				W: w, MinLen: psi, BatchBytes: 1 << 20, Seed: 7,
 			})
 		})
-		return unionSignature(locals)
+		return unionSignature(st, locals)
 	}
 	n1, s1 := run()
 	n2, s2 := run()

@@ -14,13 +14,14 @@
 //
 // On a survivable machine (par.Comm.Survivable: a fault plan or a
 // transport) the build outlives its ranks, provided rank 0 — the
-// clustering master's role — survives: the collectives skip dead
-// ranks, exchanges severed by a mid-build death are re-enumerated by
-// the survivors from the store every rank can read, and dead owners'
-// bucket ranges are rebuilt whole by designated survivors, so the union
-// of the surviving per-bucket tries is identical to a fault-free build.
-// There is no configuration for this; on a fail-stop machine the
-// recovery steps send nothing and the paper's message pattern is kept.
+// clustering master's role — survives, and it recovers a death one way:
+// by the sweep Local.Forests already runs, since every rank holds the
+// full store. The collectives skip dead ranks; a survivor whose
+// redistribution a death severed sees it in its own exchange, keeps no
+// resident tree and sweeps its own range when asked for it; a dead
+// owner's range is swept by whichever rank is handed it (the clustering
+// master's adoption). Nothing extra is agreed or sent, so a fail-stop
+// machine keeps the paper's message pattern.
 package pgst
 
 import (
@@ -88,15 +89,13 @@ func (c Config) withDefaults() Config {
 // Local is one rank's part of the distributed GST. Its forests reach
 // every consumer one way, through Forests.
 type Local struct {
-	// tree is the resident forest of this rank's own bucket range (plus
-	// any range the recovery epilogue rebuilt into it); nil for a
-	// spilling build, which keeps nothing resident.
+	// rank is the owner rank this Local belongs to (its range is empty
+	// below FirstOwner).
+	rank int
+	// tree is the resident forest of the rank's own bucket range; nil for
+	// a spilling build, which keeps nothing resident, and for a survivor
+	// whose redistribution a death severed, which sweeps instead.
 	tree *suffixtree.Tree
-	// Covers lists the ranks whose bucket ranges this rank hands out:
-	// its own first (empty below FirstOwner), then — in a spilling build,
-	// which rebuilds nothing eagerly — the dead ranks the recovery
-	// epilogue assigned to it.
-	Covers []int
 	// Buckets is the number of buckets this rank built.
 	Buckets int
 	// SuffixesOwned is the number of suffixes in this rank's buckets.
@@ -157,18 +156,6 @@ func scanOwner(st seq.Seqs, bounds []int, me int, cfg Config, keep func(seq.Kmer
 		suffixtree.Scan(st, lo+n, hi+n, cfg.W, cfg.MinLen, keep, fn)
 }
 
-// enumerateOwner enumerates and keys the suffixes of owner rank me's
-// fragment range (both orientations), keeping only keys for which keep
-// returns true (nil: keep everything). Returns the kept suffixes and
-// the character count examined, so callers can charge the work. Every
-// rank holds the full store, so any survivor can re-run a dead rank's
-// enumeration — the redundancy the fault-tolerant build recovers from.
-func enumerateOwner(st seq.Seqs, bounds []int, me int, cfg Config, keep func(seq.Kmer) bool) ([]suffixtree.Keyed, int64) {
-	var out []suffixtree.Keyed
-	chars := scanOwner(st, bounds, me, cfg, keep, func(k suffixtree.Keyed) { out = append(out, k) })
-	return out, chars
-}
-
 // Build constructs this rank's portion of the distributed GST. All
 // ranks of the communicator must call it collectively.
 func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
@@ -190,8 +177,7 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	// (both orientations). Ranks below FirstOwner hold no fragments.
 	var local []suffixtree.Keyed
 	if me := c.Rank() - cfg.FirstOwner; me >= 0 {
-		var chars int64
-		local, chars = enumerateOwner(st, bounds, me, cfg, nil)
+		chars := scanOwner(st, bounds, me, cfg, nil, func(k suffixtree.Keyed) { local = append(local, k) })
 		c.ChargeCompute(float64(chars)*costChar + float64(len(local))*costSuf)
 	}
 
@@ -201,10 +187,10 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 	splitters := chooseSplitters(c, local, owners, cfg)
 
 	// Phase 3: redistribute suffixes so each bucket lands whole on its
-	// owner rank (exchanges severed by a rank death are re-enumerated
-	// from the full store), then sort once into the builder's order.
+	// owner rank, then sort once into the builder's order. A rank whose
+	// exchange a death severed builds nothing and keeps serving fetches.
 	c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGSTRedist, 0, 0)
-	mine := redistribute(c, st, local, splitters, bounds, cfg)
+	mine, severed := redistribute(c, local, splitters, cfg)
 	c.TraceEvent(obs.EvPhaseExit, obs.PhaseGSTRedist, 0, 0)
 	suffixtree.SortKeyed(mine)
 	c.ChargeCompute(float64(len(mine)) * log2f(len(mine)) * costSort)
@@ -241,27 +227,18 @@ func Build(c *par.Comm, st seq.Seqs, cfg Config) *Local {
 		c.ChargeCompute(float64(ib.Work()-prevWork) * costChar)
 		prevWork = ib.Work()
 	}
-	nbuckets := len(buckets)
-
-	// Recovery epilogue: rebuild the whole bucket range of every owner
-	// that died at any point during construction, so the union of
-	// surviving tries matches a fault-free build exactly.
-	for _, dead := range recoverAssignments(c, cfg.FirstOwner) {
-		nb, ns, cost := buildFiltered(ib, st, cfg, newStoreTable(st), ownedBy(splitters, cfg.FirstOwner, dead))
-		nbuckets += nb
-		nsuf += ns
-		c.ChargeCompute(cost)
-	}
-
-	return &Local{
-		tree:          ib.Tree(),
-		Covers:        []int{c.Rank()},
-		Buckets:       nbuckets,
+	l := &Local{
+		rank:          c.Rank(),
+		Buckets:       len(buckets),
 		SuffixesOwned: nsuf,
 		FetchRounds:   rounds,
 		Splitters:     splitters,
 		Cfg:           cfg,
 	}
+	if !severed {
+		l.tree = ib.Tree()
+	}
+	return l
 }
 
 // log2f is ⌊log₂ n⌋, at least 1: the comparison levels of a sort.
@@ -365,11 +342,12 @@ func newBufs(p int) []*wire.Buffer {
 }
 
 // redistribute exchanges keyed suffixes so each lands on its bucket's
-// owner rank. When a rank dies mid-exchange the survivors agree on the
-// set of severed sources and each re-enumerates those ranks' fragment
-// ranges from its own full copy of the store, keeping the keys it owns
-// — so its bucket contents end up identical to a fault-free exchange.
-func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters []seq.Kmer, bounds []int, cfg Config) []suffixtree.Keyed {
+// owner rank. It reports severed when a source died before its buffer
+// reached this rank (a survivable machine; rank 0 never does, or the
+// build would not survive): this rank's buckets are then incomplete,
+// which it knows from its own exchange alone, so it receives none and
+// its range is swept from the store when asked for.
+func redistribute(c *par.Comm, local []suffixtree.Keyed, splitters []seq.Kmer, cfg Config) (mine []suffixtree.Keyed, severed bool) {
 	bufs := newBufs(c.Size())
 	for _, ks := range local {
 		d := destOf(splitters, ks.Key, cfg.FirstOwner)
@@ -381,15 +359,9 @@ func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters 
 	}
 	c.ChargeCompute(float64(len(local)) * costSuf)
 	recv, got := exchange(c, cfg, bufs)
-	severed := agreeSevered(c, got)
-	// Discard partial data from severed sources: a rank that died
-	// mid-exchange reached some destinations and not others, and only a
-	// uniform re-enumeration keeps every survivor's view consistent (no
-	// lost and no duplicated suffixes).
-	for _, s := range severed {
-		recv[s] = nil
+	if slices.Contains(got, false) {
+		return nil, true
 	}
-	var mine []suffixtree.Keyed
 	for _, buf := range recv {
 		r := wire.NewReader(buf)
 		for r.Remaining() > 0 {
@@ -400,69 +372,8 @@ func redistribute(c *par.Comm, st seq.Seqs, local []suffixtree.Keyed, splitters 
 			mine = append(mine, suffixtree.Keyed{Key: key, Suf: suffixtree.Suffix{Sid: sid, Pos: pos, Prev: prev}})
 		}
 	}
-	// Recover the severed exchanges: replay each dead source's
-	// enumeration locally, keeping only the keys this rank owns.
-	for _, s := range severed {
-		me := s - cfg.FirstOwner
-		if me < 0 || s == c.Rank() {
-			continue // non-owner ranks contribute no suffixes
-		}
-		rec, chars := enumerateOwner(st, bounds, me, cfg, ownedBy(splitters, cfg.FirstOwner, c.Rank()))
-		mine = append(mine, rec...)
-		c.ChargeCompute(float64(chars)*costChar + float64(len(rec))*costSuf)
-	}
 	c.ChargeCompute(float64(len(mine)) * costSuf)
-	return mine
-}
-
-// agreeSevered merges every survivor's view of which alltoall sources
-// went missing (rank 0 unions the reports and broadcasts the result),
-// so all survivors recover the same set of exchanges. On a fail-stop
-// machine no exchange can be severed and nothing is sent.
-func agreeSevered(c *par.Comm, got []bool) []int {
-	if !c.Survivable() {
-		return nil
-	}
-	w := wire.NewBuffer(8)
-	for s, ok := range got {
-		if !ok {
-			w.PutInt(s)
-		}
-	}
-	reports, reported := c.Gather(0, w.Bytes())
-	var enc []byte
-	if c.Rank() == 0 {
-		miss := make(map[int]bool)
-		for i, buf := range reports {
-			if !reported[i] {
-				// A rank that died after the exchange but before
-				// reporting: its own buckets are handled by the
-				// end-of-build rebuild, not here.
-				continue
-			}
-			r := wire.NewReader(buf)
-			for r.Remaining() > 0 {
-				miss[r.Int()] = true
-			}
-		}
-		out := wire.NewBuffer(2 * len(miss))
-		var sorted []int
-		for s := range miss {
-			sorted = append(sorted, s)
-		}
-		slices.Sort(sorted)
-		for _, s := range sorted {
-			out.PutInt(s)
-		}
-		enc = out.Bytes()
-	}
-	enc = c.Bcast(0, enc)
-	r := wire.NewReader(enc)
-	var severed []int
-	for r.Remaining() > 0 {
-		severed = append(severed, r.Int())
-	}
-	return severed
+	return mine, false
 }
 
 // planBatches groups bucket indices into batches whose distinct
@@ -628,45 +539,4 @@ func (t *seqTable) reset() {
 		t.seqs[sid] = nil
 	}
 	t.live = t.live[:0]
-}
-
-// recoverAssignments is the recovery epilogue's agreement step: rank 0
-// gathers a liveness ping, pairs each dead owner rank with a surviving
-// owner round-robin, and broadcasts the assignment. Returns the dead
-// ranks assigned to the calling rank for rebuilding — none, and with
-// nothing sent, on a fail-stop machine, where no rank outlives a death.
-func recoverAssignments(c *par.Comm, firstOwner int) []int {
-	if !c.Survivable() {
-		return nil
-	}
-	_, alive := c.Gather(0, nil)
-	var enc []byte
-	if c.Rank() == 0 {
-		var deadOwners, liveOwners []int
-		for r := firstOwner; r < c.Size(); r++ {
-			if alive[r] {
-				liveOwners = append(liveOwners, r)
-			} else {
-				deadOwners = append(deadOwners, r)
-			}
-		}
-		w := wire.NewBuffer(4 * len(deadOwners))
-		if len(liveOwners) > 0 {
-			for k, d := range deadOwners {
-				w.PutInt(d)
-				w.PutInt(liveOwners[k%len(liveOwners)])
-			}
-		}
-		enc = w.Bytes()
-	}
-	enc = c.Bcast(0, enc)
-	r := wire.NewReader(enc)
-	var mine []int
-	for r.Remaining() > 0 {
-		dead, assigned := r.Int(), r.Int()
-		if assigned == c.Rank() {
-			mine = append(mine, dead)
-		}
-	}
-	return mine
 }

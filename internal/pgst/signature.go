@@ -46,23 +46,28 @@ func TreeSignature(trees ...*suffixtree.Tree) Signature {
 	return sig
 }
 
-// UnionSignatureOf summarizes the union of the forests the given locals
-// cover, as Forests hands them out: a resident tree as it stands, a
-// spilling local's key ranges segment by segment against st (building
-// and dropping each forest, so the oracle itself honors the byte
-// budget). Nil entries — dead ranks — are skipped; their ranges appear
-// through the survivor that adopted them.
+// UnionSignatureOf summarizes the union of the forests a machine's
+// locals (indexed by rank) hand out through Forests: each live local's
+// own range — a resident tree as it stands, anything else swept segment
+// by segment against st, so the oracle itself honors the byte budget —
+// and, for each dead rank (a nil entry), its range swept by a live
+// local, which is exactly what the rank that adopts it does.
 func UnionSignatureOf(st seq.Seqs, locals []*Local) Signature {
 	sig := Signature{Nodes: make(map[string]int)}
+	add := func(t *suffixtree.Tree, _ float64) bool {
+		sig.add(t)
+		return true
+	}
+	var live *Local
 	for _, l := range locals {
-		if l == nil {
-			continue
+		if l != nil {
+			live = l
+			l.Forests(st, l.rank, add)
 		}
-		for _, r := range l.Covers {
-			l.Forests(st, r, func(t *suffixtree.Tree, _ float64) bool {
-				sig.add(t)
-				return true
-			})
+	}
+	for r, l := range locals {
+		if l == nil && live != nil {
+			live.Forests(st, r, add)
 		}
 	}
 	sort.Strings(sig.Suffixes)

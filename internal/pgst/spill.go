@@ -14,12 +14,13 @@
 // drop it, move on. Combined with the disk-backed sequence store the
 // resident set is O(budget + cache), independent of input size.
 //
-// The filtered re-enumeration (buildFiltered) also serves fault
-// recovery — Build's epilogue, and the adoption of a dead rank's range
-// during clustering, which is a sweep like any other: the union of
-// segment forests carries exactly the suffixes of a monolithic build,
-// and each bucket lands whole in exactly one segment, so the forest
-// union — and therefore the generated pair set — is identical.
+// The sweep is also the one fault-recovery path: a survivor whose
+// redistribution a death severed sweeps its own range, and a dead
+// rank's range is swept by whichever rank adopts it during clustering.
+// The union of segment forests carries exactly the suffixes of a
+// monolithic build, and each bucket lands whole in exactly one segment,
+// so the forest union — and therefore the generated pair set — is
+// identical.
 package pgst
 
 import (
@@ -95,33 +96,34 @@ func planSpillSegments(hist []int64, budget int64) []spillSegment {
 
 // buildFiltered re-enumerates every suffix of the store, keeps those
 // whose key passes keep (nil: all), and builds their buckets into ib —
-// the shared core of Build's recovery epilogue and segment sweeping.
-// Returns bucket/suffix counts and the modeled compute cost.
-func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, table *seqTable, keep func(seq.Kmer) bool) (nbuckets, nsuf int, cost float64) {
+// one segment of a sweep. Returns the modeled compute cost.
+func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, table *seqTable, keep func(seq.Kmer) bool) float64 {
 	var mine []suffixtree.Keyed
 	chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, keep,
 		func(k suffixtree.Keyed) { mine = append(mine, k) })
 	before := ib.Work()
-	nbuckets = ib.AddKeyed(table.Seq, mine)
-	cost = float64(chars)*costChar +
+	ib.AddKeyed(table.Seq, mine)
+	return float64(chars)*costChar +
 		float64(len(mine))*(costSuf+log2f(len(mine))*costSort) +
 		float64(ib.Work()-before)*costChar
-	return nbuckets, len(mine), cost
 }
 
 // sweepFiltered yields one forest per segment of the keys passing own
 // (nil: all), building and dropping them in turn, each with the modeled
 // cost of building it — the sweep runs wherever its consumer pulls it,
 // so charging that cost is the consumer's business. With a byte budget
-// the segments come from a histogram pass; without one the whole range
-// is a single segment. Returns false if yield stopped the sweep.
+// the segments come from a histogram pass, whose scan the first segment
+// pays for; without one the whole range is a single segment. Returns
+// false if yield stopped the sweep.
 func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree, float64) bool) bool {
 	keeps := []func(seq.Kmer) bool{own}
+	var planCost float64
 	if cfg.SpillBytes > 0 {
 		shift := spillBinShift(cfg.W)
 		hist := make([]int64, 1<<spillBinBits(cfg.W))
-		suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own,
+		chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own,
 			func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
+		planCost = float64(chars) * costChar
 		keeps = keeps[:0]
 		for _, sg := range planSpillSegments(hist, cfg.SpillBytes) {
 			keeps = append(keeps, func(k seq.Kmer) bool {
@@ -134,7 +136,8 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 	// masked bytes is filled once per sweep, not once per segment.
 	ib := suffixtree.NewIncrementalBuilder(cfg.W)
 	for _, keep := range keeps {
-		_, _, cost := buildFiltered(ib, st, cfg, table, keep)
+		cost := buildFiltered(ib, st, cfg, table, keep) + planCost
+		planCost = 0
 		if !yield(ib.TakeTree(), cost) {
 			return false
 		}
@@ -156,13 +159,14 @@ func SweepSerial(st seq.Seqs, cfg Config, yield func(*suffixtree.Tree) bool) {
 // yield with each forest of the buckets the splitter partition assigned
 // to owner rank r, and the modeled compute cost of building it. This
 // rank's own range of a resident build is the tree Build left resident,
-// already paid for. Anything else — any range of a spilling build, a
-// dead rank's range during adoption — is swept from the store: bounded
+// already paid for. Anything else — any range of a spilling build, the
+// own range of a rank whose redistribution a death severed, a dead
+// rank's range during adoption — is swept from the store: bounded
 // segments under Cfg.SpillBytes, one segment without a budget, each
 // forest dropped after yield returns. Returns false if yield stopped
 // the sweep.
 func (l *Local) Forests(st seq.Seqs, r int, yield func(*suffixtree.Tree, float64) bool) bool {
-	if l.tree != nil && r == l.Covers[0] {
+	if l.tree != nil && r == l.rank {
 		return yield(l.tree, 0)
 	}
 	return sweepFiltered(st, l.Cfg, ownedBy(l.Splitters, l.Cfg.FirstOwner, r), yield)
@@ -198,10 +202,9 @@ func sampleOwnerKeys(st seq.Seqs, bounds []int, me int, cfg Config, perRank int)
 // buildSpill is Build's spilling mode: agree on splitters from
 // streamed samples, then return immediately — no enumeration is
 // retained, no suffixes are exchanged, no tree is resident. Each rank
-// sweeps its own key range (plus any adopted dead ranks') lazily via
-// Forests; every rank reads the shared store directly, so the
-// redistribution and fragment-fetch collectives of the in-memory path
-// have nothing to move.
+// sweeps its own key range (and any it adopts) lazily via Forests;
+// every rank reads the shared store directly, so the redistribution and
+// fragment-fetch collectives of the in-memory path have nothing to move.
 func buildSpill(c *par.Comm, st seq.Seqs, cfg Config, bounds []int, owners int) *Local {
 	var samples []suffixtree.Keyed
 	if me := c.Rank() - cfg.FirstOwner; me >= 0 {
@@ -211,16 +214,5 @@ func buildSpill(c *par.Comm, st seq.Seqs, cfg Config, bounds []int, owners int) 
 			samples = append(samples, suffixtree.Keyed{Key: k})
 		}
 	}
-	splitters := chooseSplitters(c, samples, owners, cfg)
-
-	l := &Local{
-		Covers:    []int{c.Rank()},
-		Splitters: splitters,
-		Cfg:       cfg,
-	}
-	// Recovery epilogue: adopt dead owners' ranges by recording them for
-	// the sweep — recovery is a deferred re-enumeration that stays within
-	// the byte budget.
-	l.Covers = append(l.Covers, recoverAssignments(c, cfg.FirstOwner)...)
-	return l
+	return &Local{rank: c.Rank(), Splitters: chooseSplitters(c, samples, owners, cfg), Cfg: cfg}
 }

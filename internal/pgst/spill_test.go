@@ -2,6 +2,7 @@ package pgst
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -118,6 +119,39 @@ func TestSweepBudgetBounds(t *testing.T) {
 	})
 }
 
+// TestBudgetedSweepChargesHistogram: a budgeted sweep's summed cost is
+// the histogram pass's scan plus every segment's build — the planning
+// scan is charged to whoever pulls the sweep, not dropped.
+func TestBudgetedSweepChargesHistogram(t *testing.T) {
+	st := testStore(4, 8000, 4.0)
+	cfg := Config{W: 6, MinLen: 8, SpillBytes: 32 << 10}.withDefaults()
+	l := &Local{Cfg: cfg} // no splitters: owner rank 0 holds every key
+	var got float64
+	segments := 0
+	l.Forests(st, 0, func(_ *suffixtree.Tree, cost float64) bool {
+		got += cost
+		segments++
+		return true
+	})
+
+	shift := spillBinShift(cfg.W)
+	hist := make([]int64, 1<<spillBinBits(cfg.W))
+	chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, nil,
+		func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
+	want := float64(chars) * costChar
+	segs := planSpillSegments(hist, cfg.SpillBytes)
+	for _, sg := range segs {
+		keep := func(k seq.Kmer) bool { return sg.contains(k, shift) }
+		want += buildFiltered(suffixtree.NewIncrementalBuilder(cfg.W), st, cfg, newStoreTable(st), keep)
+	}
+	if segments != len(segs) || segments < 2 {
+		t.Fatalf("%d segments swept, %d planned; want the same, at least 2", segments, len(segs))
+	}
+	if math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("sweep charged %.9g s, the histogram scan plus the segments cost %.9g s", got, want)
+	}
+}
+
 // TestSpillBuildMatchesSerial: the distributed spilling build — no
 // redistribution, no resident forests, ranks sweeping their splitter
 // ranges — must union to the serial tree and generate the serial pair
@@ -172,9 +206,10 @@ func TestSpillBuildMatchesSerial(t *testing.T) {
 }
 
 // TestSpillBuildSurvivesCrash: a rank killed during the spilling
-// build's splitter agreement must leave the survivors covering, in
-// union, exactly the serial GST — the dead rank's key range adopted as
-// an extra lazy sweep range, never a resident rebuild.
+// build's splitter agreement must leave each survivor serving its own
+// range alone — no survivor takes on the dead range during the build —
+// and the survivors' ranges plus the dead range swept by whichever rank
+// adopts it must union to exactly the serial GST.
 func TestSpillBuildSurvivesCrash(t *testing.T) {
 	st := testStore(1, 6000, 3.0)
 	const w, psi = 6, 8
@@ -195,7 +230,6 @@ func TestSpillBuildSurvivesCrash(t *testing.T) {
 	if !exits[crashed].FaultKilled {
 		t.Fatalf("rank %d was not fault-killed: %+v", crashed, exits[crashed])
 	}
-	covered := map[int]int{}
 	for r, l := range locals {
 		if r == crashed {
 			if l != nil {
@@ -209,15 +243,27 @@ func TestSpillBuildSurvivesCrash(t *testing.T) {
 		if l.tree != nil {
 			t.Fatalf("survivor %d holds a resident tree in spilling mode", r)
 		}
-		for _, cr := range l.Covers {
-			covered[cr]++
+		if l.rank != r {
+			t.Fatalf("survivor %d serves the range of rank %d", r, l.rank)
 		}
 	}
-	for r := 0; r < p; r++ {
-		if covered[r] != 1 {
-			t.Fatalf("owner rank %d covered %d times, want exactly once (coverage %v)",
-				r, covered[r], covered)
+	// The survivors' own ranges and the dead range partition the
+	// suffixes: nothing the build hands out covers the dead range twice.
+	var survivors []*suffixtree.Tree
+	for _, l := range locals {
+		if l != nil {
+			survivors = append(survivors, forestsOf(st, l)...)
 		}
+	}
+	var adopted []*suffixtree.Tree
+	locals[0].Forests(st, crashed, func(tr *suffixtree.Tree, _ float64) bool {
+		adopted = append(adopted, tr)
+		return true
+	})
+	own, dead := TreeSignature(survivors...), TreeSignature(adopted...)
+	if len(dead.Suffixes) == 0 || len(own.Suffixes)+len(dead.Suffixes) != len(want.Suffixes) {
+		t.Fatalf("survivors serve %d suffixes and the dead range %d, the serial tree has %d",
+			len(own.Suffixes), len(dead.Suffixes), len(want.Suffixes))
 	}
 	if !UnionSignatureOf(st, locals).Equal(want) {
 		t.Fatal("survivor union signature differs from serial tree after crash")

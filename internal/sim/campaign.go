@@ -28,6 +28,7 @@ type CampaignResult struct {
 	FaultCases     int
 	PerturbedCases int
 	DiskCases      int
+	GSTCrashes     int // cases whose GST build really lost a rank
 	WorkersLost    int64
 	Retransmits    int
 	Quarantined    int
@@ -89,6 +90,9 @@ func Campaign(seed int64, n int, opt CampaignOptions) CampaignResult {
 		if res.Case.StoreDisk {
 			cr.DiskCases++
 		}
+		if res.GSTCrashed {
+			cr.GSTCrashes++
+		}
 		cr.WorkersLost += res.WorkersLost
 		cr.Retransmits += res.Retransmits
 		cr.Quarantined += res.Quarantined
@@ -109,9 +113,9 @@ func FailureReport(res Result) string {
 
 // String renders the campaign summary line recorded in EXPERIMENTS.md.
 func (cr CampaignResult) String() string {
-	return fmt.Sprintf("%d cases (%d with faults, %d schedule-perturbed, %d out-of-core): %d failed; %d workers lost, %d retransmits, %d clusters quarantined",
+	return fmt.Sprintf("%d cases (%d with faults, %d schedule-perturbed, %d out-of-core): %d failed; %d GST-phase crashes fired, %d workers lost, %d retransmits, %d clusters quarantined",
 		cr.Cases, cr.FaultCases, cr.PerturbedCases, cr.DiskCases, cr.Failed,
-		cr.WorkersLost, cr.Retransmits, cr.Quarantined)
+		cr.GSTCrashes, cr.WorkersLost, cr.Retransmits, cr.Quarantined)
 }
 
 // Shrink minimizes a failing case: it greedily drops fault-spec fields

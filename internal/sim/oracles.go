@@ -30,7 +30,10 @@ type Result struct {
 	WorkersLost int64
 	Retransmits int
 	Quarantined int
-	Wall        time.Duration
+	// GSTCrashed: the GST oracle's build lost its gstcrash target — a
+	// rank really died during GST construction.
+	GSTCrashed bool
+	Wall       time.Duration
 
 	// Trace is the clustering run's tracer, kept so a replayed case
 	// can dump its raw events (simrunner -events-out).
@@ -53,8 +56,9 @@ const leaseTimeout = 400 * time.Millisecond
 //
 //  1. Partition: the parallel clustering under the case's faults and
 //     schedule equals the serial union–find transitive closure.
-//  2. GST: the union of the survivors' fault-tolerant GST forests
-//     equals the serial generalized suffix tree.
+//  2. GST: the union of the survivors' fault-tolerant GST forests, each
+//     dead rank's range swept as its adopter would, equals the serial
+//     generalized suffix tree; a resident build's crash target died.
 //  3. Resume: the checkpointed pipeline rolled back to the case's
 //     phase boundary and resumed reproduces the uninterrupted run's
 //     contigs byte for byte.
@@ -198,7 +202,8 @@ func (r *Result) checkClustering(c Case, store seq.Seqs, ccfg cluster.Config, wa
 // checkGST runs oracle 2: a standalone GST build under the
 // GST-meaningful subset of the case's faults (a fault plan is what
 // makes the machine survivable); the union of the survivors' forests
-// must carry exactly the serial tree's content.
+// and the dead ranks' swept ranges must carry exactly the serial tree's
+// content.
 func (r *Result) checkGST(c Case, store seq.Seqs, ccfg cluster.Config) {
 	spec := c.gstFaultSpec()
 	machine := par.DefaultConfig(c.Ranks)
@@ -232,6 +237,13 @@ func (r *Result) checkGST(c Case, store seq.Seqs, ccfg cluster.Config) {
 			r.failf("gst oracle: rank %d died without being a crash target: %s", rank, e.Reason)
 			return
 		}
+	}
+	// A gstcrash counts all-to-all sends, which only the resident build
+	// makes: there the target must die, or the case tests nothing.
+	r.GSTCrashed = crashTarget >= 0 && exits[crashTarget].FaultKilled
+	if crashTarget >= 0 && ccfg.MemBudget == 0 && !r.GSTCrashed {
+		r.failf("gst oracle: crash target %d of a resident build did not die (spec %q)", crashTarget, spec)
+		return
 	}
 
 	acc := func(sid int32) []byte { return store.Seq(int(sid)) }

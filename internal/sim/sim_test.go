@@ -131,6 +131,9 @@ func TestRunCaseWithFaults(t *testing.T) {
 	if res.Retransmits == 0 {
 		t.Error("corrupting wire produced no retransmits — fault injection inert?")
 	}
+	if !res.GSTCrashed {
+		t.Error("gstcrash=2@2 killed no rank during the resident GST build")
+	}
 }
 
 // TestCampaignSmall: a short campaign with concurrent workers must
@@ -144,8 +147,8 @@ func TestCampaignSmall(t *testing.T) {
 	if cr.Cases != 4 {
 		t.Fatalf("Cases = %d, want 4", cr.Cases)
 	}
-	if !strings.Contains(cr.String(), "4 cases") {
-		t.Fatalf("summary %q missing case count", cr.String())
+	if !strings.Contains(cr.String(), "4 cases") || !strings.Contains(cr.String(), "GST-phase crashes fired") {
+		t.Fatalf("summary %q missing case or GST-crash count", cr.String())
 	}
 }
 
