@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs bench bench-check analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
+.PHONY: all build vet fmt-check test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
 
 all: build
 
@@ -117,37 +117,12 @@ fuzz-smoke:
 # Instrumented quickstart: runs two quick experiments with tracing on
 # and validates that every emitted trace file parses as balanced
 # Chrome trace_event JSON (tracecheck is the Perfetto-load stand-in).
-OBS_TRACE_DIR := $(shell mktemp -d 2>/dev/null || echo /tmp/obs-traces)
+# The temp directory is made in the recipe, so parsing the Makefile
+# creates nothing, and the trap removes it when a step fails.
 obs:
-	$(GO) run ./cmd/experiments -run fig5,faults,pipelinefaults -quick -ranks 2,4 -trace-out $(OBS_TRACE_DIR)
-	$(GO) run ./cmd/tracecheck $(OBS_TRACE_DIR)/*.trace.json
-	rm -rf $(OBS_TRACE_DIR)
-
-# Continuous benchmarks: fixed-seed workloads measured in host terms
-# (ns/op, allocs, peak RSS) and modeled terms (critical path,
-# comm/comp split from the causal DAG). `bench` rewrites the committed
-# baselines; `bench-check` gates the current build against them with
-# per-metric noise-calibrated thresholds and fails on regression.
-bench:
-	$(GO) run ./cmd/benchrun -workload cluster -out BENCH_cluster.json -profile-out PROF_cluster.txt
-	$(GO) run ./cmd/benchrun -workload transport -ranks 4 -out BENCH_transport.json
-	$(GO) run ./cmd/benchrun -workload pipeline -out BENCH_pipeline.json
-	$(GO) run ./cmd/benchrun -workload outofcore -out BENCH_outofcore.json
-
-bench-check:
-	$(GO) run ./cmd/benchrun -workload cluster -check BENCH_cluster.json
-	$(GO) run ./cmd/benchrun -workload transport -ranks 4 -check BENCH_transport.json
-	$(GO) run ./cmd/benchrun -workload pipeline -check BENCH_pipeline.json
-	# Out-of-core memory gate: mem/disk × scale-1/scale-10 subprocess
-	# cells; the disk backend's peak-RSS ratio must stay flat while the
-	# mem backend's must keep growing (proof the gate still bites).
-	$(GO) run ./cmd/benchrun -workload outofcore -check BENCH_outofcore.json
-	# Collector-on run against the collector-off baseline: live
-	# telemetry streaming must cost less than the noise gates.
-	$(GO) run ./cmd/benchrun -workload transport -ranks 4 -collector -check BENCH_transport.json
-	# Profiling tax gate: alternating off/on iterations in one process;
-	# the labeled capture must cost ≤5% (+50ms slack) over off.
-	$(GO) run ./cmd/benchrun -workload cluster -profile-overhead
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT; set -e; \
+	$(GO) run ./cmd/experiments -run fig5,faults,pipelinefaults -quick -ranks 2,4 -trace-out "$$d"; \
+	$(GO) run ./cmd/tracecheck "$$d"/*.trace.json
 
 # Transport conformance: the sim partition and causal-trace oracles
 # against every transport backend under the race detector — in-process
@@ -178,27 +153,27 @@ service-smoke:
 # Causal-analysis smoke: replay one sim case with its raw events dump,
 # stitch the causal DAG and print the critical path; a malformed DAG
 # (unmatched message edge, cycle, CP != makespan) fails the target.
-ANALYZE_TMP := $(shell mktemp -d 2>/dev/null || echo /tmp/analyze-smoke)
 analyze-smoke:
-	$(GO) run ./cmd/simrunner -campaign 1 -case 3 -events-out $(ANALYZE_TMP)/case3.events.json
-	$(GO) run ./cmd/traceanalyze -chrome $(ANALYZE_TMP)/case3.crit.json $(ANALYZE_TMP)/case3.events.json
-	$(GO) run ./cmd/tracecheck $(ANALYZE_TMP)/case3.crit.json
-	rm -rf $(ANALYZE_TMP)
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT; set -e; \
+	$(GO) run ./cmd/simrunner -campaign 1 -case 3 -events-out "$$d/case3.events.json"; \
+	$(GO) run ./cmd/traceanalyze -chrome "$$d/case3.crit.json" "$$d/case3.events.json"; \
+	$(GO) run ./cmd/tracecheck "$$d/case3.crit.json"
 
-# Profiling-plane smoke under the race detector: capture a labeled
-# 8-rank run (session manager + label hooks), decode every artifact
-# with the in-repo pprof reader, cross-rank merge, and render the
-# critical-path attribution report — plus the SIGKILL+resume profiled
-# job whose archived merge must decode after restart.
-PROF_TMP := $(shell mktemp -d 2>/dev/null || echo /tmp/profile-smoke)
+# Profiling-plane smoke: under the race detector, the labeling
+# contract of a profiled 8-rank run (session + label hooks) and the
+# SIGKILL+resume profiled job whose archived merge must decode after
+# restart; then a labeled 8-rank asmcluster capture with its events
+# dump, rendered by asmprof as the critical-path attribution report,
+# collapsed stacks and a cross-rank merge.
 profile-smoke:
-	$(GO) test -race -v -run 'TestProfileLabelExactness' ./internal/bench
+	$(GO) test -race -v -run 'TestProfileLabelExactness' ./internal/launch
 	$(GO) test -race -v -run 'TestProfiledJobSurvivesKill' ./internal/jobs
-	$(GO) run ./cmd/benchrun -workload cluster -iters 1 -profile-dir $(PROF_TMP)
-	$(GO) run ./cmd/asmprof $(PROF_TMP)
-	$(GO) run ./cmd/asmprof -folded $(PROF_TMP) > $(PROF_TMP)/folded.txt
-	$(GO) run ./cmd/asmprof -merge-out $(PROF_TMP)/merged.cpu.pb.gz $(PROF_TMP)
-	rm -rf $(PROF_TMP)
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT; set -e; \
+	$(GO) run ./cmd/genomesim -kind wgs -len 20000 -coverage 6 -seed 42 -out "$$d/sim"; \
+	$(GO) run ./cmd/asmcluster -in "$$d/sim_reads.fa" -ranks 8 -prof-dir "$$d/prof" -events-out "$$d/prof/events.json" -out "$$d/clusters.tsv"; \
+	$(GO) run ./cmd/asmprof "$$d/prof"; \
+	$(GO) run ./cmd/asmprof -folded "$$d/prof" > "$$d/folded.txt"; \
+	$(GO) run ./cmd/asmprof -merge-out "$$d/merged.cpu.pb.gz" "$$d/prof"
 
 # Command-line contract under the race detector: asmcluster,
 # asmpipeline and asmnode are built with -race and driven through the
@@ -213,8 +188,12 @@ cli-smoke:
 # race detector — fresh run matches the in-memory contigs, the store
 # artifact is journaled, resume from every rollback depth is
 # byte-identical (reusing, not rebuilding, the checksummed store), and
-# a corrupted store artifact refuses to resume.
+# a corrupted store artifact refuses to resume. Then, without the race
+# detector (its ×10 in-memory cell peaks near 550 MB), the memory gate:
+# peak RSS of the disk backend stays flat under a ×10 input while the
+# in-memory backend's grows.
 outofcore-smoke:
 	$(GO) test -race -v -run 'TestOutOfCore' ./internal/pipeline
+	$(GO) test -count=1 -v -run 'AcrossTenfoldInput' ./internal/pipeline
 
-ci: vet fmt-check build test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke bench-check
+ci: vet fmt-check build test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke

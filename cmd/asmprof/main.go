@@ -12,8 +12,9 @@
 //	asmprof -merge-out merged.pb.gz DIR # write the cross-rank merged CPU profile
 //	asmprof -diff OLDDIR NEWDIR         # what changed between two captures
 //
-// DIR holds artifacts a profiling session wrote (benchrun -profile-dir,
-// asmcluster/asmpipeline -prof-dir, or a job's prof/ directory):
+// DIR holds artifacts a profiling session wrote (asmcluster/asmpipeline
+// -prof-dir, whose -events-out DIR/events.json adds the causal join, or
+// a job's prof/ directory):
 // *.cpu.pb.gz, *.heap*.pb.gz, *.allocs.pb.gz, plus optionally the
 // run's events.json. With -events (or an events.json found in DIR)
 // the critical-path phase comes from the analyze causal DAG;
@@ -29,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/prof"
@@ -155,7 +155,17 @@ func loadCritPhases(dir, eventsPath string) []prof.CritPhaseSec {
 	if err != nil {
 		fail(fmt.Errorf("analyzing %s: %w", eventsPath, err))
 	}
-	return bench.CritPhases(rep)
+	return critPhases(rep)
+}
+
+// critPhases converts an analyze report's critical-path phase totals
+// into the plain form prof.Attribute consumes.
+func critPhases(rep *analyze.Report) []prof.CritPhaseSec {
+	out := make([]prof.CritPhaseSec, 0, len(rep.CriticalPath.PhaseTotals))
+	for _, cp := range rep.CriticalPath.PhaseTotals {
+		out = append(out, prof.CritPhaseSec{Phase: cp.Phase, Sec: cp.Sec})
+	}
+	return out
 }
 
 // runDiff localizes a regression between two captures: per-function

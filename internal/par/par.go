@@ -85,11 +85,6 @@ type Config struct {
 	// modeled timestamps. Nil disables tracing: the hot path then
 	// costs one nil check per operation and allocates nothing.
 	Trace *obs.Tracer
-	// CompScale multiplies every modeled compute charge (0 = 1.0). It
-	// models uniformly slower cores without touching the interconnect
-	// model — the knob cmd/benchrun's -slowdown uses to demonstrate
-	// that the benchmark regression gate trips.
-	CompScale float64
 }
 
 // DefaultConfig returns a machine with p ranks and BlueGene/L-like
@@ -104,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Beta == 0 {
 		c.Beta = 150e6
-	}
-	if c.CompScale == 0 {
-		c.CompScale = 1
 	}
 	return c
 }
@@ -466,11 +458,11 @@ func (c *Comm) chargeComm(bytes int) {
 	c.st.CommModel += c.m.cfg.Alpha.Seconds() + float64(bytes)/c.m.cfg.Beta
 }
 
-// ChargeCompute adds modeled computation seconds to this rank, scaled
-// by the machine's CompScale. Compute kernels charge analytic costs
-// (cells aligned, characters scanned) so modeled runtimes scale with
-// the simulated machine size rather than the host's core count.
-func (c *Comm) ChargeCompute(sec float64) { c.st.CompModel += sec * c.m.cfg.CompScale }
+// ChargeCompute adds modeled computation seconds to this rank. Compute
+// kernels charge analytic costs (cells aligned, characters scanned) so
+// modeled runtimes scale with the simulated machine size rather than
+// the host's core count.
+func (c *Comm) ChargeCompute(sec float64) { c.st.CompModel += sec }
 
 // Snapshot returns the rank's statistics accumulated so far, with Wall
 // reflecting elapsed time since the rank started. Useful for per-phase

@@ -113,8 +113,9 @@ func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, t
 // cost of building it — the sweep runs wherever its consumer pulls it,
 // so charging that cost is the consumer's business. With a byte budget
 // the segments come from a histogram pass, whose scan the first segment
-// pays for; without one the whole range is a single segment. Returns
-// false if yield stopped the sweep.
+// pays for (an empty range yields one empty forest to carry it);
+// without one the whole range is a single segment. Returns false if
+// yield stopped the sweep.
 func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree, float64) bool) bool {
 	keeps := []func(seq.Kmer) bool{own}
 	var planCost float64
@@ -124,8 +125,13 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 		chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own,
 			func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
 		planCost = float64(chars) * costChar
+		segs := planSpillSegments(hist, cfg.SpillBytes)
+		if len(segs) == 0 {
+			// An empty range still paid for the scan that found it empty.
+			return yield(&suffixtree.Tree{W: cfg.W}, planCost)
+		}
 		keeps = keeps[:0]
-		for _, sg := range planSpillSegments(hist, cfg.SpillBytes) {
+		for _, sg := range segs {
 			keeps = append(keeps, func(k seq.Kmer) bool {
 				return sg.contains(k, shift) && (own == nil || own(k))
 			})

@@ -121,34 +121,50 @@ func TestSweepBudgetBounds(t *testing.T) {
 
 // TestBudgetedSweepChargesHistogram: a budgeted sweep's summed cost is
 // the histogram pass's scan plus every segment's build — the planning
-// scan is charged to whoever pulls the sweep, not dropped.
+// scan is charged to whoever pulls the sweep, not dropped, even when
+// the range is empty and plans no segment: then one empty forest
+// carries it.
 func TestBudgetedSweepChargesHistogram(t *testing.T) {
 	st := testStore(4, 8000, 4.0)
 	cfg := Config{W: 6, MinLen: 8, SpillBytes: 32 << 10}.withDefaults()
 	l := &Local{Cfg: cfg} // no splitters: owner rank 0 holds every key
-	var got float64
-	segments := 0
-	l.Forests(st, 0, func(_ *suffixtree.Tree, cost float64) bool {
-		got += cost
-		segments++
-		return true
-	})
+	for _, tc := range []struct {
+		name  string
+		r     int
+		empty bool
+	}{
+		{"every key", 0, false},
+		{"empty owner", 1, true},
+	} {
+		var got float64
+		segments, sufs := 0, 0
+		l.Forests(st, tc.r, func(f *suffixtree.Tree, cost float64) bool {
+			got += cost
+			segments++
+			sufs += len(f.Sufs)
+			return true
+		})
 
-	shift := spillBinShift(cfg.W)
-	hist := make([]int64, 1<<spillBinBits(cfg.W))
-	chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, nil,
-		func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
-	want := float64(chars) * costChar
-	segs := planSpillSegments(hist, cfg.SpillBytes)
-	for _, sg := range segs {
-		keep := func(k seq.Kmer) bool { return sg.contains(k, shift) }
-		want += buildFiltered(suffixtree.NewIncrementalBuilder(cfg.W), st, cfg, newStoreTable(st), keep)
-	}
-	if segments != len(segs) || segments < 2 {
-		t.Fatalf("%d segments swept, %d planned; want the same, at least 2", segments, len(segs))
-	}
-	if math.Abs(got-want) > 1e-9*want {
-		t.Fatalf("sweep charged %.9g s, the histogram scan plus the segments cost %.9g s", got, want)
+		own := ownedBy(l.Splitters, cfg.FirstOwner, tc.r)
+		shift := spillBinShift(cfg.W)
+		hist := make([]int64, 1<<spillBinBits(cfg.W))
+		chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own,
+			func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
+		want := float64(chars) * costChar
+		segs := planSpillSegments(hist, cfg.SpillBytes)
+		for _, sg := range segs {
+			keep := func(k seq.Kmer) bool { return sg.contains(k, shift) && own(k) }
+			want += buildFiltered(suffixtree.NewIncrementalBuilder(cfg.W), st, cfg, newStoreTable(st), keep)
+		}
+		if tc.empty && (len(segs) != 0 || segments != 1 || sufs != 0) {
+			t.Fatalf("%s: %d planned, %d swept with %d suffixes; want none planned, one empty forest", tc.name, len(segs), segments, sufs)
+		}
+		if !tc.empty && (segments != len(segs) || segments < 2) {
+			t.Fatalf("%s: %d segments swept, %d planned; want the same, at least 2", tc.name, segments, len(segs))
+		}
+		if want <= 0 || math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("%s: sweep charged %.9g s, the histogram scan plus the segments cost %.9g s", tc.name, got, want)
+		}
 	}
 }
 
