@@ -184,8 +184,11 @@ profile-smoke:
 cli-smoke:
 	$(GO) test -race -count=1 -v -run 'TestCLIContract' ./internal/launch
 
-# Out-of-core smoke: the disk-backed pipeline end to end under the
-# race detector — fresh run matches the in-memory contigs, the store
+# Out-of-core smoke: the budgeted GST sweep under the race detector
+# (segments ≡ serial tree on both stores, two store scans per sweep,
+# no run file left behind, byte-capped access table), then the
+# disk-backed pipeline end to end under it — fresh run matches the
+# in-memory contigs, the store
 # artifact is journaled, resume from every rollback depth is
 # byte-identical (reusing, not rebuilding, the checksummed store), and
 # a corrupted store artifact refuses to resume. Then, without the race
@@ -193,6 +196,7 @@ cli-smoke:
 # peak RSS of the disk backend stays flat under a ×10 input while the
 # in-memory backend's grows.
 outofcore-smoke:
+	$(GO) test -race -run 'Sweep|Spill|SeqTable|BuildHolds' ./internal/pgst
 	$(GO) test -race -v -run 'TestOutOfCore' ./internal/pipeline
 	$(GO) test -count=1 -v -run 'AcrossTenfoldInput' ./internal/pipeline
 

@@ -470,34 +470,37 @@ func fetchFragments(c *par.Comm, st seq.Seqs, buckets [][]suffixtree.Suffix, bat
 
 // seqTable is the sequence-access table every trie build reads through:
 // a dense slice over the 2n sequence IDs, so a character lookup is one
-// index and never a map probe. At most max sequences are resident (0:
-// unbounded); at the bound the table empties itself in O(resident) and
-// refills from load on demand, which keeps the decoded bases of a
-// disk-backed store bounded. Allocate one per build or sweep: the slice
-// headers are O(n).
+// index and never a map probe. At most maxBytes of bases are resident
+// (0: unbounded), but always at least one sequence; when a load would
+// pass the bound the table empties itself in O(resident) and refills
+// from load on demand, which keeps the decoded bases of a disk-backed
+// store bounded. Allocate one per build or sweep: the slice headers are
+// O(n).
 type seqTable struct {
-	seqs [][]byte
-	live []int32 // resident sids
-	max  int
-	load func(sid int32) []byte
+	seqs     [][]byte
+	live     []int32 // resident sids
+	bytes    int     // resident bases
+	maxBytes int
+	load     func(sid int32) []byte
 }
 
-// seqTableResident bounds a store-backed table: tree construction
-// touches the same few sequences repeatedly within a bucket.
-const seqTableResident = 256
+// seqTableBytes bounds a store-backed table, the size of a disk store's
+// default block cache: a store that fits is decoded once per sweep,
+// however many segments the sweep has.
+const seqTableBytes = 1 << 20
 
 // newStoreTable returns a bounded table that loads misses from st.
 func newStoreTable(st seq.Seqs) *seqTable {
 	return &seqTable{
-		seqs: make([][]byte, st.NumSeqs()),
-		max:  seqTableResident,
-		load: func(sid int32) []byte { return st.Seq(int(sid)) },
+		seqs:     make([][]byte, st.NumSeqs()),
+		maxBytes: seqTableBytes,
+		load:     func(sid int32) []byte { return st.Seq(int(sid)) },
 	}
 }
 
 // newFetchTable returns the table of the distributed build, filled per
 // batch with the forward fragments their owners served (put) and
-// bounded by the batch, not by max. Reverse complements are derived on
+// bounded by the batch, not by maxBytes. Reverse complements are derived on
 // demand. With fallback (a survivable machine) a fragment a dead owner
 // never served is read from the local copy of the store instead of
 // panicking.
@@ -521,10 +524,10 @@ func (t *seqTable) Seq(sid int32) []byte {
 	if s := t.seqs[sid]; s != nil {
 		return s
 	}
-	if t.max > 0 && len(t.live) >= t.max {
+	s := t.load(sid)
+	if t.maxBytes > 0 && t.bytes+len(s) > t.maxBytes {
 		t.reset()
 	}
-	s := t.load(sid)
 	t.put(sid, s)
 	return s
 }
@@ -532,6 +535,7 @@ func (t *seqTable) Seq(sid int32) []byte {
 func (t *seqTable) put(sid int32, s []byte) {
 	t.seqs[sid] = s
 	t.live = append(t.live, sid)
+	t.bytes += len(s)
 }
 
 func (t *seqTable) reset() {
@@ -539,4 +543,5 @@ func (t *seqTable) reset() {
 		t.seqs[sid] = nil
 	}
 	t.live = t.live[:0]
+	t.bytes = 0
 }

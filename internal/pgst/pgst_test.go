@@ -355,7 +355,8 @@ func TestForestsOfAnotherRank(t *testing.T) {
 // bytes st.Seq does — from the mem and the disk store, and from
 // fetched forward fragments with reverse complements derived and a
 // dead owner's fragments falling back to the store — and a bounded
-// table never holds more than its cap resident.
+// table never holds more bytes than its cap resident, except a single
+// sequence longer than the cap.
 func TestSeqTable(t *testing.T) {
 	mem := testStore(9, 4000, 3.0)
 	disk, err := diskstore.Create(t.TempDir(), mem.Fragments(), diskstore.Options{CacheBytes: 1})
@@ -373,25 +374,37 @@ func TestSeqTable(t *testing.T) {
 			if got := tb.Seq(int32(sid)); !bytes.Equal(got, st.Seq(sid)) {
 				t.Fatalf("%s: sid %d differs from the store", name, sid)
 			}
-			resident := 0
+			if tb.seqs[sid] == nil {
+				t.Fatalf("%s: sid %d not resident right after its lookup", name, sid)
+			}
+			resident, held := 0, 0
 			for _, s := range tb.seqs {
 				if s != nil {
 					resident++
+					held += len(s)
 				}
 			}
-			if tb.max > 0 && (resident > tb.max || len(tb.live) > tb.max) {
-				t.Fatalf("%s: %d resident (%d tracked), cap %d", name, resident, len(tb.live), tb.max)
+			if resident != len(tb.live) || held != tb.bytes {
+				t.Fatalf("%s: %d sequences of %d bytes resident, %d of %d tracked", name, resident, held, len(tb.live), tb.bytes)
+			}
+			if tb.maxBytes > 0 && held > tb.maxBytes && resident > 1 {
+				t.Fatalf("%s: %d bytes in %d sequences resident, cap %d", name, held, resident, tb.maxBytes)
 			}
 		}
 	}
 
 	for name, st := range map[string]seq.Seqs{"mem": mem, "disk": disk} {
-		tb := newStoreTable(st)
-		if tb.max != seqTableResident {
-			t.Fatalf("store table cap %d, want %d", tb.max, seqTableResident)
+		if tb := newStoreTable(st); tb.maxBytes != seqTableBytes {
+			t.Fatalf("store table cap %d bytes, want %d", tb.maxBytes, seqTableBytes)
 		}
-		tb.max = 7 // far below 2n, so the walk crosses the bound often
-		checkAll(name, tb, st)
+		// Seven reads' bytes, far below the store's, so the walk crosses
+		// the bound often; then a cap below any one read, which the table
+		// still admits one at a time.
+		for _, cap := range []int{7 * 200, 50} {
+			tb := newStoreTable(st)
+			tb.maxBytes = cap
+			checkAll(fmt.Sprintf("%s cap %d", name, cap), tb, st)
+		}
 	}
 
 	// Fetched batch: owners served the even fragments, a dead owner
@@ -424,8 +437,8 @@ func TestSeqTable(t *testing.T) {
 
 // TestBuildHoldsTwoSequences: the builder keeps at most two sequence
 // slices in hand at a time, so an access table over a disk store that
-// may forget everything but two sequences on any lookup still yields
-// the serial forest node for node.
+// may forget everything but about two reads' bytes on any lookup still
+// yields the serial forest node for node.
 func TestBuildHoldsTwoSequences(t *testing.T) {
 	mem := testStore(10, 4000, 3.0)
 	disk, err := diskstore.Create(t.TempDir(), mem.Fragments(), diskstore.Options{CacheBytes: 1})
@@ -435,17 +448,27 @@ func TestBuildHoldsTwoSequences(t *testing.T) {
 	defer disk.Close()
 	cfg := Config{W: 6, MinLen: 8}
 
+	var ks []suffixtree.Keyed
+	suffixtree.Scan(disk, 0, disk.NumSeqs(), cfg.W, cfg.MinLen, nil, func(k suffixtree.Keyed) { ks = append(ks, k) })
 	tb := newStoreTable(disk)
-	tb.max = 2
+	tb.maxBytes = 2 * disk.TotalBases() / disk.N()
+	over := 0
+	access := func(sid int32) []byte {
+		s := tb.Seq(sid)
+		if tb.bytes > tb.maxBytes && len(tb.live) > 1 {
+			over++
+		}
+		return s
+	}
 	ib := suffixtree.NewIncrementalBuilder(cfg.W)
-	if buildFiltered(ib, disk, cfg, tb, nil) <= 0 || ib.Tree().NumNodes() == 0 {
+	if ib.AddKeyed(access, ks) == 0 || tb.bytes == 0 {
 		t.Fatal("nothing built; weak test")
 	}
-	if len(tb.live) > 2 {
-		t.Fatalf("%d sequences resident, cap 2", len(tb.live))
+	if over > 0 {
+		t.Fatalf("%d lookups left more than %d bytes in more than one sequence resident", over, tb.maxBytes)
 	}
 	if want := serialTree(mem, cfg.W, cfg.MinLen); !reflect.DeepEqual(ib.Tree(), want) {
-		t.Fatalf("forest through a 2-resident table differs from the serial tree (%d vs %d nodes)",
+		t.Fatalf("forest through a two-read table differs from the serial tree (%d vs %d nodes)",
 			ib.Tree().NumNodes(), want.NumNodes())
 	}
 }

@@ -1,7 +1,7 @@
 // Segment sweeps: how every GST other than the distributed resident
 // build is constructed. A positive Config.SpillBytes is the out-of-core
 // mode; without a budget the whole range is one segment, which is the
-// serial tree.
+// serial tree, scanned straight into memory.
 //
 // Bucket-by-w-prefix already makes the tree a forest of independent
 // subtrees, so nothing ever requires the whole tree in memory: pair
@@ -9,10 +9,14 @@
 // build therefore never materializes a rank's full forest. Instead it
 // partitions the key space into contiguous *segments* sized so one
 // segment's suffixes fit the byte budget (estimated from a streaming
-// key histogram), and the consumer sweeps: build one segment's forest
-// from a filtered re-enumeration of the store, generate its pairs,
-// drop it, move on. Combined with the disk-backed sequence store the
-// resident set is O(budget + cache), independent of input size.
+// key histogram), distributes the keyed suffixes of one more scan into
+// per-segment runs of a private temp file — a partitioned external
+// sort, the I/O-bounded construction of Kundeti et al. — and the
+// consumer sweeps: read one segment's run back, build its forest,
+// generate its pairs, drop it, move on. The store is scanned twice
+// whatever the segment count. Combined with the disk-backed sequence
+// store the resident set is O(budget + cache), independent of input
+// size.
 //
 // The sweep is also the one fault-recovery path: a survivor whose
 // redistribution a death severed sweeps its own range, and a dead
@@ -24,6 +28,9 @@
 package pgst
 
 import (
+	"encoding/binary"
+	"fmt"
+	"os"
 	"slices"
 
 	"repro/internal/par"
@@ -43,6 +50,18 @@ const (
 	// spillMaxBinBits caps the segment-planning histogram at 16K bins
 	// (128 KiB of counters) regardless of W.
 	spillMaxBinBits = 14
+	// spillRecordBytes is one keyed suffix in a run file: key, sid and
+	// pos little-endian, then prev.
+	spillRecordBytes = 17
+	// spillBufferBytes bounds a sweep's run-file write buffers together
+	// (the budget does, if smaller): the size of the access table's cap
+	// and of a disk store's default block cache. They hold records the
+	// segment footprint estimate does not count, and are garbage only
+	// once the first segment is being built.
+	spillBufferBytes = 1 << 20
+	// spillMinChunkRecords is the fewest records a run-file chunk holds,
+	// so a budget split over thousands of segments still writes in blocks.
+	spillMinChunkRecords = 32
 )
 
 // spillBinBits returns the histogram resolution for prefix length w.
@@ -58,13 +77,11 @@ func spillBinBits(w int) uint {
 // order-preserving ranges of the packed key space.
 func spillBinShift(w int) uint { return uint(2*w) - spillBinBits(w) }
 
-// spillSegment is a contiguous histogram-bin range [loBin, hiBin).
-type spillSegment struct{ loBin, hiBin int }
-
-// contains reports whether key falls in the segment.
-func (g spillSegment) contains(key seq.Kmer, shift uint) bool {
-	bin := int(key >> shift)
-	return bin >= g.loBin && bin < g.hiBin
+// spillSegment is a contiguous histogram-bin range [loBin, hiBin)
+// holding n suffixes.
+type spillSegment struct {
+	loBin, hiBin int
+	n            int64
 }
 
 // planSpillSegments greedily packs histogram bins into segments whose
@@ -83,70 +100,216 @@ func planSpillSegments(hist []int64, budget int64) []spillSegment {
 	var acc int64
 	for b := 0; b < len(hist); b++ {
 		if acc > 0 && acc+hist[b] > maxSuf {
-			segs = append(segs, spillSegment{lo, b})
+			segs = append(segs, spillSegment{lo, b, acc})
 			lo, acc = b, 0
 		}
 		acc += hist[b]
 	}
 	if acc > 0 {
-		segs = append(segs, spillSegment{lo, len(hist)})
+		segs = append(segs, spillSegment{lo, len(hist), acc})
 	}
 	return segs
 }
 
-// buildFiltered re-enumerates every suffix of the store, keeps those
-// whose key passes keep (nil: all), and builds their buckets into ib —
-// one segment of a sweep. Returns the modeled compute cost.
-func buildFiltered(ib *suffixtree.IncrementalBuilder, st seq.Seqs, cfg Config, table *seqTable, keep func(seq.Kmer) bool) float64 {
-	var mine []suffixtree.Keyed
-	chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, keep,
-		func(k suffixtree.Keyed) { mine = append(mine, k) })
+// spillRuns is a sweep's partitioned external sort: the keyed suffixes
+// of one scan, distributed by segment into runs of one temp file. Each
+// segment fills a buffer and appends it to the file as one chunk headed
+// by the offset of the segment's previous chunk, so the sweep holds one
+// file descriptor and O(segments) bookkeeping however large the file
+// grows, and a run read back along its chain is in scan order — (sid,
+// pos) order within every key, which SortKeyed keeps. The file is
+// unlinked as soon as it is created, so nothing outlives the sweep,
+// however it ends.
+type spillRuns struct {
+	f       *os.File // created on the first write
+	end     int64    // bytes written to f
+	segOf   []int32  // histogram bin → segment
+	runs    []spillRun
+	chunk   int    // a full chunk's bytes: header and whole records
+	scratch []byte // one chunk read back
+}
+
+// spillRun is one segment's run.
+type spillRun struct {
+	n    int    // records, from the histogram
+	buf  []byte // the chunk being filled: header, then records
+	last int64  // offset of the latest chunk written, -1 before the first
+	size int    // bytes of that chunk
+}
+
+// spillChunkHeader is a chunk's header: the offset of the previous
+// chunk of its run, -1 for the first.
+const spillChunkHeader = 8
+
+// newSpillRuns returns empty runs for segs over nbins histogram bins.
+// The segments' buffers together hold about spillBufferBytes, or budget
+// if smaller, and at least spillMinChunkRecords records each.
+func newSpillRuns(segs []spillSegment, nbins int, budget int64) *spillRuns {
+	recs := max(min(budget, spillBufferBytes)/int64(len(segs))/spillRecordBytes, spillMinChunkRecords)
+	r := &spillRuns{
+		segOf: make([]int32, nbins),
+		runs:  make([]spillRun, len(segs)),
+		chunk: spillChunkHeader + int(recs)*spillRecordBytes,
+	}
+	r.scratch = make([]byte, r.chunk)
+	for s, sg := range segs {
+		r.runs[s] = spillRun{n: int(sg.n), buf: make([]byte, spillChunkHeader, r.chunk), last: -1}
+		for b := sg.loBin; b < sg.hiBin; b++ {
+			r.segOf[b] = int32(s)
+		}
+	}
+	return r
+}
+
+// add appends k, whose key falls in histogram bin bin, to its segment.
+func (r *spillRuns) add(bin int, k suffixtree.Keyed) {
+	run := &r.runs[r.segOf[bin]]
+	b := binary.LittleEndian.AppendUint64(run.buf, uint64(k.Key))
+	b = binary.LittleEndian.AppendUint32(b, uint32(k.Suf.Sid))
+	b = binary.LittleEndian.AppendUint32(b, uint32(k.Suf.Pos))
+	run.buf = append(b, byte(k.Suf.Prev))
+	if len(run.buf) == r.chunk {
+		r.flush(run)
+	}
+}
+
+// flush appends run's buffered records to the file as one chunk.
+func (r *spillRuns) flush(run *spillRun) {
+	if len(run.buf) <= spillChunkHeader {
+		return
+	}
+	if r.f == nil {
+		f, err := os.CreateTemp("", "asmsweep-*")
+		if err != nil {
+			spillFail(err)
+		}
+		r.f = f
+		if err := os.Remove(f.Name()); err != nil {
+			spillFail(err)
+		}
+	}
+	binary.LittleEndian.PutUint64(run.buf, uint64(run.last))
+	if _, err := r.f.Write(run.buf); err != nil {
+		spillFail(err)
+	}
+	run.last, run.size = r.end, len(run.buf)
+	r.end += int64(len(run.buf))
+	run.buf = run.buf[:spillChunkHeader]
+}
+
+// seal writes every partial buffer and drops the buffers: from here on
+// the runs are only in the file.
+func (r *spillRuns) seal() {
+	for s := range r.runs {
+		r.flush(&r.runs[s])
+		r.runs[s].buf = nil
+	}
+}
+
+// read returns segment s's records in scan order. It follows the run's
+// chain from its latest chunk back, filling the records from the end;
+// every chunk but the latest is full.
+func (r *spillRuns) read(s int) []suffixtree.Keyed {
+	run := r.runs[s]
+	ks := make([]suffixtree.Keyed, run.n)
+	i := run.n
+	for off, size := run.last, run.size; off >= 0; size = r.chunk {
+		b := r.scratch[:size]
+		if _, err := r.f.ReadAt(b, off); err != nil {
+			spillFail(err)
+		}
+		off = int64(binary.LittleEndian.Uint64(b))
+		i -= (size - spillChunkHeader) / spillRecordBytes
+		if i < 0 {
+			break
+		}
+		for j, b := i, b[spillChunkHeader:]; len(b) > 0; j, b = j+1, b[spillRecordBytes:] {
+			ks[j] = suffixtree.Keyed{
+				Key: seq.Kmer(binary.LittleEndian.Uint64(b)),
+				Suf: suffixtree.Suffix{
+					Sid:  int32(binary.LittleEndian.Uint32(b[8:])),
+					Pos:  int32(binary.LittleEndian.Uint32(b[12:])),
+					Prev: int8(b[16]),
+				},
+			}
+		}
+	}
+	if i != 0 {
+		spillFail(fmt.Errorf("segment %d: run does not hold its %d records", s, run.n))
+	}
+	return ks
+}
+
+// close releases the run file. It is already unlinked and nothing in it
+// needs to outlive the sweep, so Close's error changes nothing.
+func (r *spillRuns) close() {
+	if r.f != nil {
+		r.f.Close()
+	}
+}
+
+// spillFail reports an I/O failure on a run file. The sweep's consumers
+// pull forests through a yield with no error channel, and the file is a
+// private temp file that worked moments ago, so it is unrecoverable
+// where it happens (diskstore's Seq follows the same policy).
+func spillFail(err error) {
+	panic(fmt.Sprintf("pgst: sweep run file: %v", err))
+}
+
+// addKeyed builds the buckets of ks into ib and returns cost plus the
+// modeled cost of sorting and building them.
+func addKeyed(ib *suffixtree.IncrementalBuilder, table *seqTable, ks []suffixtree.Keyed, cost float64) float64 {
 	before := ib.Work()
-	ib.AddKeyed(table.Seq, mine)
-	return float64(chars)*costChar +
-		float64(len(mine))*(costSuf+log2f(len(mine))*costSort) +
+	ib.AddKeyed(table.Seq, ks)
+	return cost +
+		float64(len(ks))*(costSuf+log2f(len(ks))*costSort) +
 		float64(ib.Work()-before)*costChar
 }
 
 // sweepFiltered yields one forest per segment of the keys passing own
 // (nil: all), building and dropping them in turn, each with the modeled
 // cost of building it — the sweep runs wherever its consumer pulls it,
-// so charging that cost is the consumer's business. With a byte budget
-// the segments come from a histogram pass, whose scan the first segment
-// pays for (an empty range yields one empty forest to carry it);
-// without one the whole range is a single segment. Returns false if
+// so charging that cost is the consumer's business. Without a byte
+// budget the whole range is one segment, scanned into memory. With one,
+// a histogram scan plans the segments and a distribution scan writes
+// their runs (spillRuns); the first segment pays for both scans (an
+// empty range yields one empty forest to carry the first), and each
+// segment pays for sorting and building its run. Every trie reads bases
+// through one table, so the tries of a store that fits seqTableBytes
+// decode it once per sweep, not once per segment. Returns false if
 // yield stopped the sweep.
 func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree, float64) bool) bool {
-	keeps := []func(seq.Kmer) bool{own}
-	var planCost float64
-	if cfg.SpillBytes > 0 {
-		shift := spillBinShift(cfg.W)
-		hist := make([]int64, 1<<spillBinBits(cfg.W))
-		chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own,
-			func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
-		planCost = float64(chars) * costChar
-		segs := planSpillSegments(hist, cfg.SpillBytes)
-		if len(segs) == 0 {
-			// An empty range still paid for the scan that found it empty.
-			return yield(&suffixtree.Tree{W: cfg.W}, planCost)
-		}
-		keeps = keeps[:0]
-		for _, sg := range segs {
-			keeps = append(keeps, func(k seq.Kmer) bool {
-				return sg.contains(k, shift) && (own == nil || own(k))
-			})
-		}
+	scan := func(fn func(suffixtree.Keyed)) float64 {
+		return float64(suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own, fn)) * costChar
 	}
 	table := newStoreTable(st)
 	// One builder for every segment: its per-sequence table of last
 	// masked bytes is filled once per sweep, not once per segment.
 	ib := suffixtree.NewIncrementalBuilder(cfg.W)
-	for _, keep := range keeps {
-		cost := buildFiltered(ib, st, cfg, table, keep) + planCost
-		planCost = 0
+	if cfg.SpillBytes <= 0 {
+		var ks []suffixtree.Keyed
+		cost := scan(func(k suffixtree.Keyed) { ks = append(ks, k) })
+		cost = addKeyed(ib, table, ks, cost)
+		return yield(ib.TakeTree(), cost)
+	}
+	shift := spillBinShift(cfg.W)
+	hist := make([]int64, 1<<spillBinBits(cfg.W))
+	cost := scan(func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
+	segs := planSpillSegments(hist, cfg.SpillBytes)
+	if len(segs) == 0 {
+		// An empty range still paid for the scan that found it empty.
+		return yield(&suffixtree.Tree{W: cfg.W}, cost)
+	}
+	runs := newSpillRuns(segs, len(hist), cfg.SpillBytes)
+	defer runs.close()
+	cost += scan(func(k suffixtree.Keyed) { runs.add(int(k.Key>>shift), k) })
+	runs.seal()
+	for s := range segs {
+		cost = addKeyed(ib, table, runs.read(s), cost)
 		if !yield(ib.TakeTree(), cost) {
 			return false
 		}
+		cost = 0
 	}
 	return true
 }

@@ -3,8 +3,11 @@ package pgst
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/pairgen"
@@ -120,10 +123,11 @@ func TestSweepBudgetBounds(t *testing.T) {
 }
 
 // TestBudgetedSweepChargesHistogram: a budgeted sweep's summed cost is
-// the histogram pass's scan plus every segment's build — the planning
-// scan is charged to whoever pulls the sweep, not dropped, even when
-// the range is empty and plans no segment: then one empty forest
-// carries it.
+// its two scans of the store — the histogram pass and the distribution
+// pass — plus every segment's sort and build: the scans are charged to
+// whoever pulls the sweep, not dropped. A range that plans no segment
+// runs no distribution pass, and one empty forest carries the
+// histogram scan.
 func TestBudgetedSweepChargesHistogram(t *testing.T) {
 	st := testStore(4, 8000, 4.0)
 	cfg := Config{W: 6, MinLen: 8, SpillBytes: 32 << 10}.withDefaults()
@@ -150,11 +154,21 @@ func TestBudgetedSweepChargesHistogram(t *testing.T) {
 		hist := make([]int64, 1<<spillBinBits(cfg.W))
 		chars := suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own,
 			func(k suffixtree.Keyed) { hist[k.Key>>shift]++ })
-		want := float64(chars) * costChar
 		segs := planSpillSegments(hist, cfg.SpillBytes)
+		scans := 2
+		if len(segs) == 0 {
+			scans = 1
+		}
+		want := float64(scans) * float64(chars) * costChar
 		for _, sg := range segs {
-			keep := func(k seq.Kmer) bool { return sg.contains(k, shift) && own(k) }
-			want += buildFiltered(suffixtree.NewIncrementalBuilder(cfg.W), st, cfg, newStoreTable(st), keep)
+			var ks []suffixtree.Keyed
+			suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, func(k seq.Kmer) bool {
+				bin := int(k >> shift)
+				return bin >= sg.loBin && bin < sg.hiBin && own(k)
+			}, func(k suffixtree.Keyed) { ks = append(ks, k) })
+			ib := suffixtree.NewIncrementalBuilder(cfg.W)
+			ib.AddKeyed(newStoreTable(st).Seq, ks)
+			want += float64(len(ks))*(costSuf+log2f(len(ks))*costSort) + float64(ib.Work())*costChar
 		}
 		if tc.empty && (len(segs) != 0 || segments != 1 || sufs != 0) {
 			t.Fatalf("%s: %d planned, %d swept with %d suffixes; want none planned, one empty forest", tc.name, len(segs), segments, sufs)
@@ -163,9 +177,115 @@ func TestBudgetedSweepChargesHistogram(t *testing.T) {
 			t.Fatalf("%s: %d segments swept, %d planned; want the same, at least 2", tc.name, segments, len(segs))
 		}
 		if want <= 0 || math.Abs(got-want) > 1e-9*want {
-			t.Fatalf("%s: sweep charged %.9g s, the histogram scan plus the segments cost %.9g s", tc.name, got, want)
+			t.Fatalf("%s: sweep charged %.9g s, %d scans plus the segments cost %.9g s", tc.name, got, scans, want)
 		}
 	}
+}
+
+// countingSeqs counts the Seq calls made on a store.
+type countingSeqs struct {
+	seq.Seqs
+	calls int
+}
+
+func (c *countingSeqs) Seq(sid int) []byte {
+	c.calls++
+	return c.Seqs.Seq(sid)
+}
+
+// TestSweepScansStoreTwice: a budgeted sweep of many segments reads the
+// store in two scans, whatever the segment count, and decodes each
+// sequence once more for its tries when the store fits the access
+// table — at most 3·2n Seq calls on either backend, where a scan per
+// segment makes (S+2)·2n. The store has more than 256 sequences, so a
+// table capped by sequence count would reload them segment by segment.
+func TestSweepScansStoreTwice(t *testing.T) {
+	mem := testStore(11, 10000, 4.0)
+	disk, err := diskstore.Create(t.TempDir(), mem.Fragments(), diskstore.Options{CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	if mem.NumSeqs() <= 256 || 2*mem.TotalBases() > seqTableBytes {
+		t.Fatalf("store of %d sequences, %d bases: want over 256 that fit the table; weak test", mem.NumSeqs(), 2*mem.TotalBases())
+	}
+	for name, st := range map[string]seq.Seqs{"mem": mem, "disk": disk} {
+		cs := &countingSeqs{Seqs: st}
+		segments := 0
+		SweepSerial(cs, Config{W: 6, MinLen: 8, SpillBytes: 64 << 10}, func(*suffixtree.Tree) bool {
+			segments++
+			return true
+		})
+		if segments < 8 {
+			t.Fatalf("%s: %d segments; want at least 8", name, segments)
+		}
+		if limit := 3 * st.NumSeqs(); cs.calls > limit {
+			t.Fatalf("%s: %d segments made %d Seq calls, want at most %d (two scans, one decode each)", name, segments, cs.calls, limit)
+		}
+	}
+}
+
+// runFiles counts this process's open files named like a sweep's run
+// file in dir (Linux: via /proc/self/fd; -1 where that is unavailable).
+func runFiles(dir string) int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, fd := range fds {
+		if name, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+			strings.HasPrefix(name, filepath.Join(dir, "asmsweep-")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSweepLeavesNoRunFile: a budgeted sweep's run file is created in
+// TMPDIR and unlinked at once, so the directory is empty while a forest
+// is consumed, after a full sweep, after the consumer closes the stream
+// early and after a panicking consumer — and the file is closed once
+// the sweep ends, however it ends.
+func TestSweepLeavesNoRunFile(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	st := testStore(7, 6000, 3.0)
+	cfg := Config{W: 6, MinLen: 8, SpillBytes: 1}
+	check := func(when string, open int) {
+		t.Helper()
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Fatalf("%s: TMPDIR holds %d entries (%v)", when, len(ents), err)
+		}
+		if n := runFiles(dir); n >= 0 && n != open {
+			t.Fatalf("%s: %d run files open, want %d", when, n, open)
+		}
+	}
+
+	SweepSerial(st, cfg, func(*suffixtree.Tree) bool {
+		check("inside yield", 1)
+		return true
+	})
+	check("after a full sweep", 0)
+
+	s := pairgen.NewSweep(func(yield func(*suffixtree.Tree, float64) bool) {
+		SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool { return yield(tr, 0) })
+	}, pairgen.Config{Psi: 8, NumFragments: st.N()}, 4)
+	if _, ok := s.Next(); !ok {
+		t.Fatal("stream produced nothing")
+	}
+	s.Close()
+	check("after an early stop", 0)
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the consumer's panic did not reach the caller")
+			}
+		}()
+		SweepSerial(st, cfg, func(*suffixtree.Tree) bool { panic("consumer failed") })
+	}()
+	check("after a panicking yield", 0)
 }
 
 // TestSpillBuildMatchesSerial: the distributed spilling build — no

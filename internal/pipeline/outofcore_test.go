@@ -176,7 +176,7 @@ func TestOutOfCoreResumeRefusesCorruptStore(t *testing.T) {
 // in-memory backend's grows, which proves both that the spilling sweep
 // holds GST memory independent of input size and that the workload is
 // big enough for the comparison to mean something. The bounds leave
-// noise headroom over the measured ratios, about 1.24 (disk) and
+// noise headroom over the measured ratios, about 1.45–1.50 (disk) and
 // 8.1–8.7 (mem) on a 2-core Linux host.
 const (
 	rssScale       = 10

@@ -146,10 +146,10 @@ func (r *Result) checkClustering(c Case, store seq.Seqs, ccfg cluster.Config, wa
 	pcfg.Machine = machine
 	pcfg.LeaseTimeout = leaseTimeout
 	if c.StoreDisk {
-		// Spill sweeps at a tiny budget re-enumerate the store per
-		// segment, so a healthy worker's gap between batch reports
-		// grows with the segment count; widen the lease so campaign
-		// load never reads as worker death.
+		// Spill sweeps at a tiny budget scan the store twice before
+		// the first forest and then read back many segment runs, so a
+		// healthy worker's gap between batch reports is long; widen the
+		// lease so campaign load never reads as worker death.
 		pcfg.LeaseTimeout = 4 * leaseTimeout
 	}
 	if c.FaultSpec != "" {
