@@ -88,8 +88,8 @@ func TestParallelMemBudgetMatchesSerial(t *testing.T) {
 }
 
 // TestParallelChargesSweeps: under a memory budget the workers build
-// their forests segment by segment while clustering, on their pair
-// streams' goroutines — and the modeled clock of the clustering phase
+// their forests segment by segment while clustering, inside their pulls
+// from their pair streams — and the modeled clock of the clustering phase
 // must pay for that: the ranks' compute is at least what the same
 // build's sweeps cost.
 func TestParallelChargesSweeps(t *testing.T) {

@@ -30,8 +30,11 @@ type workerPort interface {
 // by the last take, in order, fragments reduced mod n; a report is
 // passive iff every stream is exhausted and the buffer is empty, so an
 // adoption clears it; a report carries at most r new pairs and at most
-// NewPairsBuf wait in the buffer; a message take refuses changes
-// nothing and asks the streams and the port for nothing.
+// NewPairsBuf wait in the buffer; the rank has been charged for the
+// pairs pulled, the cells aligned and the forests its streams have
+// entered, a forest by the pull that takes its first pair; a message
+// take refuses changes nothing and asks the streams and the port for
+// nothing.
 type worker struct {
 	run  *parallelRun // store, cfg, pcfg, mx
 	port workerPort
@@ -49,15 +52,15 @@ type worker struct {
 }
 
 // cover queues owner rank r's portion for generation. Its forests are
-// built, generated and dropped one at a time inside the stream, so a
-// swept portion is never resident whole.
+// built, generated and dropped one at a time by the pulls that need
+// them, so a swept portion is never resident whole.
 func (w *worker) cover(r int) {
 	sweep := func(yield func(*suffixtree.Tree, float64) bool) { w.forests(w.run.store, r, yield) }
 	w.streams = append(w.streams, pairgen.NewSweep(sweep, pairgen.Config{
 		Psi:                  w.run.cfg.Psi,
 		NumFragments:         w.run.store.N(),
 		DuplicateElimination: w.run.cfg.DuplicateElimination,
-	}, 256))
+	}))
 }
 
 func (w *worker) close() {
@@ -73,9 +76,9 @@ func (w *worker) exhausted() bool { return w.cur >= len(w.streams) }
 // rank for them and for the forests the stream built to serve them: a
 // sweep charges the rank that runs it.
 func (w *worker) pull(dst []pairgen.Pair, max int) []pairgen.Pair {
-	s, before := w.streams[w.cur], len(dst)
-	dst = s.Take(dst, max)
-	w.port.ChargeCompute(float64(len(dst)-before)*costPair + s.TakeCost())
+	before := len(dst)
+	dst, cost := w.streams[w.cur].Take(dst, max)
+	w.port.ChargeCompute(float64(len(dst)-before)*costPair + cost)
 	if len(dst) < max {
 		w.cur++
 	}

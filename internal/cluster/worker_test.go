@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pairgen"
+	"repro/internal/par"
 	"repro/internal/pgst"
 	"repro/internal/seq"
 	"repro/internal/suffixtree"
@@ -28,6 +29,7 @@ type workerFixture struct {
 	cfg     Config
 	forests map[int][]*suffixtree.Tree
 	costs   map[int][]float64
+	firsts  map[int][]int          // where each forest's pairs start in want
 	want    map[int][]pairgen.Pair // the pair stream of each owner rank
 }
 
@@ -37,13 +39,14 @@ var workerFx = sync.OnceValue(func() *workerFixture {
 	st, _ := islandStore(21, 2, 1200, 40)
 	fx := &workerFixture{
 		store: st, cfg: testConfig().withDefaults(),
-		forests: map[int][]*suffixtree.Tree{}, costs: map[int][]float64{}, want: map[int][]pairgen.Pair{},
+		forests: map[int][]*suffixtree.Tree{}, costs: map[int][]float64{}, firsts: map[int][]int{}, want: map[int][]pairgen.Pair{},
 	}
 	seg := 0
 	pgst.SweepSerial(st, pgst.Config{W: fx.cfg.W, MinLen: fx.cfg.Psi, SpillBytes: 24 << 10}, func(t *suffixtree.Tree) bool {
 		r := 1 + seg%(workerTestSize-1)
 		fx.forests[r] = append(fx.forests[r], t)
 		fx.costs[r] = append(fx.costs[r], 1e-3*float64(seg+1))
+		fx.firsts[r] = append(fx.firsts[r], len(fx.want[r]))
 		pairgen.Generate(t, fx.pairgenConfig(), func(p pairgen.Pair) bool {
 			fx.want[r] = append(fx.want[r], p)
 			return true
@@ -149,9 +152,7 @@ func (s *workerSim) report() report {
 	if len(rep.pairs) < r && !rep.passive {
 		s.t.Fatalf("report ran dry (%d of %d pairs) without going passive", len(rep.pairs), r)
 	}
-	if rep.passive {
-		s.checkCharges()
-	}
+	s.checkCharges()
 	return rep
 }
 
@@ -179,6 +180,7 @@ func (s *workerSim) wait(probes int) {
 		s.t.Fatalf("buffer does not hold the next %d pairs of the stream", len(buffered))
 	}
 	s.checkEvents()
+	s.checkCharges()
 }
 
 // take hands the core a work message. A refused one must leave the core
@@ -200,6 +202,7 @@ func (s *workerSim) take(data []byte, wk work) error {
 	if len(s.w.streams) != len(s.covered) {
 		s.t.Fatalf("%d streams for coverage %v", len(s.w.streams), s.covered)
 	}
+	s.checkCharges()
 	return nil
 }
 
@@ -236,17 +239,26 @@ func (s *workerSim) checkEvents() {
 	}
 }
 
-// checkCharges: once nothing is left to pull, the rank has been charged
-// for exactly the pairs it pulled, the cells it aligned and every forest
-// its streams built — the sweeps included.
+// checkCharges: the rank has been charged for exactly the pairs it has
+// pulled, the cells it has aligned and the forests its streams have
+// entered. A stream enters a forest in the pull that takes the forest's
+// first pair, so it has entered every forest up to the one holding its
+// last pulled pair, and all of them once it is exhausted.
 func (s *workerSim) checkCharges() {
 	s.t.Helper()
-	want := float64(len(s.expected))*costPair + float64(s.cells)*costCell
-	for _, r := range s.covered {
-		want += s.fx.sweepCost(r)
+	pulled := s.reported + s.w.buffered.Len()
+	want := float64(pulled)*costPair + float64(s.cells)*costCell
+	for i, r := range s.covered {
+		k := min(pulled, len(s.fx.want[r]))
+		pulled -= k
+		for j, first := range s.fx.firsts[r] {
+			if i < s.w.cur || first < k {
+				want += s.fx.costs[r][j]
+			}
+		}
 	}
 	if math.Abs(s.port.charged-want) > 1e-9*want {
-		s.t.Fatalf("charged %.12g modeled seconds, want %.12g (pairs + cells + sweeps)", s.port.charged, want)
+		s.t.Fatalf("charged %.12g modeled seconds, want %.12g (pairs + cells + forests entered)", s.port.charged, want)
 	}
 }
 
@@ -339,7 +351,7 @@ func TestWorkerAdoptionClearsPassive(t *testing.T) {
 	s := newWorkerSim(t, 64, 16)
 	defer s.w.close()
 	s.finish()
-	own := s.port.charged
+	own, cells := s.port.charged, s.cells
 	s.send(work{r: 64, adopt: []int{3, 2}})
 	if s.port.count(obs.EvPhaseEnter) == 0 || s.port.events[len(s.port.events)-1] != (tracedEvent{obs.EvPhaseExit, obs.PhaseRecover, 0, 0}) {
 		t.Fatal("adoption not traced as a recover span")
@@ -350,11 +362,34 @@ func TestWorkerAdoptionClearsPassive(t *testing.T) {
 	s.wait(0)
 	s.send(work{r: 64})
 	s.finish()
-	if want := s.fx.sweepCost(3) + s.fx.sweepCost(2); s.port.charged-own < want {
-		t.Fatalf("adoption charged %g, the two sweeps alone cost %g", s.port.charged-own, want)
+	want := s.fx.sweepCost(3) + s.fx.sweepCost(2) +
+		float64(len(s.fx.want[3])+len(s.fx.want[2]))*costPair + float64(s.cells-cells)*costCell
+	if got := s.port.charged - own; math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("adoption charged %.12g, want the two sweeps, their pairs and the cells aligned since: %.12g", got, want)
 	}
 	if !slices.Equal(s.covered, []int{1, 3, 2}) {
 		t.Fatalf("covered %v", s.covered)
+	}
+}
+
+// A sweep that panics — how diskstore's Seq fails on a read error, and
+// a budgeted sweep on a run-file I/O error — runs inside the worker's
+// pull, so it fails the worker's rank through par's per-rank recover
+// instead of killing the process.
+func TestWorkerSweepPanicFailsItsRank(t *testing.T) {
+	fx := workerFx()
+	const msg = "diskstore: read bases of fragment 3: injected"
+	_, exits := par.RunStatus(par.Config{Ranks: 1}, func(c *par.Comm) {
+		run := &parallelRun{store: fx.store, cfg: fx.cfg, mx: newClusterMetrics(nil),
+			pcfg: ParallelConfig{BatchSize: 4, NewPairsBuf: 4}}
+		w := &worker{run: run, port: c, rank: 0, size: 1, r: 4,
+			forests: func(seq.Seqs, int, func(*suffixtree.Tree, float64) bool) bool { panic(msg) }}
+		defer w.close()
+		w.cover(0)
+		w.report()
+	})
+	if want := (par.Exit{Reason: "panic: " + msg}); exits[0] != want {
+		t.Fatalf("rank exit %+v, want %+v", exits[0], want)
 	}
 }
 

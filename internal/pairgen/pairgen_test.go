@@ -2,7 +2,10 @@ package pairgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -363,6 +366,19 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
+// sweepOf is a sweep over forests, each costing 1, that counts in built
+// how many it has built.
+func sweepOf(built *int, forests ...*suffixtree.Tree) func(func(*suffixtree.Tree, float64) bool) {
+	return func(yield func(*suffixtree.Tree, float64) bool) {
+		for _, t := range forests {
+			*built++
+			if !yield(t, 1) {
+				return
+			}
+		}
+	}
+}
+
 func TestStreamMatchesPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	frags := randomFrags(rng, 8, 30, 60, 0.02)
@@ -371,37 +387,72 @@ func TestStreamMatchesPush(t *testing.T) {
 	cfg := Config{Psi: 5, NumFragments: st.N()}
 	want, _ := collect(tree, cfg)
 
-	s := NewStream(tree, cfg, 16)
+	var built int
+	s := NewSweep(sweepOf(&built, tree), cfg)
+	defer s.Close()
 	var got []Pair
+	var cost float64
 	for {
-		batch := s.Take(nil, 7)
-		got = append(got, batch...)
+		batch, c := s.Take(nil, 7)
+		got, cost = append(got, batch...), cost+c
 		if len(batch) < 7 {
 			break
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("stream delivered %d pairs, want %d", len(got), len(want))
+	if !slices.Equal(got, want) {
+		t.Fatalf("stream delivered %d pairs unlike the push's %d", len(got), len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-	if s.Stats().Emitted != int64(len(want)) {
-		t.Errorf("stream stats emitted = %d", s.Stats().Emitted)
+	if cost != 1 {
+		t.Errorf("a drained one-forest stream charged %g, want 1", cost)
 	}
 }
 
+// TestStreamCloseEarly: a forest is built by the pull that needs it and
+// charged by that pull, Close stops the sweep at once, may be called
+// again and after the end, and leaves no goroutine behind.
 func TestStreamCloseEarly(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	frags := randomFrags(rng, 10, 40, 70, 0)
 	st := makeStore(frags...)
 	tree := buildTree(st, 4)
-	s := NewStream(tree, Config{Psi: 4, NumFragments: st.N()}, 4)
-	s.Take(nil, 3)
-	s.Close() // must not deadlock
-	s.Close() // idempotent
+	empty := buildTree(makeStore("NNNNNNNNNNNNNNNNNNNN"), 4)
+	cfg := Config{Psi: 4, NumFragments: st.N()}
+	goroutines := runtime.NumGoroutine()
+
+	var built int
+	NewSweep(sweepOf(&built, tree), cfg).Close()
+	if built != 0 {
+		t.Fatalf("closing before any pull built %d forests", built)
+	}
+
+	built = 0
+	s := NewSweep(sweepOf(&built, empty, tree, tree), cfg)
+	if got, cost := s.Take(nil, 3); len(got) != 3 || cost != 2 || built != 2 {
+		t.Fatalf("first Take: %d pairs, cost %g, %d forests built; want 3, 2, 2", len(got), cost, built)
+	}
+	if got, cost := s.Take(nil, 1); len(got) != 1 || cost != 0 {
+		t.Fatalf("second Take: %d pairs, cost %g; want 1, 0", len(got), cost)
+	}
+	s.Close()
+	s.Close()
+	if built != 2 {
+		t.Fatalf("Close let the sweep build %d forests", built)
+	}
+
+	built = 0
+	s = NewSweep(sweepOf(&built, tree, empty), cfg)
+	if _, cost := s.Take(nil, math.MaxInt); cost != 2 || built != 2 {
+		t.Fatalf("draining: cost %g, %d forests built; want 2, 2", cost, built)
+	}
+	if got, cost := s.Take(nil, 1); len(got) != 0 || cost != 0 {
+		t.Fatalf("Take after the end: %d pairs, cost %g", len(got), cost)
+	}
+	s.Close()
+	s.Close()
+
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Fatalf("%d goroutines after closing every stream, %d before", n, goroutines)
+	}
 }
 
 func TestMaskedRegionsBlockPairs(t *testing.T) {

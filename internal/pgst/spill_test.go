@@ -270,8 +270,8 @@ func TestSweepLeavesNoRunFile(t *testing.T) {
 
 	s := pairgen.NewSweep(func(yield func(*suffixtree.Tree, float64) bool) {
 		SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool { return yield(tr, 0) })
-	}, pairgen.Config{Psi: 8, NumFragments: st.N()}, 4)
-	if _, ok := s.Next(); !ok {
+	}, pairgen.Config{Psi: 8, NumFragments: st.N()})
+	if got, _ := s.Take(nil, 1); len(got) == 0 {
 		t.Fatal("stream produced nothing")
 	}
 	s.Close()
@@ -431,26 +431,47 @@ func TestSweepOnDiskStore(t *testing.T) {
 	}
 }
 
-// TestSweepStreamStopsEarly: NewSweep must stop building segments once
-// the consumer closes the stream (a worker told to shut down must not
-// keep paying for construction).
+// TestSweepStreamStopsEarly: a stream builds segments only inside the
+// pulls that need them, so a worker told to shut down does not keep
+// paying for construction: closing before any pull builds nothing, and
+// one pull then Close builds exactly the segments up to and including
+// the first that yields a pair.
 func TestSweepStreamStopsEarly(t *testing.T) {
 	st := testStore(7, 6000, 3.0)
 	cfg := Config{W: 6, MinLen: 8, SpillBytes: 1}
 	cfg = cfg.withDefaults()
+	total, firstPaired := 0, 0
+	SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
+		total++
+		if firstPaired == 0 && len(collectPairs(tr, 8, st.N())) > 0 {
+			firstPaired = total
+		}
+		return true
+	})
+	if firstPaired == 0 || firstPaired == total {
+		t.Fatalf("weak input: first paired segment %d of %d", firstPaired, total)
+	}
 	built := 0
-	s := pairgen.NewSweep(func(yield func(*suffixtree.Tree, float64) bool) {
-		SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
-			built++
-			return yield(tr, 0)
-		})
-	}, pairgen.Config{Psi: 8, NumFragments: st.N()}, 4)
-	if _, ok := s.Next(); !ok {
+	stream := func() *pairgen.Stream {
+		built = 0
+		return pairgen.NewSweep(func(yield func(*suffixtree.Tree, float64) bool) {
+			SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
+				built++
+				return yield(tr, 0)
+			})
+		}, pairgen.Config{Psi: 8, NumFragments: st.N()})
+	}
+
+	stream().Close()
+	if built != 0 {
+		t.Fatalf("closing before any pull built %d segments", built)
+	}
+	s := stream()
+	if got, _ := s.Take(nil, 1); len(got) != 1 {
 		t.Fatal("stream produced nothing")
 	}
 	s.Close()
-	_, total := sweepPairs(st, cfg, 8)
-	if built >= total {
-		t.Fatalf("early close still built all %d segments", total)
+	if built != firstPaired {
+		t.Fatalf("one pull then Close built %d segments, want %d of %d", built, firstPaired, total)
 	}
 }
