@@ -43,9 +43,7 @@ func AnchoredOverlap(a, b []byte, apos, bpos, mlen, band int, sc Scoring) (Resul
 	if ok {
 		left, ok = extendBanded(s, a[:apos], b[:bpos], band, sc, true)
 	}
-	if 4*cap(s.rows)+cap(s.dir)+cap(s.rev) <= maxPooledScratch {
-		scratchPool.Put(s)
-	}
+	s.release()
 	if !ok {
 		return Result{}, false
 	}
@@ -69,16 +67,25 @@ type extension struct {
 	bUsed   int
 }
 
-// bandScratch is the working memory of one AnchoredOverlap call, reused
-// across calls through scratchPool so the steady state allocates
-// nothing. For 700 bp reads at the default band it is about 20 KB.
+// bandScratch is the working memory of one AnchoredOverlap or Fit call,
+// reused across calls through scratchPool so the steady state allocates
+// nothing. For 700 bp reads at the default band it is about 20 KB; for
+// Fit at the consensus band (OffsetSlack + DefaultBand) about 52 KB.
 type bandScratch struct {
-	rows []int32 // six score rows (previous and current M, X, Y), each width+2
+	rows []int32 // score rows: six (previous and current M, X, Y) each width+2; Fit's two each width
 	dir  []byte  // one direction byte per band cell, (rows+1) × width
-	rev  []byte  // reversed u then v, for the leftward extension
+	rev  []byte  // reversed u then v, for the leftward extension; Fit's traceback
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(bandScratch) }}
+
+// release returns s to scratchPool, unless one very long input grew it
+// past maxPooledScratch.
+func (s *bandScratch) release() {
+	if 4*cap(s.rows)+cap(s.dir)+cap(s.rev) <= maxPooledScratch {
+		scratchPool.Put(s)
+	}
+}
 
 // grow returns s resized to n elements, reallocating only when its
 // capacity is too small; the contents are unspecified.

@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/seq"
@@ -140,6 +141,106 @@ func TestFitOpsConsistent(t *testing.T) {
 		}
 		if r.BStart != 0 || r.BEnd != len(q) {
 			t.Fatalf("trial %d: query not fully consumed: [%d,%d) of %d", trial, r.BStart, r.BEnd, len(q))
+		}
+	}
+}
+
+// fitCase is one Fit input.
+type fitCase struct {
+	ref, query  []byte
+	diag0, band int
+}
+
+// randFitCase draws a query that is a mutated window of the reference
+// (or, one time in five, unrelated to it), with masked bytes on either
+// side, a band of 0–40 and diag0 anywhere from well before the
+// reference to past its end. Some queries are longer than the
+// reference and some are a single base.
+func randFitCase(rng *rand.Rand) fitCase {
+	mask := func(s []byte) {
+		for k := rng.Intn(4); k > 0 && len(s) > 0; k-- {
+			s[rng.Intn(len(s))] = seq.Masked
+		}
+	}
+	ref := make([]byte, rng.Intn(300))
+	for i := range ref {
+		ref[i] = seq.Base(rng.Intn(4))
+	}
+	var q []byte
+	switch {
+	case rng.Intn(8) == 0:
+		q = []byte{seq.Base(rng.Intn(4))}
+	case rng.Intn(5) == 0 || len(ref) == 0:
+		q = make([]byte, 1+rng.Intn(400))
+		for i := range q {
+			q[i] = seq.Base(rng.Intn(4))
+		}
+	default:
+		at := rng.Intn(len(ref))
+		for _, b := range ref[at:min(at+1+rng.Intn(len(ref)+100), len(ref))] {
+			switch r := rng.Float64(); {
+			case r < 0.02: // deletion
+			case r < 0.04:
+				q = append(q, b, seq.Base(rng.Intn(4)))
+			case r < 0.07:
+				q = append(q, seq.Base(rng.Intn(4)))
+			default:
+				q = append(q, b)
+			}
+		}
+		if len(q) == 0 {
+			q = append(q, 'A')
+		}
+	}
+	mask(ref)
+	mask(q)
+	return fitCase{ref, q, rng.Intn(len(ref)+120) - 60, rng.Intn(41)}
+}
+
+// TestFitMatchesOracle holds the pooled rolling-row Fit to the
+// full-matrix oracle it replaced: every (Result, ok) must be equal.
+func TestFitMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	sc := DefaultScoring()
+	fits := 0
+	for k := 0; k < 20000; k++ {
+		c := randFitCase(rng)
+		got, gotOK := Fit(c.ref, c.query, c.diag0, c.band, sc)
+		want, wantOK := oracleFit(c.ref, c.query, c.diag0, c.band, sc)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d %+v: got %+v %v, oracle %+v %v", k, c, got, gotOK, want, wantOK)
+		}
+		if gotOK {
+			fits++
+		}
+	}
+	if fits < 5000 {
+		t.Errorf("only %d of 20000 cases fit: the comparison is mostly of failures", fits)
+	}
+}
+
+// TestFitAllocatesOnlyOps: in steady state a Fit that succeeds
+// allocates its returned Ops and nothing else, and one that fails
+// allocates nothing.
+func TestFitAllocatesOnlyOps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	rng := rand.New(rand.NewSource(11))
+	ref := make([]byte, 760)
+	for i := range ref {
+		ref[i] = seq.Base(rng.Intn(4))
+	}
+	q := append([]byte(nil), ref[30:730]...)
+	sc := DefaultScoring()
+	for _, c := range []struct {
+		diag0 int
+		max   float64
+	}{{30, 1}, {400, 0}} {
+		run := func() { Fit(ref, q, c.diag0, 36, sc) }
+		run() // warm the pool
+		if n := testing.AllocsPerRun(200, run); n > c.max {
+			t.Errorf("Fit at diag0 %d allocates %.1f times per call in steady state, want ≤ %.0f", c.diag0, n, c.max)
 		}
 	}
 }

@@ -10,11 +10,13 @@
 package assembly
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/align"
 	"repro/internal/seq"
+	"repro/internal/suffixtree"
 )
 
 // Config parameterizes per-cluster assembly.
@@ -156,96 +158,100 @@ func AssembleAll(store seq.Seqs, clusters [][]int, cfg Config, workers int) [][]
 }
 
 // findOverlaps detects pairwise overlaps within the cluster by seeding
-// on shared w-mers, extending to a maximal match, and running the
-// banded anchored overlap test.
+// on shared w-mers, extending each maximal match once, and running the
+// banded anchored overlap test from it.
+//
+// The seed index is one key-sorted slice, the GST's own SortKeyed: a
+// w-mer at pos of read r's strand s (0 forward, 1 reverse complement)
+// is suffix (2r+s, pos). Buckets are equal-key runs in ascending key
+// order and each is in (read, strand, pos) order, so the pair loop
+// meets anchors in a fixed order. That order decides which of two
+// equal-score overlaps wins, and contigs must be bit-reproducible.
 func findOverlaps(seqs, rcs [][]byte, cfg Config) []overlap {
-	type occ struct {
-		read int32
-		pos  int32
-		rev  bool
+	w := cfg.W
+	n := 0
+	for _, s := range seqs {
+		n += max(len(s)-w+1, 0)
 	}
-	index := make(map[seq.Kmer][]occ)
-	for i, s := range seqs {
-		seq.EachKmer(s, cfg.W, func(pos int, km seq.Kmer) {
-			index[km] = append(index[km], occ{int32(i), int32(pos), false})
-		})
-		seq.EachKmer(rcs[i], cfg.W, func(pos int, km seq.Kmer) {
-			index[km] = append(index[km], occ{int32(i), int32(pos), true})
-		})
-	}
-	get := func(i int32, rev bool) []byte {
-		if rev {
-			return rcs[i]
+	ks := make([]suffixtree.Keyed, 0, 2*n)
+	for i := range seqs {
+		for strand, s := range [2][]byte{seqs[i], rcs[i]} {
+			sid := int32(2*i + strand)
+			seq.EachKmer(s, w, func(pos int, km seq.Kmer) {
+				ks = append(ks, suffixtree.Keyed{Key: km, Suf: suffixtree.Suffix{Sid: sid, Pos: int32(pos)}})
+			})
 		}
-		return seqs[i]
 	}
+	suffixtree.SortKeyed(ks)
 
 	type pairKey struct {
-		a, b   int32
-		oa, ob bool
+		a, b int32
+		ob   bool
 	}
 	best := make(map[pairKey]overlap)
-	tried := make(map[[5]int32]bool) // anchor dedup: (a,b,apos,bpos,orient)
-
-	// Iterate seeds in sorted order: map order would let equal-score
-	// overlaps with different anchors win the best-map race differently
-	// across runs, and contigs must be bit-reproducible.
-	kms := make([]seq.Kmer, 0, len(index))
-	for km := range index {
-		kms = append(kms, km)
+	// The maximal matches already extended, as [lo, hi) in a, per (a, b,
+	// orientation, diagonal). A seed inside one of them would extend to
+	// it again and anchor the same alignment, so it is skipped before
+	// any byte is compared.
+	type diagKey struct {
+		a, b int32
+		ob   bool
+		diag int32
 	}
-	sort.Slice(kms, func(i, j int) bool { return kms[i] < kms[j] })
-	for _, km := range kms {
-		occs := index[km]
+	extended := make(map[diagKey][][2]int32)
+
+	suffixtree.EachRun(ks, func(lo, hi int) {
+		occs := ks[lo:hi]
 		if cfg.MaxSeedBucket > 0 && len(occs) > cfg.MaxSeedBucket {
-			continue // repeat-saturated seed
+			return // repeat-saturated seed
 		}
 		for x := 0; x < len(occs); x++ {
 			for y := x + 1; y < len(occs); y++ {
-				oa, ob := occs[x], occs[y]
-				if oa.read == ob.read {
+				// (sid, pos) order puts the lower read first.
+				sx, sy := occs[x].Suf, occs[y].Suf
+				ra, rb := sx.Sid>>1, sy.Sid>>1
+				if ra == rb {
 					continue
 				}
-				if oa.read > ob.read {
-					oa, ob = ob, oa
-				}
+				apos, bpos, rev := int(sx.Pos), int(sy.Pos), sy.Sid&1 == 1
 				// Canonical orientation: the lower read forward.
-				if oa.rev {
+				if sx.Sid&1 == 1 {
 					// Mirror both orientations.
-					oa = occ{oa.read, int32(len(seqs[oa.read])) - oa.pos - int32(cfg.W), false}
-					ob = occ{ob.read, int32(len(seqs[ob.read])) - ob.pos - int32(cfg.W), !ob.rev}
-					// mirrored positions refer to the opposite strands
-					oa.rev = false
+					apos = len(seqs[ra]) - apos - w
+					bpos = len(seqs[rb]) - bpos - w
+					rev = !rev
 				}
-				sa, sb := get(oa.read, oa.rev), get(ob.read, ob.rev)
+				dk := diagKey{ra, rb, rev, int32(apos - bpos)}
+				if slices.ContainsFunc(extended[dk], func(m [2]int32) bool {
+					return int(m[0]) <= apos && apos+w <= int(m[1])
+				}) {
+					continue
+				}
+				sa, sb := seqs[ra], seqs[rb]
+				if rev {
+					sb = rcs[rb]
+				}
 				// Extend the seed to a maximal match.
-				i, j := int(oa.pos), int(ob.pos)
+				i, j := apos, bpos
 				for i > 0 && j > 0 && sa[i-1] == sb[j-1] && seq.IsBase(sa[i-1]) {
 					i--
 					j--
 				}
-				e, f := int(oa.pos)+cfg.W, int(ob.pos)+cfg.W
+				e, f := apos+w, bpos+w
 				for e < len(sa) && f < len(sb) && sa[e] == sb[f] && seq.IsBase(sa[e]) {
 					e++
 					f++
 				}
-				orient := int32(0)
-				if ob.rev {
-					orient = 1
-				}
-				akey := [5]int32{oa.read, ob.read, int32(i), int32(j), orient}
-				if tried[akey] {
-					continue
-				}
-				tried[akey] = true
+				extended[dk] = append(extended[dk], [2]int32{int32(i), int32(e)})
+
 				res, ok := align.AnchoredOverlap(sa, sb, i, j, e-i, cfg.Band, cfg.Scoring)
 				if !ok || !cfg.Criteria.Accept(res) {
 					continue
 				}
-				k := pairKey{oa.read, ob.read, false, ob.rev}
+				k := pairKey{ra, rb, rev}
 				ov := overlap{
-					a: int(oa.read), b: int(ob.read),
-					oa: false, ob: ob.rev,
+					a: int(ra), b: int(rb),
+					oa: false, ob: rev,
 					diag:  res.AStart - res.BStart,
 					score: res.Score,
 				}
@@ -254,7 +260,7 @@ func findOverlaps(seqs, rcs [][]byte, cfg Config) []overlap {
 				}
 			}
 		}
-	}
+	})
 	out := make([]overlap, 0, len(best))
 	for _, ov := range best {
 		out = append(out, ov)
