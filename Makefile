@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
+.PHONY: all build vet fmt-check test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
 
 all: build
 
@@ -30,7 +30,7 @@ flake-check:
 	$(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
 
 race:
-	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/align
+	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/align ./internal/assembly
 
 # Race detector over the concurrency-heavy packages the simulation
 # harness exercises (runtime, clustering protocol, GST build, harness).
@@ -117,15 +117,20 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBuildMatchesReference -fuzztime=10s ./internal/suffixtree
 	$(GO) test -run=NONE -fuzz=FuzzSortKeyed -fuzztime=10s ./internal/suffixtree
 
-# Instrumented quickstart: runs two quick experiments with tracing on
-# and validates that every emitted trace file parses as balanced
-# Chrome trace_event JSON (tracecheck is the Perfetto-load stand-in).
-# The temp directory is made in the recipe, so parsing the Makefile
-# creates nothing, and the trap removes it when a step fails.
+# Events-dump smoke: asmprof checks every dump before it explains it.
+# One sim case's dump must pass the stream invariants (check.Dump),
+# stitch into a causal DAG (an unmatched message edge, a cycle or a
+# critical path != makespan fails) and render as a Chrome trace; then
+# a 4-process TCP run's per-rank dumps must merge and pass the same
+# invariants. The temp directory is made in the recipe, so parsing the
+# Makefile creates nothing, and the trap removes it when a step fails.
 obs:
 	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT; set -e; \
-	$(GO) run ./cmd/experiments -run fig5,faults,pipelinefaults -quick -ranks 2,4 -trace-out "$$d"; \
-	$(GO) run ./cmd/tracecheck "$$d"/*.trace.json
+	$(GO) run ./cmd/simrunner -campaign 1 -case 3 -events-out "$$d/case3.events.json"; \
+	$(GO) run ./cmd/asmprof -chrome "$$d/case3.crit.json" "$$d/case3.events.json"; \
+	$(GO) run ./cmd/genomesim -kind wgs -len 20000 -coverage 6 -seed 42 -out "$$d/sim"; \
+	$(GO) run ./cmd/asmcluster -in "$$d/sim_reads.fa" -ranks 4 -transport tcp -events-out "$$d/ev.json" -out "$$d/clusters.tsv"; \
+	$(GO) run ./cmd/asmprof "$$d"/ev.json.rank*
 
 # Transport conformance: the sim partition and causal-trace oracles
 # against every transport backend under the race detector — in-process
@@ -152,15 +157,6 @@ obs-live-smoke:
 # after its retry budget without disturbing healthy jobs.
 service-smoke:
 	$(GO) test -v -run 'TestServiceSmoke|TestPoisonJobQuarantined|TestHangDeadlineAndQueueFull|TestDrainRequeuesAndRestartCompletes' ./internal/jobs
-
-# Causal-analysis smoke: replay one sim case with its raw events dump,
-# stitch the causal DAG and print the critical path; a malformed DAG
-# (unmatched message edge, cycle, CP != makespan) fails the target.
-analyze-smoke:
-	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT; set -e; \
-	$(GO) run ./cmd/simrunner -campaign 1 -case 3 -events-out "$$d/case3.events.json"; \
-	$(GO) run ./cmd/traceanalyze -chrome "$$d/case3.crit.json" "$$d/case3.events.json"; \
-	$(GO) run ./cmd/tracecheck "$$d/case3.crit.json"
 
 # Profiling-plane smoke: under the race detector, the labeling
 # contract of a profiled 8-rank run (session + label hooks) and the
@@ -203,4 +199,4 @@ outofcore-smoke:
 	$(GO) test -race -v -run 'TestOutOfCore' ./internal/pipeline
 	$(GO) test -count=1 -v -run 'AcrossTenfoldInput' ./internal/pipeline
 
-ci: vet fmt-check build test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs analyze-smoke transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke
+ci: vet fmt-check build test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke

@@ -1,37 +1,51 @@
-// Command asmprof turns the profiling plane's .pb.gz artifacts into
-// critical-path attribution reports: which functions and allocation
-// sites burn the phase the causal DAG says gates the run, per phase
-// per rank, decoded entirely by the in-repo pprof reader.
+// Command asmprof is the one post-run command: it checks, explains and
+// renders a run's events dumps, and turns the profiling plane's .pb.gz
+// artifacts into critical-path attribution reports: which functions
+// and allocation sites burn the phase the causal DAG says gates the
+// run, per phase per rank, decoded entirely by the in-repo pprof
+// reader.
 //
 // Usage:
 //
-//	asmprof DIR                         # report over every artifact in DIR
-//	asmprof -events DIR/events.json DIR # join against the causal critical path
-//	asmprof -json DIR                   # machine-readable report
-//	asmprof -folded -value cpu DIR      # collapsed stacks for a flamegraph
-//	asmprof -merge-out merged.pb.gz DIR # write the cross-rank merged CPU profile
-//	asmprof -diff OLDDIR NEWDIR         # what changed between two captures
+//	asmprof ev.json                         # check + causal report of one run
+//	asmprof ev.json.rank0 ev.json.rank1     # per-process dumps, merged first
+//	asmprof -chrome run.trace.json ev.json  # also render a Chrome trace
+//	asmprof DIR                             # attribution over every artifact in DIR
+//	asmprof DIR ev.json.rank0 ...           # join against these dumps' critical path
+//	asmprof -json DIR                       # machine-readable report
+//	asmprof -folded -value cpu DIR          # collapsed stacks for a flamegraph
+//	asmprof -merge-out merged.pb.gz DIR     # write the cross-rank merged CPU profile
+//	asmprof -diff OLDDIR NEWDIR             # what changed between two captures
+//
+// Every events dump (-events-out files; a multi-process run writes one
+// per rank) is merged and must pass the causal stream invariants
+// (check.Dump) before anything is derived from it. Given dumps alone,
+// asmprof prints a one-line trust summary and the causal analysis:
+// critical path, per-rank and per-phase comm/comp/idle, stragglers.
+// -chrome writes the run as Chrome trace_event JSON with the critical
+// path marked (crit:true), for ui.perfetto.dev.
 //
 // DIR holds artifacts a profiling session wrote (asmcluster/asmpipeline
-// -prof-dir, whose -events-out DIR/events.json adds the causal join, or
-// a job's prof/ directory):
-// *.cpu.pb.gz, *.heap*.pb.gz, *.allocs.pb.gz, plus optionally the
-// run's events.json. With -events (or an events.json found in DIR)
-// the critical-path phase comes from the analyze causal DAG;
-// otherwise the largest labeled CPU phase stands in. Truncated
-// artifacts (a SIGKILLed attempt's partial stream) are skipped, so a
-// report is reproducible from whatever survived.
+// -prof-dir, or a job's prof/ directory): *.cpu.pb.gz, *.heap*.pb.gz,
+// *.allocs.pb.gz, plus optionally the run's events.json. With dumps
+// named after DIR (or an events.json found in DIR) the critical-path
+// phase comes from the causal DAG; otherwise the largest labeled CPU
+// phase stands in. Truncated artifacts (a SIGKILLed attempt's partial
+// stream) are skipped, so a report is reproducible from whatever
+// survived.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/check"
 	"repro/internal/obs/prof"
 )
 
@@ -41,11 +55,11 @@ func fail(err error) {
 }
 
 func main() {
-	eventsPath := flag.String("events", "", "events dump to derive the causal critical path from (default: DIR/events.json when present)")
-	jsonOut := flag.Bool("json", false, "emit the attribution report as JSON")
+	chromeOut := flag.String("chrome", "", "with events dumps alone: also write the run as a Chrome trace, critical path marked crit:true, to this file")
+	jsonOut := flag.Bool("json", false, "emit the report as JSON")
 	folded := flag.Bool("folded", false, "emit collapsed stacks (flamegraph input) instead of a report")
 	value := flag.String("value", "cpu", "sample value for -folded: a sample type name, or last type when absent")
-	top := flag.Int("top", 5, "entries per ranked list")
+	top := flag.Int("top", 5, "entries per ranked list (with events dumps alone: slowest spans listed, 10 unless set)")
 	mergeOut := flag.String("merge-out", "", "write the cross-rank merged CPU profile to this .pb.gz file")
 	diff := flag.Bool("diff", false, "compare two capture directories: asmprof -diff OLD NEW")
 	flag.Parse()
@@ -57,11 +71,33 @@ func main() {
 		runDiff(flag.Arg(0), flag.Arg(1), *top, *jsonOut)
 		return
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: asmprof [flags] ARTIFACT-DIR  (see asmprof -h)")
+	if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: asmprof [flags] EVENTS-DUMP... | asmprof [flags] ARTIFACT-DIR [EVENTS-DUMP...]  (see asmprof -h)")
 		os.Exit(2)
 	}
-	dir := flag.Arg(0)
+	dir, dumps := "", flag.Args()
+	if st, err := os.Stat(dumps[0]); err == nil && st.IsDir() {
+		dir, dumps = dumps[0], dumps[1:]
+	}
+
+	if dir == "" {
+		if *folded || *mergeOut != "" {
+			fail(fmt.Errorf("-folded and -merge-out read profiles: name an artifact directory first"))
+		}
+		topSpans := 0 // analyze's default
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "top" {
+				topSpans = *top
+			}
+		})
+		if err := explain(os.Stdout, os.Stderr, dumps, topSpans, *jsonOut, *chromeOut); err != nil {
+			fail(err)
+		}
+		return
+	}
+	if *chromeOut != "" {
+		fail(fmt.Errorf("-chrome renders events dumps: name them without an artifact directory"))
+	}
 
 	cpus, allocs := loadDir(dir)
 	if len(cpus) == 0 && len(allocs) == 0 {
@@ -97,7 +133,7 @@ func main() {
 		return
 	}
 
-	crit := loadCritPhases(dir, *eventsPath)
+	crit := loadCritPhases(dir, dumps)
 	rep := prof.Attribute(cpus, allocs, crit, prof.Options{Top: *top})
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -110,6 +146,69 @@ func main() {
 	if err := rep.WriteText(os.Stdout); err != nil {
 		fail(err)
 	}
+}
+
+// loadDump reads the events dumps at paths, merges them into one
+// machine-wide dump (a rank no file covers counts as truncated) and
+// checks the causal stream invariants: nothing is derived from a dump
+// they reject.
+func loadDump(paths []string) (*obs.Dump, check.StreamSummary, error) {
+	dumps := make([]*obs.Dump, 0, len(paths))
+	for _, path := range paths {
+		d, err := obs.ReadDumpFile(path)
+		if err != nil {
+			return nil, check.StreamSummary{}, err
+		}
+		dumps = append(dumps, d)
+	}
+	merged, err := obs.MergeDumps(dumps...)
+	if err != nil {
+		return nil, check.StreamSummary{}, err
+	}
+	sum, err := check.Dump(merged, nil)
+	if err != nil {
+		return nil, sum, fmt.Errorf("%d dump(s) fail the stream invariants: %w", len(paths), err)
+	}
+	return merged, sum, nil
+}
+
+// explain checks the dumps at paths and writes the trust line and the
+// causal report to out (the trust line to errOut under jsonOut, so out
+// stays one JSON document); with chromePath set it also writes the
+// critical-path-annotated Chrome trace there. top is the number of
+// slowest spans to list (0: analyze's default).
+func explain(out, errOut io.Writer, paths []string, top int, jsonOut bool, chromePath string) error {
+	d, sum, err := loadDump(paths)
+	if err != nil {
+		return err
+	}
+	rep, err := analyze.Analyze(d, analyze.Options{TopSpans: top})
+	if err != nil {
+		return err
+	}
+	if chromePath != "" {
+		f, err := os.Create(chromePath)
+		if err != nil {
+			return err
+		}
+		if err := rep.WriteAnnotatedChrome(f, d); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	trust := out
+	if jsonOut {
+		trust = errOut
+	}
+	fmt.Fprintf(trust, "trace ok: %d ranks, %d events, %d seq-matched recvs, %d truncated rank(s), %d fault-model instants\n",
+		sum.Ranks, sum.Events, sum.SeqMatched, sum.Skipped, sum.Faults)
+	if jsonOut {
+		return rep.WriteJSON(out)
+	}
+	return rep.WriteText(out)
 }
 
 // loadDir parses every artifact in dir, skipping what cannot parse
@@ -137,23 +236,24 @@ func loadDir(dir string) (cpus, allocs []*prof.Profile) {
 }
 
 // loadCritPhases derives the causal critical-path phase totals from
-// an events dump: the -events flag, or DIR/events.json when present.
-// No dump means no join — attribution falls back to CPU samples.
-func loadCritPhases(dir, eventsPath string) []prof.CritPhaseSec {
-	if eventsPath == "" {
+// the run's events dumps: the ones named after DIR, or DIR/events.json
+// when present. No dump means no join — attribution falls back to CPU
+// samples.
+func loadCritPhases(dir string, dumps []string) []prof.CritPhaseSec {
+	if len(dumps) == 0 {
 		candidate := filepath.Join(dir, "events.json")
 		if _, err := os.Stat(candidate); err != nil {
 			return nil
 		}
-		eventsPath = candidate
+		dumps = []string{candidate}
 	}
-	d, err := obs.ReadDumpFile(eventsPath)
+	d, _, err := loadDump(dumps)
 	if err != nil {
 		fail(err)
 	}
 	rep, err := analyze.Analyze(d, analyze.Options{TopSpans: 1})
 	if err != nil {
-		fail(fmt.Errorf("analyzing %s: %w", eventsPath, err))
+		fail(fmt.Errorf("analyzing %v: %w", dumps, err))
 	}
 	return critPhases(rep)
 }

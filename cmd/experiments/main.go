@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -29,7 +28,6 @@ func main() {
 	seed := flag.Int64("seed", 20060425, "random seed")
 	quick := flag.Bool("quick", false, "shrink sweeps to CI-sized runs")
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /trace and /debug/pprof on this host:port while running")
-	traceOut := flag.String("trace-out", "", "directory receiving one Chrome trace JSON per experiment (load in ui.perfetto.dev)")
 	flag.Parse()
 
 	var rankList []int
@@ -49,20 +47,16 @@ func main() {
 		Quick: *quick,
 	}
 
-	var tr *obs.Tracer
-	if *obsAddr != "" || *traceOut != "" {
+	if *obsAddr != "" {
 		maxRank := rankList[0]
 		for _, r := range rankList {
 			if r > maxRank {
 				maxRank = r
 			}
 		}
-		tr = obs.NewTracer(maxRank+1, obs.DefaultRingCap)
-		opt.Trace = tr
+		opt.Trace = obs.NewTracer(maxRank+1, obs.DefaultRingCap)
 		opt.Metrics = obs.NewRegistry()
-	}
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, opt.Metrics, tr)
+		srv, err := obs.Serve(*obsAddr, opt.Metrics, opt.Trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -70,13 +64,6 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("observability server on http://%s (/metrics /trace /timeline /debug/pprof)\n\n", srv.Addr)
 	}
-	if *traceOut != "" {
-		if err := os.MkdirAll(*traceOut, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-
 	known := map[string]func(experiments.Options){
 		"fig5":           func(o experiments.Options) { experiments.Fig5(o) },
 		"fig9":           func(o experiments.Options) { experiments.Fig9(o) },
@@ -110,26 +97,5 @@ func main() {
 	for _, name := range selected {
 		fmt.Printf("## %s\n\n", name)
 		known[name](opt)
-		if *traceOut != "" && tr.TotalEvents() > 0 {
-			path := filepath.Join(*traceOut, name+".trace.json")
-			if err := writeTrace(tr, path); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("trace: %s\n\n", path)
-			tr.Reset() // one experiment per trace file
-		}
 	}
-}
-
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -28,7 +28,7 @@ func main() {
 		seeds    = flag.Int("seeds", 100, "number of cases to run")
 		caseIdx  = flag.Int("case", -1, "replay a single case index instead of a campaign")
 		shrink   = flag.Bool("shrink", false, "minimize each failing case's fault surface by greedy field removal")
-		events   = flag.String("events-out", "", "with -case: write the clustering run's raw events dump (input for traceanalyze)")
+		events   = flag.String("events-out", "", "with -case: write the clustering run's raw events dump (asmprof checks and explains it)")
 		workers  = flag.Int("j", 4, "cases run concurrently")
 		verbose  = flag.Bool("v", false, "print every case, not just failures")
 	)

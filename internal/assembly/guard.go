@@ -64,15 +64,18 @@ var assembleCluster = AssembleCluster
 // attemptCluster runs one assembly attempt with panic containment and
 // an optional wall deadline. On deadline the attempt's goroutine is
 // abandoned (it parks its result in a buffered channel and exits).
+// The assembler is read here, not in the goroutine: an abandoned
+// attempt must not race a test restoring the hook.
 func attemptCluster(store seq.Seqs, members []int, cfg Config, deadline time.Duration) ([]Contig, error) {
 	ch := make(chan attemptResult, 1)
+	assemble := assembleCluster
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				ch <- attemptResult{err: fmt.Errorf("assembler panic: %v", r)}
 			}
 		}()
-		ch <- attemptResult{contigs: assembleCluster(store, members, cfg)}
+		ch <- attemptResult{contigs: assemble(store, members, cfg)}
 	}()
 	if deadline <= 0 {
 		r := <-ch

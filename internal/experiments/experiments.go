@@ -39,8 +39,7 @@ type Options struct {
 	// Quick shrinks sweeps to CI-sized runs (used by FaultSweep).
 	Quick bool
 	// Trace, when non-nil, records every machine run of the experiment
-	// into this tracer (cmd/experiments -trace-out wires it and writes
-	// one Chrome trace JSON per experiment).
+	// into this tracer (cmd/experiments -obs-addr serves it live).
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives the clustering metrics of every
 	// parallel run (served live by cmd/experiments -obs-addr).

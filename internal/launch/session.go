@@ -24,7 +24,6 @@ var ErrUsage = errors.New("usage")
 type Options struct {
 	Transport       string        // inproc goroutines, or tcp / unix OS processes
 	ObsAddr         string        // this process's observability listen address
-	TraceOut        string        // Chrome trace path
 	EventsOut       string        // raw events dump path
 	Collector       string        // host:port the job root serves a collector on, or the http:// URL of a running one
 	CollectorLinger time.Duration // how long that collector outlives the run
@@ -46,8 +45,7 @@ func RegisterFlags(fs *flag.FlagSet, transport string) *Options {
 	o := &Options{}
 	fs.StringVar(&o.Transport, "transport", transport, "run parallel ranks as: inproc goroutines, or tcp / unix OS processes")
 	fs.StringVar(&o.ObsAddr, "obs-addr", "", "serve /metrics, /trace, /analyze and /debug/pprof on this host:port while running; spawned ranks get ephemeral servers published to the registry")
-	fs.StringVar(&o.TraceOut, "trace-out", "", "write a Chrome trace JSON of the run to this file (load in ui.perfetto.dev); one FILE.rank<r> per process under tcp / unix")
-	fs.StringVar(&o.EventsOut, "events-out", "", "write the raw events dump to this file (input for traceanalyze); one FILE.rank<r> per process under tcp / unix (merge with tracecheck -events)")
+	fs.StringVar(&o.EventsOut, "events-out", "", "write the raw events dump to this file, one FILE.rank<r> per process under tcp / unix; asmprof FILE... merges, checks and explains them (-chrome renders a Chrome trace)")
 	fs.StringVar(&o.Collector, "collector", "", "live telemetry collector every rank streams health, metrics and trace deltas to (poll with asmtop): a host:port to serve one on, or the http:// URL of a running one")
 	fs.DurationVar(&o.CollectorLinger, "collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
 	fs.StringVar(&o.ProfDir, "prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")

@@ -2,7 +2,6 @@ package launch
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,7 +97,7 @@ func isURL(s string) bool {
 // server, the reporter, and the profiling session.
 func (t *Telemetry) start() error {
 	o := t.opts
-	if o.ObsAddr != "" || o.TraceOut != "" || o.EventsOut != "" || t.CollectorURL != "" {
+	if o.ObsAddr != "" || o.EventsOut != "" || t.CollectorURL != "" {
 		t.Tracer = obs.NewTracer(t.size, obs.DefaultRingCap)
 		t.Registry = obs.NewRegistry()
 	}
@@ -190,20 +189,17 @@ func (t *Telemetry) Close(runErr error) error {
 	return err
 }
 
-// flush stops the profiler, writes the events dump and the Chrome
-// trace, and delivers the reporter's final flush. The events file and
-// the final flush share one tracer snapshot, so the collector's merged
-// trace is byte-identical to merging the per-process dump files.
+// flush stops the profiler, writes the events dump, and delivers the
+// reporter's final flush. The events file and the final flush share
+// one tracer snapshot, so the collector's merged trace is
+// byte-identical to merging the per-process dump files.
 func (t *Telemetry) flush(runErr error, interrupted bool) error {
 	t.StopProfile()
 	var dump *obs.Dump
 	var err error
 	if t.Tracer != nil {
 		dump = t.Tracer.Dump()
-		err = t.writeDump(t.opts.EventsOut, interrupted, dump.WriteJSON)
-		if terr := t.writeDump(t.opts.TraceOut, interrupted, t.Tracer.WriteChromeTrace); err == nil {
-			err = terr
-		}
+		err = t.writeDump(t.opts.EventsOut, interrupted, dump)
 	}
 	reason := ""
 	if runErr != nil {
@@ -215,11 +211,11 @@ func (t *Telemetry) flush(runErr error, interrupted bool) error {
 	return err
 }
 
-// writeDump writes one dump file under the session's single naming
+// writeDump writes the events dump under the session's single naming
 // rule: <path>, then .rank<r> when every rank is its own OS process
-// (merge with tracecheck -events), then .interrupted when a signal cut
-// the run short — a partial dump never overwrites a complete one.
-func (t *Telemetry) writeDump(path string, interrupted bool, write func(io.Writer) error) error {
+// (asmprof merges them), then .interrupted when a signal cut the run
+// short — a partial dump never overwrites a complete one.
+func (t *Telemetry) writeDump(path string, interrupted bool, d *obs.Dump) error {
 	if path == "" {
 		return nil
 	}
@@ -233,7 +229,7 @@ func (t *Telemetry) writeDump(path string, interrupted bool, write func(io.Write
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := d.WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}

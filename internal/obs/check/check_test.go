@@ -1,56 +1,12 @@
 package check
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/par"
 )
-
-func TestJSONAcceptsExportedTrace(t *testing.T) {
-	tr := obs.NewTracer(2, 0)
-	cfg := par.DefaultConfig(2)
-	cfg.Trace = tr
-	par.Run(cfg, func(c *par.Comm) {
-		c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGST, 0, 0)
-		if c.Rank() == 0 {
-			c.Send(1, 1, []byte("hello"))
-		} else {
-			c.Recv(0, 1)
-		}
-		c.TraceEvent(obs.EvPhaseExit, obs.PhaseGST, 0, 0)
-	})
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := JSON(buf.Bytes())
-	if err != nil {
-		t.Fatalf("JSON rejected a valid exported trace: %v", err)
-	}
-	if sum.Events == 0 || sum.Tracks == 0 {
-		t.Fatalf("empty summary for non-empty trace: %+v", sum)
-	}
-}
-
-func TestJSONRejects(t *testing.T) {
-	cases := []struct{ name, doc string }{
-		{"not json", `{"truncated`},
-		{"no events", `{"traceEvents":[]}`},
-		{"missing name", `{"traceEvents":[{"ph":"i","ts":1,"pid":1,"tid":0}]}`},
-		{"unknown kind", `{"traceEvents":[{"name":"bogus","ph":"i","ts":1,"pid":1,"tid":0}]}`},
-		{"missing ts", `{"traceEvents":[{"name":"recv","ph":"B","pid":1,"tid":0}]}`},
-		{"unmatched end", `{"traceEvents":[{"name":"recv","ph":"E","ts":1,"pid":1,"tid":0}]}`},
-		{"bad ph", `{"traceEvents":[{"name":"recv","ph":"X","ts":1,"pid":1,"tid":0}]}`},
-	}
-	for _, tc := range cases {
-		if _, err := JSON([]byte(tc.doc)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}
 
 func TestStreamAcceptsHealthyRun(t *testing.T) {
 	tr := obs.NewTracer(4, 0)
@@ -98,6 +54,39 @@ func TestStreamAcceptsCrashedRank(t *testing.T) {
 	// Treating the crashed rank as OK must fail span balance.
 	if _, err := Stream(tr, nil); err == nil {
 		t.Fatal("Stream accepted an unclosed span on a supposedly-OK rank")
+	}
+}
+
+// TestDumpExemptsRanksThatDied: a dump carries no exit statuses, so a
+// rank whose stream ends in its own crash instant is exempt from span
+// balance; the same stream without that instant is not.
+func TestDumpExemptsRanksThatDied(t *testing.T) {
+	tr := obs.NewTracer(3, 0)
+	cfg := par.DefaultConfig(3)
+	cfg.Trace = tr
+	cfg.Faults = &par.FaultPlan{Seed: 1, Crashes: []par.Crash{{Rank: 2, AfterSends: 1, Tag: par.AnyTag}}}
+	par.RunStatus(cfg, func(c *par.Comm) {
+		c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGST, 0, 0)
+		if c.Rank() != 0 {
+			c.Send(0, 1, []byte{1}) // rank 2 dies here
+		} else {
+			c.RecvTimeout(par.AnySource, 1, 50*time.Millisecond)
+			c.RecvTimeout(par.AnySource, 1, 50*time.Millisecond)
+		}
+		c.TraceEvent(obs.EvPhaseExit, obs.PhaseGST, 0, 0)
+	})
+	d := tr.Dump()
+	if _, err := Dump(d, nil); err != nil {
+		t.Fatalf("Dump rejected a run whose crashed rank recorded its death: %v", err)
+	}
+	rank2 := &d.Ranks[2]
+	last := rank2.Events[len(rank2.Events)-1]
+	if last.Kind != obs.EvFault || last.A != obs.FaultCrash {
+		t.Fatalf("rank 2's last event is %v %d, want its crash instant", last.Kind, last.A)
+	}
+	rank2.Events = rank2.Events[:len(rank2.Events)-1]
+	if _, err := Dump(d, nil); err == nil {
+		t.Fatal("Dump accepted an unclosed span on a rank that recorded no death")
 	}
 }
 
@@ -199,111 +188,34 @@ func TestStreamSeqMatchedCounts(t *testing.T) {
 	}
 }
 
-func TestJSONCausalInvariants(t *testing.T) {
-	// A well-formed two-rank exchange passes and matches the recv.
-	tr := obs.NewTracer(2, 0)
-	cfg := par.DefaultConfig(2)
-	cfg.Trace = tr
-	par.Run(cfg, func(c *par.Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 1, []byte("hello"))
-		} else {
-			c.Recv(0, 1)
+// TestStreamOverflowedRingSeqs: on a rank whose ring wrapped, the
+// retained send seqs may skip (the sends in between were evicted) but
+// must still increase.
+func TestStreamOverflowedRingSeqs(t *testing.T) {
+	sends := func(seqs ...uint64) *obs.Tracer {
+		tr := obs.NewTracer(1, 8)
+		for i, seq := range seqs {
+			tr.EmitSeq(0, obs.EvSendBegin, float64(i), 0, 1, 7, 8, seq)
+			tr.EmitSeq(0, obs.EvSendEnd, float64(i+1), 0, 1, 7, 8, seq)
 		}
-	})
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := JSON(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.SeqMatched == 0 {
-		t.Fatal("exported trace carried no seq-matched receives")
-	}
-
-	// Hand-built documents violating each causal invariant.
-	bad := []struct{ name, doc string }{
-		{"seq gap", `{"traceEvents":[
-			{"name":"send","ph":"B","ts":1,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":1}},
-			{"name":"send","ph":"E","ts":2,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":1}},
-			{"name":"send","ph":"B","ts":3,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":3}},
-			{"name":"send","ph":"E","ts":4,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":3}}]}`},
-		{"recv without send", `{"traceEvents":[
-			{"name":"recv","ph":"B","ts":1,"pid":1,"tid":1,"args":{"src":0,"tag":7}},
-			{"name":"recv","ph":"E","ts":2,"pid":1,"tid":1,"args":{"src":0,"tag":7,"bytes":8,"seq":5}}]}`},
-		{"duplicate delivery", `{"traceEvents":[
-			{"name":"send","ph":"B","ts":1,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":1}},
-			{"name":"send","ph":"E","ts":2,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":1}},
-			{"name":"recv","ph":"B","ts":3,"pid":1,"tid":1,"args":{"src":0,"tag":7}},
-			{"name":"recv","ph":"E","ts":4,"pid":1,"tid":1,"args":{"src":0,"tag":7,"bytes":8,"seq":1}},
-			{"name":"recv","ph":"B","ts":5,"pid":1,"tid":2,"args":{"src":0,"tag":7}},
-			{"name":"recv","ph":"E","ts":6,"pid":1,"tid":2,"args":{"src":0,"tag":7,"bytes":8,"seq":1}}]}`},
-	}
-	for _, tc := range bad {
-		if _, err := JSON([]byte(tc.doc)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if tr.Dropped(0) == 0 {
+			t.Fatal("ring did not overflow")
 		}
+		return tr
 	}
-
-	// The same gap is tolerated when the thread is marked truncated.
-	tolerated := `{"traceEvents":[
-		{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"rank 0","dropped":9}},
-		{"name":"send","ph":"B","ts":1,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":4}},
-		{"name":"send","ph":"E","ts":2,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":4}},
-		{"name":"send","ph":"B","ts":3,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":7}},
-		{"name":"send","ph":"E","ts":4,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":7}}]}`
-	if _, err := JSON([]byte(tolerated)); err != nil {
-		t.Errorf("truncated thread's seq gap rejected: %v", err)
-	}
-}
-
-func TestJSONMultiRunTrace(t *testing.T) {
-	// A sweep experiment records several machine runs — here with
-	// different rank counts, like fig5's proc sweep — into one tracer.
-	// Each run's send seqs restart at 1; the checker must segment at
-	// the restarts instead of rejecting the file.
-	tr := obs.NewTracer(4, 0)
-	for _, p := range []int{2, 4, 2} {
-		cfg := par.DefaultConfig(p)
-		cfg.Trace = tr
-		par.Run(cfg, func(c *par.Comm) {
-			if c.Rank() == 0 {
-				for d := 1; d < c.Size(); d++ {
-					c.Send(d, 1, []byte("sweep"))
-				}
-			} else {
-				c.Recv(0, 1)
-			}
-		})
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := JSON(buf.Bytes())
+	// The ring keeps the last four sends: 8, 9, 11, 12.
+	sum, err := Stream(sends(1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12), nil)
 	if err != nil {
-		t.Fatalf("multi-run trace rejected: %v", err)
+		t.Fatalf("send seq gap on an overflowed ring rejected: %v", err)
 	}
-	if sum.Runs != 3 {
-		t.Errorf("Runs = %d, want 3", sum.Runs)
+	if sum.Skipped != 1 {
+		t.Fatalf("Skipped = %d, want 1", sum.Skipped)
 	}
-	if sum.SeqMatched == 0 {
-		t.Error("no seq-matched receives across run segments")
+	if _, err := Stream(sends(1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 10), nil); err == nil {
+		t.Fatal("repeated send seq on an overflowed ring accepted")
 	}
-
-	// Segmentation must not weaken the within-run checks: a gap after
-	// a restart is still a gap.
-	gapAfterRestart := `{"traceEvents":[
-		{"name":"send","ph":"B","ts":1,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":1}},
-		{"name":"send","ph":"E","ts":2,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":1}},
-		{"name":"send","ph":"B","ts":3,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":1}},
-		{"name":"send","ph":"E","ts":4,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":1}},
-		{"name":"send","ph":"B","ts":5,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":3}},
-		{"name":"send","ph":"E","ts":6,"pid":1,"tid":0,"args":{"dst":1,"tag":7,"seq":3}}]}`
-	if _, err := JSON([]byte(gapAfterRestart)); err == nil {
-		t.Error("seq gap inside the second run segment accepted")
+	if _, err := Stream(sends(1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11), nil); err == nil {
+		t.Fatal("decreasing send seq on an overflowed ring accepted")
 	}
 }
 

@@ -1,3 +1,7 @@
+// Package check validates event traces: an obs.Tracer's live per-rank
+// streams (Stream, the oracle the simulation harness runs after every
+// campaign case) and loaded events dumps (Dump, which asmprof runs on
+// every dump before it explains one).
 package check
 
 import (
@@ -15,6 +19,7 @@ type StreamSummary struct {
 	RecvEvents int // completed receives matched against sends
 	SeqMatched int // receives matched to their exact send by (src, seq)
 	Skipped    int // ranks whose per-rank invariants were skipped (ring overflow)
+	Faults     int // fault-model instants (retransmit, corrupt_frame, retry, quarantined)
 }
 
 // Stream validates the runtime invariants of a tracer's retained
@@ -62,17 +67,30 @@ func Stream(tr *obs.Tracer, okRank func(rank int) bool) (StreamSummary, error) {
 // its own clock origin, the cross-rank wall-clock ordering check is
 // skipped; the clock-free invariants (receives never exceed sends per
 // channel, exactly-once (src, seq) matching) still run.
+//
+// A dump does not record how each rank's body returned, so with
+// okRank nil a rank counts as finished unless its stream records its
+// death: the crash or cascade fault instant a dying rank emits last.
 func Dump(d *obs.Dump, okRank func(rank int) bool) (StreamSummary, error) {
 	if d == nil || len(d.Ranks) == 0 {
 		return StreamSummary{}, fmt.Errorf("no ranks in dump")
 	}
 	byRank := map[int]obs.RankDump{}
+	died := map[int]bool{}
 	n := 0
 	for _, rd := range d.Ranks {
 		byRank[rd.Rank] = rd
 		if rd.Rank >= n {
 			n = rd.Rank + 1
 		}
+		for _, e := range rd.Events {
+			if e.Kind == obs.EvFault && (e.A == obs.FaultCrash || e.A == obs.FaultCascade) {
+				died[rd.Rank] = true
+			}
+		}
+	}
+	if okRank == nil {
+		okRank = func(r int) bool { return !died[r] }
 	}
 	return streamOver(n,
 		func(r int) []obs.Event { return byRank[r].Events },
@@ -125,6 +143,8 @@ func streamOver(ranks int, events func(int) []obs.Event, droppedOf func(int) uin
 			lastComm, lastComp = e.Comm, e.Comp
 
 			switch e.Kind {
+			case obs.EvRetransmit, obs.EvCorruptFrame, obs.EvRetry, obs.EvQuarantine:
+				s.Faults++
 			case obs.EvSendBegin, obs.EvSsendBegin:
 				if e.Seq > 0 {
 					switch {

@@ -607,7 +607,7 @@ func (c *Collector) handleAnalyzeLive(w http.ResponseWriter, req *http.Request) 
 }
 
 // handleEvents serves the final merged trace (obs.Dump JSON, the
-// tracecheck -events / traceanalyze input format).
+// asmprof input format).
 func (c *Collector) handleEvents(w http.ResponseWriter, _ *http.Request) {
 	d, err := c.MergedDump()
 	if err != nil {

@@ -23,8 +23,8 @@ type RankDump struct {
 // every rank, with both clock domains and the per-sender sequence
 // numbers intact. The Chrome trace_event export collapses the modeled
 // clock to a single timestamp per event, so causal analysis
-// (cmd/traceanalyze, internal/obs/analyze) consumes this format
-// instead.
+// (asmprof, internal/obs/analyze) consumes this format instead, and
+// asmprof -chrome renders the Chrome form from it on demand.
 type Dump struct {
 	Version int        `json:"version"`
 	Ranks   []RankDump `json:"ranks"`

@@ -110,7 +110,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 // count is nonzero it is recorded on the thread_name metadata so a
 // reader knows the stream is truncated. annotate, when non-nil, is
 // called per (rank, event index) and its returned entries are merged
-// into that event's args — cmd/traceanalyze uses it to mark
+// into that event's args — asmprof -chrome uses it to mark
 // critical-path spans.
 func WriteChromeTraceEvents(w io.Writer, perRank [][]Event, dropped []uint64, annotate func(rank, idx int) map[string]any) error {
 	var evs []chromeEvent

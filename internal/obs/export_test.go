@@ -74,8 +74,8 @@ func TestWriteTimelineGolden(t *testing.T) {
 	checkGolden(t, "timeline.txt", buf.Bytes())
 }
 
-// TestChromeTraceBalanced re-parses the exported JSON and checks the
-// invariants cmd/tracecheck enforces: every E has a preceding B on its
+// TestChromeTraceBalanced re-parses the exported JSON and checks that
+// a trace viewer can pair its spans: every E has a preceding B on its
 // track, and the orphaned end from rank 1's wraparound is dropped.
 func TestChromeTraceBalanced(t *testing.T) {
 	var buf bytes.Buffer

@@ -183,7 +183,7 @@ func FaultName(code int64) string {
 // heuristics. Zero on events that are not message transfers.
 //
 // The JSON field names are the compact encoding of the raw events dump
-// (see Dump), the lossless format cmd/traceanalyze consumes.
+// (see Dump), the lossless format asmprof and internal/obs/analyze consume.
 type Event struct {
 	Kind Kind    `json:"k"`
 	Rank int32   `json:"r"`
@@ -438,24 +438,4 @@ func (t *Tracer) SpansSince(mark SpanMark) []PhaseSpan {
 	out := make([]PhaseSpan, len(t.spans)-int(mark))
 	copy(out, t.spans[mark:])
 	return out
-}
-
-// Reset discards all retained events and spans but keeps the epoch,
-// ring allocation and capacity — cmd/experiments resets between
-// experiments so each trace file holds exactly one experiment.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.RLock()
-	for _, r := range t.rings {
-		r.mu.Lock()
-		r.next = 0
-		r.stack = r.stack[:0]
-		r.mu.Unlock()
-	}
-	t.mu.RUnlock()
-	t.spanMu.Lock()
-	t.spans = nil
-	t.spanMu.Unlock()
 }

@@ -132,7 +132,7 @@ func TestExitDiscardsUnmatchedInner(t *testing.T) {
 }
 
 // TestMarkSpansSince: a mark isolates one run's spans on a shared
-// tracer (how Fig5 sweeps reuse the -trace-out tracer).
+// tracer (how a Fig5 sweep reuses one tracer across runs).
 func TestMarkSpansSince(t *testing.T) {
 	tr := newTestTracer(1, 64)
 	tr.Emit(0, EvPhaseEnter, 0, 0, PhaseGST, 0, 0)
@@ -166,22 +166,6 @@ func TestRingGrowth(t *testing.T) {
 	}
 }
 
-// TestReset clears events and spans but keeps the tracer usable.
-func TestReset(t *testing.T) {
-	tr := newTestTracer(2, 8)
-	tr.Emit(0, EvPhaseEnter, 0, 0, PhaseGST, 0, 0)
-	tr.Emit(0, EvPhaseExit, 0, 1, PhaseGST, 0, 0)
-	tr.Emit(1, EvClusterMerge, 0, 0, 1, 2, 0)
-	tr.Reset()
-	if tr.TotalEvents() != 0 || len(tr.Spans()) != 0 {
-		t.Fatalf("Reset left %d events, %d spans", tr.TotalEvents(), len(tr.Spans()))
-	}
-	tr.Emit(0, EvClusterMerge, 0, 0, 9, 9, 0)
-	if got := len(tr.Events(0)); got != 1 {
-		t.Fatalf("post-Reset emission retained %d events, want 1", got)
-	}
-}
-
 // TestNilTracer: every method is a no-op on nil — the disabled path.
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
@@ -190,7 +174,6 @@ func TestNilTracer(t *testing.T) {
 		tr.TotalEvents() != 0 || tr.Spans() != nil || tr.SpansSince(0) != nil {
 		t.Fatal("nil tracer accessor returned non-zero")
 	}
-	tr.Reset()
 	if tr.Mark() != 0 {
 		t.Fatal("nil Mark != 0")
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/seq"
@@ -417,7 +418,6 @@ func TestStreamCloseEarly(t *testing.T) {
 	tree := buildTree(st, 4)
 	empty := buildTree(makeStore("NNNNNNNNNNNNNNNNNNNN"), 4)
 	cfg := Config{Psi: 4, NumFragments: st.N()}
-	goroutines := runtime.NumGoroutine()
 
 	var built int
 	NewSweep(sweepOf(&built, tree), cfg).Close()
@@ -450,9 +450,33 @@ func TestStreamCloseEarly(t *testing.T) {
 	s.Close()
 	s.Close()
 
-	if n := runtime.NumGoroutine(); n != goroutines {
-		t.Fatalf("%d goroutines after closing every stream, %d before", n, goroutines)
+	if n := pairgenGoroutines(); n != 0 {
+		t.Fatalf("%d goroutines still run pairgen code after closing every stream", n)
 	}
+}
+
+// pairgenGoroutines counts the goroutines, other than the caller,
+// with a pairgen frame on their stack. Goroutines of other packages
+// come and go while a test runs, so a total count proves nothing.
+func pairgenGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	// The caller's own stack comes first and holds this test's frames.
+	stacks := strings.Split(string(buf), "\n\n")[1:]
+	count := 0
+	for _, st := range stacks {
+		if strings.Contains(st, "repro/internal/pairgen.") {
+			count++
+		}
+	}
+	return count
 }
 
 func TestMaskedRegionsBlockPairs(t *testing.T) {
