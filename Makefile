@@ -87,6 +87,7 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
 	internal/align/testdata/fuzz/FuzzAnchoredOverlap \
 	internal/assembly/testdata/fuzz/FuzzFindOverlaps \
+	internal/pairgen/testdata/fuzz/FuzzGenerateMatchesReference \
 	internal/suffixtree/testdata/fuzz/FuzzBuildMatchesReference \
 	internal/suffixtree/testdata/fuzz/FuzzSortKeyed
 
@@ -114,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
 	$(GO) test -run=NONE -fuzz=FuzzAnchoredOverlap -fuzztime=10s ./internal/align
 	$(GO) test -run=NONE -fuzz=FuzzFindOverlaps -fuzztime=10s ./internal/assembly
+	$(GO) test -run=NONE -fuzz=FuzzGenerateMatchesReference -fuzztime=10s ./internal/pairgen
 	$(GO) test -run=NONE -fuzz=FuzzBuildMatchesReference -fuzztime=10s ./internal/suffixtree
 	$(GO) test -run=NONE -fuzz=FuzzSortKeyed -fuzztime=10s ./internal/suffixtree
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -502,4 +504,122 @@ func TestStatsCounts(t *testing.T) {
 	if stats.NodesVisited == 0 {
 		t.Error("NodesVisited = 0")
 	}
+}
+
+// checkMatchesReference holds Generate to referenceGenerate on one
+// forest: the same pairs in the same order and the same Stats, run to
+// the end and stopped after stopAt pairs (0: not stopped).
+func checkMatchesReference(t *testing.T, tree *suffixtree.Tree, cfg Config, stopAt int) {
+	t.Helper()
+	run := func(gen func(*suffixtree.Tree, Config, func(Pair) bool) Stats) ([]Pair, Stats) {
+		var pairs []Pair
+		st := gen(tree, cfg, func(p Pair) bool {
+			pairs = append(pairs, p)
+			return len(pairs) != stopAt
+		})
+		return pairs, st
+	}
+	got, gotStats := run(Generate)
+	want, wantStats := run(referenceGenerate)
+	if !slices.Equal(got, want) || gotStats != wantStats {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%+v stop %d: %d pairs %+v, reference %d pairs %+v; first difference at %d",
+			cfg, stopAt, len(got), gotStats, len(want), wantStats, i)
+	}
+}
+
+// TestGenerateMatchesReference: on random masked inputs, some built of
+// repeated motifs so that duplicate elimination drops suffixes, the
+// two-pass generator yields the reference's stream and Stats with
+// duplicate elimination on and off, with ψ = w and ψ > w, run to the
+// end and stopped after a random number of pairs.
+func TestGenerateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for trial := 0; trial < 60; trial++ {
+		var frags []string
+		if trial%2 == 0 {
+			frags = randomFrags(rng, 3+rng.Intn(8), 15, 80, []float64{0, 0.03}[trial/2%2])
+		} else {
+			motifs := randomFrags(rng, 2+rng.Intn(3), 6, 14, 0.02)
+			frags = make([]string, 3+rng.Intn(6))
+			for i := range frags {
+				for k := 0; k < 2+rng.Intn(5); k++ {
+					frags[i] += motifs[rng.Intn(len(motifs))]
+				}
+			}
+		}
+		st := makeStore(frags...)
+		w := 2 + rng.Intn(4)
+		tree := buildTree(st, w)
+		for _, psi := range []int{w, w + 1 + rng.Intn(4)} {
+			for _, dedup := range []bool{false, true} {
+				cfg := Config{Psi: psi, NumFragments: st.N(), DuplicateElimination: dedup}
+				all, _ := collect(tree, cfg)
+				checkMatchesReference(t, tree, cfg, 0)
+				if len(all) > 0 {
+					checkMatchesReference(t, tree, cfg, 1+rng.Intn(len(all)))
+				}
+			}
+		}
+	}
+}
+
+// FuzzGenerateMatchesReference holds Generate to referenceGenerate on
+// arbitrary reads. A data byte is a base (0–3 mod 4), a mask (0xe8–
+// 0xf7) or a read break (0xf8–0xff); shape%8 + 1 is w, shape>>3%4
+// what ψ adds to it, shape ≥ 0x80 turns on duplicate elimination, and
+// a non-zero stop stops generation after that many pairs.
+func FuzzGenerateMatchesReference(f *testing.F) {
+	f.Add([]byte("\x00\x01\x02\x03\x00\x01\x02\x03\xff\x00\x01\x02\x03\x00\x01"), uint8(0x82), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, shape, stop uint8) {
+		if len(data) > 600 {
+			return
+		}
+		reads := []string{""}
+		for _, b := range data {
+			switch {
+			case b >= 0xf8:
+				reads = append(reads, "")
+			case b >= 0xe8:
+				reads[len(reads)-1] += "N"
+			default:
+				reads[len(reads)-1] += string(seq.Base(int(b & 3)))
+			}
+		}
+		st := makeStore(reads...)
+		w := 1 + int(shape%8)
+		cfg := Config{Psi: w + int(shape>>3%4), NumFragments: st.N(), DuplicateElimination: shape >= 0x80}
+		checkMatchesReference(t, buildTree(st, w), cfg, int(stop))
+	})
+}
+
+// TestWriteFuzzCorpus regenerates the committed seed corpus of
+// FuzzGenerateMatchesReference (run explicitly with
+// WRITE_FUZZ_CORPUS=1; skipped otherwise).
+func TestWriteFuzzCorpus(t *testing.T) {
+	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
+		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the corpus")
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzGenerateMatchesReference")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	read := strings.NewReplacer("A", "\x00", "C", "\x01", "G", "\x02", "T", "\x03", "N", "\xe8", "|", "\xff").Replace
+	write := func(name, reads string, shape, stop uint8) {
+		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\nbyte(%q)\n", read(reads), shape, stop)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("seed-empty", "", 0x02, 0)
+	write("seed-tandem-repeat-dedup", "ACGTTGCAGTACGTTGCAGTACGTTGCAGT|ACGTTGCAGTACGTTGCAGT", 0x83, 0)
+	write("seed-tandem-repeat-stopped", "ACGTTGCAGTACGTTGCAGTACGTTGCAGT|ACGTTGCAGTACGTTGCAGT", 0x8b, 5)
+	write("seed-masks-split-matches", "ACGTANCGGATTACA|TTACGTANCGGATTACAG|CGGATNTACAACGTA", 0x93, 0)
+	write("seed-psi-above-w", "GATTACAGATTACCAGT|CCGATTACAGATTACCA|AGATTACAGATTGG", 0x1a, 0)
+	write("seed-identical-reads", "ACGGTCATTGCA|ACGGTCATTGCA|ACGGTCATTGCA|TGCAATGACCGT", 0x84, 3)
+	write("seed-lambda-only-leaf", "ACGTAC|ACGTAC|NACGTAC|NNACGTAC", 0x05, 0)
+	write("seed-masked-only-reads", "NNNN|N|NNNNNNNNNNNN|ACGTTGCAACGT|NN", 0x02, 0)
 }
