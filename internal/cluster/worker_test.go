@@ -44,7 +44,7 @@ var workerFx = sync.OnceValue(func() *workerFixture {
 	seg := 0
 	pgst.SweepSerial(st, pgst.Config{W: fx.cfg.W, MinLen: fx.cfg.Psi, SpillBytes: 24 << 10}, func(t *suffixtree.Tree) bool {
 		r := 1 + seg%(workerTestSize-1)
-		fx.forests[r] = append(fx.forests[r], t)
+		fx.forests[r] = append(fx.forests[r], t.Clone())
 		fx.costs[r] = append(fx.costs[r], 1e-3*float64(seg+1))
 		fx.firsts[r] = append(fx.firsts[r], len(fx.want[r]))
 		pairgen.Generate(t, fx.pairgenConfig(), func(p pairgen.Pair) bool {

@@ -476,12 +476,21 @@ func fetchFragments(c *par.Comm, st seq.Seqs, buckets [][]suffixtree.Suffix, bat
 // from load on demand, which keeps the decoded bases of a disk-backed
 // store bounded. Allocate one per build or sweep: the slice headers are
 // O(n).
+//
+// A store that decodes into memory of the caller's (the disk store)
+// decodes into arena, and emptying the table swaps arena with spare, so
+// a bounded table stops allocating once both have grown to the bound
+// and a slice it returned is not overwritten before the table empties
+// twice — after the next lookup, which is what suffixtree.Access asks.
 type seqTable struct {
 	seqs     [][]byte
 	live     []int32 // resident sids
 	bytes    int     // resident bases
 	maxBytes int
+	size     func(sid int32) int // the bases load will return, if maxBytes > 0
 	load     func(sid int32) []byte
+	arena    []byte
+	spare    []byte
 }
 
 // seqTableBytes bounds a store-backed table, the size of a disk store's
@@ -491,11 +500,23 @@ const seqTableBytes = 1 << 20
 
 // newStoreTable returns a bounded table that loads misses from st.
 func newStoreTable(st seq.Seqs) *seqTable {
-	return &seqTable{
+	t := &seqTable{
 		seqs:     make([][]byte, st.NumSeqs()),
 		maxBytes: seqTableBytes,
+		size:     func(sid int32) int { return st.SeqLen(int(sid)) },
 		load:     func(sid int32) []byte { return st.Seq(int(sid)) },
 	}
+	if d, ok := st.(interface{ AppendSeq([]byte, int) []byte }); ok {
+		t.load = func(sid int32) []byte {
+			if t.arena == nil {
+				t.arena = make([]byte, 0, t.maxBytes)
+			}
+			at := len(t.arena)
+			t.arena = d.AppendSeq(t.arena, int(sid))
+			return t.arena[at:]
+		}
+	}
+	return t
 }
 
 // newFetchTable returns the table of the distributed build, filled per
@@ -524,10 +545,10 @@ func (t *seqTable) Seq(sid int32) []byte {
 	if s := t.seqs[sid]; s != nil {
 		return s
 	}
-	s := t.load(sid)
-	if t.maxBytes > 0 && t.bytes+len(s) > t.maxBytes {
+	if t.maxBytes > 0 && t.bytes+t.size(sid) > t.maxBytes {
 		t.reset()
 	}
+	s := t.load(sid)
 	t.put(sid, s)
 	return s
 }
@@ -544,4 +565,5 @@ func (t *seqTable) reset() {
 	}
 	t.live = t.live[:0]
 	t.bytes = 0
+	t.arena, t.spare = t.spare[:0], t.arena
 }

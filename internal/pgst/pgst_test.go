@@ -49,7 +49,7 @@ func treeSignature(trees ...*suffixtree.Tree) (nodes map[string]int, sufs []stri
 // forestsOf is every forest l hands out for its own rank's range.
 func forestsOf(st seq.Seqs, l *Local) (trees []*suffixtree.Tree) {
 	l.Forests(st, l.rank, func(t *suffixtree.Tree, _ float64) bool {
-		trees = append(trees, t)
+		trees = append(trees, t.Clone())
 		return true
 	})
 	return trees

@@ -28,6 +28,7 @@
 package pgst
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -41,11 +42,15 @@ import (
 const (
 	// spillBytesPerSuffix estimates the resident bytes one suffix costs
 	// while its segment is being built and generated: the keyed record
-	// (24), its leaf slot (12), tree nodes (~45: 24 each, under two per
-	// suffix) and pair-generation lset cells (~15). The in-place builder
-	// adds one class byte and one Suffix per suffix of the largest bucket;
-	// the key sort holds a second keyed record per suffix while it runs,
-	// before any node exists.
+	// in the run buffer (24), its leaf slot (12) and the tree nodes
+	// reserved for it (48: 24 each, under two per suffix), 84 in all. The
+	// key sort works bin by bin in that buffer, the in-place builder adds
+	// one class byte and one Suffix per suffix of the largest bucket, and
+	// pair generation holds no per-suffix table: a stack of one bucket's
+	// pending lsets and copies of the lists that form pairs, at most
+	// 2·(Emitted + Skipped) suffixes. The value stays at the 96 that
+	// planned segments when generation kept an lset cell per suffix, so
+	// a budget still cuts an input into the same segments.
 	spillBytesPerSuffix = 96
 	// spillMaxBinBits caps the segment-planning histogram at 16K bins
 	// (128 KiB of counters) regardless of W.
@@ -127,14 +132,19 @@ type spillRuns struct {
 	runs    []spillRun
 	chunk   int    // a full chunk's bytes: header and whole records
 	scratch []byte // one chunk read back
+	// The records of the segment read last and their bins' free ends:
+	// the next read overwrites them.
+	ks   []suffixtree.Keyed
+	free []int
 }
 
 // spillRun is one segment's run.
 type spillRun struct {
-	n    int    // records, from the histogram
-	buf  []byte // the chunk being filled: header, then records
-	last int64  // offset of the latest chunk written, -1 before the first
-	size int    // bytes of that chunk
+	n      int    // records, from the histogram
+	lo, hi int    // its histogram bins
+	buf    []byte // the chunk being filled: header, then records
+	last   int64  // offset of the latest chunk written, -1 before the first
+	size   int    // bytes of that chunk
 }
 
 // spillChunkHeader is a chunk's header: the offset of the previous
@@ -153,7 +163,7 @@ func newSpillRuns(segs []spillSegment, nbins int, budget int64) *spillRuns {
 	}
 	r.scratch = make([]byte, r.chunk)
 	for s, sg := range segs {
-		r.runs[s] = spillRun{n: int(sg.n), buf: make([]byte, spillChunkHeader, r.chunk), last: -1}
+		r.runs[s] = spillRun{n: int(sg.n), lo: sg.loBin, hi: sg.hiBin, buf: make([]byte, spillChunkHeader, r.chunk), last: -1}
 		for b := sg.loBin; b < sg.hiBin; b++ {
 			r.segOf[b] = int32(s)
 		}
@@ -206,12 +216,23 @@ func (r *spillRuns) seal() {
 	}
 }
 
-// read returns segment s's records in scan order. It follows the run's
-// chain from its latest chunk back, filling the records from the end;
-// every chunk but the latest is full.
-func (r *spillRuns) read(s int) []suffixtree.Keyed {
+// read returns segment s's records in the order SortKeyed puts them,
+// in a buffer the next read overwrites. hist is the sweep's histogram,
+// whose bins are contiguous key ranges: read places every record in its
+// bin's share of the buffer as it comes off the file, then sorts each
+// bin by key. It follows the run's chain from its latest chunk back
+// (every chunk but the latest is full) and fills each bin from its end,
+// so a bin holds its records in scan order and the key sort, being
+// stable, leaves equal keys in (sid, pos) order.
+func (r *spillRuns) read(s int, hist []int64, shift uint) []suffixtree.Keyed {
 	run := r.runs[s]
-	ks := make([]suffixtree.Keyed, run.n)
+	r.ks = slices.Grow(r.ks[:0], run.n)[:run.n]
+	r.free = r.free[:0]
+	sum := 0
+	for _, c := range hist[run.lo:run.hi] {
+		sum += int(c)
+		r.free = append(r.free, sum)
+	}
 	i := run.n
 	for off, size := run.last, run.size; off >= 0; size = r.chunk {
 		b := r.scratch[:size]
@@ -223,8 +244,9 @@ func (r *spillRuns) read(s int) []suffixtree.Keyed {
 		if i < 0 {
 			break
 		}
-		for j, b := i, b[spillChunkHeader:]; len(b) > 0; j, b = j+1, b[spillRecordBytes:] {
-			ks[j] = suffixtree.Keyed{
+		for end := size; end > spillChunkHeader; end -= spillRecordBytes {
+			b := b[end-spillRecordBytes : end]
+			k := suffixtree.Keyed{
 				Key: seq.Kmer(binary.LittleEndian.Uint64(b)),
 				Suf: suffixtree.Suffix{
 					Sid:  int32(binary.LittleEndian.Uint32(b[8:])),
@@ -232,13 +254,31 @@ func (r *spillRuns) read(s int) []suffixtree.Keyed {
 					Prev: int8(b[16]),
 				},
 			}
+			bin := int(k.Key>>shift) - run.lo
+			if bin < 0 || bin >= len(r.free) || r.free[bin] == 0 {
+				spillFail(fmt.Errorf("segment %d: a record of key %x outside its bins", s, k.Key))
+			}
+			r.free[bin]--
+			r.ks[r.free[bin]] = k
 		}
 	}
 	if i != 0 {
 		spillFail(fmt.Errorf("segment %d: run does not hold its %d records", s, run.n))
 	}
-	return ks
+	lo := 0
+	for bin, c := range hist[run.lo:run.hi] {
+		if r.free[bin] != lo {
+			spillFail(fmt.Errorf("segment %d: run does not hold the %d records of its bin %d", s, c, run.lo+bin))
+		}
+		if shift > 0 {
+			slices.SortStableFunc(r.ks[lo:lo+int(c)], cmpKey)
+		}
+		lo += int(c)
+	}
+	return r.ks
 }
+
+func cmpKey(x, y suffixtree.Keyed) int { return cmp.Compare(x.Key, y.Key) }
 
 // close releases the run file. It is already unlinked and nothing in it
 // needs to outlive the sweep, so Close's error changes nothing.
@@ -256,14 +296,12 @@ func spillFail(err error) {
 	panic(fmt.Sprintf("pgst: sweep run file: %v", err))
 }
 
-// addKeyed builds the buckets of ks into ib and returns cost plus the
-// modeled cost of sorting and building them.
-func addKeyed(ib *suffixtree.IncrementalBuilder, table *seqTable, ks []suffixtree.Keyed, cost float64) float64 {
-	before := ib.Work()
-	ib.AddKeyed(table.Seq, ks)
+// addBuildCost returns cost plus the modeled cost of sorting n keyed
+// suffixes and examining chars characters to build their tries.
+func addBuildCost(cost float64, n int, chars int64) float64 {
 	return cost +
-		float64(len(ks))*(costSuf+log2f(len(ks))*costSort) +
-		float64(ib.Work()-before)*costChar
+		float64(n)*(costSuf+log2f(n)*costSort) +
+		float64(chars)*costChar
 }
 
 // sweepFiltered yields one forest per segment of the keys passing own
@@ -276,8 +314,11 @@ func addKeyed(ib *suffixtree.IncrementalBuilder, table *seqTable, ks []suffixtre
 // empty range yields one empty forest to carry the first), and each
 // segment pays for sorting and building its run. Every trie reads bases
 // through one table, so the tries of a store that fits seqTableBytes
-// decode it once per sweep, not once per segment. Returns false if
-// yield stopped the sweep.
+// decode it once per sweep, not once per segment. A segment reuses the
+// run buffer and the forest storage of the one before it, so a sweep's
+// heap stops growing at its largest segment; a consumer must therefore
+// not keep a forest past its yield (Tree.Clone copies one). Returns
+// false if yield stopped the sweep.
 func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree, float64) bool) bool {
 	scan := func(fn func(suffixtree.Keyed)) float64 {
 		return float64(suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own, fn)) * costChar
@@ -289,8 +330,9 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 	if cfg.SpillBytes <= 0 {
 		var ks []suffixtree.Keyed
 		cost := scan(func(k suffixtree.Keyed) { ks = append(ks, k) })
-		cost = addKeyed(ib, table, ks, cost)
-		return yield(ib.TakeTree(), cost)
+		n, before := len(ks), ib.Work()
+		ib.AddKeyed(table.Seq, ks)
+		return yield(ib.TakeTree(), addBuildCost(cost, n, ib.Work()-before))
 	}
 	shift := spillBinShift(cfg.W)
 	hist := make([]int64, 1<<spillBinBits(cfg.W))
@@ -304,19 +346,23 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 	defer runs.close()
 	cost += scan(func(k suffixtree.Keyed) { runs.add(int(k.Key>>shift), k) })
 	runs.seal()
-	for s := range segs {
-		cost = addKeyed(ib, table, runs.read(s), cost)
-		if !yield(ib.TakeTree(), cost) {
+	for s, sg := range segs {
+		before := ib.Work()
+		ib.AddKeyed(table.Seq, runs.read(s, hist, shift))
+		cost = addBuildCost(cost, int(sg.n), ib.Work()-before)
+		t := ib.TakeTree()
+		if !yield(t, cost) {
 			return false
 		}
+		ib.Reuse(t)
 		cost = 0
 	}
 	return true
 }
 
 // SweepSerial builds the store's full GST in bounded segments, calling
-// yield with each segment's forest in ascending key order; the forest
-// is dropped after yield returns. The union of yielded forests is the
+// yield with each segment's forest in ascending key order; the next
+// segment reuses the forest's storage once yield returns. The union of yielded forests is the
 // serial tree, which is what a sweep without a budget yields whole —
 // consume-and-drop is what makes serial clustering run in
 // O(SpillBytes) tree memory.
@@ -332,8 +378,8 @@ func SweepSerial(st seq.Seqs, cfg Config, yield func(*suffixtree.Tree) bool) {
 // own range of a rank whose redistribution a death severed, a dead
 // rank's range during adoption — is swept from the store: bounded
 // segments under Cfg.SpillBytes, one segment without a budget, each
-// forest dropped after yield returns. Returns false if yield stopped
-// the sweep.
+// forest's storage reused by the next once yield returns. Returns false
+// if yield stopped the sweep.
 func (l *Local) Forests(st seq.Seqs, r int, yield func(*suffixtree.Tree, float64) bool) bool {
 	if l.tree != nil && r == l.rank {
 		return yield(l.tree, 0)

@@ -57,7 +57,7 @@ func TestSweepSerialMatchesSerial(t *testing.T) {
 			var forests []*suffixtree.Tree
 			var gotSeq []string
 			SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
-				forests = append(forests, tr)
+				forests = append(forests, tr.Clone())
 				gotSeq = append(gotSeq, collectPairs(tr, psi, st.N())...)
 				return true
 			})
@@ -393,7 +393,7 @@ func TestSpillBuildSurvivesCrash(t *testing.T) {
 	}
 	var adopted []*suffixtree.Tree
 	locals[0].Forests(st, crashed, func(tr *suffixtree.Tree, _ float64) bool {
-		adopted = append(adopted, tr)
+		adopted = append(adopted, tr.Clone())
 		return true
 	})
 	own, dead := TreeSignature(survivors...), TreeSignature(adopted...)

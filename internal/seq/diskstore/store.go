@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/seq"
 )
@@ -184,12 +185,24 @@ func (s *Store) SeqName(sid int) string {
 // forward strand from the block cache, re-applying the 'N' mask, and
 // reverse-complementing in place for RC IDs. The result is freshly
 // allocated per call and safe for the caller to hold.
-func (s *Store) Seq(sid int) []byte {
+func (s *Store) Seq(sid int) []byte { return s.AppendSeq(nil, sid) }
+
+// AppendSeq appends the bases of sequence sid to dst and returns the
+// extended slice: Seq into memory the caller reuses.
+func (s *Store) AppendSeq(dst []byte, sid int) []byte {
 	fid := s.FragID(sid)
 	e := s.entries[fid]
-	out := make([]byte, e.baseLen)
+	at := len(dst)
+	dst = slices.Grow(dst, int(e.baseLen))[:at+int(e.baseLen)]
+	out := dst[at:]
 	if e.baseLen > 0 {
-		packed := make([]byte, packedLen(e.baseLen))
+		var small [256]byte // a read of up to 1 kbp unpacks from the stack
+		packed := small[:0]
+		if n := packedLen(e.baseLen); n <= uint64(len(small)) {
+			packed = small[:n]
+		} else {
+			packed = make([]byte, n)
+		}
 		if err := s.cache.readAt(packed, int64(e.dataOff)); err != nil {
 			// Bounds were validated at Open; a failure here is an I/O
 			// error on a file that existed moments ago — unrecoverable
@@ -202,7 +215,7 @@ func (s *Store) Seq(sid int) []byte {
 	if s.IsRC(sid) {
 		seq.ReverseComplementInPlace(out)
 	}
-	return out
+	return dst
 }
 
 // CacheStats reports block-cache hits and misses since Open.
