@@ -30,7 +30,7 @@ flake-check:
 	$(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
 
 race:
-	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/align ./internal/assembly
+	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/obs/collector ./cmd/asmprof ./internal/align ./internal/assembly
 
 # Race detector over the concurrency-heavy packages the simulation
 # harness exercises (runtime, clustering protocol, GST build, harness).

@@ -1,12 +1,13 @@
-// Command asmprof is the one post-run command: it checks, explains and
-// renders a run's events dumps, and turns the profiling plane's .pb.gz
-// artifacts into critical-path attribution reports: which functions
-// and allocation sites burn the phase the causal DAG says gates the
-// run, per phase per rank, decoded entirely by the in-repo pprof
-// reader.
+// Command asmprof is the one command that reads telemetry: it watches
+// a live run through its collector, checks, explains and renders a
+// run's events dumps, and turns the profiling plane's .pb.gz artifacts
+// into critical-path attribution reports: which functions and
+// allocation sites burn the phase the causal DAG says gates the run,
+// per phase per rank, decoded entirely by the in-repo pprof reader.
 //
 // Usage:
 //
+//	asmprof http://127.0.0.1:7171           # watch a live run until it completes
 //	asmprof ev.json                         # check + causal report of one run
 //	asmprof ev.json.rank0 ev.json.rank1     # per-process dumps, merged first
 //	asmprof -chrome run.trace.json ev.json  # also render a Chrome trace
@@ -24,6 +25,15 @@
 // critical path, per-rank and per-phase comm/comp/idle, stragglers.
 // -chrome writes the run as Chrome trace_event JSON with the critical
 // path marked (crit:true), for ui.perfetto.dev.
+//
+// Given the http(s):// URL of a run collector (the -collector flag of
+// asmnode, asmcluster or asmpipeline, or a job's collector_url),
+// asmprof polls its /status every 500 ms and appends one snapshot per
+// poll: health state, heartbeat lag, current phase, event and traffic
+// counters per rank, and the idle share and straggler flag from the
+// collector's live causal analysis. It exits 0 once the run completes
+// OK, 1 when it completes failed, and 2 when the collector cannot be
+// reached before any status was observed.
 //
 // DIR holds artifacts a profiling session wrote (asmcluster/asmpipeline
 // -prof-dir, or a job's prof/ directory): *.cpu.pb.gz, *.heap*.pb.gz,
@@ -72,8 +82,14 @@ func main() {
 		return
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: asmprof [flags] EVENTS-DUMP... | asmprof [flags] ARTIFACT-DIR [EVENTS-DUMP...]  (see asmprof -h)")
+		fmt.Fprintln(os.Stderr, "usage: asmprof COLLECTOR-URL | asmprof [flags] EVENTS-DUMP... | asmprof [flags] ARTIFACT-DIR [EVENTS-DUMP...]  (see asmprof -h)")
 		os.Exit(2)
+	}
+	if isURL(flag.Arg(0)) {
+		if flag.NArg() != 1 {
+			fail(fmt.Errorf("a collector URL is watched alone, got %d arguments", flag.NArg()))
+		}
+		os.Exit(watch(os.Stdout, os.Stderr, flag.Arg(0), pollInterval))
 	}
 	dir, dumps := "", flag.Args()
 	if st, err := os.Stat(dumps[0]); err == nil && st.IsDir() {

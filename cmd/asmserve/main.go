@@ -11,7 +11,7 @@
 // journal replays, in-flight jobs are re-adopted, and their workdirs
 // resume from the last completed phase — the final contigs are
 // byte-identical to an uninterrupted run. While a job runs, its
-// status carries a collector URL that asmtop can attach to.
+// status carries a collector URL that asmprof can watch.
 package main
 
 import (

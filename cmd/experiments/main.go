@@ -27,7 +27,7 @@ func main() {
 	ranks := flag.String("ranks", "4,8,16,32", "comma-separated simulated rank sweep")
 	seed := flag.Int64("seed", 20060425, "random seed")
 	quick := flag.Bool("quick", false, "shrink sweeps to CI-sized runs")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /trace and /debug/pprof on this host:port while running")
+	obsAddr := flag.String("obs-addr", "", "serve /metrics and /debug/pprof on this host:port while running")
 	flag.Parse()
 
 	var rankList []int
@@ -48,21 +48,14 @@ func main() {
 	}
 
 	if *obsAddr != "" {
-		maxRank := rankList[0]
-		for _, r := range rankList {
-			if r > maxRank {
-				maxRank = r
-			}
-		}
-		opt.Trace = obs.NewTracer(maxRank+1, obs.DefaultRingCap)
 		opt.Metrics = obs.NewRegistry()
-		srv, err := obs.Serve(*obsAddr, opt.Metrics, opt.Trace)
+		srv, err := obs.Serve(*obsAddr, opt.Metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Printf("observability server on http://%s (/metrics /trace /timeline /debug/pprof)\n\n", srv.Addr)
+		fmt.Printf("observability server on http://%s (/metrics /debug/pprof)\n\n", srv.Addr)
 	}
 	known := map[string]func(experiments.Options){
 		"fig5":           func(o experiments.Options) { experiments.Fig5(o) },

@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"os"
 
-	"repro/internal/obs"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -31,18 +30,7 @@ func main() {
 	reads := flag.Int("reads", 3000, "total reads (env)")
 	seed := flag.Int64("seed", 1, "random seed")
 	out := flag.String("out", "sim", "output file prefix")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics and /debug/pprof on this host:port while running")
 	flag.Parse()
-
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, obs.NewRegistry(), nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "genomesim:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("observability server on http://%s (/metrics /debug/pprof)\n", srv.Addr)
-	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var frags []*seq.Fragment

@@ -193,7 +193,7 @@ func Comm(opt Options) CommResult {
 	var out CommResult
 
 	peak := func(staged bool) int {
-		stats := par.Run(opt.machineConfig(p), func(c *par.Comm) {
+		stats := par.Run(par.DefaultConfig(p), func(c *par.Comm) {
 			pgst.Build(c, store, pgst.Config{
 				W: cfg.W, MinLen: cfg.Psi, Staged: staged, Seed: opt.Seed,
 			})

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/preprocess"
 	"repro/internal/seq"
 	"repro/internal/simulate"
@@ -38,9 +37,6 @@ type Options struct {
 	Out io.Writer
 	// Quick shrinks sweeps to CI-sized runs (used by FaultSweep).
 	Quick bool
-	// Trace, when non-nil, records every machine run of the experiment
-	// into this tracer (cmd/experiments -obs-addr serves it live).
-	Trace *obs.Tracer
 	// Metrics, when non-nil, receives the clustering metrics of every
 	// parallel run (served live by cmd/experiments -obs-addr).
 	Metrics *obs.Registry
@@ -109,19 +105,10 @@ func mustParallel(store seq.Seqs, cfg cluster.Config, pcfg cluster.ParallelConfi
 	return res, ph
 }
 
-// machineConfig returns a default p-rank machine with the experiment's
-// tracer installed.
-func (o Options) machineConfig(p int) par.Config {
-	cfg := par.DefaultConfig(p)
-	cfg.Trace = o.Trace
-	return cfg
-}
-
 // parallelConfig returns a default p-rank parallel clustering
-// configuration with the experiment's tracer and metrics installed.
+// configuration with the experiment's metrics installed.
 func (o Options) parallelConfig(p int) cluster.ParallelConfig {
 	pcfg := cluster.DefaultParallelConfig(p)
-	pcfg.Trace = o.Trace
 	pcfg.Metrics = o.Metrics
 	return pcfg
 }

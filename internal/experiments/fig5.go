@@ -39,10 +39,7 @@ func Fig5(opt Options) Fig5Result {
 	opt = opt.withDefaults()
 	var res Fig5Result
 	cfg := clusterConfig()
-	tr := opt.Trace
-	if tr == nil {
-		tr = obs.NewTracer(opt.Ranks[len(opt.Ranks)-1], 0)
-	}
+	tr := obs.NewTracer(opt.Ranks[len(opt.Ranks)-1], 0)
 	for i, size := range []int{opt.Scale, 2 * opt.Scale} {
 		frags := maizeReads(opt.Seed+int64(i), size)
 		store := seq.NewStore(frags)

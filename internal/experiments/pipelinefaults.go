@@ -131,7 +131,7 @@ func PipelineFaults(opt Options) PipelineFaultsResult {
 	dcfg := ccfg
 	dcfg.AssemblyGuard = &assembly.Guard{
 		Retries: 1, Backoff: time.Millisecond, Deadline: time.Nanosecond,
-		Trace: opt.Trace, Metrics: opt.Metrics,
+		Metrics: opt.Metrics,
 	}
 	totalClusters := 0
 	dres, err := core.Run(reads, dcfg)

@@ -123,7 +123,7 @@ func RunJob(dir string) int {
 	}
 
 	// Per-job telemetry: this attempt serves its own run collector so
-	// asmtop (pointed at the URL from the job status) can attach live.
+	// asmprof, given the URL from the job status, can watch it live.
 	// Profiling artifacts go under <job>/prof; a SIGKILLed attempt
 	// leaves a truncated CPU stream behind, and the completing attempt's
 	// merge skips what cannot parse, so the archived profile is

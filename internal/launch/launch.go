@@ -22,7 +22,6 @@ const (
 	sizeEnv      = "ASM_SPMD_SIZE"
 	registryEnv  = "ASM_SPMD_REGISTRY"
 	epochEnv     = "ASM_SPMD_EPOCH"
-	obsEnv       = "ASM_SPMD_OBS"       // per-rank obs server listen addr ("" = off)
 	collectorEnv = "ASM_SPMD_COLLECTOR" // run collector base URL
 )
 
@@ -33,13 +32,8 @@ type child struct {
 	Registry string // rendezvous registry directory
 	Epoch    uint64
 
-	// Telemetry wiring decided by the parent. ObsAddr is this rank's
-	// own observability listen address (parents pass an ephemeral
-	// ":0"-style address so every rank is individually scrapeable; the
-	// rank publishes the bound address back into the registry).
-	// Collector is the run collector's base URL. Both empty when the
-	// parent ran without telemetry.
-	ObsAddr   string
+	// Collector is the run collector's base URL, decided by the parent;
+	// empty when the parent ran without one.
 	Collector string
 }
 
@@ -51,9 +45,6 @@ func (c child) env() []string {
 		sizeEnv + "=" + strconv.Itoa(c.Size),
 		registryEnv + "=" + c.Registry,
 		epochEnv + "=" + strconv.FormatUint(c.Epoch, 10),
-	}
-	if c.ObsAddr != "" {
-		out = append(out, obsEnv+"="+c.ObsAddr)
 	}
 	if c.Collector != "" {
 		out = append(out, collectorEnv+"="+c.Collector)
@@ -83,7 +74,6 @@ func fromEnv() (child, bool, error) {
 	if c.Registry == "" {
 		return child{}, false, fmt.Errorf("launch: %s set but %s empty", rankEnv, registryEnv)
 	}
-	c.ObsAddr = os.Getenv(obsEnv)
 	c.Collector = os.Getenv(collectorEnv)
 	if c.Rank < 1 || c.Rank >= c.Size {
 		return child{}, false, fmt.Errorf("launch: child rank %d out of range for size %d", c.Rank, c.Size)

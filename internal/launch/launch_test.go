@@ -3,16 +3,13 @@ package launch
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/par/nettrans"
 )
 
 // setJobEnv populates the SPMD child environment with t.Setenv so the
 // test runner restores it; unnamed variables are cleared.
 func setJobEnv(t *testing.T, kv map[string]string) {
 	t.Helper()
-	for _, k := range []string{rankEnv, sizeEnv, registryEnv, epochEnv, obsEnv, collectorEnv} {
+	for _, k := range []string{rankEnv, sizeEnv, registryEnv, epochEnv, collectorEnv} {
 		t.Setenv(k, kv[k])
 	}
 }
@@ -22,7 +19,7 @@ func setJobEnv(t *testing.T, kv map[string]string) {
 func TestFromEnvTelemetryRoundTrip(t *testing.T) {
 	want := child{
 		Rank: 2, Size: 4, Registry: "/tmp/reg", Epoch: 17,
-		ObsAddr: "127.0.0.1:0", Collector: "http://127.0.0.1:9090",
+		Collector: "http://127.0.0.1:9090",
 	}
 	kv := map[string]string{}
 	for _, e := range want.env() {
@@ -54,24 +51,5 @@ func TestFromEnvRejectsBadRank(t *testing.T) {
 	})
 	if _, _, err := fromEnv(); err == nil {
 		t.Fatal("out-of-range rank accepted")
-	}
-}
-
-// TestCollectorRegistryDiscovery: a served collector publishes its
-// bound address as the "collector" service, the same rendezvous
-// asmtop's -registry flag resolves.
-func TestCollectorRegistryDiscovery(t *testing.T) {
-	dir := t.TempDir()
-	tel := &Telemetry{job: "launch-test", size: 2, registry: dir, epoch: 1, opts: Options{Collector: "127.0.0.1:0"}}
-	if err := tel.startCollector(); err != nil {
-		t.Fatal(err)
-	}
-	defer tel.stop(false)
-	got, err := nettrans.WaitService(dir, CollectorService, 0, time.Now().Add(2*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tel.CollectorURL {
-		t.Fatalf("registry names %q, the collector serves %q", got, tel.CollectorURL)
 	}
 }

@@ -23,7 +23,6 @@ var ErrUsage = errors.New("usage")
 // where this rank sits in a machine launched by hand.
 type Options struct {
 	Transport       string        // inproc goroutines, or tcp / unix OS processes
-	ObsAddr         string        // this process's observability listen address
 	EventsOut       string        // raw events dump path
 	Collector       string        // host:port the job root serves a collector on, or the http:// URL of a running one
 	CollectorLinger time.Duration // how long that collector outlives the run
@@ -44,9 +43,8 @@ type Options struct {
 func RegisterFlags(fs *flag.FlagSet, transport string) *Options {
 	o := &Options{}
 	fs.StringVar(&o.Transport, "transport", transport, "run parallel ranks as: inproc goroutines, or tcp / unix OS processes")
-	fs.StringVar(&o.ObsAddr, "obs-addr", "", "serve /metrics, /trace, /analyze and /debug/pprof on this host:port while running; spawned ranks get ephemeral servers published to the registry")
 	fs.StringVar(&o.EventsOut, "events-out", "", "write the raw events dump to this file, one FILE.rank<r> per process under tcp / unix; asmprof FILE... merges, checks and explains them (-chrome renders a Chrome trace)")
-	fs.StringVar(&o.Collector, "collector", "", "live telemetry collector every rank streams health, metrics and trace deltas to (poll with asmtop): a host:port to serve one on, or the http:// URL of a running one")
+	fs.StringVar(&o.Collector, "collector", "", "live telemetry collector every rank streams health, metrics and trace deltas to, and the run's one telemetry server (watch it with asmprof URL): a host:port to serve one on, or the http:// URL of a running one")
 	fs.DurationVar(&o.CollectorLinger, "collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
 	fs.StringVar(&o.ProfDir, "prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")
 	return o
@@ -71,14 +69,16 @@ type Session struct {
 }
 
 // Start joins (or, as the job root, creates) the run described by o:
-// child detection → registry and epoch → collector → spawn → transport
-// → tracer and registry → rank obs server → reporter → profiling →
-// signal handler. Every rank of an SPMD job runs the same Start and
+// child detection → registry and epoch → tracer, registry and
+// collector → spawn → transport → reporter → profiling → signal
+// handler. Every rank of an SPMD job runs the same Start and
 // only then diverges on Rank. On error nothing is left behind.
 func Start(job string, ranks int, o Options) (*Session, error) {
 	t := &Telemetry{job: job, opts: o, size: ranks}
 	s := &Session{tel: t}
 	root := false // this process forks the worker ranks
+	var registry string
+	var epoch uint64
 	switch o.Transport {
 	case "inproc":
 		if o.Manual {
@@ -96,10 +96,9 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 		case isChild:
 			// A re-executed worker finds its identity in the environment
 			// and ignores the rendezvous flags it inherited. The parent
-			// decided its observability: listen on the ephemeral address
-			// it forwarded (or not at all), stream to its collector.
-			t.rank, t.registry, t.epoch, t.spawned = c.Rank, c.Registry, c.Epoch, true
-			t.opts.ObsAddr, t.opts.Collector = c.ObsAddr, c.Collector
+			// decided its observability: stream to its collector, if any.
+			t.rank, registry, epoch, t.spawned = c.Rank, c.Registry, c.Epoch, true
+			t.opts.Collector = c.Collector
 		case o.Manual:
 			if o.Collector != "" && !isURL(o.Collector) {
 				return nil, fmt.Errorf("%w: -collector %s is a listen address, which only a spawning root serves; manual ranks take the collector's http:// URL", ErrUsage, o.Collector)
@@ -110,18 +109,18 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 			if len(o.Peers) == 0 && o.Registry == "" {
 				return nil, fmt.Errorf("%w: need -registry or a full -peers list (or -spawn)", ErrUsage)
 			}
-			t.rank, t.registry, t.epoch = o.Rank, o.Registry, o.Epoch
+			t.rank, registry, epoch = o.Rank, o.Registry, o.Epoch
 		default:
 			root = true
 			// Epochs tell apart successive jobs sharing a registry
 			// directory; the wall clock is unique enough per registry.
-			t.registry, t.epoch = o.Registry, uint64(time.Now().UnixNano())
-			if t.registry == "" {
+			registry, epoch = o.Registry, uint64(time.Now().UnixNano())
+			if registry == "" {
 				dir, err := os.MkdirTemp("", job+"-registry-")
 				if err != nil {
 					return nil, err
 				}
-				t.registry, s.tempRegistry = dir, dir
+				registry, s.tempRegistry = dir, dir
 			}
 		}
 	default:
@@ -130,15 +129,11 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 
 	err := t.startCollector()
 	if err == nil && root {
-		tmpl := child{Size: ranks, Registry: t.registry, Epoch: t.epoch, Collector: t.CollectorURL}
-		if o.ObsAddr != "" {
-			tmpl.ObsAddr = "127.0.0.1:0" // per-rank ephemeral server, address published to the registry
-		}
-		s.fleet, err = spawn(tmpl)
+		s.fleet, err = spawn(child{Size: ranks, Registry: registry, Epoch: epoch, Collector: t.CollectorURL})
 	}
 	if err == nil && t.perProc {
 		cfg := nettrans.Config{
-			Rank: t.rank, Size: ranks, Network: o.Transport, RegistryDir: t.registry, Epoch: t.epoch,
+			Rank: t.rank, Size: ranks, Network: o.Transport, RegistryDir: registry, Epoch: epoch,
 			Listen: o.Listen, Peers: o.Peers, Liveness: o.Liveness,
 		}
 		var nt *nettrans.Transport
@@ -146,16 +141,11 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 			s.Transport = nt
 		}
 	}
-	if err == nil {
-		err = t.start()
-	}
 	if err != nil {
-		if s.Transport != nil {
-			s.Transport.Close()
-		}
 		s.release(true, false)
 		return nil, err
 	}
+	t.start()
 	s.Rank, s.Tracer, s.Registry = t.rank, t.Tracer, t.Registry
 
 	// Graceful interrupt: the same exit as Close, with an "interrupted"

@@ -3,29 +3,20 @@ package launch
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/analyze"
 	"repro/internal/obs/collector"
 	"repro/internal/obs/prof"
-	"repro/internal/par/nettrans"
 )
 
-// CollectorService is the rendezvous-registry service name under which
-// a run's collector base URL is published, so asmtop (and late-joining
-// workers) can discover the collector from the registry directory
-// alone.
-const CollectorService = "collector"
-
-// Telemetry is the in-process half of a run session: the run
-// collector, the tracer and metrics registry, this rank's
-// observability server, the reporter streaming to the collector, and
-// the profiling session. Session layers process spawning, the
-// transport and signal handling on top; the job runner, which has its
-// own drain protocol, uses this half alone. Tracer and Registry are
+// Telemetry is the in-process half of a run session: the tracer and
+// metrics registry, the run collector (the run's one telemetry
+// server), the reporter streaming to it, and the profiling session.
+// Session layers process spawning, the transport and signal handling
+// on top; the job runner, which has its own drain protocol, uses this
+// half alone. Tracer and Registry are
 // nil when no telemetry output was requested, which every consumer
 // treats as "off". Not safe for concurrent use.
 type Telemetry struct {
@@ -33,17 +24,14 @@ type Telemetry struct {
 	Registry     *obs.Registry
 	CollectorURL string // base URL of the collector this process reports to ("" = none)
 
-	job      string
-	opts     Options
-	size     int
-	rank     int
-	perProc  bool   // every rank is its own OS process: dumps get a .rank<r> suffix
-	spawned  bool   // re-executed worker rank: stays quiet on stdout
-	registry string // rendezvous directory services are published to ("" = none)
-	epoch    uint64
+	job     string
+	opts    Options
+	size    int
+	rank    int
+	perProc bool // every rank is its own OS process: dumps get a .rank<r> suffix
+	spawned bool // re-executed worker rank: stays quiet on stdout
 
 	colSrv *obs.Server
-	obsSrv *obs.Server
 	rep    *collector.Reporter
 	prof   *prof.Session
 }
@@ -52,39 +40,36 @@ type Telemetry struct {
 // process whose tracer spans all ranks. Close it exactly once.
 func StartTelemetry(job string, ranks int, o Options) (*Telemetry, error) {
 	t := &Telemetry{job: job, opts: o, size: ranks}
-	err := t.startCollector()
-	if err == nil {
-		err = t.start()
-	}
-	if err != nil {
-		t.stop(false)
+	if err := t.startCollector(); err != nil {
 		return nil, err
 	}
+	t.start()
 	return t, nil
 }
 
-// startCollector resolves the collector this process reports to: an
-// http(s):// value names a running collector; any other non-empty
-// value is a listen address this process serves a run-scoped collector
-// on, publishing its base URL to the registry when there is one. The
-// server must outlive every rank's final flush (see Session.release).
+// startCollector creates the tracer and registry when some output
+// consumes them, then resolves the collector this process reports to:
+// an http(s):// value names a running collector; any other non-empty
+// value is a listen address this process serves the run-scoped
+// collector on, with this process's /metrics and /debug/pprof beside
+// the collector's routes. The server must outlive every rank's final
+// flush (see Session.release).
 func (t *Telemetry) startCollector() error {
 	addr := t.opts.Collector
+	if addr != "" || t.opts.EventsOut != "" {
+		t.Tracer = obs.NewTracer(t.size, obs.DefaultRingCap)
+		t.Registry = obs.NewRegistry()
+	}
 	if addr == "" || isURL(addr) {
 		t.CollectorURL = addr
 		return nil
 	}
-	srv, err := collector.New(collector.Config{Ranks: t.size, Job: t.job}).Serve(addr)
+	srv, err := collector.New(collector.Config{Ranks: t.size, Job: t.job}).Serve(addr, t.Registry)
 	if err != nil {
 		return err
 	}
 	t.colSrv, t.CollectorURL = srv, "http://"+srv.Addr
-	if t.registry != "" {
-		if err := nettrans.PublishService(t.registry, CollectorService, t.CollectorURL, t.epoch); err != nil {
-			return fmt.Errorf("launch: publish collector: %w", err)
-		}
-	}
-	fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze/live /events)\n", t.CollectorURL)
+	fmt.Printf("collector on %s (/status /ranks /healthz /readyz /analyze /events /metrics /debug/pprof)\n", t.CollectorURL)
 	return nil
 }
 
@@ -92,33 +77,10 @@ func isURL(s string) bool {
 	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://")
 }
 
-// start brings up everything that observes this process: tracer and
-// registry (only when some output consumes them), the rank's obs
-// server, the reporter, and the profiling session.
-func (t *Telemetry) start() error {
+// start brings up the rest of what observes this process: the
+// reporter and the profiling session. Neither can fail the run.
+func (t *Telemetry) start() {
 	o := t.opts
-	if o.ObsAddr != "" || o.EventsOut != "" || t.CollectorURL != "" {
-		t.Tracer = obs.NewTracer(t.size, obs.DefaultRingCap)
-		t.Registry = obs.NewRegistry()
-	}
-	if o.ObsAddr != "" {
-		srv, err := obs.Serve(o.ObsAddr, t.Registry, t.Tracer, analyze.Endpoint(t.Tracer))
-		if err != nil {
-			return err
-		}
-		t.obsSrv = srv
-		// Behind an ephemeral port the registry (service obs-rank-<r>) is
-		// the only place the bound address exists, so every rank stays
-		// scrapeable.
-		if t.registry != "" {
-			if err := nettrans.PublishService(t.registry, fmt.Sprintf("obs-rank-%d", t.rank), "http://"+srv.Addr, t.epoch); err != nil {
-				return fmt.Errorf("launch: publish rank obs: %w", err)
-			}
-		}
-		if !t.spawned {
-			fmt.Printf("observability server on http://%s (/metrics /trace /timeline /analyze /debug/pprof)\n", srv.Addr)
-		}
-	}
 	if t.CollectorURL != "" {
 		// An in-process machine has one tracer spanning every rank, so
 		// its single reporter covers them all.
@@ -149,12 +111,11 @@ func (t *Telemetry) start() error {
 		}
 		t.prof = sess
 	}
-	return nil
 }
 
-// StopProfile ends the profiling session, if one is running, and
-// uploads the CPU artifact to the collector. Close calls it; a caller
-// that reads the artifacts before closing calls it first.
+// StopProfile ends the profiling session, if one is running. Close
+// calls it; a caller that reads the artifacts before closing calls it
+// first.
 func (t *Telemetry) StopProfile() {
 	if t.prof == nil {
 		return
@@ -168,20 +129,10 @@ func (t *Telemetry) StopProfile() {
 	if !t.spawned {
 		fmt.Printf("profile artifacts: %s (asmprof %s)\n", arts.CPU, t.opts.ProfDir)
 	}
-	if t.rep == nil {
-		return
-	}
-	// Best-effort upload so the collector's /profiles plane can serve
-	// the cross-rank merge while the artifacts stay local.
-	if data, err := os.ReadFile(arts.CPU); err == nil {
-		if err := t.rep.PostProfile(filepath.Base(arts.CPU), data); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: profile upload: %v\n", t.job, err)
-		}
-	}
 }
 
 // Close flushes the telemetry with the run's verdict (nil = ok) and
-// stops the servers, lingering first so collector pollers observe the
+// stops the collector, lingering first so collector pollers observe the
 // final state. It returns the first error writing a requested dump.
 func (t *Telemetry) Close(runErr error) error {
 	err := t.flush(runErr, false)
@@ -240,16 +191,14 @@ func (t *Telemetry) writeDump(path string, interrupted bool, d *obs.Dump) error 
 	return nil
 }
 
-// stop closes the servers. The collector outlives the reporters'
-// final flushes: callers stop only after every rank has exited.
+// stop closes the collector's server. The collector outlives the
+// reporters' final flushes: callers stop only after every rank has
+// exited.
 func (t *Telemetry) stop(linger bool) {
 	if t.colSrv != nil {
 		if linger {
 			time.Sleep(t.opts.CollectorLinger)
 		}
 		t.colSrv.Close()
-	}
-	if t.obsSrv != nil {
-		t.obsSrv.Close()
 	}
 }

@@ -1,8 +1,11 @@
 package launch
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -42,6 +45,52 @@ func runWorkload(store *seq.Store, tel *Telemetry) error {
 	pcfg.Trace, pcfg.Metrics = tel.Tracer, tel.Registry
 	_, _, err := cluster.Parallel(store, cluster.DefaultConfig(), pcfg)
 	return err
+}
+
+// TestOneTelemetrySurface: a run that serves a collector serves its
+// whole live surface at that one address — the collector's routes,
+// the run's own /metrics and /debug/pprof — and nothing else.
+func TestOneTelemetrySurface(t *testing.T) {
+	tel, err := StartTelemetry("surface-test", workloadRanks, Options{Collector: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := runWorkload(workloadStore(), tel)
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(tel.CollectorURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	code, body := get("/metrics")
+	var m map[string]any
+	if code != 200 || json.Unmarshal(body, &m) != nil {
+		t.Fatalf("/metrics: code %d body %.200s", code, body)
+	}
+	if v, _ := m["cluster_pairs_aligned"].(float64); v <= 0 {
+		t.Fatalf("/metrics lacks the workload's cluster_pairs_aligned counter: %.300s", body)
+	}
+	for _, path := range []string{"/debug/pprof/", "/analyze?format=json"} {
+		if code, body := get(path); code != 200 {
+			t.Errorf("%s: code %d body %.200s", path, code, body)
+		}
+	}
+	for _, path := range []string{"/trace", "/timeline", "/profiles"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s: code %d, want 404", path, code)
+		}
+	}
+	if err := tel.Close(runErr); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Telemetry must stay cheap: a run with the live collector streaming,

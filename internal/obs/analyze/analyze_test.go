@@ -198,3 +198,26 @@ func TestAnnotatedChrome(t *testing.T) {
 		t.Fatal("text report missing critical path section")
 	}
 }
+
+// TestPartialToleratesUnmatchedRecv: in Partial mode a recv whose send
+// has not been streamed yet is counted, not fatal; strict mode keeps
+// rejecting it.
+func TestPartialToleratesUnmatchedRecv(t *testing.T) {
+	d := &obs.Dump{Version: obs.DumpVersion, Ranks: []obs.RankDump{{
+		Rank: 1,
+		Events: []obs.Event{
+			{Kind: obs.EvRecvBegin, Rank: 1, Comp: 1, A: 0, B: 7},
+			{Kind: obs.EvRecvEnd, Rank: 1, Comm: 2, Comp: 1, A: 0, B: 7, C: 10, Seq: 1},
+		},
+	}}}
+	if _, err := Analyze(d, Options{}); err == nil {
+		t.Fatal("strict mode accepted an unmatched recv")
+	}
+	rep, err := Analyze(d, Options{Partial: true})
+	if err != nil {
+		t.Fatalf("partial mode: %v", err)
+	}
+	if rep.Unmatched != 1 {
+		t.Fatalf("Unmatched = %d, want 1", rep.Unmatched)
+	}
+}

@@ -3,11 +3,8 @@ package collector
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,7 +18,7 @@ type Config struct {
 	// Ranks is the expected machine size. Zero learns it from the
 	// reports, but /readyz then turns ready on the first report.
 	Ranks int
-	// Job labels the run (shown by asmtop; informational).
+	// Job labels the run (shown by asmprof URL; informational).
 	Job string
 	// WarnAfter is the heartbeat lag that turns a rank "late"
 	// (default 2s) and DeadAfter the lag that turns it "dead"
@@ -64,6 +61,12 @@ type rankState struct {
 	final      bool
 	exitOK     bool
 	finalDump  *obs.Dump // the covering process's final dump (stored on its own rank)
+
+	// The rank's event stream: the streamed prefix, replaced by the
+	// authoritative final dump once its process flushes, and how many
+	// of its events never arrived (a stream with a gap is truncated).
+	events  []obs.Event
+	dropped uint64
 }
 
 // Collector aggregates the telemetry streams of one run.
@@ -71,29 +74,25 @@ type Collector struct {
 	cfg   Config
 	start time.Time
 
-	mu       sync.Mutex
-	ranks    map[int]*rankState
-	inc      *analyze.Incremental
-	reports  uint64
-	profiles map[string]profileArtifact
-}
+	mu      sync.Mutex
+	ranks   map[int]*rankState
+	reports uint64
 
-// profileArtifact is one uploaded .pb.gz profile, kept in memory so
-// /profiles can rebuild the cross-rank merged view on demand.
-type profileArtifact struct {
-	Rank int
-	Data []byte
+	// The live report is memoized on gen, which every change to a
+	// stream bumps: polls between reports reuse it.
+	gen       uint64
+	cached    *analyze.Report
+	cachedErr error
+	cachedGen uint64
 }
 
 // New returns an empty collector for one run.
 func New(cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	return &Collector{
-		cfg:      cfg,
-		start:    cfg.Now(),
-		ranks:    map[int]*rankState{},
-		inc:      analyze.NewIncremental(analyze.Options{}),
-		profiles: map[string]profileArtifact{},
+		cfg:   cfg,
+		start: cfg.Now(),
+		ranks: map[int]*rankState{},
 	}
 }
 
@@ -133,6 +132,11 @@ func (c *Collector) Ingest(rep *Report) error {
 	if rep.PID != 0 {
 		self.PID = rep.PID
 	}
+	if rep.Final {
+		// The final report carries the process's full metrics, so a
+		// delta lost with a failed post does not stay lost.
+		self.metrics = obs.NewMetricsState()
+	}
 	if err := self.metrics.Apply(rep.Metrics); err != nil {
 		return err
 	}
@@ -147,8 +151,9 @@ func (c *Collector) Ingest(rep *Report) error {
 
 	for _, st := range rep.Streams {
 		rs := c.rank(st.Rank)
-		c.inc.Append(st.Rank, st.Events)
-		c.inc.AddDropped(st.Rank, st.Dropped)
+		rs.events = append(rs.events, st.Events...)
+		rs.dropped += st.Dropped
+		c.gen++
 		c.applyEvents(rs, st.Events)
 	}
 
@@ -164,20 +169,23 @@ func (c *Collector) Ingest(rep *Report) error {
 				if len(rd.Events) == 0 && rd.Dropped == 0 {
 					continue
 				}
-				c.inc.Replace(rd.Rank, rd.Events, rd.Dropped)
-				c.applyFinalCounts(c.rank(rd.Rank), rd.Events)
+				rs := c.rank(rd.Rank)
+				rs.events, rs.dropped = rd.Events, rd.Dropped
+				c.gen++
+				c.applyFinalCounts(rs, rd.Events)
 			}
 		}
 		// Rank 0's final ends the run. Any expected rank that has not
 		// final-flushed by then can never complete its stream (it died
 		// or was lost): mark the stream truncated, mirroring what
 		// MergeDumps does for a missing dump file. A final that lands
-		// late anyway still wins — Replace overwrites the mark with
-		// the authoritative drop count.
+		// late anyway still wins: it overwrites the mark with the
+		// authoritative drop count.
 		if rep.Rank == 0 {
 			for r := 0; r < c.cfg.Ranks; r++ {
-				if !c.rank(r).final {
-					c.inc.AddDropped(r, 1)
+				if rs := c.rank(r); !rs.final {
+					rs.dropped++
+					c.gen++
 				}
 			}
 		}
@@ -274,17 +282,18 @@ func (c *Collector) state(rs *rankState, now time.Time) string {
 // Status assembles the live run view.
 func (c *Collector) Status() *Status {
 	now := c.cfg.Now()
-	rep, repErr := c.inc.Report() // outside c.mu: Incremental has its own lock
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	rep, repErr := c.liveReport()
 	st := &Status{
 		Job:         c.cfg.Job,
 		UptimeSec:   now.Sub(c.start).Seconds(),
 		ExpectRanks: c.expectRanks(),
 		SeenRanks:   len(c.ranks),
 		Reports:     c.reports,
-		EventsTotal: c.inc.EventCount(),
+	}
+	for _, rs := range c.ranks {
+		st.EventsTotal += len(rs.events)
 	}
 	if root := c.ranks[0]; root != nil && root.final {
 		st.Complete = true
@@ -368,7 +377,7 @@ func currentPhase(rs *rankState) string {
 	return ""
 }
 
-// liveAnalysis condenses an incremental report into the run summary,
+// liveAnalysis condenses the live report into the run summary,
 // deriving straggler notes exactly as the post-hoc report does: a
 // phase whose imbalance crossed the threshold names its slowest rank.
 func liveAnalysis(rep *analyze.Report, err error, imbal float64) *LiveAnalysis {
@@ -461,12 +470,7 @@ func (c *Collector) Readyz() (ok bool, missing []int) {
 func (c *Collector) MergedDump() (*obs.Dump, error) {
 	c.mu.Lock()
 	var dumps []*obs.Dump
-	ranks := make([]int, 0, len(c.ranks))
-	for r := range c.ranks {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
+	for _, r := range c.sortedRanks() {
 		if d := c.ranks[r].finalDump; d != nil {
 			dumps = append(dumps, d)
 		}
@@ -478,19 +482,56 @@ func (c *Collector) MergedDump() (*obs.Dump, error) {
 	return obs.MergeDumps(dumps...)
 }
 
-// LiveReport returns the incremental causal analysis (may be mid-run
-// partial; exact once every rank final-flushed).
+// LiveReport returns the causal analysis of LiveDump in Partial mode:
+// a mid-run prefix tolerates receives whose sends have not streamed
+// yet, and once every rank final-flushed the report is exactly the
+// post-hoc Analyze of the merged dump.
 func (c *Collector) LiveReport() (*analyze.Report, error) {
-	return c.inc.Report()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.liveReport()
+}
+
+// liveReport is LiveReport under c.mu, memoized on the stream
+// generation.
+func (c *Collector) liveReport() (*analyze.Report, error) {
+	if c.cachedGen != c.gen || (c.cached == nil && c.cachedErr == nil) {
+		c.cached, c.cachedErr = analyze.Analyze(c.liveDump(), analyze.Options{Partial: true})
+		c.cachedGen = c.gen
+	}
+	return c.cached, c.cachedErr
 }
 
 // LiveDump snapshots the collector's current merged view of the run:
 // authoritative final dumps where ranks have flushed, streamed
 // prefixes elsewhere. Unlike MergedDump, it can include events from a
 // rank that died before final-flushing — everything that rank managed
-// to stream before it went silent.
+// to stream before it went silent. Rank slices are shared, not
+// copied; treat the result as read-only.
 func (c *Collector) LiveDump() *obs.Dump {
-	return c.inc.Dump()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.liveDump()
+}
+
+func (c *Collector) liveDump() *obs.Dump {
+	d := &obs.Dump{Version: obs.DumpVersion}
+	for _, r := range c.sortedRanks() {
+		if rs := c.ranks[r]; len(rs.events) > 0 || rs.dropped > 0 {
+			d.Ranks = append(d.Ranks, obs.RankDump{Rank: r, Dropped: rs.dropped, Events: rs.events})
+		}
+	}
+	return d
+}
+
+// sortedRanks lists the ranks the collector has state for, ascending.
+func (c *Collector) sortedRanks() []int {
+	ranks := make([]int, 0, len(c.ranks))
+	for r := range c.ranks {
+		ranks = append(ranks, r)
+	}
+	sort.Ints(ranks)
+	return ranks
 }
 
 // ---- HTTP plumbing ----
@@ -529,11 +570,6 @@ func (c *Collector) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // handleRanks serves per-rank reconstructed metrics snapshots.
 func (c *Collector) handleRanks(w http.ResponseWriter, _ *http.Request) {
 	c.mu.Lock()
-	ranks := make([]int, 0, len(c.ranks))
-	for r := range c.ranks {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
 	type rankDetail struct {
 		Rank    int            `json:"rank"`
 		PID     int            `json:"pid,omitempty"`
@@ -541,7 +577,7 @@ func (c *Collector) handleRanks(w http.ResponseWriter, _ *http.Request) {
 		Metrics map[string]any `json:"metrics"`
 	}
 	var out []rankDetail
-	for _, r := range ranks {
+	for _, r := range c.sortedRanks() {
 		rs := c.ranks[r]
 		out = append(out, rankDetail{Rank: r, PID: rs.PID, Reports: rs.Reports, Metrics: rs.metrics.Snapshot()})
 	}
@@ -578,16 +614,16 @@ func (c *Collector) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleAnalyzeLive mirrors the /analyze endpoint's formats over the
-// streamed (or, post-run, final) merged trace.
-func (c *Collector) handleAnalyzeLive(w http.ResponseWriter, req *http.Request) {
-	rep, err := c.inc.Report()
+// handleAnalyze serves the live causal analysis: ?format=json the
+// deterministic report JSON, ?format=chrome the critical-path-annotated
+// Chrome trace of the live dump; the default is text.
+func (c *Collector) handleAnalyze(w http.ResponseWriter, req *http.Request) {
+	c.mu.Lock()
+	rep, err := c.liveReport()
+	d := c.liveDump()
+	c.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	if rep == nil {
-		http.Error(w, "no events streamed yet", http.StatusServiceUnavailable)
 		return
 	}
 	switch req.URL.Query().Get("format") {
@@ -596,7 +632,7 @@ func (c *Collector) handleAnalyzeLive(w http.ResponseWriter, req *http.Request) 
 		err = rep.WriteJSON(w)
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		err = rep.WriteAnnotatedChrome(w, c.inc.Dump())
+		err = rep.WriteAnnotatedChrome(w, d)
 	default:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		err = rep.WriteText(w)
@@ -620,132 +656,6 @@ func (c *Collector) handleEvents(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// maxProfileBytes bounds one uploaded profile artifact.
-const maxProfileBytes = 64 << 20
-
-// validProfileName accepts only flat .pb.gz artifact names — no path
-// separators, no traversal.
-func validProfileName(name string) bool {
-	if name == "" || len(name) > 256 || !strings.HasSuffix(name, ".pb.gz") {
-		return false
-	}
-	return !strings.ContainsAny(name, "/\\") && name != ".pb.gz" && !strings.HasPrefix(name, ".")
-}
-
-// IngestProfile stores one profile artifact under name. Re-uploads of
-// the same name overwrite (a resumed attempt replaces its orphan's
-// partial artifact).
-func (c *Collector) IngestProfile(name string, rank int, data []byte) error {
-	if !validProfileName(name) {
-		return fmt.Errorf("collector: invalid profile name %q", name)
-	}
-	if len(data) > maxProfileBytes {
-		return fmt.Errorf("collector: profile %q too large (%d bytes)", name, len(data))
-	}
-	c.mu.Lock()
-	c.profiles[name] = profileArtifact{Rank: rank, Data: data}
-	c.mu.Unlock()
-	return nil
-}
-
-// MergedProfile parses every stored artifact whose name carries the
-// given suffix (prof.SuffixCPU etc.) and returns their cross-rank
-// merge. Unparseable uploads (a truncated stream from a killed rank)
-// are skipped.
-func (c *Collector) MergedProfile(suffix string) (*prof.Profile, error) {
-	c.mu.Lock()
-	var names []string
-	for name := range c.profiles {
-		if strings.HasSuffix(name, suffix) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var parsed []*prof.Profile
-	for _, name := range names {
-		p, err := prof.Parse(c.profiles[name].Data)
-		if err != nil {
-			continue
-		}
-		parsed = append(parsed, p)
-	}
-	c.mu.Unlock()
-	if len(parsed) == 0 {
-		return nil, fmt.Errorf("collector: no parseable %s profiles uploaded", suffix)
-	}
-	return prof.Merge(parsed...)
-}
-
-// handleProfiles serves the artifact index (GET) and accepts uploads
-// (POST /profiles?name=rank0.cpu.pb.gz&rank=0, body = raw .pb.gz).
-func (c *Collector) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		q := r.URL.Query()
-		rank, _ := strconv.Atoi(q.Get("rank"))
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProfileBytes))
-		if err != nil {
-			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := c.IngestProfile(q.Get("name"), rank, data); err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodGet:
-		type entry struct {
-			Name  string `json:"name"`
-			Rank  int    `json:"rank"`
-			Bytes int    `json:"bytes"`
-		}
-		c.mu.Lock()
-		out := make([]entry, 0, len(c.profiles))
-		for name, pa := range c.profiles {
-			out = append(out, entry{Name: name, Rank: pa.Rank, Bytes: len(pa.Data)})
-		}
-		c.mu.Unlock()
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	default:
-		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
-	}
-}
-
-// handleProfileFetch serves one artifact by name, or the cross-rank
-// merge as merged.cpu.pb.gz / merged.heap.pb.gz / merged.allocs.pb.gz.
-func (c *Collector) handleProfileFetch(w http.ResponseWriter, r *http.Request) {
-	name := strings.TrimPrefix(r.URL.Path, "/profiles/")
-	switch name {
-	case "merged" + prof.SuffixCPU, "merged" + prof.SuffixHeap, "merged" + prof.SuffixAllocs:
-		suffix := strings.TrimPrefix(name, "merged")
-		merged, err := c.MergedProfile(suffix)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := merged.WriteGzip(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	c.mu.Lock()
-	pa, ok := c.profiles[name]
-	c.mu.Unlock()
-	if !ok {
-		http.Error(w, "no such profile", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(pa.Data)
-}
-
 // Endpoints returns the collector's routes for mounting on an
 // obs.Serve server.
 func (c *Collector) Endpoints() []obs.Endpoint {
@@ -755,16 +665,16 @@ func (c *Collector) Endpoints() []obs.Endpoint {
 		{Path: "/ranks", Handler: http.HandlerFunc(c.handleRanks)},
 		{Path: "/healthz", Handler: http.HandlerFunc(c.handleHealthz)},
 		{Path: "/readyz", Handler: http.HandlerFunc(c.handleReadyz)},
-		{Path: "/analyze/live", Handler: http.HandlerFunc(c.handleAnalyzeLive)},
+		{Path: "/analyze", Handler: http.HandlerFunc(c.handleAnalyze)},
 		{Path: "/events", Handler: http.HandlerFunc(c.handleEvents)},
-		{Path: "/profiles", Handler: http.HandlerFunc(c.handleProfiles)},
-		{Path: "/profiles/", Handler: http.HandlerFunc(c.handleProfileFetch)},
 	}
 }
 
-// Serve starts the collector's HTTP plane on addr (":0" picks a free
-// port), reusing the obs server lifecycle — Close for immediate stop,
-// Shutdown for a graceful drain.
-func (c *Collector) Serve(addr string) (*obs.Server, error) {
-	return obs.Serve(addr, nil, nil, c.Endpoints()...)
+// Serve starts the run's one telemetry server on addr (":0" picks a
+// free port): the collector's routes next to reg's /metrics and
+// /debug/pprof (reg is the serving process's registry; nil serves an
+// empty /metrics). It reuses the obs server lifecycle — Close for
+// immediate stop, Shutdown for a graceful drain.
+func (c *Collector) Serve(addr string, reg *obs.Registry) (*obs.Server, error) {
+	return obs.Serve(addr, reg, c.Endpoints()...)
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,13 +223,13 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 //   - every rank turns alive and readyz flips to ok,
 //   - after the final flushes /events is byte-identical to
 //     obs.MergeDumps over the per-process dumps,
-//   - /analyze/live agrees exactly with the post-hoc analysis of the
+//   - /analyze agrees exactly with the post-hoc analysis of the
 //     merged dump,
 //   - per-rank metrics are reconstructed from the deltas.
 func TestReporterIntegration(t *testing.T) {
 	const size = 4
 	col := New(Config{Ranks: size, Job: "itest"})
-	srv, err := col.Serve("127.0.0.1:0")
+	srv, err := col.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +251,12 @@ func TestReporterIntegration(t *testing.T) {
 	// Wait for every rank's stream to arrive.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if ok, _ := col.Readyz(); ok && col.inc.EventCount() >= 4+3*(size-1)+2*(size-1) {
+		events := col.Status().EventsTotal
+		if ok, _ := col.Readyz(); ok && events >= 4+3*(size-1)+2*(size-1) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("streams never arrived: events=%d", col.inc.EventCount())
+			t.Fatalf("streams never arrived: events=%d", events)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -321,8 +324,9 @@ func TestReporterIntegration(t *testing.T) {
 	if !bytes.Equal(liveJSON.Bytes(), postJSON.Bytes()) {
 		t.Fatalf("live analysis diverges from post-hoc:\nlive %s\npost %s", liveJSON.Bytes(), postJSON.Bytes())
 	}
-	if code, _ := httpGet(t, base+"/analyze/live?format=json"); code != 200 {
-		t.Fatalf("/analyze/live = %d", code)
+	code, body = httpGet(t, base+"/analyze?format=json")
+	if code != 200 || !bytes.Equal(body, liveJSON.Bytes()) {
+		t.Fatalf("/analyze = %d, or differs from LiveReport:\n%s", code, body)
 	}
 
 	// Metrics reconstructed from deltas.
@@ -347,7 +351,7 @@ func TestReporterIntegration(t *testing.T) {
 // TestIngestHTTPErrors exercises the endpoint's failure modes.
 func TestIngestHTTPErrors(t *testing.T) {
 	col := New(Config{Ranks: 1})
-	srv, err := col.Serve("127.0.0.1:0")
+	srv, err := col.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,5 +411,139 @@ func TestReporterBestEffort(t *testing.T) {
 	var nilRep *Reporter
 	if err := nilRep.Close(nil, true, ""); err != nil {
 		t.Fatalf("nil reporter Close: %v", err)
+	}
+}
+
+// TestLiveReportConvergesToPostHoc: streaming a run in batches —
+// receives arriving before their sends — and then each process's
+// final flush yields a live report identical to the post-hoc Partial
+// analysis of the merged dump.
+func TestLiveReportConvergesToPostHoc(t *testing.T) {
+	const size = 3
+	col := New(Config{Ranks: size})
+	var dumps []*obs.Dump
+	for r := 0; r < size; r++ {
+		tr, _ := scriptProcess(size, r)
+		dumps = append(dumps, tr.Dump())
+	}
+	stream := func(r int, seq uint64, evs []obs.Event) {
+		t.Helper()
+		if err := col.Ingest(mkReport(r, seq, evs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Rank 0's receives stream first, in two batches; their sends have
+	// not arrived yet.
+	r0 := dumps[0].Ranks[0].Events
+	stream(0, 1, r0[:2])
+	stream(0, 2, r0[2:])
+	mid, err := col.LiveReport()
+	if err != nil {
+		t.Fatalf("mid-stream report: %v", err)
+	}
+	if mid.Unmatched != size-1 {
+		t.Fatalf("mid-stream Unmatched = %d, want %d", mid.Unmatched, size-1)
+	}
+	// The workers stream a prefix only: their phase exits come with
+	// the final dumps.
+	for r := 1; r < size; r++ {
+		evs := dumps[r].Ranks[r].Events
+		stream(r, 1, evs[:len(evs)-1])
+	}
+	if rep, err := col.LiveReport(); err != nil {
+		t.Fatal(err)
+	} else if rep.Unmatched != 0 {
+		t.Fatalf("after every send streamed: Unmatched = %d, want 0", rep.Unmatched)
+	}
+
+	for r := size - 1; r >= 0; r-- {
+		fin := mkReport(r, 3, nil)
+		fin.Final, fin.ExitOK, fin.FinalDump = true, true, dumps[r]
+		if err := col.Ingest(fin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, err := col.MergedDump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := analyze.Analyze(merged, analyze.Options{Partial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := col.LiveReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotJSON, wantJSON bytes.Buffer
+	if err := got.WriteJSON(&gotJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteJSON(&wantJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
+		t.Fatalf("live report diverges from post-hoc:\nlive %s\npost %s", gotJSON.Bytes(), wantJSON.Bytes())
+	}
+	// Nothing changed since: the memoized report comes back.
+	if again, _ := col.LiveReport(); again != got {
+		t.Fatal("unchanged streams should return the cached report")
+	}
+}
+
+// TestFailedPostMarksGap: a report the collector never received loses
+// its events from the live view, which must say so through the
+// rank's drop count, and loses its metrics delta only until the final
+// flush, which carries the full metrics.
+func TestFailedPostMarksGap(t *testing.T) {
+	col := New(Config{Ranks: 1})
+	mux := http.NewServeMux()
+	for _, ep := range col.Endpoints() {
+		mux.Handle(ep.Path, ep.Handler)
+	}
+	var ingests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/ingest" && ingests.Add(1) == 1 {
+			http.Error(w, "injected failure", http.StatusInternalServerError)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	tr := obs.NewTracer(1, 16)
+	reg := obs.NewRegistry()
+	hits := reg.Counter("hits")
+	rep := StartReporter(ReporterConfig{
+		URL: srv.URL, Rank: 0,
+		Interval: time.Hour, // only explicit flushes
+		Tracer:   tr, Registry: reg,
+	})
+	tr.Emit(0, obs.EvClusterMerge, 0, 0, 1, 2, 0)
+	tr.Emit(0, obs.EvClusterMerge, 0, 0, 3, 4, 0)
+	hits.Add(5)
+	if err := rep.Flush(); err == nil {
+		t.Fatal("the injected failure was not reported")
+	}
+	tr.Emit(0, obs.EvClusterMerge, 0, 0, 5, 6, 0)
+	hits.Add(1)
+	if err := rep.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	live := col.LiveDump()
+	if len(live.Ranks) != 1 || len(live.Ranks[0].Events) != 1 || live.Ranks[0].Dropped != 2 {
+		t.Fatalf("live view after a lost post: %+v, want 1 event and 2 dropped", live.Ranks)
+	}
+
+	if err := rep.Close(nil, true, ""); err != nil {
+		t.Fatal(err)
+	}
+	live = col.LiveDump()
+	if len(live.Ranks) != 1 || len(live.Ranks[0].Events) != 3 || live.Ranks[0].Dropped != 0 {
+		t.Fatalf("live view after the final flush: %+v, want 3 events and none dropped", live.Ranks)
+	}
+	if got := col.ranks[0].metrics.Counters["hits"]; got != hits.Value() {
+		t.Fatalf("collector counter = %d, registry = %d", got, hits.Value())
 	}
 }

@@ -15,7 +15,9 @@
 // duplicate (retried) post is idempotent, cursor-delta event batches
 // (obs.Tracer.EventsSince), and changed-entries metrics deltas
 // (obs.MetricsState.Delta). Telemetry must never take a run down: the
-// reporter drops reports it cannot deliver and the job continues.
+// reporter does not retry a report it cannot deliver, and the job
+// continues. The next report counts the lost events as dropped, and
+// the final one carries the full dump and the full metrics.
 package collector
 
 import (
@@ -150,7 +152,7 @@ type LiveAnalysis struct {
 	Error      string          `json:"error,omitempty"`
 }
 
-// Status is the run-level view /status serves; cmd/asmtop polls it.
+// Status is the run-level view /status serves; asmprof URL polls it.
 type Status struct {
 	Job         string  `json:"job,omitempty"`
 	UptimeSec   float64 `json:"uptime_sec"`

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"os"
 	"sync"
 	"time"
@@ -34,15 +33,18 @@ type ReporterConfig struct {
 
 // Reporter periodically ships tracer/registry deltas to the collector.
 // Delivery is best-effort by design: telemetry must never take the
-// run down, so failed posts are counted and dropped — cursors are not
-// rewound, and the final flush carries the authoritative full dump
-// that makes the collector whole regardless of what streaming missed.
+// run down, so a failed post is counted and not retried. Cursors are
+// not rewound; the next report adds the lost events to each stream's
+// drop count, so the collector marks the gap, and the final flush
+// carries the full dump and the full metrics that make the collector
+// whole regardless of what streaming missed.
 type Reporter struct {
 	cfg    ReporterConfig
 	client *http.Client
 
 	mu      sync.Mutex // serializes flushes (ticker vs Close)
 	cursors map[int]uint64
+	lost    map[int]uint64 // events of failed posts, per rank, not yet reported
 	prev    *obs.MetricsState
 	seq     uint64
 	failed  uint64
@@ -65,6 +67,7 @@ func StartReporter(cfg ReporterConfig) *Reporter {
 		cfg:     cfg,
 		client:  cfg.Client,
 		cursors: map[int]uint64{},
+		lost:    map[int]uint64{},
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -89,8 +92,9 @@ func (r *Reporter) loop() {
 	}
 }
 
-// gather builds the next report under the flush lock.
-func (r *Reporter) gather() *Report {
+// gather builds the next report under the flush lock. The final one
+// carries the full metrics rather than a delta.
+func (r *Reporter) gather(final bool) *Report {
 	r.seq++
 	rep := &Report{
 		Version: ProtoVersion,
@@ -103,16 +107,34 @@ func (r *Reporter) gather() *Report {
 	for _, rank := range r.cfg.Covers {
 		evs, next, lost := r.cfg.Tracer.EventsSince(rank, r.cursors[rank])
 		r.cursors[rank] = next
+		lost += r.lost[rank]
+		delete(r.lost, rank)
 		if len(evs) > 0 || lost > 0 {
 			rep.Streams = append(rep.Streams, RankStream{Rank: rank, Events: evs, Dropped: lost})
 		}
 	}
-	cur := obs.CaptureMetrics(r.cfg.Registry)
-	if d := cur.Delta(r.prev); !d.Empty() {
+	cur, prev := obs.CaptureMetrics(r.cfg.Registry), r.prev
+	if final {
+		prev = nil
+	}
+	if d := cur.Delta(prev); final || !d.Empty() {
 		rep.Metrics = d
 	}
 	r.prev = cur
 	return rep
+}
+
+// send posts rep, and on failure counts it and keeps its events'
+// tally for the next report's drop counts.
+func (r *Reporter) send(rep *Report) error {
+	err := r.post(rep)
+	if err != nil {
+		r.failed++
+		for _, st := range rep.Streams {
+			r.lost[st.Rank] += uint64(len(st.Events)) + st.Dropped
+		}
+	}
+	return err
 }
 
 func (r *Reporter) post(rep *Report) error {
@@ -139,36 +161,7 @@ func (r *Reporter) Flush() error {
 	if r.closed {
 		return nil
 	}
-	if err := r.post(r.gather()); err != nil {
-		r.failed++
-		return err
-	}
-	return nil
-}
-
-// PostProfile uploads one profile artifact (raw .pb.gz bytes) to the
-// collector under name, tagged with this reporter's rank. Like event
-// reports, delivery is best-effort — callers log and continue.
-func (r *Reporter) PostProfile(name string, data []byte) error {
-	if r == nil {
-		return nil
-	}
-	u := fmt.Sprintf("%s/profiles?name=%s&rank=%d", r.cfg.URL, url.QueryEscape(name), r.cfg.Rank)
-	resp, err := r.client.Post(u, "application/octet-stream", bytes.NewReader(data))
-	if err != nil {
-		r.mu.Lock()
-		r.failed++
-		r.mu.Unlock()
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		r.mu.Lock()
-		r.failed++
-		r.mu.Unlock()
-		return fmt.Errorf("collector: profile upload returned %s", resp.Status)
-	}
-	return nil
+	return r.send(r.gather(false))
 }
 
 // Failed returns how many reports could not be delivered.
@@ -180,7 +173,7 @@ func (r *Reporter) Failed() uint64 {
 
 // Close stops the periodic loop and delivers the final flush: the
 // process's authoritative full dump (d, or the tracer's current dump
-// when nil), the last metrics delta, and the exit verdict. Safe to
+// when nil), its full metrics, and the exit verdict. Safe to
 // call once; a nil reporter is a no-op so call sites need no guards.
 func (r *Reporter) Close(d *obs.Dump, exitOK bool, reason string) error {
 	if r == nil {
@@ -197,14 +190,10 @@ func (r *Reporter) Close(d *obs.Dump, exitOK bool, reason string) error {
 	if d == nil {
 		d = r.cfg.Tracer.Dump()
 	}
-	rep := r.gather()
+	rep := r.gather(true)
 	rep.Final = true
 	rep.FinalDump = d
 	rep.ExitOK = exitOK
 	rep.ExitReason = reason
-	if err := r.post(rep); err != nil {
-		r.failed++
-		return err
-	}
-	return nil
+	return r.send(rep)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -89,26 +88,13 @@ func chromeArgs(e Event) map[string]any {
 	return nil
 }
 
-// WriteChromeTrace exports the retained events of every rank as
-// Chrome trace_event JSON. Each rank is a thread; the wall-clock and
-// modeled-clock renderings are two processes. Unmatched begin events
-// (a rank that died mid-operation) appear as unfinished spans, which
-// is exactly what they are.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	perRank := make([][]Event, t.Ranks())
-	dropped := make([]uint64, t.Ranks())
-	for r := 0; r < t.Ranks(); r++ {
-		perRank[r] = t.Events(r)
-		dropped[r] = t.Dropped(r)
-	}
-	return WriteChromeTraceEvents(w, perRank, dropped, nil)
-}
-
-// WriteChromeTraceEvents is the Chrome trace_event renderer behind
-// WriteChromeTrace, working from already-snapshotted per-rank event
-// slices (e.g. a loaded obs.Dump). dropped may be nil; when a rank's
-// count is nonzero it is recorded on the thread_name metadata so a
-// reader knows the stream is truncated. annotate, when non-nil, is
+// WriteChromeTraceEvents renders snapshotted per-rank event slices
+// (e.g. a loaded obs.Dump) as Chrome trace_event JSON. Each rank is a
+// thread; the wall-clock and modeled-clock renderings are two
+// processes. Unmatched begin events (a rank that died mid-operation)
+// appear as unfinished spans, which is exactly what they are. dropped
+// may be nil; when a rank's count is nonzero it is recorded on the
+// thread_name metadata so a reader knows the stream is truncated. annotate, when non-nil, is
 // called per (rank, event index) and its returned entries are merged
 // into that event's args — asmprof -chrome uses it to mark
 // critical-path spans.
@@ -183,76 +169,4 @@ func WriteChromeTraceEvents(w io.Writer, perRank [][]Event, dropped []uint64, an
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
-}
-
-// WriteTimeline exports a merged plain-text timeline: every rank's
-// retained events interleaved by wall time, one line per event, with
-// both clock domains shown.
-func (t *Tracer) WriteTimeline(w io.Writer) error {
-	var all []Event
-	for r := 0; r < t.Ranks(); r++ {
-		all = append(all, t.Events(r)...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Wall != all[j].Wall {
-			return all[i].Wall < all[j].Wall
-		}
-		return all[i].Rank < all[j].Rank
-	})
-	bw := bufio.NewWriter(w)
-	for _, e := range all {
-		fmt.Fprintf(bw, "%12.6fms rank %-3d %-16s %s  [model %.6fs comm %.6fs comp]\n",
-			float64(e.Wall)/1e6, e.Rank, timelineLabel(e), timelineArgs(e),
-			e.Comm+e.Comp, e.Comm)
-	}
-	return bw.Flush()
-}
-
-func timelineLabel(e Event) string {
-	switch {
-	case e.Kind.isBegin():
-		return chromeName(e) + ".begin"
-	case e.Kind.isEnd():
-		return chromeName(e) + ".end"
-	}
-	return chromeName(e)
-}
-
-func timelineArgs(e Event) string {
-	switch e.Kind {
-	case EvSendBegin, EvSendEnd, EvSsendBegin, EvSsendEnd:
-		return fmt.Sprintf("dst=%d tag=%d bytes=%d seq=%d", e.A, e.B, e.C, e.Seq)
-	case EvRecvBegin:
-		return fmt.Sprintf("src=%d tag=%d", e.A, e.B)
-	case EvRecvEnd:
-		if e.C < 0 {
-			return fmt.Sprintf("src=%d tag=%d bytes=%d", e.A, e.B, e.C)
-		}
-		return fmt.Sprintf("src=%d tag=%d bytes=%d seq=%d", e.A, e.B, e.C, e.Seq)
-	case EvPhaseEnter, EvPhaseExit:
-		return ""
-	case EvPairGenerated, EvPairAligned, EvPairDiscarded:
-		return fmt.Sprintf("count=%d peer=%d", e.A, e.B)
-	case EvClusterMerge:
-		return fmt.Sprintf("fa=%d fb=%d", e.A, e.B)
-	case EvLeaseGrant:
-		return fmt.Sprintf("worker=%d batch=%d request=%d", e.A, e.B, e.C)
-	case EvLeaseExpire:
-		return fmt.Sprintf("worker=%d requeued=%d", e.A, e.B)
-	case EvLeaseAdopt:
-		return fmt.Sprintf("adopter=%d portions=%d", e.A, e.B)
-	case EvFault:
-		return fmt.Sprintf("b=%d c=%d", e.B, e.C)
-	case EvCheckpoint:
-		return fmt.Sprintf("bytes=%d", e.A)
-	case EvRetransmit:
-		return fmt.Sprintf("dst=%d tag=%d attempt=%d", e.A, e.B, e.C)
-	case EvCorruptFrame:
-		return fmt.Sprintf("dst=%d tag=%d bytes=%d", e.A, e.B, e.C)
-	case EvRetry:
-		return fmt.Sprintf("cluster=%d attempt=%d", e.A, e.B)
-	case EvQuarantine:
-		return fmt.Sprintf("cluster=%d reads=%d", e.A, e.B)
-	}
-	return ""
 }

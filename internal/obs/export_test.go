@@ -58,30 +58,29 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func TestWriteChromeTraceGolden(t *testing.T) {
+// renderChrome snapshots every rank of tr and renders the Chrome trace.
+func renderChrome(t *testing.T, tr *Tracer) []byte {
+	t.Helper()
+	perRank := make([][]Event, tr.Ranks())
+	dropped := make([]uint64, tr.Ranks())
+	for r := range perRank {
+		perRank[r], dropped[r] = tr.Events(r), tr.Dropped(r)
+	}
 	var buf bytes.Buffer
-	if err := goldenTracer().WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTraceEvents(&buf, perRank, dropped, nil); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "chrome_trace.json", buf.Bytes())
+	return buf.Bytes()
 }
 
-func TestWriteTimelineGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenTracer().WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "timeline.txt", buf.Bytes())
+func TestWriteChromeTraceGolden(t *testing.T) {
+	checkGolden(t, "chrome_trace.json", renderChrome(t, goldenTracer()))
 }
 
 // TestChromeTraceBalanced re-parses the exported JSON and checks that
 // a trace viewer can pair its spans: every E has a preceding B on its
 // track, and the orphaned end from rank 1's wraparound is dropped.
 func TestChromeTraceBalanced(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenTracer().WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var tf struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
@@ -91,7 +90,7 @@ func TestChromeTraceBalanced(t *testing.T) {
 			Tid  int     `json:"tid"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+	if err := json.Unmarshal(renderChrome(t, goldenTracer()), &tf); err != nil {
 		t.Fatal(err)
 	}
 	type track struct {

@@ -6,9 +6,9 @@
 // The tracer records typed events with timestamps in two clock
 // domains: the host wall clock and the machine's modeled clock (the
 // α + n/β communication charges and analytic compute charges the par
-// runtime accumulates per rank). Traces export as Chrome trace_event
-// JSON — loadable in chrome://tracing or https://ui.perfetto.dev —
-// and as a merged plain-text timeline.
+// runtime accumulates per rank). Traces export as a lossless Dump and
+// render as Chrome trace_event JSON — loadable in chrome://tracing or
+// https://ui.perfetto.dev.
 //
 // Overhead contract: every hook site in the runtime guards on a nil
 // tracer/registry, so with observability disabled the hot path costs

@@ -11,16 +11,14 @@ import (
 	"time"
 )
 
-// Server exposes a Registry and Tracer over HTTP:
+// Server exposes a Registry over HTTP:
 //
 //	/metrics   expvar-style JSON snapshot of the registry
-//	/trace     Chrome trace_event JSON of the retained events
-//	/timeline  merged plain-text per-rank timeline
 //	/debug/pprof/...  the standard Go profiling endpoints
 //
-// Either of reg/tr may be nil; the corresponding endpoints then serve
-// an empty payload. The pprof endpoints are always live, so -obs-addr
-// gives CPU/heap/goroutine profiling even on untraced serial runs.
+// plus any extra endpoints the caller mounts (a run collector mounts
+// its own). A nil registry serves an empty /metrics. The pprof
+// endpoints are always live.
 type Server struct {
 	// Addr is the actual listen address (useful with ":0").
 	Addr string
@@ -33,8 +31,8 @@ type Server struct {
 
 // Endpoint is an extra HTTP route a caller mounts on the
 // observability server. It keeps obs free of upward dependencies:
-// packages layered above obs (internal/obs/analyze) export an
-// Endpoint rather than obs importing them.
+// packages layered above obs (internal/obs/collector) export
+// Endpoints rather than obs importing them.
 type Endpoint struct {
 	Path    string
 	Handler http.Handler
@@ -53,7 +51,7 @@ var pprofEndpoints = []string{
 // picks a free port) and returns once it is listening. The server
 // runs until Close. Extra endpoints are mounted verbatim and listed
 // on the index page.
-func Serve(addr string, reg *Registry, tr *Tracer, extra ...Endpoint) (*Server, error) {
+func Serve(addr string, reg *Registry, extra ...Endpoint) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
@@ -64,7 +62,7 @@ func Serve(addr string, reg *Registry, tr *Tracer, extra ...Endpoint) (*Server, 
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "observability endpoints:\n  /metrics\n  /trace\n  /timeline\n")
+		fmt.Fprintf(w, "observability endpoints:\n  /metrics\n")
 		for _, ep := range extra {
 			fmt.Fprintf(w, "  %s\n", ep.Path)
 		}
@@ -80,24 +78,6 @@ func Serve(addr string, reg *Registry, tr *Tracer, extra ...Endpoint) (*Server, 
 		w.Header().Set("Content-Type", "application/json")
 		if err := reg.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if tr == nil {
-			fmt.Fprint(w, `{"traceEvents":[]}`)
-			return
-		}
-		if err := tr.WriteChromeTrace(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/timeline", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if tr != nil {
-			if err := tr.WriteTimeline(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
 		}
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -15,7 +15,7 @@ import (
 // decode with the in-repo pprof reader. External test package so the
 // decoder can be imported without a cycle (prof depends on obs).
 func TestServerPprofSmoke(t *testing.T) {
-	srv, err := obs.Serve("127.0.0.1:0", nil, nil)
+	srv, err := obs.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

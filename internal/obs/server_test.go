@@ -27,10 +27,11 @@ func get(t *testing.T, url string) (int, []byte) {
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits").Add(3)
-	tr := newTestTracer(1, 16)
-	tr.Emit(0, EvClusterMerge, 0, 0, 1, 2, 0)
+	extra := Endpoint{Path: "/extra", Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "mounted")
+	})}
 
-	srv, err := Serve("127.0.0.1:0", reg, tr)
+	srv, err := Serve("127.0.0.1:0", reg, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +44,13 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics: code %d body %s", code, body)
 	}
 
-	code, body = get(t, base+"/trace")
-	var tf struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+	code, body = get(t, base+"/extra")
+	if code != 200 || string(body) != "mounted" {
+		t.Fatalf("/extra: code %d body %.120s", code, body)
 	}
-	if code != 200 || json.Unmarshal(body, &tf) != nil || len(tf.TraceEvents) == 0 {
-		t.Fatalf("/trace: code %d body %.120s", code, body)
-	}
-
-	code, body = get(t, base+"/timeline")
-	if code != 200 || !strings.Contains(string(body), "cluster-merge") {
-		t.Fatalf("/timeline: code %d body %.120s", code, body)
+	code, body = get(t, base+"/")
+	if code != 200 || !strings.Contains(string(body), "/extra") {
+		t.Fatalf("index: code %d does not list /extra:\n%s", code, body)
 	}
 
 	code, _ = get(t, base+"/debug/pprof/")
@@ -71,7 +68,7 @@ func TestServerEndpoints(t *testing.T) {
 // port (a second server can bind the same address), and a closed
 // server refuses connections.
 func TestServerShutdown(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry(), nil)
+	srv, err := Serve("127.0.0.1:0", NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,28 +91,27 @@ func TestServerShutdown(t *testing.T) {
 		t.Fatal("request succeeded against a shut-down server")
 	}
 	// The listener is truly gone: the exact address can be rebound.
-	srv2, err := Serve(addr, nil, nil)
+	srv2, err := Serve(addr, nil)
 	if err != nil {
 		t.Fatalf("rebind %s after shutdown: %v", addr, err)
 	}
 	srv2.Close()
 }
 
-// TestServerNilSources: a server with no registry or tracer still
-// serves pprof and empty payloads.
+// TestServerNilSources: a server with no registry still serves pprof
+// and an empty /metrics.
 func TestServerNilSources(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil, nil)
+	srv, err := Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr
-	code, body := get(t, base+"/trace")
-	if code != 200 || !strings.Contains(string(body), "traceEvents") {
-		t.Fatalf("/trace nil tracer: code %d body %s", code, body)
+	code, body := get(t, base+"/metrics")
+	if code != 200 || strings.TrimSpace(string(body)) != "{}" {
+		t.Fatalf("/metrics nil registry: code %d body %s", code, body)
 	}
-	code, _ = get(t, base+"/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics nil registry: code %d", code)
+	if code, _ := get(t, base+"/debug/pprof/"); code != 200 {
+		t.Fatalf("/debug/pprof/ nil registry: code %d", code)
 	}
 }

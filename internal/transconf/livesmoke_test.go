@@ -59,7 +59,7 @@ func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config
 	cfg.Ranks = jobSize
 	cfg.Job = "transconf"
 	col := collector.New(cfg)
-	srv, err := col.Serve("127.0.0.1:0")
+	srv, err := col.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config
 	}
 
 	// Rank 0 runs in a goroutine so the test can poll the collector
-	// mid-run, exactly as asmtop would.
+	// mid-run, exactly as asmprof URL would.
 	type outcome struct {
 		stats cluster.Stats
 		exit  par.Exit
@@ -200,11 +200,11 @@ func assertMergedBytes(t *testing.T, base string, dumps map[int]*obs.Dump) *obs.
 	return merged
 }
 
-// assertLiveMatchesPostHoc: the collector's incremental analysis must
+// assertLiveMatchesPostHoc: the collector's live analysis must
 // equal the post-hoc batch analysis (MergeDumps + Analyze) of the same
-// inputs, rendered identically. The live path goes through the
-// streaming Incremental machinery; the post-hoc path through the batch
-// one — agreement is the convergence contract.
+// inputs, rendered identically. The live path analyzes the streams the
+// collector accumulated; the post-hoc path merges the dump files —
+// agreement is the convergence contract.
 func assertLiveMatchesPostHoc(t *testing.T, col *collector.Collector, merged *obs.Dump) {
 	t.Helper()
 	// Partial mode: a SIGKILLed rank's lost sends leave unmatched
