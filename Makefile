@@ -162,10 +162,12 @@ service-smoke:
 
 # Profiling-plane smoke: under the race detector, the labeling
 # contract of a profiled 8-rank run (session + label hooks) and the
-# SIGKILL+resume profiled job whose archived merge must decode after
-# restart; then a labeled 8-rank asmcluster capture with its events
-# dump, rendered by asmprof as the critical-path attribution report,
-# collapsed stacks and a cross-rank merge.
+# SIGKILL+resume profiled job whose served profile must be the
+# completing attempt's artifact and decode after restart; then a
+# labeled 8-rank asmcluster capture with its events dump, rendered by
+# asmprof as the critical-path attribution report, collapsed stacks
+# and a diff against itself (which must find no delta), and merged
+# offline by the standard reader, go tool pprof.
 profile-smoke:
 	$(GO) test -race -v -run 'TestProfileLabelExactness' ./internal/launch
 	$(GO) test -race -v -run 'TestProfiledJobSurvivesKill' ./internal/jobs
@@ -174,7 +176,9 @@ profile-smoke:
 	$(GO) run ./cmd/asmcluster -in "$$d/sim_reads.fa" -ranks 8 -prof-dir "$$d/prof" -events-out "$$d/prof/events.json" -out "$$d/clusters.tsv"; \
 	$(GO) run ./cmd/asmprof "$$d/prof"; \
 	$(GO) run ./cmd/asmprof -folded "$$d/prof" > "$$d/folded.txt"; \
-	$(GO) run ./cmd/asmprof -merge-out "$$d/merged.cpu.pb.gz" "$$d/prof"
+	$(GO) tool pprof -top "$$d"/prof/*.cpu.pb.gz >/dev/null; \
+	$(GO) run ./cmd/asmprof -diff "$$d/prof" "$$d/prof" | tee "$$d/diff.txt"; \
+	[ "$$(grep -c '^  none$$' "$$d/diff.txt")" = 2 ] || { echo "profile-smoke: a capture diffed against itself shows deltas"; exit 1; }
 
 # Command-line contract under the race detector: asmcluster,
 # asmpipeline and asmnode are built with -race and driven through the

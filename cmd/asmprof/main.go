@@ -15,7 +15,6 @@
 //	asmprof DIR ev.json.rank0 ...           # join against these dumps' critical path
 //	asmprof -json DIR                       # machine-readable report
 //	asmprof -folded -value cpu DIR          # collapsed stacks for a flamegraph
-//	asmprof -merge-out merged.pb.gz DIR     # write the cross-rank merged CPU profile
 //	asmprof -diff OLDDIR NEWDIR             # what changed between two captures
 //
 // Every events dump (-events-out files; a multi-process run writes one
@@ -36,13 +35,15 @@
 // reached before any status was observed.
 //
 // DIR holds artifacts a profiling session wrote (asmcluster/asmpipeline
-// -prof-dir, or a job's prof/ directory): *.cpu.pb.gz, *.heap*.pb.gz,
+// -prof-dir, or a job's prof/ directory): *.cpu.pb.gz and
 // *.allocs.pb.gz, plus optionally the run's events.json. With dumps
 // named after DIR (or an events.json found in DIR) the critical-path
 // phase comes from the causal DAG; otherwise the largest labeled CPU
-// phase stands in. Truncated artifacts (a SIGKILLed attempt's partial
-// stream) are skipped, so a report is reproducible from whatever
-// survived.
+// phase stands in. Every report folds all of DIR's profiles in memory;
+// unparseable artifacts (the empty CPU stream a SIGKILLed attempt
+// leaves) are skipped, so a report is reproducible from whatever
+// survived. asmprof writes no profile: a merged file for other pprof
+// tools is `go tool pprof -proto DIR/*.cpu.pb.gz > merged.pb.gz`.
 package main
 
 import (
@@ -70,7 +71,6 @@ func main() {
 	folded := flag.Bool("folded", false, "emit collapsed stacks (flamegraph input) instead of a report")
 	value := flag.String("value", "cpu", "sample value for -folded: a sample type name, or last type when absent")
 	top := flag.Int("top", 5, "entries per ranked list (with events dumps alone: slowest spans listed, 10 unless set)")
-	mergeOut := flag.String("merge-out", "", "write the cross-rank merged CPU profile to this .pb.gz file")
 	diff := flag.Bool("diff", false, "compare two capture directories: asmprof -diff OLD NEW")
 	flag.Parse()
 
@@ -97,8 +97,8 @@ func main() {
 	}
 
 	if dir == "" {
-		if *folded || *mergeOut != "" {
-			fail(fmt.Errorf("-folded and -merge-out read profiles: name an artifact directory first"))
+		if *folded {
+			fail(fmt.Errorf("-folded reads profiles: name an artifact directory first"))
 		}
 		topSpans := 0 // analyze's default
 		flag.Visit(func(f *flag.Flag) {
@@ -120,30 +120,11 @@ func main() {
 		fail(fmt.Errorf("no profile artifacts under %s", dir))
 	}
 
-	if *mergeOut != "" {
-		if len(cpus) == 0 {
-			fail(fmt.Errorf("no CPU profiles to merge under %s", dir))
-		}
-		merged, err := prof.Merge(cpus...)
-		if err != nil {
-			fail(err)
-		}
-		if err := merged.WriteFile(*mergeOut); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote merged profile %s (%d samples)\n", *mergeOut, len(merged.Samples))
-		return
-	}
-
 	if *folded {
 		if len(cpus) == 0 {
 			fail(fmt.Errorf("no CPU profiles under %s", dir))
 		}
-		merged, err := prof.Merge(cpus...)
-		if err != nil {
-			fail(err)
-		}
-		if err := prof.WriteFolded(os.Stdout, merged, merged.ValueIndex(*value)); err != nil {
+		if err := prof.WriteFolded(os.Stdout, cpus, *value); err != nil {
 			fail(err)
 		}
 		return
@@ -228,10 +209,10 @@ func explain(out, errOut io.Writer, paths []string, top int, jsonOut bool, chrom
 }
 
 // loadDir parses every artifact in dir, skipping what cannot parse
-// (with a note — a truncated stream from a killed process is normal
+// (with a note — an empty CPU stream from a killed process is normal
 // after a crash+resume).
 func loadDir(dir string) (cpus, allocs []*prof.Profile) {
-	cpuPaths, _, allocPaths := prof.DirArtifacts(dir)
+	cpuPaths, allocPaths := prof.DirArtifacts(dir)
 	var skipped []string
 	var err error
 	cpus, skipped, err = prof.ParseFiles(cpuPaths)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/launch"
-	"repro/internal/obs/prof"
 	"repro/internal/pipeline"
 	"repro/internal/preprocess"
 	"repro/internal/seq"
@@ -49,8 +48,8 @@ const (
 	runnerLogFile = "runner.log"
 	// profDir collects per-attempt profiling artifacts (PID-unique
 	// stems, so an orphan attempt never clobbers its successor's
-	// capture); profileFile is the cross-attempt merged CPU profile
-	// the completing attempt archives, served at /jobs/{id}/profile.
+	// capture); profileFile is the completing attempt's CPU profile,
+	// copied byte for byte and served at /jobs/{id}/profile.
 	profDir     = "prof"
 	profileFile = "profile.pb.gz"
 )
@@ -124,10 +123,10 @@ func RunJob(dir string) int {
 
 	// Per-job telemetry: this attempt serves its own run collector so
 	// asmprof, given the URL from the job status, can watch it live.
-	// Profiling artifacts go under <job>/prof; a SIGKILLed attempt
-	// leaves a truncated CPU stream behind, and the completing attempt's
-	// merge skips what cannot parse, so the archived profile is
-	// reproducible whatever happened in between.
+	// Profiling artifacts go under <job>/prof, every attempt's beside
+	// the others' (a SIGKILLed attempt's CPU artifact is empty: the
+	// runtime writes the profile only when it is stopped); asmprof
+	// <job>/prof reports across all of them.
 	topts := launch.Options{Collector: "127.0.0.1:0"}
 	if spec.Profile {
 		topts.ProfDir = filepath.Join(dir, profDir)
@@ -189,6 +188,7 @@ func RunJob(dir string) int {
 	cfg.Cluster.MemBudget = spec.MemBudget
 
 	started := time.Now()
+	ranPhase := false
 	res, err := pipeline.Run(frags, pipeline.Config{
 		Core:      cfg,
 		Workdir:   filepath.Join(dir, workDir),
@@ -196,6 +196,7 @@ func RunJob(dir string) int {
 		Flags:     spec.Flags(),
 		Interrupt: interrupt,
 		OnPhase: func(p pipeline.Phase) {
+			ranPhase = true
 			writeFileAtomic(filepath.Join(dir, progressFile), []byte(string(p)+"\n"))
 		},
 	})
@@ -204,11 +205,18 @@ func RunJob(dir string) int {
 	}
 	defer res.Close()
 
-	tel.StopProfile() // the merge below reads this attempt's artifact
-	if spec.Profile {
-		if merr := writeMergedProfile(dir); merr != nil {
+	// The archive is the CPU profile of the attempt that ran the job's
+	// last phase. An attempt that only reloaded a finished workdir (the
+	// orphaned runner of a crashed server got there first) ran none,
+	// and leaves the archive of the attempt that did.
+	if cpu := tel.StopProfile(); cpu != "" && ranPhase {
+		b, err := os.ReadFile(cpu)
+		if err == nil {
+			err = writeFileAtomic(filepath.Join(dir, profileFile), b)
+		}
+		if err != nil {
 			// The job result stands; only the profile archive is lost.
-			fmt.Fprintln(os.Stderr, "runner: profile merge:", merr)
+			fmt.Fprintln(os.Stderr, "runner: profile archive:", err)
 		}
 	}
 	if err := writeResults(dir, res, started); err != nil {
@@ -217,32 +225,6 @@ func RunJob(dir string) int {
 	writeFileAtomic(filepath.Join(dir, progressFile), []byte("done\n"))
 	tel.Close(nil)
 	return 0
-}
-
-// writeMergedProfile folds every parseable CPU artifact under the
-// job's prof/ directory — this attempt's plus whatever earlier
-// (possibly SIGKILLed, possibly truncated) attempts left behind —
-// into the archived merged profile. Atomic via WriteFile's
-// temp+rename, and written only by the attempt that completed the
-// job, so a racing orphan can at worst leave extra inputs, never a
-// torn archive.
-func writeMergedProfile(dir string) error {
-	cpus, _, _ := prof.DirArtifacts(filepath.Join(dir, profDir))
-	ps, skipped, err := prof.ParseFiles(cpus)
-	if err != nil {
-		return err
-	}
-	if len(skipped) > 0 {
-		fmt.Fprintf(os.Stderr, "runner: skipping %d truncated profile artifact(s)\n", len(skipped))
-	}
-	if len(ps) == 0 {
-		return fmt.Errorf("no parseable CPU profiles under %s", filepath.Join(dir, profDir))
-	}
-	merged, err := prof.Merge(ps...)
-	if err != nil {
-		return err
-	}
-	return merged.WriteFile(filepath.Join(dir, profileFile))
 }
 
 // writeResults persists the contigs and summary report atomically, so

@@ -48,9 +48,9 @@ type Spec struct {
 	// Production submissions leave it empty.
 	FailInject string `json:"fail_inject,omitempty"`
 	// Profile runs the attempt under a profiling session: phase/rank-
-	// labeled CPU + heap/alloc artifacts land in the job's prof/
-	// directory, and the completing attempt archives the cross-rank
-	// merged CPU profile served at /jobs/{id}/profile.
+	// labeled CPU and allocation artifacts land in the job's prof/
+	// directory, and the completing attempt's own CPU artifact is
+	// served at /jobs/{id}/profile.
 	Profile bool `json:"profile,omitempty"`
 }
 

@@ -223,7 +223,7 @@ func TestCLIContract(t *testing.T) {
 			}
 			if len(args) > 4 {
 				checkDumps(t, filepath.Join(dir, "ev.json"), 4)
-				cpus, _, _ := prof.DirArtifacts(filepath.Join(dir, "prof"))
+				cpus, _ := prof.DirArtifacts(filepath.Join(dir, "prof"))
 				if len(cpus) != 4 {
 					t.Fatalf("-prof-dir holds %d CPU artifacts, want one per rank: %v", len(cpus), cpus)
 				}
@@ -243,7 +243,7 @@ func TestCLIContract(t *testing.T) {
 			t.Error("asmnode: clusters.tsv differs from cluster.WriteTSV(cluster.Serial)")
 		}
 		checkDumps(t, filepath.Join(dir, "ev.json"), 3)
-		if cpus, _, _ := prof.DirArtifacts(filepath.Join(dir, "prof")); len(cpus) != 3 {
+		if cpus, _ := prof.DirArtifacts(filepath.Join(dir, "prof")); len(cpus) != 3 {
 			t.Errorf("-prof-dir holds %d CPU artifacts, want one per rank", len(cpus))
 		}
 	})

@@ -46,7 +46,7 @@ func RegisterFlags(fs *flag.FlagSet, transport string) *Options {
 	fs.StringVar(&o.EventsOut, "events-out", "", "write the raw events dump to this file, one FILE.rank<r> per process under tcp / unix; asmprof FILE... merges, checks and explains them (-chrome renders a Chrome trace)")
 	fs.StringVar(&o.Collector, "collector", "", "live telemetry collector every rank streams health, metrics and trace deltas to, and the run's one telemetry server (watch it with asmprof URL): a host:port to serve one on, or the http:// URL of a running one")
 	fs.DurationVar(&o.CollectorLinger, "collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
-	fs.StringVar(&o.ProfDir, "prof-dir", "", "capture a phase/rank-labeled CPU profile plus heap/alloc snapshots into this directory (asmprof reads them)")
+	fs.StringVar(&o.ProfDir, "prof-dir", "", "capture a phase/rank-labeled CPU profile plus an allocation profile into this directory (asmprof reads them)")
 	return o
 }
 

@@ -113,22 +113,24 @@ func (t *Telemetry) start() {
 	}
 }
 
-// StopProfile ends the profiling session, if one is running. Close
-// calls it; a caller that reads the artifacts before closing calls it
-// first.
-func (t *Telemetry) StopProfile() {
+// StopProfile ends the profiling session, if one is running, and
+// returns the path of the CPU profile it wrote ("" when none was
+// running or stopping it failed). Close calls it; a caller that reads
+// the artifact before closing calls it first.
+func (t *Telemetry) StopProfile() string {
 	if t.prof == nil {
-		return
+		return ""
 	}
 	arts, err := t.prof.Stop()
 	t.prof = nil
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: profile stop: %v\n", t.job, err)
-		return
+		return ""
 	}
 	if !t.spawned {
 		fmt.Printf("profile artifacts: %s (asmprof %s)\n", arts.CPU, t.opts.ProfDir)
 	}
+	return arts.CPU
 }
 
 // Close flushes the telemetry with the run's verdict (nil = ok) and

@@ -205,7 +205,7 @@ func TestProfileLabelExactness(t *testing.T) {
 	if err := tel.Close(runWorkload(workloadStore(), tel)); err != nil {
 		t.Fatal(err)
 	}
-	cpuPaths, _, allocPaths := prof.DirArtifacts(dir)
+	cpuPaths, allocPaths := prof.DirArtifacts(dir)
 	cpus, _, err := prof.ParseFiles(cpuPaths)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,10 @@ func TestProfileLabelExactness(t *testing.T) {
 
 	// Correlate labeled CPU nanos per phase with the analyze compute
 	// decomposition of the same events.
-	sampled := prof.PhaseCPUNanos(cpus)
+	sampled := map[string]int64{}
+	for _, pp := range rep.Phases {
+		sampled[pp.Phase] = pp.Nanos
+	}
 	causal := map[string]float64{}
 	for _, ps := range arep.Phases {
 		if ps.Phase != "" && ps.Phase != "(unphased)" {

@@ -136,10 +136,7 @@ func Attribute(cpus, allocs []*Profile, causal []CritPhaseSec, opt Options) *Rep
 	funcPhase := map[string]map[string]int64{}
 
 	for _, p := range cpus {
-		vi := p.ValueIndex("cpu")
-		if vi < 0 {
-			vi = len(p.SampleTypes) - 1
-		}
+		vi := p.valueIndex("cpu")
 		si := p.ValueIndex("samples")
 		for i := range p.Samples {
 			s := &p.Samples[i]
@@ -270,50 +267,15 @@ func Attribute(cpus, allocs []*Profile, causal []CritPhaseSec, opt Options) *Rep
 		pp.Funcs = topFuncs(pa.flat, pa.cum, pa.nanos, opt.Top)
 		r.Phases = append(r.Phases, pp)
 		if name == r.CritPhase {
-			r.CritFuncs = topFuncs(pa.flat, pa.cum, pa.nanos, opt.Top)
+			r.CritFuncs = pp.Funcs
 		}
 	}
 
-	// Alloc sites, with phase attribution through funcPhase.
-	type siteKey struct {
-		fn, file string
-		line     int64
-	}
-	sites := map[siteKey]*AllocStat{}
-	for _, p := range allocs {
-		bi := p.ValueIndex("alloc_space")
-		oi := p.ValueIndex("alloc_objects")
-		if bi < 0 {
-			bi = len(p.SampleTypes) - 1
-		}
-		for i := range p.Samples {
-			s := &p.Samples[i]
-			if len(s.Stack) == 0 || bi < 0 || bi >= len(s.Values) {
-				continue
-			}
-			leaf := s.Stack[0]
-			k := siteKey{leaf.Function, leaf.File, leaf.Line}
-			st := sites[k]
-			if st == nil {
-				st = &AllocStat{Function: leaf.Function, File: leaf.File, Line: leaf.Line}
-				sites[k] = st
-			}
-			st.Bytes += s.Values[bi]
-			if oi >= 0 && oi < len(s.Values) {
-				st.Objects += s.Values[oi]
-			}
-			r.TotalAllocBytes += s.Values[bi]
-			if oi >= 0 && oi < len(s.Values) {
-				r.TotalAllocObjects += s.Values[oi]
-			}
-			if st.Phase == "" {
-				st.Phase = attributePhase(s.Stack, funcPhase)
-			}
-		}
-	}
 	var all []AllocStat
-	for _, st := range sites {
-		all = append(all, *st)
+	for _, st := range allocSites(allocs, funcPhase) {
+		all = append(all, st)
+		r.TotalAllocBytes += st.Bytes
+		r.TotalAllocObjects += st.Objects
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Bytes != all[j].Bytes {
@@ -330,6 +292,38 @@ func Attribute(cpus, allocs []*Profile, causal []CritPhaseSec, opt Options) *Rep
 		}
 	}
 	return r
+}
+
+// allocSites sums allocated bytes and objects per allocation site (the
+// leaf frame of an alloc stack) across ps. A site's phase is the one
+// attributePhase finds for the first of its stacks it can place
+// through funcPhase; a nil funcPhase places none.
+func allocSites(ps []*Profile, funcPhase map[string]map[string]int64) map[Frame]AllocStat {
+	sites := map[Frame]AllocStat{}
+	for _, p := range ps {
+		bi := p.valueIndex("alloc_space")
+		oi := p.ValueIndex("alloc_objects")
+		for i := range p.Samples {
+			s := &p.Samples[i]
+			if len(s.Stack) == 0 || bi < 0 || bi >= len(s.Values) {
+				continue
+			}
+			leaf := s.Stack[0]
+			st, ok := sites[leaf]
+			if !ok {
+				st = AllocStat{Function: leaf.Function, File: leaf.File, Line: leaf.Line}
+			}
+			st.Bytes += s.Values[bi]
+			if oi >= 0 && oi < len(s.Values) {
+				st.Objects += s.Values[oi]
+			}
+			if st.Phase == "" {
+				st.Phase = attributePhase(s.Stack, funcPhase)
+			}
+			sites[leaf] = st
+		}
+	}
+	return sites
 }
 
 // attributePhase walks an (unlabeled) alloc stack leaf to root and
@@ -400,29 +394,6 @@ func topFuncs(flat, cum map[string]int64, scope int64, top int) []FuncStat {
 		}
 	}
 	return fs
-}
-
-// PhaseCPUNanos sums labeled CPU nanoseconds per phase across
-// profiles — the correlation input the exactness test checks against
-// the analyze decomposition.
-func PhaseCPUNanos(ps []*Profile) map[string]int64 {
-	out := map[string]int64{}
-	for _, p := range ps {
-		vi := p.ValueIndex("cpu")
-		if vi < 0 {
-			vi = len(p.SampleTypes) - 1
-		}
-		for i := range p.Samples {
-			s := &p.Samples[i]
-			if vi < 0 || vi >= len(s.Values) {
-				continue
-			}
-			if ph := s.Label(LabelPhase); ph != "" {
-				out[ph] += s.Values[vi]
-			}
-		}
-	}
-	return out
 }
 
 // WriteText renders the report as the asmprof default view.
@@ -556,10 +527,7 @@ func DiffCPU(old, new []*Profile, top int) []FuncDelta {
 	flat := func(ps []*Profile) map[string]int64 {
 		m := map[string]int64{}
 		for _, p := range ps {
-			vi := p.ValueIndex("cpu")
-			if vi < 0 {
-				vi = len(p.SampleTypes) - 1
-			}
+			vi := p.valueIndex("cpu")
 			for i := range p.Samples {
 				s := &p.Samples[i]
 				if len(s.Stack) == 0 || vi < 0 || vi >= len(s.Values) {
@@ -610,48 +578,13 @@ func funcDeltas(o, n map[string]int64, top int) []FuncDelta {
 // DiffAllocs compares per-site allocation bytes between two runs,
 // largest absolute change first.
 func DiffAllocs(old, new []*Profile, top int) []AllocDelta {
-	type key struct {
-		fn, file string
-		line     int64
-	}
-	type cell struct{ bytes, objs int64 }
-	collect := func(ps []*Profile) map[key]cell {
-		m := map[key]cell{}
-		for _, p := range ps {
-			bi := p.ValueIndex("alloc_space")
-			oi := p.ValueIndex("alloc_objects")
-			if bi < 0 {
-				bi = len(p.SampleTypes) - 1
-			}
-			for i := range p.Samples {
-				s := &p.Samples[i]
-				if len(s.Stack) == 0 || bi < 0 || bi >= len(s.Values) {
-					continue
-				}
-				leaf := s.Stack[0]
-				k := key{leaf.Function, leaf.File, leaf.Line}
-				c := m[k]
-				c.bytes += s.Values[bi]
-				if oi >= 0 && oi < len(s.Values) {
-					c.objs += s.Values[oi]
-				}
-				m[k] = c
-			}
-		}
-		return m
-	}
-	o, n := collect(old), collect(new)
-	seen := map[key]bool{}
+	o, n := allocSites(old, nil), allocSites(new, nil)
 	var out []AllocDelta
-	add := func(k key) {
-		if seen[k] {
-			return
-		}
-		seen[k] = true
+	add := func(k Frame) {
 		d := AllocDelta{
-			Function: k.fn, File: k.file, Line: k.line,
-			OldBytes: o[k].bytes, NewBytes: n[k].bytes,
-			OldObjects: o[k].objs, NewObjects: n[k].objs,
+			Function: k.Function, File: k.File, Line: k.Line,
+			OldBytes: o[k].Bytes, NewBytes: n[k].Bytes,
+			OldObjects: o[k].Objects, NewObjects: n[k].Objects,
 		}
 		d.DeltaBytes = d.NewBytes - d.OldBytes
 		if d.DeltaBytes != 0 || d.NewObjects != d.OldObjects {
@@ -662,7 +595,9 @@ func DiffAllocs(old, new []*Profile, top int) []AllocDelta {
 		add(k)
 	}
 	for k := range n {
-		add(k)
+		if _, ok := o[k]; !ok {
+			add(k)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ai, aj := abs64(out[i].DeltaBytes), abs64(out[j].DeltaBytes)

@@ -27,7 +27,7 @@ func stack(fns ...string) []Frame {
 }
 
 func TestAttributeReport(t *testing.T) {
-	cpu := cpuProfile(0, 0,
+	cpu := cpuProfile(
 		// gst dominates: 60ns across ranks 0 and 1.
 		Sample{Stack: stack("buildTree", "runRank"), Values: []int64{4, 40},
 			Labels: []Label{{Key: LabelPhase, Str: "gst"}, {Key: LabelRank, Str: "0"}}},
@@ -109,22 +109,9 @@ func TestAttributeReport(t *testing.T) {
 	}
 }
 
-func TestPhaseCPUNanos(t *testing.T) {
-	cpu := cpuProfile(0, 0,
-		labeled("0", "gst", "a", 1, 30),
-		labeled("1", "gst", "b", 1, 20),
-		labeled("0", "cluster", "c", 1, 5),
-		labeled("", "", "main", 1, 99), // unlabeled: excluded
-	)
-	got := PhaseCPUNanos([]*Profile{cpu})
-	if got["gst"] != 50 || got["cluster"] != 5 || len(got) != 2 {
-		t.Fatalf("PhaseCPUNanos = %v", got)
-	}
-}
-
 func TestDiff(t *testing.T) {
-	old := []*Profile{cpuProfile(0, 0, labeled("0", "gst", "hot", 1, 100), labeled("0", "gst", "cold", 1, 10))}
-	new := []*Profile{cpuProfile(0, 0, labeled("0", "gst", "hot", 1, 300), labeled("0", "gst", "cold", 1, 10))}
+	old := []*Profile{cpuProfile(labeled("0", "gst", "hot", 1, 100), labeled("0", "gst", "cold", 1, 10))}
+	new := []*Profile{cpuProfile(labeled("0", "gst", "hot", 1, 300), labeled("0", "gst", "cold", 1, 10))}
 	d := DiffCPU(old, new, 5)
 	if len(d) != 1 || d[0].Function != "hot" || d[0].Delta != 200 {
 		t.Fatalf("DiffCPU = %+v", d)

@@ -5,24 +5,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime/pprof"
 	"testing"
 )
 
 // FuzzParseProfile feeds the decoder arbitrary bytes. Invariants:
-// never panic, never allocate unboundedly (the gunzip cap), and any
-// input that parses must survive Encode → Parse as a fixed point —
-// the same closure property internal/wire's fuzzer enforces.
+// never panic, never allocate unboundedly (the gunzip cap), one value
+// per sample type in every decoded sample, and the same decode for a
+// raw message and its gzip-wrapped copy (checkParse).
 func FuzzParseProfile(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("definitely not protobuf"))
-	f.Add(synthProfile().Encode())
-	var gz bytes.Buffer
-	if err := synthProfile().WriteGzip(&gz); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(gz.Bytes())
+	raw := readSeed(f, "seed_synth_raw")
+	f.Add(raw)
+	f.Add(gzipBytes(f, raw))
 	var real bytes.Buffer
 	if err := pprof.Lookup("allocs").WriteTo(&real, 0); err != nil {
 		f.Fatal(err)
@@ -30,45 +26,26 @@ func FuzzParseProfile(f *testing.F) {
 	f.Add(real.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Parse(data)
-		if err != nil {
-			return
-		}
-		re, err := Parse(p.Encode())
-		if err != nil {
-			t.Fatalf("re-parse of re-encoded profile failed: %v", err)
-		}
-		if !reflect.DeepEqual(re, p) {
-			t.Fatalf("Encode/Parse is not a fixed point:\n first %+v\nsecond %+v", p, re)
-		}
+		checkParse(t, data)
 	})
 }
 
-// TestGenProfileCorpus regenerates the committed fuzz seed corpus from
-// real captures when PROF_GEN_CORPUS=1 — run it after changing the
-// encoder so the checked-in seeds keep matching what the runtime and
-// the codec actually emit.
+// TestGenProfileCorpus regenerates the runtime-derived fuzz seeds when
+// PROF_GEN_CORPUS=1, so the checked-in corpus keeps matching what the
+// runtime actually emits. The synth seeds are frozen: they are the
+// exact-decode fixtures of TestProtoRoundTripSynthetic.
 func TestGenProfileCorpus(t *testing.T) {
 	if os.Getenv("PROF_GEN_CORPUS") == "" {
 		t.Skip("set PROF_GEN_CORPUS=1 to regenerate testdata/fuzz seeds")
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzParseProfile")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	var real bytes.Buffer
 	if err := pprof.Lookup("allocs").WriteTo(&real, 0); err != nil {
 		t.Fatal(err)
 	}
-	var gz bytes.Buffer
-	if err := synthProfile().WriteGzip(&gz); err != nil {
-		t.Fatal(err)
-	}
 	seeds := map[string][]byte{
-		"seed_synth_raw":  synthProfile().Encode(),
-		"seed_synth_gz":   gz.Bytes(),
 		"seed_real_alloc": real.Bytes(),
-		"seed_truncated":  synthProfile().Encode()[:20],
+		"seed_truncated":  readSeed(t, "seed_synth_raw")[:20],
 	}
 	for name, data := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)

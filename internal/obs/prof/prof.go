@@ -1,11 +1,13 @@
 // Package prof is the continuous-profiling plane: a session manager
-// that captures phase/rank-labeled CPU profiles plus heap and alloc
-// snapshots as .pb.gz artifacts next to the event dumps, samples
-// runtime/metrics health gauges into the obs metrics registry, and —
-// through the in-repo pprof codec (proto.go), merger (merge.go) and
-// attribution engine (attr.go) — turns those artifacts into "top
+// that has the Go runtime write a phase/rank-labeled CPU profile and
+// an allocs profile as .pb.gz artifacts next to the event dumps,
+// samples runtime/metrics health gauges into the obs metrics registry,
+// and — through the in-repo pprof decoder (proto.go) and attribution
+// engine (attr.go, folded.go) — turns those artifacts into "top
 // functions and top alloc sites on the critical path, per phase per
-// rank" reports joined against the analyze causal decomposition.
+// rank" reports joined against the analyze causal decomposition. It
+// reads profiles and never writes one: a merged profile file is `go
+// tool pprof -proto DIR/*.cpu.pb.gz`'s job.
 //
 // Label propagation: internal/par tags every rank goroutine with a
 // "rank" pprof label at Comm creation and swaps the "phase" label on
@@ -13,7 +15,7 @@
 // pre-attributed. Goroutine labels follow child goroutines but never
 // reach runtime system goroutines (GC workers, sweeper, scavenger) —
 // those samples are classified under the "(runtime)" pseudo-phase by
-// the attribution report. Heap and alloc profiles carry no goroutine
+// the attribution report. Alloc profiles carry no goroutine
 // labels at all (a Go runtime limitation), so alloc sites are
 // attributed by joining their call stacks against the per-function
 // phase distribution learned from the labeled CPU samples.
@@ -29,10 +31,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,13 +48,15 @@ const (
 	LabelPhase = "phase"
 )
 
-// Artifact name suffixes. A session writes <name><suffix>; mergers
-// and asmprof discover artifacts by suffix.
+// Artifact name suffixes. A session writes <name><suffix>; asmprof
+// discovers artifacts by suffix.
 const (
 	SuffixCPU    = ".cpu.pb.gz"
-	SuffixHeap   = ".heap.pb.gz"
 	SuffixAllocs = ".allocs.pb.gz"
 )
+
+// metricsInterval is the runtime/metrics sampling period.
+const metricsInterval = 250 * time.Millisecond
 
 // enabled gates every label operation; only an active Session sets
 // it. Separate from the session singleton so the par hooks pay one
@@ -116,16 +120,9 @@ type Config struct {
 	// Registry, when non-nil, receives the runtime/metrics health
 	// gauges (runtime_gc_pause_p99_ns, runtime_sched_latency_p99_ns,
 	// runtime_heap_live_bytes, runtime_heap_goal_bytes,
-	// runtime_gc_cycles), sampled every MetricsInterval and once at
-	// Stop. They stream to a collector like any other gauge.
+	// runtime_gc_cycles), sampled every 250 ms and once at Stop. They
+	// stream to a collector like any other gauge.
 	Registry *obs.Registry
-	// CPUHz raises the CPU sampling rate above the default 100 (more
-	// samples on short windows; the runtime prints one warning line
-	// when overriding the default). 0 keeps the default.
-	CPUHz int
-	// MetricsInterval is the runtime/metrics sampling period
-	// (default 250ms).
-	MetricsInterval time.Duration
 }
 
 // Session is one active profiling capture window. At most one session
@@ -136,7 +133,6 @@ type Session struct {
 
 	mu      sync.Mutex
 	stopped bool
-	extra   []string // heap snapshots taken at phase boundaries
 
 	samplerStop chan struct{}
 	samplerDone chan struct{}
@@ -144,16 +140,8 @@ type Session struct {
 
 // Artifacts lists the files one session wrote.
 type Artifacts struct {
-	CPU    string   `json:"cpu"`
-	Heap   string   `json:"heap"`
-	Allocs string   `json:"allocs"`
-	Extra  []string `json:"extra,omitempty"` // phase-boundary heap snapshots
-}
-
-// All returns every artifact path.
-func (a Artifacts) All() []string {
-	out := []string{a.CPU, a.Heap, a.Allocs}
-	return append(out, a.Extra...)
+	CPU    string
+	Allocs string
 }
 
 // sessionActive enforces the one-session-per-process invariant.
@@ -166,9 +154,6 @@ func Start(cfg Config) (*Session, error) {
 	if cfg.Name == "" {
 		cfg.Name = "profile"
 	}
-	if cfg.MetricsInterval <= 0 {
-		cfg.MetricsInterval = 250 * time.Millisecond
-	}
 	if !sessionActive.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("prof: a profiling session is already active")
 	}
@@ -180,12 +165,6 @@ func Start(cfg Config) (*Session, error) {
 	if err != nil {
 		sessionActive.Store(false)
 		return nil, err
-	}
-	if cfg.CPUHz > 0 && cfg.CPUHz != 100 {
-		// StartCPUProfile resets the rate to 100 unless one is already
-		// set; setting it first wins (at the cost of one runtime
-		// warning line on stderr).
-		runtime.SetCPUProfileRate(cfg.CPUHz)
 	}
 	if err := pprof.StartCPUProfile(f); err != nil {
 		f.Close()
@@ -206,7 +185,7 @@ func Start(cfg Config) (*Session, error) {
 
 func (s *Session) sampleLoop() {
 	defer close(s.samplerDone)
-	tick := time.NewTicker(s.cfg.MetricsInterval)
+	tick := time.NewTicker(metricsInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -218,33 +197,18 @@ func (s *Session) sampleLoop() {
 	}
 }
 
-// SnapshotHeap writes an extra live-heap snapshot artifact
-// (<Name>-<tag>.heap.pb.gz — the heap suffix so DirArtifacts finds
-// it) — phase-boundary callers tag it with the phase just finished.
-func (s *Session) SnapshotHeap(tag string) error {
-	path := filepath.Join(s.cfg.Dir, fmt.Sprintf("%s-%s%s", s.cfg.Name, tag, SuffixHeap))
-	if err := writeLookupProfile("heap", path); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.extra = append(s.extra, path)
-	s.mu.Unlock()
-	return nil
-}
-
 // Stop ends the session: stops and flushes the CPU profile, writes
-// the heap (live objects) and allocs (cumulative allocation)
-// snapshots, takes a final runtime/metrics sample, and turns label
-// propagation off. Safe to call once; later calls return the nil
-// error without re-writing artifacts.
+// the allocs snapshot (cumulative allocations; its samples also carry
+// the live-heap values, so no separate heap snapshot is taken), takes
+// a final runtime/metrics sample, and turns label propagation off.
+// Safe to call once; later calls return the nil error without
+// re-writing artifacts.
 func (s *Session) Stop() (Artifacts, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	arts := Artifacts{
 		CPU:    filepath.Join(s.cfg.Dir, s.cfg.Name+SuffixCPU),
-		Heap:   filepath.Join(s.cfg.Dir, s.cfg.Name+SuffixHeap),
 		Allocs: filepath.Join(s.cfg.Dir, s.cfg.Name+SuffixAllocs),
-		Extra:  s.extra,
 	}
 	if s.stopped {
 		return arts, nil
@@ -258,29 +222,22 @@ func (s *Session) Stop() (Artifacts, error) {
 		<-s.samplerDone
 		SampleRuntimeMetrics(s.cfg.Registry)
 	}
-	if herr := writeLookupProfile("heap", arts.Heap); err == nil {
-		err = herr
-	}
-	if aerr := writeLookupProfile("allocs", arts.Allocs); err == nil {
+	if aerr := snapshotAllocs(arts.Allocs); err == nil {
 		err = aerr
 	}
 	sessionActive.Store(false)
 	return arts, err
 }
 
-// writeLookupProfile snapshots one named runtime profile as a .pb.gz
+// snapshotAllocs writes the runtime's allocs profile as a .pb.gz
 // artifact (debug=0 is the gzipped proto encoding).
-func writeLookupProfile(name, path string) error {
-	p := pprof.Lookup(name)
-	if p == nil {
-		return fmt.Errorf("prof: no %q profile", name)
-	}
+func snapshotAllocs(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	err = p.WriteTo(f, 0)
+	err = pprof.Lookup("allocs").WriteTo(f, 0)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -293,36 +250,29 @@ func writeLookupProfile(name, path string) error {
 
 // DirArtifacts scans dir for profile artifacts by suffix, sorted for
 // determinism. Unreadable directories return empty slices.
-func DirArtifacts(dir string) (cpu, heap, allocs []string) {
+func DirArtifacts(dir string) (cpu, allocs []string) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	for _, e := range ents {
 		name := e.Name()
 		path := filepath.Join(dir, name)
 		switch {
-		case hasSuffix(name, SuffixCPU):
+		case strings.HasSuffix(name, SuffixCPU):
 			cpu = append(cpu, path)
-		case hasSuffix(name, SuffixAllocs):
+		case strings.HasSuffix(name, SuffixAllocs):
 			allocs = append(allocs, path)
-		case hasSuffix(name, SuffixHeap):
-			heap = append(heap, path)
 		}
 	}
 	sort.Strings(cpu)
-	sort.Strings(heap)
 	sort.Strings(allocs)
-	return cpu, heap, allocs
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
+	return cpu, allocs
 }
 
 // ParseFiles decodes a list of artifacts, skipping files that fail to
-// parse (a SIGKILLed attempt leaves a truncated CPU stream behind;
-// the surviving artifacts still merge). It returns the profiles, the
+// parse (a SIGKILLed attempt leaves an empty CPU artifact behind; the
+// surviving artifacts still report). It returns the profiles, the
 // skipped paths, and the first error only when nothing parsed.
 func ParseFiles(paths []string) (ps []*Profile, skipped []string, err error) {
 	var firstErr error

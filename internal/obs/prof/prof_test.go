@@ -12,7 +12,7 @@ import (
 func TestSessionLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	s, err := Start(Config{Dir: dir, Name: "rank0", Registry: reg, MetricsInterval: 10 * time.Millisecond})
+	s, err := Start(Config{Dir: dir, Name: "rank0", Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +31,6 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	_ = x
 	ClearLabels()
-	if err := s.SnapshotHeap("gst"); err != nil {
-		t.Fatal(err)
-	}
 
 	arts, err := s.Stop()
 	if err != nil {
@@ -42,10 +39,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if Enabled() {
 		t.Fatal("labels still enabled after Stop")
 	}
-	if len(arts.All()) != 4 {
-		t.Fatalf("artifacts: %+v", arts)
-	}
-	for _, path := range arts.All() {
+	for _, path := range []string{arts.CPU, arts.Allocs} {
 		p, err := ParseFile(path)
 		if err != nil {
 			t.Fatalf("artifact %s does not decode: %v", path, err)
@@ -72,9 +66,13 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("runtime gauges missing from registry: %v", snap)
 	}
 
-	cpu, heap, allocs := DirArtifacts(dir)
-	if len(cpu) != 2 || len(allocs) != 2 || len(heap) != 3 { // 2 sessions + 1 snapshot
-		t.Fatalf("DirArtifacts: cpu %v heap %v allocs %v", cpu, heap, allocs)
+	cpu, allocs := DirArtifacts(dir)
+	if len(cpu) != 2 || len(allocs) != 2 {
+		t.Fatalf("DirArtifacts: cpu %v allocs %v", cpu, allocs)
+	}
+	// A session writes the CPU and allocs artifacts and nothing else.
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 4 {
+		t.Fatalf("session directory holds %d entries (err %v), want 2 per session", len(ents), err)
 	}
 }
 
@@ -94,7 +92,7 @@ func TestLabelsNoopWithoutSession(t *testing.T) {
 func TestParseFilesSkipsTruncated(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good"+SuffixCPU)
-	if err := synthProfile().WriteFile(good); err != nil {
+	if err := os.WriteFile(good, readSeed(t, "seed_synth_gz"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bad := filepath.Join(dir, "bad"+SuffixCPU)
@@ -115,5 +113,28 @@ func TestParseFilesSkipsTruncated(t *testing.T) {
 	// Empty input: nothing to report.
 	if ps, skipped, err := ParseFiles(nil); err != nil || len(ps) != 0 || len(skipped) != 0 {
 		t.Fatalf("empty input: %v %v %v", ps, skipped, err)
+	}
+}
+
+// TestParseFilesSkipsEmptyArtifact: a SIGKILLed attempt leaves a
+// 0-byte CPU artifact (runtime/pprof writes the profile only at
+// StopCPUProfile). It is no profile, so ParseFiles must skip it
+// rather than hand Attribute an empty profile to count.
+func TestParseFilesSkipsEmptyArtifact(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good"+SuffixCPU)
+	if err := os.WriteFile(good, readSeed(t, "seed_synth_gz"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(dir, "killed"+SuffixCPU)
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ps, skipped, err := ParseFiles([]string{good, empty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != 1 || len(skipped) != 1 || skipped[0] != empty {
+		t.Fatalf("parsed %d, skipped %v; want 1 parsed and %s skipped", len(ps), skipped, empty)
 	}
 }

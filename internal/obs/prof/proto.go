@@ -1,17 +1,18 @@
-// pprof profile.proto wire codec, hand-rolled so the repo stays free
-// of module dependencies. The decoder reads the subset the Go runtime
-// emits (and the merge/attribution plane needs): sample types, samples
-// with location stacks and string/number labels, locations with
-// (possibly inlined) lines, functions, the string table, and the
-// period/time scalars. Mappings and addresses are parsed past but not
-// retained — attribution works on symbolized frames, which Go profiles
-// always carry.
+// pprof profile.proto decoder, hand-rolled so the repo stays free of
+// module dependencies. It reads what the attribution, folded and diff
+// reports read: sample types, samples with location stacks and string
+// labels, locations with (possibly inlined) lines, functions and the
+// string table. Every other field (mappings, addresses, numeric
+// labels, the period and time scalars) is skipped like an unknown
+// one — attribution works on symbolized frames, which Go profiles
+// always carry. Writing and merging profile files is `go tool
+// pprof`'s job.
 //
 // Like internal/wire, the reader is sticky: the first malformed byte
 // latches an error and every later read is a cheap no-op, so decode
 // paths need exactly one error check. Unlike internal/wire this is
 // standard protobuf, so non-canonical varints are accepted (other
-// writers may emit them); the encoder always writes canonical bytes.
+// writers may emit them).
 package prof
 
 import (
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // maxDecompressedBytes bounds gunzip output so a tiny malicious input
@@ -30,39 +30,36 @@ const maxDecompressedBytes = 64 << 20
 
 // ValueType names one sample dimension, e.g. {cpu, nanoseconds}.
 type ValueType struct {
-	Type string `json:"type"`
-	Unit string `json:"unit"`
+	Type string
+	Unit string
 }
 
 // Frame is one resolved stack entry. Inlined calls expand to one
 // frame per line record, innermost first.
 type Frame struct {
-	Function string `json:"function"`
-	File     string `json:"file,omitempty"`
-	Line     int64  `json:"line,omitempty"`
+	Function string
+	File     string
+	Line     int64
 }
 
-// Label is one sample annotation; exactly one of Str / Num carries
-// the value (pprof string vs numeric labels).
+// Label is one string label of a sample, e.g. {rank, 3}.
 type Label struct {
-	Key  string `json:"key"`
-	Str  string `json:"str,omitempty"`
-	Num  int64  `json:"num,omitempty"`
-	Unit string `json:"unit,omitempty"`
+	Key string
+	Str string
 }
 
 // Sample is one profile record: a leaf-first stack, one value per
-// sample type, and its labels (sorted by key for determinism).
+// sample type, and its string labels in the order the file lists them.
 type Sample struct {
-	Stack  []Frame `json:"stack"`
-	Values []int64 `json:"values"`
-	Labels []Label `json:"labels,omitempty"`
+	Stack  []Frame
+	Values []int64
+	Labels []Label
 }
 
 // Label returns the sample's string label for key ("" if absent).
 func (s *Sample) Label(key string) string {
 	for _, l := range s.Labels {
-		if l.Key == key && l.Str != "" {
+		if l.Key == key {
 			return l.Str
 		}
 	}
@@ -72,13 +69,8 @@ func (s *Sample) Label(key string) string {
 // Profile is a decoded pprof profile with every ID indirection
 // resolved: samples reference frames and strings directly.
 type Profile struct {
-	SampleTypes   []ValueType `json:"sample_types"`
-	DefaultType   string      `json:"default_type,omitempty"`
-	Samples       []Sample    `json:"samples"`
-	TimeNanos     int64       `json:"time_nanos,omitempty"`
-	DurationNanos int64       `json:"duration_nanos,omitempty"`
-	PeriodType    ValueType   `json:"period_type,omitempty"`
-	Period        int64       `json:"period,omitempty"`
+	SampleTypes []ValueType
+	Samples     []Sample
 }
 
 // ValueIndex returns the index of the sample type named typ, or -1.
@@ -89,6 +81,16 @@ func (p *Profile) ValueIndex(typ string) int {
 		}
 	}
 	return -1
+}
+
+// valueIndex is ValueIndex falling back to the last sample type
+// (pprof's default) when none is named typ; -1 only for a profile with
+// no sample types.
+func (p *Profile) valueIndex(typ string) int {
+	if i := p.ValueIndex(typ); i >= 0 {
+		return i
+	}
+	return len(p.SampleTypes) - 1
 }
 
 // protobuf wire types (the only ones protobuf defines that matter
@@ -244,7 +246,7 @@ func (r *reader) packedUint64s(wire int, dst []uint64) []uint64 {
 // fields may arrive in any order (Go writes the string table last).
 type rawValueType struct{ typ, unit int64 }
 
-type rawLabel struct{ key, str, num, numUnit int64 }
+type rawLabel struct{ key, str int64 }
 
 type rawSample struct {
 	locs   []uint64
@@ -294,10 +296,6 @@ func parseLabel(b []byte) (rawLabel, error) {
 			l.key = r.int64()
 		case 2:
 			l.str = r.int64()
-		case 3:
-			l.num = r.int64()
-		case 4:
-			l.numUnit = r.int64()
 		default:
 			r.skip(wire)
 		}
@@ -435,8 +433,6 @@ func parseUncompressed(data []byte) (*Profile, error) {
 		locations   = map[uint64][]rawLine{}
 		functions   = map[uint64]rawFunction{}
 		strtab      []string
-		periodType  rawValueType
-		defaultType int64
 		p           = &Profile{}
 	)
 	for r.more() {
@@ -489,29 +485,18 @@ func parseUncompressed(data []byte) (*Profile, error) {
 			if r.err == nil {
 				strtab = append(strtab, string(b))
 			}
-		case 9:
-			p.TimeNanos = r.int64()
-		case 10:
-			p.DurationNanos = r.int64()
-		case 11:
-			b := r.bytesField()
-			if r.err == nil {
-				vt, err := parseValueType(b)
-				if err != nil {
-					return nil, err
-				}
-				periodType = vt
-			}
-		case 12:
-			p.Period = r.int64()
-		case 14:
-			defaultType = r.int64()
 		default:
 			r.skip(wire)
 		}
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	// Every profile the runtime writes names its sample types; an empty
+	// message is what a SIGKILLed CPU stream leaves (runtime/pprof
+	// writes the whole profile only at StopCPUProfile).
+	if len(sampleTypes) == 0 {
+		return nil, fmt.Errorf("prof: profile has no sample types")
 	}
 	if len(strtab) > 0 && strtab[0] != "" {
 		return nil, fmt.Errorf("prof: string table must start with the empty string")
@@ -525,31 +510,16 @@ func parseUncompressed(data []byte) (*Profile, error) {
 		}
 		return strtab[i], nil
 	}
-	resolveVT := func(vt rawValueType) (ValueType, error) {
-		t, err := str(vt.typ)
-		if err != nil {
-			return ValueType{}, err
-		}
-		u, err := str(vt.unit)
-		if err != nil {
-			return ValueType{}, err
-		}
-		return ValueType{Type: t, Unit: u}, nil
-	}
-
 	for _, vt := range sampleTypes {
-		rv, err := resolveVT(vt)
+		t, err := str(vt.typ)
 		if err != nil {
 			return nil, err
 		}
-		p.SampleTypes = append(p.SampleTypes, rv)
-	}
-	var err error
-	if p.PeriodType, err = resolveVT(periodType); err != nil {
-		return nil, err
-	}
-	if p.DefaultType, err = str(defaultType); err != nil {
-		return nil, err
+		u, err := str(vt.unit)
+		if err != nil {
+			return nil, err
+		}
+		p.SampleTypes = append(p.SampleTypes, ValueType{Type: t, Unit: u})
 	}
 
 	// Resolve each unique frame once; stacks share the Frame values.
@@ -587,6 +557,9 @@ func parseUncompressed(data []byte) (*Profile, error) {
 			s.Stack = append(s.Stack, fs...)
 		}
 		for _, rl := range rs.labels {
+			if rl.str == 0 {
+				continue // a numeric label, or an empty string value
+			}
 			key, err := str(rl.key)
 			if err != nil {
 				return nil, err
@@ -595,215 +568,9 @@ func parseUncompressed(data []byte) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			unit, err := str(rl.numUnit)
-			if err != nil {
-				return nil, err
-			}
-			s.Labels = append(s.Labels, Label{Key: key, Str: sv, Num: rl.num, Unit: unit})
+			s.Labels = append(s.Labels, Label{Key: key, Str: sv})
 		}
-		sortLabels(s.Labels)
 		p.Samples = append(p.Samples, s)
 	}
 	return p, nil
-}
-
-func sortLabels(ls []Label) {
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Key != ls[j].Key {
-			return ls[i].Key < ls[j].Key
-		}
-		if ls[i].Str != ls[j].Str {
-			return ls[i].Str < ls[j].Str
-		}
-		return ls[i].Num < ls[j].Num
-	})
-}
-
-// ---- encoder ----
-
-// enc builds protobuf wire bytes; the inverse of reader for the
-// subset Profile retains. All varints are canonical.
-type enc struct{ b []byte }
-
-func (e *enc) varint(v uint64) {
-	for v >= 0x80 {
-		e.b = append(e.b, byte(v)|0x80)
-		v >>= 7
-	}
-	e.b = append(e.b, byte(v))
-}
-
-func (e *enc) tag(field, wire int) { e.varint(uint64(field)<<3 | uint64(wire)) }
-
-func (e *enc) int64Field(field int, v int64) {
-	if v == 0 {
-		return
-	}
-	e.tag(field, wireVarint)
-	e.varint(uint64(v))
-}
-
-func (e *enc) uint64Field(field int, v uint64) {
-	if v == 0 {
-		return
-	}
-	e.tag(field, wireVarint)
-	e.varint(v)
-}
-
-func (e *enc) bytesField(field int, b []byte) {
-	e.tag(field, wireBytes)
-	e.varint(uint64(len(b)))
-	e.b = append(e.b, b...)
-}
-
-func (e *enc) packedInt64s(field int, vs []int64) {
-	if len(vs) == 0 {
-		return
-	}
-	var p enc
-	for _, v := range vs {
-		p.varint(uint64(v))
-	}
-	e.bytesField(field, p.b)
-}
-
-func (e *enc) packedUint64s(field int, vs []uint64) {
-	if len(vs) == 0 {
-		return
-	}
-	var p enc
-	for _, v := range vs {
-		p.varint(v)
-	}
-	e.bytesField(field, p.b)
-}
-
-// Encode serializes the profile as uncompressed profile.proto bytes.
-// Each distinct frame becomes one location with a single line record
-// (inlining grouping is not reconstructed — attribution and external
-// pprof tooling read the flattened stacks identically).
-func (p *Profile) Encode() []byte {
-	strIdx := map[string]int64{"": 0}
-	strs := []string{""}
-	str := func(s string) int64 {
-		if i, ok := strIdx[s]; ok {
-			return i
-		}
-		i := int64(len(strs))
-		strIdx[s] = i
-		strs = append(strs, s)
-		return i
-	}
-	vtBytes := func(vt ValueType) []byte {
-		var e enc
-		e.int64Field(1, str(vt.Type))
-		e.int64Field(2, str(vt.Unit))
-		return e.b
-	}
-
-	type funcKey struct {
-		name, file string
-	}
-	funcIdx := map[funcKey]uint64{}
-	var funcs []funcKey
-	type locKey struct {
-		fn   uint64
-		line int64
-	}
-	locIdx := map[locKey]uint64{}
-	var locs []locKey
-
-	var body enc
-	for _, vt := range p.SampleTypes {
-		body.bytesField(1, vtBytes(vt))
-	}
-	for i := range p.Samples {
-		s := &p.Samples[i]
-		var se enc
-		locIDs := make([]uint64, 0, len(s.Stack))
-		for _, fr := range s.Stack {
-			fk := funcKey{fr.Function, fr.File}
-			fid, ok := funcIdx[fk]
-			if !ok {
-				fid = uint64(len(funcs) + 1)
-				funcIdx[fk] = fid
-				funcs = append(funcs, fk)
-			}
-			lk := locKey{fid, fr.Line}
-			lid, ok := locIdx[lk]
-			if !ok {
-				lid = uint64(len(locs) + 1)
-				locIdx[lk] = lid
-				locs = append(locs, lk)
-			}
-			locIDs = append(locIDs, lid)
-		}
-		se.packedUint64s(1, locIDs)
-		se.packedInt64s(2, s.Values)
-		for _, l := range s.Labels {
-			var le enc
-			le.int64Field(1, str(l.Key))
-			le.int64Field(2, str(l.Str))
-			le.int64Field(3, l.Num)
-			le.int64Field(4, str(l.Unit))
-			se.bytesField(3, le.b)
-		}
-		body.bytesField(2, se.b)
-	}
-	for i, lk := range locs {
-		var le enc
-		le.uint64Field(1, uint64(i+1))
-		var ln enc
-		ln.uint64Field(1, lk.fn)
-		ln.int64Field(2, lk.line)
-		le.bytesField(4, ln.b)
-		body.bytesField(4, le.b)
-	}
-	for i, fk := range funcs {
-		var fe enc
-		fe.uint64Field(1, uint64(i+1))
-		fe.int64Field(2, str(fk.name))
-		fe.int64Field(4, str(fk.file))
-		body.bytesField(5, fe.b)
-	}
-	body.int64Field(9, p.TimeNanos)
-	body.int64Field(10, p.DurationNanos)
-	if p.PeriodType != (ValueType{}) {
-		body.bytesField(11, vtBytes(p.PeriodType))
-	}
-	body.int64Field(12, p.Period)
-	body.int64Field(14, str(p.DefaultType))
-	// The string table goes last (as the Go runtime writes it): every
-	// field above may intern new strings, and the decoder resolves
-	// indices only after the full walk.
-	for _, s := range strs {
-		body.bytesField(6, []byte(s))
-	}
-	return body.b
-}
-
-// WriteGzip writes the profile in the artifact format (.pb.gz), the
-// same shape runtime/pprof emits.
-func (p *Profile) WriteGzip(w io.Writer) error {
-	zw := gzip.NewWriter(w)
-	if _, err := zw.Write(p.Encode()); err != nil {
-		zw.Close()
-		return err
-	}
-	return zw.Close()
-}
-
-// WriteFile writes one .pb.gz artifact via temp file + rename so a
-// crash mid-write never leaves a half-profile behind a valid name.
-func (p *Profile) WriteFile(path string) error {
-	var buf bytes.Buffer
-	if err := p.WriteGzip(&buf); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
