@@ -72,7 +72,7 @@ type extension struct {
 // nothing. For 700 bp reads at the default band it is about 20 KB; for
 // Fit at the consensus band (OffsetSlack + DefaultBand) about 52 KB.
 type bandScratch struct {
-	rows []int32 // score rows: six (previous and current M, X, Y) each width+2; Fit's two each width
+	rows []int32 // score rows, each width+2: six (previous and current M, X, Y), or Fit's two
 	dir  []byte  // one direction byte per band cell, (rows+1) × width
 	rev  []byte  // reversed u then v, for the leftward extension; Fit's traceback
 }

@@ -244,3 +244,46 @@ func TestFitAllocatesOnlyOps(t *testing.T) {
 		}
 	}
 }
+
+// fuzzFitCase decodes fuzz bytes into a Fit input: a header (band,
+// diag0, reference length) and then the bases. A body byte maps onto
+// ACGT or a masked N; in the query, a byte with its top two bits set
+// copies the reference base on the query's own diagonal instead, so
+// arbitrary input still holds fits. A signed diag0 byte and references
+// of at most 255 bases reach the band's edges: the j = 0 column, rows
+// past the reference's end, diag0 off either end and band ≥
+// len(reference).
+func fuzzFitCase(data []byte) fitCase {
+	if len(data) < 3 {
+		return fitCase{}
+	}
+	band, diag0 := int(data[0])%64, int(int8(data[1]))
+	body := data[3:]
+	nref := min(int(data[2]), len(body))
+	ref := make([]byte, nref)
+	for i, c := range body[:nref] {
+		ref[i] = "ACGTACGTACGTACGN"[c&15]
+	}
+	q := make([]byte, len(body)-nref)
+	for i, c := range body[nref:] {
+		q[i] = "ACGTACGTACGTACGN"[c&15]
+		if j := i + diag0; c >= 0xc0 && j >= 0 && j < nref {
+			q[i] = ref[j]
+		}
+	}
+	return fitCase{ref, q, diag0, band}
+}
+
+// FuzzFitMatchesOracle holds Fit to oracleFit on whatever bytes the
+// fuzzer finds; the seeds live in testdata/fuzz/FuzzFitMatchesOracle.
+func FuzzFitMatchesOracle(f *testing.F) {
+	sc := DefaultScoring()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := fuzzFitCase(data)
+		got, gotOK := Fit(c.ref, c.query, c.diag0, c.band, sc)
+		want, wantOK := oracleFit(c.ref, c.query, c.diag0, c.band, sc)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: got %+v %v, oracle %+v %v", c, got, gotOK, want, wantOK)
+		}
+	})
+}

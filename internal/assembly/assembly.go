@@ -4,15 +4,19 @@
 // overlap–layout–consensus procedure at a stringency higher than
 // clustering used, so inconsistent (repeat-induced) overlaps that
 // transitive clustering tolerated are detected and the cluster splits
-// into multiple contigs. Clusters are trivially farmed across
-// goroutines, the paper's "multiple instances of a serial assembler in
-// parallel".
+// into multiple contigs. Clusters are farmed across goroutines, the
+// paper's "multiple instances of a serial assembler in parallel", and
+// one cluster also uses every core: its anchor alignments and its
+// consensus fits run on a pool of GOMAXPROCS goroutines and are folded
+// in a fixed order, so the contigs are the same bytes on any number of
+// cores.
 package assembly
 
 import (
-	"slices"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/align"
 	"repro/internal/seq"
@@ -99,6 +103,13 @@ type overlap struct {
 // into the store) and returns its contigs. Fragments that overlap
 // nothing at assembly stringency come back as single-read contigs.
 func AssembleCluster(store seq.Seqs, members []int, cfg Config) []Contig {
+	return assemble(store, members, cfg, new(atomic.Bool))
+}
+
+// assemble is AssembleCluster with a stop flag: once stop is set it
+// aligns no further anchor and fits no further read, and returns nil
+// within one batch.
+func assemble(store seq.Seqs, members []int, cfg Config, stop *atomic.Bool) []Contig {
 	cfg = cfg.withDefaults()
 	if len(members) == 0 {
 		return nil
@@ -120,15 +131,73 @@ func AssembleCluster(store seq.Seqs, members []int, cfg Config) []Contig {
 	for i := range seqs {
 		lengths[i] = len(seqs[i])
 	}
-	overlaps := findOverlaps(seqs, rcs, cfg)
+	overlaps := findOverlaps(seqs, rcs, cfg, stop)
 	layout := buildLayout(len(members), lengths, overlaps, cfg)
 
 	var contigs []Contig
 	for _, group := range layout {
-		contigs = append(contigs, consensus(group, members, get, cfg))
+		contigs = append(contigs, consensus(group, members, get, cfg, stop))
+	}
+	if stop.Load() {
+		return nil
 	}
 	sort.Slice(contigs, func(i, j int) bool { return len(contigs[i].Bases) > len(contigs[j].Bases) })
 	return contigs
+}
+
+// batchSize bounds the anchors held between the walk and the fold, so
+// the pool's extra memory is a constant, not a multiple of the
+// cluster's anchor count.
+const batchSize = 256
+
+// minParallel is the smallest batch handed to goroutines; a smaller one
+// runs inline.
+const minParallel = 8
+
+// parallelFor runs fn(k) for every k in [0, n) on up to GOMAXPROCS
+// goroutines, the caller's included, each taking the next k from a
+// shared counter. Once stop is set no further k starts, so the call
+// returns after the fn calls already running. A panic in any fn sets
+// stop and is re-raised on the caller, where the guard contains it.
+func parallelFor(n int, stop *atomic.Bool, fn func(k int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if n < minParallel || workers < 2 {
+		for k := 0; k < n && !stop.Load(); k++ {
+			fn(k)
+		}
+		return
+	}
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		once     sync.Once
+		panicked any
+	)
+	work := func() {
+		defer wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				once.Do(func() { panicked = r })
+				stop.Store(true)
+			}
+		}()
+		for !stop.Load() {
+			k := int(next.Add(1) - 1)
+			if k >= n {
+				return
+			}
+			fn(k)
+		}
+	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // AssembleAll farms clusters across `workers` goroutines and returns
@@ -157,6 +226,32 @@ func AssembleAll(store seq.Seqs, clusters [][]int, cfg Config, workers int) [][]
 	return out
 }
 
+// anchor is one maximal match the seed walk extended:
+// a[i:i+n] == b[j:j+n] for reads ra < rb, b reverse-complemented when
+// rev.
+type anchor struct {
+	ra, rb  int32
+	i, j, n int32
+	rev     bool
+}
+
+// anchorOutcome is what the fold reads of one anchor's alignment.
+type anchorOutcome struct {
+	ok          bool // aligned, and accepted at assembly stringency
+	score, diag int32
+}
+
+// span is a maximal match already extended between two reads: a[lo:hi)
+// on diagonal diag, with b in orientation ob.
+type span struct {
+	ob           bool
+	diag, lo, hi int32
+}
+
+// alignAnchor is the anchored overlap the pool runs; a test wraps it to
+// count the anchors a stopped attempt aligns.
+var alignAnchor = align.AnchoredOverlap
+
 // findOverlaps detects pairwise overlaps within the cluster by seeding
 // on shared w-mers, extending each maximal match once, and running the
 // banded anchored overlap test from it.
@@ -167,7 +262,13 @@ func AssembleAll(store seq.Seqs, clusters [][]int, cfg Config, workers int) [][]
 // order and each is in (read, strand, pos) order, so the pair loop
 // meets anchors in a fixed order. That order decides which of two
 // equal-score overlaps wins, and contigs must be bit-reproducible.
-func findOverlaps(seqs, rcs [][]byte, cfg Config) []overlap {
+//
+// The walk decides what to skip from the matches already extended,
+// never from an alignment, so anchors can be collected before they are
+// aligned. The walk records them in walk order, a batch at a time;
+// parallelFor aligns the batch on every core; a fold in anchor order
+// keeps each pair's first best score exactly as one goroutine would.
+func findOverlaps(seqs, rcs [][]byte, cfg Config, stop *atomic.Bool) []overlap {
 	w := cfg.W
 	n := 0
 	for _, s := range seqs {
@@ -189,23 +290,50 @@ func findOverlaps(seqs, rcs [][]byte, cfg Config) []overlap {
 		ob   bool
 	}
 	best := make(map[pairKey]overlap)
-	// The maximal matches already extended, as [lo, hi) in a, per (a, b,
-	// orientation, diagonal). A seed inside one of them would extend to
-	// it again and anchor the same alignment, so it is skipped before
-	// any byte is compared.
-	type diagKey struct {
-		a, b int32
-		ob   bool
-		diag int32
+	batch := make([]anchor, 0, batchSize)
+	outs := make([]anchorOutcome, batchSize)
+	flush := func() {
+		parallelFor(len(batch), stop, func(k int) {
+			a := batch[k]
+			sb := seqs[a.rb]
+			if a.rev {
+				sb = rcs[a.rb]
+			}
+			res, ok := alignAnchor(seqs[a.ra], sb, int(a.i), int(a.j), int(a.n), cfg.Band, cfg.Scoring)
+			outs[k] = anchorOutcome{ok && cfg.Criteria.Accept(res), int32(res.Score), int32(res.AStart - res.BStart)}
+		})
+		// A stopped pool leaves outcomes unset; its attempt returns
+		// nothing, so there is nothing to fold.
+		for k, a := range batch {
+			if !outs[k].ok || stop.Load() {
+				continue
+			}
+			key := pairKey{a.ra, a.rb, a.rev}
+			ov := overlap{
+				a: int(a.ra), b: int(a.rb),
+				oa: false, ob: a.rev,
+				diag:  int(outs[k].diag),
+				score: int(outs[k].score),
+			}
+			if cur, exists := best[key]; !exists || ov.score > cur.score {
+				best[key] = ov
+			}
+		}
+		batch = batch[:0]
 	}
-	extended := make(map[diagKey][][2]int32)
+	// The maximal matches already extended, per read pair a<<32 | b. A
+	// seed inside one of them (same orientation and diagonal) would
+	// extend to it again and anchor the same alignment, so it is skipped
+	// before any byte is compared.
+	extended := make(map[uint64][]span)
 
 	suffixtree.EachRun(ks, func(lo, hi int) {
 		occs := ks[lo:hi]
-		if cfg.MaxSeedBucket > 0 && len(occs) > cfg.MaxSeedBucket {
-			return // repeat-saturated seed
+		if cfg.MaxSeedBucket > 0 && len(occs) > cfg.MaxSeedBucket || stop.Load() {
+			return // repeat-saturated seed, or an abandoned attempt
 		}
 		for x := 0; x < len(occs); x++ {
+		pairs:
 			for y := x + 1; y < len(occs); y++ {
 				// (sid, pos) order puts the lower read first.
 				sx, sy := occs[x].Suf, occs[y].Suf
@@ -221,11 +349,12 @@ func findOverlaps(seqs, rcs [][]byte, cfg Config) []overlap {
 					bpos = len(seqs[rb]) - bpos - w
 					rev = !rev
 				}
-				dk := diagKey{ra, rb, rev, int32(apos - bpos)}
-				if slices.ContainsFunc(extended[dk], func(m [2]int32) bool {
-					return int(m[0]) <= apos && apos+w <= int(m[1])
-				}) {
-					continue
+				key, diag := uint64(ra)<<32|uint64(rb), int32(apos-bpos)
+				spans := extended[key]
+				for _, m := range spans {
+					if m.ob == rev && m.diag == diag && int(m.lo) <= apos && apos+w <= int(m.hi) {
+						continue pairs
+					}
 				}
 				sa, sb := seqs[ra], seqs[rb]
 				if rev {
@@ -242,25 +371,15 @@ func findOverlaps(seqs, rcs [][]byte, cfg Config) []overlap {
 					e++
 					f++
 				}
-				extended[dk] = append(extended[dk], [2]int32{int32(i), int32(e)})
-
-				res, ok := align.AnchoredOverlap(sa, sb, i, j, e-i, cfg.Band, cfg.Scoring)
-				if !ok || !cfg.Criteria.Accept(res) {
-					continue
-				}
-				k := pairKey{ra, rb, rev}
-				ov := overlap{
-					a: int(ra), b: int(rb),
-					oa: false, ob: rev,
-					diag:  res.AStart - res.BStart,
-					score: res.Score,
-				}
-				if cur, exists := best[k]; !exists || ov.score > cur.score {
-					best[k] = ov
+				extended[key] = append(spans, span{rev, diag, int32(i), int32(e)})
+				batch = append(batch, anchor{ra, rb, int32(i), int32(j), int32(e - i), rev})
+				if len(batch) == batchSize {
+					flush()
 				}
 			}
 		}
 	})
+	flush()
 	out := make([]overlap, 0, len(best))
 	for _, ov := range best {
 		out = append(out, ov)

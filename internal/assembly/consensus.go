@@ -2,6 +2,7 @@ package assembly
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/align"
 	"repro/internal/seq"
@@ -12,16 +13,21 @@ import (
 // realigned to its backbone window and votes per column; the majority
 // call (including gap) is emitted. Align-to-backbone voting corrects
 // most sequencing errors wherever coverage exceeds one.
-func consensus(group []placed, members []int, get func(i int, rev bool) []byte, cfg Config) Contig {
+//
+// The backbone is fixed before any read is fitted and votes are integer
+// sums, so the fits run on parallelFor and their votes are applied in
+// group order. Once stop is set the contig is abandoned; the caller
+// discards it.
+func consensus(group []placed, members []int, get func(i int, rev bool) []byte, cfg Config, stop *atomic.Bool) Contig {
 	sort.Slice(group, func(i, j int) bool {
 		if group[i].off != group[j].off {
 			return group[i].off < group[j].off
 		}
 		return group[i].read < group[j].read
 	})
-	min := group[0].off
+	origin := group[0].off
 	for i := range group {
-		group[i].off -= min
+		group[i].off -= origin
 	}
 
 	// Backbone: append each read's non-covered suffix.
@@ -45,10 +51,15 @@ func consensus(group []placed, members []int, get func(i int, rev bool) []byte, 
 	const gapVote = 4
 	votes := make([][5]int32, len(backbone))
 	insVotes := make([][4]int32, len(backbone)+1)
-	totalBases := 0
-	for _, p := range group {
+	type fit struct {
+		r  align.Result
+		lo int
+		ok bool
+	}
+	fits := make([]fit, len(group))
+	parallelFor(len(group), stop, func(k int) {
+		p := group[k]
 		b := get(p.read, p.rev)
-		totalBases += len(b)
 		lo := p.off - cfg.OffsetSlack
 		if lo < 0 {
 			lo = 0
@@ -57,12 +68,21 @@ func consensus(group []placed, members []int, get func(i int, rev bool) []byte, 
 		if hi > len(backbone) {
 			hi = len(backbone)
 		}
-		window := backbone[lo:hi]
-		r, ok := align.Fit(window, b, p.off-lo, cfg.OffsetSlack+cfg.Band, cfg.Scoring)
-		if !ok {
+		r, ok := align.Fit(backbone[lo:hi], b, p.off-lo, cfg.OffsetSlack+cfg.Band, cfg.Scoring)
+		fits[k] = fit{r, lo, ok}
+	})
+	if stop.Load() {
+		return Contig{} // some fits are missing
+	}
+	totalBases := 0
+	for k, p := range group {
+		b := get(p.read, p.rev)
+		totalBases += len(b)
+		r := fits[k].r
+		if !fits[k].ok {
 			continue // drifted outside the band: this read votes nothing
 		}
-		u := lo + r.AStart
+		u := fits[k].lo + r.AStart
 		vi := r.BStart
 		insRun := false
 		for _, op := range r.Ops {

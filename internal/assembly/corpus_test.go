@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/seq"
@@ -95,29 +97,38 @@ func hashContigs(contigs []Contig) string {
 // byte-identical must leave every line alone. Regenerate with `go test
 // -run CorpusGolden -update ./internal/assembly` only after a change
 // that is meant to move contigs.
+//
+// The corpus is assembled twice, on one core and on four, and both
+// must match: the pool inside a cluster may not move a byte, and the
+// four-core pass runs anchor alignments and fits side by side under
+// the race detector on any host.
 func TestAssembleCorpusGolden(t *testing.T) {
-	var got bytes.Buffer
-	for _, in := range corpus {
-		reads := in.reads(rand.New(rand.NewSource(in.seed)))
-		st := seq.NewStore(reads)
-		contigs := AssembleCluster(st, members(st), DefaultConfig())
-		fmt.Fprintf(&got, "%s reads=%d contigs=%d %s\n", in.name, len(reads), len(contigs), hashContigs(contigs))
-	}
-	golden := filepath.Join("testdata", "corpus.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var got bytes.Buffer
+		for _, in := range corpus {
+			reads := in.reads(rand.New(rand.NewSource(in.seed)))
+			st := seq.NewStore(reads)
+			contigs := AssembleCluster(st, members(st), DefaultConfig())
+			fmt.Fprintf(&got, "%s reads=%d contigs=%d %s\n", in.name, len(reads), len(contigs), hashContigs(contigs))
 		}
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		golden := filepath.Join("testdata", "corpus.golden")
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("contigs drifted from golden.\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("GOMAXPROCS %d: contigs drifted from golden.\n--- got ---\n%s--- want ---\n%s", procs, got.Bytes(), want)
+		}
 	}
 }
 
@@ -134,5 +145,53 @@ func BenchmarkAssembleCluster(b *testing.B) {
 	}
 }
 
-// benchContigs keeps the benchmarked call from being optimised away.
-var benchContigs []Contig
+// BenchmarkAssembleStages times the three stages of
+// BenchmarkAssembleCluster's cluster apart, each on the previous stage's
+// output: overlap detection, layout, and consensus over every layout
+// group. With -cpu 1,2 it shows which stages the pool spreads.
+func BenchmarkAssembleStages(b *testing.B) {
+	st := seq.NewStore(wgsLike(rand.New(rand.NewSource(1))))
+	m := members(st)
+	cfg := DefaultConfig()
+	reads := make([][]byte, len(m))
+	lengths := make([]int, len(m))
+	for i, fid := range m {
+		reads[i] = st.Seq(fid)
+		lengths[i] = len(reads[i])
+	}
+	seqs, rcs := strands(reads)
+	get := func(i int, rev bool) []byte {
+		if rev {
+			return rcs[i]
+		}
+		return seqs[i]
+	}
+	var stop atomic.Bool
+	overlaps := findOverlaps(seqs, rcs, cfg, &stop)
+	layout := buildLayout(len(m), lengths, overlaps, cfg)
+	b.Run("overlap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchOverlaps = findOverlaps(seqs, rcs, cfg, &stop)
+		}
+	})
+	b.Run("layout", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchLayout = buildLayout(len(m), lengths, overlaps, cfg)
+		}
+	})
+	b.Run("consensus", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, group := range layout {
+				benchContigs = append(benchContigs[:0], consensus(group, m, get, cfg, &stop))
+			}
+		}
+	})
+}
+
+// benchContigs, benchOverlaps and benchLayout keep the benchmarked calls
+// from being optimised away.
+var (
+	benchContigs  []Contig
+	benchOverlaps []overlap
+	benchLayout   [][]placed
+)

@@ -3,6 +3,7 @@ package assembly
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -59,23 +60,26 @@ type attemptResult struct {
 
 // assembleCluster is the assembler attemptCluster guards; tests swap in
 // one that blocks, so a deadline never races a fast host.
-var assembleCluster = AssembleCluster
+var assembleCluster = assemble
 
 // attemptCluster runs one assembly attempt with panic containment and
-// an optional wall deadline. On deadline the attempt's goroutine is
-// abandoned (it parks its result in a buffered channel and exits).
-// The assembler is read here, not in the goroutine: an abandoned
-// attempt must not race a test restoring the hook.
+// an optional wall deadline. On deadline the attempt's stop flag is set
+// and its goroutine abandoned: the assembler stops aligning within one
+// batch, parks its result in a buffered channel and exits, so it does
+// not hold every core while the retry runs. The assembler is read
+// here, not in the goroutine: an abandoned attempt must not race a test
+// restoring the hook.
 func attemptCluster(store seq.Seqs, members []int, cfg Config, deadline time.Duration) ([]Contig, error) {
 	ch := make(chan attemptResult, 1)
-	assemble := assembleCluster
+	run := assembleCluster
+	stop := new(atomic.Bool)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				ch <- attemptResult{err: fmt.Errorf("assembler panic: %v", r)}
 			}
 		}()
-		ch <- attemptResult{contigs: assemble(store, members, cfg)}
+		ch <- attemptResult{contigs: run(store, members, cfg, stop)}
 	}()
 	if deadline <= 0 {
 		r := <-ch
@@ -87,6 +91,7 @@ func attemptCluster(store seq.Seqs, members []int, cfg Config, deadline time.Dur
 	case r := <-ch:
 		return r.contigs, r.err
 	case <-t.C:
+		stop.Store(true)
 		return nil, fmt.Errorf("assembler exceeded %v deadline", deadline)
 	}
 }

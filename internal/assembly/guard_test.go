@@ -2,9 +2,12 @@ package assembly
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/align"
 	"repro/internal/obs"
 	"repro/internal/seq"
 	"repro/internal/simulate"
@@ -51,15 +54,18 @@ func TestGuardDeadlineQuarantines(t *testing.T) {
 	tr := obs.NewTracer(1, 0)
 	reg := obs.NewRegistry()
 	// Every attempt hangs until the test is over, so the deadline
-	// decides each one however fast the real assembler is.
+	// decides each one however fast the real assembler is. Each hands
+	// over its stop flag, which the deadline must have set.
 	release := make(chan struct{})
-	assembleCluster = func(seq.Seqs, []int, Config) []Contig {
+	stops := make(chan *atomic.Bool, 3)
+	assembleCluster = func(_ seq.Seqs, _ []int, _ Config, stop *atomic.Bool) []Contig {
+		stops <- stop
 		<-release
 		return nil
 	}
 	t.Cleanup(func() {
 		close(release)
-		assembleCluster = AssembleCluster
+		assembleCluster = assemble
 	})
 	g := Guard{Retries: 2, Backoff: time.Microsecond, Deadline: 10 * time.Millisecond, Trace: tr, Metrics: reg}
 	contigs, out := AssembleClusterGuarded(st, 7, members, Config{}, g)
@@ -75,6 +81,11 @@ func TestGuardDeadlineQuarantines(t *testing.T) {
 		}
 		if string(c.Bases) != string(st.Fragment(members[i]).Bases) {
 			t.Fatalf("singleton %d lost bases", i)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		if !(<-stops).Load() {
+			t.Errorf("attempt %d was abandoned with its stop flag clear", k)
 		}
 	}
 	var retries, quarantines int
@@ -125,4 +136,66 @@ func TestGuardAllOutcomesOrdered(t *testing.T) {
 			t.Errorf("cluster %d outcome %+v", i, o)
 		}
 	}
+}
+
+// TestStoppedAttemptAlignsNoFurtherAnchor: once an attempt's stop flag
+// is set, no anchor alignment starts. Only those already running
+// finish, at most one per other pool goroutine, and the attempt
+// returns no contigs. The flag is set from inside the stopAt-th
+// alignment, so the bound holds however the goroutines are scheduled.
+func TestStoppedAttemptAlignsNoFurtherAnchor(t *testing.T) {
+	st := seq.NewStore(wgsLike(rand.New(rand.NewSource(1))))
+	m := members(st)
+	t.Cleanup(func() { alignAnchor = align.AnchoredOverlap })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// run assembles on procs cores, setting the stop flag inside the
+	// stopAt-th alignment (never, for 0), and counts the alignments.
+	run := func(procs int, stopAt int64) (int64, []Contig) {
+		runtime.GOMAXPROCS(procs)
+		var stop atomic.Bool
+		var aligned atomic.Int64
+		alignAnchor = func(a, b []byte, apos, bpos, mlen, band int, sc align.Scoring) (align.Result, bool) {
+			if aligned.Add(1) == stopAt {
+				stop.Store(true)
+			}
+			return align.AnchoredOverlap(a, b, apos, bpos, mlen, band, sc)
+		}
+		contigs := assemble(st, m, DefaultConfig(), &stop)
+		return aligned.Load(), contigs
+	}
+	const stopAt = 100
+	if n, contigs := run(1, 0); contigs == nil || n < 10*stopAt {
+		t.Fatalf("a full run aligned %d anchors into %d contigs", n, len(contigs))
+	}
+	for _, procs := range []int{1, 4} {
+		n, contigs := run(procs, stopAt)
+		if contigs != nil {
+			t.Errorf("GOMAXPROCS %d: a stopped attempt returned %d contigs", procs, len(contigs))
+		}
+		if n < stopAt || n > stopAt+int64(procs-1) {
+			t.Errorf("GOMAXPROCS %d: %d anchors aligned, want %d to %d", procs, n, stopAt, stopAt+procs-1)
+		}
+	}
+}
+
+// TestParallelForRaisesPanicOnCaller: a panic in a pool goroutine is
+// re-raised on the calling goroutine, where the guard contains it,
+// instead of killing the process.
+func TestParallelForRaisesPanicOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var stop atomic.Bool
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v, want the fn's panic", r)
+		}
+		if !stop.Load() {
+			t.Error("a panicking pool left its stop flag clear")
+		}
+	}()
+	parallelFor(64, &stop, func(k int) {
+		if k == 5 {
+			panic("boom")
+		}
+	})
+	t.Error("parallelFor returned normally")
 }

@@ -3,6 +3,7 @@ package assembly
 import (
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/align"
@@ -119,7 +120,7 @@ func TestFindOverlapsMatchesReference(t *testing.T) {
 	check := func(c overlapCase) []overlap {
 		t.Helper()
 		seqs, rcs := strands(c.reads)
-		got := findOverlaps(seqs, rcs, c.cfg)
+		got := findOverlaps(seqs, rcs, c.cfg, new(atomic.Bool))
 		if want := referenceFindOverlaps(seqs, rcs, c.cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s (W %d, band %d, bucket cap %d): got %+v, reference %+v",
 				c.name, c.cfg.W, c.cfg.Band, c.cfg.MaxSeedBucket, got, want)
@@ -200,7 +201,7 @@ func FuzzFindOverlaps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := fuzzOverlapCase(data)
 		seqs, rcs := strands(c.reads)
-		got := findOverlaps(seqs, rcs, c.cfg)
+		got := findOverlaps(seqs, rcs, c.cfg, new(atomic.Bool))
 		if want := referenceFindOverlaps(seqs, rcs, c.cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v: got %+v, reference %+v", c, got, want)
 		}
