@@ -29,8 +29,11 @@ flake-check:
 	GOMAXPROCS=1 $(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
 	$(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
 
+# The pool and everything that runs on it: the GST bucket build and
+# pair generation's first pass split a forest across goroutines, and
+# their identity tests run at GOMAXPROCS 4 on any host.
 race:
-	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/obs/collector ./cmd/asmprof ./internal/align ./internal/assembly
+	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/obs/collector ./cmd/asmprof ./internal/align ./internal/assembly ./internal/pool ./internal/suffixtree ./internal/pairgen ./internal/pgst
 
 # Race detector over the concurrency-heavy packages the simulation
 # harness exercises (runtime, clustering protocol, GST build, harness).

@@ -13,12 +13,12 @@
 package assembly
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/align"
+	"repro/internal/pool"
 	"repro/internal/seq"
 	"repro/internal/suffixtree"
 )
@@ -154,52 +154,6 @@ const batchSize = 256
 // runs inline.
 const minParallel = 8
 
-// parallelFor runs fn(k) for every k in [0, n) on up to GOMAXPROCS
-// goroutines, the caller's included, each taking the next k from a
-// shared counter. Once stop is set no further k starts, so the call
-// returns after the fn calls already running. A panic in any fn sets
-// stop and is re-raised on the caller, where the guard contains it.
-func parallelFor(n int, stop *atomic.Bool, fn func(k int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if n < minParallel || workers < 2 {
-		for k := 0; k < n && !stop.Load(); k++ {
-			fn(k)
-		}
-		return
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		once     sync.Once
-		panicked any
-	)
-	work := func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				once.Do(func() { panicked = r })
-				stop.Store(true)
-			}
-		}()
-		for !stop.Load() {
-			k := int(next.Add(1) - 1)
-			if k >= n {
-				return
-			}
-			fn(k)
-		}
-	}
-	wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work()
-	}
-	work()
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
 // AssembleAll farms clusters across `workers` goroutines and returns
 // per-cluster contigs in input order.
 func AssembleAll(store seq.Seqs, clusters [][]int, cfg Config, workers int) [][]Contig {
@@ -266,7 +220,7 @@ var alignAnchor = align.AnchoredOverlap
 // The walk decides what to skip from the matches already extended,
 // never from an alignment, so anchors can be collected before they are
 // aligned. The walk records them in walk order, a batch at a time;
-// parallelFor aligns the batch on every core; a fold in anchor order
+// pool.For aligns the batch on every core; a fold in anchor order
 // keeps each pair's first best score exactly as one goroutine would.
 func findOverlaps(seqs, rcs [][]byte, cfg Config, stop *atomic.Bool) []overlap {
 	w := cfg.W
@@ -293,7 +247,7 @@ func findOverlaps(seqs, rcs [][]byte, cfg Config, stop *atomic.Bool) []overlap {
 	batch := make([]anchor, 0, batchSize)
 	outs := make([]anchorOutcome, batchSize)
 	flush := func() {
-		parallelFor(len(batch), stop, func(k int) {
+		pool.For(len(batch), minParallel, stop, func(k int) {
 			a := batch[k]
 			sb := seqs[a.rb]
 			if a.rev {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/align"
+	"repro/internal/pool"
 	"repro/internal/seq"
 )
 
@@ -15,7 +16,7 @@ import (
 // most sequencing errors wherever coverage exceeds one.
 //
 // The backbone is fixed before any read is fitted and votes are integer
-// sums, so the fits run on parallelFor and their votes are applied in
+// sums, so the fits run on pool.For and their votes are applied in
 // group order. Once stop is set the contig is abandoned; the caller
 // discards it.
 func consensus(group []placed, members []int, get func(i int, rev bool) []byte, cfg Config, stop *atomic.Bool) Contig {
@@ -57,7 +58,7 @@ func consensus(group []placed, members []int, get func(i int, rev bool) []byte, 
 		ok bool
 	}
 	fits := make([]fit, len(group))
-	parallelFor(len(group), stop, func(k int) {
+	pool.For(len(group), minParallel, stop, func(k int) {
 		p := group[k]
 		b := get(p.read, p.rev)
 		lo := p.off - cfg.OffsetSlack

@@ -177,25 +177,3 @@ func TestStoppedAttemptAlignsNoFurtherAnchor(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelForRaisesPanicOnCaller: a panic in a pool goroutine is
-// re-raised on the calling goroutine, where the guard contains it,
-// instead of killing the process.
-func TestParallelForRaisesPanicOnCaller(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	var stop atomic.Bool
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Errorf("recovered %v, want the fn's panic", r)
-		}
-		if !stop.Load() {
-			t.Error("a panicking pool left its stop flag clear")
-		}
-	}()
-	parallelFor(64, &stop, func(k int) {
-		if k == 5 {
-			panic("boom")
-		}
-	})
-	t.Error("parallelFor returned normally")
-}

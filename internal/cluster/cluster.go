@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"repro/internal/align"
+	"repro/internal/obs"
+	"repro/internal/obs/prof"
 	"repro/internal/pairgen"
 	"repro/internal/pgst"
 	"repro/internal/seq"
@@ -241,7 +243,9 @@ func acceptOverlap(uf *unionfind.UF, st *Stats, maxCluster, fa, fb int) bool {
 }
 
 // Serial clusters the store's fragments with the Fig. 3 strategy on a
-// single processor.
+// single rank. Its GST buckets and the first pass of pair generation
+// are built on every core; alignments and merges run in pair order on
+// the caller's goroutine.
 func Serial(store seq.Seqs, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	start := time.Now()
@@ -267,10 +271,18 @@ func Serial(store seq.Seqs, cfg Config) *Result {
 		}
 		return true
 	}
+	// Profile labels name the spans as par names them on a rank: the
+	// sweep's builds are gst, each forest's pairs pairgen. The pools the
+	// builds and the first pass start inherit them.
+	gst, pg := obs.PhaseName(obs.PhaseGST), obs.PhaseName(obs.PhasePairGen)
+	prof.ApplyLabels(0, gst)
 	serialSweep(store, cfg, cfg.MemBudget, func(t *suffixtree.Tree) bool {
+		prof.ApplyLabels(0, pg)
 		pairgen.Generate(t, pgCfg, process)
+		prof.ApplyLabels(0, gst)
 		return true
 	})
+	prof.ApplyLabels(0, obs.PhaseName(obs.PhaseCluster))
 	st.WallSeconds = time.Since(start).Seconds()
 	return &Result{N: store.N(), UF: uf, Stats: st}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/pgst"
 	"repro/internal/seq"
@@ -111,9 +112,37 @@ func (st Stats) add(o Stats) Stats {
 // multi-segment sweep. A change to pair generation meant to keep the
 // stream must leave every line alone; regenerate with `go test -run
 // CorpusGolden -update ./internal/pairgen` only after a change meant to
-// move it.
+// move it. Every stream is generated in each of splits, so the golden
+// also holds whatever the core count.
 func TestGenerateCorpusGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "corpus.golden")
+	for i, sp := range splits {
+		var got []byte
+		sp.run(func() { got = corpusStreams(t) })
+		if *update && i == 0 {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: pair stream drifted from golden.\n--- got ---\n%s--- want ---\n%s", sp, got, want)
+		}
+	}
+}
+
+// corpusStreams renders every stream TestGenerateCorpusGolden pins, and
+// fails t unless one of its forests is large enough for the first pass
+// to split on four cores at its own chunk minimum.
+func corpusStreams(t *testing.T) []byte {
 	var got bytes.Buffer
+	largest := 0
 	for _, in := range corpus {
 		st := seq.NewStore(in.reads(rand.New(rand.NewSource(in.seed))))
 		for _, c := range corpusConfigs {
@@ -122,6 +151,7 @@ func TestGenerateCorpusGolden(t *testing.T) {
 				tree = f
 				return true
 			})
+			largest = max(largest, tree.NumNodes())
 			for _, dedup := range []bool{false, true} {
 				cfg := Config{Psi: c.psi, NumFragments: st.N(), DuplicateElimination: dedup}
 				h := newStreamHash()
@@ -149,23 +179,10 @@ func TestGenerateCorpusGolden(t *testing.T) {
 		return true
 	})
 	fmt.Fprintf(&got, "env-3 sweep segments=%d %+v %s\n", segs, total, h)
-
-	golden := filepath.Join("testdata", "corpus.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if largest < 4*minChunkNodes {
+		t.Fatalf("largest forest has %d nodes: none splits in four; weak test", largest)
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("pair stream drifted from golden.\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
-	}
+	return got.Bytes()
 }
 
 // BenchmarkGenerate generates every pair of one wgs_serial-shaped
@@ -173,6 +190,36 @@ func TestGenerateCorpusGolden(t *testing.T) {
 // and reports the cost per forest node. Run with -benchmem: bytes and
 // allocations per forest are half the story.
 func BenchmarkGenerate(b *testing.B) {
+	tree, cfg := benchForest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchStats = Generate(tree, cfg, func(Pair) bool { return true })
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tree.NumNodes()), "ns/node")
+}
+
+// BenchmarkGenerateStages times BenchmarkGenerate's two passes apart:
+// collect-ms is the first pass (split across cores), emit-ms the
+// second (on the caller's goroutine).
+func BenchmarkGenerateStages(b *testing.B) {
+	tree, cfg := benchForest()
+	var collect, emit time.Duration
+	for i := 0; i < b.N; i++ {
+		g := &generator{tree: tree, cfg: cfg, yield: func(Pair) bool { return true }}
+		t0 := time.Now()
+		g.firstPass()
+		t1 := time.Now()
+		g.emitAll()
+		collect, emit = collect+t1.Sub(t0), emit+time.Since(t1)
+		benchStats = g.stats
+	}
+	b.ReportMetric(float64(collect.Microseconds())/1e3/float64(b.N), "collect-ms")
+	b.ReportMetric(float64(emit.Microseconds())/1e3/float64(b.N), "emit-ms")
+}
+
+// benchForest is the forest and configuration of BenchmarkGenerate.
+func benchForest() (*suffixtree.Tree, Config) {
 	l := 8000.0
 	rng := rand.New(rand.NewSource(1))
 	g := simulate.NewGenome(rng, "wgs", simulate.GenomeConfig{
@@ -188,13 +235,7 @@ func BenchmarkGenerate(b *testing.B) {
 		tree = f
 		return true
 	})
-	cfg := Config{Psi: 20, NumFragments: st.N(), DuplicateElimination: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchStats = Generate(tree, cfg, func(Pair) bool { return true })
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tree.NumNodes()), "ns/node")
+	return tree, Config{Psi: 20, NumFragments: st.N(), DuplicateElimination: true}
 }
 
 // benchStats keeps the benchmarked call from being optimised away.

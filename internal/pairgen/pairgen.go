@@ -33,6 +33,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/pool"
 	"repro/internal/suffixtree"
 )
 
@@ -76,17 +77,52 @@ type Stats struct {
 // maximal-match length. Generation stops early if yield returns false.
 // The forest must number its nodes in preorder, as IncrementalBuilder
 // does; Generate panics on one that does not.
+//
+// The first pass runs on every core: buckets are independent, so
+// contiguous runs of them (node ranges between roots) are collected
+// side by side and merged (merge). The second pass, and so every call
+// of yield, is on the caller's goroutine.
 func Generate(tree *suffixtree.Tree, cfg Config, yield func(Pair) bool) Stats {
 	if cfg.Psi < tree.W {
 		panic("pairgen: ψ must be ≥ the tree bucket prefix length w")
 	}
 	g := &generator{tree: tree, cfg: cfg, yield: yield}
-	if cfg.DuplicateElimination {
-		g.seen = make([]bool, 2*cfg.NumFragments)
-	}
-	g.collect()
+	g.firstPass()
 	g.emitAll()
 	return g.stats
+}
+
+// firstPass collects the forest's node ranges (chunkCuts) side by side
+// and merges them.
+func (g *generator) firstPass() {
+	cuts := chunkCuts(g.tree)
+	parts := make([]*generator, len(cuts)-1)
+	pool.For(len(parts), 2, nil, func(k int) {
+		parts[k] = &generator{tree: g.tree, cfg: g.cfg}
+		parts[k].collect(cuts[k], cuts[k+1])
+	})
+	g.merge(parts)
+}
+
+// minChunkNodes is the fewest nodes Generate's first pass hands one
+// goroutine: below twice as many it runs on the caller alone. A
+// variable only so tests can split small forests.
+var minChunkNodes = 8192
+
+// chunkCuts splits the forest's node IDs into contiguous ranges
+// [cuts[k], cuts[k+1]) of about equal size, one per core
+// (pool.Chunks), each cut at a bucket root: a preorder forest numbers
+// a bucket's nodes from its root up to the next root.
+func chunkCuts(t *suffixtree.Tree) []int32 {
+	n := len(t.Nodes)
+	chunks := pool.Chunks(n, minChunkNodes)
+	cuts := []int32{0}
+	for _, r := range t.Roots {
+		if k := len(cuts); k < chunks && int(r) >= k*n/chunks && r > cuts[k-1] {
+			cuts = append(cuts, r)
+		}
+	}
+	return append(cuts, int32(n))
 }
 
 const numClasses = suffixtree.NumPrevClasses
@@ -137,11 +173,15 @@ type generator struct {
 	emitters []emitter
 }
 
-// collect is the first pass: it walks node IDs downwards, forming each
-// node's lsets from its children's blocks, and records the emitters.
-func (g *generator) collect() {
+// collect is the first pass over the node IDs [lo, hi): it walks them
+// downwards, forming each node's lsets from its children's blocks, and
+// records the emitters.
+func (g *generator) collect(lo, hi int32) {
+	if g.cfg.DuplicateElimination {
+		g.seen = make([]bool, 2*g.cfg.NumFragments)
+	}
 	t := g.tree
-	for u := int32(len(t.Nodes)) - 1; u >= 0; u-- {
+	for u := hi - 1; u >= lo; u-- {
 		n := &t.Nodes[u]
 		if n.FirstChild == suffixtree.NoNode {
 			g.leaf(u, n)
@@ -152,6 +192,63 @@ func (g *generator) collect() {
 			g.pop(len(g.blocks) - 1) // a bucket root's lsets feed nothing
 		}
 	}
+}
+
+// merge takes the first-pass results of parts, which collected
+// ascending node ranges, as if one walk had collected them all. The
+// walk meets higher IDs first, so an emitter's count of the nodes met
+// before it in its slot grows by the slot counts of every later part.
+// The part that retained most keeps its arrays and takes the others'
+// in, offsetting their list and emitter bounds, so only the smaller
+// parts are copied; the order of emitters does not matter, emitAll
+// ranks them.
+func (g *generator) merge(parts []*generator) {
+	for k := len(parts) - 1; k >= 0; k-- {
+		p := parts[k]
+		for i := range p.emitters {
+			if e := &p.emitters[i]; int(e.depth) < len(g.slots) {
+				e.pos += g.slots[e.depth][kind(e.leaf)]
+			}
+		}
+		for d, c := range p.slots {
+			if d == len(g.slots) {
+				g.slots = append(g.slots, [2]int64{})
+			}
+			g.slots[d][0] += c[0]
+			g.slots[d][1] += c[1]
+		}
+	}
+	big := 0
+	for k, p := range parts {
+		if len(p.retained) > len(parts[big].retained) {
+			big = k
+		}
+	}
+	g.retained, g.lists, g.emitters = parts[big].retained, parts[big].lists, parts[big].emitters
+	for k, p := range parts {
+		if k == big {
+			continue
+		}
+		for i := range p.lists {
+			p.lists[i].lo += int32(len(g.retained))
+			p.lists[i].hi += int32(len(g.retained))
+		}
+		for i := range p.emitters {
+			p.emitters[i].lo += int32(len(g.lists))
+			p.emitters[i].hi += int32(len(g.lists))
+		}
+		g.retained = append(g.retained, p.retained...)
+		g.lists = append(g.lists, p.lists...)
+		g.emitters = append(g.emitters, p.emitters...)
+	}
+}
+
+// kind is the slot index of a leaf (0) or internal node (1).
+func kind(leaf bool) int {
+	if leaf {
+		return 0
+	}
+	return 1
 }
 
 // tops returns the stack heights: the start of a block pushed now.
@@ -334,11 +431,7 @@ func (g *generator) emitAll() {
 	}
 	for i := range g.emitters {
 		e := &g.emitters[i]
-		k := 1
-		if e.leaf {
-			k = 0
-		}
-		e.pos = g.slots[e.depth][k] - e.pos
+		e.pos = g.slots[e.depth][kind(e.leaf)] - e.pos
 	}
 	slices.SortFunc(g.emitters, func(a, b emitter) int { return cmp.Compare(a.pos, b.pos) })
 	g.stats.NodesVisited = total

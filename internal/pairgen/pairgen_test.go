@@ -519,28 +519,62 @@ func checkMatchesReference(t *testing.T, tree *suffixtree.Tree, cfg Config, stop
 		})
 		return pairs, st
 	}
-	got, gotStats := run(Generate)
 	want, wantStats := run(referenceGenerate)
-	if !slices.Equal(got, want) || gotStats != wantStats {
-		i := 0
-		for i < min(len(got), len(want)) && got[i] == want[i] {
-			i++
+	for _, sp := range splits {
+		var got []Pair
+		var gotStats Stats
+		sp.run(func() { got, gotStats = run(Generate) })
+		if !slices.Equal(got, want) || gotStats != wantStats {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%v: %+v stop %d: %d pairs %+v, reference %d pairs %+v; first difference at %d",
+				sp, cfg, stopAt, len(got), gotStats, len(want), wantStats, i)
 		}
-		t.Fatalf("%+v stop %d: %d pairs %+v, reference %d pairs %+v; first difference at %d",
-			cfg, stopAt, len(got), gotStats, len(want), wantStats, i)
 	}
+}
+
+// split is one way of running Generate: on procs cores, handing a
+// goroutine no fewer than minChunk nodes of the first pass.
+type split struct{ procs, minChunk int }
+
+// splits are the ways the identity tests generate every stream: on one
+// core, on four at the product's chunk minimum, and on four with every
+// forest of two or more nodes split.
+var splits = []split{{1, 0}, {4, 0}, {4, 1}}
+
+func (sp split) String() string {
+	return fmt.Sprintf("GOMAXPROCS %d, min chunk %d", sp.procs, sp.minChunk)
+}
+
+// run calls fn with GOMAXPROCS and minChunkNodes set (0: the product's
+// minimum), then restores both.
+func (sp split) run(fn func()) {
+	defer func(procs, minChunk int) {
+		runtime.GOMAXPROCS(procs)
+		minChunkNodes = minChunk
+	}(runtime.GOMAXPROCS(sp.procs), minChunkNodes)
+	if sp.minChunk > 0 {
+		minChunkNodes = sp.minChunk
+	}
+	fn()
 }
 
 // TestGenerateMatchesReference: on random masked inputs, some built of
 // repeated motifs so that duplicate elimination drops suffixes, the
 // two-pass generator yields the reference's stream and Stats with
 // duplicate elimination on and off, with ψ = w and ψ > w, run to the
-// end and stopped after a random number of pairs.
+// end and stopped after a random number of pairs, in every one of
+// splits. The last trial shotguns a genome into a forest that the
+// first pass splits at its own chunk minimum on four cores.
 func TestGenerateMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial <= 60; trial++ {
 		var frags []string
-		if trial%2 == 0 {
+		if trial == 60 {
+			frags = shotgunFrags(rng)
+		} else if trial%2 == 0 {
 			frags = randomFrags(rng, 3+rng.Intn(8), 15, 80, []float64{0, 0.03}[trial/2%2])
 		} else {
 			motifs := randomFrags(rng, 2+rng.Intn(3), 6, 14, 0.02)
@@ -553,7 +587,13 @@ func TestGenerateMatchesReference(t *testing.T) {
 		}
 		st := makeStore(frags...)
 		w := 2 + rng.Intn(4)
+		if trial == 60 {
+			w = 8
+		}
 		tree := buildTree(st, w)
+		if trial == 60 && tree.NumNodes() < 4*minChunkNodes {
+			t.Fatalf("%d nodes: the first pass does not split in four; weak test", tree.NumNodes())
+		}
 		for _, psi := range []int{w, w + 1 + rng.Intn(4)} {
 			for _, dedup := range []bool{false, true} {
 				cfg := Config{Psi: psi, NumFragments: st.N(), DuplicateElimination: dedup}
@@ -563,6 +603,62 @@ func TestGenerateMatchesReference(t *testing.T) {
 					checkMatchesReference(t, tree, cfg, 1+rng.Intn(len(all)))
 				}
 			}
+		}
+	}
+}
+
+// shotgunFrags samples 60 reads of 200–300 bases from a 3 kbp genome:
+// at w = 8, a forest the first pass splits in four at its own chunk
+// minimum.
+func shotgunFrags(rng *rand.Rand) []string {
+	genome := randomFrags(rng, 1, 3000, 3000, 0.002)[0]
+	var frags []string
+	for range 60 {
+		at := rng.Intn(len(genome) - 300)
+		frags = append(frags, genome[at:at+200+rng.Intn(100)])
+	}
+	return frags
+}
+
+// TestNonPreorderForestPanicsOnCaller: a forest one of whose buckets
+// is numbered root last makes Generate panic with its preorder message
+// on the calling goroutine, where a deferred recover contains it, when
+// the first pass runs on one core and when it is split, so a bad
+// forest cannot kill the process from a pool goroutine.
+func TestNonPreorderForestPanicsOnCaller(t *testing.T) {
+	st := makeStore(shotgunFrags(rand.New(rand.NewSource(52)))...)
+	tree := buildTree(st, 8)
+	// Renumber the last bucket with an internal root in reverse.
+	a := len(tree.Roots) - 1
+	for tree.IsLeaf(tree.Roots[a]) {
+		a--
+	}
+	lo, hi := tree.Roots[a], int32(tree.NumNodes())
+	if a+1 < len(tree.Roots) {
+		hi = tree.Roots[a+1]
+	}
+	bad := tree.Clone()
+	re := func(id int32) int32 {
+		if id >= lo && id < hi {
+			return lo + hi - 1 - id
+		}
+		return id
+	}
+	for id := lo; id < hi; id++ {
+		n := tree.Nodes[id]
+		n.Parent, n.FirstChild, n.NextSib = re(n.Parent), re(n.FirstChild), re(n.NextSib)
+		bad.Nodes[re(id)] = n
+	}
+	bad.Roots[a] = re(bad.Roots[a])
+	cfg := Config{Psi: 10, NumFragments: st.N(), DuplicateElimination: true}
+	for _, sp := range splits {
+		var recovered any
+		sp.run(func() {
+			defer func() { recovered = recover() }()
+			Generate(bad, cfg, func(Pair) bool { return true })
+		})
+		if recovered != "pairgen: forest nodes are not numbered in preorder" {
+			t.Fatalf("%v: recovered %v, want the preorder panic", sp, recovered)
 		}
 	}
 }

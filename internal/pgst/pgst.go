@@ -27,6 +27,7 @@ package pgst
 import (
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"repro/internal/obs"
@@ -517,6 +518,25 @@ func newStoreTable(st seq.Seqs) *seqTable {
 		}
 	}
 	return t
+}
+
+// workerTables returns the per-worker Access of an AddKeyed over st:
+// worker k reads through a bounded table of its own, made on first use
+// and kept for every later call, so no table is shared between
+// goroutines. The workers, at most one per core, split seqTableBytes
+// between them, so a sweep's decoded bases stay under one cap whatever
+// the core count.
+func workerTables(st seq.Seqs) func(worker int) suffixtree.Access {
+	var tables []*seqTable
+	share := seqTableBytes / runtime.GOMAXPROCS(0)
+	return func(k int) suffixtree.Access {
+		for len(tables) <= k {
+			t := newStoreTable(st)
+			t.maxBytes = share
+			tables = append(tables, t)
+		}
+		return tables[k].Seq
+	}
 }
 
 // newFetchTable returns the table of the distributed build, filled per

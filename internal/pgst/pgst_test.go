@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pairgen"
@@ -435,11 +437,13 @@ func TestSeqTable(t *testing.T) {
 	strict.Seq(1)
 }
 
-// TestBuildHoldsTwoSequences: the builder keeps at most two sequence
-// slices in hand at a time, so an access table over a disk store that
-// may forget everything but about two reads' bytes on any lookup still
-// yields the serial forest node for node.
+// TestBuildHoldsTwoSequences: each builder worker keeps at most two
+// sequence slices in hand at a time and reads only through its own
+// table, so access tables over a disk store that may forget everything
+// but about two reads' bytes on any lookup still yield the serial
+// forest node for node, on one core and split across four.
 func TestBuildHoldsTwoSequences(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	mem := testStore(10, 4000, 3.0)
 	disk, err := diskstore.Create(t.TempDir(), mem.Fragments(), diskstore.Options{CacheBytes: 1})
 	if err != nil {
@@ -447,28 +451,44 @@ func TestBuildHoldsTwoSequences(t *testing.T) {
 	}
 	defer disk.Close()
 	cfg := Config{W: 6, MinLen: 8}
+	want := serialTree(mem, cfg.W, cfg.MinLen)
 
-	var ks []suffixtree.Keyed
-	suffixtree.Scan(disk, 0, disk.NumSeqs(), cfg.W, cfg.MinLen, nil, func(k suffixtree.Keyed) { ks = append(ks, k) })
-	tb := newStoreTable(disk)
-	tb.maxBytes = 2 * disk.TotalBases() / disk.N()
-	over := 0
-	access := func(sid int32) []byte {
-		s := tb.Seq(sid)
-		if tb.bytes > tb.maxBytes && len(tb.live) > 1 {
-			over++
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var ks []suffixtree.Keyed
+		suffixtree.Scan(disk, 0, disk.NumSeqs(), cfg.W, cfg.MinLen, nil, func(k suffixtree.Keyed) { ks = append(ks, k) })
+		var (
+			tables []*seqTable
+			over   atomic.Int64
+		)
+		access := func(k int) suffixtree.Access {
+			if k != len(tables) {
+				t.Fatalf("GOMAXPROCS %d: worker %d's access asked for after %d others", procs, k, len(tables))
+			}
+			tb := newStoreTable(disk)
+			tb.maxBytes = 2 * disk.TotalBases() / disk.N()
+			tables = append(tables, tb)
+			return func(sid int32) []byte {
+				s := tb.Seq(sid)
+				if tb.bytes > tb.maxBytes && len(tb.live) > 1 {
+					over.Add(1)
+				}
+				return s
+			}
 		}
-		return s
-	}
-	ib := suffixtree.NewIncrementalBuilder(cfg.W)
-	if ib.AddKeyed(access, ks) == 0 || tb.bytes == 0 {
-		t.Fatal("nothing built; weak test")
-	}
-	if over > 0 {
-		t.Fatalf("%d lookups left more than %d bytes in more than one sequence resident", over, tb.maxBytes)
-	}
-	if want := serialTree(mem, cfg.W, cfg.MinLen); !reflect.DeepEqual(ib.Tree(), want) {
-		t.Fatalf("forest through a two-read table differs from the serial tree (%d vs %d nodes)",
-			ib.Tree().NumNodes(), want.NumNodes())
+		ib := suffixtree.NewIncrementalBuilder(cfg.W)
+		if ib.AddKeyed(access, ks) == 0 || tables[0].bytes == 0 {
+			t.Fatal("nothing built; weak test")
+		}
+		if procs > 1 && len(tables) < 2 {
+			t.Fatalf("GOMAXPROCS %d: %d worker tables over %d suffixes; the build did not split", procs, len(tables), len(ks))
+		}
+		if n := over.Load(); n > 0 {
+			t.Fatalf("GOMAXPROCS %d: %d lookups left more than %d bytes in more than one sequence resident", procs, n, tables[0].maxBytes)
+		}
+		if !reflect.DeepEqual(ib.Tree(), want) {
+			t.Fatalf("GOMAXPROCS %d: forest through two-read tables differs from the serial tree (%d vs %d nodes)",
+				procs, ib.Tree().NumNodes(), want.NumNodes())
+		}
 	}
 }

@@ -312,26 +312,37 @@ func addBuildCost(cost float64, n int, chars int64) float64 {
 // a histogram scan plans the segments and a distribution scan writes
 // their runs (spillRuns); the first segment pays for both scans (an
 // empty range yields one empty forest to carry the first), and each
-// segment pays for sorting and building its run. Every trie reads bases
-// through one table, so the tries of a store that fits seqTableBytes
-// decode it once per sweep, not once per segment. A segment reuses the
-// run buffer and the forest storage of the one before it, so a sweep's
-// heap stops growing at its largest segment; a consumer must therefore
-// not keep a forest past its yield (Tree.Clone copies one). Returns
-// false if yield stopped the sweep.
+// segment pays for sorting and building its run. Each builder worker
+// reads bases through its own table (workerTables), so the tries of a
+// store that fits seqTableBytes decode it once per worker and sweep,
+// not once per segment. A segment reuses the run buffer and the forest
+// storage of the one before it, so a sweep's heap stops growing at its
+// largest segment; a consumer must therefore not keep a forest past its
+// yield (Tree.Clone copies one). Returns false if yield stopped the
+// sweep.
 func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree, float64) bool) bool {
 	scan := func(fn func(suffixtree.Keyed)) float64 {
 		return float64(suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own, fn)) * costChar
 	}
-	table := newStoreTable(st)
-	// One builder for every segment: its per-sequence table of last
-	// masked bytes is filled once per sweep, not once per segment.
+	access := workerTables(st)
+	// One builder for every segment: its per-sequence tables of last
+	// masked bytes are filled once per sweep, not once per segment.
 	ib := suffixtree.NewIncrementalBuilder(cfg.W)
 	if cfg.SpillBytes <= 0 {
 		var ks []suffixtree.Keyed
+		if own == nil {
+			// Every suffix at least MinLen long that Scan can yield; a
+			// filtered range keeps about one owner's share of them, so
+			// it grows instead.
+			n := 0
+			for sid := range st.NumSeqs() {
+				n += max(st.SeqLen(sid)-cfg.MinLen+1, 0)
+			}
+			ks = make([]suffixtree.Keyed, 0, n)
+		}
 		cost := scan(func(k suffixtree.Keyed) { ks = append(ks, k) })
 		n, before := len(ks), ib.Work()
-		ib.AddKeyed(table.Seq, ks)
+		ib.AddKeyed(access, ks)
 		return yield(ib.TakeTree(), addBuildCost(cost, n, ib.Work()-before))
 	}
 	shift := spillBinShift(cfg.W)
@@ -348,7 +359,7 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 	runs.seal()
 	for s, sg := range segs {
 		before := ib.Work()
-		ib.AddKeyed(table.Seq, runs.read(s, hist, shift))
+		ib.AddKeyed(access, runs.read(s, hist, shift))
 		cost = addBuildCost(cost, int(sg.n), ib.Work()-before)
 		t := ib.TakeTree()
 		if !yield(t, cost) {

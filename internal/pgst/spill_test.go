@@ -167,7 +167,7 @@ func TestBudgetedSweepChargesHistogram(t *testing.T) {
 				return bin >= sg.loBin && bin < sg.hiBin && own(k)
 			}, func(k suffixtree.Keyed) { ks = append(ks, k) })
 			ib := suffixtree.NewIncrementalBuilder(cfg.W)
-			ib.AddKeyed(newStoreTable(st).Seq, ks)
+			ib.AddKeyed(workerTables(st), ks)
 			want += float64(len(ks))*(costSuf+log2f(len(ks))*costSort) + float64(ib.Work())*costChar
 		}
 		if tc.empty && (len(segs) != 0 || segments != 1 || sufs != 0) {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/assembly"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs/prof"
 	"repro/internal/preprocess"
 	"repro/internal/seq"
 	"repro/internal/wire"
@@ -84,7 +85,11 @@ func Run(frags []*seq.Fragment, cfg Config) (_ *core.Result, err error) {
 			return false
 		}
 	}
+	// Every CPU sample of a phase carries its name, and so do the
+	// goroutines the phase starts; the label ends with the run.
+	defer prof.ClearLabels()
 	onPhase := func(p Phase) {
+		prof.ApplyLabels(0, string(p))
 		if cfg.OnPhase != nil {
 			cfg.OnPhase(p)
 		}

@@ -17,8 +17,11 @@ package suffixtree
 
 import (
 	"cmp"
+	"encoding/binary"
+	"math/bits"
 	"slices"
 
+	"repro/internal/pool"
 	"repro/internal/seq"
 )
 
@@ -201,7 +204,9 @@ func BucketKey(s []byte, pos, w int) (seq.Kmer, bool) {
 }
 
 // Build constructs the bucket forest for the given suffixes with
-// prefix length w. Suffixes whose w-window is invalid are dropped.
+// prefix length w. Suffixes whose w-window is invalid are dropped. The
+// buckets are built on every core, so access must be safe for
+// concurrent use.
 func Build(access Access, sufs []Suffix, w int) *Tree {
 	ks := make([]Keyed, 0, len(sufs))
 	for _, sf := range sufs {
@@ -210,7 +215,7 @@ func Build(access Access, sufs []Suffix, w int) *Tree {
 		}
 	}
 	ib := NewIncrementalBuilder(w)
-	ib.AddKeyed(access, ks)
+	ib.AddKeyed(func(int) Access { return access }, ks)
 	return ib.Tree()
 }
 
@@ -239,19 +244,44 @@ func EachRun(ks []Keyed, fn func(lo, hi int)) {
 // partitions its range of Sufs by next character, in the order its
 // children are created, so every leaf's suffixes already lie where the
 // leaf points and nothing is appended.
+//
+// Buckets are independent, so AddKeyed builds contiguous chunks of them
+// on every core, each on its own worker (see worker), and the forest is
+// the same node for node as one goroutine builds.
 type IncrementalBuilder struct {
-	tree   *Tree
-	access Access // of the bucket being built
+	tree *Tree
+	// workers[k] builds chunk k of an AddKeyed call; workers[0] also
+	// builds AddBucket's buckets and any AddKeyed call that is not split.
+	workers []*worker
+	ends    []int32 // where each bucket of an AddKeyed or AddBucket call ends in Sufs
+	cuts    []int   // chunk k of an AddKeyed call is buckets ends[cuts[k]:cuts[k+1]]
+}
+
+// worker builds buckets into a window of the forest's node array: node
+// ID base+i is nodes[i]. It has its own partition scratch, table of
+// last masked bytes, work count and Access, so workers share only the
+// Sufs and Nodes arrays, each writing its own disjoint ranges of them.
+type worker struct {
+	sufs   []Suffix // the forest's Sufs
+	nodes  []Node
+	base   int32
+	roots  []int32
+	w      int32
+	access Access // of the buckets being built
 	work   int64  // characters examined; exact construction work measure
 	// Partition scratch, as long as the largest bucket so far.
 	class []uint8  // child class of each suffix of the branching range
 	tmp   []Suffix // the range's stable partition, copied back
-	ends  []int32  // where each bucket of an AddKeyed call ends in Sufs
 	// basesFrom[sid]-1 is the index just past sequence sid's last masked
 	// byte, 0 while not yet looked up: from there on the sequence is all
 	// bases, so an edge that starts there runs to its end.
 	basesFrom []int32
 }
+
+// minChunkSuffixes is the fewest suffixes AddKeyed hands one worker:
+// below twice as many it builds on the calling goroutine alone. A
+// variable only so tests can split small forests.
+var minChunkSuffixes = 4096
 
 // NewIncrementalBuilder returns a builder for bucket prefix length w.
 func NewIncrementalBuilder(w int) *IncrementalBuilder {
@@ -262,8 +292,9 @@ func NewIncrementalBuilder(w int) *IncrementalBuilder {
 func (b *IncrementalBuilder) Tree() *Tree { return b.tree }
 
 // TakeTree returns the accumulated forest and starts an empty one. The
-// builder keeps its work count, scratch and per-sequence table, so the
-// segments of one sweep look each sequence's last masked byte up once.
+// builder keeps its work count, scratch and per-sequence tables, so the
+// segments of one sweep look each sequence's last masked byte up once
+// per worker.
 func (b *IncrementalBuilder) TakeTree() *Tree {
 	t := b.tree
 	b.tree = &Tree{W: t.W}
@@ -285,8 +316,15 @@ func (t *Tree) Clone() *Tree {
 }
 
 // Work returns the number of characters the builder has examined, an
-// exact measure of construction work for modeled-time accounting.
-func (b *IncrementalBuilder) Work() int64 { return b.work }
+// exact measure of construction work for modeled-time accounting: the
+// sum of its workers' counts, whatever the split.
+func (b *IncrementalBuilder) Work() int64 {
+	var n int64
+	for _, wk := range b.workers {
+		n += wk.work
+	}
+	return n
+}
 
 // Grow reserves room for n more suffixes and the fewer than 2n nodes
 // their tries can have (every leaf holds a suffix, every internal node
@@ -294,6 +332,14 @@ func (b *IncrementalBuilder) Work() int64 { return b.work }
 func (b *IncrementalBuilder) Grow(n int) {
 	b.tree.Nodes = slices.Grow(b.tree.Nodes, 2*n)
 	b.tree.Sufs = slices.Grow(b.tree.Sufs, n)
+}
+
+// worker returns workers[k], made on first use.
+func (b *IncrementalBuilder) worker(k int) *worker {
+	for len(b.workers) <= k {
+		b.workers = append(b.workers, &worker{w: int32(b.tree.W)})
+	}
+	return b.workers[k]
 }
 
 // cmpSuffix orders by (sid, pos), packed: neither is negative.
@@ -369,16 +415,30 @@ func (b *IncrementalBuilder) AddBucket(access Access, bucket []Suffix) {
 	lo := len(b.tree.Sufs)
 	b.tree.Sufs = append(b.tree.Sufs, bucket...)
 	slices.SortFunc(b.tree.Sufs[lo:], cmpSuffix)
-	b.buildRoot(access, lo, len(b.tree.Sufs))
+	wk := b.worker(0)
+	wk.sufs, wk.nodes, wk.base, wk.roots, wk.access = b.tree.Sufs, b.tree.Nodes, 0, b.tree.Roots, access
+	b.ends = append(b.ends[:0], int32(len(b.tree.Sufs)))
+	wk.buildRuns(lo, b.ends)
+	b.tree.Nodes, b.tree.Roots = wk.nodes, wk.roots
+	wk.sufs, wk.nodes, wk.roots, wk.access = nil, nil, nil, nil
 }
 
 // AddKeyed sorts ks (SortKeyed) and builds every equal-key run as one
 // bucket, in ascending key order; it returns the number of buckets.
-// The access function must serve every sequence ks references. The
-// suffixes are copied to Tree.Sufs before the nodes are reserved and
+// The suffixes are copied to Tree.Sufs before the nodes are reserved and
 // any trie is built, so a ks the caller does not hold is garbage while
 // they are.
-func (b *IncrementalBuilder) AddKeyed(access Access, ks []Keyed) (nbuckets int) {
+//
+// The buckets are split into contiguous chunks of about equal suffix
+// count, one per core (pool.Chunks), and worker k builds chunk k. It
+// reads sequences through access(k) alone, called on the calling
+// goroutine before any worker starts, so an Access that is not safe for
+// concurrent use serves one worker; every Access must serve every
+// sequence ks references. Worker k writes its nodes into its own
+// window of the 2n-node reservation, and a pass in chunk order moves
+// each window down behind the one before and shifts its links, so the
+// forest is the one a single goroutine builds.
+func (b *IncrementalBuilder) AddKeyed(access func(worker int) Access, ks []Keyed) (nbuckets int) {
 	SortKeyed(ks)
 	lo, n := len(b.tree.Sufs), len(ks)
 	b.ends = b.ends[:0]
@@ -388,56 +448,124 @@ func (b *IncrementalBuilder) AddKeyed(access Access, ks []Keyed) (nbuckets int) 
 		b.tree.Sufs = append(b.tree.Sufs, k.Suf)
 	}
 	b.tree.Nodes = slices.Grow(b.tree.Nodes, 2*n) // as Grow(n) does
-	for _, hi := range b.ends {
-		b.buildRoot(access, lo, int(hi))
-		lo = int(hi)
+
+	// Cut after the first bucket that reaches each chunk's share.
+	chunks := pool.Chunks(n, minChunkSuffixes)
+	b.cuts = append(b.cuts[:0], 0)
+	for i, e := range b.ends {
+		if len(b.cuts) < chunks && int(e)-lo >= len(b.cuts)*n/chunks {
+			b.cuts = append(b.cuts, i+1)
+		}
 	}
+	b.cuts = append(b.cuts, len(b.ends))
+	sufLo := func(c int) int {
+		if c == 0 {
+			return lo
+		}
+		return int(b.ends[c-1])
+	}
+	nodesLo := len(b.tree.Nodes)
+	nodes := b.tree.Nodes[:nodesLo+2*n]
+	for k := range len(b.cuts) - 1 {
+		wk := b.worker(k)
+		from, to := sufLo(b.cuts[k]), sufLo(b.cuts[k+1])
+		at := nodesLo + 2*(from-lo)
+		wk.sufs, wk.nodes, wk.base = b.tree.Sufs, nodes[at:at:at+2*(to-from)], int32(at)
+		wk.roots, wk.access = wk.roots[:0], access(k)
+	}
+	pool.For(len(b.cuts)-1, 2, nil, func(k int) {
+		b.workers[k].buildRuns(sufLo(b.cuts[k]), b.ends[b.cuts[k]:b.cuts[k+1]])
+	})
+
+	// Compact: window k moves down to where window k-1 ended.
+	at := int32(nodesLo)
+	shift := func(id, by int32) int32 {
+		if id == NoNode {
+			return NoNode
+		}
+		return id - by
+	}
+	for k := range len(b.cuts) - 1 {
+		wk := b.workers[k]
+		if by := wk.base - at; by != 0 {
+			for i, nd := range wk.nodes {
+				nd.Parent, nd.FirstChild, nd.NextSib = shift(nd.Parent, by), shift(nd.FirstChild, by), shift(nd.NextSib, by)
+				nodes[at+int32(i)] = nd
+			}
+			for i := range wk.roots {
+				wk.roots[i] -= by
+			}
+		}
+		b.tree.Roots = append(b.tree.Roots, wk.roots...)
+		at += int32(len(wk.nodes))
+		wk.sufs, wk.nodes, wk.access = nil, nil, nil
+	}
+	b.tree.Nodes = nodes[:at]
 	return len(b.ends)
 }
 
-// buildRoot builds the canonically ordered bucket Sufs[lo:hi] as a root.
-func (b *IncrementalBuilder) buildRoot(access Access, lo, hi int) {
-	if n := hi - lo; n > len(b.tmp) {
-		b.class = slices.Grow(b.class[:0], n)[:n]
-		b.tmp = slices.Grow(b.tmp[:0], n)[:n]
+// buildRuns builds the canonically ordered buckets Sufs[lo:ends[0]],
+// Sufs[ends[0]:ends[1]], ... as roots.
+func (wk *worker) buildRuns(lo int, ends []int32) {
+	for _, hi := range ends {
+		if n := int(hi) - lo; n > len(wk.tmp) {
+			wk.class = slices.Grow(wk.class[:0], n)[:n]
+			wk.tmp = slices.Grow(wk.tmp[:0], n)[:n]
+		}
+		wk.roots = append(wk.roots, wk.build(int32(lo), hi, wk.w, NoNode))
+		lo = int(hi)
 	}
-	b.access = access
-	b.tree.Roots = append(b.tree.Roots, b.build(int32(lo), int32(hi), int32(b.tree.W), NoNode))
-	b.access = nil
 }
 
 // newNode appends a node, a leaf if it owns Sufs[sufStart:sufEnd], and
 // links it in front of its parent's children.
-func (b *IncrementalBuilder) newNode(parent, depth, sufStart, sufEnd int32) int32 {
-	id := int32(len(b.tree.Nodes))
-	b.tree.Nodes = append(b.tree.Nodes, Node{parent, depth, NoNode, NoNode, sufStart, sufEnd})
+func (wk *worker) newNode(parent, depth, sufStart, sufEnd int32) int32 {
+	id := wk.base + int32(len(wk.nodes))
+	wk.nodes = append(wk.nodes, Node{parent, depth, NoNode, NoNode, sufStart, sufEnd})
 	if parent != NoNode {
-		p := &b.tree.Nodes[parent]
-		b.tree.Nodes[id].NextSib, p.FirstChild = p.FirstChild, id
+		p := &wk.nodes[parent-wk.base]
+		wk.nodes[id-wk.base].NextSib, p.FirstChild = p.FirstChild, id
 	}
 	return id
 }
 
 // tail returns what follows the first depth characters of suffix sf.
-func (b *IncrementalBuilder) tail(sf Suffix, depth int32) []byte {
-	return b.access(sf.Sid)[int(sf.Pos)+int(depth):]
+func (wk *worker) tail(sf Suffix, depth int32) []byte {
+	return wk.access(sf.Sid)[int(sf.Pos)+int(depth):]
 }
 
 // basesFromOf returns the index just past the last masked byte of s,
 // the bases of sequence sid, scanning s only the first time it is asked.
-func (b *IncrementalBuilder) basesFromOf(sid int32, s []byte) int {
-	if int(sid) >= len(b.basesFrom) {
-		b.basesFrom = append(b.basesFrom, make([]int32, int(sid)+1-len(b.basesFrom))...)
+func (wk *worker) basesFromOf(sid int32, s []byte) int {
+	if int(sid) >= len(wk.basesFrom) {
+		wk.basesFrom = append(wk.basesFrom, make([]int32, int(sid)+1-len(wk.basesFrom))...)
 	}
-	if e := b.basesFrom[sid]; e > 0 {
+	if e := wk.basesFrom[sid]; e > 0 {
 		return int(e) - 1
 	}
 	e := len(s)
 	for e > 0 && seq.IsBase(s[e-1]) {
 		e--
 	}
-	b.basesFrom[sid] = int32(e) + 1
+	wk.basesFrom[sid] = int32(e) + 1
 	return e
+}
+
+// commonPrefix returns the length of the longest common prefix of a and
+// b, comparing eight bytes at a time: the first differing byte of two
+// little-endian words is the lowest set byte of their XOR.
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	k := 0
+	for ; k+8 <= n; k += 8 {
+		if x := binary.LittleEndian.Uint64(a[k:]) ^ binary.LittleEndian.Uint64(b[k:]); x != 0 {
+			return k + bits.TrailingZeros64(x)/8
+		}
+	}
+	for k < n && a[k] == b[k] {
+		k++
+	}
+	return k
 }
 
 // Child classes of a branch in creation order: the shared terminator,
@@ -452,14 +580,14 @@ const (
 	numClasses = classA + 1
 )
 
-// build constructs the subtree for tree.Sufs[lo:hi], which all share
-// their first depth characters, and returns its node ID. A node costs
-// two sequence lookups per suffix, whatever the length of its edge, with
-// at most two sequences in hand (see Access); work is charged as if
-// every suffix were classified once per character of the edge and once
-// at the node.
-func (b *IncrementalBuilder) build(lo, hi, depth, parent int32) int32 {
-	sufs := b.tree.Sufs[lo:hi]
+// build constructs the subtree for Sufs[lo:hi], which all share their
+// first depth characters, and returns its node ID. A node costs two
+// sequence lookups per suffix, whatever the length of its edge, with at
+// most two sequences in hand (see Access); work is charged as if every
+// suffix were classified once per character of the edge and once at
+// the node.
+func (wk *worker) build(lo, hi, depth, parent int32) int32 {
+	sufs := wk.sufs[lo:hi]
 	// Path compression: the edge grows by the longest prefix the tails
 	// share with the first one, clamped at its first masked byte (equal
 	// bytes that are bases are equal bases; a masked byte matches
@@ -469,20 +597,13 @@ func (b *IncrementalBuilder) build(lo, hi, depth, parent int32) int32 {
 	// before it share, held as a prefix of the previous tail, so no
 	// sequence is used past the lookup after its own.
 	first := sufs[0]
-	s := b.access(first.Sid)
+	s := wk.access(first.Sid)
 	at := int(first.Pos) + int(depth)
-	masked := at < b.basesFromOf(first.Sid, s)
+	masked := at < wk.basesFromOf(first.Sid, s)
 	ref := s[at:]
 	for _, sf := range sufs[1:] {
-		t := b.tail(sf, depth)
-		n := min(len(ref), len(t))
-		for k, c := range ref[:n] {
-			if t[k] != c {
-				n = k
-				break
-			}
-		}
-		ref = t[:n]
+		t := wk.tail(sf, depth)
+		ref = t[:commonPrefix(ref, t)]
 	}
 	if masked {
 		for k, c := range ref {
@@ -493,17 +614,17 @@ func (b *IncrementalBuilder) build(lo, hi, depth, parent int32) int32 {
 		}
 	}
 	depth += int32(len(ref))
-	b.work += int64(len(ref)) * int64(len(sufs))
+	wk.work += int64(len(ref)) * int64(len(sufs))
 	if len(sufs) == 1 {
-		return b.newNode(parent, depth, lo, hi)
+		return wk.newNode(parent, depth, lo, hi)
 	}
 
 	// Classify every suffix by its character at the branching depth.
 	var count [numClasses]int32
-	class := b.class[:len(sufs)]
+	class := wk.class[:len(sufs)]
 	for i, sf := range sufs {
 		cl := uint8(classEnded)
-		if t := b.tail(sf, depth); len(t) > 0 {
+		if t := wk.tail(sf, depth); len(t) > 0 {
 			cl = uint8(classA - seq.Code(t[0]))
 			if cl > classA {
 				cl = classMasked
@@ -512,10 +633,10 @@ func (b *IncrementalBuilder) build(lo, hi, depth, parent int32) int32 {
 		class[i] = cl
 		count[cl]++
 	}
-	b.work += int64(len(sufs))
+	wk.work += int64(len(sufs))
 	if count[classEnded] == int32(len(sufs)) {
 		// Everything ends here: one leaf of identical suffixes.
-		return b.newNode(parent, depth, lo, hi)
+		return wk.newNode(parent, depth, lo, hi)
 	}
 
 	// Branch point: stable partition by class, then the internal node
@@ -524,24 +645,24 @@ func (b *IncrementalBuilder) build(lo, hi, depth, parent int32) int32 {
 	for cl := 1; cl < numClasses; cl++ {
 		next[cl] = next[cl-1] + count[cl-1]
 	}
-	tmp := b.tmp[:len(sufs)]
+	tmp := wk.tmp[:len(sufs)]
 	for i, sf := range sufs {
 		tmp[next[class[i]]] = sf
 		next[class[i]]++
 	}
 	copy(sufs, tmp)
-	u := b.newNode(parent, depth, -1, -1)
+	u := wk.newNode(parent, depth, -1, -1)
 	for cl, n := range count {
 		switch {
 		case n == 0:
 		case cl == classEnded:
-			b.newNode(u, depth, lo, lo+n)
+			wk.newNode(u, depth, lo, lo+n)
 		case cl == classMasked:
 			for i := lo; i < lo+n; i++ {
-				b.newNode(u, depth, i, i+1)
+				wk.newNode(u, depth, i, i+1)
 			}
 		default:
-			b.build(lo, lo+n, depth+1, u)
+			wk.build(lo, lo+n, depth+1, u)
 		}
 		lo += n
 	}

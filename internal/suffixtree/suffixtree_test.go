@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/seq"
 )
@@ -16,6 +18,37 @@ import (
 // storeAccess adapts a seq.Store to the Access interface.
 func storeAccess(st *seq.Store) Access {
 	return func(sid int32) []byte { return st.Seq(int(sid)) }
+}
+
+// shared hands every AddKeyed worker the same concurrency-safe Access.
+func shared(acc Access) func(int) Access {
+	return func(int) Access { return acc }
+}
+
+// split is one way of running AddKeyed: on procs cores, handing a
+// worker no fewer than minChunk suffixes.
+type split struct{ procs, minChunk int }
+
+// splits are the ways the identity tests build every forest: on one
+// core, on four at the product's chunk minimum, and on four with every
+// forest of two or more suffixes split.
+var splits = []split{{1, 0}, {4, 0}, {4, 1}}
+
+func (sp split) String() string {
+	return fmt.Sprintf("GOMAXPROCS %d, min chunk %d", sp.procs, sp.minChunk)
+}
+
+// run calls fn with GOMAXPROCS and minChunkSuffixes set (0: the
+// product's minimum), then restores both.
+func (sp split) run(fn func()) {
+	defer func(procs, minChunk int) {
+		runtime.GOMAXPROCS(procs)
+		minChunkSuffixes = minChunk
+	}(runtime.GOMAXPROCS(sp.procs), minChunkSuffixes)
+	if sp.minChunk > 0 {
+		minChunkSuffixes = sp.minChunk
+	}
+	fn()
 }
 
 func allSids(st *seq.Store) []int32 {
@@ -472,9 +505,10 @@ func TestScanDoesNotAllocate(t *testing.T) {
 }
 
 // TestAddKeyedMatchesBuckets: one keyed sort plus one run split must
-// give the tree of the reference keying loop node for node, whatever
-// order the keyed suffixes arrive in, and the same node multiset as
-// adding pre-grouped buckets in arbitrary order.
+// give the tree of the reference keying loop node for node and the
+// work of building bucket by bucket, whatever order the keyed suffixes
+// arrive in and however the buckets are split across cores, and the
+// same node multiset as adding pre-grouped buckets in arbitrary order.
 func TestAddKeyedMatchesBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	st := randomStore(rng, 6, 30, 50, 0.03)
@@ -486,11 +520,22 @@ func TestAddKeyedMatchesBuckets(t *testing.T) {
 
 	var ks []Keyed
 	Scan(st, 0, st.NumSeqs(), w, w, nil, func(k Keyed) { ks = append(ks, k) })
-	rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
-	ib := NewIncrementalBuilder(w)
-	nbuckets := ib.AddKeyed(acc, ks)
-	if !reflect.DeepEqual(ib.Tree(), t1) {
-		t.Fatal("AddKeyed over shuffled scan output differs from Build")
+	var nbuckets int
+	for _, sp := range splits {
+		in := slices.Clone(ks)
+		rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+		ib := NewIncrementalBuilder(w)
+		sp.run(func() { nbuckets = ib.AddKeyed(shared(acc), in) })
+		if !reflect.DeepEqual(ib.Tree(), t1) {
+			t.Fatalf("%v: AddKeyed over shuffled scan output differs from Build", sp)
+		}
+		ref := NewIncrementalBuilder(w)
+		for _, b := range bucketsOf(st, w, w) {
+			ref.AddBucket(acc, b)
+		}
+		if ib.Work() != ref.Work() {
+			t.Fatalf("%v: AddKeyed work %d, bucket by bucket %d", sp, ib.Work(), ref.Work())
+		}
 	}
 	for i := 1; i < len(t1.Roots); i++ {
 		a, b := t1.LeafSuffixes(firstLeaf(t1, t1.Roots[i-1]))[0], t1.LeafSuffixes(firstLeaf(t1, t1.Roots[i]))[0]
@@ -508,7 +553,7 @@ func TestAddKeyedMatchesBuckets(t *testing.T) {
 	if nbuckets != len(byKey) || len(t1.Roots) != len(byKey) {
 		t.Fatalf("%d buckets reported, %d roots, want %d", nbuckets, len(t1.Roots), len(byKey))
 	}
-	ib = NewIncrementalBuilder(w)
+	ib := NewIncrementalBuilder(w)
 	for _, b := range byKey {
 		ib.AddBucket(acc, b)
 	}
@@ -707,7 +752,8 @@ func bucketsOf(st *seq.Store, w, minLen int) [][]Suffix {
 }
 
 // checkMatchesReference builds st's buckets with the product builder —
-// through AddKeyed over shuffled keyed suffixes, and bucket by bucket
+// through AddKeyed over shuffled keyed suffixes in every one of splits,
+// and bucket by bucket
 // with the buckets and each bucket's suffixes in shuffled order — and
 // requires the reference's forest over the same bucket order node for
 // node and its work count term for term.
@@ -735,15 +781,18 @@ func checkMatchesReference(t testing.TB, rng *rand.Rand, st *seq.Store, w, minLe
 			ks = append(ks, Keyed{key, sf})
 		}
 	}
-	rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
-	ib := NewIncrementalBuilder(w)
-	if n := ib.AddKeyed(acc, ks); n != len(buckets) {
-		t.Fatalf("AddKeyed reports %d buckets, want %d", n, len(buckets))
+	for _, sp := range splits {
+		rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+		ib := NewIncrementalBuilder(w)
+		var n int
+		sp.run(func() { n = ib.AddKeyed(shared(acc), slices.Clone(ks)) })
+		if n != len(buckets) {
+			t.Fatalf("%v: AddKeyed reports %d buckets, want %d", sp, n, len(buckets))
+		}
+		check(fmt.Sprintf("AddKeyed (%v)", sp), ib, buckets)
 	}
-	check("AddKeyed", ib, buckets)
-
 	rng.Shuffle(len(buckets), func(i, j int) { buckets[i], buckets[j] = buckets[j], buckets[i] })
-	ib = NewIncrementalBuilder(w)
+	ib := NewIncrementalBuilder(w)
 	for _, b := range buckets {
 		b = slices.Clone(b)
 		rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
@@ -757,7 +806,8 @@ func checkMatchesReference(t testing.TB, rng *rand.Rand, st *seq.Store, w, minLe
 // append-based one over seeded random stores and the shapes that
 // exercise each arm: masked runs at window edges, identical reads (all
 // suffixes end together), reads shorter than w, reverse-complement
-// sids (every store carries them), and a 500-base homopolymer.
+// sids (every store carries them), a 500-base homopolymer, and a store
+// that AddKeyed splits across cores at its own chunk minimum.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	homopolymer := strings.Repeat("A", 500)
@@ -771,6 +821,9 @@ func TestBuildMatchesReference(t *testing.T) {
 		{"shorter than w", buildStore("", "A", "ACG", "ACGT", "ACGTA", "ACGTACGTAC"), 4, 4},
 		{"homopolymer", buildStore(homopolymer, homopolymer[:400], "AAAAANAAAAAA"), 5, 5},
 		{"all masked after w", buildStore("ACGTN", "ACGTN", "ACGTNA"), 4, 4},
+		// Large enough for AddKeyed to split at the product's chunk
+		// minimum on four cores.
+		{"split shotgun", randomStore(rng, 60, 150, 250, 0.02), 6, 8},
 	}
 	for i := 0; i < 40; i++ {
 		mask := []float64{0, 0.02, 0.1, 0.3}[i%4]
@@ -900,31 +953,39 @@ func FuzzSortKeyed(f *testing.F) {
 
 var benchTree *Tree
 
+// benchShapes are BenchmarkBuild's stores: a shotgun-like one, and one
+// shaped like a job of the service benchmark (60 reads of about 700 bp,
+// ψ = 20, w = 10).
+var benchShapes = []struct {
+	name                  string
+	genome, reads, length int
+	w, minLen             int
+}{
+	{"shotgun", 20000, 400, 400, 8, 16},
+	{"job", 30000, 60, 650, 10, 20},
+}
+
+// benchStore samples a shape's reads from a random genome.
+func benchStore(genomeLen, nreads, length int) *seq.Store {
+	rng := rand.New(rand.NewSource(31))
+	genome := make([]byte, genomeLen)
+	for i := range genome {
+		genome[i] = seq.Base(rng.Intn(4))
+	}
+	var reads []string
+	for i := 0; i < nreads; i++ {
+		at := rng.Intn(len(genome) - length - 100)
+		reads = append(reads, string(genome[at:at+length+rng.Intn(100)]))
+	}
+	return buildStore(reads...)
+}
+
 // BenchmarkBuild measures the builder layer alone: key, sort and build
-// the suffixes of reads sampled from a random genome — a shotgun-like
-// store, and one shaped like a job of the service benchmark (60 reads
-// of about 700 bp, ψ = 20, w = 10).
+// the suffixes of each of benchShapes.
 func BenchmarkBuild(b *testing.B) {
-	for _, c := range []struct {
-		name                  string
-		genome, reads, length int
-		w, minLen             int
-	}{
-		{"shotgun", 20000, 400, 400, 8, 16},
-		{"job", 30000, 60, 650, 10, 20},
-	} {
+	for _, c := range benchShapes {
 		b.Run(c.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(31))
-			genome := make([]byte, c.genome)
-			for i := range genome {
-				genome[i] = seq.Base(rng.Intn(4))
-			}
-			var reads []string
-			for i := 0; i < c.reads; i++ {
-				at := rng.Intn(len(genome) - c.length - 100)
-				reads = append(reads, string(genome[at:at+c.length+rng.Intn(100)]))
-			}
-			st := buildStore(reads...)
+			st := benchStore(c.genome, c.reads, c.length)
 			acc := storeAccess(st)
 			sufs := EnumerateSuffixes(acc, allSids(st), c.minLen)
 			b.ReportAllocs()
@@ -933,6 +994,42 @@ func BenchmarkBuild(b *testing.B) {
 				benchTree = Build(acc, sufs, c.w)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sufs)), "ns/suffix")
+		})
+	}
+}
+
+// BenchmarkBuildStages times the stages of a one-segment sweep's build
+// apart on each of benchShapes: scan-ms is Scan into keyed records,
+// sort-ms SortKeyed, build-ms AddKeyed over the sorted records (the
+// tries, split across cores).
+func BenchmarkBuildStages(b *testing.B) {
+	for _, c := range benchShapes {
+		b.Run(c.name, func(b *testing.B) {
+			st := benchStore(c.genome, c.reads, c.length)
+			acc := shared(storeAccess(st))
+			n := 0
+			for sid := range st.NumSeqs() {
+				n += max(st.SeqLen(sid)-c.minLen+1, 0)
+			}
+			var scanT, sortT, buildT time.Duration
+			for i := 0; i < b.N; i++ {
+				ks := make([]Keyed, 0, n) // as the sweep sizes them
+				t0 := time.Now()
+				Scan(st, 0, st.NumSeqs(), c.w, c.minLen, nil, func(k Keyed) { ks = append(ks, k) })
+				t1 := time.Now()
+				SortKeyed(ks)
+				t2 := time.Now()
+				ib := NewIncrementalBuilder(c.w)
+				ib.AddKeyed(acc, ks)
+				benchTree = ib.Tree()
+				scanT, sortT, buildT = scanT+t1.Sub(t0), sortT+t2.Sub(t1), buildT+time.Since(t2)
+			}
+			for _, m := range []struct {
+				d    time.Duration
+				unit string
+			}{{scanT, "scan-ms"}, {sortT, "sort-ms"}, {buildT, "build-ms"}} {
+				b.ReportMetric(float64(m.d.Microseconds())/1e3/float64(b.N), m.unit)
+			}
 		})
 	}
 }
