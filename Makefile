@@ -89,6 +89,7 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
 	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
 	internal/align/testdata/fuzz/FuzzAnchoredOverlap \
+	internal/align/testdata/fuzz/FuzzAnchoredOverlapAccept \
 	internal/align/testdata/fuzz/FuzzFitMatchesOracle \
 	internal/assembly/testdata/fuzz/FuzzFindOverlaps \
 	internal/pairgen/testdata/fuzz/FuzzGenerateMatchesReference \
@@ -97,10 +98,10 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 
 # Short fuzz passes over every parser the pipeline feeds untrusted
 # bytes to: FASTA and qual readers plus the wire-format decoders — over
-# the banded extension kernel, the consensus fitting kernel, assembly's
-# overlap detector, the GST bucket builder and its key sort, each held
-# to its differential oracle, and over the master core and the worker
-# core, held to their invariants.
+# the banded extension kernel and its identity bound, the consensus
+# fitting kernel, assembly's overlap detector, the GST bucket builder
+# and its key sort, each held to its differential oracle, and over the
+# master core and the worker core, held to their invariants.
 fuzz-smoke:
 	@for d in $(FUZZ_CORPORA); do \
 		ls $$d/* >/dev/null 2>&1 || { echo "fuzz-smoke: empty corpus: $$d"; exit 1; }; \
@@ -117,7 +118,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpenIndex -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzReadData -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
-	$(GO) test -run=NONE -fuzz=FuzzAnchoredOverlap -fuzztime=10s ./internal/align
+	$(GO) test -run=NONE -fuzz='^FuzzAnchoredOverlap$$' -fuzztime=10s ./internal/align
+	$(GO) test -run=NONE -fuzz=FuzzAnchoredOverlapAccept -fuzztime=10s ./internal/align
 	$(GO) test -run=NONE -fuzz=FuzzFitMatchesOracle -fuzztime=10s ./internal/align
 	$(GO) test -run=NONE -fuzz=FuzzFindOverlaps -fuzztime=10s ./internal/assembly
 	$(GO) test -run=NONE -fuzz=FuzzGenerateMatchesReference -fuzztime=10s ./internal/pairgen

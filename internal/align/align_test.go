@@ -170,7 +170,7 @@ func TestAnchoredOverlapExactCase(t *testing.T) {
 	a := genome[:200]
 	b := genome[120:]
 	// Anchor: a[120:140] == b[0:20].
-	r, ok := AnchoredOverlap(a, b, 120, 0, 20, DefaultBand, sc)
+	r, ok := anchoredOverlap(a, b, 120, 0, 20, DefaultBand, sc)
 	if !ok {
 		t.Fatal("anchored overlap failed")
 	}
@@ -199,7 +199,7 @@ func TestAnchoredOverlapWithErrors(t *testing.T) {
 		if mlen == 0 {
 			continue // no anchor survived mutation; skip trial
 		}
-		r, ok := AnchoredOverlap(a, b, apos, bpos, mlen, DefaultBand, sc)
+		r, ok := anchoredOverlap(a, b, apos, bpos, mlen, DefaultBand, sc)
 		if !ok {
 			t.Fatalf("trial %d: extension failed", trial)
 		}
@@ -252,7 +252,7 @@ func TestAnchoredOverlapAgreesWithFullOverlap(t *testing.T) {
 			continue
 		}
 		trials++
-		banded, ok := AnchoredOverlap(a, b, apos, bpos, mlen, DefaultBand, sc)
+		banded, ok := anchoredOverlap(a, b, apos, bpos, mlen, DefaultBand, sc)
 		if !ok {
 			continue
 		}
@@ -277,7 +277,7 @@ func TestAnchoredOverlapBandTooNarrow(t *testing.T) {
 	// reach a boundary (at poor score); identity should collapse.
 	a := []byte("ACGTACGTACGTAAAAAAAAAACCCCCCCCGGGG")
 	b := []byte("ACGTACGTACGTCCCCCCCCGGGG")
-	r, ok := AnchoredOverlap(a, b, 0, 0, 12, 2, sc)
+	r, ok := anchoredOverlap(a, b, 0, 0, 12, 2, sc)
 	if ok && r.Identity() > 0.9 {
 		t.Errorf("narrow band should not find a high-identity overlap: %+v", r)
 	}
@@ -401,7 +401,7 @@ func TestAnchoredOverlapFullLengthAnchor(t *testing.T) {
 	sc := DefaultScoring()
 	a := []byte("ACGTACGTACGTACGTACGT")
 	b := append([]byte(nil), a...)
-	r, ok := AnchoredOverlap(a, b, 0, 0, len(a), DefaultBand, sc)
+	r, ok := anchoredOverlap(a, b, 0, 0, len(a), DefaultBand, sc)
 	if !ok {
 		t.Fatal("identical sequences must overlap")
 	}
@@ -419,12 +419,12 @@ func TestAnchoredOverlapAnchorAtEdges(t *testing.T) {
 	g := randDNA(rng, 120)
 	a, b := g[:80], g[40:]
 	// Anchor at the very start of the shared region on b, end of a.
-	r, ok := AnchoredOverlap(a, b, 40, 0, 40, DefaultBand, sc)
+	r, ok := anchoredOverlap(a, b, 40, 0, 40, DefaultBand, sc)
 	if !ok || r.Matches != 40 {
 		t.Fatalf("edge anchor failed: %+v ok=%v", r, ok)
 	}
 	// Anchor covering only the tail end.
-	r2, ok2 := AnchoredOverlap(a, b, 70, 30, 10, DefaultBand, sc)
+	r2, ok2 := anchoredOverlap(a, b, 70, 30, 10, DefaultBand, sc)
 	if !ok2 || r2.Matches != 40 {
 		t.Fatalf("tail anchor failed: %+v ok=%v", r2, ok2)
 	}

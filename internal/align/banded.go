@@ -28,12 +28,31 @@ import (
 // when the reads do not really overlap.
 const DefaultBand = 12
 
-// AnchoredOverlap aligns a and b given the anchor
-// a[apos:apos+mlen] == b[bpos:bpos+mlen], using banded extensions of
-// half-width band. It returns the combined overlap alignment and
-// ok=false if either extension cannot reach a fragment boundary inside
-// the band (the pair is then rejected).
-func AnchoredOverlap(a, b []byte, apos, bpos, mlen, band int, sc Scoring) (Result, bool) {
+// AnchoredOverlap tests the overlap of a and b at the anchor
+// a[apos:apos+mlen] == b[bpos:bpos+mlen] against c: it aligns them with
+// banded extensions of half-width band and reports whether the
+// alignment exists and c accepts it. A pair the identity bound
+// (bound.go) proves below c.MinIdentity is rejected without being
+// aligned, which changes no decision. A rejected pair returns the zero
+// Result. The zero Criteria skips the bound and accepts every
+// alignment that reaches a boundary.
+func AnchoredOverlap(a, b []byte, apos, bpos, mlen, band int, sc Scoring, c Criteria) (Result, bool) {
+	if band < 1 {
+		band = DefaultBand
+	}
+	if w, ok := identityWeights(c.MinIdentity, len(a)+len(b)); ok && !mayPass(a, b, apos, bpos, mlen, band, w) {
+		return Result{}, false
+	}
+	if res, ok := anchoredOverlap(a, b, apos, bpos, mlen, band, sc); ok && c.Accept(res) {
+		return res, true
+	}
+	return Result{}, false
+}
+
+// anchoredOverlap is the alignment alone, with neither the bound nor a
+// criterion. It returns the combined overlap alignment and ok=false if
+// either extension cannot reach a fragment boundary inside the band.
+func anchoredOverlap(a, b []byte, apos, bpos, mlen, band int, sc Scoring) (Result, bool) {
 	if band < 1 {
 		band = DefaultBand
 	}
@@ -67,10 +86,11 @@ type extension struct {
 	bUsed   int
 }
 
-// bandScratch is the working memory of one AnchoredOverlap or Fit call,
-// reused across calls through scratchPool so the steady state allocates
-// nothing. For 700 bp reads at the default band it is about 20 KB; for
-// Fit at the consensus band (OffsetSlack + DefaultBand) about 52 KB.
+// bandScratch is the working memory of one anchored alignment, identity
+// bound or Fit call, reused across calls through scratchPool so the
+// steady state allocates nothing. For 700 bp reads at the default band
+// it is about 20 KB; for Fit at the consensus band (OffsetSlack +
+// DefaultBand) about 52 KB.
 type bandScratch struct {
 	rows []int32 // score rows, each width+2: six (previous and current M, X, Y), or Fit's two
 	dir  []byte  // one direction byte per band cell, (rows+1) × width
@@ -117,6 +137,27 @@ const (
 	dirYExt = 8
 )
 
+// orient returns u and v as an extension reads them: unchanged for the
+// rightward one, reversed into s.rev for the leftward one. Rows past
+// len(v)+band and columns past len(u)+band hold no band cell, so only
+// the bytes before them are copied; callers read no further.
+func (s *bandScratch) orient(u, v []byte, band int, reversed bool) ([]byte, []byte) {
+	if !reversed {
+		return u, v
+	}
+	lu, lv := len(u), len(v)
+	nrows, ncols := min(lu, lv+band), min(lv, lu+band)
+	s.rev = grow(s.rev, nrows+ncols)
+	ru, rv := s.rev[:nrows], s.rev[nrows:]
+	for i := range ru {
+		ru[i] = u[lu-1-i]
+	}
+	for j := range rv {
+		rv[j] = v[lv-1-j]
+	}
+	return ru, rv
+}
+
 // extendBanded aligns u against v (both already oriented away from the
 // anchor; pass reversed=true for the leftward extension, which walks the
 // prefixes backwards) requiring the alignment to reach the end of u or
@@ -140,20 +181,8 @@ func extendBanded(s *bandScratch, u, v []byte, band int, sc Scoring, reversed bo
 		return extension{}, true
 	}
 	width := 2*band + 1
-	// Rows past lv+band and columns past lu+band hold no band cell.
 	nrows := min(lu, lv+band)
-	ncols := min(lv, lu+band)
-	if reversed {
-		s.rev = grow(s.rev, nrows+ncols)
-		ru, rv := s.rev[:nrows], s.rev[nrows:]
-		for i := range ru {
-			ru[i] = u[lu-1-i]
-		}
-		for j := range rv {
-			rv[j] = v[lv-1-j]
-		}
-		u, v = ru, rv
-	}
+	u, v = s.orient(u, v, band, reversed)
 
 	stride := width + 2
 	s.rows = grow(s.rows, 6*stride)

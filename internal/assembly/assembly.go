@@ -253,8 +253,8 @@ func findOverlaps(seqs, rcs [][]byte, cfg Config, stop *atomic.Bool) []overlap {
 			if a.rev {
 				sb = rcs[a.rb]
 			}
-			res, ok := alignAnchor(seqs[a.ra], sb, int(a.i), int(a.j), int(a.n), cfg.Band, cfg.Scoring)
-			outs[k] = anchorOutcome{ok && cfg.Criteria.Accept(res), int32(res.Score), int32(res.AStart - res.BStart)}
+			res, ok := alignAnchor(seqs[a.ra], sb, int(a.i), int(a.j), int(a.n), cfg.Band, cfg.Scoring, cfg.Criteria)
+			outs[k] = anchorOutcome{ok, int32(res.Score), int32(res.AStart - res.BStart)}
 		})
 		// A stopped pool leaves outcomes unset; its attempt returns
 		// nothing, so there is nothing to fold.

@@ -154,11 +154,11 @@ func TestStoppedAttemptAlignsNoFurtherAnchor(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		var stop atomic.Bool
 		var aligned atomic.Int64
-		alignAnchor = func(a, b []byte, apos, bpos, mlen, band int, sc align.Scoring) (align.Result, bool) {
+		alignAnchor = func(a, b []byte, apos, bpos, mlen, band int, sc align.Scoring, c align.Criteria) (align.Result, bool) {
 			if aligned.Add(1) == stopAt {
 				stop.Store(true)
 			}
-			return align.AnchoredOverlap(a, b, apos, bpos, mlen, band, sc)
+			return align.AnchoredOverlap(a, b, apos, bpos, mlen, band, sc, c)
 		}
 		contigs := assemble(st, m, DefaultConfig(), &stop)
 		return aligned.Load(), contigs

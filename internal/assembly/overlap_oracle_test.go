@@ -98,7 +98,9 @@ func referenceFindOverlaps(seqs, rcs [][]byte, cfg Config) []overlap {
 					continue
 				}
 				tried[akey] = true
-				res, ok := align.AnchoredOverlap(sa, sb, i, j, e-i, cfg.Band, cfg.Scoring)
+				// The zero Criteria accepts every alignment and skips
+				// the identity bound: the oracle judges full alignments.
+				res, ok := align.AnchoredOverlap(sa, sb, i, j, e-i, cfg.Band, cfg.Scoring, align.Criteria{})
 				if !ok || !cfg.Criteria.Accept(res) {
 					continue
 				}

@@ -211,17 +211,19 @@ func BuildSerialTree(store seq.Seqs, cfg Config) (tree *suffixtree.Tree) {
 }
 
 // AlignPair runs the anchored overlap test for one promising pair and
-// reports acceptance plus the modeled DP cell count.
+// reports acceptance plus the modeled DP cell count. The count is the
+// full banded alignment's, whether or not the identity bound spared
+// it, so the modeled clock does not depend on the bound.
 func AlignPair(store seq.Seqs, p pairgen.Pair, cfg Config) (accepted bool, cells int64) {
 	a := store.Seq(int(p.ASid))
 	b := store.Seq(int(p.BSid))
-	res, ok := align.AnchoredOverlap(a, b, int(p.APos), int(p.BPos), int(p.MatchLen), cfg.Band, cfg.Scoring)
+	_, accepted = align.AnchoredOverlap(a, b, int(p.APos), int(p.BPos), int(p.MatchLen), cfg.Band, cfg.Scoring, cfg.Criteria)
 	ext := int64(len(a) + len(b) - 2*int(p.MatchLen))
 	if ext < 2 {
 		ext = 2
 	}
 	cells = int64(2*cfg.Band+1) * ext
-	return ok && cfg.Criteria.Accept(res), cells
+	return accepted, cells
 }
 
 // acceptOverlap is the one merge rule, applied by the serial driver and

@@ -326,15 +326,18 @@ func allocSites(ps []*Profile, funcPhase map[string]map[string]int64) map[Frame]
 	return sites
 }
 
-// attributePhase walks an (unlabeled) alloc stack leaf to root and
-// returns the dominant phase of the first function the labeled CPU
-// samples know; "" when no caller was ever seen on a labeled sample.
+// attributePhase walks an (unlabeled) alloc stack leaf to root to the
+// first frame of this module and returns that function's dominant
+// phase on the labeled CPU samples; "" when the stack has no module
+// frame or its first one never ran on a labeled sample. A library leaf
+// (bytes.Fields) never decides, nor does a caller above the first
+// module frame: main.main runs under every phase.
 func attributePhase(stack []Frame, funcPhase map[string]map[string]int64) string {
 	for _, fr := range stack {
-		fp := funcPhase[fr.Function]
-		if len(fp) == 0 {
+		if !moduleFrame(fr.Function) {
 			continue
 		}
+		fp := funcPhase[fr.Function]
 		best, bestN := "", int64(-1)
 		var keys []string
 		for ph := range fp {
@@ -349,6 +352,12 @@ func attributePhase(stack []Frame, funcPhase map[string]map[string]int64) string
 		return best
 	}
 	return ""
+}
+
+// moduleFrame reports whether a function belongs to this module: a
+// repro/... package or a command's main package.
+func moduleFrame(fn string) bool {
+	return strings.HasPrefix(fn, "repro/") || strings.HasPrefix(fn, "main.")
 }
 
 // isRuntimeRoot reports whether a stack is rooted in the Go runtime

@@ -27,21 +27,24 @@ func stack(fns ...string) []Frame {
 }
 
 func TestAttributeReport(t *testing.T) {
+	// Functions of this module carry its path, as in a real profile:
+	// only they place an alloc site.
+	const buildTree, runRank, unionFind = "repro/x.buildTree", "repro/x.runRank", "repro/x.unionFind"
 	cpu := cpuProfile(
 		// gst dominates: 60ns across ranks 0 and 1.
-		Sample{Stack: stack("buildTree", "runRank"), Values: []int64{4, 40},
+		Sample{Stack: stack(buildTree, runRank), Values: []int64{4, 40},
 			Labels: []Label{{Key: LabelPhase, Str: "gst"}, {Key: LabelRank, Str: "0"}}},
-		Sample{Stack: stack("buildTree", "runRank"), Values: []int64{2, 20},
+		Sample{Stack: stack(buildTree, runRank), Values: []int64{2, 20},
 			Labels: []Label{{Key: LabelPhase, Str: "gst"}, {Key: LabelRank, Str: "1"}}},
 		// cluster: 10ns.
-		Sample{Stack: stack("unionFind", "runRank"), Values: []int64{1, 10},
+		Sample{Stack: stack(unionFind, runRank), Values: []int64{1, 10},
 			Labels: []Label{{Key: LabelPhase, Str: "cluster"}, {Key: LabelRank, Str: "0"}}},
 		// GC worker: unlabeled but rooted in the runtime.
 		Sample{Stack: stack("scanobject", "runtime.gcBgMarkWorker"), Values: []int64{1, 10}},
 	)
 	allocs := allocProfile(
-		Sample{Stack: stack("makeNodes", "buildTree", "runRank"), Values: []int64{1000, 64000, 1, 64}},
-		Sample{Stack: stack("newSets", "unionFind", "runRank"), Values: []int64{10, 320, 0, 0}},
+		Sample{Stack: stack("makeNodes", buildTree, runRank), Values: []int64{1000, 64000, 1, 64}},
+		Sample{Stack: stack("newSets", unionFind, runRank), Values: []int64{10, 320, 0, 0}},
 		Sample{Stack: stack("mystery", "orphan"), Values: []int64{5, 50, 0, 0}},
 	)
 
@@ -71,13 +74,14 @@ func TestAttributeReport(t *testing.T) {
 	if runtimeRow == nil || runtimeRow.Nanos != 10 {
 		t.Fatalf("runtime system samples not classified under %s: %+v", PhaseRuntime, r.Phases)
 	}
-	if len(r.CritFuncs) == 0 || r.CritFuncs[0].Function != "buildTree" {
+	if len(r.CritFuncs) == 0 || r.CritFuncs[0].Function != buildTree {
 		t.Fatalf("top crit function wrong: %+v", r.CritFuncs)
 	}
 
-	// Alloc attribution: makeNodes' caller buildTree was only ever
-	// seen in gst; newSets' caller unionFind only in cluster; mystery
-	// has no known caller at all.
+	// Alloc attribution: the library leaf makeNodes is placed by its
+	// caller buildTree, the first module frame, only ever seen in gst;
+	// newSets by unionFind, seen only in cluster; mystery has no module
+	// frame at all.
 	wantPhase := map[string]string{"makeNodes": "gst", "newSets": "cluster", "mystery": ""}
 	for _, a := range r.Allocs {
 		if want, ok := wantPhase[a.Function]; ok && a.Phase != want {
@@ -106,6 +110,38 @@ func TestAttributeReport(t *testing.T) {
 		if !strings.Contains(txt.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, txt.String())
 		}
+	}
+}
+
+// TestAllocAttributionStopsAtFirstModuleFrame: input parsing allocates
+// in bytes.Fields under seq.ReadQual before any label is set. Both
+// bytes.Fields and main.main ran on labeled gst samples, ReadQual
+// never did, so the site is left unattributed rather than charged to
+// gst. A library leaf under a module function seen in gst is gst's.
+func TestAllocAttributionStopsAtFirstModuleFrame(t *testing.T) {
+	const build, splitters = "repro/internal/suffixtree.(*worker).build", "repro/internal/pgst.parseSplitters"
+	gst := []Label{{Key: LabelPhase, Str: "gst"}, {Key: LabelRank, Str: "0"}}
+	cpu := cpuProfile(
+		Sample{Stack: stack("bytes.Fields", splitters, "main.main"), Values: []int64{5, 50}, Labels: gst},
+		Sample{Stack: stack(build, "main.main"), Values: []int64{5, 50}, Labels: gst},
+	)
+	allocs := allocProfile(
+		Sample{Stack: stack("bytes.Fields", "repro/internal/seq.ReadQual", "main.main"), Values: []int64{100, 10 << 20, 0, 0}},
+		Sample{Stack: stack("strings.Repeat", build, "main.main"), Values: []int64{1, 4096, 0, 0}},
+		Sample{Stack: stack("runtime.malg", "runtime.newproc1"), Values: []int64{1, 64, 0, 0}},
+	)
+	r := Attribute([]*Profile{cpu}, []*Profile{allocs}, nil, Options{Top: 5})
+	want := map[string]string{"bytes.Fields": "", "strings.Repeat": "gst", "runtime.malg": ""}
+	if len(r.Allocs) != len(want) {
+		t.Fatalf("alloc sites %+v", r.Allocs)
+	}
+	for _, a := range r.Allocs {
+		if a.Phase != want[a.Function] {
+			t.Errorf("alloc site %s attributed to %q, want %q", a.Function, a.Phase, want[a.Function])
+		}
+	}
+	if len(r.CritAllocs) != 1 || r.CritAllocs[0].Function != "strings.Repeat" {
+		t.Errorf("crit allocs %+v, want strings.Repeat alone", r.CritAllocs)
 	}
 }
 
