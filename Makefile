@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
+.PHONY: all build vet fmt-check lines test flake-check race test-race cover faults pipeline-faults sim fuzz-smoke obs transport-conformance obs-live-smoke service-smoke outofcore-smoke profile-smoke cli-smoke ci
 
 all: build
 
@@ -13,6 +13,15 @@ vet:
 # Every Go file in the checkout is gofmt-clean.
 fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; }
+
+# Counted lines per package: non-test .go files, lines that are
+# neither blank nor a // comment. ROADMAP and CHANGES quote these
+# figures; the last line is the total.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' | \
+	xargs awk '!/^[ \t]*$$/ && !/^[ \t]*\/\// { d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); n[d == "" ? "." : d]++ } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d }' | \
+	sort -k2 | awk '{ print; t += $$1 } END { printf "%6d  total\n", t }'
 
 # Uncached and in shuffled order: no test may lean on another having
 # run first, or on who wins a race with the scheduler.

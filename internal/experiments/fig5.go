@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/pgst"
 	"repro/internal/report"
@@ -29,49 +28,31 @@ type Fig5Result struct {
 // processor sweep. The paper's panels use 250 and 500 Mbp; here the
 // small input is Options.Scale bases and the large input twice that.
 //
-// The comm/comp decomposition is read off the trace: every run is
-// bracketed in a PhaseGST span per rank, and the bar heights are the
-// slowest rank's span values. The numbers are identical to what
-// par.Summarize reports (a rank's span starts at zero modeled time and
-// ends at its final clocks), so enabling an external tracer changes
-// nothing but retention.
+// The bars are par.Summarize's maxima over one run's ranks: the
+// largest modeled computation, the largest modeled communication and
+// the largest sum of the two.
 func Fig5(opt Options) Fig5Result {
 	opt = opt.withDefaults()
 	var res Fig5Result
 	cfg := clusterConfig()
-	tr := obs.NewTracer(opt.Ranks[len(opt.Ranks)-1], 0)
 	for i, size := range []int{opt.Scale, 2 * opt.Scale} {
 		frags := maizeReads(opt.Seed+int64(i), size)
 		store := seq.NewStore(frags)
 		for _, p := range opt.Ranks {
-			mark := tr.Mark()
-			mcfg := par.DefaultConfig(p)
-			mcfg.Trace = tr
-			par.Run(mcfg, func(c *par.Comm) {
-				c.TraceEvent(obs.EvPhaseEnter, obs.PhaseGST, 0, 0)
+			agg := par.Summarize(par.Run(par.DefaultConfig(p), func(c *par.Comm) {
 				pgst.Build(c, store, pgst.Config{
 					W:      cfg.W,
 					MinLen: cfg.Psi,
 					Seed:   opt.Seed,
 				})
-				c.TraceEvent(obs.EvPhaseExit, obs.PhaseGST, 0, 0)
+			}))
+			res.Points = append(res.Points, Fig5Point{
+				InputBases:  store.TotalBases(),
+				Ranks:       p,
+				CompSeconds: agg.MaxComp,
+				CommSeconds: agg.MaxComm,
+				Total:       agg.MaxModeled,
 			})
-			pt := Fig5Point{InputBases: store.TotalBases(), Ranks: p}
-			for _, s := range tr.SpansSince(mark) {
-				if s.Phase != obs.PhaseGST {
-					continue
-				}
-				if s.CompSeconds > pt.CompSeconds {
-					pt.CompSeconds = s.CompSeconds
-				}
-				if s.CommSeconds > pt.CommSeconds {
-					pt.CommSeconds = s.CommSeconds
-				}
-				if m := s.Modeled(); m > pt.Total {
-					pt.Total = m
-				}
-			}
-			res.Points = append(res.Points, pt)
 		}
 	}
 

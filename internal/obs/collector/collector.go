@@ -3,8 +3,9 @@ package collector
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -50,16 +51,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// rankState is everything the collector knows about one rank.
+// rankState is what the collector holds for one rank. Everything a
+// status row shows beyond it is derived from events when the row is
+// built.
 type rankState struct {
-	RankStatus // exported fields double as the serialized view
-
+	pid        int
+	reports    uint64
 	lastCover  time.Time // last report that covered this rank
 	lastSeq    uint64    // reporting process's last applied report seq
 	metrics    *obs.MetricsState
-	phaseStack []int64
 	final      bool
 	exitOK     bool
+	exitReason string
 	finalDump  *obs.Dump // the covering process's final dump (stored on its own rank)
 
 	// The rank's event stream: the streamed prefix, replaced by the
@@ -99,9 +102,7 @@ func New(cfg Config) *Collector {
 func (c *Collector) rank(r int) *rankState {
 	rs := c.ranks[r]
 	if rs == nil {
-		rs = &rankState{metrics: obs.NewMetricsState()}
-		rs.Rank = r
-		rs.Phase = "-"
+		rs = &rankState{}
 		c.ranks[r] = rs
 	}
 	return rs
@@ -123,22 +124,17 @@ func (c *Collector) Ingest(rep *Report) error {
 	defer c.mu.Unlock()
 
 	self := c.rank(rep.Rank)
-	if rep.Seq <= self.lastSeq && self.Reports > 0 {
+	if rep.Seq <= self.lastSeq && self.reports > 0 {
 		return nil // duplicate of an already-applied report
 	}
 	self.lastSeq = rep.Seq
-	self.Reports++
+	self.reports++
 	c.reports++
 	if rep.PID != 0 {
-		self.PID = rep.PID
+		self.pid = rep.PID
 	}
-	if rep.Final {
-		// The final report carries the process's full metrics, so a
-		// delta lost with a failed post does not stay lost.
-		self.metrics = obs.NewMetricsState()
-	}
-	if err := self.metrics.Apply(rep.Metrics); err != nil {
-		return err
+	if rep.Metrics != nil {
+		self.metrics = rep.Metrics
 	}
 
 	covers := rep.Covers
@@ -154,13 +150,12 @@ func (c *Collector) Ingest(rep *Report) error {
 		rs.events = append(rs.events, st.Events...)
 		rs.dropped += st.Dropped
 		c.gen++
-		c.applyEvents(rs, st.Events)
 	}
 
 	if rep.Final {
 		self.final = true
 		self.exitOK = rep.ExitOK
-		self.ExitReason = rep.ExitReason
+		self.exitReason = rep.ExitReason
 		if rep.FinalDump != nil {
 			self.finalDump = rep.FinalDump
 			for _, rd := range rep.FinalDump.Ranks {
@@ -172,7 +167,6 @@ func (c *Collector) Ingest(rep *Report) error {
 				rs := c.rank(rd.Rank)
 				rs.events, rs.dropped = rd.Events, rd.Dropped
 				c.gen++
-				c.applyFinalCounts(rs, rd.Events)
 			}
 		}
 		// Rank 0's final ends the run. Any expected rank that has not
@@ -191,58 +185,6 @@ func (c *Collector) Ingest(rep *Report) error {
 		}
 	}
 	return nil
-}
-
-// applyEvents folds an event batch into the rank's derived telemetry.
-func (c *Collector) applyEvents(rs *rankState, evs []obs.Event) {
-	for _, e := range evs {
-		switch e.Kind {
-		case obs.EvSendEnd, obs.EvSsendEnd:
-			rs.MsgsSent++
-			rs.BytesSent += e.C
-		case obs.EvRecvEnd:
-			if e.C >= 0 {
-				rs.MsgsRecv++
-				rs.BytesRecv += e.C
-			}
-		case obs.EvRetransmit:
-			rs.Retransmits++
-		case obs.EvCheckpoint:
-			rs.Checkpoints++
-		case obs.EvFault:
-			rs.Faults++
-			if e.A == obs.FaultDrop {
-				rs.Drops++
-			}
-		case obs.EvLeaseExpire:
-			// Emitted by the master; the expiry belongs to the worker.
-			c.rank(int(e.A)).LeaseExpires++
-		case obs.EvPhaseEnter:
-			rs.phaseStack = append(rs.phaseStack, e.A)
-		case obs.EvPhaseExit:
-			for i := len(rs.phaseStack) - 1; i >= 0; i-- {
-				if rs.phaseStack[i] == e.A {
-					rs.phaseStack = rs.phaseStack[:i]
-					break
-				}
-			}
-		}
-		rs.Events++
-		rs.CommSec = e.Comm
-		rs.CompSec = e.Comp
-	}
-}
-
-// applyFinalCounts recomputes a rank's derived counters from its
-// authoritative final dump, replacing the streamed tallies (the final
-// dump may include a tail the stream never carried, and the streamed
-// prefix may have lost wrapped-over events).
-func (c *Collector) applyFinalCounts(rs *rankState, evs []obs.Event) {
-	rs.MsgsSent, rs.MsgsRecv, rs.BytesSent, rs.BytesRecv = 0, 0, 0, 0
-	rs.Retransmits, rs.Drops, rs.Faults, rs.Checkpoints = 0, 0, 0, 0
-	rs.Events = 0
-	rs.phaseStack = rs.phaseStack[:0]
-	c.applyEvents(rs, evs)
 }
 
 // expectRanks returns the declared machine size, or the observed one.
@@ -266,7 +208,7 @@ func (c *Collector) state(rs *rankState, now time.Time) string {
 		return StateDone
 	case rs.final:
 		return StateFailed
-	case rs.Reports == 0 && rs.lastCover.IsZero():
+	case rs.reports == 0 && rs.lastCover.IsZero():
 		return StateWaiting
 	}
 	lag := now.Sub(rs.lastCover)
@@ -302,38 +244,34 @@ func (c *Collector) Status() *Status {
 
 	st.Live = liveAnalysis(rep, repErr, c.cfg.ImbalanceThreshold)
 
-	// Per-rank rows, enriched with the live decomposition.
+	// Per-rank rows: counts derived from the held streams, enriched
+	// with the live decomposition.
+	rows := map[int]*RankStatus{}
+	row := func(r int) *RankStatus {
+		if rows[r] == nil {
+			rows[r] = &RankStatus{Rank: r}
+		}
+		return rows[r]
+	}
+	for r := 0; r < c.expectRanks(); r++ {
+		row(r) // expected but silent: surface it
+	}
 	var maxClock float64
-	for _, rs := range c.ranks {
-		if t := rs.CommSec + rs.CompSec; t > maxClock {
+	for r, rs := range c.ranks {
+		tally(row, r, rs.events)
+		if t := rows[r].CommSec + rows[r].CompSec; t > maxClock {
 			maxClock = t
 		}
 	}
-	ranks := make([]int, 0, len(c.ranks))
-	for r := range c.ranks {
-		ranks = append(ranks, r)
-	}
-	for r := 0; r < c.expectRanks(); r++ {
-		if _, ok := c.ranks[r]; !ok {
-			ranks = append(ranks, r) // expected but silent: surface it
-		}
-	}
-	sort.Ints(ranks)
-	seen := map[int]bool{}
-	for _, r := range ranks {
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		rs := c.rank(r)
-		row := rs.RankStatus
+	for _, r := range slices.Sorted(maps.Keys(rows)) {
+		rs, row := c.rank(r), rows[r]
 		row.State = c.state(rs, now)
+		row.PID, row.Reports, row.ExitReason = rs.pid, rs.reports, rs.exitReason
 		row.LagMs = -1
 		if !rs.lastCover.IsZero() {
 			row.LagMs = now.Sub(rs.lastCover).Milliseconds()
 		}
-		row.Phase = currentPhase(rs)
-		row.BehindSec = maxClock - (rs.CommSec + rs.CompSec)
+		row.BehindSec = maxClock - (row.CommSec + row.CompSec)
 		if rs.metrics != nil {
 			row.GCPauseP99Ns = rs.metrics.Gauges[prof.GaugeGCPauseP99]
 			row.SchedLatP99Ns = rs.metrics.Gauges[prof.GaugeSchedLatP99]
@@ -361,20 +299,58 @@ func (c *Collector) Status() *Status {
 				}
 			}
 		}
-		st.Ranks = append(st.Ranks, row)
+		st.Ranks = append(st.Ranks, *row)
 	}
 	return st
 }
 
-// currentPhase names the innermost open phase a rank's stream shows.
-func currentPhase(rs *rankState) string {
-	if n := len(rs.phaseStack); n > 0 {
-		return obs.PhaseName(rs.phaseStack[n-1])
+// tally derives rank r's row from its held event stream: message,
+// byte, fault and checkpoint counts, the innermost open phase ("-"
+// before any event) and the clocks of its last event. A lease expiry
+// is emitted by the master but charged to the worker it names.
+func tally(row func(int) *RankStatus, r int, evs []obs.Event) {
+	rs := row(r)
+	var open []int64
+	for _, e := range evs {
+		switch e.Kind {
+		case obs.EvSendEnd, obs.EvSsendEnd:
+			rs.MsgsSent++
+			rs.BytesSent += e.C
+		case obs.EvRecvEnd:
+			if e.C >= 0 {
+				rs.MsgsRecv++
+				rs.BytesRecv += e.C
+			}
+		case obs.EvRetransmit:
+			rs.Retransmits++
+		case obs.EvCheckpoint:
+			rs.Checkpoints++
+		case obs.EvFault:
+			rs.Faults++
+			if e.A == obs.FaultDrop {
+				rs.Drops++
+			}
+		case obs.EvLeaseExpire:
+			row(int(e.A)).LeaseExpires++
+		case obs.EvPhaseEnter:
+			open = append(open, e.A)
+		case obs.EvPhaseExit:
+			for i := len(open) - 1; i >= 0; i-- {
+				if open[i] == e.A {
+					open = open[:i]
+					break
+				}
+			}
+		}
+		rs.CommSec, rs.CompSec = e.Comm, e.Comp
 	}
-	if rs.Events == 0 {
-		return "-"
+	rs.Events = len(evs)
+	switch {
+	case len(open) > 0:
+		rs.Phase = obs.PhaseName(open[len(open)-1])
+	case len(evs) == 0:
+		rs.Phase = "-"
 	}
-	return ""
 }
 
 // liveAnalysis condenses the live report into the run summary,
@@ -455,7 +431,7 @@ func (c *Collector) Readyz() (ok bool, missing []int) {
 	}
 	for r := 0; r < expect; r++ {
 		rs, seen := c.ranks[r]
-		if !seen || (rs.Reports == 0 && rs.lastCover.IsZero()) {
+		if !seen || (rs.reports == 0 && rs.lastCover.IsZero()) {
 			missing = append(missing, r)
 		}
 	}
@@ -470,7 +446,7 @@ func (c *Collector) Readyz() (ok bool, missing []int) {
 func (c *Collector) MergedDump() (*obs.Dump, error) {
 	c.mu.Lock()
 	var dumps []*obs.Dump
-	for _, r := range c.sortedRanks() {
+	for _, r := range slices.Sorted(maps.Keys(c.ranks)) {
 		if d := c.ranks[r].finalDump; d != nil {
 			dumps = append(dumps, d)
 		}
@@ -516,22 +492,12 @@ func (c *Collector) LiveDump() *obs.Dump {
 
 func (c *Collector) liveDump() *obs.Dump {
 	d := &obs.Dump{Version: obs.DumpVersion}
-	for _, r := range c.sortedRanks() {
+	for _, r := range slices.Sorted(maps.Keys(c.ranks)) {
 		if rs := c.ranks[r]; len(rs.events) > 0 || rs.dropped > 0 {
 			d.Ranks = append(d.Ranks, obs.RankDump{Rank: r, Dropped: rs.dropped, Events: rs.events})
 		}
 	}
 	return d
-}
-
-// sortedRanks lists the ranks the collector has state for, ascending.
-func (c *Collector) sortedRanks() []int {
-	ranks := make([]int, 0, len(c.ranks))
-	for r := range c.ranks {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
 }
 
 // ---- HTTP plumbing ----
@@ -577,9 +543,9 @@ func (c *Collector) handleRanks(w http.ResponseWriter, _ *http.Request) {
 		Metrics map[string]any `json:"metrics"`
 	}
 	var out []rankDetail
-	for _, r := range c.sortedRanks() {
+	for _, r := range slices.Sorted(maps.Keys(c.ranks)) {
 		rs := c.ranks[r]
-		out = append(out, rankDetail{Rank: r, PID: rs.PID, Reports: rs.Reports, Metrics: rs.metrics.Snapshot()})
+		out = append(out, rankDetail{Rank: r, PID: rs.pid, Reports: rs.reports, Metrics: rs.metrics.Snapshot()})
 	}
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")

@@ -161,20 +161,32 @@ func TestCoversHeartbeat(t *testing.T) {
 }
 
 // TestLeaseExpireAttribution: the master emits the lease-expire event,
-// but the tally belongs to the lost worker.
+// but the tally belongs to the lost worker, and the master's final
+// dump, which repeats the streamed event, does not count it again.
 func TestLeaseExpireAttribution(t *testing.T) {
 	c := New(Config{Ranks: 3})
 	evs := []obs.Event{{Kind: obs.EvLeaseExpire, Rank: 0, A: 2, B: 5}}
 	if err := c.Ingest(mkReport(0, 1, evs)); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Status()
-	if got := statusRank(t, st, 2).LeaseExpires; got != 1 {
-		t.Fatalf("worker 2 lease expiries = %d, want 1", got)
+	check := func(when string) {
+		t.Helper()
+		st := c.Status()
+		if got := statusRank(t, st, 2).LeaseExpires; got != 1 {
+			t.Fatalf("%s: worker 2 lease expiries = %d, want 1", when, got)
+		}
+		if got := statusRank(t, st, 0).LeaseExpires; got != 0 {
+			t.Fatalf("%s: master charged with the worker's expiry (%d)", when, got)
+		}
 	}
-	if got := statusRank(t, st, 0).LeaseExpires; got != 0 {
-		t.Fatalf("master charged with the worker's expiry (%d)", got)
+	check("streamed")
+	final := mkReport(0, 2, nil)
+	final.Final, final.ExitOK = true, true
+	final.FinalDump = &obs.Dump{Version: obs.DumpVersion, Ranks: []obs.RankDump{{Rank: 0, Events: evs}}}
+	if err := c.Ingest(final); err != nil {
+		t.Fatal(err)
 	}
+	check("after the final dump")
 }
 
 // scriptProcess emits rank r's side of a tiny run into its own tracer
@@ -494,8 +506,8 @@ func TestLiveReportConvergesToPostHoc(t *testing.T) {
 
 // TestFailedPostMarksGap: a report the collector never received loses
 // its events from the live view, which must say so through the
-// rank's drop count, and loses its metrics delta only until the final
-// flush, which carries the full metrics.
+// rank's drop count, but no metrics: the next report carries the
+// whole registry.
 func TestFailedPostMarksGap(t *testing.T) {
 	col := New(Config{Ranks: 1})
 	mux := http.NewServeMux()
@@ -534,6 +546,9 @@ func TestFailedPostMarksGap(t *testing.T) {
 	live := col.LiveDump()
 	if len(live.Ranks) != 1 || len(live.Ranks[0].Events) != 1 || live.Ranks[0].Dropped != 2 {
 		t.Fatalf("live view after a lost post: %+v, want 1 event and 2 dropped", live.Ranks)
+	}
+	if got := col.ranks[0].metrics.Counters["hits"]; got != hits.Value() {
+		t.Fatalf("collector counter after a lost post = %d, registry = %d", got, hits.Value())
 	}
 
 	if err := rep.Close(nil, true, ""); err != nil {

@@ -1,6 +1,6 @@
 // Package collector is the run-scoped telemetry plane: every rank of
-// a (possibly multi-process, possibly multi-machine) run streams
-// periodic deltas of its tracer events and metrics registry to one
+// a (possibly multi-process, possibly multi-machine) run streams its
+// new tracer events and its metrics registry periodically to one
 // collector, which maintains a live merged view of the whole run —
 // per-rank health and phase progress, an incremental comm/comp/idle
 // decomposition over the streamed causal DAG (internal/obs/analyze in
@@ -13,11 +13,13 @@
 // The wire protocol is a single JSON POST per reporting interval to
 // /ingest. Reports carry per-rank report sequence numbers so a
 // duplicate (retried) post is idempotent, cursor-delta event batches
-// (obs.Tracer.EventsSince), and changed-entries metrics deltas
-// (obs.MetricsState.Delta). Telemetry must never take a run down: the
-// reporter does not retry a report it cannot deliver, and the job
-// continues. The next report counts the lost events as dropped, and
-// the final one carries the full dump and the full metrics.
+// (obs.Tracer.EventsSince), and a full metrics snapshot
+// (obs.CaptureMetrics) that replaces the previous one. The collector
+// holds each rank's event stream and derives every per-rank count
+// from it when a status is built. Telemetry must never take a run
+// down: the reporter does not retry a report it cannot deliver, and
+// the job continues. The next report counts the lost events as
+// dropped, and the final one carries the full dump.
 package collector
 
 import (
@@ -25,7 +27,7 @@ import (
 )
 
 // ProtoVersion is the ingest payload format version.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // RankStream is one rank's event batch inside a report: the events at
 // log positions the reporter's cursor passed over since its previous
@@ -56,7 +58,7 @@ type Report struct {
 	Seq     uint64 `json:"seq"`
 	Covers  []int  `json:"covers,omitempty"`
 
-	Metrics *obs.MetricsDelta `json:"metrics,omitempty"`
+	Metrics *obs.MetricsState `json:"metrics,omitempty"`
 	Streams []RankStream      `json:"streams,omitempty"`
 
 	Final      bool      `json:"final,omitempty"`
@@ -90,7 +92,7 @@ type RankStatus struct {
 	Phase  string `json:"phase"`
 	Events int    `json:"events"`
 
-	// Traffic and fault counters derived from the streamed events.
+	// Traffic and fault counters derived from the held event stream.
 	MsgsSent     int64 `json:"msgs_sent"`
 	MsgsRecv     int64 `json:"msgs_recv"`
 	BytesSent    int64 `json:"bytes_sent"`

@@ -31,13 +31,14 @@ type ReporterConfig struct {
 	Client *http.Client
 }
 
-// Reporter periodically ships tracer/registry deltas to the collector.
-// Delivery is best-effort by design: telemetry must never take the
-// run down, so a failed post is counted and not retried. Cursors are
-// not rewound; the next report adds the lost events to each stream's
-// drop count, so the collector marks the gap, and the final flush
-// carries the full dump and the full metrics that make the collector
-// whole regardless of what streaming missed.
+// Reporter periodically ships the tracer's new events and a snapshot
+// of the registry to the collector. Delivery is best-effort by design:
+// telemetry must never take the run down, so a failed post is counted
+// and not retried. Cursors are not rewound; the next report adds the
+// lost events to each stream's drop count, so the collector marks the
+// gap, and the final flush carries the full dump that makes the
+// collector whole regardless of what streaming missed. Every report
+// carries the whole registry, so a lost one costs no metrics.
 type Reporter struct {
 	cfg    ReporterConfig
 	client *http.Client
@@ -45,7 +46,6 @@ type Reporter struct {
 	mu      sync.Mutex // serializes flushes (ticker vs Close)
 	cursors map[int]uint64
 	lost    map[int]uint64 // events of failed posts, per rank, not yet reported
-	prev    *obs.MetricsState
 	seq     uint64
 	failed  uint64
 	closed  bool
@@ -92,9 +92,8 @@ func (r *Reporter) loop() {
 	}
 }
 
-// gather builds the next report under the flush lock. The final one
-// carries the full metrics rather than a delta.
-func (r *Reporter) gather(final bool) *Report {
+// gather builds the next report under the flush lock.
+func (r *Reporter) gather() *Report {
 	r.seq++
 	rep := &Report{
 		Version: ProtoVersion,
@@ -103,6 +102,7 @@ func (r *Reporter) gather(final bool) *Report {
 		PID:     os.Getpid(),
 		Seq:     r.seq,
 		Covers:  r.cfg.Covers,
+		Metrics: obs.CaptureMetrics(r.cfg.Registry),
 	}
 	for _, rank := range r.cfg.Covers {
 		evs, next, lost := r.cfg.Tracer.EventsSince(rank, r.cursors[rank])
@@ -113,14 +113,6 @@ func (r *Reporter) gather(final bool) *Report {
 			rep.Streams = append(rep.Streams, RankStream{Rank: rank, Events: evs, Dropped: lost})
 		}
 	}
-	cur, prev := obs.CaptureMetrics(r.cfg.Registry), r.prev
-	if final {
-		prev = nil
-	}
-	if d := cur.Delta(prev); final || !d.Empty() {
-		rep.Metrics = d
-	}
-	r.prev = cur
 	return rep
 }
 
@@ -161,7 +153,7 @@ func (r *Reporter) Flush() error {
 	if r.closed {
 		return nil
 	}
-	return r.send(r.gather(false))
+	return r.send(r.gather())
 }
 
 // Failed returns how many reports could not be delivered.
@@ -173,7 +165,7 @@ func (r *Reporter) Failed() uint64 {
 
 // Close stops the periodic loop and delivers the final flush: the
 // process's authoritative full dump (d, or the tracer's current dump
-// when nil), its full metrics, and the exit verdict. Safe to
+// when nil), its metrics, and the exit verdict. Safe to
 // call once; a nil reporter is a no-op so call sites need no guards.
 func (r *Reporter) Close(d *obs.Dump, exitOK bool, reason string) error {
 	if r == nil {
@@ -190,7 +182,7 @@ func (r *Reporter) Close(d *obs.Dump, exitOK bool, reason string) error {
 	if d == nil {
 		d = r.cfg.Tracer.Dump()
 	}
-	rep := r.gather(true)
+	rep := r.gather()
 	rep.Final = true
 	rep.FinalDump = d
 	rep.ExitOK = exitOK

@@ -196,42 +196,13 @@ type Event struct {
 	Seq  uint64  `json:"seq,omitempty"`
 }
 
-// PhaseSpan is one completed phase on one rank, with the modeled
-// communication/computation accumulated inside it — the quantity
-// Fig. 5-style comm/comp decompositions read directly off the trace.
-type PhaseSpan struct {
-	Rank        int
-	Phase       int64
-	StartNs     int64
-	EndNs       int64
-	CommSeconds float64
-	CompSeconds float64
-}
-
-// WallSeconds returns the span's wall-clock duration in seconds.
-func (s PhaseSpan) WallSeconds() float64 {
-	return float64(s.EndNs-s.StartNs) / 1e9
-}
-
-// Modeled returns the span's modeled runtime (comm + comp seconds).
-func (s PhaseSpan) Modeled() float64 { return s.CommSeconds + s.CompSeconds }
-
-// openSpan is a phase-enter awaiting its exit on a rank's stack.
-type openSpan struct {
-	phase   int64
-	startNs int64
-	comm    float64
-	comp    float64
-}
-
 // ring is one rank's fixed-capacity event buffer. Oldest events are
 // overwritten on overflow; next counts every event ever emitted so
 // Dropped is derivable.
 type ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  uint64
-	stack []openSpan
+	mu   sync.Mutex
+	buf  []Event
+	next uint64
 }
 
 // DefaultRingCap is the per-rank event capacity used by the CLI tools
@@ -247,9 +218,6 @@ type Tracer struct {
 
 	mu    sync.RWMutex
 	rings []*ring
-
-	spanMu sync.Mutex
-	spans  []PhaseSpan
 }
 
 // NewTracer returns a tracer sized for the given rank count (rings
@@ -296,9 +264,7 @@ func (t *Tracer) ring(rank int) *ring {
 }
 
 // Emit records one event on rank's ring. commSec/compSec are the
-// rank's modeled clocks at emission. Phase enter/exit events
-// additionally maintain the completed-span list, which is never
-// evicted by ring wraparound (spans are rare; messages are not).
+// rank's modeled clocks at emission.
 func (t *Tracer) Emit(rank int, k Kind, commSec, compSec float64, a, b, c int64) {
 	t.EmitSeq(rank, k, commSec, compSec, a, b, c, 0)
 }
@@ -318,29 +284,6 @@ func (t *Tracer) EmitSeq(rank int, k Kind, commSec, compSec float64, a, b, c int
 		Comm: commSec, Comp: compSec, A: a, B: b, C: c, Seq: seq,
 	}
 	r.next++
-	switch k {
-	case EvPhaseEnter:
-		r.stack = append(r.stack, openSpan{phase: a, startNs: wall, comm: commSec, comp: compSec})
-	case EvPhaseExit:
-		// Pop to the matching enter, discarding any unexited inner
-		// phases (a rank that crashed mid-phase never exits it).
-		for i := len(r.stack) - 1; i >= 0; i-- {
-			if r.stack[i].phase != a {
-				continue
-			}
-			o := r.stack[i]
-			r.stack = r.stack[:i]
-			t.spanMu.Lock()
-			t.spans = append(t.spans, PhaseSpan{
-				Rank: rank, Phase: a,
-				StartNs: o.startNs, EndNs: wall,
-				CommSeconds: commSec - o.comm,
-				CompSeconds: compSec - o.comp,
-			})
-			t.spanMu.Unlock()
-			break
-		}
-	}
 	r.mu.Unlock()
 }
 
@@ -405,37 +348,4 @@ func (t *Tracer) TotalEvents() uint64 {
 		r.mu.Unlock()
 	}
 	return n
-}
-
-// SpanMark is a position in the completed-span list; see Mark.
-type SpanMark int
-
-// Mark returns a cursor such that SpansSince(Mark()) yields only the
-// phase spans completed after this call — the hook experiment sweeps
-// use to isolate one machine run on a shared tracer.
-func (t *Tracer) Mark() SpanMark {
-	if t == nil {
-		return 0
-	}
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	return SpanMark(len(t.spans))
-}
-
-// Spans returns every completed phase span in completion order.
-func (t *Tracer) Spans() []PhaseSpan { return t.SpansSince(0) }
-
-// SpansSince returns the phase spans completed after mark.
-func (t *Tracer) SpansSince(mark SpanMark) []PhaseSpan {
-	if t == nil {
-		return nil
-	}
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	if int(mark) >= len(t.spans) {
-		return nil
-	}
-	out := make([]PhaseSpan, len(t.spans)-int(mark))
-	copy(out, t.spans[mark:])
-	return out
 }

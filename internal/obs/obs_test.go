@@ -87,71 +87,6 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-// TestPhaseSpans: nesting, modeled-clock deltas, and the discard of a
-// phase a rank never exited (crash mid-phase).
-func TestPhaseSpans(t *testing.T) {
-	tr := newTestTracer(2, 64)
-	tr.Emit(0, EvPhaseEnter, 0.0, 0.0, PhaseCluster, 0, 0)
-	tr.Emit(0, EvPhaseEnter, 0.1, 0.2, PhaseAlign, 0, 0)
-	tr.Emit(0, EvPhaseExit, 0.3, 0.7, PhaseAlign, 0, 0)
-	// Rank 1 enters a phase and never exits (dies): no span.
-	tr.Emit(1, EvPhaseEnter, 0, 0, PhaseGST, 0, 0)
-	tr.Emit(0, EvPhaseExit, 0.5, 1.0, PhaseCluster, 0, 0)
-
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2 (inner align, outer cluster)", len(spans))
-	}
-	in, out := spans[0], spans[1]
-	if in.Phase != PhaseAlign || out.Phase != PhaseCluster {
-		t.Fatalf("span order: got %v,%v", in.Phase, out.Phase)
-	}
-	approx := func(got, want float64) bool { return got > want-1e-9 && got < want+1e-9 }
-	if !approx(in.CommSeconds, 0.2) || !approx(in.CompSeconds, 0.5) {
-		t.Errorf("inner span deltas comm=%v comp=%v, want 0.2, 0.5", in.CommSeconds, in.CompSeconds)
-	}
-	if !approx(out.CommSeconds, 0.5) || !approx(out.CompSeconds, 1.0) {
-		t.Errorf("outer span deltas comm=%v comp=%v, want 0.5, 1.0", out.CommSeconds, out.CompSeconds)
-	}
-	if out.StartNs >= out.EndNs {
-		t.Errorf("outer span wall range [%d, %d] not increasing", out.StartNs, out.EndNs)
-	}
-}
-
-// TestExitDiscardsUnmatchedInner: exiting an outer phase discards an
-// inner enter that never exited, instead of mispairing.
-func TestExitDiscardsUnmatchedInner(t *testing.T) {
-	tr := newTestTracer(1, 64)
-	tr.Emit(0, EvPhaseEnter, 0, 0, PhaseCluster, 0, 0)
-	tr.Emit(0, EvPhaseEnter, 0, 0, PhaseAlign, 0, 0) // never exits
-	tr.Emit(0, EvPhaseExit, 0, 0, PhaseCluster, 0, 0)
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Phase != PhaseCluster {
-		t.Fatalf("got %+v, want single cluster span", spans)
-	}
-}
-
-// TestMarkSpansSince: a mark isolates one run's spans on a shared
-// tracer (how a Fig5 sweep reuses one tracer across runs).
-func TestMarkSpansSince(t *testing.T) {
-	tr := newTestTracer(1, 64)
-	tr.Emit(0, EvPhaseEnter, 0, 0, PhaseGST, 0, 0)
-	tr.Emit(0, EvPhaseExit, 0, 0.5, PhaseGST, 0, 0)
-	mark := tr.Mark()
-	tr.Emit(0, EvPhaseEnter, 0, 0.5, PhaseGST, 0, 0)
-	tr.Emit(0, EvPhaseExit, 0, 0.9, PhaseGST, 0, 0)
-	since := tr.SpansSince(mark)
-	if len(since) != 1 {
-		t.Fatalf("SpansSince: got %d spans, want 1", len(since))
-	}
-	if got := since[0].CompSeconds; got < 0.39 || got > 0.41 {
-		t.Errorf("second run's span comp = %v, want 0.4", got)
-	}
-	if got := len(tr.Spans()); got != 2 {
-		t.Errorf("total spans %d, want 2", got)
-	}
-}
-
 // TestRingGrowth: emitting on a rank beyond the initial allocation
 // grows the tracer instead of panicking.
 func TestRingGrowth(t *testing.T) {
@@ -170,12 +105,8 @@ func TestRingGrowth(t *testing.T) {
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(0, EvSendBegin, 0, 0, 0, 0, 0)
-	if tr.Ranks() != 0 || tr.Events(0) != nil || tr.Dropped(0) != 0 ||
-		tr.TotalEvents() != 0 || tr.Spans() != nil || tr.SpansSince(0) != nil {
+	if tr.Ranks() != 0 || tr.Events(0) != nil || tr.Dropped(0) != 0 || tr.TotalEvents() != 0 {
 		t.Fatal("nil tracer accessor returned non-zero")
-	}
-	if tr.Mark() != 0 {
-		t.Fatal("nil Mark != 0")
 	}
 }
 

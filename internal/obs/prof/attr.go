@@ -294,12 +294,21 @@ func Attribute(cpus, allocs []*Profile, causal []CritPhaseSec, opt Options) *Rep
 	return r
 }
 
-// allocSites sums allocated bytes and objects per allocation site (the
-// leaf frame of an alloc stack) across ps. A site's phase is the one
-// attributePhase finds for the first of its stacks it can place
-// through funcPhase; a nil funcPhase places none.
-func allocSites(ps []*Profile, funcPhase map[string]map[string]int64) map[Frame]AllocStat {
-	sites := map[Frame]AllocStat{}
+// allocSite keys an allocation site by the function and line of the
+// leaf frame of its stacks, not by file: function names are
+// module-qualified, while file paths differ between two checkouts of
+// one tree.
+type allocSite struct {
+	fn   string
+	line int64
+}
+
+// allocSites sums allocated bytes and objects per allocation site
+// across ps. A site's phase is the one attributePhase finds for the
+// first of its stacks it can place through funcPhase; a nil funcPhase
+// places none.
+func allocSites(ps []*Profile, funcPhase map[string]map[string]int64) map[allocSite]AllocStat {
+	sites := map[allocSite]AllocStat{}
 	for _, p := range ps {
 		bi := p.valueIndex("alloc_space")
 		oi := p.ValueIndex("alloc_objects")
@@ -309,7 +318,8 @@ func allocSites(ps []*Profile, funcPhase map[string]map[string]int64) map[Frame]
 				continue
 			}
 			leaf := s.Stack[0]
-			st, ok := sites[leaf]
+			k := allocSite{leaf.Function, leaf.Line}
+			st, ok := sites[k]
 			if !ok {
 				st = AllocStat{Function: leaf.Function, File: leaf.File, Line: leaf.Line}
 			}
@@ -320,7 +330,7 @@ func allocSites(ps []*Profile, funcPhase map[string]map[string]int64) map[Frame]
 			if st.Phase == "" {
 				st.Phase = attributePhase(s.Stack, funcPhase)
 			}
-			sites[leaf] = st
+			sites[k] = st
 		}
 	}
 	return sites
@@ -585,13 +595,17 @@ func funcDeltas(o, n map[string]int64, top int) []FuncDelta {
 }
 
 // DiffAllocs compares per-site allocation bytes between two runs,
-// largest absolute change first.
+// largest absolute change first. A row shows the new side's file.
 func DiffAllocs(old, new []*Profile, top int) []AllocDelta {
 	o, n := allocSites(old, nil), allocSites(new, nil)
 	var out []AllocDelta
-	add := func(k Frame) {
+	add := func(k allocSite) {
+		file := n[k].File
+		if file == "" {
+			file = o[k].File
+		}
 		d := AllocDelta{
-			Function: k.Function, File: k.File, Line: k.Line,
+			Function: k.fn, File: file, Line: k.line,
 			OldBytes: o[k].Bytes, NewBytes: n[k].Bytes,
 			OldObjects: o[k].Objects, NewObjects: n[k].Objects,
 		}

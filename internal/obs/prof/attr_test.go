@@ -163,3 +163,23 @@ func TestDiff(t *testing.T) {
 		t.Fatalf("DiffAllocs = %+v", ad)
 	}
 }
+
+// TestDiffAllocsAcrossCheckouts: the same site profiled in two
+// checkouts of one tree has two absolute file paths. It is still one
+// site: unchanged it yields no row, changed exactly one, with the new
+// side's file.
+func TestDiffAllocsAcrossCheckouts(t *testing.T) {
+	at := func(root string, bytes int64) *Profile {
+		return allocProfile(Sample{
+			Stack:  []Frame{{Function: "repro/internal/x.grow", File: root + "/repo/internal/x/x.go", Line: 42}},
+			Values: []int64{1, bytes, 0, 0},
+		})
+	}
+	if d := DiffAllocs([]*Profile{at("/a", 4096)}, []*Profile{at("/b", 4096)}, 5); len(d) != 0 {
+		t.Fatalf("unchanged site across checkouts: %+v, want no row", d)
+	}
+	d := DiffAllocs([]*Profile{at("/a", 4096)}, []*Profile{at("/b", 8192)}, 5)
+	if len(d) != 1 || d[0].DeltaBytes != 4096 || d[0].File != "/b/repo/internal/x/x.go" || d[0].Line != 42 {
+		t.Fatalf("changed site across checkouts: %+v, want one row of +4096 B at /b/...:42", d)
+	}
+}

@@ -1,16 +1,8 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Streaming telemetry primitives: the delta encoding a per-rank
-// process uses to ship its tracer and registry state to a run-scoped
-// collector (internal/obs/collector) incrementally, instead of one
-// monolithic dump after the run.
-//
-// Two streams exist per rank:
+// Streaming telemetry primitives: what a per-rank process ships to a
+// run-scoped collector (internal/obs/collector) while it runs, instead
+// of one monolithic dump after the run.
 //
 //   - events: the tracer ring is an append-only log per rank (next is
 //     the count of events ever emitted), so a cursor — the reader's
@@ -18,11 +10,10 @@ import (
 //     EventsSince returns the retained suffix past the cursor and how
 //     many events wraparound evicted before the reader got to them.
 //
-//   - metrics: CaptureMetrics snapshots a registry into a MetricsState;
-//     Delta diffs two states into the (usually tiny) set of changed
-//     entries; Apply replays a delta onto an accumulated state. For any
-//     op sequence, applying every delta in order reproduces the final
-//     state exactly (the round-trip property the collector depends on).
+//   - metrics: CaptureMetrics snapshots a registry into a MetricsState,
+//     which every report carries whole. A registry is a few hundred
+//     bytes to a few KB, so the latest state replaces the previous one
+//     and a lost report loses nothing the next one does not resend.
 
 // EventsSince returns rank's events at log positions >= cursor that
 // are still retained, the new cursor (pass it back next call), and how
@@ -63,28 +54,23 @@ type HistState struct {
 	Sum    float64   `json:"sum"`
 }
 
-// MetricsState is a registry's full cumulative state, the replayable
-// form of Snapshot. Counters and histograms are monotone; gauges are
-// last-write-wins.
+// MetricsState is a registry's full cumulative state, the wire form
+// of Snapshot. Its maps are never nil, so a JSON round trip returns
+// an equal state.
 type MetricsState struct {
-	Counters map[string]int64     `json:"counters,omitempty"`
-	Gauges   map[string]int64     `json:"gauges,omitempty"`
-	Hists    map[string]HistState `json:"hists,omitempty"`
-}
-
-// NewMetricsState returns an empty state ready for Apply.
-func NewMetricsState() *MetricsState {
-	return &MetricsState{
-		Counters: map[string]int64{},
-		Gauges:   map[string]int64{},
-		Hists:    map[string]HistState{},
-	}
+	Counters map[string]int64     `json:"counters"`
+	Gauges   map[string]int64     `json:"gauges"`
+	Hists    map[string]HistState `json:"hists"`
 }
 
 // CaptureMetrics snapshots a registry into a MetricsState. A nil
 // registry captures as the empty state.
 func CaptureMetrics(r *Registry) *MetricsState {
-	s := NewMetricsState()
+	s := &MetricsState{
+		Counters: map[string]int64{},
+		Gauges:   map[string]int64{},
+		Hists:    map[string]HistState{},
+	}
 	if r == nil {
 		return s
 	}
@@ -108,114 +94,6 @@ func CaptureMetrics(r *Registry) *MetricsState {
 		s.Hists[name] = hs
 	}
 	return s
-}
-
-// HistDelta is one histogram's increment since the previous state.
-// Bounds ride along only on the histogram's first appearance.
-type HistDelta struct {
-	Bounds []float64 `json:"bounds,omitempty"`
-	Counts []int64   `json:"counts"`
-	Sum    float64   `json:"sum"`
-}
-
-// MetricsDelta is the changed-entries diff between two MetricsStates:
-// counter and histogram entries are increments, gauge entries are
-// absolute values. Unchanged metrics are omitted entirely.
-type MetricsDelta struct {
-	Counters map[string]int64     `json:"counters,omitempty"`
-	Gauges   map[string]int64     `json:"gauges,omitempty"`
-	Hists    map[string]HistDelta `json:"hists,omitempty"`
-}
-
-// Empty reports whether the delta carries no changes.
-func (d *MetricsDelta) Empty() bool {
-	return d == nil || (len(d.Counters) == 0 && len(d.Gauges) == 0 && len(d.Hists) == 0)
-}
-
-// Delta diffs cur against prev (prev may be nil: everything is new).
-func (cur *MetricsState) Delta(prev *MetricsState) *MetricsDelta {
-	d := &MetricsDelta{}
-	for name, v := range cur.Counters {
-		var old int64
-		if prev != nil {
-			old = prev.Counters[name]
-		}
-		if v != old {
-			if d.Counters == nil {
-				d.Counters = map[string]int64{}
-			}
-			d.Counters[name] = v - old
-		}
-	}
-	for name, v := range cur.Gauges {
-		old, had := int64(0), false
-		if prev != nil {
-			old, had = prev.Gauges[name]
-		}
-		if !had || v != old {
-			if d.Gauges == nil {
-				d.Gauges = map[string]int64{}
-			}
-			d.Gauges[name] = v
-		}
-	}
-	for name, hs := range cur.Hists {
-		var old HistState
-		var had bool
-		if prev != nil {
-			old, had = prev.Hists[name]
-		}
-		changed := !had
-		hd := HistDelta{Counts: make([]int64, len(hs.Counts)), Sum: hs.Sum - old.Sum}
-		if !had {
-			hd.Bounds = hs.Bounds
-		}
-		for i, c := range hs.Counts {
-			var oc int64
-			if had && i < len(old.Counts) {
-				oc = old.Counts[i]
-			}
-			hd.Counts[i] = c - oc
-			if hd.Counts[i] != 0 {
-				changed = true
-			}
-		}
-		if changed {
-			if d.Hists == nil {
-				d.Hists = map[string]HistDelta{}
-			}
-			d.Hists[name] = hd
-		}
-	}
-	return d
-}
-
-// Apply replays one delta onto the accumulated state.
-func (s *MetricsState) Apply(d *MetricsDelta) error {
-	if d == nil {
-		return nil
-	}
-	for name, inc := range d.Counters {
-		s.Counters[name] += inc
-	}
-	for name, v := range d.Gauges {
-		s.Gauges[name] = v
-	}
-	for name, hd := range d.Hists {
-		hs, ok := s.Hists[name]
-		if !ok {
-			hs = HistState{Bounds: hd.Bounds, Counts: make([]int64, len(hd.Counts))}
-		}
-		if len(hd.Counts) != len(hs.Counts) {
-			return fmt.Errorf("obs: histogram %q delta has %d buckets, state has %d", name, len(hd.Counts), len(hs.Counts))
-		}
-		for i, c := range hd.Counts {
-			hs.Counts[i] += c
-		}
-		hs.Sum += hd.Sum
-		s.Hists[name] = hs
-	}
-	return nil
 }
 
 // Snapshot renders the state in the same flat expvar shape as
@@ -248,15 +126,4 @@ func (s *MetricsState) Snapshot() map[string]any {
 		out[name] = map[string]any{"count": count, "sum": hs.Sum, "buckets": buckets}
 	}
 	return out
-}
-
-// CounterNames returns the state's counter names, sorted — a
-// deterministic iteration helper for renderers.
-func (s *MetricsState) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -65,26 +65,20 @@ func TestEventsSinceWraparound(t *testing.T) {
 	}
 }
 
-// TestMetricsDeltaRoundTrip is the property the collector depends on:
-// for a random op sequence, replaying every interval delta (through a
-// JSON round-trip, as on the wire) onto an empty state reproduces the
-// final registry snapshot exactly.
-func TestMetricsDeltaRoundTrip(t *testing.T) {
+// TestMetricsSnapshotRoundTrip is the wire contract the collector
+// depends on: after any sequence of registry operations, a captured
+// state survives the JSON round trip of a report exactly, and renders
+// the same expvar-shaped snapshot.
+func TestMetricsSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	reg := NewRegistry()
-	replica := NewMetricsState()
 	bounds := []float64{1, 10, 100}
-
-	prev := (*MetricsState)(nil)
 	for round := 0; round < 60; round++ {
 		for op := 0; op < rng.Intn(20); op++ {
 			name := string(rune('a' + rng.Intn(6)))
 			switch rng.Intn(3) {
 			case 0:
-				// Nonzero increments: a counter born at zero produces no
-				// delta entry, so the replica would (correctly) not know
-				// it exists yet — which DeepEqual would flag.
-				reg.Counter("ctr_" + name).Add(int64(rng.Intn(50)) + 1)
+				reg.Counter("ctr_" + name).Add(int64(rng.Intn(50)))
 			case 1:
 				reg.Gauge("g_" + name).Set(int64(rng.Intn(1000) - 500))
 			case 2:
@@ -93,50 +87,20 @@ func TestMetricsDeltaRoundTrip(t *testing.T) {
 				reg.Histogram("h_"+name, bounds).Observe(float64(rng.Intn(200)))
 			}
 		}
-		cur := CaptureMetrics(reg)
-		d := cur.Delta(prev)
-		prev = cur
-
-		wire, err := json.Marshal(d)
+		capture := CaptureMetrics(reg)
+		wire, err := json.Marshal(capture)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back MetricsDelta
+		var back MetricsState
 		if err := json.Unmarshal(wire, &back); err != nil {
 			t.Fatal(err)
 		}
-		if err := replica.Apply(&back); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(&back, capture) {
+			t.Fatalf("round %d: decoded state differs from the capture:\ndecoded: %+v\ncapture: %+v", round, &back, capture)
 		}
-	}
-
-	final := CaptureMetrics(reg)
-	if !reflect.DeepEqual(replica, final) {
-		t.Fatalf("replayed deltas diverge from final state:\nreplica: %+v\nfinal:   %+v", replica, final)
-	}
-	// And the rendered form matches the expvar-shaped snapshot too.
-	if !reflect.DeepEqual(replica.Snapshot(), final.Snapshot()) {
-		t.Fatal("Snapshot() of replica differs from final state's")
-	}
-}
-
-// TestMetricsDeltaEmpty: no changes, no payload.
-func TestMetricsDeltaEmpty(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("x").Add(2)
-	a := CaptureMetrics(reg)
-	if d := a.Delta(nil); d.Empty() {
-		t.Fatal("first delta should carry the counter")
-	}
-	b := CaptureMetrics(reg)
-	if d := b.Delta(a); !d.Empty() {
-		t.Fatalf("unchanged registry produced delta %+v", d)
-	}
-	var nilDelta *MetricsDelta
-	if !nilDelta.Empty() {
-		t.Fatal("nil delta should be empty")
-	}
-	if err := NewMetricsState().Apply(nil); err != nil {
-		t.Fatal(err)
+		if !reflect.DeepEqual(back.Snapshot(), capture.Snapshot()) {
+			t.Fatalf("round %d: Snapshot() of the decoded state differs from the capture's", round)
+		}
 	}
 }
