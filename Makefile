@@ -40,9 +40,10 @@ flake-check:
 
 # The pool and everything that runs on it: the GST bucket build and
 # pair generation's first pass split a forest across goroutines, and
-# their identity tests run at GOMAXPROCS 4 on any host.
+# their identity tests run at GOMAXPROCS 4 on any host. The socket
+# transport's reconnect, drain, crash and liveness tests run here too.
 race:
-	$(GO) test -race ./internal/par ./internal/cluster ./internal/obs ./internal/obs/collector ./cmd/asmprof ./internal/align ./internal/assembly ./internal/pool ./internal/suffixtree ./internal/pairgen ./internal/pgst
+	$(GO) test -race ./internal/par ./internal/par/nettrans ./internal/cluster ./internal/obs ./internal/obs/collector ./cmd/asmprof ./internal/align ./internal/assembly ./internal/pool ./internal/suffixtree ./internal/pairgen ./internal/pgst
 
 # Race detector over the concurrency-heavy packages the simulation
 # harness exercises (runtime, clustering protocol, GST build, harness).

@@ -48,8 +48,8 @@ func FuzzDecodeFrame(f *testing.F) {
 // seedFrames covers every frame kind plus edge-case field values.
 func seedFrames() []frame {
 	return []frame{
-		{Kind: kHello, Src: 1, Dst: 0, Size: 4, Epoch: 1},
-		{Kind: kHello, Src: 3, Dst: 2, Size: 4, Epoch: ^uint64(0)},
+		{Kind: kHello, Src: 1, Dst: 0, Size: 4, Epoch: 1, Seq: 42},
+		{Kind: kHello, Src: 3, Dst: 2, Size: 4, Epoch: ^uint64(0), Seq: ^uint64(0)},
 		{Kind: kWelcome, Epoch: 1, Seq: 42},
 		{Kind: kData, Src: 1, Dst: 0, Tag: 5, Seq: 7, Sync: true, Data: []byte("payload")},
 		{Kind: kData, Src: 0, Dst: 3, Tag: -1, Seq: 1, Data: []byte{}},
@@ -92,5 +92,5 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	// Bare frame payloads without the envelope.
 	write("seed-raw-data", encodeFrame(frame{Kind: kData, Src: 2, Dst: 1, Tag: 3, Seq: 9, Data: []byte("x")}))
 	write("seed-unknown-kind", []byte{0x63})
-	write("seed-truncated-hello", encodeFrame(frame{Kind: kHello, Src: 1, Dst: 0, Size: 4, Epoch: 1})[:3])
+	write("seed-truncated-hello", encodeFrame(frame{Kind: kHello, Src: 1, Dst: 0, Size: 4, Epoch: 1, Seq: 42})[:3])
 }

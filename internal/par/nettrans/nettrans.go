@@ -82,9 +82,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// safeConn serializes frame writes on one connection (the acceptor's
-// read loop, match callbacks and heartbeat ticker all write acks on
-// the same socket).
+// safeConn serializes frame writes on one link (its writer, CrashNotify
+// and Close's goodbye share the socket).
 type safeConn struct {
 	mu   sync.Mutex
 	c    net.Conn
@@ -111,52 +110,130 @@ func (s *safeConn) read() (frame, error) {
 	return readFrame(s.c, s.mf)
 }
 
+// readWithin reads a handshake frame, giving up after d.
+func (s *safeConn) readWithin(d time.Duration) (frame, error) {
+	s.c.SetReadDeadline(time.Now().Add(d))
+	defer s.c.SetReadDeadline(time.Time{})
+	return s.read()
+}
+
 func (s *safeConn) close() {
 	if s.dead.CompareAndSwap(false, true) {
 		s.c.Close()
 	}
 }
 
-// outMsg is one queued outbound envelope awaiting acknowledgement.
-type outMsg struct {
-	env par.Envelope
-	ack chan struct{} // rendezvous completion; nil for eager sends
-}
-
-// peer is all per-remote-rank state: the outbound queue this rank's
-// dialer connection drains, and the inbound bookkeeping the acceptor
-// side maintains for deduplication and match acknowledgements.
+// peer is all state for one remote rank: the one link that carries
+// both directions, the queue of envelopes to it, and the dedupe
+// horizon and owed acknowledgements for envelopes from it.
 type peer struct {
 	rank int
 
-	// Outbound (we dial them): guarded by mu.
-	mu       sync.Mutex
-	sendq    []outMsg // unacked envelopes in sequence order
-	unsent   int      // index of first entry not yet written on the current connection
-	pending  map[uint64]chan struct{}
-	acked    uint64 // highest cumulatively acknowledged sequence number
-	curOut   *safeConn
-	dead     bool
-	finished bool
-	reason   string
-	notify   chan struct{} // wakes the writer (capacity 1)
+	rx sync.Mutex // held from dedupe through delivery of one envelope
 
-	// Inbound (they dial us): guarded by inMu.
-	inMu          sync.Mutex
-	lastDelivered uint64 // dedupe horizon: highest sequence delivered
-	curIn         *safeConn
-	pendingMacks  []uint64 // match-acks owed while disconnected
+	mu            sync.Mutex
+	link          *safeConn                // the live connection; nil while down
+	sendq         []par.Envelope           // unacked envelopes in sequence order
+	unsent        int                      // index of the first entry not yet written on link
+	pending       map[uint64]chan struct{} // rendezvous sends awaiting their match-ack
+	acked         uint64                   // highest sequence the peer cumulatively acknowledged
+	lastDelivered uint64                   // dedupe horizon: highest sequence delivered from the peer
+	ackOwed       bool                     // a delivery since the last ack written
+	macks         []uint64                 // match-acks to write, kept across a dropped link
+	dead          bool
+	finished      bool
+	notify        chan struct{} // wakes the link's writer (capacity 1)
 
 	lastHeard atomic.Int64 // unix nanos of the last frame from this peer
 }
 
 func (p *peer) heard() { p.lastHeard.Store(time.Now().UnixNano()) }
 
-// gone reports whether the peer needs no further outbound effort.
+// gone reports whether the peer needs no further effort.
 func (p *peer) gone() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.dead || p.finished
+}
+
+func (p *peer) current() *safeConn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.link
+}
+
+func (p *peer) delivered() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lastDelivered
+}
+
+func (p *peer) clearLink(sc *safeConn) {
+	p.mu.Lock()
+	if p.link == sc {
+		p.link = nil
+	}
+	p.mu.Unlock()
+}
+
+// oweMack queues a rendezvous match report for the link's writer.
+func (p *peer) oweMack(seq uint64) {
+	p.mu.Lock()
+	p.macks = append(p.macks, seq)
+	p.mu.Unlock()
+	wake(p.notify)
+}
+
+// releaseLocked completes every pending rendezvous send. Caller holds
+// p.mu.
+func (p *peer) releaseLocked() {
+	for _, ch := range p.pending {
+		close(ch)
+	}
+	p.pending = map[uint64]chan struct{}{}
+}
+
+// pruneLocked drops queue entries the peer has cumulatively
+// acknowledged as delivered. A rendezvous entry leaves the queue when
+// delivered (it sits safely in the peer's mailbox and is never resent)
+// but its completion channel stays pending until the match-ack.
+// Caller holds p.mu.
+func (p *peer) pruneLocked(acked uint64) {
+	if acked <= p.acked {
+		return
+	}
+	p.acked = acked
+	i := 0
+	for i < len(p.sendq) && p.sendq[i].Seq <= acked {
+		i++
+	}
+	clear(p.sendq[:i]) // release the delivered payloads
+	p.sendq = p.sendq[i:]
+	p.unsent = max(p.unsent-i, 0)
+}
+
+// next takes the next frame for sc to write — an owed ack, then owed
+// match-acks, then the first envelope not yet written on it. ok is
+// false when there is nothing to write or sc is no longer p's link.
+func (p *peer) next(sc *safeConn) (f frame, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.link != sc:
+		return f, false
+	case p.ackOwed:
+		p.ackOwed = false
+		return frame{Kind: kAck, Seq: p.lastDelivered}, true
+	case len(p.macks) > 0:
+		f = frame{Kind: kMatchAck, Seq: p.macks[0]}
+		p.macks = p.macks[1:]
+		return f, true
+	case p.unsent < len(p.sendq):
+		m := p.sendq[p.unsent]
+		p.unsent++
+		return frame{Kind: kData, Src: m.Src, Dst: m.Dst, Tag: m.Tag, Seq: m.Seq, Sync: m.Sync, Data: m.Data}, true
+	}
+	return f, false
 }
 
 // Transport is the socket implementation of par.Transport. One
@@ -233,8 +310,8 @@ func New(cfg Config) (*Transport, error) {
 // Addr returns the bound listen address.
 func (t *Transport) Addr() string { return t.addr }
 
-// Attach starts the mesh: the accept loop, one dialer per peer, and
-// the liveness monitor.
+// Attach starts the mesh: the accept loop, a dialer for every
+// higher-ranked peer, and the liveness monitor.
 func (t *Transport) Attach(sink par.Sink) error {
 	t.mu.Lock()
 	if t.closed {
@@ -251,10 +328,7 @@ func (t *Transport) Attach(sink par.Sink) error {
 
 	t.wg.Add(1)
 	go t.acceptLoop()
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
+	for _, p := range t.peers[t.cfg.Rank+1:] {
 		t.wg.Add(1)
 		go t.dialLoop(p)
 	}
@@ -263,19 +337,23 @@ func (t *Transport) Attach(sink par.Sink) error {
 	return nil
 }
 
-func (t *Transport) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
+// stopping reports whether Close has begun tearing the mesh down.
+func (t *Transport) stopping() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
 }
 
-// Deliver queues e for its destination; the per-peer writer ships it.
+// Deliver queues e for its destination; the link's writer ships it.
 // It never blocks on the network.
 func (t *Transport) Deliver(e par.Envelope, matched chan struct{}) error {
 	if e.Dst < 0 || e.Dst >= len(t.peers) || t.peers[e.Dst] == nil {
 		return fmt.Errorf("nettrans: deliver to invalid rank %d", e.Dst)
 	}
-	if t.isClosed() {
+	if t.stopping() {
 		return errors.New("nettrans: transport closed")
 	}
 	p := t.peers[e.Dst]
@@ -291,7 +369,7 @@ func (t *Transport) Deliver(e par.Envelope, matched chan struct{}) error {
 		}
 		return nil
 	}
-	p.sendq = append(p.sendq, outMsg{env: e, ack: matched})
+	p.sendq = append(p.sendq, e)
 	if matched != nil {
 		p.pending[e.Seq] = matched
 	}
@@ -317,57 +395,31 @@ func (t *Transport) Probe(r int) bool {
 
 // CrashNotify announces this rank's own death to every peer, so they
 // fail-stop promptly instead of waiting out the liveness timeout. For
-// peers with no live connection it attempts one direct dial — the
-// dying rank's last words. Best-effort: an unreachable peer finds out
-// via timeout. After CrashNotify, Close will not send the clean
-// goodbye (a crashed rank must never be mistaken for a finished one).
+// peers with no live link it attempts one direct dial — the dying
+// rank's last words. Best-effort: an unreachable peer finds out via
+// timeout. After CrashNotify, Close will not send the clean goodbye (a
+// crashed rank must never be mistaken for a finished one).
 func (t *Transport) CrashNotify(reason string) {
 	t.mu.Lock()
 	t.crashed = true
 	t.mu.Unlock()
-	f := frame{Kind: kBye, Crashed: true, Reason: reason}
+	t.sayBye(frame{Kind: kBye, Crashed: true, Reason: reason})
+}
+
+// sayBye writes a goodbye on every live peer's link. A crash notice
+// also dials a peer whose link is down.
+func (t *Transport) sayBye(f frame) {
 	for _, p := range t.peers {
 		if p == nil || p.gone() {
 			continue
 		}
-		p.mu.Lock()
-		out := p.curOut
-		p.mu.Unlock()
-		p.inMu.Lock()
-		in := p.curIn
-		p.inMu.Unlock()
-		if out == nil && in == nil {
+		if sc := p.current(); sc != nil {
+			sc.write(f)
+		} else if f.Crashed {
 			if sc, _, err := t.connect(p); err == nil {
 				sc.write(f)
 				sc.close()
 			}
-			continue
-		}
-		if out != nil {
-			out.write(f)
-		}
-		if in != nil && in != out {
-			in.write(f)
-		}
-	}
-}
-
-func (t *Transport) sayBye(f frame) {
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		out := p.curOut
-		p.mu.Unlock()
-		if out != nil {
-			out.write(f)
-		}
-		p.inMu.Lock()
-		in := p.curIn
-		p.inMu.Unlock()
-		if in != nil && in != out {
-			in.write(f)
 		}
 	}
 }
@@ -411,20 +463,11 @@ func (t *Transport) Close() error {
 			continue
 		}
 		p.mu.Lock()
-		out := p.curOut
-		for _, ch := range p.pending {
-			close(ch)
-		}
-		p.pending = map[uint64]chan struct{}{}
+		sc := p.link
+		p.releaseLocked()
 		p.mu.Unlock()
-		if out != nil {
-			out.close()
-		}
-		p.inMu.Lock()
-		in := p.curIn
-		p.inMu.Unlock()
-		if in != nil {
-			in.close()
+		if sc != nil {
+			sc.close()
 		}
 		wake(p.notify)
 	}
@@ -456,60 +499,35 @@ func (t *Transport) checkDrained() {
 	t.mu.Unlock()
 }
 
-// declareDead fail-stops a peer: its queue is dropped, every pending
-// rendezvous releases, and the runtime's dead-rank machinery fires.
-func (t *Transport) declareDead(p *peer, reason string) {
+// retire stops all effort toward p: its queue is dropped and every
+// pending rendezvous releases, since p will never match it. A dead
+// peer — crash notice or liveness timeout — fires the runtime's
+// dead-rank machinery; a finished one (clean goodbye) does not, as a
+// finished rank is not a failed rank.
+func (t *Transport) retire(p *peer, dead bool, reason string) {
 	p.mu.Lock()
-	if p.dead {
+	if p.dead || p.finished && !dead {
 		p.mu.Unlock()
 		return
 	}
-	p.dead = true
-	p.reason = reason
-	p.sendq = nil
-	p.unsent = 0
-	for _, ch := range p.pending {
-		close(ch)
-	}
-	p.pending = map[uint64]chan struct{}{}
-	out := p.curOut
+	p.dead, p.finished = dead, !dead
+	p.sendq, p.unsent = nil, 0
+	p.releaseLocked()
+	sc := p.link
 	p.mu.Unlock()
-	if out != nil {
-		out.close()
+	if sc != nil {
+		sc.close()
 	}
 	wake(p.notify)
 	t.checkDrained()
-	t.sink.PeerDead(p.rank, reason)
-}
-
-// markFinished records a clean goodbye: stop dialing, release pending
-// rendezvous sends (the peer will never match them), but do not report
-// a death — a finished rank is not a failed rank.
-func (t *Transport) markFinished(p *peer) {
-	p.mu.Lock()
-	if p.dead || p.finished {
-		p.mu.Unlock()
-		return
+	if dead {
+		t.sink.PeerDead(p.rank, reason)
 	}
-	p.finished = true
-	p.sendq = nil
-	p.unsent = 0
-	for _, ch := range p.pending {
-		close(ch)
-	}
-	p.pending = map[uint64]chan struct{}{}
-	out := p.curOut
-	p.mu.Unlock()
-	if out != nil {
-		out.close()
-	}
-	wake(p.notify)
-	t.checkDrained()
 }
 
 // monitor is the failure detector: a peer that has been completely
-// silent — no data, acks or heartbeats on any connection — for longer
-// than the liveness timeout is declared dead.
+// silent — no data, acks or heartbeats — for longer than the liveness
+// timeout is declared dead.
 func (t *Transport) monitor() {
 	defer t.wg.Done()
 	tick := time.NewTicker(t.cfg.Heartbeat)
@@ -526,7 +544,7 @@ func (t *Transport) monitor() {
 				continue
 			}
 			if silent := now.Sub(time.Unix(0, p.lastHeard.Load())); silent > t.cfg.Liveness {
-				t.declareDead(p, fmt.Sprintf("liveness timeout: silent for %v", silent.Round(time.Millisecond)))
+				t.retire(p, true, fmt.Sprintf("liveness timeout: silent for %v", silent.Round(time.Millisecond)))
 			}
 		}
 	}
@@ -544,21 +562,16 @@ func (t *Transport) resolve(r int) (string, error) {
 	return waitAddr(t.cfg.RegistryDir, r, t.cfg.Epoch, time.Now().Add(t.cfg.RendezvousTimeout), t.done)
 }
 
-// dialLoop maintains this rank's outbound connection to one peer:
-// dial, handshake, resume from the peer's acknowledged sequence
-// number, pump the queue; on any connection error, reconnect with
-// capped jittered backoff. It exits when the peer is dead or finished
-// or the transport closes.
+// dialLoop keeps the link to a higher-ranked peer up: dial, handshake,
+// serve; on any connection error, redial with capped jittered backoff.
+// It exits when the peer is dead or finished or the transport closes.
 func (t *Transport) dialLoop(p *peer) {
 	defer t.wg.Done()
 	bo := backoff.Policy{Base: 25 * time.Millisecond, Cap: time.Second, MaxDoublings: backoff.DefaultMaxDoublings, Jitter: 0.25}
 	rng := rand.New(rand.NewSource(int64(t.cfg.Rank)<<32 ^ int64(p.rank) ^ time.Now().UnixNano()))
 	attempt := 0
-	for {
-		if t.isClosed() || p.gone() {
-			return
-		}
-		sc, lastSeq, err := t.connect(p)
+	for !t.stopping() && !p.gone() {
+		sc, horizon, err := t.connect(p)
 		if err != nil {
 			if !bo.Sleep(attempt, rng, t.done) {
 				return
@@ -567,14 +580,13 @@ func (t *Transport) dialLoop(p *peer) {
 			continue
 		}
 		attempt = 0
-		t.runOutbound(p, sc, lastSeq)
-		sc.close()
+		t.serve(p, sc, horizon)
 	}
 }
 
-// connect dials the peer and performs the hello/welcome handshake,
-// returning the connection and the peer's cumulative delivery horizon
-// to resume from.
+// connect dials the peer and performs the handshake: the hello carries
+// this rank's delivered horizon for the peer, the welcome the peer's
+// for this rank, which connect returns.
 func (t *Transport) connect(p *peer) (*safeConn, uint64, error) {
 	addr, err := t.resolve(p.rank)
 	if err != nil {
@@ -585,152 +597,19 @@ func (t *Transport) connect(p *peer) (*safeConn, uint64, error) {
 		return nil, 0, err
 	}
 	sc := newSafeConn(c, t.cfg.MaxFrame, t.cfg.Liveness)
-	hello := frame{Kind: kHello, Src: t.cfg.Rank, Dst: p.rank, Size: t.cfg.Size, Epoch: t.cfg.Epoch}
-	if err := sc.write(hello); err != nil {
-		sc.close()
-		return nil, 0, err
+	hello := frame{Kind: kHello, Src: t.cfg.Rank, Dst: p.rank, Size: t.cfg.Size, Epoch: t.cfg.Epoch, Seq: p.delivered()}
+	var w frame
+	if err = sc.write(hello); err == nil {
+		w, err = sc.readWithin(t.cfg.DialTimeout)
 	}
-	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	w, err := sc.read()
-	c.SetReadDeadline(time.Time{})
+	if err == nil && (w.Kind != kWelcome || w.Epoch != t.cfg.Epoch) {
+		err = fmt.Errorf("nettrans: bad welcome from rank %d", p.rank)
+	}
 	if err != nil {
 		sc.close()
 		return nil, 0, err
 	}
-	if w.Kind != kWelcome || w.Epoch != t.cfg.Epoch {
-		sc.close()
-		return nil, 0, fmt.Errorf("nettrans: bad welcome from rank %d", p.rank)
-	}
 	return sc, w.Seq, nil
-}
-
-// runOutbound owns one live outbound connection: a reader goroutine
-// consumes acks, match-acks and heartbeats while the writer drains the
-// queue (resending everything past the peer's acknowledged horizon)
-// and keeps the connection warm with heartbeats. Returns on connection
-// error or shutdown.
-func (t *Transport) runOutbound(p *peer, sc *safeConn, lastSeq uint64) {
-	p.mu.Lock()
-	if p.dead || p.finished {
-		p.mu.Unlock()
-		return
-	}
-	p.curOut = sc
-	t.pruneAckedLocked(p, lastSeq)
-	p.unsent = 0 // retransmit everything unacknowledged on the fresh connection
-	p.mu.Unlock()
-	t.checkDrained()
-
-	connDone := make(chan struct{})
-	var readErr atomic.Bool
-	go func() {
-		defer close(connDone)
-		for {
-			f, err := sc.read()
-			if err != nil {
-				readErr.Store(true)
-				return
-			}
-			p.heard()
-			switch f.Kind {
-			case kAck:
-				p.mu.Lock()
-				t.pruneAckedLocked(p, f.Seq)
-				p.mu.Unlock()
-				t.checkDrained()
-			case kMatchAck:
-				p.mu.Lock()
-				if ch, ok := p.pending[f.Seq]; ok {
-					delete(p.pending, f.Seq)
-					close(ch)
-				}
-				p.mu.Unlock()
-				t.checkDrained()
-			case kHeartbeat:
-			case kBye:
-				if f.Crashed {
-					t.declareDead(p, "peer crashed: "+f.Reason)
-				} else {
-					t.markFinished(p)
-				}
-				return
-			}
-		}
-	}()
-
-	hb := time.NewTicker(t.cfg.Heartbeat)
-	defer hb.Stop()
-	for {
-		// Ship everything queued but not yet written on this connection.
-		for {
-			p.mu.Lock()
-			if p.dead || p.finished || p.unsent >= len(p.sendq) {
-				p.mu.Unlock()
-				break
-			}
-			m := p.sendq[p.unsent]
-			p.unsent++
-			p.mu.Unlock()
-			f := frame{Kind: kData, Src: m.env.Src, Dst: m.env.Dst, Tag: m.env.Tag, Seq: m.env.Seq, Sync: m.env.Sync, Data: m.env.Data}
-			if err := sc.write(f); err != nil {
-				t.clearCurOut(p, sc)
-				return
-			}
-		}
-		if p.gone() {
-			t.clearCurOut(p, sc)
-			return
-		}
-		select {
-		case <-t.done:
-			t.clearCurOut(p, sc)
-			return
-		case <-connDone:
-			t.clearCurOut(p, sc)
-			return
-		case <-p.notify:
-		case <-hb.C:
-			if err := sc.write(frame{Kind: kHeartbeat}); err != nil {
-				t.clearCurOut(p, sc)
-				return
-			}
-		}
-		if readErr.Load() {
-			t.clearCurOut(p, sc)
-			return
-		}
-	}
-}
-
-func (t *Transport) clearCurOut(p *peer, sc *safeConn) {
-	p.mu.Lock()
-	if p.curOut == sc {
-		p.curOut = nil
-	}
-	p.mu.Unlock()
-}
-
-// pruneAckedLocked drops queue entries the peer has cumulatively
-// acknowledged as delivered. A rendezvous entry leaves the queue when
-// delivered (it sits safely in the peer's mailbox and is never resent)
-// but its completion channel stays pending until the match-ack.
-// Caller holds p.mu.
-func (t *Transport) pruneAckedLocked(p *peer, acked uint64) {
-	if acked <= p.acked {
-		return
-	}
-	p.acked = acked
-	i := 0
-	for i < len(p.sendq) && p.sendq[i].env.Seq <= acked {
-		i++
-	}
-	if i > 0 {
-		p.sendq = append([]outMsg(nil), p.sendq[i:]...)
-		p.unsent -= i
-		if p.unsent < 0 {
-			p.unsent = 0
-		}
-	}
 }
 
 // acceptLoop admits inbound connections from peers.
@@ -742,151 +621,153 @@ func (t *Transport) acceptLoop() {
 			return // listener closed
 		}
 		t.wg.Add(1)
-		go t.handleInbound(c)
+		go t.accept(c)
 	}
 }
 
-// handleInbound serves one accepted connection: validate the hello,
-// welcome the peer with its resume horizon, then deliver data frames
-// (deduplicated) and acknowledge them. The read loop runs until the
-// connection drops; delivery order on one connection is FIFO, so the
-// runtime sees exactly the in-process ordering guarantees.
-func (t *Transport) handleInbound(c net.Conn) {
+// accept validates one inbound connection's hello, welcomes the peer
+// with this rank's delivered horizon for it, and serves the link. Any
+// valid hello is taken: a lower-ranked peer dials the link; a
+// higher-ranked one dials only to announce its crash (CrashNotify's
+// last gasp), which is taken without touching the link — replacing
+// it could race the peer's redial and drop the notice unread.
+func (t *Transport) accept(c net.Conn) {
 	defer t.wg.Done()
 	sc := newSafeConn(c, t.cfg.MaxFrame, t.cfg.Liveness)
-	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
-	hello, err := sc.read()
-	c.SetReadDeadline(time.Time{})
-	if err != nil {
-		sc.close()
-		return
+	hello, err := sc.readWithin(t.cfg.DialTimeout)
+	if err == nil {
+		err = checkHello(hello, t.cfg.Rank, t.cfg.Size, t.cfg.Epoch)
 	}
-	if err := checkHello(hello, t.cfg.Rank, t.cfg.Size, t.cfg.Epoch); err != nil {
+	if err != nil {
 		sc.close()
 		return
 	}
 	p := t.peers[hello.Src]
 	p.heard()
-
-	p.inMu.Lock()
-	old := p.curIn
-	p.curIn = sc
-	welcome := frame{Kind: kWelcome, Epoch: t.cfg.Epoch, Seq: p.lastDelivered}
-	macks := p.pendingMacks
-	p.pendingMacks = nil
-	p.inMu.Unlock()
-	if old != nil {
-		old.close()
-	}
-	if sc.write(welcome) != nil {
-		t.clearCurIn(p, sc)
+	if sc.write(frame{Kind: kWelcome, Epoch: t.cfg.Epoch, Seq: p.delivered()}) != nil {
 		sc.close()
 		return
 	}
-	// Match-acks owed from before the reconnect flush first, so the
-	// sender's rendezvous completions are never lost to a dropped
-	// connection.
-	for _, seq := range macks {
-		if sc.write(frame{Kind: kMatchAck, Seq: seq}) != nil {
-			t.clearCurIn(p, sc)
-			sc.close()
-			return
-		}
-	}
-
-	// Keep the reply direction warm too: the dialer measures our
-	// liveness from these frames when it has nothing to send.
-	hbStop := make(chan struct{})
-	defer close(hbStop)
-	go func() {
-		tick := time.NewTicker(t.cfg.Heartbeat)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-tick.C:
-				if sc.write(frame{Kind: kHeartbeat}) != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	for {
-		f, err := sc.read()
-		if err != nil {
-			t.clearCurIn(p, sc)
-			sc.close()
-			return
-		}
-		p.heard()
-		switch f.Kind {
-		case kData:
-			p.inMu.Lock()
-			fresh := f.Seq > p.lastDelivered
-			if fresh {
-				p.lastDelivered = f.Seq
-			}
-			p.inMu.Unlock()
-			if fresh {
-				env := par.Envelope{Src: f.Src, Dst: f.Dst, Tag: f.Tag, Seq: f.Seq, Data: f.Data, Sync: f.Sync}
-				var matched func()
-				if f.Sync {
-					seq := f.Seq
-					matched = func() { t.sendMack(p, seq) }
-				}
-				t.sink.Deliver(env, matched)
-			}
-			// Cumulative ack — covers duplicates too, in case the
-			// original ack was lost with a connection.
-			p.inMu.Lock()
-			ackSeq := p.lastDelivered
-			p.inMu.Unlock()
-			if sc.write(frame{Kind: kAck, Seq: ackSeq}) != nil {
-				t.clearCurIn(p, sc)
-				sc.close()
-				return
-			}
-		case kHeartbeat:
-		case kBye:
-			t.clearCurIn(p, sc)
-			if f.Crashed {
-				t.declareDead(p, "peer crashed: "+f.Reason)
-			} else {
-				t.markFinished(p)
-			}
-			sc.close()
-			return
-		}
-	}
-}
-
-func (t *Transport) clearCurIn(p *peer, sc *safeConn) {
-	p.inMu.Lock()
-	if p.curIn == sc {
-		p.curIn = nil
-	}
-	p.inMu.Unlock()
-}
-
-// sendMack reports a rendezvous match back to the sender, on the
-// current connection if one is up, otherwise queued for the flush that
-// follows the next handshake.
-func (t *Transport) sendMack(p *peer, seq uint64) {
-	p.inMu.Lock()
-	sc := p.curIn
-	if sc == nil {
-		p.pendingMacks = append(p.pendingMacks, seq)
-		p.inMu.Unlock()
+	if hello.Src < t.cfg.Rank {
+		t.serve(p, sc, hello.Seq)
 		return
 	}
-	p.inMu.Unlock()
-	if sc.write(frame{Kind: kMatchAck, Seq: seq}) != nil {
-		p.inMu.Lock()
-		p.pendingMacks = append(p.pendingMacks, seq)
-		p.inMu.Unlock()
+	if f, err := sc.readWithin(t.cfg.DialTimeout); err == nil && f.Kind == kBye {
+		t.retire(p, f.Crashed, "peer crashed: "+f.Reason)
 	}
+	sc.close()
+}
+
+// serve owns one handshaken link to p until it fails, is replaced or
+// the transport closes. The link replaces any previous one; the queue
+// is pruned to the peer's delivered horizon and everything past it is
+// resent. A reader goroutine handles every inbound frame; this
+// goroutine is the link's only writer: owed acks and match-acks, the
+// queue, and heartbeats while idle. The reader never writes, so two
+// writers blocked on full socket buffers cannot stall each other's
+// readers.
+func (t *Transport) serve(p *peer, sc *safeConn, horizon uint64) {
+	p.mu.Lock()
+	if p.dead || p.finished || t.stopping() {
+		p.mu.Unlock()
+		sc.close()
+		return
+	}
+	old := p.link
+	p.link = sc
+	p.pruneLocked(horizon)
+	p.unsent = 0
+	p.mu.Unlock()
+	if old != nil {
+		old.close()
+	}
+	t.checkDrained()
+
+	readDone := make(chan struct{})
+	go func() {
+		defer close(readDone)
+		for t.receive(p, sc) {
+		}
+	}()
+	defer func() {
+		p.clearLink(sc)
+		sc.close()
+		<-readDone
+	}()
+	hb := time.NewTicker(t.cfg.Heartbeat)
+	defer hb.Stop()
+	for {
+		for f, ok := p.next(sc); ok; f, ok = p.next(sc) {
+			if sc.write(f) != nil {
+				if f.Kind == kMatchAck {
+					p.oweMack(f.Seq)
+				}
+				return
+			}
+		}
+		select {
+		case <-t.done:
+			return
+		case <-readDone:
+			return
+		case <-p.notify:
+		case <-hb.C:
+			if sc.write(frame{Kind: kHeartbeat}) != nil {
+				return
+			}
+		}
+	}
+}
+
+// receive reads and handles one frame from p's link. It returns false
+// when the link is over.
+func (t *Transport) receive(p *peer, sc *safeConn) bool {
+	f, err := sc.read()
+	if err != nil {
+		return false
+	}
+	p.heard()
+	switch f.Kind {
+	case kData:
+		// rx orders delivery: a replaced link's reader may still be
+		// running beside its successor's.
+		p.rx.Lock()
+		p.mu.Lock()
+		fresh := f.Seq > p.lastDelivered
+		if fresh {
+			p.lastDelivered = f.Seq
+		}
+		// A cumulative ack is owed for duplicates too, in case the
+		// original was lost with a connection.
+		p.ackOwed = true
+		p.mu.Unlock()
+		if fresh {
+			var matched func()
+			if f.Sync {
+				matched = func() { p.oweMack(f.Seq) }
+			}
+			t.sink.Deliver(par.Envelope{Src: f.Src, Dst: f.Dst, Tag: f.Tag, Seq: f.Seq, Data: f.Data, Sync: f.Sync}, matched)
+		}
+		p.rx.Unlock()
+		wake(p.notify)
+	case kAck:
+		p.mu.Lock()
+		p.pruneLocked(f.Seq)
+		p.mu.Unlock()
+		t.checkDrained()
+	case kMatchAck:
+		p.mu.Lock()
+		if ch, ok := p.pending[f.Seq]; ok {
+			delete(p.pending, f.Seq)
+			close(ch)
+		}
+		p.mu.Unlock()
+		t.checkDrained()
+	case kBye:
+		t.retire(p, f.Crashed, "peer crashed: "+f.Reason)
+		return false
+	}
+	return true
 }
 
 // wake signals a capacity-1 notification channel without blocking.

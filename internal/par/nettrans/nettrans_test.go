@@ -3,6 +3,8 @@ package nettrans
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +14,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []frame{
-		{Kind: kHello, Src: 3, Dst: 0, Size: 8, Epoch: 42},
+		{Kind: kHello, Src: 3, Dst: 0, Size: 8, Epoch: 42, Seq: 11},
 		{Kind: kWelcome, Epoch: 42, Seq: 17},
 		{Kind: kData, Src: 1, Dst: 2, Tag: -12, Seq: 99, Sync: true, Data: []byte("payload")},
 		{Kind: kData, Src: 0, Dst: 1, Tag: 7, Seq: 1, Data: nil},
@@ -231,14 +233,10 @@ func TestReconnectResumesWithoutDuplicates(t *testing.T) {
 			for i := 0; i < n; i++ {
 				c.Send(1, 1, []byte{byte(i), byte(i >> 8)})
 				if i == n/2 {
-					// Sever rank 0's outbound connection mid-stream;
-					// the dialer must reconnect and resume from the
-					// last ack without duplicating delivery.
-					p := ts[0].peers[1]
-					p.mu.Lock()
-					sc := p.curOut
-					p.mu.Unlock()
-					if sc != nil {
+					// Sever rank 0's end of the link mid-stream; the
+					// dialer must reconnect and resume from the last
+					// ack without duplicating delivery.
+					if sc := ts[0].peers[1].current(); sc != nil {
 						sc.close()
 					}
 				}
@@ -367,5 +365,147 @@ func TestDrainDeliversTrailingSends(t *testing.T) {
 		if !e.OK {
 			t.Fatalf("rank %d: %+v", r, e)
 		}
+	}
+}
+
+// socketFDs counts this process's open sockets, or -1 where
+// /proc/self/fd is not available.
+func socketFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, e := range ents {
+		if l, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && strings.HasPrefix(l, "socket:") {
+			n++
+		}
+	}
+	return n
+}
+
+func TestMeshHasOneLinkPerPair(t *testing.T) {
+	const n = 4
+	before := socketFDs()
+	ts := world(t, n, "tcp", nil)
+	exits := runWorld(t, ts, func(c *par.Comm) {
+		// Every pair exchanges data both ways, so every link is up.
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = []byte{byte(c.Rank())}
+		}
+		c.AlltoallvStaged(out)
+		c.Barrier()
+		if c.Rank() == 0 {
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					a, b := ts[i].peers[j].current(), ts[j].peers[i].current()
+					if a == nil || b == nil {
+						panic(fmt.Sprintf("pair %d-%d: link down after an exchange", i, j))
+					}
+					if a.c.LocalAddr().String() != b.c.RemoteAddr().String() || a.c.RemoteAddr().String() != b.c.LocalAddr().String() {
+						panic(fmt.Sprintf("pair %d-%d: ends of different connections: %v→%v and %v→%v",
+							i, j, a.c.LocalAddr(), a.c.RemoteAddr(), b.c.LocalAddr(), b.c.RemoteAddr()))
+					}
+					if b.c.RemoteAddr().String() == ts[i].Addr() {
+						panic(fmt.Sprintf("pair %d-%d: rank %d dialed the lower rank", i, j, j))
+					}
+				}
+			}
+			// One connection per pair, two ends each, plus a listener
+			// per rank: nothing else holds a socket.
+			if before >= 0 {
+				if got, want := socketFDs()-before, n*(n-1)+n; got != want {
+					panic(fmt.Sprintf("%d sockets open, want %d", got, want))
+				}
+			}
+		}
+		c.Barrier()
+	})
+	for r, e := range exits {
+		if !e.OK {
+			t.Fatalf("rank %d: %+v", r, e)
+		}
+	}
+}
+
+// TestCutFromAcceptorKeepsBothStreamsAndMatchAck severs the link at
+// the accepting rank while both ranks stream and rank 0's Ssend waits
+// for its match: both streams must arrive FIFO and exactly once over
+// the redialed link, and the match-ack must survive the cut.
+func TestCutFromAcceptorKeepsBothStreamsAndMatchAck(t *testing.T) {
+	ts := world(t, 2, "tcp", nil)
+	const n = 200
+	// Large enough that the cut catches frames in flight both ways.
+	msg := func(i int) []byte {
+		b := make([]byte, 16<<10)
+		b[0], b[1] = byte(i), byte(i>>8)
+		return b
+	}
+	recvAll := func(c *par.Comm, src, tag, from, to int) (last uint64) {
+		for i := from; i < to; i++ {
+			m := c.Recv(src, tag)
+			if got := int(m.Data[0]) | int(m.Data[1])<<8; got != i {
+				panic(fmt.Sprintf("rank %d: message %d from %d arrived as %d", c.Rank(), i, src, got))
+			}
+			last = m.Seq
+		}
+		return last
+	}
+	result := make(chan []par.Exit, 1)
+	go func() {
+		result <- runWorld(t, ts, func(c *par.Comm) {
+			if c.Rank() == 0 {
+				for i := 0; i < n; i++ {
+					c.Send(1, 1, msg(i))
+				}
+				c.Ssend(1, 3, []byte("sync"))
+				for i := n; i < 2*n; i++ {
+					c.Send(1, 1, msg(i))
+				}
+				recvAll(c, 1, 2, 0, 2*n)
+			} else {
+				// Wait until the Ssend, rank 0's next envelope, is
+				// delivered; then stream and cut this, the accepting,
+				// end mid-stream.
+				last := recvAll(c, 0, 1, 0, n)
+				p := ts[1].peers[0]
+				for p.delivered() <= last {
+					time.Sleep(time.Millisecond)
+				}
+				for i := 0; i < 2*n; i++ {
+					c.Send(0, 2, msg(i))
+					if i != n/2 {
+						continue
+					}
+					sc := p.current()
+					if sc == nil {
+						panic("link down before the cut")
+					}
+					sc.close()
+					// Match at once: the match-ack is most likely owed
+					// while the link is down, else rides the new one.
+					if m := c.Recv(0, 3); string(m.Data) != "sync" {
+						panic("bad sync payload " + string(m.Data))
+					}
+				}
+				recvAll(c, 0, 1, n, 2*n)
+			}
+			// A duplicate would queue behind the last message: none may.
+			c.Barrier()
+			if _, dup := c.Probe(1-c.Rank(), par.AnyTag); dup {
+				panic(fmt.Sprintf("rank %d: a message arrived twice", c.Rank()))
+			}
+		})
+	}()
+	select {
+	case exits := <-result:
+		for r, e := range exits {
+			if !e.OK {
+				t.Fatalf("rank %d: %+v", r, e)
+			}
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("hung: the match-ack or a stream was lost with the cut")
 	}
 }

@@ -8,7 +8,10 @@
 // exactly-once: the link protocol is at-least-once (reconnect with
 // capped backoff, resume from the last cumulatively acknowledged
 // sequence number) and the receiver dedupes on the sender's monotone
-// sequence numbers. Failure detection is fail-stop: a peer is dead
+// sequence numbers. Each unordered pair of ranks shares one link that
+// carries both directions: the lower rank dials and redials, the
+// higher rank accepts, and the handshake tells each side how far the
+// other has delivered. Failure detection is fail-stop: a peer is dead
 // when it says so (crash goodbye) or goes silent past the liveness
 // timeout — never merely because a connection dropped.
 package nettrans
@@ -22,11 +25,11 @@ import (
 // Frame kinds. Every frame on a connection is one wire.ReadFrame
 // envelope whose payload starts with a kind byte.
 const (
-	kHello     = byte(1) // dialer → acceptor: who I am, who I want
-	kWelcome   = byte(2) // acceptor → dialer: accepted; resume after LastSeq
-	kData      = byte(3) // dialer → acceptor: one runtime envelope
-	kAck       = byte(4) // acceptor → dialer: cumulative delivery ack
-	kMatchAck  = byte(5) // acceptor → dialer: rendezvous send was matched
+	kHello     = byte(1) // dialer → acceptor: who I am, who I want, what I delivered from you
+	kWelcome   = byte(2) // acceptor → dialer: accepted; what I delivered from you
+	kData      = byte(3) // either direction: one runtime envelope
+	kAck       = byte(4) // either direction: cumulative delivery ack
+	kMatchAck  = byte(5) // either direction: rendezvous send was matched
 	kHeartbeat = byte(6) // either direction: liveness
 	kBye       = byte(7) // either direction: clean finish or crash notice
 )
@@ -39,7 +42,7 @@ type frame struct {
 	Dst     int    // hello, data
 	Size    int    // hello: world size, for cross-checking configs
 	Epoch   uint64 // hello, welcome
-	Seq     uint64 // welcome (lastSeq), data, ack, matchack
+	Seq     uint64 // hello and welcome (delivered horizon), data, ack, matchack
 	Tag     int    // data
 	Sync    bool   // data: rendezvous send, expects a matchack
 	Data    []byte // data payload
@@ -58,6 +61,7 @@ func encodeFrame(f frame) []byte {
 		b.PutInt(f.Dst)
 		b.PutInt(f.Size)
 		b.PutUint(f.Epoch)
+		b.PutUint(f.Seq)
 	case kWelcome:
 		b.PutUint(f.Epoch)
 		b.PutUint(f.Seq)
@@ -98,6 +102,7 @@ func decodeFrame(p []byte) (frame, error) {
 		f.Dst = r.Int()
 		f.Size = r.Int()
 		f.Epoch = r.Uint()
+		f.Seq = r.Uint()
 	case kWelcome:
 		f.Epoch = r.Uint()
 		f.Seq = r.Uint()

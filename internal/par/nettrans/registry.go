@@ -60,76 +60,6 @@ func readAddr(dir string, rank int) (network, addr string, epoch uint64, ok bool
 	return fields[0], fields[1], epoch, true, nil
 }
 
-// PublishService atomically writes a named auxiliary service address
-// (e.g. the run collector's URL, or one rank's observability server)
-// into the rendezvous directory as `<dir>/svc-<name>`, carrying the
-// job epoch like rank entries do so stale registrations from a prior
-// incarnation are detectable.
-func PublishService(dir, name, addr string, epoch uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	body := fmt.Sprintf("%s %d\n", addr, epoch)
-	tmp, err := os.CreateTemp(dir, fmt.Sprintf(".svc-%s-*", name))
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.WriteString(body); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return os.Rename(tmpName, filepath.Join(dir, "svc-"+name))
-}
-
-// ReadService reads one published service address; ok is false when
-// the service has not published (or published under another epoch,
-// when epoch is nonzero).
-func ReadService(dir, name string, epoch uint64) (addr string, ok bool, err error) {
-	b, err := os.ReadFile(filepath.Join(dir, "svc-"+name))
-	if os.IsNotExist(err) {
-		return "", false, nil
-	}
-	if err != nil {
-		return "", false, err
-	}
-	fields := strings.Fields(string(b))
-	if len(fields) != 2 {
-		return "", false, fmt.Errorf("nettrans: malformed service entry %q", name)
-	}
-	var e uint64
-	if _, err := fmt.Sscanf(fields[1], "%d", &e); err != nil {
-		return "", false, fmt.Errorf("nettrans: malformed service epoch for %q", name)
-	}
-	if epoch != 0 && e != epoch {
-		return "", false, nil
-	}
-	return fields[0], true, nil
-}
-
-// WaitService polls for a published service until it appears or the
-// deadline passes; a zero deadline checks exactly once.
-func WaitService(dir, name string, epoch uint64, deadline time.Time) (string, error) {
-	for {
-		addr, ok, err := ReadService(dir, name, epoch)
-		if err == nil && ok {
-			return addr, nil
-		}
-		if deadline.IsZero() || !time.Now().Before(deadline) {
-			if err == nil {
-				err = fmt.Errorf("nettrans: service %q never published (epoch %d)", name, epoch)
-			}
-			return "", err
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 // waitAddr polls the registry for rank's address until it appears with
 // the wanted epoch, the deadline passes, or stop closes. A published
 // entry with a stale epoch keeps waiting — the peer's new incarnation

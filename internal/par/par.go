@@ -644,6 +644,26 @@ func (c *Comm) SendRecv(dst int, data []byte, src, tag int) Message {
 // blocks forever on a crashed peer is crashed in turn, so every rank
 // terminates and its fate is reported in the Exit slice.
 func RunStatus(cfg Config, body func(c *Comm)) ([]Stats, []Exit) {
+	m := newMachine(cfg)
+	stats := make([]Stats, m.cfg.Ranks)
+	exits := make([]Exit, m.cfg.Ranks)
+	var wg sync.WaitGroup
+	for r := range stats {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			stats[rank], exits[rank] = m.runRank(rank, body)
+		}(r)
+	}
+	wg.Wait()
+	return stats, exits
+}
+
+// newMachine builds the mailboxes and crash flags of a cfg.Ranks-wide
+// machine. A machine that hosts one rank (RunRank) allocates the
+// remote ranks' boxes too: they stay empty, and having them keeps
+// markCrashed and the fault plumbing branch-free.
+func newMachine(cfg Config) *machine {
 	cfg = cfg.withDefaults()
 	if cfg.Ranks < 1 {
 		panic("par: need at least one rank")
@@ -659,38 +679,31 @@ func RunStatus(cfg Config, body func(c *Comm)) ([]Stats, []Exit) {
 			m.boxes[i].rng = cfg.Schedule.scheduleRNG(i)
 		}
 	}
-	stats := make([]Stats, cfg.Ranks)
-	exits := make([]Exit, cfg.Ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.Ranks; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := &Comm{m: m, rank: rank, start: time.Now(), fs: newFaultState(cfg.Faults, rank), tr: cfg.Trace}
-			c.applyProfLabels() // rank label; phase follows TraceEvent
-			defer prof.ClearLabels()
-			defer func() {
-				c.st.Wall = time.Since(c.start)
-				c.st.PeakBufBytes = m.boxes[rank].peakBytes()
-				stats[rank] = c.st
-				if p := recover(); p != nil {
-					// Mark genuine panics too, so ranks blocked on
-					// this one cascade instead of hanging.
-					m.markCrashed(rank)
-					if rc, ok := p.(rankCrash); ok {
-						exits[rank] = Exit{FaultKilled: rc.killed, Reason: rc.reason}
-					} else {
-						exits[rank] = Exit{Reason: fmt.Sprintf("panic: %v", p)}
-					}
-					return
-				}
-				exits[rank] = Exit{OK: true}
-			}()
-			body(c)
-		}(r)
-	}
-	wg.Wait()
-	return stats, exits
+	return m
+}
+
+// runRank executes body as rank on m and reports its statistics and
+// fate. A panic crashes the rank — marked, so ranks blocked on it
+// cascade instead of hanging — and becomes its Exit.
+func (m *machine) runRank(rank int, body func(c *Comm)) (st Stats, exit Exit) {
+	c := &Comm{m: m, rank: rank, start: time.Now(), fs: newFaultState(m.cfg.Faults, rank), tr: m.cfg.Trace}
+	c.applyProfLabels() // rank label; phase follows TraceEvent
+	defer prof.ClearLabels()
+	defer func() {
+		c.st.Wall = time.Since(c.start)
+		c.st.PeakBufBytes = m.boxes[rank].peakBytes()
+		st, exit = c.st, Exit{OK: true}
+		if p := recover(); p != nil {
+			m.markCrashed(rank)
+			if rc, ok := p.(rankCrash); ok {
+				exit = Exit{FaultKilled: rc.killed, Reason: rc.reason}
+			} else {
+				exit = Exit{Reason: fmt.Sprintf("panic: %v", p)}
+			}
+		}
+	}()
+	body(c)
+	return
 }
 
 // Run executes body on every rank of a machine with the given config

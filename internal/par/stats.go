@@ -40,16 +40,6 @@ func (s Stats) Comp() float64 { return s.CompModel }
 // communication.
 func (s Stats) Modeled() float64 { return s.CompModel + s.CommModel }
 
-// MeasuredBusy returns the real (host) seconds the rank was runnable,
-// a diagnostic only.
-func (s Stats) MeasuredBusy() float64 {
-	c := (s.Wall - s.Blocked).Seconds()
-	if c < 0 {
-		return 0
-	}
-	return c
-}
-
 // Aggregate summarizes a Run's per-rank stats.
 type Aggregate struct {
 	Ranks        int

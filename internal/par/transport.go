@@ -1,13 +1,5 @@
 package par
 
-import (
-	"fmt"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/obs/prof"
-)
-
 // The transport seam: everything a machine needs from its interconnect
 // when some ranks live in other OS processes. The default all-in-one-
 // process machine (Run/RunStatus) bypasses it entirely — goroutine
@@ -137,58 +129,20 @@ func (s machineSink) PeerDead(r int, reason string) {
 // rank crash, announces the crash through it, but does not close it —
 // call t.Close after RunRank returns to drain and say goodbye.
 func RunRank(cfg Config, rank int, t Transport, body func(c *Comm)) (Stats, Exit) {
-	cfg = cfg.withDefaults()
-	if cfg.Ranks < 1 {
-		panic("par: need at least one rank")
-	}
-	if rank < 0 || rank >= cfg.Ranks {
+	m := newMachine(cfg)
+	if rank < 0 || rank >= m.cfg.Ranks {
 		panic("par: rank out of range")
 	}
 	if t == nil {
 		panic("par: RunRank needs a transport")
 	}
-	m := &machine{
-		cfg:     cfg,
-		boxes:   make([]*mailbox, cfg.Ranks),
-		crashed: make([]atomic.Bool, cfg.Ranks),
-		trans:   t,
-		local:   rank,
-	}
-	for i := range m.boxes {
-		// Remote ranks' boxes exist but stay empty; allocating them
-		// keeps markCrashed and the fault plumbing branch-free.
-		m.boxes[i] = newMailbox()
-	}
-	if cfg.Schedule != nil {
-		m.boxes[rank].rng = cfg.Schedule.scheduleRNG(rank)
-	}
+	m.trans, m.local = t, rank
 	if err := t.Attach(machineSink{m}); err != nil {
 		return Stats{}, Exit{Reason: "transport attach: " + err.Error()}
 	}
-
-	var st Stats
-	var exit Exit
-	func() {
-		c := &Comm{m: m, rank: rank, start: time.Now(), fs: newFaultState(cfg.Faults, rank), tr: cfg.Trace}
-		c.applyProfLabels() // rank label; phase follows TraceEvent
-		defer prof.ClearLabels()
-		defer func() {
-			c.st.Wall = time.Since(c.start)
-			c.st.PeakBufBytes = m.boxes[rank].peakBytes()
-			st = c.st
-			if p := recover(); p != nil {
-				m.markCrashed(rank)
-				if rc, ok := p.(rankCrash); ok {
-					exit = Exit{FaultKilled: rc.killed, Reason: rc.reason}
-				} else {
-					exit = Exit{Reason: fmt.Sprintf("panic: %v", p)}
-				}
-				t.CrashNotify(exit.Reason)
-				return
-			}
-			exit = Exit{OK: true}
-		}()
-		body(c)
-	}()
+	st, exit := m.runRank(rank, body)
+	if !exit.OK {
+		t.CrashNotify(exit.Reason)
+	}
 	return st, exit
 }

@@ -129,12 +129,6 @@ func TestStoreEquivalence(t *testing.T) {
 			if got, want := disk.SeqLen(sid), mem.SeqLen(sid); got != want {
 				t.Fatalf("round %d: SeqLen(%d) = %d, want %d", round, sid, got, want)
 			}
-			if got, want := disk.SeqName(sid), mem.SeqName(sid); got != want {
-				t.Fatalf("round %d: SeqName(%d) = %q, want %q", round, sid, got, want)
-			}
-			if disk.FragID(sid) != mem.FragID(sid) || disk.IsRC(sid) != mem.IsRC(sid) || disk.RCID(sid) != mem.RCID(sid) {
-				t.Fatalf("round %d: ID mapping mismatch at sid %d", round, sid)
-			}
 		}
 		for i := 0; i < mem.N(); i++ {
 			if got, want := disk.FragName(i), mem.FragName(i); got != want {

@@ -141,44 +141,15 @@ func (s *Store) NumSeqs() int { return 2 * len(s.entries) }
 // TotalBases returns the total forward-strand length in bases.
 func (s *Store) TotalBases() int { return s.totalBases }
 
-// FragID maps a sequence ID to its fragment ID.
-func (s *Store) FragID(sid int) int {
-	if n := len(s.entries); sid >= n {
-		return sid - n
-	}
-	return sid
-}
-
-// IsRC reports whether sid denotes a reverse-complemented sequence.
-func (s *Store) IsRC(sid int) bool { return sid >= len(s.entries) }
-
-// RCID returns the sequence ID of the opposite orientation of sid.
-func (s *Store) RCID(sid int) int {
-	n := len(s.entries)
-	if sid < n {
-		return sid + n
-	}
-	return sid - n
-}
-
 // SeqLen returns the length of sequence sid in bases.
 func (s *Store) SeqLen(sid int) int {
-	return int(s.entries[s.FragID(sid)].baseLen)
+	return int(s.entries[s.fragID(sid)].baseLen)
 }
 
 // FragName returns the name of fragment i.
 func (s *Store) FragName(i int) string {
 	e := s.entries[i]
 	return string(s.names[e.nameOff : e.nameOff+uint64(e.nameLen)])
-}
-
-// SeqName returns a human-readable name for a sequence ID.
-func (s *Store) SeqName(sid int) string {
-	name := s.FragName(s.FragID(sid))
-	if s.IsRC(sid) {
-		return fmt.Sprintf("%s(rc)", name)
-	}
-	return name
 }
 
 // Seq returns the bases of sequence sid, decoding the 2-bit packed
@@ -190,7 +161,7 @@ func (s *Store) Seq(sid int) []byte { return s.AppendSeq(nil, sid) }
 // AppendSeq appends the bases of sequence sid to dst and returns the
 // extended slice: Seq into memory the caller reuses.
 func (s *Store) AppendSeq(dst []byte, sid int) []byte {
-	fid := s.FragID(sid)
+	fid := s.fragID(sid)
 	e := s.entries[fid]
 	at := len(dst)
 	dst = slices.Grow(dst, int(e.baseLen))[:at+int(e.baseLen)]
@@ -212,10 +183,18 @@ func (s *Store) AppendSeq(dst []byte, sid int) []byte {
 		unpackBases(out, packed)
 		applyMask(out, s.mask[e.maskOff:e.maskOff+uint64(e.maskLen)])
 	}
-	if s.IsRC(sid) {
+	if sid >= len(s.entries) {
 		seq.ReverseComplementInPlace(out)
 	}
 	return dst
+}
+
+// fragID maps a sequence ID to its fragment ID.
+func (s *Store) fragID(sid int) int {
+	if n := len(s.entries); sid >= n {
+		return sid - n
+	}
+	return sid
 }
 
 // CacheStats reports block-cache hits and misses since Open.

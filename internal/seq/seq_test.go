@@ -248,18 +248,12 @@ func TestStoreIndexing(t *testing.T) {
 		if !bytes.Equal(st.Seq(i+3), ReverseComplement(frags[i].Bases)) {
 			t.Errorf("Seq(%d) not the RC", i+3)
 		}
-		if st.FragID(i) != i || st.FragID(i+3) != i {
-			t.Errorf("FragID mapping wrong for %d", i)
-		}
-		if st.IsRC(i) || !st.IsRC(i+3) {
-			t.Errorf("IsRC wrong for %d", i)
-		}
-		if st.RCID(i) != i+3 || st.RCID(i+3) != i {
-			t.Errorf("RCID wrong for %d", i)
+		if st.SeqLen(i) != len(frags[i].Bases) || st.SeqLen(i+3) != len(frags[i].Bases) {
+			t.Errorf("SeqLen wrong for %d", i)
 		}
 	}
-	if st.SeqName(1) != "f1" || st.SeqName(4) != "f1(rc)" {
-		t.Errorf("SeqName: %q %q", st.SeqName(1), st.SeqName(4))
+	if st.FragName(1) != "f1" {
+		t.Errorf("FragName: %q", st.FragName(1))
 	}
 }
 

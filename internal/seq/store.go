@@ -1,7 +1,5 @@
 package seq
 
-import "fmt"
-
 // Fragment is one sequencing read with optional per-base quality and the
 // ground-truth origin recorded by the simulator (nil for real data).
 type Fragment struct {
@@ -47,14 +45,6 @@ type Seqs interface {
 	SeqLen(sid int) int
 	// FragName returns the name of fragment i.
 	FragName(i int) string
-	// FragID maps a sequence ID to its fragment ID.
-	FragID(sid int) int
-	// IsRC reports whether sid denotes a reverse-complemented sequence.
-	IsRC(sid int) bool
-	// RCID returns the sequence ID of the opposite orientation of sid.
-	RCID(sid int) int
-	// SeqName returns a human-readable name for a sequence ID.
-	SeqName(sid int) string
 }
 
 // Store holds the input fragments of a clustering run and exposes a
@@ -119,38 +109,7 @@ func (st *Store) Seq(sid int) []byte {
 }
 
 // SeqLen returns the length of sequence sid in bases.
-func (st *Store) SeqLen(sid int) int {
-	return len(st.frags[st.FragID(sid)].Bases)
-}
+func (st *Store) SeqLen(sid int) int { return len(st.Seq(sid)) }
 
 // FragName returns the name of fragment i.
 func (st *Store) FragName(i int) string { return st.frags[i].Name }
-
-// FragID maps a sequence ID to its fragment ID.
-func (st *Store) FragID(sid int) int {
-	if n := len(st.frags); sid >= n {
-		return sid - n
-	}
-	return sid
-}
-
-// IsRC reports whether sid denotes a reverse-complemented sequence.
-func (st *Store) IsRC(sid int) bool { return sid >= len(st.frags) }
-
-// RCID returns the sequence ID of the opposite orientation of sid.
-func (st *Store) RCID(sid int) int {
-	n := len(st.frags)
-	if sid < n {
-		return sid + n
-	}
-	return sid - n
-}
-
-// SeqName returns a human-readable name for a sequence ID.
-func (st *Store) SeqName(sid int) string {
-	f := st.frags[st.FragID(sid)]
-	if st.IsRC(sid) {
-		return fmt.Sprintf("%s(rc)", f.Name)
-	}
-	return f.Name
-}

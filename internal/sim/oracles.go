@@ -124,8 +124,8 @@ func (r *Result) checkStore(c Case, mem *seq.Store, disk *diskstore.Store) {
 			r.failf("store oracle: sequence %d differs between disk and mem", sid)
 			return
 		}
-		if disk.SeqName(sid) != mem.SeqName(sid) {
-			r.failf("store oracle: name of sequence %d differs between disk and mem", sid)
+		if f := sid % mem.N(); disk.FragName(f) != mem.FragName(f) {
+			r.failf("store oracle: name of fragment %d differs between disk and mem", f)
 			return
 		}
 	}
