@@ -197,12 +197,12 @@ profile-smoke:
 	$(GO) run ./cmd/asmprof -diff "$$d/prof" "$$d/prof" | tee "$$d/diff.txt"; \
 	[ "$$(grep -c '^  none$$' "$$d/diff.txt")" = 2 ] || { echo "profile-smoke: a capture diffed against itself shows deltas"; exit 1; }
 
-# Command-line contract under the race detector: asmcluster,
-# asmpipeline and asmnode are built with -race and driven through the
-# benchmark's argv shapes — serial-equal partition, transport- and
-# store-independent contigs, checkable per-process dumps, a decodable
-# profile, and a clean TMPDIR with no surviving rank after success,
-# failure and SIGINT/SIGTERM.
+# Command-line contract under the race detector: asmcluster and
+# asmpipeline, the two SPMD commands, are built with -race and driven
+# through the benchmark's argv shapes — serial-equal partition,
+# transport- and store-independent contigs, checkable per-process
+# dumps, a decodable profile, and a clean TMPDIR with no surviving rank
+# after success, failure and SIGINT/SIGTERM.
 cli-smoke:
 	$(GO) test -race -count=1 -v -run 'TestCLIContract' ./internal/launch
 

@@ -58,7 +58,7 @@ func main() {
 	switch {
 	case *faults == "":
 	case so.Transport != "inproc":
-		usage("-faults is for the simulated in-process machine; use real process kills instead")
+		usage("-faults injects faults into the simulated in-process machine: it needs -transport inproc")
 	case *ranks < 2:
 		fmt.Fprintln(os.Stderr, "asmcluster: -faults ignored with -ranks 1 (serial run)")
 	default:

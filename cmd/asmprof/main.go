@@ -26,7 +26,7 @@
 // path marked (crit:true), for ui.perfetto.dev.
 //
 // Given the http(s):// URL of a run collector (the -collector flag of
-// asmnode, asmcluster or asmpipeline, or a job's collector_url),
+// asmcluster or asmpipeline, or a job's collector_url),
 // asmprof polls its /status every 500 ms and appends one snapshot per
 // poll: health state, heartbeat lag, current phase, event and traffic
 // counters per rank, and the idle share and straggler flag from the

@@ -125,9 +125,6 @@ func render(w io.Writer, st *collector.Status) {
 		if r.LeaseExpires > 0 {
 			flags = append(flags, fmt.Sprintf("lease-exp=%d", r.LeaseExpires))
 		}
-		if r.Checkpoints > 0 {
-			flags = append(flags, fmt.Sprintf("ckpt=%d", r.Checkpoints))
-		}
 		if r.ExitReason != "" {
 			flags = append(flags, r.ExitReason)
 		}

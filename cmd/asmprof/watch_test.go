@@ -15,7 +15,7 @@ import (
 
 func TestRender(t *testing.T) {
 	st := &collector.Status{
-		Job: "asmnode", UptimeSec: 12.3,
+		Job: "asmcluster", UptimeSec: 12.3,
 		ExpectRanks: 4, SeenRanks: 4, Reports: 80, EventsTotal: 3000,
 		Live: &collector.LiveAnalysis{
 			MakespanSec: 1.5, CommSec: 0.2, CompSec: 0.9, IdleSec: 0.4,
@@ -40,7 +40,7 @@ func TestRender(t *testing.T) {
 	out := b.String()
 
 	for _, want := range []string{
-		"job asmnode",
+		"job asmcluster",
 		"ranks 4/4",
 		"[running]",
 		"unmatched 5",

@@ -5,69 +5,50 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/pairgen"
 	"repro/internal/unionfind"
 	"repro/internal/wire"
 )
 
-// Checkpoint is a consistent snapshot of the master's clustering
-// state: the union–find partition (as per-fragment cluster labels),
-// the statistics accumulated so far, and the pairs pending dispatch.
-// It deliberately omits worker-side state — on resume workers
-// regenerate pairs from scratch and the master's union–find makes
-// re-delivered pairs harmless (Same() skips, Union() is idempotent) —
-// so a checkpoint stays small: O(N) labels plus the bounded pending
-// buffer.
+// Checkpoint is a completed clustering at the phase boundary, the
+// artifact the resumable pipeline stores after the clustering phase:
+// the union–find partition (as per-fragment cluster labels) and the
+// run's statistics. It stays small: O(N) labels.
 type Checkpoint struct {
-	N       int
-	Labels  []int32 // Labels[i] = union-find representative of fragment i
-	Stats   Stats
-	Pending []pairgen.Pair
+	N      int
+	Labels []int32 // Labels[i] = union-find representative of fragment i
+	Stats  Stats
 }
 
-// checkpointMagic guards against feeding an arbitrary file to Resume;
-// the byte after it is a format version.
+// checkpointMagic guards against feeding an arbitrary file to
+// DecodeCheckpoint; the byte after it is a format version. Version 1
+// ends in a pair list that is always empty, kept so that checkpoints
+// in existing workdirs and job journals still decode.
 const (
 	checkpointMagic   = 0x63636b70 // "cckp"
 	checkpointVersion = 1
 )
 
-// snapshotCheckpoint captures the master's state mid-run.
-func snapshotCheckpoint(uf *unionfind.UF, st Stats, pending []pairgen.Pair) *Checkpoint {
-	cp := &Checkpoint{N: uf.N(), Stats: st, Pending: append([]pairgen.Pair(nil), pending...)}
-	cp.Labels = make([]int32, cp.N)
+// CheckpointOf snapshots a completed clustering.
+func CheckpointOf(res *Result) *Checkpoint {
+	cp := &Checkpoint{N: res.UF.N(), Stats: res.Stats, Labels: make([]int32, res.UF.N())}
 	for i := range cp.Labels {
-		cp.Labels[i] = int32(uf.Find(i))
+		cp.Labels[i] = int32(res.UF.Find(i))
 	}
 	return cp
 }
 
-// CheckpointOf snapshots a completed clustering as a phase-boundary
-// checkpoint (no pending pairs), the artifact the resumable pipeline
-// stores after the clustering phase.
-func CheckpointOf(res *Result) *Checkpoint {
-	return snapshotCheckpoint(res.UF, res.Stats, nil)
-}
-
-// Result converts a checkpoint back into a completed clustering;
-// pending pairs, if any, are discarded (a phase-boundary checkpoint
-// has none).
+// Result converts a checkpoint back into a completed clustering.
 func (cp *Checkpoint) Result() *Result {
-	return &Result{N: cp.N, UF: cp.restore(), Stats: cp.Stats}
-}
-
-// restore rebuilds a union–find from the checkpoint's labels.
-func (cp *Checkpoint) restore() *unionfind.UF {
 	uf := unionfind.New(cp.N)
 	for i, l := range cp.Labels {
 		uf.Union(i, int(l))
 	}
-	return uf
+	return &Result{N: cp.N, UF: uf, Stats: cp.Stats}
 }
 
 // Encode serializes the checkpoint with the wire format.
 func (cp *Checkpoint) Encode() []byte {
-	w := wire.NewBuffer(16 + 2*len(cp.Labels) + 12*len(cp.Pending))
+	w := wire.NewBuffer(16 + 2*len(cp.Labels))
 	w.PutUint(checkpointMagic)
 	w.PutUint(checkpointVersion)
 	w.PutUint(uint64(cp.N))
@@ -81,13 +62,13 @@ func (cp *Checkpoint) Encode() []byte {
 	for _, f := range []float64{cp.Stats.GSTSeconds, cp.Stats.ClusterSeconds, cp.Stats.WallSeconds} {
 		w.PutUint(math.Float64bits(f))
 	}
-	encodePairs(w, cp.Pending)
+	w.PutUint(0) // the empty pair list
 	return w.Bytes()
 }
 
 // DecodeCheckpoint parses an encoded checkpoint, returning an error —
 // never panicking — on malformed input.
-func DecodeCheckpoint(b []byte) (cp *Checkpoint, err error) {
+func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	r := wire.NewReader(b)
 	if r.Uint() != checkpointMagic {
 		if err := r.Err(); err != nil {
@@ -98,7 +79,7 @@ func DecodeCheckpoint(b []byte) (cp *Checkpoint, err error) {
 	if v := r.Uint(); v != checkpointVersion {
 		return nil, fmt.Errorf("cluster: unsupported checkpoint version %d", v)
 	}
-	cp = &Checkpoint{N: int(r.Uint())}
+	cp := &Checkpoint{N: int(r.Uint())}
 	if cp.N < 0 || cp.N > r.Remaining() {
 		return nil, errors.New("cluster: checkpoint label count exceeds payload")
 	}
@@ -120,11 +101,12 @@ func DecodeCheckpoint(b []byte) (cp *Checkpoint, err error) {
 	cp.Stats.GSTSeconds = math.Float64frombits(r.Uint())
 	cp.Stats.ClusterSeconds = math.Float64frombits(r.Uint())
 	cp.Stats.WallSeconds = math.Float64frombits(r.Uint())
+	pending := r.Uint()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if cp.Pending, err = decodePairs(r, cp.N); err != nil {
-		return nil, err
+	if pending != 0 {
+		return nil, fmt.Errorf("cluster: checkpoint holds %d pending pairs; only a completed clustering resumes", pending)
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("cluster: %d trailing bytes after checkpoint", r.Remaining())

@@ -51,12 +51,6 @@ type Config struct {
 	Criteria align.Criteria
 	// DuplicateElimination enables fragment-level lsets (Section 5).
 	DuplicateElimination bool
-	// MaxClusterSize, when positive, rejects merges that would create
-	// a cluster larger than this — the paper's future-work direction
-	// of bounding the largest cluster to increase assembly-phase
-	// parallelism (Section 10). The result then depends on processing
-	// order, so this is a serial-driver heuristic only.
-	MaxClusterSize int
 	// MemBudget, when positive, bounds the GST: construction never
 	// holds more than roughly this many bytes of tree state, building,
 	// generating and dropping contiguous key-range segments; without
@@ -228,15 +222,10 @@ func AlignPair(store seq.Seqs, p pairgen.Pair, cfg Config) (accepted bool, cells
 
 // acceptOverlap is the one merge rule, applied by the serial driver and
 // the parallel master alike to every pair whose alignment passed the
-// overlap criterion: fragments fa and fb join one cluster unless that
-// would exceed a positive maxCluster (the bounded-cluster heuristic of
-// Section 10, which defers the overlap to assembly). It reports
+// overlap criterion: fragments fa and fb join one cluster. It reports
 // whether two clusters merged.
-func acceptOverlap(uf *unionfind.UF, st *Stats, maxCluster, fa, fb int) bool {
+func acceptOverlap(uf *unionfind.UF, st *Stats, fa, fb int) bool {
 	st.Accepted++
-	if maxCluster > 0 && uf.Size(fa)+uf.Size(fb) > maxCluster {
-		return false
-	}
 	if !uf.Union(fa, fb) {
 		return false
 	}
@@ -269,7 +258,7 @@ func Serial(store seq.Seqs, cfg Config) *Result {
 		accepted, _ := AlignPair(store, p, cfg)
 		st.Aligned++
 		if accepted {
-			acceptOverlap(uf, &st, cfg.MaxClusterSize, fa, fb)
+			acceptOverlap(uf, &st, fa, fb)
 		}
 		return true
 	}

@@ -273,29 +273,6 @@ func maskExact(b, pattern []byte) {
 	}
 }
 
-// TestMaxClusterSize exercises the Section 10 future-work extension:
-// a size cap bounds the largest cluster in both drivers.
-func TestMaxClusterSize(t *testing.T) {
-	st, _ := islandStore(8, 2, 3000, 140)
-	cfg := testConfig()
-	base := Serial(st, cfg)
-	if base.Summarize().MaxSize <= 20 {
-		t.Skip("baseline clusters too small to exercise the cap")
-	}
-	cfg.MaxClusterSize = 20
-	capped := Serial(st, cfg)
-	if got := capped.Summarize().MaxSize; got > 20 {
-		t.Errorf("serial: max cluster %d exceeds cap 20", got)
-	}
-	cappedPar, _, err := Parallel(st, cfg, DefaultParallelConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cappedPar.Summarize().MaxSize; got > 20 {
-		t.Errorf("parallel: max cluster %d exceeds cap 20", got)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -179,55 +179,6 @@ func TestFaultDropRecovery(t *testing.T) {
 		res.Stats.WorkersLost, res.Stats.Requeued)
 }
 
-// TestCheckpointResume: a run resumed from a mid-flight checkpoint
-// must converge to the same partition as an uninterrupted run.
-func TestCheckpointResume(t *testing.T) {
-	st, _ := islandStore(4, 2, 2000, 80)
-	cfg := testConfig()
-	want := clusterLabels(Serial(st, cfg))
-
-	var last []byte
-	pcfg := DefaultParallelConfig(3)
-	pcfg.BatchSize = 16
-	pcfg.CheckpointEvery = 3
-	pcfg.CheckpointSink = func(b []byte) { last = append([]byte(nil), b...) }
-	if _, _, err := Parallel(st, cfg, pcfg); err != nil {
-		t.Fatal(err)
-	}
-	if last == nil {
-		t.Fatal("checkpoint sink never called")
-	}
-	cp, err := DecodeCheckpoint(last)
-	if err != nil {
-		t.Fatalf("sink produced an undecodable checkpoint: %v", err)
-	}
-	if cp.N != st.N() {
-		t.Fatalf("checkpoint N = %d, store has %d", cp.N, st.N())
-	}
-
-	rcfg := DefaultParallelConfig(3)
-	rcfg.BatchSize = 16
-	rcfg.ResumeFrom = last
-	res, _, err := Parallel(st, cfg, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := clusterLabels(res)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("resumed run: fragment %d in cluster %d, serial says %d", i, got[i], want[i])
-		}
-	}
-
-	// Resuming against a different store must be rejected.
-	other, _ := islandStore(9, 1, 900, 30)
-	ocfg := DefaultParallelConfig(3)
-	ocfg.ResumeFrom = last
-	if _, _, err := Parallel(other, cfg, ocfg); err == nil {
-		t.Error("resume accepted a checkpoint for a different store")
-	}
-}
-
 func TestParseFaults(t *testing.T) {
 	plan, err := ParseFaults("crash=2@5,crash=3@9,drop=0.01,delayp=0.5,delay=20ms,seed=7")
 	if err != nil {

@@ -9,9 +9,8 @@ import (
 	"repro/internal/unionfind"
 )
 
-// masterPort is everything the master core does to the world besides
-// handing checkpoints to ParallelConfig.CheckpointSink. *par.Comm
-// satisfies it; the core's tests substitute a recording fake.
+// masterPort is everything the master core does to the world.
+// *par.Comm satisfies it; the core's tests substitute a recording fake.
 type masterPort interface {
 	Send(dst, tag int, data []byte)
 	ChargeCompute(sec float64)
@@ -68,7 +67,6 @@ type workerState struct {
 // re-assigns both the leased batches and the coverage.
 type master struct {
 	port       masterPort
-	cfg        Config
 	pcfg       ParallelConfig
 	mx         clusterMetrics
 	survivable bool
@@ -84,27 +82,19 @@ type master struct {
 	inFlight int // reports outstanding over all live workers
 	live     int // workers not dead
 	active   int // live workers that have not reported passive
-	reports  int // reports processed, for the checkpoint cadence
 }
 
 // newMaster builds the core for a size-rank machine over n fragments,
-// every worker owing its initial report, warm-started from resume when
-// non-nil.
-func newMaster(port masterPort, size, n int, survivable bool, cfg Config, pcfg ParallelConfig, resume *Checkpoint, mx clusterMetrics, now time.Time) *master {
+// every worker owing its initial report.
+func newMaster(port masterPort, size, n int, survivable bool, pcfg ParallelConfig, mx clusterMetrics, now time.Time) *master {
 	m := &master{
-		port: port, cfg: cfg, pcfg: pcfg, mx: mx, survivable: survivable,
+		port: port, pcfg: pcfg, mx: mx, survivable: survivable,
+		uf:       unionfind.New(n),
 		workers:  make([]workerState, size),
 		inFlight: size - 1, live: size - 1, active: size - 1,
 	}
 	for w := 1; w < size; w++ {
 		m.workers[w] = workerState{expected: 1, lastHeard: now, covers: []int{w}}
-	}
-	if resume == nil {
-		m.uf = unionfind.New(n)
-	} else {
-		m.uf = resume.restore()
-		m.st = resume.Stats
-		m.pending.pushAll(resume.Pending)
 	}
 	return m
 }
@@ -332,7 +322,7 @@ func (m *master) onReport(src int, data []byte, now time.Time) error {
 		m.charge(costUF)
 		if ar.accepted {
 			m.mx.pairsAccepted.Inc()
-			if acceptOverlap(m.uf, &m.st, m.cfg.MaxClusterSize, int(ar.fa), int(ar.fb)) {
+			if acceptOverlap(m.uf, &m.st, int(ar.fa), int(ar.fb)) {
 				m.mx.merges.Inc()
 				m.port.TraceEvent(obs.EvClusterMerge, int64(ar.fa), int64(ar.fb), 0)
 			}
@@ -364,7 +354,6 @@ func (m *master) onReport(src int, data []byte, now time.Time) error {
 	if rep.passive {
 		m.setPassive(src, true)
 	}
-	m.maybeCheckpoint()
 
 	if m.survivable && m.port.RankDead(src) {
 		// The reporter died after sending: replying would leak a lease
@@ -383,20 +372,4 @@ func (m *master) onReport(src int, data []byte, now time.Time) error {
 		m.parked = append(m.parked, src)
 	}
 	return nil
-}
-
-// maybeCheckpoint snapshots the state every CheckpointEvery reports.
-func (m *master) maybeCheckpoint() {
-	if m.pcfg.CheckpointEvery <= 0 || m.pcfg.CheckpointSink == nil {
-		return
-	}
-	m.reports++
-	if m.reports%m.pcfg.CheckpointEvery != 0 {
-		return
-	}
-	m.charge(float64(m.uf.N()) * costUF) // the Find sweep over all labels
-	cp := snapshotCheckpoint(m.uf, m.st, m.pending.slice()).Encode()
-	m.port.TraceEvent(obs.EvCheckpoint, int64(len(cp)), 0, 0)
-	m.mx.checkpoints.Inc()
-	m.pcfg.CheckpointSink(cp)
 }

@@ -69,9 +69,9 @@ func testPcfg() ParallelConfig {
 	return ParallelConfig{BatchSize: 4, MaxPending: 64, LeaseTimeout: testLease}
 }
 
-func newTestMaster(size int, survivable bool, cfg Config, pcfg ParallelConfig, resume *Checkpoint) (*master, *fakePort) {
+func newTestMaster(size int, survivable bool, pcfg ParallelConfig) (*master, *fakePort) {
 	port := &fakePort{dead: map[int]bool{}}
-	return newMaster(port, size, testFragments, survivable, cfg, pcfg, resume, newClusterMetrics(nil), t0), port
+	return newMaster(port, size, testFragments, survivable, pcfg, newClusterMetrics(nil), t0), port
 }
 
 // pr is the pair (a, b) tagged with a serial number in APos, a field
@@ -155,7 +155,7 @@ func tags(msgs []sentMsg) string {
 // out — at lastHeard + lease the lease still holds — and its coverage
 // travels to a survivor on that survivor's next ordinary work reply.
 func TestMasterLeaseExpiry(t *testing.T) {
-	m, port := newTestMaster(3, true, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(3, true, testPcfg())
 	deliver(t, m, 1, report{pairs: []pairgen.Pair{pr(0, 1, 1), pr(2, 3, 2)}}, t0.Add(testLease/2))
 	if wk := lastWork(t, port.take(), 1); len(wk.batch) != 2 || wk.r == 0 || len(wk.adopt) != 0 {
 		t.Fatalf("first reply %+v", wk)
@@ -202,7 +202,7 @@ func TestMasterLeaseExpiry(t *testing.T) {
 // message — empty batch, adopt list, fresh request size — and leaves
 // the passive set.
 func TestMasterParkedWorkerAdopts(t *testing.T) {
-	m, port := newTestMaster(3, true, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(3, true, testPcfg())
 	deliver(t, m, 1, report{passive: true}, t0)
 	if len(port.take()) != 0 || !slices.Equal(m.parked, []int{1}) || m.active != 1 {
 		t.Fatalf("passive idle worker not parked: parked %v active %d", m.parked, m.active)
@@ -230,7 +230,7 @@ func TestMasterParkedWorkerAdopts(t *testing.T) {
 
 // A report from a worker already fired is fenced and changes nothing.
 func TestMasterZombieReport(t *testing.T) {
-	m, port := newTestMaster(3, true, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(3, true, testPcfg())
 	m.onSilence(t0.Add(2 * testLease))
 	port.take()
 	deliver(t, m, 1, report{}, t0.Add(2*testLease)) // zombie 1
@@ -250,7 +250,7 @@ func TestMasterZombieReport(t *testing.T) {
 // A reporter that died after sending has its report counted, is reaped
 // and gets no reply.
 func TestMasterReporterDiedAfterSending(t *testing.T) {
-	m, port := newTestMaster(3, true, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(3, true, testPcfg())
 	port.dead[2] = true
 	deliver(t, m, 2, report{pairs: []pairgen.Pair{pr(0, 1, 1)}}, t0)
 	if len(port.take()) != 0 {
@@ -261,7 +261,7 @@ func TestMasterReporterDiedAfterSending(t *testing.T) {
 			m.workers[2].dead, m.st.Generated, m.pending.Len(), m.orphans)
 	}
 	// On a fail-stop machine the runtime is not consulted: the reply goes out.
-	m, port = newTestMaster(3, false, Config{}, testPcfg(), nil)
+	m, port = newTestMaster(3, false, testPcfg())
 	port.dead[2] = true
 	deliver(t, m, 2, report{pairs: []pairgen.Pair{pr(0, 1, 1)}}, t0)
 	if got := tags(port.take()); got != "2:2" || m.workers[2].dead {
@@ -271,7 +271,7 @@ func TestMasterReporterDiedAfterSending(t *testing.T) {
 
 // A worker that reported passive dies without orphaning anything.
 func TestMasterPassiveWorkerDies(t *testing.T) {
-	m, port := newTestMaster(3, true, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(3, true, testPcfg())
 	deliver(t, m, 2, report{passive: true}, t0)
 	port.dead[2] = true
 	m.onSilence(t0)
@@ -287,7 +287,7 @@ func TestMasterPassiveWorkerDies(t *testing.T) {
 // With every worker dead the run is an error exactly when work is left.
 func TestMasterAllWorkersDead(t *testing.T) {
 	// Pending work left: worker 1 dies holding a leased batch.
-	m, port := newTestMaster(2, true, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(2, true, testPcfg())
 	deliver(t, m, 1, report{pairs: []pairgen.Pair{pr(0, 1, 1)}, passive: true}, t0)
 	port.dead[1] = true
 	m.onSilence(t0)
@@ -299,7 +299,7 @@ func TestMasterAllWorkersDead(t *testing.T) {
 	}
 
 	// Nothing left: the only requeued pair was merged meanwhile.
-	m, port = newTestMaster(3, true, Config{}, testPcfg(), nil)
+	m, port = newTestMaster(3, true, testPcfg())
 	deliver(t, m, 1, report{pairs: []pairgen.Pair{pr(0, 1, 1)}, passive: true}, t0)
 	deliver(t, m, 2, report{pairs: []pairgen.Pair{pr(0, 1, 2)}, passive: true}, t0)
 	deliver(t, m, 2, report{results: resultsFor([]pairgen.Pair{pr(0, 1, 2)}, always), passive: true}, t0)
@@ -318,7 +318,7 @@ func TestMasterAllWorkersDead(t *testing.T) {
 // A passive worker still owing results gets an empty reply that flushes
 // them out; it is parked only once it owes nothing.
 func TestMasterFlushesOwedResults(t *testing.T) {
-	m, port := newTestMaster(2, false, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(2, false, testPcfg())
 	batch := []pairgen.Pair{pr(0, 1, 1)}
 	deliver(t, m, 1, report{pairs: batch, passive: true}, t0)
 	if wk := lastWork(t, port.take(), 1); len(wk.batch) != 1 || wk.r != 0 {
@@ -336,7 +336,7 @@ func TestMasterFlushesOwedResults(t *testing.T) {
 
 // A clean finish releases every parked worker with tagDone.
 func TestMasterFinishReleasesParked(t *testing.T) {
-	m, port := newTestMaster(3, false, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(3, false, testPcfg())
 	deliver(t, m, 1, report{passive: true}, t0)
 	if done, _ := m.finished(); done {
 		t.Fatal("finished with a report outstanding")
@@ -348,66 +348,6 @@ func TestMasterFinishReleasesParked(t *testing.T) {
 	}
 	if got := tags(port.take()); got != "1:3 2:3" {
 		t.Fatalf("release sent %q", got)
-	}
-}
-
-func TestMasterMaxClusterSize(t *testing.T) {
-	m, _ := newTestMaster(2, false, Config{MaxClusterSize: 2}, testPcfg(), nil)
-	deliver(t, m, 1, report{results: []alignResult{{fa: 0, fb: 1, accepted: true}, {fa: 1, fb: 2, accepted: true}, {fa: 3, fb: 4}}}, t0)
-	if m.st.Accepted != 2 || m.st.Merges != 1 || !m.uf.Same(0, 1) || m.uf.Same(1, 2) {
-		t.Fatalf("accepted %d merges %d", m.st.Accepted, m.st.Merges)
-	}
-}
-
-func TestMasterCheckpointCadenceAndResume(t *testing.T) {
-	var cps [][]byte
-	pcfg := testPcfg()
-	pcfg.CheckpointEvery = 2
-	pcfg.CheckpointSink = func(b []byte) { cps = append(cps, b) }
-	m, port := newTestMaster(2, false, Config{}, pcfg, nil)
-	deliver(t, m, 1, report{pairs: []pairgen.Pair{pr(0, 1, 1), pr(2, 3, 2), pr(4, 5, 3), pr(6, 7, 4), pr(0, 1, 5), pr(8, 9, 6)}}, t0)
-	if len(cps) != 0 {
-		t.Fatal("checkpoint before the cadence")
-	}
-	charged := port.charged
-	deliver(t, m, 1, report{results: []alignResult{{fa: 0, fb: 1, accepted: true}}}, t0)
-	for i := 0; i < 3; i++ {
-		deliver(t, m, 1, report{}, t0)
-	}
-	if len(cps) != 2 || port.count(obs.EvCheckpoint) != 2 {
-		t.Fatalf("%d checkpoints, %d events after 5 reports at every 2", len(cps), port.count(obs.EvCheckpoint))
-	}
-	if port.charged-charged < testFragments*costUF || port.charged != m.busy {
-		t.Fatalf("charged %g busy %g", port.charged, m.busy)
-	}
-	cp, err := DecodeCheckpoint(cps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At the second report: 4 pairs leased, (0,1)#5 and (8,9)#6 pending.
-	if cp.Stats.Generated != 6 || cp.Stats.Merges != 1 || len(cp.Pending) != 2 {
-		t.Fatalf("checkpoint %+v pending %v", cp.Stats, cp.Pending)
-	}
-
-	// Resume: the partition, statistics and pending pairs come back; the
-	// pending pair merged before the snapshot is skipped on dispatch.
-	r, port := newTestMaster(2, false, Config{}, testPcfg(), cp)
-	deliver(t, r, 1, report{}, t0)
-	wk := lastWork(t, port.take(), 1)
-	if len(wk.batch) != 1 || wk.batch[0] != pr(8, 9, 6) {
-		t.Fatalf("resumed dispatch %+v", wk.batch)
-	}
-	if !r.uf.Same(0, 1) || r.st.Generated != 6 || r.st.Skipped != cp.Stats.Skipped+1 {
-		t.Fatalf("resumed stats %+v", r.st)
-	}
-
-	// No sink, no snapshots.
-	pcfg.CheckpointSink = nil
-	m, port = newTestMaster(2, false, Config{}, pcfg, nil)
-	deliver(t, m, 1, report{}, t0)
-	deliver(t, m, 1, report{}, t0)
-	if port.count(obs.EvCheckpoint) != 0 {
-		t.Fatal("checkpoint traced without a sink")
 	}
 }
 
@@ -429,7 +369,7 @@ func TestWorkerFailReportAborts(t *testing.T) {
 		for _, survivable := range []bool{false, true} {
 			for _, passive := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/survivable=%v/passive=%v", kind, survivable, passive), func(t *testing.T) {
-					m, port := newTestMaster(4, survivable, Config{}, testPcfg(), nil)
+					m, port := newTestMaster(4, survivable, testPcfg())
 					deliver(t, m, 2, report{pairs: batch, passive: passive}, t0)
 					if wk := lastWork(t, port.take(), 2); len(wk.batch) != 2 || m.st.Aligned != 2 {
 						t.Fatalf("setup: reply %+v", wk)
@@ -497,7 +437,7 @@ type masterSim struct {
 }
 
 func newMasterSim(t testing.TB, size int, survivable bool) *masterSim {
-	m, port := newTestMaster(size, survivable, Config{}, testPcfg(), nil)
+	m, port := newTestMaster(size, survivable, testPcfg())
 	s := &masterSim{
 		t: t, m: m, port: port, now: t0,
 		workers:   make([]simWorker, size),
@@ -615,7 +555,7 @@ func (s *masterSim) check() {
 	m := s.m
 	checkCounters(s.t, m)
 	held := map[int32]int{}
-	for _, p := range m.pending.slice() {
+	for _, p := range m.pending.buf[m.pending.head:] {
 		held[p.APos]++
 	}
 	covered := make([]int, len(m.workers))

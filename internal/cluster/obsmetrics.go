@@ -20,7 +20,6 @@ type clusterMetrics struct {
 	pairsAccepted  *obs.Counter // alignments that met the criteria
 	merges         *obs.Counter // successful union–find merges
 	workersLost    *obs.Counter // leases expired / crashes detected
-	checkpoints    *obs.Counter // master checkpoints written
 	reports        *obs.Counter // reports the master processed
 
 	pendingDepth *obs.Gauge // current master pending-queue depth
@@ -39,7 +38,6 @@ func newClusterMetrics(r *obs.Registry) clusterMetrics {
 		pairsAccepted:  r.Counter("cluster_pairs_accepted"),
 		merges:         r.Counter("cluster_merges"),
 		workersLost:    r.Counter("cluster_workers_lost"),
-		checkpoints:    r.Counter("cluster_checkpoints"),
 		reports:        r.Counter("cluster_master_reports"),
 		pendingDepth:   r.Gauge("cluster_pending_depth"),
 		pendingPeak:    r.Gauge("cluster_pending_depth_peak"),

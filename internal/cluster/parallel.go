@@ -54,21 +54,10 @@ type ParallelConfig struct {
 	// machines only). Workers give up on a silent master after 4× this.
 	// Default 3 s.
 	LeaseTimeout time.Duration
-	// CheckpointEvery, when positive, snapshots the master state every
-	// that many processed reports and hands the encoded checkpoint to
-	// CheckpointSink.
-	CheckpointEvery int
-	// CheckpointSink receives encoded checkpoints (see Checkpoint).
-	CheckpointSink func([]byte)
-	// ResumeFrom, when non-empty, warm-starts the master from an
-	// encoded checkpoint: the union–find, statistics and pending pairs
-	// are restored, and workers regenerate pairs from scratch (the
-	// union–find makes re-delivered pairs harmless).
-	ResumeFrom []byte
 
 	// Trace, when non-nil, records phase spans (GST / cluster / align /
 	// recover) and protocol events (lease grant/expire/adopt, merges,
-	// pair generation, checkpoints) alongside the runtime's message
+	// pair generation) alongside the runtime's message
 	// events. It is installed into Machine unless Machine.Trace is
 	// already set.
 	Trace *obs.Tracer
@@ -173,38 +162,23 @@ func (q *pairQueue) pop() pairgen.Pair {
 	return p
 }
 
-// slice returns the queued pairs in order (for checkpoints).
-func (q *pairQueue) slice() []pairgen.Pair { return q.buf[q.head:] }
-
 // parallelRun is what Parallel and ParallelRank share around their
-// machines: the validated, defaulted configuration, the decoded warm
-// start, the metric handles and the host clock.
+// machines: the validated, defaulted configuration, the metric handles
+// and the host clock.
 type parallelRun struct {
-	store  seq.Seqs
-	cfg    Config
-	pcfg   ParallelConfig
-	resume *Checkpoint
-	mx     clusterMetrics
-	start  time.Time
+	store seq.Seqs
+	cfg   Config
+	pcfg  ParallelConfig
+	mx    clusterMetrics
+	start time.Time
 }
 
 // newParallelRun is the common prologue. It refuses a machine without
-// a worker and a warm-start checkpoint taken over a different fragment
-// set.
+// a worker.
 func newParallelRun(store seq.Seqs, cfg Config, pcfg ParallelConfig) (*parallelRun, error) {
 	run := &parallelRun{store: store, cfg: cfg.withDefaults(), pcfg: pcfg.withDefaults()}
 	if run.pcfg.Ranks < 2 {
 		return nil, fmt.Errorf("cluster: parallel run needs at least 2 ranks (1 master + 1 worker), got %d", run.pcfg.Ranks)
-	}
-	if enc := run.pcfg.ResumeFrom; len(enc) > 0 {
-		cp, err := DecodeCheckpoint(enc)
-		if err != nil {
-			return nil, err
-		}
-		if cp.N != store.N() {
-			return nil, fmt.Errorf("cluster: checkpoint is for %d fragments, store has %d", cp.N, store.N())
-		}
-		run.resume = cp
 	}
 	run.mx = newClusterMetrics(run.pcfg.Metrics)
 	run.start = time.Now()
@@ -383,7 +357,7 @@ func subtractStats(a, b par.Stats) par.Stats {
 // busy seconds (for the availability metric).
 func runMaster(c *par.Comm, run *parallelRun) (*unionfind.UF, Stats, float64, error) {
 	survivable := c.Survivable()
-	m := newMaster(c, c.Size(), run.store.N(), survivable, run.cfg, run.pcfg, run.resume, run.mx, time.Now())
+	m := newMaster(c, c.Size(), run.store.N(), survivable, run.pcfg, run.mx, time.Now())
 	pollSlice := min(run.pcfg.LeaseTimeout/4, 50*time.Millisecond)
 	for {
 		m.dispatch(time.Now())

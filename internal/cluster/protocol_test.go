@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/pairgen"
 	"repro/internal/unionfind"
+	"repro/internal/wire"
 )
 
 func TestReportRoundTrip(t *testing.T) {
@@ -219,17 +221,21 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	uf.Union(4, 5)
 	st := Stats{Generated: 100, Aligned: 60, Accepted: 20, Skipped: 40,
 		Merges: 3, WorkersLost: 1, Requeued: 12, GSTSeconds: 1.5}
-	pend := []pairgen.Pair{{ASid: 1, BSid: 2, MatchLen: 25}}
-	cp := snapshotCheckpoint(uf, st, pend)
+	enc := CheckpointOf(&Result{N: 10, UF: uf, Stats: st}).Encode()
+	// Format version 1, ending in an empty pair list: workdirs written
+	// before the pair list was retired still resume.
+	if want := "f0d68d9b06010a0002040008080c001012c80178285006021880808080808080fc3f000000"; fmt.Sprintf("%x", enc) != want {
+		t.Errorf("checkpoint bytes changed:\n got %x\nwant %s", enc, want)
+	}
 
-	got, err := DecodeCheckpoint(cp.Encode())
+	got, err := DecodeCheckpoint(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != 10 || got.Stats != st || len(got.Pending) != 1 || got.Pending[0] != pend[0] {
+	if got.N != 10 || got.Stats != st {
 		t.Errorf("checkpoint corrupted: %+v", got)
 	}
-	ruf := got.restore()
+	ruf := got.Result().UF
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
 			if ruf.Same(i, j) != uf.Same(i, j) {
@@ -243,10 +249,16 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := DecodeCheckpoint([]byte("not a checkpoint")); err == nil {
 		t.Error("garbage accepted as checkpoint")
 	}
-	enc := snapshotCheckpoint(unionfind.New(4), Stats{}, nil).Encode()
+	enc := CheckpointOf(&Result{N: 4, UF: unionfind.New(4)}).Encode()
 	for i := 0; i < len(enc); i++ {
 		if _, err := DecodeCheckpoint(enc[:i]); err == nil {
 			t.Errorf("checkpoint prefix %d/%d accepted", i, len(enc))
 		}
+	}
+	// A mid-run snapshot with pending pairs is not a completed clustering.
+	w := wire.NewBuffer(8)
+	encodePairs(w, []pairgen.Pair{{ASid: 1, BSid: 2, MatchLen: 25}})
+	if _, err := DecodeCheckpoint(append(enc[:len(enc)-1:len(enc)-1], w.Bytes()...)); err == nil {
+		t.Error("checkpoint with pending pairs accepted")
 	}
 }

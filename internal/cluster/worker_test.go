@@ -172,7 +172,7 @@ func (s *workerSim) wait(probes int) {
 	s.aligned += len(s.leased)
 	s.leased = nil
 	s.w.generateAhead(func() bool { probes--; return probes < 0 })
-	buffered := s.w.buffered.slice()
+	buffered := s.w.buffered.buf[s.w.buffered.head:]
 	if len(buffered) > s.w.run.pcfg.NewPairsBuf {
 		s.t.Fatalf("%d pairs buffered, NewPairsBuf %d", len(buffered), s.w.run.pcfg.NewPairsBuf)
 	}

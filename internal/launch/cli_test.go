@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -27,11 +28,11 @@ import (
 // cli is the built commands plus one small input, shared by the
 // subtests of TestCLIContract.
 type cli struct {
-	bin   string // directory holding asmcluster, asmpipeline, asmnode
+	bin   string // directory holding asmcluster and asmpipeline
 	reads string // input FASTA
 }
 
-// buildCLI compiles the three session commands once. Under a
+// buildCLI compiles the two session commands once. Under a
 // race-enabled test binary (make cli-smoke) the commands are built
 // with -race too, so the session's signal and close paths run checked.
 func buildCLI(t *testing.T) cli {
@@ -45,7 +46,7 @@ func buildCLI(t *testing.T) cli {
 			}
 		}
 	}
-	args = append(args, "repro/cmd/asmcluster", "repro/cmd/asmpipeline", "repro/cmd/asmnode")
+	args = append(args, "repro/cmd/asmcluster", "repro/cmd/asmpipeline")
 	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
 		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
@@ -182,7 +183,7 @@ func checkDumpFiles(t *testing.T, ok func(rank int) bool, paths []string) {
 	}
 }
 
-// TestCLIContract drives the built asmcluster / asmpipeline / asmnode
+// TestCLIContract drives the built asmcluster and asmpipeline
 // through the argv shapes the benchmark and the verify notes use, and
 // pins what every run owes its caller: the serial partition, identical
 // contigs whatever the transport or store, one checkable events dump
@@ -216,16 +217,18 @@ func TestCLIContract(t *testing.T) {
 			{"-ranks", "1"},
 			{"-ranks", "4", "-transport", "inproc"},
 			{"-ranks", "4", "-transport", "tcp", "-events-out", "ev.json", "-prof-dir", "prof"},
+			{"-ranks", "3", "-transport", "unix", "-events-out", "ev.json", "-prof-dir", "prof"},
 		} {
 			dir := c.mustRun(t, "asmcluster", append([]string{"-in", c.reads, "-out", "clusters.tsv"}, args...)...)
 			if !bytes.Equal(readFile(t, filepath.Join(dir, "clusters.tsv")), wantTSV) {
 				t.Errorf("asmcluster %v: clusters.tsv differs from cluster.WriteTSV(cluster.Serial)", args)
 			}
 			if len(args) > 4 {
-				checkDumps(t, filepath.Join(dir, "ev.json"), 4)
+				ranks, _ := strconv.Atoi(args[1])
+				checkDumps(t, filepath.Join(dir, "ev.json"), ranks)
 				cpus, _ := prof.DirArtifacts(filepath.Join(dir, "prof"))
-				if len(cpus) != 4 {
-					t.Fatalf("-prof-dir holds %d CPU artifacts, want one per rank: %v", len(cpus), cpus)
+				if len(cpus) != ranks {
+					t.Fatalf("asmcluster %v: -prof-dir holds %d CPU artifacts, want one per rank: %v", args, len(cpus), cpus)
 				}
 				for _, p := range cpus {
 					if _, err := prof.ParseFile(p); err != nil {
@@ -233,18 +236,6 @@ func TestCLIContract(t *testing.T) {
 					}
 				}
 			}
-		}
-	})
-
-	t.Run("asmnode", func(t *testing.T) {
-		dir := c.mustRun(t, "asmnode", "-in", c.reads, "-out", "clusters.tsv",
-			"-spawn", "-transport", "unix", "-size", "3", "-events-out", "ev.json", "-prof-dir", "prof")
-		if !bytes.Equal(readFile(t, filepath.Join(dir, "clusters.tsv")), wantTSV) {
-			t.Error("asmnode: clusters.tsv differs from cluster.WriteTSV(cluster.Serial)")
-		}
-		checkDumps(t, filepath.Join(dir, "ev.json"), 3)
-		if cpus, _ := prof.DirArtifacts(filepath.Join(dir, "prof")); len(cpus) != 3 {
-			t.Errorf("-prof-dir holds %d CPU artifacts, want one per rank", len(cpus))
 		}
 	})
 
@@ -290,7 +281,6 @@ func TestCLIContract(t *testing.T) {
 			{"asmcluster", []string{"-in", c.reads, "-ranks", "3", "-transport", "tcp", "-store", "bogus"}, "unknown store"},
 			{"asmpipeline", []string{"-in", c.reads, "-ranks", "3", "-transport", "unix", "-store", "bogus"}, "unknown store"},
 			{"asmpipeline", []string{"-in", c.reads, "-ranks", "2", "-store", "disk", "-faults", "crash=1@1"}, "workers died"},
-			{"asmnode", []string{"-in", bad, "-size", "3", "-spawn"}, "malformed input"},
 			{"asmcluster", []string{"-in", c.reads, "-ranks", "3", "-store", "disk", "-out", "no/such/dir/c.tsv"}, "no such file"},
 			{"asmcluster", []string{"-in", c.reads, "-ranks", "3", "-transport", "tcp", "-out", "no/such/dir/c.tsv"}, "no such file"},
 		} {
@@ -305,8 +295,8 @@ func TestCLIContract(t *testing.T) {
 	// One interrupt rule: a signalled rank writes <path>.rank<r>.interrupted
 	// (never the normal name), takes its worker ranks with it and exits
 	// 128+signal. The input is a FIFO nobody writes, so every rank blocks
-	// opening it; the master's kill-injection line is printed from its
-	// payload, i.e. after the session installed the handler.
+	// opening it; the root prints the ranks it spawned after the session
+	// installed the handler.
 	t.Run("interrupt", func(t *testing.T) {
 		for sig, want := range map[syscall.Signal]int{syscall.SIGINT: 130, syscall.SIGTERM: 143} {
 			fifo := filepath.Join(t.TempDir(), "reads.fifo")
@@ -314,8 +304,8 @@ func TestCLIContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			cmd, dir := c.command(t, ctx, "asmnode", "-in", fifo, "-size", "3", "-spawn",
-				"-kill-rank", "2", "-kill-after", "0", "-events-out", "ev.json")
+			cmd, dir := c.command(t, ctx, "asmcluster", "-in", fifo, "-ranks", "3", "-transport", "tcp",
+				"-events-out", "ev.json")
 			stderr, err := cmd.StderrPipe()
 			if err != nil {
 				t.Fatal(err)
@@ -324,7 +314,7 @@ func TestCLIContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc := bufio.NewScanner(stderr)
-			for sc.Scan() && !strings.Contains(sc.Text(), "injecting SIGKILL") {
+			for sc.Scan() && !strings.Contains(sc.Text(), "spawned ranks 1..2") {
 			}
 			cmd.Process.Signal(sig)
 			for sc.Scan() { // drain until the process closes stderr
@@ -340,8 +330,12 @@ func TestCLIContract(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, "ev.json.rank0")); err == nil {
 				t.Errorf("%s: interrupted run wrote the normal path ev.json.rank0", sig)
 			}
+			// The worker ranks were killed, so only the root wrote a dump.
 			// No rank finished, so spans may be open; everything else holds.
-			interrupted, _ := filepath.Glob(filepath.Join(dir, "ev.json.rank*.interrupted"))
+			interrupted, _ := filepath.Glob(filepath.Join(dir, "ev.json*"))
+			if len(interrupted) != 1 {
+				t.Errorf("%s: dumps %v, want ev.json.rank0.interrupted alone", sig, interrupted)
+			}
 			checkDumpFiles(t, func(int) bool { return false }, interrupted)
 			c.assertClean(t, dir)
 		}

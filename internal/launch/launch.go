@@ -14,7 +14,6 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
-	"syscall"
 )
 
 const (
@@ -109,17 +108,6 @@ func spawn(tmpl child) (*Fleet, error) {
 		f.procs[r] = cmd
 	}
 	return f, nil
-}
-
-// Kill delivers SIGKILL to one worker rank — the failure-injection
-// primitive for conformance tests (a killed process cannot flush,
-// drain, or say goodbye).
-func (f *Fleet) Kill(rank int) error {
-	cmd, ok := f.procs[rank]
-	if !ok {
-		return fmt.Errorf("launch: no spawned process for rank %d", rank)
-	}
-	return cmd.Process.Signal(syscall.SIGKILL)
 }
 
 // KillAll forcibly terminates every spawned rank (cleanup path).

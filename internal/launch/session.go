@@ -17,24 +17,14 @@ import (
 // than the environment; Run exits 2 on it, as flag parsing does.
 var ErrUsage = errors.New("usage")
 
-// Options are a run session's settings. The first block is the flag
-// surface every command shares (RegisterFlags). The second is
-// asmnode's manual-rendezvous deployment settings, zero elsewhere:
-// where this rank sits in a machine launched by hand.
+// Options are a run session's settings: the flag surface every
+// command shares (RegisterFlags).
 type Options struct {
 	Transport       string        // inproc goroutines, or tcp / unix OS processes
 	EventsOut       string        // raw events dump path
 	Collector       string        // host:port the job root serves a collector on, or the http:// URL of a running one
 	CollectorLinger time.Duration // how long that collector outlives the run
 	ProfDir         string        // profiling artifact directory
-
-	Manual   bool          // this process is rank Rank of a hand-launched machine; nothing is spawned
-	Rank     int           // manual mode only
-	Epoch    uint64        // manual mode only; a spawning root draws a fresh one
-	Registry string        // shared rendezvous directory; a spawning root defaults to a temp dir it removes
-	Peers    []string      // static peer addresses, index = rank (alternative to Registry)
-	Listen   string        // this rank's listen address (default: ephemeral)
-	Liveness time.Duration // declare a silent peer dead after this long (0 = transport default)
 }
 
 // RegisterFlags registers the session flags on fs, once for every
@@ -81,9 +71,6 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 	var epoch uint64
 	switch o.Transport {
 	case "inproc":
-		if o.Manual {
-			return nil, fmt.Errorf("%w: a hand-launched rank needs -transport tcp or unix", ErrUsage)
-		}
 	case "tcp", "unix":
 		if ranks < 2 {
 			return nil, fmt.Errorf("%w: -transport %s requires at least 2 ranks", ErrUsage, o.Transport)
@@ -94,34 +81,20 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 		case err != nil:
 			return nil, err
 		case isChild:
-			// A re-executed worker finds its identity in the environment
-			// and ignores the rendezvous flags it inherited. The parent
-			// decided its observability: stream to its collector, if any.
+			// A re-executed worker finds its identity in the environment.
+			// The parent decided its observability: stream to its
+			// collector, if any.
 			t.rank, registry, epoch, t.spawned = c.Rank, c.Registry, c.Epoch, true
 			t.opts.Collector = c.Collector
-		case o.Manual:
-			if o.Collector != "" && !isURL(o.Collector) {
-				return nil, fmt.Errorf("%w: -collector %s is a listen address, which only a spawning root serves; manual ranks take the collector's http:// URL", ErrUsage, o.Collector)
-			}
-			if len(o.Peers) != 0 && len(o.Peers) != ranks {
-				return nil, fmt.Errorf("%w: -peers names %d ranks of %d", ErrUsage, len(o.Peers), ranks)
-			}
-			if len(o.Peers) == 0 && o.Registry == "" {
-				return nil, fmt.Errorf("%w: need -registry or a full -peers list (or -spawn)", ErrUsage)
-			}
-			t.rank, registry, epoch = o.Rank, o.Registry, o.Epoch
 		default:
 			root = true
-			// Epochs tell apart successive jobs sharing a registry
-			// directory; the wall clock is unique enough per registry.
-			registry, epoch = o.Registry, uint64(time.Now().UnixNano())
-			if registry == "" {
-				dir, err := os.MkdirTemp("", job+"-registry-")
-				if err != nil {
-					return nil, err
-				}
-				registry, s.tempRegistry = dir, dir
+			// The epoch turns away handshakes and registry entries of
+			// any other run; the wall clock is unique enough.
+			dir, err := os.MkdirTemp("", job+"-registry-")
+			if err != nil {
+				return nil, err
 			}
+			registry, s.tempRegistry, epoch = dir, dir, uint64(time.Now().UnixNano())
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown -transport %q (inproc, tcp, unix)", ErrUsage, o.Transport)
@@ -132,10 +105,7 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 		s.fleet, err = spawn(child{Size: ranks, Registry: registry, Epoch: epoch, Collector: t.CollectorURL})
 	}
 	if err == nil && t.perProc {
-		cfg := nettrans.Config{
-			Rank: t.rank, Size: ranks, Network: o.Transport, RegistryDir: registry, Epoch: epoch,
-			Listen: o.Listen, Peers: o.Peers, Liveness: o.Liveness,
-		}
+		cfg := nettrans.Config{Rank: t.rank, Size: ranks, Network: o.Transport, RegistryDir: registry, Epoch: epoch}
 		var nt *nettrans.Transport
 		if nt, err = nettrans.New(cfg); err == nil {
 			s.Transport = nt
@@ -153,15 +123,12 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 	OnSignal(func(sig os.Signal) {
 		s.shutdown(fmt.Errorf("interrupted: %s", sig), true)
 	})
-	return s, nil
-}
-
-// Kill SIGKILLs one spawned worker rank (failure injection).
-func (s *Session) Kill(rank int) error {
-	if s.fleet == nil {
-		return fmt.Errorf("launch: this process spawned no ranks")
+	if s.fleet != nil {
+		// Printed once the handler is in place: from here on a signal
+		// takes the whole fleet down through shutdown.
+		fmt.Fprintf(os.Stderr, "%s: spawned ranks 1..%d\n", job, ranks-1)
 	}
-	return s.fleet.Kill(rank)
+	return s, nil
 }
 
 // Close is the run's only exit: it stops the profiler, takes one

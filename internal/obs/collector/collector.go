@@ -305,7 +305,7 @@ func (c *Collector) Status() *Status {
 }
 
 // tally derives rank r's row from its held event stream: message,
-// byte, fault and checkpoint counts, the innermost open phase ("-"
+// byte and fault counts, the innermost open phase ("-"
 // before any event) and the clocks of its last event. A lease expiry
 // is emitted by the master but charged to the worker it names.
 func tally(row func(int) *RankStatus, r int, evs []obs.Event) {
@@ -323,8 +323,6 @@ func tally(row func(int) *RankStatus, r int, evs []obs.Event) {
 			}
 		case obs.EvRetransmit:
 			rs.Retransmits++
-		case obs.EvCheckpoint:
-			rs.Checkpoints++
 		case obs.EvFault:
 			rs.Faults++
 			if e.A == obs.FaultDrop {

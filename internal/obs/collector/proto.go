@@ -101,7 +101,6 @@ type RankStatus struct {
 	Drops        int64 `json:"drops,omitempty"`
 	LeaseExpires int64 `json:"lease_expires,omitempty"`
 	Faults       int64 `json:"faults,omitempty"`
-	Checkpoints  int64 `json:"checkpoints,omitempty"`
 
 	// Modeled clocks at the rank's last streamed event, and how far
 	// behind the front-runner that leaves it.

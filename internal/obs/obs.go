@@ -46,7 +46,7 @@ const (
 	EvLeaseExpire
 	EvLeaseAdopt
 	EvFault
-	EvCheckpoint
+	EvCheckpoint // unused; kept so the kinds after it keep their numbers in dumps
 	EvRetransmit
 	EvCorruptFrame
 	EvRetry

@@ -47,16 +47,17 @@ type FaultPlan struct {
 	// exponential backoff charged to the sender's modeled clock. With
 	// Retransmit set, DropProb and CorruptProb apply to all eager
 	// sends, and every message is eventually delivered intact (or the
-	// sender fail-stops after MaxRetries attempts).
+	// sender fail-stops after maxRetries attempts).
 	Retransmit bool
 	// CorruptProb corrupts each framed send with this probability —
 	// either flipping a payload byte or truncating the frame — so the
 	// checksum layer must catch it. Only meaningful with Retransmit.
 	CorruptProb float64
-	// MaxRetries caps retransmission attempts per message (default 64);
-	// exceeding it fail-stops the sender.
-	MaxRetries int
 }
+
+// maxRetries caps retransmission attempts per message under
+// Retransmit; exceeding it fail-stops the sender.
+const maxRetries = 64
 
 // Crash kills one rank at a deterministic point in its execution.
 type Crash struct {
@@ -198,10 +199,6 @@ func corruptFrame(f []byte, rng *rand.Rand) []byte {
 // channel.
 func (c *Comm) deliverReliable(dst int, e envelope) {
 	p := c.fs.plan
-	maxRetries := p.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 64
-	}
 	// Capped exponential backoff starting at one link latency, charged
 	// to the modeled clock only — the in-process link needs no real
 	// waiting, and sleeping here could deadlock eager collectives that

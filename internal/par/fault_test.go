@@ -25,25 +25,6 @@ func TestRecvTimeout(t *testing.T) {
 	})
 }
 
-func TestProbeDeadline(t *testing.T) {
-	RunStatus(DefaultConfig(2), func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			if c.ProbeDeadline(1, 3, 20*time.Millisecond) {
-				t.Error("probe matched before anything was sent")
-			}
-			c.Send(1, 2, nil)
-			if !c.ProbeDeadline(1, 3, 2*time.Second) {
-				t.Error("probe missed the sent message")
-			}
-			c.Recv(1, 3) // actually consume it
-		case 1:
-			c.Recv(0, 2)
-			c.Send(0, 3, []byte("x"))
-		}
-	})
-}
-
 // TestCrashAfterSends: a send-count trigger kills the rank before the
 // fatal send, ranks blocked on it cascade instead of hanging, and
 // RunStatus reports every exit.

@@ -50,6 +50,7 @@ func seedFrames() []frame {
 	return []frame{
 		{Kind: kHello, Src: 1, Dst: 0, Size: 4, Epoch: 1, Seq: 42},
 		{Kind: kHello, Src: 3, Dst: 2, Size: 4, Epoch: ^uint64(0), Seq: ^uint64(0)},
+		{Kind: kHello, Src: 0, Dst: 3, Size: 4, Epoch: 1, Crashed: true},
 		{Kind: kWelcome, Epoch: 1, Seq: 42},
 		{Kind: kData, Src: 1, Dst: 0, Tag: 5, Seq: 7, Sync: true, Data: []byte("payload")},
 		{Kind: kData, Src: 0, Dst: 3, Tag: -1, Seq: 1, Data: []byte{}},
@@ -78,7 +79,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		}
 	}
 	names := []string{
-		"seed-hello", "seed-hello-maxepoch", "seed-welcome", "seed-data-sync",
+		"seed-hello", "seed-hello-maxepoch", "seed-hello-lastgasp", "seed-welcome", "seed-data-sync",
 		"seed-data-empty", "seed-ack", "seed-matchack", "seed-heartbeat",
 		"seed-bye-crashed", "seed-bye-clean",
 	}

@@ -14,27 +14,21 @@ import (
 	"repro/internal/wire"
 )
 
-// Config describes one rank's endpoint of a multi-process machine.
+// Config describes one rank's endpoint of a multi-process machine on
+// one host. Every rank listens on an ephemeral endpoint (127.0.0.1:0
+// for tcp, a socket under RegistryDir for unix) whose bound address
+// Addr returns.
 type Config struct {
 	// Rank and Size identify this process within the machine.
 	Rank, Size int
-	// Network is "tcp" (loopback or real) or "unix".
+	// Network is "tcp" (loopback) or "unix".
 	Network string
-	// Listen is the address to listen on. Empty picks an ephemeral
-	// endpoint: 127.0.0.1:0 for tcp, a socket under RegistryDir for
-	// unix. The bound address is available from Addr.
-	Listen string
-	// Peers, when non-empty, is the static address of every rank
-	// (index = rank; this rank's own entry is ignored). When a peer's
-	// entry is empty the transport falls back to the registry.
-	Peers []string
-	// RegistryDir enables file-based rendezvous: every rank publishes
-	// its bound address there and looks peers up by polling. Required
-	// when Peers does not name every rank.
+	// RegistryDir is the rendezvous directory (required): every rank
+	// publishes its bound address there and looks peers up by polling.
 	RegistryDir string
 	// Epoch guards against stale incarnations: handshakes and registry
 	// entries from a different epoch are rejected. The launcher picks
-	// one epoch per run (and per recovery restart).
+	// one epoch per run.
 	Epoch uint64
 	// Heartbeat is the idle-connection keepalive interval (default
 	// 250ms).
@@ -266,17 +260,12 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.Network != "tcp" && cfg.Network != "unix" {
 		return nil, fmt.Errorf("nettrans: unsupported network %q", cfg.Network)
 	}
-	listen := cfg.Listen
-	if listen == "" {
-		switch cfg.Network {
-		case "tcp":
-			listen = "127.0.0.1:0"
-		case "unix":
-			if cfg.RegistryDir == "" {
-				return nil, errors.New("nettrans: unix network needs -listen or a registry dir")
-			}
-			listen = fmt.Sprintf("%s/sock-%d-%d", cfg.RegistryDir, cfg.Epoch, cfg.Rank)
-		}
+	if cfg.RegistryDir == "" {
+		return nil, errors.New("nettrans: no registry dir to rendezvous through")
+	}
+	listen := "127.0.0.1:0"
+	if cfg.Network == "unix" {
+		listen = fmt.Sprintf("%s/sock-%d-%d", cfg.RegistryDir, cfg.Epoch, cfg.Rank)
 	}
 	ln, err := net.Listen(cfg.Network, listen)
 	if err != nil {
@@ -298,11 +287,9 @@ func New(cfg Config) (*Transport, error) {
 		p.heard() // silence is measured from transport start
 		t.peers[r] = p
 	}
-	if cfg.RegistryDir != "" {
-		if err := publishAddr(cfg.RegistryDir, cfg.Rank, cfg.Network, t.addr, cfg.Epoch); err != nil {
-			ln.Close()
-			return nil, err
-		}
+	if err := publishAddr(cfg.RegistryDir, cfg.Rank, cfg.Network, t.addr, cfg.Epoch); err != nil {
+		ln.Close()
+		return nil, err
 	}
 	return t, nil
 }
@@ -407,7 +394,8 @@ func (t *Transport) CrashNotify(reason string) {
 }
 
 // sayBye writes a goodbye on every live peer's link. A crash notice
-// also dials a peer whose link is down.
+// also dials a peer whose link is down, with a hello marked as a last
+// gasp so the peer never takes that connection for the link.
 func (t *Transport) sayBye(f frame) {
 	for _, p := range t.peers {
 		if p == nil || p.gone() {
@@ -416,7 +404,7 @@ func (t *Transport) sayBye(f frame) {
 		if sc := p.current(); sc != nil {
 			sc.write(f)
 		} else if f.Crashed {
-			if sc, _, err := t.connect(p); err == nil {
+			if sc, _, err := t.connect(p, true); err == nil {
 				sc.write(f)
 				sc.close()
 			}
@@ -550,15 +538,8 @@ func (t *Transport) monitor() {
 	}
 }
 
-// resolve finds rank r's address from the static peer list or the
-// registry.
+// resolve finds rank r's address in the registry.
 func (t *Transport) resolve(r int) (string, error) {
-	if r < len(t.cfg.Peers) && t.cfg.Peers[r] != "" {
-		return t.cfg.Peers[r], nil
-	}
-	if t.cfg.RegistryDir == "" {
-		return "", fmt.Errorf("nettrans: no address for rank %d and no registry", r)
-	}
 	return waitAddr(t.cfg.RegistryDir, r, t.cfg.Epoch, time.Now().Add(t.cfg.RendezvousTimeout), t.done)
 }
 
@@ -571,7 +552,7 @@ func (t *Transport) dialLoop(p *peer) {
 	rng := rand.New(rand.NewSource(int64(t.cfg.Rank)<<32 ^ int64(p.rank) ^ time.Now().UnixNano()))
 	attempt := 0
 	for !t.stopping() && !p.gone() {
-		sc, horizon, err := t.connect(p)
+		sc, horizon, err := t.connect(p, false)
 		if err != nil {
 			if !bo.Sleep(attempt, rng, t.done) {
 				return
@@ -586,8 +567,9 @@ func (t *Transport) dialLoop(p *peer) {
 
 // connect dials the peer and performs the handshake: the hello carries
 // this rank's delivered horizon for the peer, the welcome the peer's
-// for this rank, which connect returns.
-func (t *Transport) connect(p *peer) (*safeConn, uint64, error) {
+// for this rank, which connect returns. lastGasp marks the hello of a
+// connection that only carries a crash bye.
+func (t *Transport) connect(p *peer, lastGasp bool) (*safeConn, uint64, error) {
 	addr, err := t.resolve(p.rank)
 	if err != nil {
 		return nil, 0, err
@@ -597,7 +579,7 @@ func (t *Transport) connect(p *peer) (*safeConn, uint64, error) {
 		return nil, 0, err
 	}
 	sc := newSafeConn(c, t.cfg.MaxFrame, t.cfg.Liveness)
-	hello := frame{Kind: kHello, Src: t.cfg.Rank, Dst: p.rank, Size: t.cfg.Size, Epoch: t.cfg.Epoch, Seq: p.delivered()}
+	hello := frame{Kind: kHello, Src: t.cfg.Rank, Dst: p.rank, Size: t.cfg.Size, Epoch: t.cfg.Epoch, Seq: p.delivered(), Crashed: lastGasp}
 	var w frame
 	if err = sc.write(hello); err == nil {
 		w, err = sc.readWithin(t.cfg.DialTimeout)
@@ -626,11 +608,11 @@ func (t *Transport) acceptLoop() {
 }
 
 // accept validates one inbound connection's hello, welcomes the peer
-// with this rank's delivered horizon for it, and serves the link. Any
-// valid hello is taken: a lower-ranked peer dials the link; a
-// higher-ranked one dials only to announce its crash (CrashNotify's
-// last gasp), which is taken without touching the link — replacing
-// it could race the peer's redial and drop the notice unread.
+// with this rank's delivered horizon for it, and serves the link. A
+// hello marked as CrashNotify's last gasp, from a peer of either rank,
+// is taken without touching the link: its bye is read and the peer
+// retired. Installed as the link, it could be replaced by the dying
+// peer's own redial before the bye was read.
 func (t *Transport) accept(c net.Conn) {
 	defer t.wg.Done()
 	sc := newSafeConn(c, t.cfg.MaxFrame, t.cfg.Liveness)
@@ -648,7 +630,7 @@ func (t *Transport) accept(c net.Conn) {
 		sc.close()
 		return
 	}
-	if hello.Src < t.cfg.Rank {
+	if !hello.Crashed {
 		t.serve(p, sc, hello.Seq)
 		return
 	}

@@ -3,6 +3,7 @@ package nettrans
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []frame{
 		{Kind: kHello, Src: 3, Dst: 0, Size: 8, Epoch: 42, Seq: 11},
+		{Kind: kHello, Src: 0, Dst: 3, Size: 8, Epoch: 42, Seq: 11, Crashed: true},
 		{Kind: kWelcome, Epoch: 42, Seq: 17},
 		{Kind: kData, Src: 1, Dst: 2, Tag: -12, Seq: 99, Sync: true, Data: []byte("payload")},
 		{Kind: kData, Src: 0, Dst: 1, Tag: 7, Seq: 1, Data: nil},
@@ -284,6 +286,93 @@ func TestCrashNotifyTriggersFailStop(t *testing.T) {
 	}
 	if ts[0].Probe(1) {
 		t.Fatal("rank 0 still believes rank 1 is alive")
+	}
+}
+
+// deadSink is a par.Sink that only records the ranks reported dead.
+type deadSink chan int
+
+func (deadSink) Deliver(par.Envelope, func()) {}
+
+func (s deadSink) PeerDead(r int, _ string) {
+	select {
+	case s <- r:
+	default:
+	}
+}
+
+// TestLastGaspNeverBecomesTheLink dials rank 1 as rank 0's CrashNotify
+// does while rank 0's link is up: a hello marked as a last gasp, then
+// a crash bye. Rank 1 must keep its link and report rank 0 dead at
+// once, not after the liveness timeout.
+func TestLastGaspNeverBecomesTheLink(t *testing.T) {
+	ts := world(t, 2, "tcp", nil) // liveness 10 s
+	sinks := []deadSink{make(deadSink, 2), make(deadSink, 2)}
+	for r, tr := range ts {
+		if err := tr.Attach(sinks[r]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := ts[1].peers[0]
+	for p.current() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	link := p.current()
+
+	c, err := net.Dial("tcp", ts[1].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := writeFrame(c, frame{Kind: kHello, Src: 0, Dst: 1, Size: 2, Epoch: 1, Crashed: true}); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := readFrame(c, 1<<10); err != nil || w.Kind != kWelcome {
+		t.Fatalf("welcome: %+v, %v", w, err)
+	}
+	if got := p.current(); got != link {
+		t.Fatal("the last gasp replaced the link")
+	}
+	if err := writeFrame(c, frame{Kind: kBye, Crashed: true, Reason: "test crash"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-sinks[1]:
+		if r != 0 {
+			t.Fatalf("rank %d reported dead, want 0", r)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("crash notice lost: rank 0 not reported dead")
+	}
+	// Retiring rank 0 closed the link it found, which was the original.
+	if !link.dead.Load() {
+		t.Fatal("the original link outlived the crash notice")
+	}
+	if ts[1].Probe(0) {
+		t.Fatal("rank 1 still believes rank 0 is alive")
+	}
+}
+
+// TestCrashBeforeTheLinkIsUp: rank 0 dies before its link to rank 1
+// is up, so its crash notice travels on a last-gasp dial racing its
+// own link dial. Rank 1 must learn of it from the notice, well inside
+// the 10 s liveness timeout.
+func TestCrashBeforeTheLinkIsUp(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		ts := world(t, 2, "tcp", nil)
+		start := time.Now()
+		exits := runWorld(t, ts, func(c *par.Comm) {
+			if c.Rank() == 0 {
+				panic("deliberate crash")
+			}
+			c.Recv(0, 1)
+		})
+		if exits[1].OK {
+			t.Fatal("rank 1 should have cascaded on the dead peer")
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("run %d: rank 1 took %v to learn of the crash", i, d)
+		}
 	}
 }
 

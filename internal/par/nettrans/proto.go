@@ -25,7 +25,7 @@ import (
 // Frame kinds. Every frame on a connection is one wire.ReadFrame
 // envelope whose payload starts with a kind byte.
 const (
-	kHello     = byte(1) // dialer → acceptor: who I am, who I want, what I delivered from you
+	kHello     = byte(1) // dialer → acceptor: who I am, who I want, what I delivered from you; or a last-gasp crash notice
 	kWelcome   = byte(2) // acceptor → dialer: accepted; what I delivered from you
 	kData      = byte(3) // either direction: one runtime envelope
 	kAck       = byte(4) // either direction: cumulative delivery ack
@@ -46,7 +46,7 @@ type frame struct {
 	Tag     int    // data
 	Sync    bool   // data: rendezvous send, expects a matchack
 	Data    []byte // data payload
-	Crashed bool   // bye
+	Crashed bool   // hello: a crash bye follows, this is no link; bye: crash notice
 	Reason  string // bye
 }
 
@@ -62,6 +62,7 @@ func encodeFrame(f frame) []byte {
 		b.PutInt(f.Size)
 		b.PutUint(f.Epoch)
 		b.PutUint(f.Seq)
+		b.PutBool(f.Crashed)
 	case kWelcome:
 		b.PutUint(f.Epoch)
 		b.PutUint(f.Seq)
@@ -103,6 +104,7 @@ func decodeFrame(p []byte) (frame, error) {
 		f.Size = r.Int()
 		f.Epoch = r.Uint()
 		f.Seq = r.Uint()
+		f.Crashed = r.Bool()
 	case kWelcome:
 		f.Epoch = r.Uint()
 		f.Seq = r.Uint()

@@ -18,7 +18,7 @@
 // The runtime can also inject faults — deterministic rank crashes,
 // probabilistic message drops and delays — through a FaultPlan in the
 // Config, and exposes the primitives fault-tolerant protocols need:
-// RecvTimeout, ProbeDeadline and RankDead. A rank that would block
+// RecvTimeout and RankDead. A rank that would block
 // forever on a crashed peer is itself crashed (dead-rank cascade), so
 // Run always returns with a per-rank exit status instead of hanging.
 // A machine with a fault plan or a transport is survivable
@@ -252,34 +252,6 @@ func (mb *mailbox) take(m *machine, self, src, tag int, deadline time.Time) (env
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return envelope{}, blocked, takeTimeout
-		}
-		start := time.Now()
-		mb.cond.Wait()
-		blocked += time.Since(start)
-	}
-}
-
-// peekWait blocks like take but leaves the matching message queued.
-func (mb *mailbox) peekWait(m *machine, self, src, tag int, deadline time.Time) (time.Duration, takeOutcome) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	var blocked time.Duration
-	var timer *time.Timer
-	if !deadline.IsZero() {
-		timer = time.AfterFunc(time.Until(deadline), mb.cond.Broadcast)
-		defer timer.Stop()
-	}
-	for {
-		for _, e := range mb.queue {
-			if (src == AnySource || e.src == src) && (tag == AnyTag || e.tag == tag) {
-				return blocked, takeOK
-			}
-		}
-		if m.blockedForever(self, src) {
-			return blocked, takeDeadRank
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return blocked, takeTimeout
 		}
 		start := time.Now()
 		mb.cond.Wait()
@@ -587,16 +559,6 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, bool) {
 // reached this rank; on a fail-stop machine it cascades like Recv.
 func (c *Comm) recvFrom(src, tag int) (Message, bool) {
 	return c.recv(src, tag, time.Time{}, !c.Survivable())
-}
-
-// ProbeDeadline blocks until a message matching (src, tag) is
-// available — without consuming it — or the deadline d expires.
-// It reports whether a matching message is queued.
-func (c *Comm) ProbeDeadline(src, tag int, d time.Duration) bool {
-	c.checkTime()
-	blocked, out := c.m.boxes[c.rank].peekWait(c.m, c.rank, src, tag, time.Now().Add(d))
-	c.st.Blocked += blocked
-	return out == takeOK
 }
 
 // Probe is a non-blocking receive; ok is false if no matching message

@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,10 +93,11 @@ func TestRetransmitDeterminism(t *testing.T) {
 }
 
 // TestRetransmitBudgetExhausted: a link that never delivers fail-stops
-// the sender after MaxRetries instead of spinning forever.
+// the sender after maxRetries attempts instead of spinning forever.
+// Retries cost modeled time only, so the 64 of them are quick.
 func TestRetransmitBudgetExhausted(t *testing.T) {
 	cfg := DefaultConfig(2)
-	cfg.Faults = &FaultPlan{Seed: 1, Retransmit: true, DropProb: 1.0, MaxRetries: 5}
+	cfg.Faults = &FaultPlan{Seed: 1, Retransmit: true, DropProb: 1.0}
 	_, exits := RunStatus(cfg, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 3, []byte("doomed"))
@@ -103,8 +105,8 @@ func TestRetransmitBudgetExhausted(t *testing.T) {
 		}
 		c.RecvTimeout(0, 3, 0)
 	})
-	if !exits[0].FaultKilled {
-		t.Errorf("sender on a dead link should fail-stop, got %+v", exits[0])
+	if !exits[0].FaultKilled || !strings.Contains(exits[0].Reason, fmt.Sprintf("after %d attempts", maxRetries)) {
+		t.Errorf("sender on a dead link should fail-stop after %d attempts, got %+v", maxRetries, exits[0])
 	}
 }
 
