@@ -104,14 +104,16 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/assembly/testdata/fuzz/FuzzFindOverlaps \
 	internal/pairgen/testdata/fuzz/FuzzGenerateMatchesReference \
 	internal/suffixtree/testdata/fuzz/FuzzBuildMatchesReference \
-	internal/suffixtree/testdata/fuzz/FuzzSortKeyed
+	internal/suffixtree/testdata/fuzz/FuzzSortKeyed \
+	internal/pgst/testdata/fuzz/FuzzBuildMatchesSerial
 
 # Short fuzz passes over every parser the pipeline feeds untrusted
 # bytes to: FASTA and qual readers plus the wire-format decoders — over
 # the banded extension kernel and its identity bound, the consensus
-# fitting kernel, assembly's overlap detector, the GST bucket builder
-# and its key sort, each held to its differential oracle, and over the
-# master core and the worker core, held to their invariants.
+# fitting kernel, assembly's overlap detector, the GST bucket builder,
+# its key sort and the distributed GST build, each held to its
+# differential oracle, and over the master core and the worker core,
+# held to their invariants.
 fuzz-smoke:
 	@for d in $(FUZZ_CORPORA); do \
 		ls $$d/* >/dev/null 2>&1 || { echo "fuzz-smoke: empty corpus: $$d"; exit 1; }; \
@@ -135,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzGenerateMatchesReference -fuzztime=10s ./internal/pairgen
 	$(GO) test -run=NONE -fuzz=FuzzBuildMatchesReference -fuzztime=10s ./internal/suffixtree
 	$(GO) test -run=NONE -fuzz=FuzzSortKeyed -fuzztime=10s ./internal/suffixtree
+	$(GO) test -run=NONE -fuzz=FuzzBuildMatchesSerial -fuzztime=10s ./internal/pgst
 
 # Events-dump smoke: asmprof checks every dump before it explains it.
 # One sim case's dump must pass the stream invariants (check.Dump),

@@ -75,7 +75,8 @@ func collectPairs(tree *suffixtree.Tree, psi, n int) []string {
 }
 
 // TestParallelMatchesSerial is the key equivalence test: for several
-// rank counts, batch budgets, and both Alltoallv variants, the union
+// rank counts, batch budgets, and both Alltoallv variants, on one core
+// and on four (each batch's AddKeyed splitting across them), the union
 // of the per-rank subtrees must be exactly the serial GST, and pair
 // generation over the distributed forest must emit exactly the serial
 // pair multiset.
@@ -103,53 +104,57 @@ func TestParallelMatchesSerial(t *testing.T) {
 		{5, 1, 1 << 20, false}, // master-worker layout: rank 0 owns nothing
 		{7, 1, 8192, true},
 	}
-	for _, tc := range cases {
-		name := fmt.Sprintf("p=%d first=%d batch=%d staged=%v", tc.p, tc.firstOwner, tc.batch, tc.staged)
-		locals := make([]*Local, tc.p)
-		par.Run(par.DefaultConfig(tc.p), func(c *par.Comm) {
-			locals[c.Rank()] = Build(c, st, Config{
-				W: w, MinLen: psi, FirstOwner: tc.firstOwner,
-				BatchBytes: tc.batch, Staged: tc.staged, Seed: 7,
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range cases {
+			name := fmt.Sprintf("p=%d first=%d batch=%d staged=%v GOMAXPROCS=%d", tc.p, tc.firstOwner, tc.batch, tc.staged, procs)
+			locals := make([]*Local, tc.p)
+			par.Run(par.DefaultConfig(tc.p), func(c *par.Comm) {
+				locals[c.Rank()] = Build(c, st, Config{
+					W: w, MinLen: psi, FirstOwner: tc.firstOwner,
+					BatchBytes: tc.batch, Staged: tc.staged, Seed: 7,
+				})
 			})
-		})
-		var trees []*suffixtree.Tree
-		var gotPairs []string
-		rounds := 0
-		for r, l := range locals {
-			trees = append(trees, forestsOf(st, l)...)
-			gotPairs = append(gotPairs, localPairs(st, l, psi)...)
-			if l.FetchRounds > rounds {
-				rounds = l.FetchRounds
+			var trees []*suffixtree.Tree
+			var gotPairs []string
+			rounds := 0
+			for r, l := range locals {
+				trees = append(trees, forestsOf(st, l)...)
+				gotPairs = append(gotPairs, localPairs(st, l, psi)...)
+				if l.FetchRounds > rounds {
+					rounds = l.FetchRounds
+				}
+				if r < tc.firstOwner && l.Buckets != 0 {
+					t.Errorf("%s: rank %d below FirstOwner owns %d buckets", name, r, l.Buckets)
+				}
 			}
-			if r < tc.firstOwner && l.Buckets != 0 {
-				t.Errorf("%s: rank %d below FirstOwner owns %d buckets", name, r, l.Buckets)
+			gotNodes, gotSufs := treeSignature(trees...)
+			if len(gotSufs) != len(wantSufs) {
+				t.Fatalf("%s: %d leaf suffixes, want %d", name, len(gotSufs), len(wantSufs))
 			}
-		}
-		gotNodes, gotSufs := treeSignature(trees...)
-		if len(gotSufs) != len(wantSufs) {
-			t.Fatalf("%s: %d leaf suffixes, want %d", name, len(gotSufs), len(wantSufs))
-		}
-		for i := range wantSufs {
-			if gotSufs[i] != wantSufs[i] {
-				t.Fatalf("%s: leaf suffix %d = %s, want %s", name, i, gotSufs[i], wantSufs[i])
+			for i := range wantSufs {
+				if gotSufs[i] != wantSufs[i] {
+					t.Fatalf("%s: leaf suffix %d = %s, want %s", name, i, gotSufs[i], wantSufs[i])
+				}
 			}
-		}
-		for k, v := range wantNodes {
-			if gotNodes[k] != v {
-				t.Fatalf("%s: node sig %q count %d, want %d", name, k, gotNodes[k], v)
+			for k, v := range wantNodes {
+				if gotNodes[k] != v {
+					t.Fatalf("%s: node sig %q count %d, want %d", name, k, gotNodes[k], v)
+				}
 			}
-		}
-		sort.Strings(gotPairs)
-		if len(gotPairs) != len(wantPairs) {
-			t.Fatalf("%s: %d pairs, want %d", name, len(gotPairs), len(wantPairs))
-		}
-		for i := range wantPairs {
-			if gotPairs[i] != wantPairs[i] {
-				t.Fatalf("%s: pair %d = %s, want %s", name, i, gotPairs[i], wantPairs[i])
+			sort.Strings(gotPairs)
+			if len(gotPairs) != len(wantPairs) {
+				t.Fatalf("%s: %d pairs, want %d", name, len(gotPairs), len(wantPairs))
 			}
-		}
-		if tc.batch <= 8192 && rounds < 2 {
-			t.Errorf("%s: expected multiple fetch rounds, got %d", name, rounds)
+			for i := range wantPairs {
+				if gotPairs[i] != wantPairs[i] {
+					t.Fatalf("%s: pair %d = %s, want %s", name, i, gotPairs[i], wantPairs[i])
+				}
+			}
+			if tc.batch <= 8192 && rounds < 2 {
+				t.Errorf("%s: expected multiple fetch rounds, got %d", name, rounds)
+			}
 		}
 	}
 }
@@ -355,8 +360,8 @@ func TestForestsOfAnotherRank(t *testing.T) {
 
 // TestSeqTable: the access table serves, for all 2n sequence IDs, the
 // bytes st.Seq does — from the mem and the disk store, and from
-// fetched forward fragments with reverse complements derived and a
-// dead owner's fragments falling back to the store — and a bounded
+// fetched forward fragments completed with their reverse complements
+// and a dead owner's fragments read from the store — and a bounded
 // table never holds more bytes than its cap resident, except a single
 // sequence longer than the cap.
 func TestSeqTable(t *testing.T) {
@@ -410,31 +415,46 @@ func TestSeqTable(t *testing.T) {
 	}
 
 	// Fetched batch: owners served the even fragments, a dead owner
-	// never served the odd ones.
+	// never served the odd ones; complete derives every reverse
+	// complement and reads the odd fragments from the store.
+	all := make([]int32, 2*n)
+	for i := range all {
+		all[i] = int32(i)
+	}
 	serve := func(tb *seqTable) {
 		for fid := 0; fid < n; fid += 2 {
 			tb.put(int32(fid), append([]byte(nil), mem.Seq(fid)...))
 		}
 	}
-	ft := newFetchTable(mem, true)
+	ft := newFetchTable(mem)
 	serve(ft)
+	ft.complete(mem, all, true)
+	if len(ft.live) != 2*n {
+		t.Fatalf("completed table holds %d sequences, want all %d", len(ft.live), 2*n)
+	}
 	checkAll("fetched+fallback", ft, mem)
 	ft.reset()
 	if len(ft.live) != 0 || ft.seqs[0] != nil {
 		t.Fatal("reset left fragments resident")
 	}
 
-	strict := newFetchTable(mem, false)
+	strict := newFetchTable(mem)
 	serve(strict)
+	strict.complete(mem, []int32{2, int32(n + 2)}, false)
 	if !bytes.Equal(strict.Seq(int32(n+2)), mem.Seq(n+2)) {
 		t.Fatal("reverse complement of a served fragment differs from the store")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unfetched fragment served without fallback")
-		}
-	}()
-	strict.Seq(1)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatal(what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("a lookup of a sequence the batch never fetched", func() { strict.Seq(int32(n + 4)) })
+	mustPanic("an unserved fragment completed without fallback", func() { strict.complete(mem, []int32{int32(n + 1)}, false) })
 }
 
 // TestBuildHoldsTwoSequences: each builder worker keeps at most two

@@ -234,7 +234,7 @@ func EachRun(ks []Keyed, fn func(lo, hi int)) {
 
 // IncrementalBuilder accumulates bucket subtrees into one forest. The
 // parallel construction builds batches of buckets whose fragments are
-// fetched together, so the access function may differ per AddBucket
+// fetched together, so the access function may differ per AddKeyed
 // call (sequence bytes are needed only during that call — the finished
 // tree stores no labels); all of them must serve the same bytes for a
 // sid, since the builder remembers where each sequence's masks end.
@@ -250,10 +250,10 @@ func EachRun(ks []Keyed, fn func(lo, hi int)) {
 // the same node for node as one goroutine builds.
 type IncrementalBuilder struct {
 	tree *Tree
-	// workers[k] builds chunk k of an AddKeyed call; workers[0] also
-	// builds AddBucket's buckets and any AddKeyed call that is not split.
+	// workers[k] builds chunk k of an AddKeyed call; workers[0] builds
+	// a call that is not split.
 	workers []*worker
-	ends    []int32 // where each bucket of an AddKeyed or AddBucket call ends in Sufs
+	ends    []int32 // where each bucket of an AddKeyed call ends in Sufs
 	cuts    []int   // chunk k of an AddKeyed call is buckets ends[cuts[k]:cuts[k+1]]
 }
 
@@ -326,14 +326,6 @@ func (b *IncrementalBuilder) Work() int64 {
 	return n
 }
 
-// Grow reserves room for n more suffixes and the fewer than 2n nodes
-// their tries can have (every leaf holds a suffix, every internal node
-// has two children), so building them reallocates nothing.
-func (b *IncrementalBuilder) Grow(n int) {
-	b.tree.Nodes = slices.Grow(b.tree.Nodes, 2*n)
-	b.tree.Sufs = slices.Grow(b.tree.Sufs, n)
-}
-
 // worker returns workers[k], made on first use.
 func (b *IncrementalBuilder) worker(k int) *worker {
 	for len(b.workers) <= k {
@@ -403,26 +395,6 @@ func SortKeyed(ks []Keyed) {
 	})
 }
 
-// AddBucket builds the subtree of one bucket, suffixes sharing their
-// first w characters. The argument is only read: the builder orders its
-// own copy canonically, so the tree — and with it which occurrence pair
-// generation's duplicate elimination retains — does not depend on how
-// the bucket was assembled.
-func (b *IncrementalBuilder) AddBucket(access Access, bucket []Suffix) {
-	if len(bucket) == 0 {
-		return
-	}
-	lo := len(b.tree.Sufs)
-	b.tree.Sufs = append(b.tree.Sufs, bucket...)
-	slices.SortFunc(b.tree.Sufs[lo:], cmpSuffix)
-	wk := b.worker(0)
-	wk.sufs, wk.nodes, wk.base, wk.roots, wk.access = b.tree.Sufs, b.tree.Nodes, 0, b.tree.Roots, access
-	b.ends = append(b.ends[:0], int32(len(b.tree.Sufs)))
-	wk.buildRuns(lo, b.ends)
-	b.tree.Nodes, b.tree.Roots = wk.nodes, wk.roots
-	wk.sufs, wk.nodes, wk.roots, wk.access = nil, nil, nil, nil
-}
-
 // AddKeyed sorts ks (SortKeyed) and builds every equal-key run as one
 // bucket, in ascending key order; it returns the number of buckets.
 // The suffixes are copied to Tree.Sufs before the nodes are reserved and
@@ -447,7 +419,9 @@ func (b *IncrementalBuilder) AddKeyed(access func(worker int) Access, ks []Keyed
 	for _, k := range ks {
 		b.tree.Sufs = append(b.tree.Sufs, k.Suf)
 	}
-	b.tree.Nodes = slices.Grow(b.tree.Nodes, 2*n) // as Grow(n) does
+	// Room for the fewer than 2n nodes the tries can have (every leaf
+	// holds a suffix, every internal node has two children).
+	b.tree.Nodes = slices.Grow(b.tree.Nodes, 2*n)
 
 	// Cut after the first bucket that reaches each chunk's share.
 	chunks := pool.Chunks(n, minChunkSuffixes)

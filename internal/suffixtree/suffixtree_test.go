@@ -506,9 +506,10 @@ func TestScanDoesNotAllocate(t *testing.T) {
 
 // TestAddKeyedMatchesBuckets: one keyed sort plus one run split must
 // give the tree of the reference keying loop node for node and the
-// work of building bucket by bucket, whatever order the keyed suffixes
-// arrive in and however the buckets are split across cores, and the
-// same node multiset as adding pre-grouped buckets in arbitrary order.
+// work of building bucket by bucket (one-bucket AddKeyed calls),
+// whatever order the keyed suffixes arrive in and however the buckets
+// are split across cores, and the same node multiset as adding
+// pre-grouped buckets in arbitrary order.
 func TestAddKeyedMatchesBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	st := randomStore(rng, 6, 30, 50, 0.03)
@@ -531,7 +532,7 @@ func TestAddKeyedMatchesBuckets(t *testing.T) {
 		}
 		ref := NewIncrementalBuilder(w)
 		for _, b := range bucketsOf(st, w, w) {
-			ref.AddBucket(acc, b)
+			addBucket(ref, acc, b)
 		}
 		if ib.Work() != ref.Work() {
 			t.Fatalf("%v: AddKeyed work %d, bucket by bucket %d", sp, ib.Work(), ref.Work())
@@ -555,7 +556,7 @@ func TestAddKeyedMatchesBuckets(t *testing.T) {
 	}
 	ib := NewIncrementalBuilder(w)
 	for _, b := range byKey {
-		ib.AddBucket(acc, b)
+		addBucket(ib, acc, b)
 	}
 	t2 := ib.Tree()
 
@@ -580,6 +581,17 @@ func TestAddKeyedMatchesBuckets(t *testing.T) {
 			t.Fatalf("node signature %q: %d != %d", k, v, s2[k])
 		}
 	}
+}
+
+// addBucket adds bucket b, suffixes sharing their w-prefix, to ib as a
+// one-bucket AddKeyed call.
+func addBucket(ib *IncrementalBuilder, acc Access, b []Suffix) {
+	key, _ := BucketKey(acc(b[0].Sid), int(b[0].Pos), ib.Tree().W)
+	ks := make([]Keyed, len(b))
+	for i, sf := range b {
+		ks[i] = Keyed{key, sf}
+	}
+	ib.AddKeyed(shared(acc), ks)
 }
 
 // firstLeaf descends first children from u to a leaf.
@@ -717,8 +729,8 @@ func (b *refBuilder) build(sufs []Suffix, depth int32, parent int32) int32 {
 	}
 }
 
-// referenceBuild is the old AddBucket loop over buckets: each sorted by
-// (sid, pos) with sort.Slice, then built by refBuilder.
+// referenceBuild is the old bucket-by-bucket loop: each bucket sorted
+// by (sid, pos) with sort.Slice, then built by refBuilder.
 func referenceBuild(access Access, buckets [][]Suffix, w int) (*Tree, int64) {
 	b := &refBuilder{access: access, tree: &Tree{W: w}}
 	for _, bucket := range buckets {
@@ -753,8 +765,8 @@ func bucketsOf(st *seq.Store, w, minLen int) [][]Suffix {
 
 // checkMatchesReference builds st's buckets with the product builder —
 // through AddKeyed over shuffled keyed suffixes in every one of splits,
-// and bucket by bucket
-// with the buckets and each bucket's suffixes in shuffled order — and
+// and bucket by bucket, one AddKeyed call each, with the buckets and
+// each bucket's suffixes in shuffled order — and
 // requires the reference's forest over the same bucket order node for
 // node and its work count term for term.
 func checkMatchesReference(t testing.TB, rng *rand.Rand, st *seq.Store, w, minLen int) (nsuf int) {
@@ -796,9 +808,9 @@ func checkMatchesReference(t testing.TB, rng *rand.Rand, st *seq.Store, w, minLe
 	for _, b := range buckets {
 		b = slices.Clone(b)
 		rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-		ib.AddBucket(acc, b)
+		addBucket(ib, acc, b)
 	}
-	check("AddBucket", ib, buckets)
+	check("one-bucket AddKeyed", ib, buckets)
 	return len(ks)
 }
 
