@@ -52,8 +52,8 @@ func (m *naiveModel) size(x int) int {
 
 // TestUFMatchesNaiveModel drives random merge sequences through the
 // union–find and the naive partition-map model in lockstep, comparing
-// the full observable state (Same for every pair, Sets, Size, N) after
-// every operation batch.
+// the full observable state (Same for every pair, Sets, the size of
+// each group, N) after every operation batch.
 func TestUFMatchesNaiveModel(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -73,10 +73,14 @@ func TestUFMatchesNaiveModel(t *testing.T) {
 		if got, want := uf.Sets(), model.sets(); got != want {
 			t.Fatalf("trial %d: Sets = %d, model says %d", trial, got, want)
 		}
-		for x := 0; x < n; x++ {
-			if got, want := uf.Size(x), model.size(x); got != want {
-				t.Fatalf("trial %d: Size(%d) = %d, model says %d", trial, x, got, want)
+		for _, g := range uf.Groups() {
+			for _, x := range g {
+				if got, want := len(g), model.size(x); got != want {
+					t.Fatalf("trial %d: group of %d has %d members, model says %d", trial, x, got, want)
+				}
 			}
+		}
+		for x := 0; x < n; x++ {
 			for y := 0; y < n; y++ {
 				if got, want := uf.Same(x, y), model.label[x] == model.label[y]; got != want {
 					t.Fatalf("trial %d: Same(%d,%d) = %v, model says %v", trial, x, y, got, want)
@@ -86,9 +90,9 @@ func TestUFMatchesNaiveModel(t *testing.T) {
 	}
 }
 
-// TestUFGroupsConsistent: Groups and SetSizes must agree with the
-// element-wise view after random merges — every element appears in
-// exactly one group, grouped with exactly its Same-mates.
+// TestUFGroupsConsistent: Groups must agree with the element-wise view
+// after random merges — every element appears in exactly one group,
+// grouped with exactly its Same-mates.
 func TestUFGroupsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const n = 64
@@ -110,8 +114,14 @@ func TestUFGroupsConsistent(t *testing.T) {
 			if !uf.Same(g[0], x) {
 				t.Fatalf("group mixes sets: %d vs %d", g[0], x)
 			}
-			if uf.Size(x) != len(g) {
-				t.Fatalf("Size(%d) = %d, group has %d", x, uf.Size(x), len(g))
+			mates := 0
+			for y := 0; y < n; y++ {
+				if uf.Same(x, y) {
+					mates++
+				}
+			}
+			if mates != len(g) {
+				t.Fatalf("%d is Same as %d elements, its group has %d", x, mates, len(g))
 			}
 		}
 	}
@@ -121,16 +131,13 @@ func TestUFGroupsConsistent(t *testing.T) {
 		}
 	}
 	total := 0
-	for root, sz := range uf.SetSizes() {
-		if uf.Find(root) != root {
-			t.Fatalf("SetSizes key %d is not a root", root)
+	for _, g := range groups {
+		if root := uf.Find(g[0]); uf.Find(root) != root {
+			t.Fatalf("group of %d has representative %d, which is not a root", g[0], root)
 		}
-		if uf.Size(root) != sz {
-			t.Fatalf("SetSizes[%d] = %d, Size = %d", root, sz, uf.Size(root))
-		}
-		total += sz
+		total += len(g)
 	}
 	if total != n {
-		t.Fatalf("SetSizes sum %d, want %d", total, n)
+		t.Fatalf("group sizes sum %d, want %d", total, n)
 	}
 }

@@ -5,12 +5,10 @@
 // operations.
 package unionfind
 
-// UF is a disjoint-set forest over elements 0..n-1 with per-set size
-// tracking.
+// UF is a disjoint-set forest over elements 0..n-1.
 type UF struct {
 	parent []int32
 	rank   []int8
-	size   []int32
 	sets   int
 }
 
@@ -19,12 +17,10 @@ func New(n int) *UF {
 	uf := &UF{
 		parent: make([]int32, n),
 		rank:   make([]int8, n),
-		size:   make([]int32, n),
 		sets:   n,
 	}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
-		uf.size[i] = 1
 	}
 	return uf
 }
@@ -50,9 +46,6 @@ func (u *UF) Find(x int) int {
 // Same reports whether x and y are in the same set.
 func (u *UF) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 
-// Size returns the size of x's set.
-func (u *UF) Size(x int) int { return int(u.size[u.Find(x)]) }
-
 // Union merges the sets of x and y and reports whether a merge happened
 // (false if they were already together).
 func (u *UF) Union(x, y int) bool {
@@ -64,7 +57,6 @@ func (u *UF) Union(x, y int) bool {
 		rx, ry = ry, rx
 	}
 	u.parent[ry] = int32(rx)
-	u.size[rx] += u.size[ry]
 	if u.rank[rx] == u.rank[ry] {
 		u.rank[rx]++
 	}
@@ -89,13 +81,4 @@ func (u *UF) Groups() [][]int {
 		groups[g] = append(groups[g], i)
 	}
 	return groups
-}
-
-// SetSizes returns a map from representative to set size.
-func (u *UF) SetSizes() map[int]int {
-	sizes := make(map[int]int, u.sets)
-	for i := range u.parent {
-		sizes[u.Find(i)]++
-	}
-	return sizes
 }

@@ -2,6 +2,7 @@ package unionfind
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -59,16 +60,26 @@ func TestGroupsOrderAndContent(t *testing.T) {
 	}
 }
 
+// groupOf returns the group of groups that holds x, nil if none does.
+func groupOf(groups [][]int, x int) []int {
+	for _, g := range groups {
+		if slices.Contains(g, x) {
+			return g
+		}
+	}
+	return nil
+}
+
 func TestSetSizes(t *testing.T) {
 	u := New(5)
 	u.Union(0, 1)
 	u.Union(1, 2)
-	sizes := u.SetSizes()
-	if len(sizes) != 3 {
-		t.Fatalf("sizes = %v", sizes)
+	groups := u.Groups()
+	if len(groups) != 3 {
+		t.Fatalf("groups = %v", groups)
 	}
-	if sizes[u.Find(0)] != 3 || sizes[u.Find(3)] != 1 || sizes[u.Find(4)] != 1 {
-		t.Fatalf("sizes = %v", sizes)
+	if len(groupOf(groups, 0)) != 3 || len(groupOf(groups, 3)) != 1 || len(groupOf(groups, 4)) != 1 {
+		t.Fatalf("groups = %v", groups)
 	}
 }
 
@@ -112,16 +123,17 @@ func TestOrderIndependence(t *testing.T) {
 
 func TestSizeTracking(t *testing.T) {
 	u := New(6)
-	if u.Size(0) != 1 {
+	if len(groupOf(u.Groups(), 0)) != 1 {
 		t.Fatal("singleton size != 1")
 	}
 	u.Union(0, 1)
 	u.Union(2, 3)
 	u.Union(0, 3)
-	if u.Size(1) != 4 || u.Size(2) != 4 {
-		t.Errorf("merged size = %d, want 4", u.Size(1))
+	groups := u.Groups()
+	if len(groupOf(groups, 1)) != 4 || len(groupOf(groups, 2)) != 4 {
+		t.Errorf("merged size = %d, want 4", len(groupOf(groups, 1)))
 	}
-	if u.Size(4) != 1 {
+	if len(groupOf(groups, 4)) != 1 {
 		t.Error("untouched element size changed")
 	}
 }
@@ -164,8 +176,8 @@ func TestQuickModel(t *testing.T) {
 						want++
 					}
 				}
-				if u.Size(x) != want {
-					t.Fatalf("Size(%d)=%d, model says %d", x, u.Size(x), want)
+				if got := len(groupOf(u.Groups(), x)); got != want {
+					t.Fatalf("group of %d has %d members, model says %d", x, got, want)
 				}
 			}
 		}
