@@ -211,7 +211,10 @@ cli-smoke:
 
 # Out-of-core smoke: the budgeted GST sweep under the race detector
 # (segments ≡ serial tree on both stores, two store scans per sweep,
-# no run file left behind, byte-capped access table), then the
+# no run file left behind, byte-capped access table, the pipelined
+# sweep's stream ≡ the unsplit one's and its producer joined however
+# the consumer stops), the pipelined sweep's hand-off again on one
+# core, then the
 # disk-backed pipeline end to end under it — fresh run matches the
 # in-memory contigs, the store
 # artifact is journaled, resume from every rollback depth is
@@ -222,6 +225,7 @@ cli-smoke:
 # in-memory backend's grows.
 outofcore-smoke:
 	$(GO) test -race -run 'Sweep|Spill|SeqTable|BuildHolds' ./internal/pgst
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'TestSweep(LeavesNoRunFile|StreamStopsEarly|MatchesSerialGenerate|ProducerLabelled)' ./internal/pgst
 	$(GO) test -race -v -run 'TestOutOfCore' ./internal/pipeline
 	$(GO) test -count=1 -v -run 'AcrossTenfoldInput' ./internal/pipeline
 

@@ -188,16 +188,10 @@ func (r *Result) Summarize() Summary {
 	return s
 }
 
-// serialSweep runs the serial GST construction: one forest per bounded
-// key-range segment under a byte budget, the whole tree as a single
-// forest without one.
-func serialSweep(store seq.Seqs, cfg Config, budget int64, yield func(*suffixtree.Tree) bool) {
-	pgst.SweepSerial(store, pgst.Config{W: cfg.W, MinLen: cfg.Psi, SpillBytes: budget}, yield)
-}
-
 // BuildSerialTree constructs the full GST for a store serially.
 func BuildSerialTree(store seq.Seqs, cfg Config) (tree *suffixtree.Tree) {
-	serialSweep(store, cfg.withDefaults(), 0, func(t *suffixtree.Tree) bool {
+	cfg = cfg.withDefaults()
+	pgst.SweepSerial(store, pgst.Config{W: cfg.W, MinLen: cfg.Psi}, func(t *suffixtree.Tree) bool {
 		tree = t
 		return true
 	})
@@ -262,17 +256,14 @@ func Serial(store seq.Seqs, cfg Config) *Result {
 		}
 		return true
 	}
-	// Profile labels name the spans as par names them on a rank: the
-	// sweep's builds are gst, each forest's pairs pairgen. The pools the
-	// builds and the first pass start inherit them.
-	gst, pg := obs.PhaseName(obs.PhaseGST), obs.PhaseName(obs.PhasePairGen)
-	prof.ApplyLabels(0, gst)
-	serialSweep(store, cfg, cfg.MemBudget, func(t *suffixtree.Tree) bool {
-		prof.ApplyLabels(0, pg)
-		pairgen.Generate(t, pgCfg, process)
-		prof.ApplyLabels(0, gst)
-		return true
-	})
+	// The sweep builds its segments on a goroutine of its own, labelled
+	// gst, ahead of this one, which collects, emits and aligns their
+	// pairs under the pairgen label, as par names the spans on a rank.
+	// The pools either starts inherit its label.
+	prof.ApplyLabels(0, obs.PhaseName(obs.PhasePairGen))
+	pairgen.GenerateSweep(func(add func(*suffixtree.Tree), end func(float64) bool) bool {
+		return pgst.Sweep(store, pgst.Config{W: cfg.W, MinLen: cfg.Psi, SpillBytes: cfg.MemBudget}, add, end)
+	}, pgCfg, process)
 	prof.ApplyLabels(0, obs.PhaseName(obs.PhaseCluster))
 	st.WallSeconds = time.Since(start).Seconds()
 	return &Result{N: store.N(), UF: uf, Stats: st}

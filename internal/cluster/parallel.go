@@ -402,7 +402,7 @@ func drainReports(c *par.Comm, inFlight int) {
 // up on a silent master instead of blocking forever.
 func runWorker(c *par.Comm, run *parallelRun, local *pgst.Local) {
 	survivable, pcfg := c.Survivable(), run.pcfg
-	w := &worker{run: run, port: c, forests: local.Forests, rank: c.Rank(), size: c.Size(),
+	w := &worker{run: run, port: c, sweep: local.Sweep, rank: c.Rank(), size: c.Size(),
 		r: pcfg.BatchSize, // initial request size before the master says otherwise
 	}
 	defer w.close()

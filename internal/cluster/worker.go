@@ -38,9 +38,9 @@ type workerPort interface {
 type worker struct {
 	run  *parallelRun // store, cfg, pcfg, mx
 	port workerPort
-	// forests hands out owner rank r's GST portion, forest by forest,
-	// with the modeled cost of building each (pgst.Local.Forests).
-	forests    func(st seq.Seqs, r int, yield func(*suffixtree.Tree, float64) bool) bool
+	// sweep hands out owner rank r's GST portion segment by segment,
+	// with the modeled cost of building each (pgst.Local.Sweep).
+	sweep      func(st seq.Seqs, r int, add func(*suffixtree.Tree), end func(float64) bool) bool
 	rank, size int
 
 	streams  []*pairgen.Stream // one per covered portion, generated in order
@@ -51,11 +51,14 @@ type worker struct {
 	results  []alignResult // of the batch aligned during the last wait
 }
 
-// cover queues owner rank r's portion for generation. Its forests are
-// built, generated and dropped one at a time by the pulls that need
-// them, so a swept portion is never resident whole.
+// cover queues owner rank r's portion for generation. Its segments are
+// generated and dropped one at a time by the pulls that need them, each
+// built at most one segment ahead, so a swept portion is never resident
+// whole.
 func (w *worker) cover(r int) {
-	sweep := func(yield func(*suffixtree.Tree, float64) bool) { w.forests(w.run.store, r, yield) }
+	sweep := func(add func(*suffixtree.Tree), end func(float64) bool) bool {
+		return w.sweep(w.run.store, r, add, end)
+	}
 	w.streams = append(w.streams, pairgen.NewSweep(sweep, pairgen.Config{
 		Psi:                  w.run.cfg.Psi,
 		NumFragments:         w.run.store.N(),

@@ -61,10 +61,12 @@ func (fx *workerFixture) pairgenConfig() pairgen.Config {
 	return pairgen.Config{Psi: fx.cfg.Psi, NumFragments: fx.store.N(), DuplicateElimination: fx.cfg.DuplicateElimination}
 }
 
-// source is the fixture's stand-in for pgst.Local.Forests.
-func (fx *workerFixture) source(_ seq.Seqs, r int, yield func(*suffixtree.Tree, float64) bool) bool {
+// source is the fixture's stand-in for pgst.Local.Sweep: each forest
+// is one segment of one sub-forest.
+func (fx *workerFixture) source(_ seq.Seqs, r int, add func(*suffixtree.Tree), end func(float64) bool) bool {
 	for i, t := range fx.forests[r] {
-		if !yield(t, fx.costs[r][i]) {
+		add(t)
+		if !end(fx.costs[r][i]) {
 			return false
 		}
 	}
@@ -110,7 +112,7 @@ func newWorkerSim(t testing.TB, batchSize, newPairsBuf int) *workerSim {
 	run := &parallelRun{store: fx.store, cfg: fx.cfg, mx: newClusterMetrics(nil),
 		pcfg: ParallelConfig{BatchSize: batchSize, NewPairsBuf: newPairsBuf}}
 	s := &workerSim{t: t, fx: fx, port: port, open: -1,
-		w: &worker{run: run, port: port, forests: fx.source, rank: 1, size: workerTestSize, r: batchSize}}
+		w: &worker{run: run, port: port, sweep: fx.source, rank: 1, size: workerTestSize, r: batchSize}}
 	s.cover(1)
 	s.w.cover(1)
 	return s
@@ -383,7 +385,7 @@ func TestWorkerSweepPanicFailsItsRank(t *testing.T) {
 		run := &parallelRun{store: fx.store, cfg: fx.cfg, mx: newClusterMetrics(nil),
 			pcfg: ParallelConfig{BatchSize: 4, NewPairsBuf: 4}}
 		w := &worker{run: run, port: c, rank: 0, size: 1, r: 4,
-			forests: func(seq.Seqs, int, func(*suffixtree.Tree, float64) bool) bool { panic(msg) }}
+			sweep: func(seq.Seqs, int, func(*suffixtree.Tree), func(float64) bool) bool { panic(msg) }}
 		defer w.close()
 		w.cover(0)
 		w.report()

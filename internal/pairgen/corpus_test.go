@@ -101,10 +101,6 @@ func (s *streamHash) add(p Pair) {
 
 func (s *streamHash) String() string { return fmt.Sprintf("%016x", s.h.Sum64()) }
 
-func (st Stats) add(o Stats) Stats {
-	return Stats{st.Emitted + o.Emitted, st.Skipped + o.Skipped, st.NodesVisited + o.NodesVisited}
-}
-
 // TestGenerateCorpusGolden pins the ordered pair stream and the Stats
 // of seeded forests shaped like the benchmark workloads to
 // testdata/corpus.golden: every input under ψ > w and ψ = w, with
@@ -206,13 +202,12 @@ func BenchmarkGenerateStages(b *testing.B) {
 	tree, cfg := benchForest()
 	var collect, emit time.Duration
 	for i := 0; i < b.N; i++ {
-		g := &generator{tree: tree, cfg: cfg, yield: func(Pair) bool { return true }}
+		s := segment{cfg: cfg}
 		t0 := time.Now()
-		g.firstPass()
+		s.add(tree)
 		t1 := time.Now()
-		g.emitAll()
+		benchStats, _ = s.emit(func(Pair) bool { return true })
 		collect, emit = collect+t1.Sub(t0), emit+time.Since(t1)
-		benchStats = g.stats
 	}
 	b.ReportMetric(float64(collect.Microseconds())/1e3/float64(b.N), "collect-ms")
 	b.ReportMetric(float64(emit.Microseconds())/1e3/float64(b.N), "emit-ms")

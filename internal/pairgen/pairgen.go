@@ -83,25 +83,92 @@ type Stats struct {
 // side by side and merged (merge). The second pass, and so every call
 // of yield, is on the caller's goroutine.
 func Generate(tree *suffixtree.Tree, cfg Config, yield func(Pair) bool) Stats {
-	if cfg.Psi < tree.W {
-		panic("pairgen: ψ must be ≥ the tree bucket prefix length w")
-	}
-	g := &generator{tree: tree, cfg: cfg, yield: yield}
-	g.firstPass()
-	g.emitAll()
-	return g.stats
+	s := segment{cfg: cfg}
+	s.add(tree)
+	st, _ := s.emit(yield)
+	return st
 }
 
-// firstPass collects the forest's node ranges (chunkCuts) side by side
-// and merges them.
-func (g *generator) firstPass() {
-	cuts := chunkCuts(g.tree)
-	parts := make([]*generator, len(cuts)-1)
-	pool.For(len(parts), 2, nil, func(k int) {
-		parts[k] = &generator{tree: g.tree, cfg: g.cfg}
-		parts[k].collect(cuts[k], cuts[k+1])
+// A Sweep is a GST delivered segment by segment, each segment as one or
+// more sub-forests in key order (pgst.Sweep and pgst.Local.Sweep, bound
+// to their store): it calls add with every sub-forest of a segment,
+// then end with the cost of having built the segment (any unit), and
+// stops, returning false, once end returns false. A sub-forest is not
+// read after add returns, so the sweep may build a later one into its
+// storage while the segment's pairs are emitted.
+type Sweep func(add func(*suffixtree.Tree), end func(cost float64) bool) bool
+
+// GenerateSweep streams the pairs of every segment of sweep to yield, a
+// segment's in the order Generate gives the union of its sub-forests,
+// and returns the summed Stats. Each sub-forest's first pass runs in
+// add; its segment's pairs are emitted in end, after the last one's.
+// Generation stops early if yield returns false.
+func GenerateSweep(sweep Sweep, cfg Config, yield func(Pair) bool) (total Stats) {
+	s := segment{cfg: cfg}
+	sweep(s.add, func(float64) bool {
+		st, more := s.emit(yield)
+		total = total.add(st)
+		return more
 	})
-	g.merge(parts)
+	return total
+}
+
+func (st Stats) add(o Stats) Stats {
+	return Stats{st.Emitted + o.Emitted, st.Skipped + o.Skipped, st.NodesVisited + o.NodesVisited}
+}
+
+// segment holds the first-pass parts of one segment's sub-forests, in
+// ascending node order: a later sub-forest's buckets follow an earlier
+// one's in key order, so its parts merge as a higher node range of one
+// forest would. An emitted segment's parts, and the merge that emitted
+// them, are reused, arrays and all, by the next segment.
+type segment struct {
+	cfg   Config
+	parts []*generator
+	spare []*generator
+	slots [][2]int64 // the merge's
+}
+
+// add runs the first pass over t, collecting its node ranges
+// (chunkCuts) side by side. Nothing reads t once add returns.
+func (s *segment) add(t *suffixtree.Tree) {
+	if s.cfg.Psi < t.W {
+		panic("pairgen: ψ must be ≥ the tree bucket prefix length w")
+	}
+	cuts := chunkCuts(t)
+	lo := len(s.parts)
+	for range len(cuts) - 1 {
+		var p *generator
+		if n := len(s.spare); n > 0 {
+			p, s.spare = s.spare[n-1], s.spare[:n-1]
+		}
+		s.parts = append(s.parts, p)
+	}
+	parts := s.parts[lo:]
+	pool.For(len(parts), 2, nil, func(k int) {
+		if parts[k] == nil {
+			// Made on the goroutine that fills it: parts made side by
+			// side on one would share cache lines their walks write.
+			parts[k] = &generator{cfg: s.cfg}
+		}
+		parts[k].collect(t, cuts[k], cuts[k+1])
+	})
+}
+
+// emit merges the parts added since the last emit and runs the second
+// pass over them, returning its Stats and false if yield stopped it.
+func (s *segment) emit(yield func(Pair) bool) (Stats, bool) {
+	g := &generator{cfg: s.cfg, yield: yield, slots: s.slots[:0]}
+	g.merge(s.parts)
+	s.slots = g.slots
+	more := g.emitAll()
+	for _, p := range s.parts {
+		p.slots, p.retained, p.lists, p.emitters = p.slots[:0], p.retained[:0], p.lists[:0], p.emitters[:0]
+	}
+	s.spare = append(s.spare, s.parts...)
+	clear(s.parts)
+	s.parts = s.parts[:0]
+	return g.stats, more
 }
 
 // minChunkNodes is the fewest nodes Generate's first pass hands one
@@ -143,22 +210,28 @@ type list struct {
 }
 
 // emitter is a node of depth ≥ ψ with at least one cross pair, and its
-// retained lists lists[lo:hi] in (kid, class) order.
+// retained lists lists[lo:hi] in (kid, class) order, in the arrays of
+// the first-pass part that collected it.
 type emitter struct {
-	depth int32
-	leaf  bool
 	// pos is first the count of nodes met before this one in its
 	// (depth, leafness) slot, then its 1-based position in processing
 	// order.
 	pos    int64
+	depth  int32
 	lo, hi int32
+	part   uint16 // its part's index among the merged parts
+	leaf   bool
 }
 
+// generator is one first-pass part — the walk over one node range,
+// holding the lists it retained — or the merge of a segment's parts,
+// which runs the second pass over their lists.
 type generator struct {
-	tree  *suffixtree.Tree
+	tree  *suffixtree.Tree // while collecting
 	cfg   Config
 	yield func(Pair) bool
 	stats Stats
+	parts []*generator // merged
 
 	stacks [numClasses][]suffixtree.Suffix
 	blocks []block
@@ -173,14 +246,16 @@ type generator struct {
 	emitters []emitter
 }
 
-// collect is the first pass over the node IDs [lo, hi): it walks them
-// downwards, forming each node's lsets from its children's blocks, and
-// records the emitters.
-func (g *generator) collect(lo, hi int32) {
-	if g.cfg.DuplicateElimination {
+// collect is the first pass over the node IDs [lo, hi) of t: it walks
+// them downwards, forming each node's lsets from its children's blocks,
+// and records the emitters. Every bucket root pops its block, so the
+// stacks are empty again once it returns.
+func (g *generator) collect(t *suffixtree.Tree, lo, hi int32) {
+	if g.cfg.DuplicateElimination && g.seen == nil {
 		g.seen = make([]bool, 2*g.cfg.NumFragments)
 	}
-	t := g.tree
+	g.tree = t
+	defer func() { g.tree = nil }()
 	for u := hi - 1; u >= lo; u-- {
 		n := &t.Nodes[u]
 		if n.FirstChild == suffixtree.NoNode {
@@ -198,15 +273,20 @@ func (g *generator) collect(lo, hi int32) {
 // ascending node ranges, as if one walk had collected them all. The
 // walk meets higher IDs first, so an emitter's count of the nodes met
 // before it in its slot grows by the slot counts of every later part.
-// The part that retained most keeps its arrays and takes the others'
-// in, offsetting their list and emitter bounds, so only the smaller
-// parts are copied; the order of emitters does not matter, emitAll
-// ranks them.
+// Each part keeps its retained suffixes and lists, its emitters naming
+// it; the emitters are gathered into the array of the part with most
+// room, in any order, since emitAll ranks them.
 func (g *generator) merge(parts []*generator) {
+	if len(parts) > 1<<16 {
+		panic("pairgen: more first-pass parts than an emitter can name")
+	}
+	n, big := 0, 0
 	for k := len(parts) - 1; k >= 0; k-- {
 		p := parts[k]
 		for i := range p.emitters {
-			if e := &p.emitters[i]; int(e.depth) < len(g.slots) {
+			e := &p.emitters[i]
+			e.part = uint16(k)
+			if int(e.depth) < len(g.slots) {
 				e.pos += g.slots[e.depth][kind(e.leaf)]
 			}
 		}
@@ -217,30 +297,22 @@ func (g *generator) merge(parts []*generator) {
 			g.slots[d][0] += c[0]
 			g.slots[d][1] += c[1]
 		}
-	}
-	big := 0
-	for k, p := range parts {
-		if len(p.retained) > len(parts[big].retained) {
+		n += len(p.emitters)
+		if cap(p.emitters) > cap(parts[big].emitters) {
 			big = k
 		}
 	}
-	g.retained, g.lists, g.emitters = parts[big].retained, parts[big].lists, parts[big].emitters
-	for k, p := range parts {
-		if k == big {
-			continue
-		}
-		for i := range p.lists {
-			p.lists[i].lo += int32(len(g.retained))
-			p.lists[i].hi += int32(len(g.retained))
-		}
-		for i := range p.emitters {
-			p.emitters[i].lo += int32(len(g.lists))
-			p.emitters[i].hi += int32(len(g.lists))
-		}
-		g.retained = append(g.retained, p.retained...)
-		g.lists = append(g.lists, p.lists...)
-		g.emitters = append(g.emitters, p.emitters...)
+	g.parts = parts
+	if len(parts) == 0 {
+		return
 	}
+	g.emitters = slices.Grow(parts[big].emitters, n-len(parts[big].emitters))
+	for k, p := range parts {
+		if k != big {
+			g.emitters = append(g.emitters, p.emitters...)
+		}
+	}
+	parts[big].emitters = g.emitters
 }
 
 // kind is the slot index of a leaf (0) or internal node (1).
@@ -419,8 +491,9 @@ func (g *generator) addEmitter(depth int32, leaf bool, pos int64, lo int) {
 
 // emitAll is the second pass: it ranks the emitters in processing
 // order (step S2: depth descending, leaves first, then node ID) and
-// emits their cross products until yield stops.
-func (g *generator) emitAll() {
+// emits their cross products until yield stops, returning false if it
+// did.
+func (g *generator) emitAll() bool {
 	// Turn each slot's count into the number of nodes up to its end.
 	var total int64
 	for d := len(g.slots) - 1; d >= 0; d-- {
@@ -438,9 +511,10 @@ func (g *generator) emitAll() {
 	for _, e := range g.emitters {
 		if !g.emitNode(e) {
 			g.stats.NodesVisited = e.pos
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // emitNode generates an emitter's pairs in the order of the lsets it
@@ -448,17 +522,18 @@ func (g *generator) emitAll() {
 // internal node child pairs i < j and within them classes (c, c′).
 // Returns false once the consumer has stopped.
 func (g *generator) emitNode(e emitter) bool {
-	ls := g.lists[e.lo:e.hi]
+	p := g.parts[e.part]
+	ls, rs := p.lists[e.lo:e.hi], p.retained
 	if e.leaf {
 		for a, x := range ls {
 			for _, y := range ls[a+1:] {
-				if !g.cross(x, y, e.depth) {
+				if !g.cross(rs, x, y, e.depth) {
 					return false
 				}
 			}
 		}
 		last := ls[len(ls)-1]
-		return last.class != suffixtree.PrevNone || g.crossSelf(last, e.depth)
+		return last.class != suffixtree.PrevNone || g.crossSelf(rs, last, e.depth)
 	}
 	for i := 0; i < len(ls); {
 		iEnd := kidEnd(ls, i)
@@ -469,7 +544,7 @@ func (g *generator) emitNode(e emitter) bool {
 					if x.class == y.class && x.class != suffixtree.PrevNone {
 						continue // same preceding base: not left-maximal
 					}
-					if !g.cross(x, y, e.depth) {
+					if !g.cross(rs, x, y, e.depth) {
 						return false
 					}
 				}
@@ -490,9 +565,11 @@ func kidEnd(ls []list, i int) int {
 	return j
 }
 
-func (g *generator) cross(a, b list, depth int32) bool {
-	for _, x := range g.retained[a.lo:a.hi] {
-		for _, y := range g.retained[b.lo:b.hi] {
+// cross emits the cross product of lists a and b of the retained
+// suffixes rs.
+func (g *generator) cross(rs []suffixtree.Suffix, a, b list, depth int32) bool {
+	for _, x := range rs[a.lo:a.hi] {
+		for _, y := range rs[b.lo:b.hi] {
 			if !g.emit(x, y, depth) {
 				return false
 			}
@@ -501,8 +578,9 @@ func (g *generator) cross(a, b list, depth int32) bool {
 	return true
 }
 
-func (g *generator) crossSelf(a list, depth int32) bool {
-	xs := g.retained[a.lo:a.hi]
+// crossSelf emits the pairs within list a of the retained suffixes rs.
+func (g *generator) crossSelf(rs []suffixtree.Suffix, a list, depth int32) bool {
+	xs := rs[a.lo:a.hi]
 	for i, x := range xs {
 		for _, y := range xs[i+1:] {
 			if !g.emit(x, y, depth) {

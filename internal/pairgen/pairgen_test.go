@@ -369,16 +369,18 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
-// sweepOf is a sweep over forests, each costing 1, that counts in built
-// how many it has built.
-func sweepOf(built *int, forests ...*suffixtree.Tree) func(func(*suffixtree.Tree, float64) bool) {
-	return func(yield func(*suffixtree.Tree, float64) bool) {
+// sweepOf is a sweep over forests, each one segment costing 1, that
+// counts in built how many it has built.
+func sweepOf(built *int, forests ...*suffixtree.Tree) Sweep {
+	return func(add func(*suffixtree.Tree), end func(float64) bool) bool {
 		for _, t := range forests {
 			*built++
-			if !yield(t, 1) {
-				return
+			add(t)
+			if !end(1) {
+				return false
 			}
 		}
+		return true
 	}
 }
 

@@ -6,45 +6,41 @@ import (
 	"repro/internal/suffixtree"
 )
 
-// Stream adapts Generate into a pull-based iterator, which is what a
-// worker processor needs: the master dictates how many new pairs to
+// Stream adapts GenerateSweep into a pull-based iterator, which is what
+// a worker processor needs: the master dictates how many new pairs to
 // produce per iteration (the request size r of Section 7), so pairs
-// must be drawn on demand rather than pushed. Nothing runs between
-// pulls: generation, and the building of every forest it needs, happens
+// must be drawn on demand rather than pushed. Generation runs only
 // inside Take, which hands control to the sweep and waits for it
-// (iter.Pull), so a panic in either is re-raised in the caller.
+// (iter.Pull), so a panic in either is re-raised in the caller. The
+// sweep starts with the first Take; from then on it may build ahead of
+// the pulls, between them too, as far as its own bound allows (a
+// budgeted pgst sweep: one segment's sub-forests).
 type Stream struct {
 	next func() (Pair, bool)
 	stop func()
-	cost float64 // of forests built during the current Take
+	cost float64 // of segments entered during the current Take
 }
 
-// NewSweep streams pairs from a sequence of forests produced on
-// demand — the spilling GST's bounded segments. sweep must call yield
-// once per forest, passing the cost of having built it (any unit), and
-// stop when yield returns false; each forest is generated to exhaustion
-// and dropped before the next is built, so the resident tree memory is
-// one segment's, while the consumer sees a single continuous stream. A
-// forest is built by the Take that needs its first pair (or finds the
-// stream's end), and that Take returns its cost.
-func NewSweep(sweep func(yield func(*suffixtree.Tree, float64) bool), cfg Config) *Stream {
+// NewSweep streams the pairs GenerateSweep yields for sweep, one
+// continuous stream over all its segments. A segment's sub-forests are
+// collected and its pairs emitted by the Take that needs its first pair
+// (or finds the stream's end), and that Take returns the segment's
+// cost. Close stops the sweep within the sub-forest it is building.
+func NewSweep(sweep Sweep, cfg Config) *Stream {
 	s := &Stream{}
 	s.next, s.stop = iter.Pull(func(yield func(Pair) bool) {
-		sweep(func(t *suffixtree.Tree, cost float64) bool {
-			s.cost += cost
-			more := true
-			Generate(t, cfg, func(p Pair) bool {
-				more = yield(p)
-				return more
+		GenerateSweep(func(add func(*suffixtree.Tree), end func(float64) bool) bool {
+			return sweep(add, func(cost float64) bool {
+				s.cost += cost
+				return end(cost)
 			})
-			return more
-		})
+		}, cfg, yield)
 	})
 	return s
 }
 
 // Take appends up to max pairs to dst and returns it with the summed
-// cost of the forests built to serve them; fewer pairs are returned
+// cost of the segments entered to serve them; fewer pairs are returned
 // only at end of stream.
 func (s *Stream) Take(dst []Pair, max int) ([]Pair, float64) {
 	for len(dst) < max {
@@ -59,6 +55,7 @@ func (s *Stream) Take(dst []Pair, max int) ([]Pair, float64) {
 	return dst, cost
 }
 
-// Close stops generation and releases the sweep. Safe to call multiple
-// times, and after the stream is exhausted.
+// Close stops generation and releases the sweep, which stops any
+// building ahead before it returns. Safe to call multiple times, and
+// after the stream is exhausted.
 func (s *Stream) Close() { s.stop() }

@@ -17,8 +17,8 @@
 // On a survivable machine (par.Comm.Survivable: a fault plan or a
 // transport) the build outlives its ranks, provided rank 0 — the
 // clustering master's role — survives, and it recovers a death one way:
-// by the sweep Local.Forests already runs, since every rank holds the
-// full store. The collectives skip dead ranks; a survivor whose
+// by the sweep Local.Sweep and Local.Forests already run, since every
+// rank holds the full store. The collectives skip dead ranks; a survivor whose
 // redistribution a death severed sees it in its own exchange, keeps no
 // resident tree and sweeps its own range when asked for it; a dead
 // owner's range is swept by whichever rank is handed it (the clustering

@@ -477,6 +477,7 @@ func TestBuildHoldsTwoSequences(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		var ks []suffixtree.Keyed
 		suffixtree.Scan(disk, 0, disk.NumSeqs(), cfg.W, cfg.MinLen, nil, func(k suffixtree.Keyed) { ks = append(ks, k) })
+		suffixtree.SortKeyed(ks)
 		var (
 			tables []*seqTable
 			over   atomic.Int64

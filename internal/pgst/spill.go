@@ -14,9 +14,13 @@
 // sort, the I/O-bounded construction of Kundeti et al. — and the
 // consumer sweeps: read one segment's run back, build its forest,
 // generate its pairs, drop it, move on. The store is scanned twice
-// whatever the segment count. Combined with the disk-backed sequence
-// store the resident set is O(budget + cache), independent of input
-// size.
+// whatever the segment count. Serial clustering and the workers sweep
+// pipelined: a producer goroutine builds each segment as two
+// half-segment sub-forests into two reused storages, so it builds the
+// next segment while the consumer generates and aligns this one's
+// pairs, and the resident forests are still one segment's. Combined
+// with the disk-backed sequence store the resident set is
+// O(budget + cache), independent of input size.
 //
 // The sweep is also the one fault-recovery path: a survivor whose
 // redistribution a death severed sweeps its own range, and a dead
@@ -28,12 +32,13 @@
 package pgst
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"slices"
 
+	"repro/internal/obs"
+	"repro/internal/obs/prof"
 	"repro/internal/par"
 	"repro/internal/seq"
 	"repro/internal/suffixtree"
@@ -43,10 +48,12 @@ const (
 	// spillBytesPerSuffix estimates the resident bytes one suffix costs
 	// while its segment is being built and generated: the keyed record
 	// in the run buffer (24), its leaf slot (12) and the tree nodes
-	// reserved for it (48: 24 each, under two per suffix), 84 in all. The
-	// key sort works bin by bin in that buffer, the in-place builder adds
-	// one class byte and one Suffix per suffix of the largest bucket, and
-	// pair generation holds no per-suffix table: a stack of one bucket's
+	// reserved for it (48: 24 each, under two per suffix), 84 in all —
+	// the run buffer plus the segment's forest, which a pipelined sweep
+	// holds as two half-segment forests. The key sort works bin by bin
+	// through one bin's scratch, the in-place builder adds one class
+	// byte and one Suffix per suffix of the largest bucket, and pair
+	// generation holds no per-suffix table: a stack of one bucket's
 	// pending lsets and copies of the lists that form pairs, at most
 	// 2·(Emitted + Skipped) suffixes. The value stays at the 96 that
 	// planned segments when generation kept an lset cell per suffix, so
@@ -136,7 +143,15 @@ type spillRuns struct {
 	// the next read overwrites them.
 	ks   []suffixtree.Keyed
 	free []int
+	// A bin's key sort: its records in one digit's order, and the
+	// digit's counts.
+	tmp   []suffixtree.Keyed
+	count [1 << spillDigitBits]int
 }
+
+// spillDigitBits is the widest key digit one counting pass of a bin's
+// sort orders by.
+const spillDigitBits = 8
 
 // spillRun is one segment's run.
 type spillRun struct {
@@ -220,10 +235,11 @@ func (r *spillRuns) seal() {
 // in a buffer the next read overwrites. hist is the sweep's histogram,
 // whose bins are contiguous key ranges: read places every record in its
 // bin's share of the buffer as it comes off the file, then sorts each
-// bin by key. It follows the run's chain from its latest chunk back
-// (every chunk but the latest is full) and fills each bin from its end,
-// so a bin holds its records in scan order and the key sort, being
-// stable, leaves equal keys in (sid, pos) order.
+// bin by the key bits below shift (sortBin). It follows the run's chain
+// from its latest chunk back (every chunk but the latest is full) and
+// fills each bin from its end, so a bin holds its records in scan order
+// and the key sort, being stable, leaves equal keys in (sid, pos)
+// order.
 func (r *spillRuns) read(s int, hist []int64, shift uint) []suffixtree.Keyed {
 	run := r.runs[s]
 	r.ks = slices.Grow(r.ks[:0], run.n)[:run.n]
@@ -270,15 +286,42 @@ func (r *spillRuns) read(s int, hist []int64, shift uint) []suffixtree.Keyed {
 		if r.free[bin] != lo {
 			spillFail(fmt.Errorf("segment %d: run does not hold the %d records of its bin %d", s, c, run.lo+bin))
 		}
-		if shift > 0 {
-			slices.SortStableFunc(r.ks[lo:lo+int(c)], cmpKey)
+		if shift > 0 && c > 1 {
+			r.sortBin(r.ks[lo:lo+int(c)], shift)
 		}
 		lo += int(c)
 	}
 	return r.ks
 }
 
-func cmpKey(x, y suffixtree.Keyed) int { return cmp.Compare(x.Key, y.Key) }
+// sortBin orders one bin's records by their key bits below shift,
+// stably: a counting pass per digit of at most spillDigitBits, lowest
+// digit first, each from one of ks and r.tmp into the other.
+func (r *spillRuns) sortBin(ks []suffixtree.Keyed, shift uint) {
+	r.tmp = slices.Grow(r.tmp[:0], len(ks))[:len(ks)]
+	src, dst := ks, r.tmp
+	for at := uint(0); at < shift; at += spillDigitBits {
+		count := r.count[:1<<min(shift-at, spillDigitBits)]
+		clear(count)
+		mask := seq.Kmer(len(count) - 1)
+		for _, k := range src {
+			count[k.Key>>at&mask]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for _, k := range src {
+			d := k.Key >> at & mask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ks[0] {
+		copy(ks, src)
+	}
+}
 
 // close releases the run file. It is already unlinked and nothing in it
 // needs to outlive the sweep, so Close's error changes nothing.
@@ -304,23 +347,35 @@ func addBuildCost(cost float64, n int, chars int64) float64 {
 		float64(chars)*costChar
 }
 
-// sweepFiltered yields one forest per segment of the keys passing own
-// (nil: all), building and dropping them in turn, each with the modeled
-// cost of building it — the sweep runs wherever its consumer pulls it,
-// so charging that cost is the consumer's business. Without a byte
-// budget the whole range is one segment, scanned into memory. With one,
-// a histogram scan plans the segments and a distribution scan writes
-// their runs (spillRuns); the first segment pays for both scans (an
-// empty range yields one empty forest to carry the first), and each
-// segment pays for sorting and building its run. Each builder worker
-// reads bases through its own table (workerTables), so the tries of a
-// store that fits seqTableBytes decode it once per worker and sweep,
-// not once per segment. A segment reuses the run buffer and the forest
-// storage of the one before it, so a sweep's heap stops growing at its
-// largest segment; a consumer must therefore not keep a forest past its
-// yield (Tree.Clone copies one). Returns false if yield stopped the
-// sweep.
-func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(*suffixtree.Tree, float64) bool) bool {
+// A sweepSink takes what a sweep's producer makes: storage returns the
+// forest storage to build the next sub-forest into (nil: fresh), put
+// takes the built sub-forest, and end closes a segment with the cost of
+// building it. Each returns false once the consumer has stopped.
+type sweepSink interface {
+	storage() (*suffixtree.Tree, bool)
+	put(t *suffixtree.Tree) bool
+	end(cost float64) bool
+}
+
+// sweepFiltered is every sweep's producer: it builds the keys passing
+// own (nil: all) segment by segment in ascending key order and delivers
+// each segment to sink as its sub-forests, then its cost — the modeled
+// cost of building it, which the consumer charges wherever it pulls the
+// sweep. Without a byte budget the whole range is one segment, scanned
+// into memory and built whole. With one, a histogram scan plans the
+// segments and a distribution scan writes their runs (spillRuns); the
+// first segment pays for both scans (an empty range delivers one empty
+// forest to carry them), and each segment pays for sorting and building
+// its run. With split, a segment is built as two sub-forests cut at the
+// bucket boundary nearest half its suffixes (halfCut), each one
+// AddKeyed over its half of the run; a segment of one bucket stays
+// whole. Each builder worker reads bases through its own table
+// (workerTables), so the tries of a store that fits seqTableBytes
+// decode it once per worker and sweep, not once per segment, and every
+// sub-forest is built into storage the sink hands back, so a sweep's
+// heap stops growing at its largest segment. Returns false if the sink
+// stopped the sweep.
+func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, split bool, sink sweepSink) bool {
 	scan := func(fn func(suffixtree.Keyed)) float64 {
 		return float64(suffixtree.Scan(st, 0, st.NumSeqs(), cfg.W, cfg.MinLen, own, fn)) * costChar
 	}
@@ -328,6 +383,17 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 	// One builder for every segment: its per-sequence tables of last
 	// masked bytes are filled once per sweep, not once per segment.
 	ib := suffixtree.NewIncrementalBuilder(cfg.W)
+	build := func(ks []suffixtree.Keyed) bool {
+		t, ok := sink.storage()
+		if !ok {
+			return false
+		}
+		if t != nil {
+			ib.Reuse(t)
+		}
+		ib.AddKeyed(access, ks)
+		return sink.put(ib.TakeTree())
+	}
 	if cfg.SpillBytes <= 0 {
 		var ks []suffixtree.Keyed
 		if own == nil {
@@ -341,9 +407,9 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 			ks = make([]suffixtree.Keyed, 0, n)
 		}
 		cost := scan(func(k suffixtree.Keyed) { ks = append(ks, k) })
+		suffixtree.SortKeyed(ks)
 		n, before := len(ks), ib.Work()
-		ib.AddKeyed(access, ks)
-		return yield(ib.TakeTree(), addBuildCost(cost, n, ib.Work()-before))
+		return build(ks) && sink.end(addBuildCost(cost, n, ib.Work()-before))
 	}
 	shift := spillBinShift(cfg.W)
 	hist := make([]int64, 1<<spillBinBits(cfg.W))
@@ -351,51 +417,197 @@ func sweepFiltered(st seq.Seqs, cfg Config, own func(seq.Kmer) bool, yield func(
 	segs := planSpillSegments(hist, cfg.SpillBytes)
 	if len(segs) == 0 {
 		// An empty range still paid for the scan that found it empty.
-		return yield(&suffixtree.Tree{W: cfg.W}, cost)
+		return build(nil) && sink.end(cost)
 	}
 	runs := newSpillRuns(segs, len(hist), cfg.SpillBytes)
 	defer runs.close()
 	cost += scan(func(k suffixtree.Keyed) { runs.add(int(k.Key>>shift), k) })
 	runs.seal()
 	for s, sg := range segs {
+		ks := runs.read(s, hist, shift)
+		cut := len(ks)
+		if split {
+			cut = halfCut(ks)
+		}
 		before := ib.Work()
-		ib.AddKeyed(access, runs.read(s, hist, shift))
-		cost = addBuildCost(cost, int(sg.n), ib.Work()-before)
-		t := ib.TakeTree()
-		if !yield(t, cost) {
+		if !build(ks[:cut]) || cut < len(ks) && !build(ks[cut:]) {
 			return false
 		}
-		ib.Reuse(t)
+		if !sink.end(addBuildCost(cost, int(sg.n), ib.Work()-before)) {
+			return false
+		}
 		cost = 0
 	}
 	return true
 }
 
+// halfCut returns the bucket boundary of the key-sorted ks nearest half
+// its records, the lower of two as near, or len(ks) if ks holds one
+// bucket or none.
+func halfCut(ks []suffixtree.Keyed) int {
+	n := len(ks)
+	for d := 0; n/2-d > 0 || n/2+d < n; d++ {
+		if i := n/2 - d; i > 0 && ks[i-1].Key != ks[i].Key {
+			return i
+		}
+		if i := n/2 + d; i > 0 && i < n && ks[i-1].Key != ks[i].Key {
+			return i
+		}
+	}
+	return n
+}
+
+// inlineSink runs a sweep on its consumer's goroutine with every
+// segment built whole: yield gets each segment's forest and cost, and
+// the next segment is built into that forest's storage once yield
+// returns, so nothing is built ahead.
+type inlineSink struct {
+	yield func(*suffixtree.Tree, float64) bool
+	cur   *suffixtree.Tree
+}
+
+func (s *inlineSink) storage() (*suffixtree.Tree, bool) { return s.cur, true }
+func (s *inlineSink) put(t *suffixtree.Tree) bool       { s.cur = t; return true }
+func (s *inlineSink) end(cost float64) bool             { return s.yield(s.cur, cost) }
+
+// piece is one message of a pipelined sweep: a sub-forest, the end of a
+// segment with its cost, or the producer's panic.
+type piece struct {
+	t    *suffixtree.Tree
+	cost float64
+	end  bool
+	fail any
+}
+
+// pipeSink is the producer's side of a pipelined sweep.
+type pipeSink struct {
+	pieces chan<- piece
+	free   <-chan *suffixtree.Tree
+	stop   <-chan struct{}
+}
+
+func (s *pipeSink) storage() (*suffixtree.Tree, bool) {
+	select {
+	case t := <-s.free:
+		return t, true
+	case <-s.stop:
+		return nil, false
+	}
+}
+
+func (s *pipeSink) send(p piece) bool {
+	select {
+	case s.pieces <- p:
+		return true
+	case <-s.stop:
+		return false
+	}
+}
+
+func (s *pipeSink) put(t *suffixtree.Tree) bool { return s.send(piece{t: t}) }
+func (s *pipeSink) end(cost float64) bool       { return s.send(piece{cost: cost, end: true}) }
+
+// pipelined runs produce on a goroutine of its own, labelled as rank's
+// GST phase, while the caller consumes its output: add gets each
+// sub-forest, whose storage goes back to the producer when add returns,
+// and end each segment's cost. The producer builds ahead into two
+// storages only — one segment's two sub-forests — so a split sweep's
+// forests hold one segment's tree bytes however far ahead it runs. A
+// panic of the producer is re-raised on the caller. However the caller
+// stops — end returning false, add or end panicking — the producer
+// stops within the sub-forest it is building and is joined, its run
+// file closed, before pipelined returns. Returns false if end stopped
+// the sweep.
+func pipelined(rank int, produce func(sweepSink) bool, add func(*suffixtree.Tree), end func(cost float64) bool) bool {
+	const storages = 2
+	// Room for a sub-forest and a segment end per storage: the storages
+	// bound how far the producer runs ahead, not the sends.
+	pieces := make(chan piece, 2*storages)
+	free := make(chan *suffixtree.Tree, storages)
+	for range storages {
+		free <- nil
+	}
+	stop := make(chan struct{})
+	go func() {
+		defer close(pieces)
+		defer func() {
+			if p := recover(); p != nil {
+				pieces <- piece{fail: p}
+			}
+		}()
+		prof.ApplyLabels(rank, obs.PhaseName(obs.PhaseGST))
+		produce(&pipeSink{pieces: pieces, free: free, stop: stop})
+	}()
+	defer func() {
+		close(stop)
+		for range pieces {
+		}
+	}()
+	for p := range pieces {
+		switch {
+		case p.fail != nil:
+			panic(p.fail)
+		case p.end:
+			if !end(p.cost) {
+				return false
+			}
+		default:
+			add(p.t)
+			free <- p.t
+		}
+	}
+	return true
+}
+
 // SweepSerial builds the store's full GST in bounded segments, calling
-// yield with each segment's forest in ascending key order; the next
-// segment reuses the forest's storage once yield returns. The union of yielded forests is the
+// yield with each segment's forest, whole, in ascending key order on
+// the caller's goroutine; the next segment is built into the forest's
+// storage once yield returns. The union of yielded forests is the
 // serial tree, which is what a sweep without a budget yields whole —
 // consume-and-drop is what makes serial clustering run in
 // O(SpillBytes) tree memory.
 func SweepSerial(st seq.Seqs, cfg Config, yield func(*suffixtree.Tree) bool) {
-	sweepFiltered(st, cfg.withDefaults(), nil, func(t *suffixtree.Tree, _ float64) bool { return yield(t) })
+	sweepFiltered(st, cfg.withDefaults(), nil, false, &inlineSink{yield: func(t *suffixtree.Tree, _ float64) bool { return yield(t) }})
 }
 
-// Forests is the one way a rank's GST reaches a consumer: it calls
-// yield with each forest of the buckets the splitter partition assigned
-// to owner rank r, and the modeled compute cost of building it. This
-// rank's own range of a resident build is the tree Build left resident,
-// already paid for. Anything else — any range of a spilling build, the
-// own range of a rank whose redistribution a death severed, a dead
-// rank's range during adoption — is swept from the store: bounded
-// segments under Cfg.SpillBytes, one segment without a budget, each
-// forest's storage reused by the next once yield returns. Returns false
-// if yield stopped the sweep.
+// Sweep is SweepSerial pipelined, a pairgen.Sweep of the store's full
+// GST: each segment reaches add as its two sub-forests, built on a
+// goroutine of its own while the caller consumes the ones before (see
+// pipelined), then end gets the segment's cost. Serial clustering
+// sweeps this way. Returns false if end stopped the sweep.
+func Sweep(st seq.Seqs, cfg Config, add func(*suffixtree.Tree), end func(cost float64) bool) bool {
+	cfg = cfg.withDefaults()
+	return pipelined(0, func(s sweepSink) bool { return sweepFiltered(st, cfg, nil, true, s) }, add, end)
+}
+
+// Forests calls yield with each forest of the buckets the splitter
+// partition assigned to owner rank r, and the modeled compute cost of
+// building it, on the caller's goroutine. This rank's own range of a
+// resident build is the tree Build left resident, already paid for.
+// Anything else — any range of a spilling build, the own range of a
+// rank whose redistribution a death severed, a dead rank's range during
+// adoption — is swept from the store: bounded segments under
+// Cfg.SpillBytes, one segment without a budget, each forest's storage
+// reused by the next once yield returns. Returns false if yield stopped
+// the sweep.
 func (l *Local) Forests(st seq.Seqs, r int, yield func(*suffixtree.Tree, float64) bool) bool {
 	if l.tree != nil && r == l.rank {
 		return yield(l.tree, 0)
 	}
-	return sweepFiltered(st, l.Cfg, ownedBy(l.Splitters, l.Cfg.FirstOwner, r), yield)
+	return sweepFiltered(st, l.Cfg, ownedBy(l.Splitters, l.Cfg.FirstOwner, r), false, &inlineSink{yield: yield})
+}
+
+// Sweep is the one way a rank's GST reaches pair generation: Forests
+// as a pairgen.Sweep. The resident tree is one segment of one
+// sub-forest; a swept range is pipelined like the serial Sweep, its
+// producer labelled with this rank.
+func (l *Local) Sweep(st seq.Seqs, r int, add func(*suffixtree.Tree), end func(cost float64) bool) bool {
+	if l.tree != nil && r == l.rank {
+		add(l.tree)
+		return end(0)
+	}
+	own := ownedBy(l.Splitters, l.Cfg.FirstOwner, r)
+	return pipelined(l.rank, func(s sweepSink) bool { return sweepFiltered(st, l.Cfg, own, true, s) }, add, end)
 }
 
 // sampleOwnerKeys draws perRank evenly spaced suffix keys from owner

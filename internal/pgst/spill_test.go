@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/pairgen"
 	"repro/internal/par"
@@ -166,6 +169,7 @@ func TestBudgetedSweepChargesHistogram(t *testing.T) {
 				bin := int(k >> shift)
 				return bin >= sg.loBin && bin < sg.hiBin && own(k)
 			}, func(k suffixtree.Keyed) { ks = append(ks, k) })
+			suffixtree.SortKeyed(ks)
 			ib := suffixtree.NewIncrementalBuilder(cfg.W)
 			ib.AddKeyed(workerTables(st), ks)
 			want += float64(len(ks))*(costSuf+log2f(len(ks))*costSort) + float64(ib.Work())*costChar
@@ -228,30 +232,42 @@ func TestSweepScansStoreTwice(t *testing.T) {
 // runFiles counts this process's open files named like a sweep's run
 // file in dir (Linux: via /proc/self/fd; -1 where that is unavailable).
 func runFiles(dir string) int {
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
+	links, ok := runFileLinks(dir)
+	if !ok {
 		return -1
 	}
-	n := 0
+	return len(links)
+}
+
+// runFileLinks returns the /proc/self/fd links of this process's open
+// files named like a sweep's run file in dir; ok is false where
+// /proc/self/fd is unavailable.
+func runFileLinks(dir string) (links []string, ok bool) {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return nil, false
+	}
 	for _, fd := range fds {
-		if name, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
-			strings.HasPrefix(name, filepath.Join(dir, "asmsweep-")) {
-			n++
+		link := filepath.Join("/proc/self/fd", fd.Name())
+		if name, err := os.Readlink(link); err == nil && strings.HasPrefix(name, filepath.Join(dir, "asmsweep-")) {
+			links = append(links, link)
 		}
 	}
-	return n
+	return links, true
 }
 
 // TestSweepLeavesNoRunFile: a budgeted sweep's run file is created in
 // TMPDIR and unlinked at once, so the directory is empty while a forest
 // is consumed, after a full sweep, after the consumer closes the stream
-// early and after a panicking consumer — and the file is closed once
+// early, after a panicking consumer and after a run read that fails —
+// and the file is closed, and a pipelined sweep's producer gone, once
 // the sweep ends, however it ends.
 func TestSweepLeavesNoRunFile(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("TMPDIR", dir)
 	st := testStore(7, 6000, 3.0)
 	cfg := Config{W: 6, MinLen: 8, SpillBytes: 1}
+	goroutines := runtime.NumGoroutine()
 	check := func(when string, open int) {
 		t.Helper()
 		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
@@ -260,6 +276,24 @@ func TestSweepLeavesNoRunFile(t *testing.T) {
 		if n := runFiles(dir); n >= 0 && n != open {
 			t.Fatalf("%s: %d run files open, want %d", when, n, open)
 		}
+		if open == 0 {
+			if n := settledGoroutines(goroutines); n != goroutines {
+				t.Fatalf("%s: %d goroutines, %d before the sweeps", when, n, goroutines)
+			}
+		}
+	}
+	// mustPanic runs f and returns its panic's text.
+	mustPanic := func(what string, f func()) (msg string) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p == nil {
+				t.Fatalf("%s: the panic did not reach the caller", what)
+			} else {
+				msg = fmt.Sprint(p)
+			}
+		}()
+		f()
+		return ""
 	}
 
 	SweepSerial(st, cfg, func(*suffixtree.Tree) bool {
@@ -267,9 +301,16 @@ func TestSweepLeavesNoRunFile(t *testing.T) {
 		return true
 	})
 	check("after a full sweep", 0)
+	added := 0
+	Sweep(st, cfg, func(*suffixtree.Tree) {
+		if added++; added == 1 { // the producer may finish before the last ones
+			check("inside the first add", 1)
+		}
+	}, func(float64) bool { return true })
+	check("after a full pipelined sweep", 0)
 
-	s := pairgen.NewSweep(func(yield func(*suffixtree.Tree, float64) bool) {
-		SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool { return yield(tr, 0) })
+	s := pairgen.NewSweep(func(add func(*suffixtree.Tree), end func(float64) bool) bool {
+		return Sweep(st, cfg, add, end)
 	}, pairgen.Config{Psi: 8, NumFragments: st.N()})
 	if got, _ := s.Take(nil, 1); len(got) == 0 {
 		t.Fatal("stream produced nothing")
@@ -277,15 +318,71 @@ func TestSweepLeavesNoRunFile(t *testing.T) {
 	s.Close()
 	check("after an early stop", 0)
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("the consumer's panic did not reach the caller")
-			}
-		}()
+	mustPanic("a panicking yield", func() {
 		SweepSerial(st, cfg, func(*suffixtree.Tree) bool { panic("consumer failed") })
-	}()
+	})
 	check("after a panicking yield", 0)
+	mustPanic("a panicking add", func() {
+		Sweep(st, cfg, func(*suffixtree.Tree) { panic("consumer failed") }, func(float64) bool { return true })
+	})
+	check("after a panicking add", 0)
+	segments := 0
+	mustPanic("a panicking end", func() {
+		Sweep(st, cfg, func(*suffixtree.Tree) {}, func(float64) bool {
+			if segments++; segments == 3 {
+				panic("consumer failed")
+			}
+			return true
+		})
+	})
+	check("after a panicking end", 0)
+
+	// Cut the run file short under the producer: its next read fails,
+	// and the failure reaches the consumer.
+	if runFiles(dir) < 0 {
+		t.Log("no /proc/self/fd: run-read failure not injected")
+		return
+	}
+	cut := false
+	msg := mustPanic("a failing run read", func() {
+		Sweep(st, cfg, func(*suffixtree.Tree) {
+			if !cut {
+				cut = true
+				truncateRunFile(t, dir)
+			}
+		}, func(float64) bool { return true })
+	})
+	if !strings.Contains(msg, "pgst: sweep run file") {
+		t.Fatalf("a failing run read panicked with %q", msg)
+	}
+	check("after a failing run read", 0)
+}
+
+// truncateRunFile empties the one open run file in dir through its
+// /proc/self/fd link.
+func truncateRunFile(t *testing.T, dir string) {
+	t.Helper()
+	links, _ := runFileLinks(dir)
+	if len(links) != 1 {
+		t.Fatalf("%d run files open, want 1", len(links))
+	}
+	if err := os.Truncate(links[0], 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is want, or
+// what it still is after a second: a joined goroutine may take a moment
+// to exit after its last signal.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n == want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestSpillBuildMatchesSerial: the distributed spilling build — no
@@ -431,47 +528,48 @@ func TestSweepOnDiskStore(t *testing.T) {
 	}
 }
 
-// TestSweepStreamStopsEarly: a stream builds segments only inside the
-// pulls that need them, so a worker told to shut down does not keep
-// paying for construction: closing before any pull builds nothing, and
-// one pull then Close builds exactly the segments up to and including
-// the first that yields a pair.
+// TestSweepStreamStopsEarly: a stream starts its sweep with the first
+// pull and builds at most one segment's sub-forests ahead of the pulls,
+// so a worker told to shut down does not keep paying for construction:
+// closing before any pull builds nothing, and one pull then Close
+// builds the sub-forests up to and including the first segment that
+// yields a pair, and at most two more.
 func TestSweepStreamStopsEarly(t *testing.T) {
 	st := testStore(7, 6000, 3.0)
 	cfg := Config{W: 6, MinLen: 8, SpillBytes: 1}
 	cfg = cfg.withDefaults()
 	total, firstPaired := 0, 0
-	SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
-		total++
-		if firstPaired == 0 && len(collectPairs(tr, 8, st.N())) > 0 {
+	split := &recordingSink{}
+	sweepFiltered(st, cfg, nil, true, split)
+	for _, sg := range split.segs {
+		total += len(sg.pieces)
+		if firstPaired == 0 && len(sg.pairs(8, st.N())) > 0 {
 			firstPaired = total
 		}
-		return true
-	})
-	if firstPaired == 0 || firstPaired == total {
-		t.Fatalf("weak input: first paired segment %d of %d", firstPaired, total)
 	}
-	built := 0
+	if firstPaired == 0 || firstPaired+2 >= total {
+		t.Fatalf("weak input: first paired segment ends at sub-forest %d of %d", firstPaired, total)
+	}
+	var built atomic.Int64
 	stream := func() *pairgen.Stream {
-		built = 0
-		return pairgen.NewSweep(func(yield func(*suffixtree.Tree, float64) bool) {
-			SweepSerial(st, cfg, func(tr *suffixtree.Tree) bool {
-				built++
-				return yield(tr, 0)
-			})
+		built.Store(0)
+		return pairgen.NewSweep(func(add func(*suffixtree.Tree), end func(float64) bool) bool {
+			return pipelined(0, func(s sweepSink) bool {
+				return sweepFiltered(st, cfg, nil, true, countingSink{s, &built})
+			}, add, end)
 		}, pairgen.Config{Psi: 8, NumFragments: st.N()})
 	}
 
 	stream().Close()
-	if built != 0 {
-		t.Fatalf("closing before any pull built %d segments", built)
+	if n := built.Load(); n != 0 {
+		t.Fatalf("closing before any pull built %d sub-forests", n)
 	}
 	s := stream()
 	if got, _ := s.Take(nil, 1); len(got) != 1 {
 		t.Fatal("stream produced nothing")
 	}
 	s.Close()
-	if built != firstPaired {
-		t.Fatalf("one pull then Close built %d segments, want %d of %d", built, firstPaired, total)
+	if n := built.Load(); n < int64(firstPaired) || n > int64(firstPaired)+2 {
+		t.Fatalf("one pull then Close built %d sub-forests, want %d to %d of %d", n, firstPaired, firstPaired+2, total)
 	}
 }

@@ -176,8 +176,9 @@ func TestOutOfCoreResumeRefusesCorruptStore(t *testing.T) {
 // in-memory backend's grows, which proves both that the spilling sweep
 // holds GST memory independent of input size and that the workload is
 // big enough for the comparison to mean something. The bounds leave
-// noise headroom over the measured ratios, about 1.45–1.50 (disk) and
-// 8.1–8.7 (mem) on a 2-core Linux host.
+// noise headroom over the measured ratios, about 1.10 (disk; 1.45–1.50
+// before pair generation reused its memory across segments) and
+// 7.5–8.7 (mem) on a 2-core Linux host.
 const (
 	rssScale       = 10
 	rssSpillBudget = 16 << 20 // a handful of segments at ×10, far under its monolithic forest
@@ -341,19 +342,19 @@ func rssCellMain(specJSON string) error {
 	ccfg := cluster.DefaultConfig()
 	pg := pairgen.Config{Psi: ccfg.Psi, DuplicateElimination: ccfg.DuplicateElimination, NumFragments: st.N()}
 	var c rssCell
-	generate := func(t *suffixtree.Tree) bool {
-		pairgen.Generate(t, pg, func(p pairgen.Pair) bool {
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%d/%d/%d/%d/%d", p.ASid, p.BSid, p.APos, p.BPos, p.MatchLen)
-			c.PairHash += h.Sum64()
-			c.Pairs++
-			return true
-		})
+	count := func(p pairgen.Pair) bool {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d/%d/%d/%d/%d", p.ASid, p.BSid, p.APos, p.BPos, p.MatchLen)
+		c.PairHash += h.Sum64()
+		c.Pairs++
 		return true
 	}
 	switch spec.Backend {
 	case "disk":
-		pgst.SweepSerial(st, pgst.Config{W: ccfg.W, MinLen: ccfg.Psi, SpillBytes: rssSpillBudget}, generate)
+		// The pipelined sweep serial clustering runs.
+		pairgen.GenerateSweep(func(add func(*suffixtree.Tree), end func(float64) bool) bool {
+			return pgst.Sweep(st, pgst.Config{W: ccfg.W, MinLen: ccfg.Psi, SpillBytes: rssSpillBudget}, add, end)
+		}, pg, count)
 		st.Close()
 	case "mem":
 		// The all-RAM reference materializes the fragments and the
@@ -363,7 +364,7 @@ func rssCellMain(specJSON string) error {
 			frags[i] = &seq.Fragment{Name: st.FragName(i), Bases: st.Seq(i)}
 		}
 		st.Close()
-		generate(cluster.BuildSerialTree(seq.NewStore(frags), ccfg))
+		pairgen.Generate(cluster.BuildSerialTree(seq.NewStore(frags), ccfg), pg, count)
 	default:
 		return fmt.Errorf("unknown backend %q", spec.Backend)
 	}

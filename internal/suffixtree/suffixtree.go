@@ -214,6 +214,7 @@ func Build(access Access, sufs []Suffix, w int) *Tree {
 			ks = append(ks, Keyed{key, sf})
 		}
 	}
+	SortKeyed(ks)
 	ib := NewIncrementalBuilder(w)
 	ib.AddKeyed(func(int) Access { return access }, ks)
 	return ib.Tree()
@@ -352,7 +353,7 @@ func cmpKeyedSuffix(x, y Keyed) int { return cmpSuffix(x.Suf, y.Suf) }
 // canonical for anything Scan yields; only runs that are not — the
 // concatenation of other ranks' scans that redistribution delivers —
 // are sorted by (sid, pos). Scratch is one copy of ks, unless ks is
-// already in key order (a sweep reads its runs back that way).
+// already in key order.
 func SortKeyed(ks []Keyed) {
 	if len(ks) < 2 {
 		return
@@ -395,11 +396,14 @@ func SortKeyed(ks []Keyed) {
 	})
 }
 
-// AddKeyed sorts ks (SortKeyed) and builds every equal-key run as one
-// bucket, in ascending key order; it returns the number of buckets.
-// The suffixes are copied to Tree.Sufs before the nodes are reserved and
-// any trie is built, so a ks the caller does not hold is garbage while
-// they are.
+// AddKeyed builds every equal-key run of ks as one bucket, in
+// ascending key order; it returns the number of buckets. ks must be in
+// the order SortKeyed puts it — what a sweep's runs and the
+// redistribution's merge deliver — and AddKeyed checks only that the
+// keys do not descend: a caller holding records in any other order
+// sorts them first. The suffixes are copied to Tree.Sufs, in one walk
+// that also finds the runs, before the nodes are reserved and any trie
+// is built, so a ks the caller does not hold is garbage while they are.
 //
 // The buckets are split into contiguous chunks of about equal suffix
 // count, one per core (pool.Chunks), and worker k builds chunk k. It
@@ -411,13 +415,20 @@ func SortKeyed(ks []Keyed) {
 // each window down behind the one before and shifts its links, so the
 // forest is the one a single goroutine builds.
 func (b *IncrementalBuilder) AddKeyed(access func(worker int) Access, ks []Keyed) (nbuckets int) {
-	SortKeyed(ks)
 	lo, n := len(b.tree.Sufs), len(ks)
 	b.ends = b.ends[:0]
-	EachRun(ks, func(_, hi int) { b.ends = append(b.ends, int32(lo+hi)) })
 	b.tree.Sufs = slices.Grow(b.tree.Sufs, n)
-	for _, k := range ks {
+	for i, k := range ks {
+		if i > 0 && k.Key != ks[i-1].Key {
+			if k.Key < ks[i-1].Key {
+				panic("suffixtree: AddKeyed over records not in key order")
+			}
+			b.ends = append(b.ends, int32(lo+i))
+		}
 		b.tree.Sufs = append(b.tree.Sufs, k.Suf)
+	}
+	if n > 0 {
+		b.ends = append(b.ends, int32(lo+n))
 	}
 	// Room for the fewer than 2n nodes the tries can have (every leaf
 	// holds a suffix, every internal node has two children).

@@ -526,7 +526,10 @@ func TestAddKeyedMatchesBuckets(t *testing.T) {
 		in := slices.Clone(ks)
 		rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
 		ib := NewIncrementalBuilder(w)
-		sp.run(func() { nbuckets = ib.AddKeyed(shared(acc), in) })
+		sp.run(func() {
+			SortKeyed(in)
+			nbuckets = ib.AddKeyed(shared(acc), in)
+		})
 		if !reflect.DeepEqual(ib.Tree(), t1) {
 			t.Fatalf("%v: AddKeyed over shuffled scan output differs from Build", sp)
 		}
@@ -591,6 +594,7 @@ func addBucket(ib *IncrementalBuilder, acc Access, b []Suffix) {
 	for i, sf := range b {
 		ks[i] = Keyed{key, sf}
 	}
+	SortKeyed(ks)
 	ib.AddKeyed(shared(acc), ks)
 }
 
@@ -764,9 +768,9 @@ func bucketsOf(st *seq.Store, w, minLen int) [][]Suffix {
 }
 
 // checkMatchesReference builds st's buckets with the product builder —
-// through AddKeyed over shuffled keyed suffixes in every one of splits,
-// and bucket by bucket, one AddKeyed call each, with the buckets and
-// each bucket's suffixes in shuffled order — and
+// through SortKeyed and AddKeyed over shuffled keyed suffixes in every
+// one of splits, and bucket by bucket, one sorted AddKeyed call each,
+// with the buckets and each bucket's suffixes in shuffled order — and
 // requires the reference's forest over the same bucket order node for
 // node and its work count term for term.
 func checkMatchesReference(t testing.TB, rng *rand.Rand, st *seq.Store, w, minLen int) (nsuf int) {
@@ -797,7 +801,11 @@ func checkMatchesReference(t testing.TB, rng *rand.Rand, st *seq.Store, w, minLe
 		rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
 		ib := NewIncrementalBuilder(w)
 		var n int
-		sp.run(func() { n = ib.AddKeyed(shared(acc), slices.Clone(ks)) })
+		sp.run(func() {
+			in := slices.Clone(ks)
+			SortKeyed(in)
+			n = ib.AddKeyed(shared(acc), in)
+		})
 		if n != len(buckets) {
 			t.Fatalf("%v: AddKeyed reports %d buckets, want %d", sp, n, len(buckets))
 		}
