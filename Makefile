@@ -32,8 +32,9 @@ test:
 # on the default: a PR that speeds a layer up moves every race a test
 # had with it, so it must re-run this (ROADMAP item 4a). The runtime is
 # in the list because its collectives are woken by a rank's death, not
-# by a timer, and that must hold on one core too.
-FLAKE_PKGS := ./internal/par ./internal/assembly ./internal/suffixtree ./internal/pgst ./internal/pairgen ./internal/cluster
+# by a timer, and that must hold on one core too; the socket transport
+# because its real-socket tests must not wait on a race either.
+FLAKE_PKGS := ./internal/par ./internal/par/nettrans ./internal/assembly ./internal/suffixtree ./internal/pgst ./internal/pairgen ./internal/cluster
 flake-check:
 	GOMAXPROCS=1 $(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
 	$(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
@@ -41,7 +42,8 @@ flake-check:
 # The pool and everything that runs on it: the GST bucket build and
 # pair generation's first pass split a forest across goroutines, and
 # their identity tests run at GOMAXPROCS 4 on any host. The socket
-# transport's reconnect, drain, crash and liveness tests run here too.
+# transport's real-socket tests (reconnect after a cut, the mesh, crash
+# notify) and its link simulator run here too.
 race:
 	$(GO) test -race ./internal/par ./internal/par/nettrans ./internal/cluster ./internal/obs ./internal/obs/collector ./cmd/asmprof ./internal/align ./internal/assembly ./internal/pool ./internal/suffixtree ./internal/pairgen ./internal/pgst
 
@@ -95,6 +97,7 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/cluster/testdata/fuzz/FuzzMasterStep \
 	internal/cluster/testdata/fuzz/FuzzWorkerStep \
 	internal/par/nettrans/testdata/fuzz/FuzzDecodeFrame \
+	internal/par/nettrans/testdata/fuzz/FuzzLinkStep \
 	internal/seq/diskstore/testdata/fuzz/FuzzOpenIndex \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
 	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
@@ -112,8 +115,8 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 # the banded extension kernel and its identity bound, the consensus
 # fitting kernel, assembly's overlap detector, the GST bucket builder,
 # its key sort and the distributed GST build, each held to its
-# differential oracle, and over the master core and the worker core,
-# held to their invariants.
+# differential oracle, and over the master core, the worker core and
+# the socket link core, held to their invariants.
 fuzz-smoke:
 	@for d in $(FUZZ_CORPORA); do \
 		ls $$d/* >/dev/null 2>&1 || { echo "fuzz-smoke: empty corpus: $$d"; exit 1; }; \
@@ -127,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzMasterStep -fuzztime=10s ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzWorkerStep -fuzztime=10s ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/par/nettrans
+	$(GO) test -run=NONE -fuzz=FuzzLinkStep -fuzztime=10s ./internal/par/nettrans
 	$(GO) test -run=NONE -fuzz=FuzzOpenIndex -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzReadData -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
@@ -159,9 +163,12 @@ obs:
 # goroutines, then TCP and Unix-socket ranks as real OS processes (the
 # test binary re-executes itself as the workers), plus one case that
 # SIGKILLs a worker process mid-phase and requires lease-based
-# recovery to the canonical partition.
+# recovery to the canonical partition. Then the socket link core's
+# simulator: a fixed-seed campaign of 10⁴ cases under the race
+# detector; a failure prints the seed and case that replay it.
 transport-conformance:
 	$(GO) test -race -v -run TestConformance ./internal/transconf
+	$(GO) test -race -run=NONE -bench=LinkSimCampaign -benchtime=10000x ./internal/par/nettrans
 
 # Live telemetry smoke: a 4-process TCP run streams deltas to a run
 # collector which must be ready mid-run, survive a SIGKILLed worker

@@ -200,8 +200,8 @@ func explain(out, errOut io.Writer, paths []string, top int, jsonOut bool, chrom
 	if jsonOut {
 		trust = errOut
 	}
-	fmt.Fprintf(trust, "trace ok: %d ranks, %d events, %d seq-matched recvs, %d truncated rank(s), %d fault-model instants\n",
-		sum.Ranks, sum.Events, sum.SeqMatched, sum.Skipped, sum.Faults)
+	fmt.Fprintf(trust, "trace ok: %d ranks, %d events, %d seq-matched recvs, %d truncated rank(s), %d rank(s) with no events, %d fault-model instants\n",
+		sum.Ranks, sum.Events, sum.SeqMatched, len(rep.DroppedRanks), len(rep.EmptyRanks), sum.Faults)
 	if jsonOut {
 		return rep.WriteJSON(out)
 	}

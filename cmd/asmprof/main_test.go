@@ -141,3 +141,30 @@ func TestExplainRejectsDuplicateDelivery(t *testing.T) {
 		t.Error("a rejected dump was rendered")
 	}
 }
+
+// TestEmptyRankIsNotWrapped: a serial run's dump holds no events,
+// since only the parallel runtime records, and that is not a wrapped
+// ring; a ring that did wrap is still reported as one.
+func TestEmptyRankIsNotWrapped(t *testing.T) {
+	dir := t.TempDir()
+	explained := func(name string, tr *obs.Tracer) string {
+		var out, errOut bytes.Buffer
+		if err := explain(&out, &errOut, []string{writeDump(t, filepath.Join(dir, name), tr.Dump())}, 0, false, ""); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return errOut.String() + out.String()
+	}
+	got := explained("serial.json", obs.NewTracer(1, 0))
+	if !strings.Contains(got, "0 truncated rank(s), 1 rank(s) with no events") || strings.Contains(got, "wraparound") {
+		t.Errorf("an empty one-rank dump reads as wrapped:\n%s", got)
+	}
+	tr := obs.NewTracer(1, 8)
+	for i := 0; i < 12; i++ {
+		tr.EmitSeq(0, obs.EvSendBegin, float64(i), 0, 0, 7, 8, uint64(i+1))
+		tr.EmitSeq(0, obs.EvSendEnd, float64(i+1), 0, 0, 7, 8, uint64(i+1))
+	}
+	got = explained("wrapped.json", tr)
+	if !strings.Contains(got, "1 truncated rank(s), 0 rank(s) with no events") || !strings.Contains(got, "WARNING: ring wraparound on ranks [0]") {
+		t.Errorf("a wrapped ring is not reported as wrapped:\n%s", got)
+	}
+}

@@ -82,6 +82,9 @@ type Report struct {
 	// DroppedRanks lists ranks whose rings evicted events; their
 	// streams are truncated and cross-rank edges may be missing.
 	DroppedRanks []int `json:"dropped_ranks,omitempty"`
+	// EmptyRanks lists ranks with no events: nothing was traced there,
+	// or no dump covered them (a killed process).
+	EmptyRanks []int `json:"empty_ranks,omitempty"`
 }
 
 // RankTotal is one rank's full-run decomposition. TotalSec is the
@@ -239,8 +242,11 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 	rep := &Report{Ranks: nranks}
 	anyDropped := false
 	for r, n := range dropped {
-		if n > 0 {
-			anyDropped = true
+		anyDropped = anyDropped || n > 0
+		switch {
+		case len(perRank[r]) == 0:
+			rep.EmptyRanks = append(rep.EmptyRanks, r)
+		case n > 0:
 			rep.DroppedRanks = append(rep.DroppedRanks, r)
 		}
 	}

@@ -33,6 +33,10 @@ func (r *Report) WriteText(w io.Writer) error {
 		fmt.Fprintf(bw, "  WARNING: ring wraparound on ranks %v; %d recvs unmatched — results are partial\n",
 			r.DroppedRanks, r.Unmatched)
 	}
+	if len(r.EmptyRanks) > 0 {
+		fmt.Fprintf(bw, "  no events from ranks %v: nothing traced there, or no dump covers them; %d recvs unmatched\n",
+			r.EmptyRanks, r.Unmatched)
+	}
 
 	fmt.Fprintf(bw, "\nper-rank decomposition:\n")
 	fmt.Fprintf(bw, "  %-5s %12s %12s %12s %12s %14s\n", "rank", "total", "comm", "comp", "idle", "wait-on-master")

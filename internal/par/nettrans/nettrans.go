@@ -30,230 +30,67 @@ type Config struct {
 	// entries from a different epoch are rejected. The launcher picks
 	// one epoch per run.
 	Epoch uint64
-	// Heartbeat is the idle-connection keepalive interval (default
-	// 250ms).
-	Heartbeat time.Duration
 	// Liveness is how long a peer may stay completely silent before it
 	// is declared dead (default 5s). This — or an explicit crash
 	// goodbye — is the only way a peer dies; connection loss alone
 	// triggers reconnection, not failure.
 	Liveness time.Duration
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
-	// RendezvousTimeout bounds the wait for a peer's address to appear
-	// in the registry (default 30s).
-	RendezvousTimeout time.Duration
-	// DrainTimeout bounds Close's wait for in-flight messages to be
-	// acknowledged (default 5s).
-	DrainTimeout time.Duration
-	// MaxFrame bounds accepted frame payloads (default 256 MiB) so a
-	// corrupt length prefix cannot drive an allocation.
-	MaxFrame int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Network == "" {
-		c.Network = "tcp"
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 250 * time.Millisecond
-	}
-	if c.Liveness <= 0 {
-		c.Liveness = 5 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.RendezvousTimeout <= 0 {
-		c.RendezvousTimeout = 30 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = 256 << 20
-	}
-	return c
-}
+const (
+	heartbeat         = 250 * time.Millisecond // tick: idle-link keepalive, liveness and drain checks
+	dialTimeout       = 2 * time.Second        // one connection attempt, handshake included
+	rendezvousTimeout = 30 * time.Second       // wait for a peer's address in the registry
+	drainTimeout      = 5 * time.Second        // Close's wait for in-flight messages to be acknowledged
+	maxFrame          = 256 << 20              // so a corrupt length prefix cannot drive an allocation
+)
 
-// safeConn serializes frame writes on one link (its writer, CrashNotify
-// and Close's goodbye share the socket).
-type safeConn struct {
-	mu   sync.Mutex
-	c    net.Conn
-	mf   int
-	wdl  time.Duration
-	dead atomic.Bool
-}
+// redial paces the lower rank's dials of a link that is down.
+var redial = backoff.Policy{Base: 25 * time.Millisecond, Cap: time.Second, MaxDoublings: backoff.DefaultMaxDoublings, Jitter: 0.25}
 
-func newSafeConn(c net.Conn, maxFrame int, writeDeadline time.Duration) *safeConn {
-	return &safeConn{c: c, mf: maxFrame, wdl: writeDeadline}
-}
-
-func (s *safeConn) write(f frame) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead.Load() {
-		return errors.New("nettrans: connection closed")
-	}
-	s.c.SetWriteDeadline(time.Now().Add(s.wdl))
-	return writeFrame(s.c, f)
-}
-
-func (s *safeConn) read() (frame, error) {
-	return readFrame(s.c, s.mf)
-}
-
-// readWithin reads a handshake frame, giving up after d.
-func (s *safeConn) readWithin(d time.Duration) (frame, error) {
-	s.c.SetReadDeadline(time.Now().Add(d))
-	defer s.c.SetReadDeadline(time.Time{})
-	return s.read()
-}
-
-func (s *safeConn) close() {
-	if s.dead.CompareAndSwap(false, true) {
-		s.c.Close()
-	}
-}
-
-// peer is all state for one remote rank: the one link that carries
-// both directions, the queue of envelopes to it, and the dedupe
-// horizon and owed acknowledgements for envelopes from it.
+// peer is one remote rank: its link core and the connections to it.
 type peer struct {
-	rank int
-
-	rx sync.Mutex // held from dedupe through delivery of one envelope
-
-	mu            sync.Mutex
-	link          *safeConn                // the live connection; nil while down
-	sendq         []par.Envelope           // unacked envelopes in sequence order
-	unsent        int                      // index of the first entry not yet written on link
-	pending       map[uint64]chan struct{} // rendezvous sends awaiting their match-ack
-	acked         uint64                   // highest sequence the peer cumulatively acknowledged
-	lastDelivered uint64                   // dedupe horizon: highest sequence delivered from the peer
-	ackOwed       bool                     // a delivery since the last ack written
-	macks         []uint64                 // match-acks to write, kept across a dropped link
-	dead          bool
-	finished      bool
-	notify        chan struct{} // wakes the link's writer (capacity 1)
-
-	lastHeard atomic.Int64 // unix nanos of the last frame from this peer
+	rank  int
+	mu    sync.Mutex
+	link  link
+	conns map[uint64]*conn // open connections by id
+	over  chan struct{}    // closed once the link needs no further effort
 }
 
-func (p *peer) heard() { p.lastHeard.Store(time.Now().UnixNano()) }
-
-// gone reports whether the peer needs no further effort.
-func (p *peer) gone() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dead || p.finished
-}
-
-func (p *peer) current() *safeConn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.link
-}
-
-func (p *peer) delivered() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastDelivered
-}
-
-func (p *peer) clearLink(sc *safeConn) {
-	p.mu.Lock()
-	if p.link == sc {
-		p.link = nil
-	}
-	p.mu.Unlock()
-}
-
-// oweMack queues a rendezvous match report for the link's writer.
-func (p *peer) oweMack(seq uint64) {
-	p.mu.Lock()
-	p.macks = append(p.macks, seq)
-	p.mu.Unlock()
-	wake(p.notify)
-}
-
-// releaseLocked completes every pending rendezvous send. Caller holds
-// p.mu.
-func (p *peer) releaseLocked() {
-	for _, ch := range p.pending {
-		close(ch)
-	}
-	p.pending = map[uint64]chan struct{}{}
-}
-
-// pruneLocked drops queue entries the peer has cumulatively
-// acknowledged as delivered. A rendezvous entry leaves the queue when
-// delivered (it sits safely in the peer's mailbox and is never resent)
-// but its completion channel stays pending until the match-ack.
-// Caller holds p.mu.
-func (p *peer) pruneLocked(acked uint64) {
-	if acked <= p.acked {
-		return
-	}
-	p.acked = acked
-	i := 0
-	for i < len(p.sendq) && p.sendq[i].Seq <= acked {
-		i++
-	}
-	clear(p.sendq[:i]) // release the delivered payloads
-	p.sendq = p.sendq[i:]
-	p.unsent = max(p.unsent-i, 0)
-}
-
-// next takes the next frame for sc to write — an owed ack, then owed
-// match-acks, then the first envelope not yet written on it. ok is
-// false when there is nothing to write or sc is no longer p's link.
-func (p *peer) next(sc *safeConn) (f frame, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	switch {
-	case p.link != sc:
-		return f, false
-	case p.ackOwed:
-		p.ackOwed = false
-		return frame{Kind: kAck, Seq: p.lastDelivered}, true
-	case len(p.macks) > 0:
-		f = frame{Kind: kMatchAck, Seq: p.macks[0]}
-		p.macks = p.macks[1:]
-		return f, true
-	case p.unsent < len(p.sendq):
-		m := p.sendq[p.unsent]
-		p.unsent++
-		return frame{Kind: kData, Src: m.Src, Dst: m.Dst, Tag: m.Tag, Seq: m.Seq, Sync: m.Sync, Data: m.Data}, true
-	}
-	return f, false
+// conn is one connection. Its writer is the goroutine running serve
+// (or CrashNotify's last gasp); kick wakes it.
+type conn struct {
+	id   uint64
+	c    net.Conn
+	kick chan struct{}
 }
 
 // Transport is the socket implementation of par.Transport. One
 // Transport hosts one rank; New binds the listener and publishes the
 // address, Attach (called by par.RunRank) starts the mesh.
 type Transport struct {
-	cfg  Config
-	ln   net.Listener
-	addr string
-	sink par.Sink
-
+	cfg   Config
+	ln    net.Listener
+	addr  string
+	sink  par.Sink
 	peers []*peer // index = rank; nil at our own rank
+	ids   atomic.Uint64
 
-	mu       sync.Mutex
-	closed   bool
-	attached bool
-	crashed  bool // CrashNotify ran: Close must not send a clean goodbye
-	done     chan struct{}
-	wg       sync.WaitGroup
-	drained  *sync.Cond
+	mu     sync.Mutex
+	closed bool
+	done   chan struct{}
+	wg     sync.WaitGroup
 }
 
 // New binds this rank's listener and publishes its address. The
 // transport does not dial or accept until Attach.
 func New(cfg Config) (*Transport, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Network == "" {
+		cfg.Network = "tcp"
+	}
+	if cfg.Liveness <= 0 {
+		cfg.Liveness = 5 * time.Second
+	}
 	if cfg.Size < 1 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
 		return nil, fmt.Errorf("nettrans: rank %d out of range for size %d", cfg.Rank, cfg.Size)
 	}
@@ -278,14 +115,11 @@ func New(cfg Config) (*Transport, error) {
 		peers: make([]*peer, cfg.Size),
 		done:  make(chan struct{}),
 	}
-	t.drained = sync.NewCond(&t.mu)
+	now := time.Now() // silence is measured from transport start
 	for r := 0; r < cfg.Size; r++ {
-		if r == cfg.Rank {
-			continue
+		if r != cfg.Rank {
+			t.peers[r] = &peer{rank: r, link: newLink(cfg.Liveness, now), conns: map[uint64]*conn{}, over: make(chan struct{})}
 		}
-		p := &peer{rank: r, pending: make(map[uint64]chan struct{}), notify: make(chan struct{}, 1)}
-		p.heard() // silence is measured from transport start
-		t.peers[r] = p
 	}
 	if err := publishAddr(cfg.RegistryDir, cfg.Rank, cfg.Network, t.addr, cfg.Epoch); err != nil {
 		ln.Close()
@@ -298,18 +132,17 @@ func New(cfg Config) (*Transport, error) {
 func (t *Transport) Addr() string { return t.addr }
 
 // Attach starts the mesh: the accept loop, a dialer for every
-// higher-ranked peer, and the liveness monitor.
+// higher-ranked peer, and the monitor that ticks every link.
 func (t *Transport) Attach(sink par.Sink) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return errors.New("nettrans: transport closed")
 	}
-	if t.attached {
+	if t.sink != nil {
 		t.mu.Unlock()
 		return errors.New("nettrans: already attached")
 	}
-	t.attached = true
 	t.sink = sink
 	t.mu.Unlock()
 
@@ -324,14 +157,47 @@ func (t *Transport) Attach(sink par.Sink) error {
 	return nil
 }
 
-// stopping reports whether Close has begun tearing the mesh down.
-func (t *Transport) stopping() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
+// step runs one core event under p's lock and carries out its effects:
+// deliveries in order (still under the lock, so a successor link's
+// deliveries cannot overtake them), releases, closes, and a wake for
+// the link's writer. A death is reported after the lock is released.
+func (t *Transport) step(p *peer, event func(*link) effects) effects {
+	p.mu.Lock()
+	fx := event(&p.link)
+	for _, e := range fx.deliver {
+		var matched func()
+		if e.Sync {
+			seq := e.Seq
+			matched = func() { t.step(p, func(l *link) effects { return l.matched(seq) }) }
+		}
+		t.sink.Deliver(e, matched)
 	}
+	for _, ch := range fx.release {
+		close(ch)
+	}
+	for _, id := range fx.drop {
+		if c := p.conns[id]; c != nil {
+			c.c.Close()
+		}
+	}
+	if c := p.conns[p.link.conn]; c != nil {
+		select {
+		case c.kick <- struct{}{}: // wake the link's writer
+		default:
+		}
+	}
+	select {
+	case <-p.over:
+	default:
+		if p.link.over() {
+			close(p.over)
+		}
+	}
+	p.mu.Unlock()
+	if fx.dead != "" {
+		t.sink.PeerDead(p.rank, fx.dead)
+	}
+	return fx
 }
 
 // Deliver queues e for its destination; the link's writer ships it.
@@ -340,28 +206,12 @@ func (t *Transport) Deliver(e par.Envelope, matched chan struct{}) error {
 	if e.Dst < 0 || e.Dst >= len(t.peers) || t.peers[e.Dst] == nil {
 		return fmt.Errorf("nettrans: deliver to invalid rank %d", e.Dst)
 	}
-	if t.stopping() {
+	select {
+	case <-t.done:
 		return errors.New("nettrans: transport closed")
+	default:
 	}
-	p := t.peers[e.Dst]
-	p.mu.Lock()
-	if p.dead || p.finished {
-		// The in-process rule: a message to a dead rank vanishes, and
-		// its rendezvous ack releases immediately so the sender cannot
-		// wedge. A cleanly-finished peer gets the same treatment — it
-		// will never receive again.
-		p.mu.Unlock()
-		if matched != nil {
-			close(matched)
-		}
-		return nil
-	}
-	p.sendq = append(p.sendq, e)
-	if matched != nil {
-		p.pending[e.Seq] = matched
-	}
-	p.mu.Unlock()
-	wake(p.notify)
+	t.step(t.peers[e.Dst], func(l *link) effects { return l.send(e, matched) })
 	return nil
 }
 
@@ -377,191 +227,98 @@ func (t *Transport) Probe(r int) bool {
 	p := t.peers[r]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return !p.dead
+	return !p.link.dead
 }
 
 // CrashNotify announces this rank's own death to every peer, so they
-// fail-stop promptly instead of waiting out the liveness timeout. For
-// peers with no live link it attempts one direct dial — the dying
-// rank's last words. Best-effort: an unreachable peer finds out via
-// timeout. After CrashNotify, Close will not send the clean goodbye (a
-// crashed rank must never be mistaken for a finished one).
+// fail-stop promptly instead of waiting out the liveness timeout: a
+// crash bye on each link, and one direct dial to a peer whose link is
+// down — the dying rank's last words. Best-effort: an unreachable peer
+// finds out via timeout. Each link's writer writes its bye; Close,
+// which waits for the writers, then neither drains nor says a clean
+// goodbye (a crashed rank must never be mistaken for a finished one).
 func (t *Transport) CrashNotify(reason string) {
-	t.mu.Lock()
-	t.crashed = true
-	t.mu.Unlock()
-	t.sayBye(frame{Kind: kBye, Crashed: true, Reason: reason})
-}
-
-// sayBye writes a goodbye on every live peer's link. A crash notice
-// also dials a peer whose link is down, with a hello marked as a last
-// gasp so the peer never takes that connection for the link.
-func (t *Transport) sayBye(f frame) {
 	for _, p := range t.peers {
-		if p == nil || p.gone() {
-			continue
-		}
-		if sc := p.current(); sc != nil {
-			sc.write(f)
-		} else if f.Crashed {
-			if sc, _, err := t.connect(p, true); err == nil {
-				sc.write(f)
-				sc.close()
+		if p != nil && t.step(p, func(l *link) effects { return l.crash(reason) }).gasp {
+			if c, _, err := t.connect(p, true); err == nil {
+				c.SetWriteDeadline(time.Now().Add(t.cfg.Liveness))
+				writeFrame(c, frame{Kind: kBye, Crashed: true, Reason: reason})
+				c.Close()
 			}
 		}
 	}
 }
 
-// Close drains the outbound queues (bounded by DrainTimeout), says a
-// clean goodbye, and tears the mesh down. A cleanly-closed rank is not
-// reported dead to its peers.
+// Close drains the outbound queues (bounded by the drain timeout),
+// says a clean goodbye, and tears the mesh down. A cleanly-closed rank
+// is not reported dead to its peers.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil
 	}
-	crashed := t.crashed
-	if !crashed {
-		// Drain: wait until every peer's queue is fully acknowledged
-		// (or the peer is gone), so the last messages of a finishing
-		// rank are not lost with the sockets. A crashed rank skips
-		// this — fail-stop means its unsent messages die with it.
-		deadline := time.Now().Add(t.cfg.DrainTimeout)
-		timer := time.AfterFunc(t.cfg.DrainTimeout, func() {
-			t.mu.Lock()
-			t.drained.Broadcast()
-			t.mu.Unlock()
-		})
-		for !t.drainedLocked() && time.Now().Before(deadline) {
-			t.drained.Wait()
-		}
-		timer.Stop()
-	}
 	t.closed = true
+	attached := t.sink != nil
 	t.mu.Unlock()
 
-	if !crashed {
-		t.sayBye(frame{Kind: kBye})
+	for _, p := range t.peers {
+		if p != nil {
+			t.step(p, func(l *link) effects { return l.close(time.Now()) })
+		}
+	}
+	for _, p := range t.peers {
+		if p != nil && attached { // the monitor's ticks end the drain
+			<-p.over
+		}
 	}
 	close(t.done)
 	t.ln.Close()
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		sc := p.link
-		p.releaseLocked()
-		p.mu.Unlock()
-		if sc != nil {
-			sc.close()
-		}
-		wake(p.notify)
-	}
 	t.wg.Wait()
 	return nil
 }
 
-// drainedLocked reports whether every live peer's queue is empty and
-// every rendezvous acknowledged. Caller holds t.mu.
-func (t *Transport) drainedLocked() bool {
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		ok := p.dead || p.finished || (len(p.sendq) == 0 && len(p.pending) == 0)
-		p.mu.Unlock()
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// checkDrained wakes a Close blocked in drain.
-func (t *Transport) checkDrained() {
-	t.mu.Lock()
-	t.drained.Broadcast()
-	t.mu.Unlock()
-}
-
-// retire stops all effort toward p: its queue is dropped and every
-// pending rendezvous releases, since p will never match it. A dead
-// peer — crash notice or liveness timeout — fires the runtime's
-// dead-rank machinery; a finished one (clean goodbye) does not, as a
-// finished rank is not a failed rank.
-func (t *Transport) retire(p *peer, dead bool, reason string) {
-	p.mu.Lock()
-	if p.dead || p.finished && !dead {
-		p.mu.Unlock()
-		return
-	}
-	p.dead, p.finished = dead, !dead
-	p.sendq, p.unsent = nil, 0
-	p.releaseLocked()
-	sc := p.link
-	p.mu.Unlock()
-	if sc != nil {
-		sc.close()
-	}
-	wake(p.notify)
-	t.checkDrained()
-	if dead {
-		t.sink.PeerDead(p.rank, reason)
-	}
-}
-
-// monitor is the failure detector: a peer that has been completely
-// silent — no data, acks or heartbeats — for longer than the liveness
-// timeout is declared dead.
+// monitor ticks every link once per heartbeat interval.
 func (t *Transport) monitor() {
 	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.Heartbeat)
+	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
 	for {
 		select {
 		case <-t.done:
 			return
-		case <-tick.C:
-		}
-		now := time.Now()
-		for _, p := range t.peers {
-			if p == nil || p.gone() {
-				continue
-			}
-			if silent := now.Sub(time.Unix(0, p.lastHeard.Load())); silent > t.cfg.Liveness {
-				t.retire(p, true, fmt.Sprintf("liveness timeout: silent for %v", silent.Round(time.Millisecond)))
+		case now := <-tick.C:
+			for _, p := range t.peers {
+				if p != nil {
+					t.step(p, func(l *link) effects { return l.tick(now) })
+				}
 			}
 		}
 	}
 }
 
-// resolve finds rank r's address in the registry.
-func (t *Transport) resolve(r int) (string, error) {
-	return waitAddr(t.cfg.RegistryDir, r, t.cfg.Epoch, time.Now().Add(t.cfg.RendezvousTimeout), t.done)
-}
-
 // dialLoop keeps the link to a higher-ranked peer up: dial, handshake,
 // serve; on any connection error, redial with capped jittered backoff.
-// It exits when the peer is dead or finished or the transport closes.
+// It exits when the link is over, as every link is before Close ends.
 func (t *Transport) dialLoop(p *peer) {
 	defer t.wg.Done()
-	bo := backoff.Policy{Base: 25 * time.Millisecond, Cap: time.Second, MaxDoublings: backoff.DefaultMaxDoublings, Jitter: 0.25}
 	rng := rand.New(rand.NewSource(int64(t.cfg.Rank)<<32 ^ int64(p.rank) ^ time.Now().UnixNano()))
-	attempt := 0
-	for !t.stopping() && !p.gone() {
-		sc, horizon, err := t.connect(p, false)
+	for attempt := 0; ; {
+		select {
+		case <-p.over:
+			return
+		default:
+		}
+		c, horizon, err := t.connect(p, false)
 		if err != nil {
-			if !bo.Sleep(attempt, rng, t.done) {
+			if !redial.Sleep(attempt, rng, t.done) {
 				return
 			}
 			attempt++
 			continue
 		}
 		attempt = 0
-		t.serve(p, sc, horizon)
+		t.serve(p, c, func(l *link, id uint64) (frame, effects) { return frame{}, l.install(id, horizon, time.Now()) })
 	}
 }
 
@@ -569,29 +326,33 @@ func (t *Transport) dialLoop(p *peer) {
 // this rank's delivered horizon for the peer, the welcome the peer's
 // for this rank, which connect returns. lastGasp marks the hello of a
 // connection that only carries a crash bye.
-func (t *Transport) connect(p *peer, lastGasp bool) (*safeConn, uint64, error) {
-	addr, err := t.resolve(p.rank)
+func (t *Transport) connect(p *peer, lastGasp bool) (net.Conn, uint64, error) {
+	addr, err := waitAddr(t.cfg.RegistryDir, p.rank, t.cfg.Epoch, time.Now().Add(rendezvousTimeout), t.done)
 	if err != nil {
 		return nil, 0, err
 	}
-	c, err := net.DialTimeout(t.cfg.Network, addr, t.cfg.DialTimeout)
+	c, err := net.DialTimeout(t.cfg.Network, addr, dialTimeout)
 	if err != nil {
 		return nil, 0, err
 	}
-	sc := newSafeConn(c, t.cfg.MaxFrame, t.cfg.Liveness)
-	hello := frame{Kind: kHello, Src: t.cfg.Rank, Dst: p.rank, Size: t.cfg.Size, Epoch: t.cfg.Epoch, Seq: p.delivered(), Crashed: lastGasp}
+	p.mu.Lock()
+	hello := p.link.hello(lastGasp)
+	p.mu.Unlock()
+	hello.Src, hello.Dst, hello.Size, hello.Epoch = t.cfg.Rank, p.rank, t.cfg.Size, t.cfg.Epoch
+	c.SetDeadline(time.Now().Add(dialTimeout))
 	var w frame
-	if err = sc.write(hello); err == nil {
-		w, err = sc.readWithin(t.cfg.DialTimeout)
+	if err = writeFrame(c, hello); err == nil {
+		w, err = readFrame(c)
 	}
 	if err == nil && (w.Kind != kWelcome || w.Epoch != t.cfg.Epoch) {
 		err = fmt.Errorf("nettrans: bad welcome from rank %d", p.rank)
 	}
 	if err != nil {
-		sc.close()
+		c.Close()
 		return nil, 0, err
 	}
-	return sc, w.Seq, nil
+	c.SetDeadline(time.Time{})
+	return c, w.Seq, nil
 }
 
 // acceptLoop admits inbound connections from peers.
@@ -607,156 +368,87 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// accept validates one inbound connection's hello, welcomes the peer
-// with this rank's delivered horizon for it, and serves the link. A
-// hello marked as CrashNotify's last gasp, from a peer of either rank,
-// is taken without touching the link: its bye is read and the peer
-// retired. Installed as the link, it could be replaced by the dying
-// peer's own redial before the bye was read.
+// accept validates one inbound connection's hello and serves it: the
+// core welcomes it with this rank's delivered horizon, and installs it
+// as the link unless it is a last gasp.
 func (t *Transport) accept(c net.Conn) {
 	defer t.wg.Done()
-	sc := newSafeConn(c, t.cfg.MaxFrame, t.cfg.Liveness)
-	hello, err := sc.readWithin(t.cfg.DialTimeout)
+	c.SetReadDeadline(time.Now().Add(dialTimeout))
+	hello, err := readFrame(c)
 	if err == nil {
 		err = checkHello(hello, t.cfg.Rank, t.cfg.Size, t.cfg.Epoch)
 	}
 	if err != nil {
-		sc.close()
+		c.Close()
 		return
 	}
-	p := t.peers[hello.Src]
-	p.heard()
-	if sc.write(frame{Kind: kWelcome, Epoch: t.cfg.Epoch, Seq: p.delivered()}) != nil {
-		sc.close()
-		return
+	if !hello.Crashed { // a last gasp's bye follows within the handshake's deadline
+		c.SetReadDeadline(time.Time{})
 	}
-	if !hello.Crashed {
-		t.serve(p, sc, hello.Seq)
-		return
-	}
-	if f, err := sc.readWithin(t.cfg.DialTimeout); err == nil && f.Kind == kBye {
-		t.retire(p, f.Crashed, "peer crashed: "+f.Reason)
-	}
-	sc.close()
+	t.serve(t.peers[hello.Src], c, func(l *link, id uint64) (frame, effects) { return l.accept(id, hello, time.Now()) })
 }
 
-// serve owns one handshaken link to p until it fails, is replaced or
-// the transport closes. The link replaces any previous one; the queue
-// is pruned to the peer's delivered horizon and everything past it is
-// resent. A reader goroutine handles every inbound frame; this
-// goroutine is the link's only writer: owed acks and match-acks, the
-// queue, and heartbeats while idle. The reader never writes, so two
-// writers blocked on full socket buffers cannot stall each other's
-// readers.
-func (t *Transport) serve(p *peer, sc *safeConn, horizon uint64) {
-	p.mu.Lock()
-	if p.dead || p.finished || t.stopping() {
-		p.mu.Unlock()
-		sc.close()
-		return
+// serve runs one handshaken connection to p until it ends. open is the
+// core event that takes the connection, installing it or accepting its
+// hello; a reply it returns is the first frame written. A reader
+// goroutine hands every inbound frame to the core; this goroutine is
+// the connection's only writer and writes what the core pulls for it.
+// The reader never writes, so two writers blocked on full socket
+// buffers cannot stall each other's readers.
+func (t *Transport) serve(p *peer, nc net.Conn, open func(*link, uint64) (frame, effects)) {
+	c := &conn{id: t.ids.Add(1), c: nc, kick: make(chan struct{}, 1)}
+	var reply frame
+	t.step(p, func(l *link) (fx effects) {
+		p.conns[c.id] = c
+		reply, fx = open(l, c.id)
+		return fx
+	})
+	if reply.Kind != 0 {
+		reply.Epoch = t.cfg.Epoch
+		nc.SetWriteDeadline(time.Now().Add(t.cfg.Liveness))
+		if writeFrame(nc, reply) != nil {
+			nc.Close()
+		}
 	}
-	old := p.link
-	p.link = sc
-	p.pruneLocked(horizon)
-	p.unsent = 0
-	p.mu.Unlock()
-	if old != nil {
-		old.close()
-	}
-	t.checkDrained()
 
 	readDone := make(chan struct{})
 	go func() {
 		defer close(readDone)
-		for t.receive(p, sc) {
+		for {
+			f, err := readFrame(nc)
+			if err != nil {
+				return
+			}
+			t.step(p, func(l *link) effects { return l.receive(c.id, f, time.Now()) })
+			if f.Kind == kBye { // the last frame on a connection
+				return
+			}
 		}
 	}()
 	defer func() {
-		p.clearLink(sc)
-		sc.close()
+		nc.Close()
 		<-readDone
+		t.step(p, func(l *link) effects {
+			delete(p.conns, c.id)
+			return l.down(c.id)
+		})
 	}()
-	hb := time.NewTicker(t.cfg.Heartbeat)
-	defer hb.Stop()
 	for {
-		for f, ok := p.next(sc); ok; f, ok = p.next(sc) {
-			if sc.write(f) != nil {
-				if f.Kind == kMatchAck {
-					p.oweMack(f.Seq)
-				}
+		p.mu.Lock()
+		f, ok := p.link.pull(c.id)
+		p.mu.Unlock()
+		if !ok {
+			select {
+			case <-c.kick:
+				continue
+			case <-readDone:
 				return
 			}
 		}
-		select {
-		case <-t.done:
+		nc.SetWriteDeadline(time.Now().Add(t.cfg.Liveness))
+		if writeFrame(nc, f) != nil || f.Kind == kBye {
 			return
-		case <-readDone:
-			return
-		case <-p.notify:
-		case <-hb.C:
-			if sc.write(frame{Kind: kHeartbeat}) != nil {
-				return
-			}
 		}
-	}
-}
-
-// receive reads and handles one frame from p's link. It returns false
-// when the link is over.
-func (t *Transport) receive(p *peer, sc *safeConn) bool {
-	f, err := sc.read()
-	if err != nil {
-		return false
-	}
-	p.heard()
-	switch f.Kind {
-	case kData:
-		// rx orders delivery: a replaced link's reader may still be
-		// running beside its successor's.
-		p.rx.Lock()
-		p.mu.Lock()
-		fresh := f.Seq > p.lastDelivered
-		if fresh {
-			p.lastDelivered = f.Seq
-		}
-		// A cumulative ack is owed for duplicates too, in case the
-		// original was lost with a connection.
-		p.ackOwed = true
-		p.mu.Unlock()
-		if fresh {
-			var matched func()
-			if f.Sync {
-				matched = func() { p.oweMack(f.Seq) }
-			}
-			t.sink.Deliver(par.Envelope{Src: f.Src, Dst: f.Dst, Tag: f.Tag, Seq: f.Seq, Data: f.Data, Sync: f.Sync}, matched)
-		}
-		p.rx.Unlock()
-		wake(p.notify)
-	case kAck:
-		p.mu.Lock()
-		p.pruneLocked(f.Seq)
-		p.mu.Unlock()
-		t.checkDrained()
-	case kMatchAck:
-		p.mu.Lock()
-		if ch, ok := p.pending[f.Seq]; ok {
-			delete(p.pending, f.Seq)
-			close(ch)
-		}
-		p.mu.Unlock()
-		t.checkDrained()
-	case kBye:
-		t.retire(p, f.Crashed, "peer crashed: "+f.Reason)
-		return false
-	}
-	return true
-}
-
-// wake signals a capacity-1 notification channel without blocking.
-func wake(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
 	}
 }
 
@@ -767,8 +459,8 @@ func writeFrame(c net.Conn, f frame) error {
 	return wire.WriteFrame(c, encodeFrame(f))
 }
 
-func readFrame(c net.Conn, maxLen int) (frame, error) {
-	p, err := wire.ReadFrame(c, maxLen)
+func readFrame(c net.Conn) (frame, error) {
+	p, err := wire.ReadFrame(c, maxFrame)
 	if err != nil {
 		return frame{}, err
 	}

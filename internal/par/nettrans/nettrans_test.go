@@ -105,20 +105,12 @@ func TestRegistryRoundTrip(t *testing.T) {
 }
 
 // world builds n connected transports sharing a registry directory.
-func world(t *testing.T, n int, network string, tune func(*Config)) []*Transport {
+func world(t *testing.T, n int, network string) []*Transport {
 	t.Helper()
 	dir := t.TempDir()
 	ts := make([]*Transport, n)
 	for r := 0; r < n; r++ {
-		cfg := Config{
-			Rank: r, Size: n, Network: network, RegistryDir: dir, Epoch: 1,
-			Heartbeat: 50 * time.Millisecond, Liveness: 10 * time.Second,
-			DrainTimeout: 3 * time.Second,
-		}
-		if tune != nil {
-			tune(&cfg)
-		}
-		tr, err := New(cfg)
+		tr, err := New(Config{Rank: r, Size: n, Network: network, RegistryDir: dir, Epoch: 1, Liveness: 10 * time.Second})
 		if err != nil {
 			t.Fatalf("New(rank %d): %v", r, err)
 		}
@@ -149,7 +141,7 @@ func runWorld(t *testing.T, ts []*Transport, body func(c *par.Comm)) []par.Exit 
 }
 
 func TestPointToPointTCP(t *testing.T) {
-	ts := world(t, 2, "tcp", nil)
+	ts := world(t, 2, "tcp")
 	exits := runWorld(t, ts, func(c *par.Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 5, []byte("hello from zero"))
@@ -172,38 +164,8 @@ func TestPointToPointTCP(t *testing.T) {
 	}
 }
 
-func TestRendezvousSsend(t *testing.T) {
-	ts := world(t, 2, "tcp", nil)
-	var order []string
-	var mu sync.Mutex
-	note := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
-	exits := runWorld(t, ts, func(c *par.Comm) {
-		if c.Rank() == 0 {
-			c.Ssend(1, 3, []byte("sync payload"))
-			note("ssend returned")
-		} else {
-			time.Sleep(200 * time.Millisecond) // let the Ssend arrive unmatched
-			note("receiving")
-			m := c.Recv(0, 3)
-			if string(m.Data) != "sync payload" {
-				panic("bad payload")
-			}
-		}
-	})
-	for r, e := range exits {
-		if !e.OK {
-			t.Fatalf("rank %d: %+v", r, e)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "receiving" {
-		t.Fatalf("Ssend completed before the receive matched: %v", order)
-	}
-}
-
 func TestCollectivesFourRanksUnix(t *testing.T) {
-	ts := world(t, 4, "unix", nil)
+	ts := world(t, 4, "unix")
 	exits := runWorld(t, ts, func(c *par.Comm) {
 		sum := c.Allreduce(int64(c.Rank()+1), par.Sum)
 		if sum != 10 {
@@ -228,7 +190,7 @@ func TestCollectivesFourRanksUnix(t *testing.T) {
 }
 
 func TestReconnectResumesWithoutDuplicates(t *testing.T) {
-	ts := world(t, 2, "tcp", nil)
+	ts := world(t, 2, "tcp")
 	const n = 200
 	exits := runWorld(t, ts, func(c *par.Comm) {
 		if c.Rank() == 0 {
@@ -238,8 +200,8 @@ func TestReconnectResumesWithoutDuplicates(t *testing.T) {
 					// Sever rank 0's end of the link mid-stream; the
 					// dialer must reconnect and resume from the last
 					// ack without duplicating delivery.
-					if sc := ts[0].peers[1].current(); sc != nil {
-						sc.close()
+					if nc := linkConn(ts[0], 1); nc != nil {
+						nc.Close()
 					}
 				}
 			}
@@ -266,8 +228,35 @@ func TestReconnectResumesWithoutDuplicates(t *testing.T) {
 	}
 }
 
+// nopSink is a par.Sink that drops what it is handed.
+type nopSink struct{}
+
+func (nopSink) Deliver(par.Envelope, func()) {}
+func (nopSink) PeerDead(int, string)         {}
+
+// TestCloseDrainIsOneBound: rank 0 has a message queued to each of two
+// peers that never start, so neither link drains. Close gives up on
+// both at one drain deadline, not one after the other.
+func TestCloseDrainIsOneBound(t *testing.T) {
+	ts := world(t, 3, "tcp")
+	if err := ts[0].Attach(nopSink{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{1, 2} {
+		if err := ts[0].Deliver(par.Envelope{Src: 0, Dst: r, Seq: uint64(r), Data: []byte("x")}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	ts[0].Close()
+	// One deadline, a tick and a dial attempt's timeout at most.
+	if took := time.Since(start); took < drainTimeout || took > drainTimeout+heartbeat+dialTimeout+time.Second {
+		t.Fatalf("Close took %v, want one drain bound (%v)", took, drainTimeout)
+	}
+}
+
 func TestCrashNotifyTriggersFailStop(t *testing.T) {
-	ts := world(t, 2, "tcp", nil)
+	ts := world(t, 2, "tcp")
 	exits := runWorld(t, ts, func(c *par.Comm) {
 		if c.Rank() == 1 {
 			c.Send(0, 1, []byte("alive"))
@@ -289,172 +278,16 @@ func TestCrashNotifyTriggersFailStop(t *testing.T) {
 	}
 }
 
-// deadSink is a par.Sink that only records the ranks reported dead.
-type deadSink chan int
-
-func (deadSink) Deliver(par.Envelope, func()) {}
-
-func (s deadSink) PeerDead(r int, _ string) {
-	select {
-	case s <- r:
-	default:
+// linkConn returns the connection tr's link to rank r is installed on,
+// or nil while it is down.
+func linkConn(tr *Transport, r int) net.Conn {
+	p := tr.peers[r]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if c := p.conns[p.link.conn]; c != nil {
+		return c.c
 	}
-}
-
-// TestLastGaspNeverBecomesTheLink dials rank 1 as rank 0's CrashNotify
-// does while rank 0's link is up: a hello marked as a last gasp, then
-// a crash bye. Rank 1 must keep its link and report rank 0 dead at
-// once, not after the liveness timeout.
-func TestLastGaspNeverBecomesTheLink(t *testing.T) {
-	ts := world(t, 2, "tcp", nil) // liveness 10 s
-	sinks := []deadSink{make(deadSink, 2), make(deadSink, 2)}
-	for r, tr := range ts {
-		if err := tr.Attach(sinks[r]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := ts[1].peers[0]
-	for p.current() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	link := p.current()
-
-	c, err := net.Dial("tcp", ts[1].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := writeFrame(c, frame{Kind: kHello, Src: 0, Dst: 1, Size: 2, Epoch: 1, Crashed: true}); err != nil {
-		t.Fatal(err)
-	}
-	if w, err := readFrame(c, 1<<10); err != nil || w.Kind != kWelcome {
-		t.Fatalf("welcome: %+v, %v", w, err)
-	}
-	if got := p.current(); got != link {
-		t.Fatal("the last gasp replaced the link")
-	}
-	if err := writeFrame(c, frame{Kind: kBye, Crashed: true, Reason: "test crash"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-sinks[1]:
-		if r != 0 {
-			t.Fatalf("rank %d reported dead, want 0", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("crash notice lost: rank 0 not reported dead")
-	}
-	// Retiring rank 0 closed the link it found, which was the original.
-	if !link.dead.Load() {
-		t.Fatal("the original link outlived the crash notice")
-	}
-	if ts[1].Probe(0) {
-		t.Fatal("rank 1 still believes rank 0 is alive")
-	}
-}
-
-// TestCrashBeforeTheLinkIsUp: rank 0 dies before its link to rank 1
-// is up, so its crash notice travels on a last-gasp dial racing its
-// own link dial. Rank 1 must learn of it from the notice, well inside
-// the 10 s liveness timeout.
-func TestCrashBeforeTheLinkIsUp(t *testing.T) {
-	for i := 0; i < 10; i++ {
-		ts := world(t, 2, "tcp", nil)
-		start := time.Now()
-		exits := runWorld(t, ts, func(c *par.Comm) {
-			if c.Rank() == 0 {
-				panic("deliberate crash")
-			}
-			c.Recv(0, 1)
-		})
-		if exits[1].OK {
-			t.Fatal("rank 1 should have cascaded on the dead peer")
-		}
-		if d := time.Since(start); d > 5*time.Second {
-			t.Fatalf("run %d: rank 1 took %v to learn of the crash", i, d)
-		}
-	}
-}
-
-func TestLivenessTimeoutDetectsSilentPeer(t *testing.T) {
-	// Rank 1 never attaches (its process "hangs" before starting);
-	// rank 0 must declare it dead by liveness timeout and cascade out
-	// of the blocking Recv rather than hang.
-	dir := t.TempDir()
-	mk := func(r int) *Transport {
-		tr, err := New(Config{
-			Rank: r, Size: 2, Network: "tcp", RegistryDir: dir, Epoch: 1,
-			Heartbeat: 25 * time.Millisecond, Liveness: 500 * time.Millisecond,
-			DrainTimeout: time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tr.Close() })
-		return tr
-	}
-	t0 := mk(0)
-	_ = mk(1) // published but never attached: silent forever
-	start := time.Now()
-	_, exit := par.RunRank(par.Config{Ranks: 2}, 0, t0, func(c *par.Comm) {
-		c.Recv(1, 1)
-	})
-	if exit.OK {
-		t.Fatal("rank 0 returned OK despite dead peer")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("failure detection took %v", elapsed)
-	}
-}
-
-func TestCleanFinishIsNotDeath(t *testing.T) {
-	ts := world(t, 2, "tcp", nil)
-	var sawDead bool
-	exits := runWorld(t, ts, func(c *par.Comm) {
-		if c.Rank() == 1 {
-			c.Send(0, 1, []byte("bye"))
-			return // finishes early and closes cleanly
-		}
-		c.Recv(1, 1)
-		// Give rank 1 time to close; a clean goodbye must not mark it
-		// dead.
-		time.Sleep(300 * time.Millisecond)
-		sawDead = c.RankDead(1)
-	})
-	for r, e := range exits {
-		if !e.OK {
-			t.Fatalf("rank %d: %+v", r, e)
-		}
-	}
-	if sawDead {
-		t.Fatal("cleanly-finished rank was reported dead")
-	}
-}
-
-func TestDrainDeliversTrailingSends(t *testing.T) {
-	// A rank that fires off eager sends and immediately closes must
-	// not lose them: Close drains until the peer acks.
-	ts := world(t, 2, "tcp", nil)
-	exits := runWorld(t, ts, func(c *par.Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 50; i++ {
-				c.Send(1, 1, []byte{byte(i)})
-			}
-			return
-		}
-		time.Sleep(100 * time.Millisecond) // rank 0 is already closing
-		for i := 0; i < 50; i++ {
-			m := c.Recv(0, 1)
-			if m.Data[0] != byte(i) {
-				panic(fmt.Sprintf("message %d arrived as %d", i, m.Data[0]))
-			}
-		}
-	})
-	for r, e := range exits {
-		if !e.OK {
-			t.Fatalf("rank %d: %+v", r, e)
-		}
-	}
+	return nil
 }
 
 // socketFDs counts this process's open sockets, or -1 where
@@ -476,7 +309,7 @@ func socketFDs() int {
 func TestMeshHasOneLinkPerPair(t *testing.T) {
 	const n = 4
 	before := socketFDs()
-	ts := world(t, n, "tcp", nil)
+	ts := world(t, n, "tcp")
 	exits := runWorld(t, ts, func(c *par.Comm) {
 		// Every pair exchanges data both ways, so every link is up.
 		out := make([][]byte, n)
@@ -488,15 +321,15 @@ func TestMeshHasOneLinkPerPair(t *testing.T) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					a, b := ts[i].peers[j].current(), ts[j].peers[i].current()
+					a, b := linkConn(ts[i], j), linkConn(ts[j], i)
 					if a == nil || b == nil {
 						panic(fmt.Sprintf("pair %d-%d: link down after an exchange", i, j))
 					}
-					if a.c.LocalAddr().String() != b.c.RemoteAddr().String() || a.c.RemoteAddr().String() != b.c.LocalAddr().String() {
+					if a.LocalAddr().String() != b.RemoteAddr().String() || a.RemoteAddr().String() != b.LocalAddr().String() {
 						panic(fmt.Sprintf("pair %d-%d: ends of different connections: %v→%v and %v→%v",
-							i, j, a.c.LocalAddr(), a.c.RemoteAddr(), b.c.LocalAddr(), b.c.RemoteAddr()))
+							i, j, a.LocalAddr(), a.RemoteAddr(), b.LocalAddr(), b.RemoteAddr()))
 					}
-					if b.c.RemoteAddr().String() == ts[i].Addr() {
+					if b.RemoteAddr().String() == ts[i].Addr() {
 						panic(fmt.Sprintf("pair %d-%d: rank %d dialed the lower rank", i, j, j))
 					}
 				}
@@ -523,7 +356,7 @@ func TestMeshHasOneLinkPerPair(t *testing.T) {
 // for its match: both streams must arrive FIFO and exactly once over
 // the redialed link, and the match-ack must survive the cut.
 func TestCutFromAcceptorKeepsBothStreamsAndMatchAck(t *testing.T) {
-	ts := world(t, 2, "tcp", nil)
+	ts := world(t, 2, "tcp")
 	const n = 200
 	// Large enough that the cut catches frames in flight both ways.
 	msg := func(i int) []byte {
@@ -531,15 +364,13 @@ func TestCutFromAcceptorKeepsBothStreamsAndMatchAck(t *testing.T) {
 		b[0], b[1] = byte(i), byte(i>>8)
 		return b
 	}
-	recvAll := func(c *par.Comm, src, tag, from, to int) (last uint64) {
+	recvAll := func(c *par.Comm, src, tag, from, to int) {
 		for i := from; i < to; i++ {
 			m := c.Recv(src, tag)
 			if got := int(m.Data[0]) | int(m.Data[1])<<8; got != i {
 				panic(fmt.Sprintf("rank %d: message %d from %d arrived as %d", c.Rank(), i, src, got))
 			}
-			last = m.Seq
 		}
-		return last
 	}
 	result := make(chan []par.Exit, 1)
 	go func() {
@@ -554,24 +385,21 @@ func TestCutFromAcceptorKeepsBothStreamsAndMatchAck(t *testing.T) {
 				}
 				recvAll(c, 1, 2, 0, 2*n)
 			} else {
-				// Wait until the Ssend, rank 0's next envelope, is
-				// delivered; then stream and cut this, the accepting,
-				// end mid-stream.
-				last := recvAll(c, 0, 1, 0, n)
-				p := ts[1].peers[0]
-				for p.delivered() <= last {
-					time.Sleep(time.Millisecond)
-				}
+				// The Ssend, rank 0's next envelope, is most likely
+				// delivered by the time this, the accepting, end has
+				// streamed n/2 messages and cuts the link; the
+				// simulator covers both orders.
+				recvAll(c, 0, 1, 0, n)
 				for i := 0; i < 2*n; i++ {
 					c.Send(0, 2, msg(i))
 					if i != n/2 {
 						continue
 					}
-					sc := p.current()
-					if sc == nil {
+					nc := linkConn(ts[1], 0)
+					if nc == nil {
 						panic("link down before the cut")
 					}
-					sc.close()
+					nc.Close()
 					// Match at once: the match-ack is most likely owed
 					// while the link is down, else rides the new one.
 					if m := c.Recv(0, 3); string(m.Data) != "sync" {

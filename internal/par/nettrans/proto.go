@@ -14,6 +14,14 @@
 // other has delivered. Failure detection is fail-stop: a peer is dead
 // when it says so (crash goodbye) or goes silent past the liveness
 // timeout — never merely because a connection dropped.
+//
+// Every protocol decision about one peer is made by its link core
+// (link.go), a state machine with no socket, goroutine, lock or clock.
+// The transport's loops (nettrans.go) own those and call the core with
+// each event: a send, a handshaken connection, an inbound frame, a
+// closed connection, a tick, a crash, Close. The tests run the same
+// cores over an in-memory network on a modeled clock, a simulator that
+// explores the protocol by seed.
 package nettrans
 
 import (
