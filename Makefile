@@ -33,8 +33,9 @@ test:
 # had with it, so it must re-run this (ROADMAP item 4a). The runtime is
 # in the list because its collectives are woken by a rank's death, not
 # by a timer, and that must hold on one core too; the socket transport
-# because its real-socket tests must not wait on a race either.
-FLAKE_PKGS := ./internal/par ./internal/par/nettrans ./internal/assembly ./internal/suffixtree ./internal/pgst ./internal/pairgen ./internal/cluster
+# and the job service because their real-socket and real-process tests
+# must not wait on a race either.
+FLAKE_PKGS := ./internal/par ./internal/par/nettrans ./internal/assembly ./internal/suffixtree ./internal/pgst ./internal/pairgen ./internal/cluster ./internal/jobs
 flake-check:
 	GOMAXPROCS=1 $(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
 	$(GO) test -count=3 -shuffle=on $(FLAKE_PKGS)
@@ -98,6 +99,7 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/cluster/testdata/fuzz/FuzzWorkerStep \
 	internal/par/nettrans/testdata/fuzz/FuzzDecodeFrame \
 	internal/par/nettrans/testdata/fuzz/FuzzLinkStep \
+	internal/jobs/testdata/fuzz/FuzzSupervisorStep \
 	internal/seq/diskstore/testdata/fuzz/FuzzOpenIndex \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
 	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
@@ -115,8 +117,9 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 # the banded extension kernel and its identity bound, the consensus
 # fitting kernel, assembly's overlap detector, the GST bucket builder,
 # its key sort and the distributed GST build, each held to its
-# differential oracle, and over the master core, the worker core and
-# the socket link core, held to their invariants.
+# differential oracle, and over the master core, the worker core, the
+# socket link core and the job supervisor core, held to their
+# invariants.
 fuzz-smoke:
 	@for d in $(FUZZ_CORPORA); do \
 		ls $$d/* >/dev/null 2>&1 || { echo "fuzz-smoke: empty corpus: $$d"; exit 1; }; \
@@ -131,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWorkerStep -fuzztime=10s ./internal/cluster
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/par/nettrans
 	$(GO) test -run=NONE -fuzz=FuzzLinkStep -fuzztime=10s ./internal/par/nettrans
+	$(GO) test -run=NONE -fuzz=FuzzSupervisorStep -fuzztime=10s ./internal/jobs
 	$(GO) test -run=NONE -fuzz=FuzzOpenIndex -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzReadData -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
@@ -183,9 +187,12 @@ obs-live-smoke:
 # SIGKILLed mid-job and restarted on the same directory; the journal
 # must replay, the job must resume to byte-identical contigs, a repeat
 # submission must hit the cache, and a poison job must be quarantined
-# after its retry budget without disturbing healthy jobs.
+# after its retry budget without disturbing healthy jobs. Then the
+# supervisor core's simulator: a fixed-seed campaign of 10⁴ cases under
+# the race detector; a failure prints the seed and case that replay it.
 service-smoke:
 	$(GO) test -v -run 'TestServiceSmoke|TestPoisonJobQuarantined|TestHangDeadlineAndQueueFull|TestDrainRequeuesAndRestartCompletes' ./internal/jobs
+	$(GO) test -race -run=NONE -bench=SupervisorSimCampaign -benchtime=10000x ./internal/jobs
 
 # Profiling-plane smoke: under the race detector, the labeling
 # contract of a profiled 8-rank run (session + label hooks) and the

@@ -11,7 +11,9 @@
 // journal replays, in-flight jobs are re-adopted, and their workdirs
 // resume from the last completed phase — the final contigs are
 // byte-identical to an uninterrupted run. While a job runs, its
-// status carries a collector URL that asmprof can watch.
+// status carries a collector URL that asmprof can watch. Failed
+// attempts retry after a jittered backoff (500ms doubling to 30s);
+// SIGINT or SIGTERM drains: running attempts checkpoint and requeue.
 package main
 
 import (
@@ -22,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/jobs"
 	"repro/internal/launch"
 )
@@ -42,8 +43,7 @@ func main() {
 		drain    = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget for running jobs on shutdown")
 		quota    = flag.Int64("quota-bytes", 0, "per-job workdir size cap in bytes (0 = unlimited)")
 		minFree  = flag.Uint64("min-free-bytes", 0, "refuse submissions when data dir has less free space (0 = off)")
-		retain   = flag.Duration("retain", 24*time.Hour, "how long finished jobs keep intermediate artifacts")
-		gcEvery  = flag.Duration("gc-interval", time.Minute, "artifact GC sweep period")
+		retain   = flag.Duration("retain", 24*time.Hour, "how long finished jobs keep intermediate artifacts (reclaimed when due)")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -62,8 +62,6 @@ func main() {
 		QuotaBytes:      *quota,
 		MinFreeBytes:    *minFree,
 		Retain:          *retain,
-		GCInterval:      *gcEvery,
-		Backoff:         backoff.Policy{Base: 500 * time.Millisecond, Cap: 30 * time.Second, Jitter: 0.2},
 		Logf:            log.Printf,
 	})
 	if err != nil {

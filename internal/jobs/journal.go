@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sync"
+	"path/filepath"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // Op is one journaled job-state transition.
@@ -53,13 +55,13 @@ type Record struct {
 // an 8-hex-digit CRC32 of the JSON payload, a space, the payload.
 // Appends are fsynced before they return, so an acknowledged
 // submission survives SIGKILL; a torn final line (crash mid-append)
-// is detected by its checksum and truncated on the next open.
+// is detected by its checksum and truncated on the next open. A
+// Journal is not safe for concurrent use: the server appends under
+// its own lock, in the order its supervisor made the transitions.
 type Journal struct {
-	mu   sync.Mutex
 	f    *os.File
 	path string
 	seq  uint64
-	now  func() int64
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -104,7 +106,8 @@ func parseLine(line []byte) (Record, bool) {
 // was corrupted mid-file and is an error, never a silent skip.
 func OpenJournal(path string) (*Journal, []Record, error) {
 	b, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
+	created := os.IsNotExist(err)
+	if err != nil && !created {
 		return nil, nil, fmt.Errorf("jobs: read journal: %w", err)
 	}
 	var recs []Record
@@ -133,14 +136,18 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	// A new journal's name is durable once its directory is synced;
+	// each append syncs only the file.
+	if err == nil && created {
+		if err = durable.SyncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobs: open journal: %w", err)
 	}
-	j := &Journal{f: f, path: path, now: func() int64 { return time.Now().UnixNano() }}
-	if n := len(recs); n > 0 {
-		j.seq = recs[n-1].Seq
-	}
-	return j, recs, nil
+	// The scan above checked that record i carries Seq i+1.
+	return &Journal{f: f, path: path, seq: uint64(len(recs))}, recs, nil
 }
 
 // hasValidRecord reports whether any newline-terminated line in b
@@ -163,15 +170,13 @@ func hasValidRecord(b []byte) bool {
 // timestamp) and returns the record as written, only after fsync — the
 // caller may then apply it in memory and acknowledge the transition.
 func (j *Journal) Append(r Record) (Record, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.f == nil {
 		return r, fmt.Errorf("jobs: journal closed")
 	}
 	j.seq++
 	r.Seq = j.seq
 	if r.T == 0 {
-		r.T = j.now()
+		r.T = time.Now().UnixNano()
 	}
 	line, err := encodeRecord(r)
 	if err != nil {
@@ -189,8 +194,6 @@ func (j *Journal) Append(r Record) (Record, error) {
 
 // Close releases the journal file. Further Appends fail.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}

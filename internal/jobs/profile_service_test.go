@@ -26,7 +26,7 @@ func TestProfiledJobSurvivesKill(t *testing.T) {
 	}
 	input := makeFASTA(t, 41, 3, 6000, 700)
 	cfg := serveConf{Workers: 2, AttemptDeadline: 2 * time.Minute, DrainTimeout: 3 * time.Second,
-		GCInterval: time.Hour, Retain: time.Hour}
+		Retain: time.Hour}
 	dir := t.TempDir()
 	proc, base := startServerProc(t, dir, cfg)
 

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/assembly"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/launch"
 	"repro/internal/pipeline"
 	"repro/internal/preprocess"
@@ -90,16 +92,15 @@ func RunJob(dir string) int {
 	// boundary instead of killing the attempt mid-phase. Registered
 	// before anything else so a drain landing in the attempt's first
 	// milliseconds is not a death by default disposition.
-	interrupt := make(chan struct{})
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		<-sigs
-		close(interrupt)
-	}()
+	drain, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
 
 	var spec Spec
-	if err := readJSON(filepath.Join(dir, specFile), &spec); err != nil {
+	b, err := os.ReadFile(filepath.Join(dir, specFile))
+	if err == nil {
+		err = json.Unmarshal(b, &spec)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "runner:", err)
 		return 1
 	}
@@ -143,7 +144,7 @@ func RunJob(dir string) int {
 		}
 	}
 	if tel.CollectorURL != "" {
-		writeFileAtomic(filepath.Join(dir, collectorFile), []byte(tel.CollectorURL+"\n"))
+		mark(dir, collectorFile, tel.CollectorURL)
 	}
 	// fail closes the telemetry with the failing verdict and maps the
 	// error to the runner's exit code.
@@ -194,10 +195,10 @@ func RunJob(dir string) int {
 		Workdir:   filepath.Join(dir, workDir),
 		Resume:    true,
 		Flags:     spec.Flags(),
-		Interrupt: interrupt,
+		Interrupt: drain.Done(),
 		OnPhase: func(p pipeline.Phase) {
 			ranPhase = true
-			writeFileAtomic(filepath.Join(dir, progressFile), []byte(string(p)+"\n"))
+			mark(dir, progressFile, string(p))
 		},
 	})
 	if err != nil {
@@ -212,7 +213,7 @@ func RunJob(dir string) int {
 	if cpu := tel.StopProfile(); cpu != "" && ranPhase {
 		b, err := os.ReadFile(cpu)
 		if err == nil {
-			err = writeFileAtomic(filepath.Join(dir, profileFile), b)
+			err = durable.Stage(filepath.Join(dir, profileFile), durable.Bytes(b)) // writeResults syncs the directory
 		}
 		if err != nil {
 			// The job result stands; only the profile archive is lost.
@@ -222,13 +223,23 @@ func RunJob(dir string) int {
 	if err := writeResults(dir, res, started); err != nil {
 		return fail(err)
 	}
-	writeFileAtomic(filepath.Join(dir, progressFile), []byte("done\n"))
+	mark(dir, progressFile, "done")
 	tel.Close(nil)
 	return 0
 }
 
-// writeResults persists the contigs and summary report atomically, so
-// a crash mid-write never leaves a half-result behind a valid name.
+// mark writes a status marker (progress, collector URL) for the status
+// view. A marker is a hint, not a result: it is staged whole, but its
+// rename waits for the directory's next sync, so a power loss may show
+// an older one.
+func mark(dir, name, text string) {
+	durable.Stage(filepath.Join(dir, name), durable.Bytes([]byte(text+"\n")))
+}
+
+// writeResults persists the contigs and summary report durably, so
+// neither a crash nor a power loss leaves a half-result behind a valid
+// name: the contigs are staged, and the report's write syncs the
+// directory for both.
 func writeResults(dir string, res *core.Result, started time.Time) error {
 	contigRecs := res.ContigRecords()
 	bases := 0
@@ -239,7 +250,7 @@ func writeResults(dir string, res *core.Result, started time.Time) error {
 	if err := seq.WriteFASTA(&buf, contigRecs, 0); err != nil {
 		return fmt.Errorf("encode contigs: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, contigsFile), buf.Bytes()); err != nil {
+	if err := durable.Stage(filepath.Join(dir, contigsFile), durable.Bytes(buf.Bytes())); err != nil {
 		return err
 	}
 	rpt := Report{
@@ -255,23 +266,5 @@ func writeResults(dir string, res *core.Result, started time.Time) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, reportFile), append(b, '\n'))
-}
-
-func readJSON(path string, v any) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
-}
-
-// writeFileAtomic writes via temp file + rename. Best-effort callers
-// (progress markers) may ignore the error.
-func writeFileAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.WriteFile(filepath.Join(dir, reportFile), append(b, '\n'))
 }

@@ -1,9 +1,21 @@
 // Package jobs implements assembly-as-a-service: an HTTP job server
-// backed by a crash-safe append-only journal. Submissions are
-// idempotent (keyed on input + config fingerprint), attempts run as
-// supervised subprocesses that checkpoint through the pipeline
-// manifest, and a restart replays the journal and re-adopts whatever
-// was in flight — no submission is ever lost or duplicated.
+// backed by a crash-safe, append-only, checksummed journal.
+// Submissions are idempotent (keyed on input + config fingerprint)
+// and journaled before they are acknowledged; attempts run as runner
+// subprocesses that checkpoint through the pipeline manifest; a
+// restart replays the journal and re-adopts whatever was in flight,
+// byte-identically — no submission is ever lost or duplicated.
+//
+// Every supervision decision — which job runs on which worker, how an
+// attempt's exit is charged, retries with capped jittered backoff,
+// per-attempt deadlines, workdir quotas, quarantine for jobs that
+// exhaust their budget, graceful drain, reclaiming finished jobs'
+// intermediates — is made by one core, supervisor, that holds no
+// goroutine, lock, timer, process, file or clock. Server is the loops
+// around it: the HTTP listener, the runner processes, the journal file
+// and one timer armed at the core's next instant. A seeded simulator
+// in the tests drives the core with a fake runner, an in-memory
+// journal and a modeled clock.
 package jobs
 
 import (
@@ -13,11 +25,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +40,8 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/durable"
+	"repro/internal/launch"
 	"repro/internal/seq"
 )
 
@@ -46,8 +63,6 @@ type Config struct {
 	// DrainTimeout bounds the SIGTERM→checkpoint grace on shutdown
 	// before stragglers are SIGKILLed (default 30s).
 	DrainTimeout time.Duration
-	// MaxInputBytes bounds a submission body (default 64 MiB).
-	MaxInputBytes int64
 	// QuotaBytes, when positive, bounds a job dir's size; a breaching
 	// attempt is killed and charged.
 	QuotaBytes int64
@@ -55,19 +70,19 @@ type Config struct {
 	// the data directory's filesystem has less free space.
 	MinFreeBytes uint64
 	// Retain is how long a terminal job keeps its intermediate
-	// artifacts before the GC sweep removes them (default 24h).
-	// Cached results (contigs + report) survive GC.
+	// artifacts before they are reclaimed (default 24h). Cached
+	// results (contigs + report) survive.
 	Retain time.Duration
-	// GCInterval is the sweep period (default 1m).
-	GCInterval time.Duration
-	// Backoff schedules uncharged/charged retry delays.
+	// Backoff schedules uncharged/charged retry delays (default 500ms
+	// doubling to 30s, ±20% jitter).
 	Backoff backoff.Policy
 
 	// Logf receives operational log lines (default: silent).
 	Logf func(format string, args ...any)
-	// Now overrides the clock (tests).
-	Now func() time.Time
 }
+
+// maxInputBytes bounds a submission body.
+const maxInputBytes = 64 << 20
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -85,14 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.MaxInputBytes <= 0 {
-		c.MaxInputBytes = 64 << 20
-	}
 	if c.Retain <= 0 {
 		c.Retain = 24 * time.Hour
-	}
-	if c.GCInterval <= 0 {
-		c.GCInterval = time.Minute
 	}
 	if c.Backoff == (backoff.Policy{}) {
 		c.Backoff = backoff.Policy{Base: 500 * time.Millisecond, Cap: 30 * time.Second, Jitter: 0.2}
@@ -100,28 +109,24 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	return c
 }
 
-// Server is the assembly-as-a-service front end.
+// Server is the assembly-as-a-service front end: the loops around the
+// supervisor core. They own the HTTP listener, the runner processes,
+// the journal file and one timer, and step the core under mu.
 type Server struct {
 	cfg Config
-	rng *rand.Rand
 
 	mu    sync.Mutex
+	sup   *supervisor
 	jnl   *Journal
-	jobs  map[string]*Job
-	byKey map[string]string
+	procs map[int]*os.Process // live runners by PID
+	wake  *time.Timer         // armed at the core's next instant
 
-	draining chan struct{}
-	wake     chan struct{} // a submission for an idle worker; one slot per worker
-	drainOne sync.Once
-	wg       sync.WaitGroup // workers + gc sweep
-	httpSrv  *http.Server
-	addr     string
+	quiet   chan struct{} // closed once a drain has nothing left running
+	quieted func()        // closes quiet, once
+	httpSrv *http.Server
 }
 
 // Open replays the journal in cfg.Dir and builds the server. Jobs
@@ -140,61 +145,39 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobsMap, byKey, err := Replay(recs)
+	now := time.Now()
+	sup, fx, err := newSupervisor(cfg, rand.New(rand.NewSource(now.UnixNano())), recs, now)
 	if err != nil {
 		jnl.Close()
 		return nil, err
 	}
-	s := &Server{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Now().UnixNano())),
-		jnl:      jnl,
-		jobs:     jobsMap,
-		byKey:    byKey,
-		draining: make(chan struct{}),
-		wake:     make(chan struct{}, cfg.Workers),
-	}
-	adopted := 0
-	for _, job := range s.jobs {
-		if job.State == StateRunning {
-			s.applyLocked(Record{Op: OpRequeue, Job: job.ID, Reason: "server restart: re-adopted"})
-			job.PID = 0
-			adopted++
-		}
-	}
-	if adopted > 0 {
-		cfg.Logf("re-adopted %d in-flight job(s) after restart", adopted)
-	}
+	s := &Server{cfg: cfg, sup: sup, jnl: jnl, procs: map[int]*os.Process{}, quiet: make(chan struct{})}
+	s.quieted = sync.OnceFunc(func() { close(s.quiet) })
+	s.wake = time.AfterFunc(time.Hour, func() { s.do(s.sup.tick) })
+	s.carry(fx) // journals the re-adoptions and stops the timer until Start
 	return s, nil
 }
 
-// Start launches the worker pool, the GC sweep, and the HTTP listener
-// on addr (use "127.0.0.1:0" for an ephemeral port). The bound
-// address is written to <dir>/addr for tooling discovery.
+// Start launches the HTTP listener on addr (use "127.0.0.1:0" for an
+// ephemeral port) and the supervisor's first tick, which hands queued
+// jobs to the workers. The bound address is written to <dir>/addr for
+// tooling discovery.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	s.addr = ln.Addr().String()
-	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, "addr"), []byte(s.addr+"\n")); err != nil {
+	bound := ln.Addr().String()
+	if err := durable.WriteFile(filepath.Join(s.cfg.Dir, "addr"), []byte(bound+"\n")); err != nil {
 		ln.Close()
 		return "", err
 	}
 	s.httpSrv = &http.Server{Handler: s.handler()}
 	go s.httpSrv.Serve(ln)
-	for w := 0; w < s.cfg.Workers; w++ {
-		s.wg.Add(1)
-		go s.supervise(w)
-	}
-	s.wg.Add(1)
-	go s.gcLoop()
-	s.logf("serving on http://%s (dir %s, %d workers)", s.addr, s.cfg.Dir, s.cfg.Workers)
-	return s.addr, nil
+	s.do(s.sup.tick)
+	s.logf("serving on http://%s (dir %s, %d workers)", bound, s.cfg.Dir, s.cfg.Workers)
+	return bound, nil
 }
-
-// Addr returns the bound listen address (after Start).
-func (s *Server) Addr() string { return s.addr }
 
 // Drain gracefully stops the server: new submissions get 503, running
 // attempts are SIGTERMed and given DrainTimeout to checkpoint at a
@@ -202,34 +185,137 @@ func (s *Server) Addr() string { return s.addr }
 // requeued in the journal for the next incarnation. Safe to call more
 // than once.
 func (s *Server) Drain(ctx context.Context) {
-	s.drainOne.Do(func() { close(s.draining) })
-	s.wg.Wait()
+	s.do(s.sup.drain)
+	<-s.quiet
 	if s.httpSrv != nil {
 		s.httpSrv.Shutdown(ctx)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.wake.Stop()
 	s.jnl.Close()
 	s.logf("drained")
 }
 
-// applyLocked journals a transition and applies it to memory; callers
-// hold s.mu. Once the journal refuses writes, the server can no
-// longer uphold crash safety, so the error is fatal by design.
-func (s *Server) applyLocked(r Record) Record {
-	r.T = s.now().UnixNano()
-	written, err := s.jnl.Append(r)
+// do steps the core with one event at the current time.
+func (s *Server) do(event func(now time.Time) effects) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.carry(event(time.Now()))
+}
+
+// carry journals an event's records, then carries out its other
+// effects; callers hold s.mu. Once the journal refuses writes the
+// server can no longer uphold crash safety, so that is fatal by
+// design.
+func (s *Server) carry(fx effects) {
+	for _, r := range fx.records {
+		written, err := s.jnl.Append(r)
+		if err != nil {
+			panic(fmt.Sprintf("jobs: journal append failed, cannot continue safely: %v", err))
+		}
+		s.logf("journal %d: job %s %s %s%s", written.Seq, r.Job, r.Op, r.Err, r.Reason)
+	}
+	for _, pid := range fx.term {
+		s.procs[pid].Signal(syscall.SIGTERM)
+	}
+	for _, pid := range fx.kill {
+		s.procs[pid].Signal(syscall.SIGKILL)
+	}
+	for _, sp := range fx.spawn {
+		go s.attempt(sp)
+	}
+	for _, id := range fx.gc {
+		go s.reclaim(id)
+	}
+	if fx.wake.IsZero() {
+		s.wake.Stop()
+	} else {
+		s.wake.Reset(time.Until(fx.wake))
+	}
+	if fx.quiet {
+		s.quieted()
+	}
+}
+
+// attempt runs one attempt's runner process and reports it to the
+// core: started, a quota reading every quotaInterval when a quota is
+// set, and its exit. Every event of the attempt comes from here, in
+// order, so the worker index names it.
+func (s *Server) attempt(sp spawn) {
+	dir := s.jobDir(sp.job)
+	cmd, err := launch.SelfExec([]string{runnerDirEnv + "=" + dir})
+	if err == nil {
+		if logf, lerr := os.OpenFile(filepath.Join(dir, runnerLogFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); lerr == nil {
+			fmt.Fprintf(logf, "--- attempt %d ---\n", sp.attempt)
+			cmd.Stdout, cmd.Stderr = logf, logf
+			defer logf.Close()
+		}
+		err = cmd.Start()
+	}
 	if err != nil {
-		panic(fmt.Sprintf("jobs: journal append failed, cannot continue safely: %v", err))
+		err = fmt.Errorf("spawn: %w", err)
+		s.do(func(now time.Time) effects { return s.sup.exited(sp.worker, err, now) })
+		return
 	}
-	if err := applyRecord(s.jobs, s.byKey, written); err != nil {
-		panic(fmt.Sprintf("jobs: journaled record rejected by state machine: %v", err))
+	pid := cmd.Process.Pid
+	s.logf("worker %d: job %s attempt %d started (pid %d)", sp.worker, sp.job, sp.attempt, pid)
+	s.do(func(now time.Time) effects {
+		s.procs[pid] = cmd.Process
+		return s.sup.started(sp.worker, pid, now)
+	})
+	waitc := make(chan error, 1)
+	go func() { waitc <- cmd.Wait() }()
+	poll := time.NewTicker(quotaInterval)
+	defer poll.Stop()
+	for {
+		select {
+		case err := <-waitc:
+			s.do(func(now time.Time) effects {
+				delete(s.procs, pid)
+				return s.sup.exited(sp.worker, err, now)
+			})
+			return
+		case <-poll.C:
+			if s.cfg.QuotaBytes > 0 {
+				size := dirSize(dir)
+				s.do(func(now time.Time) effects { return s.sup.quota(sp.worker, size, now) })
+			}
+		}
 	}
-	return written
+}
+
+// reclaim removes a terminal job's intermediate artifacts (pipeline
+// workdir, input, progress and collector markers) and reports whether
+// it could; cached results (contigs + report + runner log) survive so
+// repeat submissions stay instant.
+func (s *Server) reclaim(id string) {
+	dir := s.jobDir(id)
+	ok := true
+	for _, name := range []string{workDir, inputFile, progressFile, collectorFile} {
+		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
+			s.logf("gc: job %s: %v", id, err)
+			ok = false
+		}
+	}
+	s.do(func(now time.Time) effects { return s.sup.reclaimed(id, ok, now) })
+}
+
+const quotaInterval = 250 * time.Millisecond
+
+// dirSize walks dir summing regular-file sizes (best effort).
+func dirSize(dir string) int64 {
+	var total int64
+	filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
+		if err == nil && info.Mode().IsRegular() {
+			total += info.Size()
+		}
+		return nil
+	})
+	return total
 }
 
 func (s *Server) jobDir(id string) string { return filepath.Join(s.cfg.Dir, "jobs", id) }
-func (s *Server) now() time.Time          { return s.cfg.Now() }
 func (s *Server) logf(f string, a ...any) { s.cfg.Logf("asmserve: "+f, a...) }
 
 // ---- HTTP API ----
@@ -247,7 +333,10 @@ func (s *Server) handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.isDraining() {
+		s.mu.Lock()
+		draining := s.sup.draining
+		s.mu.Unlock()
+		if draining {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -255,15 +344,6 @@ func (s *Server) handler() http.Handler {
 	})
 	mux.HandleFunc("GET /stats", s.handleStats)
 	return mux
-}
-
-func (s *Server) isDraining() bool {
-	select {
-	case <-s.draining:
-		return true
-	default:
-		return false
-	}
 }
 
 // statusView is the wire form of a job's status. It embeds a COPY of
@@ -296,26 +376,12 @@ func (s *Server) view(job *Job, cached bool) statusView {
 // instant cached result. Degraded modes: 503 while draining or under
 // disk pressure, 429 when the queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if s.cfg.MinFreeBytes > 0 {
-		var st syscall.Statfs_t
-		if err := syscall.Statfs(s.cfg.Dir, &st); err == nil {
-			if free := st.Bavail * uint64(st.Bsize); free < s.cfg.MinFreeBytes {
-				w.Header().Set("Retry-After", "60")
-				http.Error(w, fmt.Sprintf("disk pressure: %d bytes free", free), http.StatusServiceUnavailable)
-				return
-			}
-		}
-	}
 	spec, err := specFromQuery(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	input, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxInputBytes))
+	input, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInputBytes))
 	if err != nil {
 		http.Error(w, "read body: "+err.Error(), http.StatusRequestEntityTooLarge)
 		return
@@ -325,78 +391,74 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := IdempotencyKey(input, spec)
+	free := uint64(math.MaxUint64)
+	var st syscall.Statfs_t
+	if s.cfg.MinFreeBytes > 0 && syscall.Statfs(s.cfg.Dir, &st) == nil {
+		free = st.Bavail * uint64(st.Bsize)
+	}
 
 	s.mu.Lock()
-	if id, dup := s.byKey[key]; dup {
-		job := s.jobs[id]
+	verdict, job := s.sup.admit(key, free)
+	if verdict == admitCached {
 		v := s.view(job, job.State == StateDone)
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, v)
 		return
 	}
-	if n := s.activeLocked(); n >= s.cfg.MaxQueue {
+	if verdict != admitted {
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", "10")
-		http.Error(w, fmt.Sprintf("queue full (%d active)", n), http.StatusTooManyRequests)
+		switch verdict {
+		case admitFull:
+			w.Header().Set("Retry-After", "10")
+			http.Error(w, fmt.Sprintf("queue full (%d active)", s.cfg.MaxQueue), http.StatusTooManyRequests)
+		case admitPressure:
+			w.Header().Set("Retry-After", "60")
+			http.Error(w, fmt.Sprintf("disk pressure: %d bytes free", free), http.StatusServiceUnavailable)
+		default:
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+		}
 		return
 	}
 	id := jobID(key)
-	dir := s.jobDir(id)
-	if err := s.writeSubmission(dir, input, spec); err != nil {
+	if err := s.writeSubmission(s.jobDir(id), input, spec); err != nil {
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.applyLocked(Record{Op: OpSubmit, Job: id, Key: key, Spec: &spec})
-	job := s.jobs[id]
-	v := s.view(job, false)
+	sub, fx := s.sup.submit(key, spec, time.Now())
+	s.carry(fx)
+	v := s.view(&sub, false)
 	s.mu.Unlock()
-	// Wake an idle worker without blocking: wake holds a token per
-	// worker, so when it is full every sleeping worker will wake anyway.
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	s.logf("job %s submitted (%d input bytes, %s)", id, len(input), spec.Flags())
 	writeJSON(w, http.StatusAccepted, v)
 }
 
-// writeSubmission persists input + spec before the submit is
-// journaled: a crash in between leaves an orphan dir that a repeat
-// submission reuses (same key → same dir), never a journaled job
-// without its input.
+// writeSubmission durably persists input + spec before the submit is
+// journaled: a crash or power loss in between leaves an orphan dir
+// that a repeat submission reuses (same key → same dir), never a
+// journaled job without its input.
 func (s *Server) writeSubmission(dir string, input []byte, spec Spec) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := writeFileAtomic(filepath.Join(dir, inputFile), input); err != nil {
 		return err
 	}
 	b, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, specFile), append(b, '\n'))
-}
-
-// activeLocked counts jobs occupying queue slots.
-func (s *Server) activeLocked() int {
-	n := 0
-	for _, job := range s.jobs {
-		if !job.State.Terminal() {
-			n++
-		}
+	if err = durable.Stage(filepath.Join(dir, inputFile), durable.Bytes(input)); err == nil {
+		err = durable.Stage(filepath.Join(dir, specFile), durable.Bytes(append(b, '\n')))
 	}
-	return n
+	if err == nil {
+		err = durable.SyncDir(dir)
+	}
+	if err == nil { // the job directory's own entry
+		err = durable.SyncDir(filepath.Dir(dir))
+	}
+	return err
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	list := make([]*Job, 0, len(s.jobs))
-	for _, job := range s.jobs {
-		list = append(list, job)
-	}
-	sortJobs(list)
+	list := slices.SortedFunc(maps.Values(s.sup.jobs), newestFirst)
 	views := make([]statusView, len(list))
 	for i, job := range list {
 		views[i] = s.view(job, false)
@@ -406,14 +468,13 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	job, ok := s.jobs[r.PathValue("id")]
 	var v statusView
-	if ok {
+	s.mu.Lock()
+	if job, ok := s.sup.jobs[r.PathValue("id")]; ok {
 		v = s.view(job, false)
 	}
 	s.mu.Unlock()
-	if !ok {
+	if v.ID == "" {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
@@ -425,19 +486,17 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleArtifact(name, ctype string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		s.mu.Lock()
-		job, ok := s.jobs[id]
 		var state State
-		if ok {
+		s.mu.Lock()
+		if job, ok := s.sup.jobs[id]; ok {
 			state = job.State
 		}
 		s.mu.Unlock()
-		if !ok {
+		if state == "" {
 			http.Error(w, "no such job", http.StatusNotFound)
 			return
 		}
-		path := filepath.Join(s.jobDir(id), name)
-		b, err := os.ReadFile(path)
+		b, err := os.ReadFile(filepath.Join(s.jobDir(id), name))
 		if err != nil {
 			if state.Terminal() {
 				http.Error(w, "artifact not available: "+err.Error(), http.StatusNotFound)
@@ -453,77 +512,43 @@ func (s *Server) handleArtifact(name, ctype string) http.HandlerFunc {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
+	stats := map[string]any{"jobs": len(s.sup.jobs), "workers": s.cfg.Workers, "max_queue": s.cfg.MaxQueue, "draining": s.sup.draining}
 	counts := map[State]int{}
-	for _, job := range s.jobs {
+	for _, job := range s.sup.jobs {
 		counts[job.State]++
 	}
-	stats := map[string]any{
-		"jobs":        len(s.jobs),
-		"queued":      counts[StateQueued],
-		"running":     counts[StateRunning],
-		"done":        counts[StateDone],
-		"quarantined": counts[StateQuarantined],
-		"workers":     s.cfg.Workers,
-		"max_queue":   s.cfg.MaxQueue,
-		"draining":    s.isDraining(),
-	}
 	s.mu.Unlock()
+	for _, st := range []State{StateQueued, StateRunning, StateDone, StateQuarantined} {
+		stats[string(st)] = counts[st]
+	}
 	writeJSON(w, http.StatusOK, stats)
 }
 
 // specFromQuery decodes a Spec from submission query parameters.
 func specFromQuery(r *http.Request) (Spec, error) {
 	q := r.URL.Query()
-	spec := Spec{}
-	intParam := func(name string, dst *int) error {
-		v := q.Get(name)
-		if v == "" {
-			return nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("bad %s=%q", name, v)
-		}
-		*dst = n
-		return nil
-	}
+	spec := Spec{Store: q.Get("store"), FailInject: q.Get("fail")}
 	for _, p := range []struct {
 		name string
-		dst  *int
-	}{{"psi", &spec.Psi}, {"w", &spec.W}, {"ranks", &spec.Ranks}, {"aretries", &spec.AssemblyRetries}} {
-		if err := intParam(p.name, p.dst); err != nil {
-			return Spec{}, err
+		dst  any
+	}{{"psi", &spec.Psi}, {"w", &spec.W}, {"ranks", &spec.Ranks}, {"aretries", &spec.AssemblyRetries},
+		{"seed", &spec.Seed}, {"mask", &spec.Mask}, {"membudget", &spec.MemBudget}, {"profile", &spec.Profile}} {
+		v := q.Get(p.name)
+		if v == "" {
+			continue
 		}
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
+		var err error
+		switch d := p.dst.(type) {
+		case *int:
+			*d, err = strconv.Atoi(v)
+		case *int64:
+			*d, err = strconv.ParseInt(v, 10, 64)
+		case *bool:
+			*d, err = strconv.ParseBool(v)
+		}
 		if err != nil {
-			return Spec{}, fmt.Errorf("bad seed=%q", v)
+			return Spec{}, fmt.Errorf("bad %s=%q", p.name, v)
 		}
-		spec.Seed = n
-	}
-	if v := q.Get("mask"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return Spec{}, fmt.Errorf("bad mask=%q", v)
-		}
-		spec.Mask = b
-	}
-	spec.Store = q.Get("store")
-	if v := q.Get("membudget"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("bad membudget=%q", v)
-		}
-		spec.MemBudget = n
-	}
-	spec.FailInject = q.Get("fail")
-	if v := q.Get("profile"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return Spec{}, fmt.Errorf("bad profile=%q", v)
-		}
-		spec.Profile = b
 	}
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {

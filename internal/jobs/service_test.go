@@ -44,7 +44,6 @@ type serveConf struct {
 	MaxAttempts     int
 	AttemptDeadline time.Duration
 	DrainTimeout    time.Duration
-	GCInterval      time.Duration
 	Retain          time.Duration
 }
 
@@ -57,7 +56,7 @@ func serveHelperMain(conf string) {
 	cfg := Config{
 		Dir: sc.Dir, Workers: sc.Workers, MaxAttempts: sc.MaxAttempts,
 		AttemptDeadline: sc.AttemptDeadline, DrainTimeout: sc.DrainTimeout,
-		GCInterval: sc.GCInterval, Retain: sc.Retain,
+		Retain:  sc.Retain,
 		Backoff: testBackoff(),
 	}
 	cfg.Logf = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
@@ -227,7 +226,7 @@ func TestServiceSmoke(t *testing.T) {
 	}
 	input := makeFASTA(t, 21, 3, 6000, 700)
 	cfg := serveConf{Workers: 2, AttemptDeadline: 2 * time.Minute, DrainTimeout: 3 * time.Second,
-		GCInterval: time.Hour, Retain: time.Hour}
+		Retain: time.Hour}
 
 	// Reference: an uninterrupted run of the same input on a fresh dir.
 	refDir := t.TempDir()
@@ -305,7 +304,7 @@ func TestServiceSmoke(t *testing.T) {
 func TestPoisonJobQuarantined(t *testing.T) {
 	srv, base := startInprocServer(t, Config{
 		Workers: 2, MaxAttempts: 2, AttemptDeadline: time.Minute,
-		DrainTimeout: 2 * time.Second, GCInterval: time.Hour,
+		DrainTimeout: 2 * time.Second,
 	})
 	defer drainServer(t, srv)
 
@@ -340,7 +339,7 @@ func TestHangDeadlineAndQueueFull(t *testing.T) {
 	srv, base := startInprocServer(t, Config{
 		Workers: 1, MaxQueue: 1, MaxAttempts: 1,
 		AttemptDeadline: 500 * time.Millisecond,
-		DrainTimeout:    500 * time.Millisecond, GCInterval: time.Hour,
+		DrainTimeout:    500 * time.Millisecond,
 	})
 	defer drainServer(t, srv)
 
@@ -372,7 +371,7 @@ func TestHangDeadlineAndQueueFull(t *testing.T) {
 
 // TestSubmitValidation: malformed inputs are rejected up front.
 func TestSubmitValidation(t *testing.T) {
-	srv, base := startInprocServer(t, Config{Workers: 1, GCInterval: time.Hour})
+	srv, base := startInprocServer(t, Config{Workers: 1})
 	defer drainServer(t, srv)
 
 	if _, code := submit(t, base, "", []byte("not fasta at all")); code != http.StatusBadRequest {
@@ -406,7 +405,7 @@ func TestDrainRequeuesAndRestartCompletes(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, Workers: 1, AttemptDeadline: 2 * time.Minute,
-		DrainTimeout: 10 * time.Second, GCInterval: time.Hour, Backoff: testBackoff()}
+		DrainTimeout: 10 * time.Second, Backoff: testBackoff()}
 	srv, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +487,7 @@ func TestDiskStoreJobMatchesMem(t *testing.T) {
 	}
 	input := makeFASTA(t, 23, 2, 4000, 300)
 	cfg := serveConf{Workers: 2, AttemptDeadline: 2 * time.Minute, DrainTimeout: 3 * time.Second,
-		GCInterval: time.Hour, Retain: time.Hour}
+		Retain: time.Hour}
 	dir := t.TempDir()
 	proc, base := startServerProc(t, dir, cfg)
 	defer proc.Process.Kill()

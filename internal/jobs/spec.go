@@ -1,14 +1,3 @@
-// Package jobs is the assembly-as-a-service layer: a crash-safe job
-// queue in front of the checkpointed pipeline. Submissions are
-// journaled to an append-only, checksummed log before they are
-// acknowledged; a restarted server replays the journal, re-adopts jobs
-// that were running (their workdirs resume via the pipeline manifest,
-// byte-identically) and never loses or duplicates a submission. A
-// supervised worker pool drains the queue by spawning one runner
-// process per attempt — bounded retries with capped jittered backoff,
-// per-attempt deadlines, per-job workdir quotas, quarantine for jobs
-// that exhaust their budget, and graceful drain (running jobs
-// checkpoint at the next phase boundary and requeue).
 package jobs
 
 import (

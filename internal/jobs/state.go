@@ -1,8 +1,9 @@
 package jobs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"strings"
 	"time"
 )
 
@@ -145,12 +146,7 @@ func badTransition(r Record, s State) error {
 	return fmt.Errorf("jobs: journal record %d: %s on %s in state %s", r.Seq, r.Op, r.Job, s)
 }
 
-// sortJobs orders jobs newest-submission-first for listings.
-func sortJobs(list []*Job) {
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].SubmittedAt != list[j].SubmittedAt {
-			return list[i].SubmittedAt > list[j].SubmittedAt
-		}
-		return list[i].ID < list[j].ID
-	})
+// newestFirst orders jobs newest-submission-first for listings.
+func newestFirst(a, b *Job) int {
+	return cmp.Or(cmp.Compare(b.SubmittedAt, a.SubmittedAt), strings.Compare(a.ID, b.ID))
 }

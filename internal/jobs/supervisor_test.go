@@ -1,32 +1,10 @@
 package jobs
 
 import (
-	"net/http"
 	"os/exec"
 	"strings"
 	"testing"
-	"time"
 )
-
-// TestSubmitWakesIdleWorker: a worker that found nothing to claim
-// sleeps until a submission wakes it, not until its poll tick — with
-// the tick an hour long, a submitted job must still run to done.
-func TestSubmitWakesIdleWorker(t *testing.T) {
-	defer func(d time.Duration) { pollInterval = d }(pollInterval)
-	pollInterval = time.Hour
-	srv, base := startInprocServer(t, Config{Workers: 1, AttemptDeadline: time.Minute,
-		DrainTimeout: 2 * time.Second, GCInterval: time.Hour})
-	defer drainServer(t, srv)
-
-	input := makeFASTA(t, 9, 2, 2000, 40)
-	for _, params := range []string{"psi=20&w=10", "psi=24&w=10"} {
-		job, code := submit(t, base, params, input)
-		if code != http.StatusAccepted {
-			t.Fatalf("submit %s: status %d (%s)", params, code, job.Err)
-		}
-		waitState(t, base, job.ID, StateDone, time.Minute)
-	}
-}
 
 // exitOf runs a shell snippet and returns its wait error, so the
 // table below classifies real *exec.ExitError values.

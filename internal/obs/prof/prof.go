@@ -29,6 +29,7 @@ package prof
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -39,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -232,20 +234,10 @@ func (s *Session) Stop() (Artifacts, error) {
 // snapshotAllocs writes the runtime's allocs profile as a .pb.gz
 // artifact (debug=0 is the gzipped proto encoding).
 func snapshotAllocs(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := durable.Stage(path, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) }); err != nil {
 		return err
 	}
-	err = pprof.Lookup("allocs").WriteTo(f, 0)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.SyncDir(filepath.Dir(path))
 }
 
 // DirArtifacts scans dir for profile artifacts by suffix, sorted for

@@ -6,11 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // File-based rendezvous: every rank publishes its listen address as
 // `<dir>/rank-<r>` and peers poll for the files they need. The write
-// is atomic (temp file + rename) so a reader never observes a partial
+// is atomic (internal/durable) so a reader never observes a partial
 // address, and the file carries the epoch so a stale registry from a
 // previous incarnation is detected at handshake rather than trusted.
 // A shared filesystem is the one piece of infrastructure a
@@ -22,22 +24,7 @@ func publishAddr(dir string, rank int, network, addr string, epoch uint64) error
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	body := fmt.Sprintf("%s %s %d\n", network, addr, epoch)
-	tmp, err := os.CreateTemp(dir, fmt.Sprintf(".rank-%d-*", rank))
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.WriteString(body); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, filepath.Join(dir, fmt.Sprintf("rank-%d", rank)))
+	return durable.WriteFile(filepath.Join(dir, fmt.Sprintf("rank-%d", rank)), fmt.Appendf(nil, "%s %s %d\n", network, addr, epoch))
 }
 
 // readAddr reads one rank's published address, reporting ok=false when

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -19,74 +20,53 @@ const lockFile = "workdir.lock"
 
 // lock is an exclusive per-workdir lease held for the duration of one
 // checkpointed run. Two concurrent runs sharing a workdir would race
-// on the manifest and corrupt each other's artifacts; the lockfile
-// (created O_EXCL, holding the owner's PID) makes the second run fail
-// fast instead. A lock whose PID no longer names a live process is
-// stale — left behind by a SIGKILLed run — and is broken safely.
+// on the manifest and corrupt each other's artifacts; the lock makes
+// the second run fail fast instead. It is an flock on the lockfile,
+// held through an open descriptor: the kernel drops it when the
+// holder's descriptors close, at exit or SIGKILL, so a dead holder —
+// a zombie nobody reaps included — never wedges the workdir. The file
+// names the holder's PID for the error message only.
 type lock struct {
-	path string
+	f *os.File
 }
 
 // acquireLock takes the workdir lock or returns ErrWorkdirLocked
 // (wrapped with the holder's PID) when a live process holds it.
 func acquireLock(dir string) (*lock, error) {
 	path := filepath.Join(dir, lockFile)
-	self := []byte(strconv.Itoa(os.Getpid()) + "\n")
-	for tries := 0; tries < 16; tries++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			_, werr := f.Write(self)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("pipeline: write lock: %w", werr)
-			}
-			return &lock{path: path}, nil
-		}
-		if !errors.Is(err, os.ErrExist) {
+	for {
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
 			return nil, fmt.Errorf("pipeline: lock workdir: %w", err)
 		}
-		b, rerr := os.ReadFile(path)
-		if errors.Is(rerr, os.ErrNotExist) {
-			continue // holder released between our create and read
+		if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+			b, _ := io.ReadAll(f)
+			f.Close()
+			if errors.Is(err, syscall.EWOULDBLOCK) {
+				return nil, fmt.Errorf("%w (pid %s, %s)", ErrWorkdirLocked, strings.TrimSpace(string(b)), path)
+			}
+			return nil, fmt.Errorf("pipeline: lock workdir: %w", err)
 		}
-		if rerr != nil {
-			return nil, fmt.Errorf("pipeline: read lock: %w", rerr)
+		// release unlinks the file before it unlocks: a lock won on a
+		// file no longer at path guards nothing, so take the new one.
+		held, err1 := f.Stat()
+		named, err2 := os.Stat(path)
+		if err1 == nil && err2 == nil && os.SameFile(held, named) {
+			f.Truncate(0)
+			f.WriteString(strconv.Itoa(os.Getpid()) + "\n")
+			return &lock{f: f}, nil
 		}
-		pid, perr := strconv.Atoi(strings.TrimSpace(string(b)))
-		if perr == nil && pidAlive(pid) {
-			return nil, fmt.Errorf("%w (pid %d, %s)", ErrWorkdirLocked, pid, path)
-		}
-		// Stale (dead PID or torn content): break it via an atomic
-		// rename so concurrent breakers cannot each remove the other's
-		// freshly re-acquired lock — only the process that wins the
-		// rename deletes, everyone else just retries the O_EXCL create.
-		stale := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), tries)
-		if err := os.Rename(path, stale); err == nil {
-			os.Remove(stale)
-		}
+		f.Close()
 	}
-	return nil, fmt.Errorf("pipeline: lock workdir: gave up after repeated contention on %s", path)
 }
 
-// release drops the lock. Nil-safe so un-checkpointed runs (no
+// release drops the lock, once. Nil-safe so un-checkpointed runs (no
 // workdir, no lock) need no guards.
 func (l *lock) release() {
-	if l == nil {
+	if l == nil || l.f == nil {
 		return
 	}
-	os.Remove(l.path)
-}
-
-// pidAlive reports whether pid names a live process. Signal 0 probes
-// without delivering: ESRCH means dead; EPERM means alive but owned
-// by someone else — still a live holder, so the lock stands.
-func pidAlive(pid int) bool {
-	if pid <= 0 {
-		return false
-	}
-	err := syscall.Kill(pid, 0)
-	return err == nil || errors.Is(err, syscall.EPERM)
+	os.Remove(l.f.Name())
+	l.f.Close()
+	l.f = nil
 }

@@ -1,13 +1,17 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -104,5 +108,60 @@ func TestInterruptCheckpointsAtBoundary(t *testing.T) {
 	}
 	if !bytes.Equal(contigBytes(got), contigBytes(want)) {
 		t.Error("resumed-after-interrupt contigs differ from uninterrupted run")
+	}
+}
+
+// lockHolderEnv names the workdir a re-executed copy of this test
+// binary locks and then holds until it is killed.
+const lockHolderEnv = "PIPELINE_TEST_LOCK_HOLDER"
+
+func holdLockMain(dir string) {
+	if _, err := acquireLock(dir); err != nil {
+		fmt.Fprintln(os.Stderr, "lock holder:", err)
+		os.Exit(1)
+	}
+	fmt.Println("locked")
+	select {}
+}
+
+// TestLockFreedByZombieHolder: a holder SIGKILLed and never reaped
+// stays a zombie, whose PID still answers kill(pid, 0). Its lock must
+// be free all the same, or every later run of the workdir is refused.
+func TestLockFreedByZombieHolder(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), lockHolderEnv+"="+dir)
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Wait() // reaped only once the test is over
+	line, err := bufio.NewReader(out).ReadString('\n')
+	if line != "locked\n" {
+		cmd.Process.Kill()
+		t.Fatalf("lock holder said %q (%v)", line, err)
+	}
+	if _, err := acquireLock(dir); !errors.Is(err, ErrWorkdirLocked) {
+		t.Fatalf("lock held by a live process: err = %v, want ErrWorkdirLocked", err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	// The holder dies a moment after the signal; poll for the real
+	// process, not for a race.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		lk, err := acquireLock(dir)
+		if err == nil {
+			lk.release()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lock of a killed, unreaped holder still refused: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

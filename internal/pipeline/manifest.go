@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
+	"repro/internal/durable"
 	"repro/internal/wire"
 )
 
@@ -218,17 +220,7 @@ func Rollback(dir string, keep int) error {
 		return fmt.Errorf("pipeline: rollback to %d phases, manifest has %d", keep, len(m.records))
 	}
 	m.records = m.records[:keep]
-	return writeAtomic(filepath.Join(dir, manifestFile), m.encode())
-}
-
-// writeAtomic writes b to path via a temp file + rename, so a crash
-// mid-write never leaves a half-written artifact behind a valid name.
-func writeAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.WriteFile(filepath.Join(dir, manifestFile), m.encode())
 }
 
 // load returns the recorded artifact of a completed phase. ok is
@@ -275,29 +267,28 @@ func (m *manifest) completeAux(name, artifact, sum string) error {
 	if m == nil {
 		return nil
 	}
-	for i := range m.aux {
-		if m.aux[i].name == name {
-			m.aux[i].artifact, m.aux[i].sum = artifact, sum
-			return writeAtomic(filepath.Join(m.dir, manifestFile), m.encode())
-		}
+	i := slices.IndexFunc(m.aux, func(r record) bool { return r.name == name })
+	if i < 0 {
+		i, m.aux = len(m.aux), append(m.aux, record{name: name})
 	}
-	m.aux = append(m.aux, record{name: name, artifact: artifact, sum: sum})
-	return writeAtomic(filepath.Join(m.dir, manifestFile), m.encode())
+	m.aux[i].artifact, m.aux[i].sum = artifact, sum
+	return durable.WriteFile(filepath.Join(m.dir, manifestFile), m.encode())
 }
 
-// complete records a phase's artifact: the artifact is written first
-// (atomically), then the manifest — so a crash between the two writes
-// leaves a resumable manifest that simply re-runs the phase.
+// complete records a phase's artifact: the artifact is staged first,
+// then the manifest, and one directory sync makes both durable — so a
+// crash between the two writes leaves a resumable manifest that simply
+// re-runs the phase.
 func (m *manifest) complete(p Phase, artifact []byte) error {
 	if m == nil {
 		return nil
 	}
 	name := string(p) + ".bin"
-	if err := writeAtomic(filepath.Join(m.dir, name), artifact); err != nil {
+	if err := durable.Stage(filepath.Join(m.dir, name), durable.Bytes(artifact)); err != nil {
 		return fmt.Errorf("pipeline: write %s artifact: %w", p, err)
 	}
 	m.records = append(m.records, record{name: string(p), artifact: name, sum: hashBytes(artifact)})
-	if err := writeAtomic(filepath.Join(m.dir, manifestFile), m.encode()); err != nil {
+	if err := durable.WriteFile(filepath.Join(m.dir, manifestFile), m.encode()); err != nil {
 		return fmt.Errorf("pipeline: write manifest: %w", err)
 	}
 	return nil

@@ -30,8 +30,11 @@ import (
 const rssCellEnv = "PIPELINE_TEST_RSS_CELL"
 
 // TestMain routes a re-executed copy of the test binary to the RSS
-// cell it was spawned to measure.
+// cell it was spawned to measure, or to holding a workdir lock.
 func TestMain(m *testing.M) {
+	if dir := os.Getenv(lockHolderEnv); dir != "" {
+		holdLockMain(dir)
+	}
 	if spec := os.Getenv(rssCellEnv); spec != "" {
 		if err := rssCellMain(spec); err != nil {
 			fmt.Fprintln(os.Stderr, "rss cell:", err)

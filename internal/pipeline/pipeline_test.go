@@ -11,6 +11,7 @@ import (
 	"repro/internal/assembly"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -109,7 +110,7 @@ func TestResumeByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := writeAtomic(filepath.Join(dir, manifestFile), trunc.encode()); err != nil {
+			if err := durable.WriteFile(filepath.Join(dir, manifestFile), trunc.encode()); err != nil {
 				t.Fatal(err)
 			}
 			res, err := Run(testFrags(1, 3, 2200, 90), Config{

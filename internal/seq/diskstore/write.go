@@ -3,73 +3,57 @@ package diskstore
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/seq"
 )
 
 // Write materializes frags as a disk store under dir (created if
-// missing). The data file is streamed fragment by fragment and fsynced
-// before the index is published via temp-file + rename, so a crash
-// mid-write never leaves a valid-looking but torn store. Writing is a
-// pure function of the fragment bases and names: the same input always
-// produces byte-identical store files, which is what lets a resumed
-// pipeline verify the store against its manifest checksum.
+// missing). The data file is streamed fragment by fragment and staged
+// before the index, then one directory sync publishes both durably
+// (internal/durable), so a crash or power loss mid-write never leaves
+// a valid-looking but torn store. Writing is a pure function of the
+// fragment bases and names: the same input always produces
+// byte-identical store files, which is what lets a resumed pipeline
+// verify the store against its manifest checksum.
 func Write(dir string, frags []*seq.Fragment) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 
-	dataPath := filepath.Join(dir, DataFile)
-	dataTmp := dataPath + ".tmp"
-	df, err := os.Create(dataTmp)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(dataTmp)
-
 	entries := make([]entry, len(frags))
 	var names, maskBlob []byte
 	var dataOff, totalBases uint64
-	bw := bufio.NewWriterSize(df, 1<<16)
-	var packBuf []byte
-	for i, f := range frags {
-		if len(f.Bases) > 1<<31-1 {
-			df.Close()
-			return fmt.Errorf("diskstore: fragment %d is %d bases, beyond the u32 entry limit", i, len(f.Bases))
+	err := durable.Stage(filepath.Join(dir, DataFile), func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<16)
+		var packBuf []byte
+		for i, f := range frags {
+			if len(f.Bases) > 1<<31-1 {
+				return fmt.Errorf("diskstore: fragment %d is %d bases, beyond the u32 entry limit", i, len(f.Bases))
+			}
+			packed, masked := packBases(packBuf[:0], f.Bases)
+			packBuf = packed
+			if _, err := bw.Write(packed); err != nil {
+				return err
+			}
+			e := &entries[i]
+			e.dataOff = dataOff
+			e.baseLen = uint32(len(f.Bases))
+			e.nameOff = uint64(len(names))
+			e.nameLen = uint32(len(f.Name))
+			e.maskOff = uint64(len(maskBlob))
+			names = append(names, f.Name...)
+			maskBlob = encodeMask(maskBlob, masked)
+			e.maskLen = uint32(uint64(len(maskBlob)) - e.maskOff)
+			dataOff += uint64(len(packed))
+			totalBases += uint64(len(f.Bases))
 		}
-		packBuf = packBuf[:0]
-		packed, masked := packBases(packBuf, f.Bases)
-		packBuf = packed
-		if _, err := bw.Write(packed); err != nil {
-			df.Close()
-			return err
-		}
-		e := &entries[i]
-		e.dataOff = dataOff
-		e.baseLen = uint32(len(f.Bases))
-		e.nameOff = uint64(len(names))
-		e.nameLen = uint32(len(f.Name))
-		e.maskOff = uint64(len(maskBlob))
-		names = append(names, f.Name...)
-		maskBlob = encodeMask(maskBlob, masked)
-		e.maskLen = uint32(uint64(len(maskBlob)) - e.maskOff)
-		dataOff += uint64(len(packed))
-		totalBases += uint64(len(f.Bases))
-	}
-	if err := bw.Flush(); err != nil {
-		df.Close()
-		return err
-	}
-	if err := df.Sync(); err != nil {
-		df.Close()
-		return err
-	}
-	if err := df.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(dataTmp, dataPath); err != nil {
+		return bw.Flush()
+	})
+	if err != nil {
 		return err
 	}
 
@@ -90,27 +74,15 @@ func Write(dir string, frags []*seq.Fragment) error {
 	body = append(body, maskBlob...)
 	h.bodyCRC = crcBody(body)
 
-	idxPath := filepath.Join(dir, IndexFile)
-	idxTmp := idxPath + ".tmp"
-	xf, err := os.Create(idxTmp)
+	err = durable.Stage(filepath.Join(dir, IndexFile), func(w io.Writer) error {
+		if _, err := w.Write(h.encode()); err != nil {
+			return err
+		}
+		_, err := w.Write(body)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	defer os.Remove(idxTmp)
-	if _, err := xf.Write(h.encode()); err != nil {
-		xf.Close()
-		return err
-	}
-	if _, err := xf.Write(body); err != nil {
-		xf.Close()
-		return err
-	}
-	if err := xf.Sync(); err != nil {
-		xf.Close()
-		return err
-	}
-	if err := xf.Close(); err != nil {
-		return err
-	}
-	return os.Rename(idxTmp, idxPath)
+	return durable.SyncDir(dir)
 }
