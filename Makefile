@@ -102,6 +102,7 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/jobs/testdata/fuzz/FuzzSupervisorStep \
 	internal/seq/diskstore/testdata/fuzz/FuzzOpenIndex \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
+	internal/obs/testdata/fuzz/FuzzReadDump \
 	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
 	internal/align/testdata/fuzz/FuzzAnchoredOverlap \
 	internal/align/testdata/fuzz/FuzzAnchoredOverlapAccept \
@@ -113,7 +114,8 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/pgst/testdata/fuzz/FuzzBuildMatchesSerial
 
 # Short fuzz passes over every parser the pipeline feeds untrusted
-# bytes to: FASTA and qual readers plus the wire-format decoders — over
+# bytes to: FASTA and qual readers, the wire-format decoders and the
+# events-stream fold — over
 # the banded extension kernel and its identity bound, the consensus
 # fitting kernel, assembly's overlap detector, the GST bucket builder,
 # its key sort and the distributed GST build, each held to its
@@ -137,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSupervisorStep -fuzztime=10s ./internal/jobs
 	$(GO) test -run=NONE -fuzz=FuzzOpenIndex -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzReadData -fuzztime=10s ./internal/seq/diskstore
+	$(GO) test -run=NONE -fuzz=FuzzReadDump -fuzztime=10s ./internal/obs
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
 	$(GO) test -run=NONE -fuzz='^FuzzAnchoredOverlap$$' -fuzztime=10s ./internal/align
 	$(GO) test -run=NONE -fuzz=FuzzAnchoredOverlapAccept -fuzztime=10s ./internal/align
@@ -147,11 +150,11 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSortKeyed -fuzztime=10s ./internal/suffixtree
 	$(GO) test -run=NONE -fuzz=FuzzBuildMatchesSerial -fuzztime=10s ./internal/pgst
 
-# Events-dump smoke: asmprof checks every dump before it explains it.
-# One sim case's dump must pass the stream invariants (check.Dump),
+# Events-stream smoke: asmprof checks every stream before it explains
+# it. One sim case's stream must pass the invariants (check.Dump),
 # stitch into a causal DAG (an unmatched message edge, a cycle or a
 # critical path != makespan fails) and render as a Chrome trace; then
-# a 4-process TCP run's per-rank dumps must merge and pass the same
+# a 4-process TCP run's per-rank streams must merge and pass the same
 # invariants. The temp directory is made in the recipe, so parsing the
 # Makefile creates nothing, and the trap removes it when a step fails.
 obs:
@@ -174,11 +177,13 @@ transport-conformance:
 	$(GO) test -race -v -run TestConformance ./internal/transconf
 	$(GO) test -race -run=NONE -bench=LinkSimCampaign -benchtime=10000x ./internal/par/nettrans
 
-# Live telemetry smoke: a 4-process TCP run streams deltas to a run
-# collector which must be ready mid-run, survive a SIGKILLed worker
-# (marking it dead while the job recovers), serve a final merged trace
-# byte-identical to merging the per-process dumps, and produce a live
-# causal analysis equal to the post-hoc one.
+# Live telemetry smoke: a 4-process TCP run whose every rank appends
+# to its events stream is read while it runs. Every rank must have
+# appended before rank 0's final record; a SIGKILLed worker keeps its
+# streamed events and lease expiries and reads as dead at the instant
+# its last append is 8 s old (judged at that instant, not waited for)
+# while the job recovers; and the finished run's live analysis must
+# equal the post-hoc analysis of the same files.
 obs-live-smoke:
 	$(GO) test -v -run TestObsLive ./internal/transconf
 

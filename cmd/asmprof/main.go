@@ -1,13 +1,13 @@
 // Command asmprof is the one command that reads telemetry: it watches
-// a live run through its collector, checks, explains and renders a
-// run's events dumps, and turns the profiling plane's .pb.gz artifacts
+// a live run through its events streams, checks, explains and renders
+// them afterwards, and turns the profiling plane's .pb.gz artifacts
 // into critical-path attribution reports: which functions and
 // allocation sites burn the phase the causal DAG says gates the run,
 // per phase per rank, decoded entirely by the in-repo pprof reader.
 //
 // Usage:
 //
-//	asmprof http://127.0.0.1:7171           # watch a live run until it completes
+//	asmprof -watch ev.json                  # watch a live run until it completes
 //	asmprof ev.json                         # check + causal report of one run
 //	asmprof ev.json.rank0 ev.json.rank1     # per-process dumps, merged first
 //	asmprof -chrome run.trace.json ev.json  # also render a Chrome trace
@@ -17,22 +17,29 @@
 //	asmprof -folded -value cpu DIR          # collapsed stacks for a flamegraph
 //	asmprof -diff OLDDIR NEWDIR             # what changed between two captures
 //
-// Every events dump (-events-out files; a multi-process run writes one
-// per rank) is merged and must pass the causal stream invariants
-// (check.Dump) before anything is derived from it. Given dumps alone,
-// asmprof prints a one-line trust summary and the causal analysis:
-// critical path, per-rank and per-phase comm/comp/idle, stragglers.
+// Every events stream (-events-out files; a multi-process run writes
+// one per rank) is folded, merged and must pass the causal stream
+// invariants (check.Dump) before anything is derived from it. A stream
+// without its writer's final record (a killed process) counts as
+// truncated. Given dumps alone, asmprof prints a one-line trust
+// summary and the causal analysis: critical path, per-rank and
+// per-phase comm/comp/idle, stragglers.
 // -chrome writes the run as Chrome trace_event JSON with the critical
 // path marked (crit:true), for ui.perfetto.dev.
 //
-// Given the http(s):// URL of a run collector (the -collector flag of
-// asmcluster or asmpipeline, or a job's collector_url),
-// asmprof polls its /status every 500 ms and appends one snapshot per
-// poll: health state, heartbeat lag, current phase, event and traffic
-// counters per rank, and the idle share and straggler flag from the
-// collector's live causal analysis. It exits 0 once the run completes
-// OK, 1 when it completes failed, and 2 when the collector cannot be
-// reached before any status was observed.
+// With -watch PATH, where PATH is a running asmcluster's or
+// asmpipeline's -events-out (or a job status's "events"), asmprof
+// reads PATH and PATH.rank* (each also under its working .part and
+// its .interrupted name) every 500 ms and appends one snapshot per
+// poll: health state and the age of each stream's last append,
+// current phase, event and traffic counters per rank, and the idle
+// share and straggler flag from the live causal analysis of
+// everything streamed so far. Of the streams at PATH it follows the
+// newest run's; one that was already over when the watch began may be
+// an earlier run, so the watch gives a successor 8 s to start before
+// it reports that run. It exits 0 once the run completes OK, 1 when it
+// completes failed or rank 0's stream died without its final record,
+// and 2 when no stream appeared within 8 s.
 //
 // DIR holds artifacts a profiling session wrote (asmcluster/asmpipeline
 // -prof-dir, or a job's prof/ directory): *.cpu.pb.gz and
@@ -72,7 +79,15 @@ func main() {
 	value := flag.String("value", "cpu", "sample value for -folded: a sample type name, or last type when absent")
 	top := flag.Int("top", 5, "entries per ranked list (with events dumps alone: slowest spans listed, 10 unless set)")
 	diff := flag.Bool("diff", false, "compare two capture directories: asmprof -diff OLD NEW")
+	watchPath := flag.String("watch", "", "follow the run whose -events-out is this path until it completes")
 	flag.Parse()
+
+	if *watchPath != "" {
+		if flag.NArg() != 0 {
+			fail(fmt.Errorf("-watch follows one run alone, got %d more arguments", flag.NArg()))
+		}
+		os.Exit(watch(os.Stdout, os.Stderr, *watchPath, pollInterval))
+	}
 
 	if *diff {
 		if flag.NArg() != 2 {
@@ -82,14 +97,8 @@ func main() {
 		return
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: asmprof COLLECTOR-URL | asmprof [flags] EVENTS-DUMP... | asmprof [flags] ARTIFACT-DIR [EVENTS-DUMP...]  (see asmprof -h)")
+		fmt.Fprintln(os.Stderr, "usage: asmprof -watch EVENTS-OUT | asmprof [flags] EVENTS-DUMP... | asmprof [flags] ARTIFACT-DIR [EVENTS-DUMP...]  (see asmprof -h)")
 		os.Exit(2)
-	}
-	if isURL(flag.Arg(0)) {
-		if flag.NArg() != 1 {
-			fail(fmt.Errorf("a collector URL is watched alone, got %d arguments", flag.NArg()))
-		}
-		os.Exit(watch(os.Stdout, os.Stderr, flag.Arg(0), pollInterval))
 	}
 	dir, dumps := "", flag.Args()
 	if st, err := os.Stat(dumps[0]); err == nil && st.IsDir() {
@@ -145,18 +154,25 @@ func main() {
 	}
 }
 
-// loadDump reads the events dumps at paths, merges them into one
+// loadDump reads the events streams at paths, merges them into one
 // machine-wide dump (a rank no file covers counts as truncated) and
 // checks the causal stream invariants: nothing is derived from a dump
-// they reject.
+// they reject. Streams of two runs (an earlier run's file left at the
+// same path) do not merge.
 func loadDump(paths []string) (*obs.Dump, check.StreamSummary, error) {
 	dumps := make([]*obs.Dump, 0, len(paths))
-	for _, path := range paths {
-		d, err := obs.ReadDumpFile(path)
+	var first *obs.Stream
+	for i, path := range paths {
+		s, err := obs.ReadStreamFile(path)
 		if err != nil {
 			return nil, check.StreamSummary{}, err
 		}
-		dumps = append(dumps, d)
+		if first == nil {
+			first = s
+		} else if s.Run != first.Run {
+			return nil, check.StreamSummary{}, fmt.Errorf("%s and %s are streams of different runs", paths[0], paths[i])
+		}
+		dumps = append(dumps, s.Dump)
 	}
 	merged, err := obs.MergeDumps(dumps...)
 	if err != nil {

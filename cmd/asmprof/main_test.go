@@ -14,7 +14,7 @@ import (
 )
 
 // writePerProcessDumps runs a 3-rank machine and writes each rank's
-// stream as its own dump file, the shape a multi-process transport run
+// events as its own stream, the shape a multi-process transport run
 // leaves on disk (FILE.rank<r>).
 func writePerProcessDumps(t *testing.T) []string {
 	t.Helper()
@@ -36,26 +36,29 @@ func writePerProcessDumps(t *testing.T) []string {
 	dir := t.TempDir()
 	var paths []string
 	for r, rd := range full.Ranks {
-		d := &obs.Dump{Version: obs.DumpVersion}
-		for q := range full.Ranks {
-			if q == r {
-				d.Ranks = append(d.Ranks, rd)
-			} else {
-				d.Ranks = append(d.Ranks, obs.RankDump{Rank: q})
-			}
-		}
+		d := &obs.Dump{Ranks: make([]obs.RankDump, len(full.Ranks))}
+		d.Ranks[r] = rd
 		paths = append(paths, writeDump(t, filepath.Join(dir, fmt.Sprintf("ev.json.rank%d", r)), d))
 	}
 	return paths
 }
 
+// writeDump writes d as a finished one-record events stream whose
+// writer covers the ranks d holds events for.
 func writeDump(t *testing.T, path string, d *obs.Dump) string {
 	t.Helper()
+	rec := &obs.Record{Size: len(d.Ranks), Final: true, ExitOK: true}
+	for _, rd := range d.Ranks {
+		if len(rd.Events) > 0 || rd.Dropped > 0 {
+			rec.Covers = append(rec.Covers, rd.Rank)
+			rec.Streams = append(rec.Streams, rd)
+		}
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteJSON(f); err != nil {
+	if err := obs.WriteRecord(f, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

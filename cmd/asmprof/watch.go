@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -12,60 +10,48 @@ import (
 	"repro/internal/obs/collector"
 )
 
-// pollInterval is how often watch polls a run collector's /status.
+// pollInterval is how often watch reads a run's events streams.
 const pollInterval = 500 * time.Millisecond
 
-func isURL(s string) bool {
-	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://")
-}
-
-// watch polls url's /status every interval and appends each snapshot
-// to out until the run completes. It returns the exit status: 0 when
-// the run completes OK or the collector goes away after it was seen,
-// 1 when the run completes failed, 2 when the collector was never
-// reachable.
-func watch(out, errOut io.Writer, url string, interval time.Duration) int {
-	url = strings.TrimSuffix(url, "/")
-	client := &http.Client{Timeout: 5 * time.Second}
-	for seen := false; ; seen = true {
-		st, err := poll(client, url)
+// watch reads the run whose -events-out is path (path and
+// path.rank*) every interval and appends each status snapshot to out
+// until the run completes. It returns the exit status: 0 when the run
+// completes OK, 1 when it completes failed or rank 0 is dead with no
+// final record, 2 when no stream appears within collector.DeadAfter's
+// worth of polls or a stream cannot be read.
+//
+// A run that was already over when the watch began — rank 0's last
+// append is older than the watch — may be an earlier run whose files
+// are still at path, so the watch gives its successor the same polls
+// to start before it reports the finished run.
+func watch(out, errOut io.Writer, path string, interval time.Duration) int {
+	began := time.Now()
+	for polls := 1; ; polls++ {
+		st, err := collector.Read(path, time.Now())
 		if err != nil {
-			if !seen {
-				fmt.Fprintln(errOut, "asmprof:", err)
-				return 2
-			}
-			// The collector went away after we saw it live: the job
-			// process exited. Whatever we last rendered stands.
-			fmt.Fprintf(out, "collector gone (%v)\n", err)
-			return 0
+			fmt.Fprintln(errOut, "asmprof:", err)
+			return 2
+		}
+		patient := polls <= int(collector.DeadAfter/pollInterval)
+		if st.SeenRanks == 0 && !patient {
+			fmt.Fprintf(errOut, "asmprof: no events stream at %s or %s.rank*\n", path, path)
+			return 2
+		}
+		over := st.SeenRanks > 0 && (st.Complete || st.Ranks[0].State == collector.StateDead)
+		if st.SeenRanks == 0 || over && patient && st.Ranks[0].Appended.Before(began) {
+			time.Sleep(interval)
+			continue
 		}
 		render(out, st)
-		if st.Complete {
-			if st.ExitOK {
-				return 0
-			}
+		switch {
+		case st.Complete && st.ExitOK:
+			return 0
+		case over:
 			return 1
 		}
 		fmt.Fprintln(out)
 		time.Sleep(interval)
 	}
-}
-
-func poll(client *http.Client, url string) (*collector.Status, error) {
-	resp, err := client.Get(url + "/status")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("%s/status returned %s", url, resp.Status)
-	}
-	var st collector.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("decode /status: %w", err)
-	}
-	return &st, nil
 }
 
 // render draws one status snapshot.
@@ -81,8 +67,8 @@ func render(w io.Writer, st *collector.Status) {
 	if job == "" {
 		job = "?"
 	}
-	fmt.Fprintf(w, "job %s  up %5.1fs  ranks %d/%d  reports %d  events %d  [%s]\n",
-		job, st.UptimeSec, st.SeenRanks, st.ExpectRanks, st.Reports, st.EventsTotal, verdict)
+	fmt.Fprintf(w, "job %s  ranks %d/%d  records %d  events %d  [%s]\n",
+		job, st.SeenRanks, st.ExpectRanks, st.Records, st.EventsTotal, verdict)
 	if lv := st.Live; lv != nil {
 		fmt.Fprintf(w, "live: makespan %.2fs  comm %.2fs  comp %.2fs  idle %.2fs  slowest r%d",
 			lv.MakespanSec, lv.CommSec, lv.CompSec, lv.IdleSec, lv.SlowestRank)

@@ -1,22 +1,22 @@
 package main
 
 import (
-	"encoding/json"
-	"net"
-	"net/http"
-	"net/http/httptest"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/collector"
 )
 
 func TestRender(t *testing.T) {
 	st := &collector.Status{
-		Job: "asmcluster", UptimeSec: 12.3,
-		ExpectRanks: 4, SeenRanks: 4, Reports: 80, EventsTotal: 3000,
+		Job:         "asmcluster",
+		ExpectRanks: 4, SeenRanks: 4, Records: 80, EventsTotal: 3000,
 		Live: &collector.LiveAnalysis{
 			MakespanSec: 1.5, CommSec: 0.2, CompSec: 0.9, IdleSec: 0.4,
 			SlowestRank: 3, Unmatched: 5,
@@ -103,8 +103,44 @@ func TestHumanBytes(t *testing.T) {
 	}
 }
 
-// TestWatchExitCodes: URL mode polls until the run completes and exits
-// with the run's verdict, or 2 when no collector ever answered.
+// syncBuffer is an output the test reads while watch writes it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// appendRecord appends one record of a one-rank run's stream.
+func appendRecord(t *testing.T, path string, rec obs.Record) {
+	t.Helper()
+	rec.Job, rec.Size, rec.Covers = "t", 1, []int{0}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteRecord(f, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWatchExitCodes: -watch follows a stream until the run completes
+// and exits with the run's verdict, 1 when rank 0 died without one, or
+// 2 when no stream ever appeared. Once the run is over, watching its
+// files again prints exactly the last live snapshot.
 func TestWatchExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -115,40 +151,77 @@ func TestWatchExitCodes(t *testing.T) {
 		{"complete-failed", false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ev.json")
+			appendRecord(t, path, obs.Record{})
+			var out, errOut syncBuffer
+			code := make(chan int, 1)
+			go func() { code <- watch(&out, &errOut, path, time.Millisecond) }()
 			// Two running snapshots, then the verdict.
-			var mu sync.Mutex
-			polls := 0
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path != "/status" {
-					http.NotFound(w, r)
-					return
+			for strings.Count(out.String(), "[running]") < 2 {
+				select {
+				case got := <-code:
+					t.Fatalf("watch exited %d before the verdict:\n%s%s", got, out.String(), errOut.String())
+				case <-time.After(time.Millisecond):
 				}
-				mu.Lock()
-				polls++
-				st := collector.Status{Job: "t", ExpectRanks: 1, SeenRanks: 1, Complete: polls > 2, ExitOK: tc.exitOK}
-				mu.Unlock()
-				json.NewEncoder(w).Encode(st)
-			}))
-			defer srv.Close()
-			var out, errOut strings.Builder
-			if got := watch(&out, &errOut, srv.URL+"/", time.Millisecond); got != tc.want {
+			}
+			appendRecord(t, path, obs.Record{Final: true, ExitOK: tc.exitOK})
+			if got := <-code; got != tc.want {
 				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", got, tc.want, out.String(), errOut.String())
 			}
-			if n := strings.Count(out.String(), "job t"); n != 3 {
-				t.Errorf("%d snapshots rendered, want 3:\n%s", n, out.String())
+			live := out.String()
+			last := live[strings.LastIndex(live, "job t "):]
+			if strings.Count(live, "job t ") < 3 || !strings.Contains(last, "[complete") {
+				t.Errorf("want running snapshots, then the verdict:\n%s", live)
+			}
+			var again strings.Builder
+			if got := watch(&again, io.Discard, path, time.Millisecond); got != tc.want || again.String() != last {
+				t.Errorf("watching the finished run: exit %d, output\n%s\nwant the last live snapshot\n%s", got, again.String(), last)
 			}
 		})
 	}
 
-	t.Run("unreachable", func(t *testing.T) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+	t.Run("rank0-dead", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "ev.json")
+		appendRecord(t, path, obs.Record{})
+		old := time.Now().Add(-collector.DeadAfter)
+		if err := os.Chtimes(path, old, old); err != nil {
 			t.Fatal(err)
 		}
-		addr := ln.Addr().String()
-		ln.Close() // nothing listens here now
+		var out strings.Builder
+		if got := watch(&out, io.Discard, path, time.Millisecond); got != 1 || !strings.Contains(out.String(), "dead") {
+			t.Fatalf("exit %d, want 1 with rank 0 dead:\n%s", got, out.String())
+		}
+	})
+
+	// An earlier run's finished stream at the path is not the verdict
+	// of the run the watch was started for.
+	t.Run("earlier-run", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "ev.json")
+		appendRecord(t, path, obs.Record{Run: 1, Final: true, ExitOK: true})
+		old := time.Now().Add(-time.Hour)
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut syncBuffer
+		code := make(chan int, 1)
+		go func() { code <- watch(&out, &errOut, path, 50*time.Millisecond) }()
+		appendRecord(t, path+collector.PartSuffix, obs.Record{Run: 2})
+		for !strings.Contains(out.String(), "[running]") {
+			select {
+			case got := <-code:
+				t.Fatalf("watch exited %d on the earlier run:\n%s%s", got, out.String(), errOut.String())
+			case <-time.After(time.Millisecond):
+			}
+		}
+		appendRecord(t, path+collector.PartSuffix, obs.Record{Run: 2, Final: true})
+		if got := <-code; got != 1 || strings.Contains(out.String(), "[complete ok]") {
+			t.Fatalf("exit %d, want 1 with the new run's verdict alone:\n%s", got, out.String())
+		}
+	})
+
+	t.Run("unreachable", func(t *testing.T) {
 		var out, errOut strings.Builder
-		if got := watch(&out, &errOut, "http://"+addr, time.Millisecond); got != 2 {
+		if got := watch(&out, &errOut, filepath.Join(t.TempDir(), "ev.json"), time.Millisecond); got != 2 {
 			t.Fatalf("exit %d, want 2\nstderr: %s", got, errOut.String())
 		}
 	})

@@ -11,7 +11,8 @@
 // journal replays, in-flight jobs are re-adopted, and their workdirs
 // resume from the last completed phase — the final contigs are
 // byte-identical to an uninterrupted run. While a job runs, its
-// status carries a collector URL that asmprof can watch. Failed
+// status carries the path of the attempt's events stream, which
+// asmprof -watch follows. Failed
 // attempts retry after a jittered backoff (500ms doubling to 30s);
 // SIGINT or SIGTERM drains: running attempts checkpoint and requeue.
 package main

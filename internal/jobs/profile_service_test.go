@@ -53,8 +53,7 @@ func TestProfiledJobSurvivesKill(t *testing.T) {
 	}
 	proc.Wait()
 
-	proc2, base2 := startServerProc(t, dir, cfg)
-	defer proc2.Process.Kill()
+	_, base2 := startServerProc(t, dir, cfg)
 	waitState(t, base2, job.ID, StateDone, 2*time.Minute)
 
 	if c := fetchArtifact(t, base2, job.ID, "contigs"); len(c) == 0 {

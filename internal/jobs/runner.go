@@ -46,15 +46,24 @@ const (
 	contigsFile   = "contigs.fa"
 	reportFile    = "report.json"
 	progressFile  = "progress"
-	collectorFile = "collector.url"
 	runnerLogFile = "runner.log"
+	// telemetryDir holds each attempt's events stream, named after its
+	// PID (eventsFile) so an orphan attempt never clobbers its
+	// successor's; the status view derives the running attempt's.
+	telemetryDir = "telemetry"
 	// profDir collects per-attempt profiling artifacts (PID-unique
-	// stems, so an orphan attempt never clobbers its successor's
-	// capture); profileFile is the completing attempt's CPU profile,
-	// copied byte for byte and served at /jobs/{id}/profile.
+	// stems, for the same reason); profileFile is the completing
+	// attempt's CPU profile, copied byte for byte and served at
+	// /jobs/{id}/profile.
 	profDir     = "prof"
 	profileFile = "profile.pb.gz"
 )
+
+// eventsFile is the events stream of the attempt with runner PID pid,
+// relative to the job directory.
+func eventsFile(pid int) string {
+	return filepath.Join(telemetryDir, fmt.Sprintf("p%d.events.json", pid))
+}
 
 // Report is the summary the runner writes next to the contigs — the
 // cached result a repeat submission gets back instantly.
@@ -122,30 +131,23 @@ func RunJob(dir string) int {
 		return 1
 	}
 
-	// Per-job telemetry: this attempt serves its own run collector so
-	// asmprof, given the URL from the job status, can watch it live.
-	// Profiling artifacts go under <job>/prof, every attempt's beside
-	// the others' (a SIGKILLed attempt's CPU artifact is empty: the
-	// runtime writes the profile only when it is stopped); asmprof
-	// <job>/prof reports across all of them.
-	topts := launch.Options{Collector: "127.0.0.1:0"}
+	// Per-job telemetry: this attempt streams its events to
+	// <job>/telemetry/p<pid>.events.json, which asmprof -watch, given
+	// the path from the job status, follows live. Profiling artifacts
+	// go under <job>/prof, every attempt's beside the others' (a
+	// SIGKILLed attempt's CPU artifact is empty: the runtime writes the
+	// profile only when it is stopped); asmprof <job>/prof reports
+	// across all of them.
+	topts := launch.Options{EventsOut: filepath.Join(dir, eventsFile(os.Getpid()))}
+	if err := os.MkdirAll(filepath.Join(dir, telemetryDir), 0o755); err != nil {
+		// Telemetry must never take the job down.
+		fmt.Fprintln(os.Stderr, "runner: events stream disabled:", err)
+		topts.EventsOut = ""
+	}
 	if spec.Profile {
 		topts.ProfDir = filepath.Join(dir, profDir)
 	}
-	tel, err := launch.StartTelemetry(id, spec.Ranks, topts)
-	if err != nil {
-		// Telemetry must never take the job down: run on without the
-		// collector (nothing else in the session can fail to start).
-		fmt.Fprintln(os.Stderr, "runner: collector disabled:", err)
-		topts.Collector = ""
-		if tel, err = launch.StartTelemetry(id, spec.Ranks, topts); err != nil {
-			fmt.Fprintln(os.Stderr, "runner:", err)
-			return 1
-		}
-	}
-	if tel.CollectorURL != "" {
-		mark(dir, collectorFile, tel.CollectorURL)
-	}
+	tel := launch.StartTelemetry(id, spec.Ranks, topts)
 	// fail closes the telemetry with the failing verdict and maps the
 	// error to the runner's exit code.
 	fail := func(err error) int {
@@ -228,10 +230,10 @@ func RunJob(dir string) int {
 	return 0
 }
 
-// mark writes a status marker (progress, collector URL) for the status
-// view. A marker is a hint, not a result: it is staged whole, but its
-// rename waits for the directory's next sync, so a power loss may show
-// an older one.
+// mark writes a status marker (progress) for the status view. A
+// marker is a hint, not a result: it is staged whole, but its rename
+// waits for the directory's next sync, so a power loss may show an
+// older one.
 func mark(dir, name, text string) {
 	durable.Stage(filepath.Join(dir, name), durable.Bytes([]byte(text+"\n")))
 }

@@ -286,13 +286,13 @@ func (s *Server) attempt(sp spawn) {
 }
 
 // reclaim removes a terminal job's intermediate artifacts (pipeline
-// workdir, input, progress and collector markers) and reports whether
-// it could; cached results (contigs + report + runner log) survive so
-// repeat submissions stay instant.
+// workdir, input, progress marker and events streams) and reports
+// whether it could; cached results (contigs + report + runner log)
+// survive so repeat submissions stay instant.
 func (s *Server) reclaim(id string) {
 	dir := s.jobDir(id)
 	ok := true
-	for _, name := range []string{workDir, inputFile, progressFile, collectorFile} {
+	for _, name := range []string{workDir, inputFile, progressFile, telemetryDir} {
 		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
 			s.logf("gc: job %s: %v", id, err)
 			ok = false
@@ -351,9 +351,9 @@ func (s *Server) handler() http.Handler {
 // the lock is released, while workers keep mutating the live struct.
 type statusView struct {
 	Job
-	Phase        string `json:"phase,omitempty"`
-	CollectorURL string `json:"collector_url,omitempty"`
-	Cached       bool   `json:"cached,omitempty"`
+	Phase  string `json:"phase,omitempty"`
+	Events string `json:"events,omitempty"` // the running attempt's events stream
+	Cached bool   `json:"cached,omitempty"`
 }
 
 func (s *Server) view(job *Job, cached bool) statusView {
@@ -362,10 +362,8 @@ func (s *Server) view(job *Job, cached bool) statusView {
 	if b, err := os.ReadFile(filepath.Join(dir, progressFile)); err == nil {
 		v.Phase = strings.TrimSpace(string(b))
 	}
-	if job.State == StateRunning {
-		if b, err := os.ReadFile(filepath.Join(dir, collectorFile)); err == nil {
-			v.CollectorURL = strings.TrimSpace(string(b))
-		}
+	if job.State == StateRunning && job.PID != 0 {
+		v.Events = filepath.Join(dir, eventsFile(job.PID))
 	}
 	return v
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/obs/collector"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -77,7 +78,9 @@ func testBackoff() backoff.Policy {
 }
 
 // startServerProc launches a SIGKILL-able server subprocess over dir
-// and returns its base URL and the process handle.
+// in a process group of its own, and returns its base URL and the
+// process handle. Cleanup SIGKILLs the group — the server and every
+// runner it spawned, orphaned or not — also after a t.Fatal.
 func startServerProc(t *testing.T, dir string, cfg serveConf) (*exec.Cmd, string) {
 	t.Helper()
 	cfg.Dir = dir
@@ -90,16 +93,20 @@ func startServerProc(t *testing.T, dir string, cfg serveConf) (*exec.Cmd, string
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), serveConfEnv+"="+string(confJSON))
 	cmd.Stderr = os.Stderr
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
+		cmd.Wait()
+	})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if b, err := os.ReadFile(addrPath); err == nil && len(b) > 0 {
 			return cmd, "http://" + strings.TrimSpace(string(b))
 		}
 		if time.Now().After(deadline) {
-			cmd.Process.Kill()
 			t.Fatal("server subprocess never published its address")
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -137,14 +144,15 @@ func makeFASTA(t *testing.T, seed int64, islands, islandLen, reads int) []byte {
 
 // httpJob is the decoded wire form of a job status.
 type httpJob struct {
-	ID           string `json:"id"`
-	State        State  `json:"state"`
-	Attempts     int    `json:"attempts"`
-	Requeues     int    `json:"requeues"`
-	Err          string `json:"error"`
-	Phase        string `json:"phase"`
-	CollectorURL string `json:"collector_url"`
-	Cached       bool   `json:"cached"`
+	ID       string `json:"id"`
+	State    State  `json:"state"`
+	Attempts int    `json:"attempts"`
+	Requeues int    `json:"requeues"`
+	Err      string `json:"error"`
+	PID      int    `json:"pid"`
+	Phase    string `json:"phase"`
+	Events   string `json:"events"`
+	Cached   bool   `json:"cached"`
 }
 
 func submit(t *testing.T, base, params string, body []byte) (httpJob, int) {
@@ -230,8 +238,7 @@ func TestServiceSmoke(t *testing.T) {
 
 	// Reference: an uninterrupted run of the same input on a fresh dir.
 	refDir := t.TempDir()
-	refProc, refURL := startServerProc(t, refDir, cfg)
-	defer refProc.Process.Kill()
+	_, refURL := startServerProc(t, refDir, cfg)
 	refJob, code := submit(t, refURL, "psi=20&w=10", input)
 	if code != http.StatusAccepted {
 		t.Fatalf("reference submit: status %d", code)
@@ -253,6 +260,10 @@ func TestServiceSmoke(t *testing.T) {
 	for {
 		st, err := getStatus(t, base, job.ID)
 		if err == nil && st.State == StateRunning && st.Phase != "" && st.Phase != "done" {
+			// The running attempt's events stream is named after its PID.
+			if want := filepath.Join(dir, "jobs", job.ID, "telemetry", fmt.Sprintf("p%d.events.json", st.PID)); st.PID == 0 || st.Events != want {
+				t.Errorf("running job's events = %q (pid %d), want %q", st.Events, st.PID, want)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
@@ -269,8 +280,7 @@ func TestServiceSmoke(t *testing.T) {
 	// re-adopted, and the attempt resumes through the workdir manifest
 	// (racing the orphaned runner for the workdir lock is part of the
 	// scenario — busy attempts requeue with backoff until it exits).
-	proc2, base2 := startServerProc(t, dir, cfg)
-	defer proc2.Process.Kill()
+	_, base2 := startServerProc(t, dir, cfg)
 	waitState(t, base2, job.ID, StateDone, 2*time.Minute)
 	got := fetchArtifact(t, base2, job.ID, "contigs")
 
@@ -281,6 +291,18 @@ func TestServiceSmoke(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("contigs after kill+restart differ from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	// Every attempt streamed to its own file; the one that completed
+	// the job ended its stream with an ok verdict.
+	streams, _ := filepath.Glob(filepath.Join(dir, "jobs", job.ID, "telemetry", "p*.events.json"))
+	completed := false
+	for _, p := range streams {
+		if st, err := collector.Read(p, time.Now()); err == nil {
+			completed = completed || st.Complete && st.ExitOK
+		}
+	}
+	if !completed {
+		t.Errorf("no attempt stream among %v completed ok", streams)
 	}
 
 	// Idempotent resubmission: same input + config returns the done
@@ -489,8 +511,7 @@ func TestDiskStoreJobMatchesMem(t *testing.T) {
 	cfg := serveConf{Workers: 2, AttemptDeadline: 2 * time.Minute, DrainTimeout: 3 * time.Second,
 		Retain: time.Hour}
 	dir := t.TempDir()
-	proc, base := startServerProc(t, dir, cfg)
-	defer proc.Process.Kill()
+	_, base := startServerProc(t, dir, cfg)
 
 	memJob, code := submit(t, base, "psi=20&w=10", input)
 	if code != http.StatusAccepted {

@@ -168,11 +168,11 @@ func checkDumpFiles(t *testing.T, ok func(rank int) bool, paths []string) {
 	t.Helper()
 	var dumps []*obs.Dump
 	for _, p := range paths {
-		d, err := obs.ReadDumpFile(p)
+		s, err := obs.ReadStreamFile(p)
 		if err != nil {
 			t.Fatalf("events dump: %v", err)
 		}
-		dumps = append(dumps, d)
+		dumps = append(dumps, s.Dump)
 	}
 	merged, err := obs.MergeDumps(dumps...)
 	if err != nil {

@@ -17,11 +17,10 @@ import (
 )
 
 const (
-	rankEnv      = "ASM_SPMD_RANK"
-	sizeEnv      = "ASM_SPMD_SIZE"
-	registryEnv  = "ASM_SPMD_REGISTRY"
-	epochEnv     = "ASM_SPMD_EPOCH"
-	collectorEnv = "ASM_SPMD_COLLECTOR" // run collector base URL
+	rankEnv     = "ASM_SPMD_RANK"
+	sizeEnv     = "ASM_SPMD_SIZE"
+	registryEnv = "ASM_SPMD_REGISTRY"
+	epochEnv    = "ASM_SPMD_EPOCH"
 )
 
 // child describes this process's role in a spawned SPMD job.
@@ -30,25 +29,17 @@ type child struct {
 	Size     int
 	Registry string // rendezvous registry directory
 	Epoch    uint64
-
-	// Collector is the run collector's base URL, decided by the parent;
-	// empty when the parent ran without one.
-	Collector string
 }
 
 // env renders the child's identity as the environment entries fromEnv
 // decodes.
 func (c child) env() []string {
-	out := []string{
+	return []string{
 		rankEnv + "=" + strconv.Itoa(c.Rank),
 		sizeEnv + "=" + strconv.Itoa(c.Size),
 		registryEnv + "=" + c.Registry,
 		epochEnv + "=" + strconv.FormatUint(c.Epoch, 10),
 	}
-	if c.Collector != "" {
-		out = append(out, collectorEnv+"="+c.Collector)
-	}
-	return out
 }
 
 // fromEnv reports whether this process was re-executed as a worker
@@ -73,7 +64,6 @@ func fromEnv() (child, bool, error) {
 	if c.Registry == "" {
 		return child{}, false, fmt.Errorf("launch: %s set but %s empty", rankEnv, registryEnv)
 	}
-	c.Collector = os.Getenv(collectorEnv)
 	if c.Rank < 1 || c.Rank >= c.Size {
 		return child{}, false, fmt.Errorf("launch: child rank %d out of range for size %d", c.Rank, c.Size)
 	}
@@ -87,9 +77,9 @@ type Fleet struct {
 
 // spawn re-executes the current binary as ranks 1..tmpl.Size-1 of a
 // job rooted at this process (which becomes rank 0); tmpl carries the
-// job identity and telemetry wiring every child shares. Children
-// inherit the parent's arguments verbatim; their stdout is redirected
-// to the parent's stderr so rank 0 alone owns the job's stdout.
+// job identity every child shares. Children inherit the parent's
+// arguments verbatim; their stdout is redirected to the parent's
+// stderr so rank 0 alone owns the job's stdout.
 func spawn(tmpl child) (*Fleet, error) {
 	f := &Fleet{procs: make(map[int]*exec.Cmd)}
 	for r := 1; r < tmpl.Size; r++ {

@@ -9,7 +9,7 @@ import (
 // test runner restores it; unnamed variables are cleared.
 func setJobEnv(t *testing.T, kv map[string]string) {
 	t.Helper()
-	for _, k := range []string{rankEnv, sizeEnv, registryEnv, epochEnv, collectorEnv} {
+	for _, k := range []string{rankEnv, sizeEnv, registryEnv, epochEnv} {
 		t.Setenv(k, kv[k])
 	}
 }
@@ -17,10 +17,7 @@ func setJobEnv(t *testing.T, kv map[string]string) {
 // TestFromEnvTelemetryRoundTrip: what spawn renders into a child's
 // environment is exactly what the child decodes.
 func TestFromEnvTelemetryRoundTrip(t *testing.T) {
-	want := child{
-		Rank: 2, Size: 4, Registry: "/tmp/reg", Epoch: 17,
-		Collector: "http://127.0.0.1:9090",
-	}
+	want := child{Rank: 2, Size: 4, Registry: "/tmp/reg", Epoch: 17}
 	kv := map[string]string{}
 	for _, e := range want.env() {
 		k, v, _ := strings.Cut(e, "=")

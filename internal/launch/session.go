@@ -20,11 +20,9 @@ var ErrUsage = errors.New("usage")
 // Options are a run session's settings: the flag surface every
 // command shares (RegisterFlags).
 type Options struct {
-	Transport       string        // inproc goroutines, or tcp / unix OS processes
-	EventsOut       string        // raw events dump path
-	Collector       string        // host:port the job root serves a collector on, or the http:// URL of a running one
-	CollectorLinger time.Duration // how long that collector outlives the run
-	ProfDir         string        // profiling artifact directory
+	Transport string // inproc goroutines, or tcp / unix OS processes
+	EventsOut string // events stream path
+	ProfDir   string // profiling artifact directory
 }
 
 // RegisterFlags registers the session flags on fs, once for every
@@ -33,9 +31,7 @@ type Options struct {
 func RegisterFlags(fs *flag.FlagSet, transport string) *Options {
 	o := &Options{}
 	fs.StringVar(&o.Transport, "transport", transport, "run parallel ranks as: inproc goroutines, or tcp / unix OS processes")
-	fs.StringVar(&o.EventsOut, "events-out", "", "write the raw events dump to this file, one FILE.rank<r> per process under tcp / unix; asmprof FILE... merges, checks and explains them (-chrome renders a Chrome trace)")
-	fs.StringVar(&o.Collector, "collector", "", "live telemetry collector every rank streams health, metrics and trace deltas to, and the run's one telemetry server (watch it with asmprof URL): a host:port to serve one on, or the http:// URL of a running one")
-	fs.DurationVar(&o.CollectorLinger, "collector-linger", 2*time.Second, "keep the collector serving this long after the run completes so pollers observe the final state")
+	fs.StringVar(&o.EventsOut, "events-out", "", "stream events and metrics to this file every 200ms while the run lasts, one FILE.rank<r> per process under tcp / unix; asmprof -watch FILE follows the run live, asmprof FILE... merges, checks and explains it afterwards (-chrome renders a Chrome trace)")
 	fs.StringVar(&o.ProfDir, "prof-dir", "", "capture a phase/rank-labeled CPU profile plus an allocation profile into this directory (asmprof reads them)")
 	return o
 }
@@ -59,10 +55,10 @@ type Session struct {
 }
 
 // Start joins (or, as the job root, creates) the run described by o:
-// child detection → registry and epoch → tracer, registry and
-// collector → spawn → transport → reporter → profiling → signal
-// handler. Every rank of an SPMD job runs the same Start and
-// only then diverges on Rank. On error nothing is left behind.
+// child detection → registry and epoch → spawn → transport → tracer,
+// registry and reporter → profiling → signal handler. Every rank of an
+// SPMD job runs the same Start and only then diverges on Rank. On
+// error nothing is left behind.
 func Start(job string, ranks int, o Options) (*Session, error) {
 	t := &Telemetry{job: job, opts: o, size: ranks}
 	s := &Session{tel: t}
@@ -82,10 +78,7 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 			return nil, err
 		case isChild:
 			// A re-executed worker finds its identity in the environment.
-			// The parent decided its observability: stream to its
-			// collector, if any.
 			t.rank, registry, epoch, t.spawned = c.Rank, c.Registry, c.Epoch, true
-			t.opts.Collector = c.Collector
 		default:
 			root = true
 			// The epoch turns away handshakes and registry entries of
@@ -100,9 +93,12 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 		return nil, fmt.Errorf("%w: unknown -transport %q (inproc, tcp, unix)", ErrUsage, o.Transport)
 	}
 
-	err := t.startCollector()
-	if err == nil && root {
-		s.fleet, err = spawn(child{Size: ranks, Registry: registry, Epoch: epoch, Collector: t.CollectorURL})
+	// Every rank's events stream names the run by its epoch (0 in
+	// process: the one stream's own start).
+	t.run = int64(epoch)
+	var err error
+	if root {
+		s.fleet, err = spawn(child{Size: ranks, Registry: registry, Epoch: epoch})
 	}
 	if err == nil && t.perProc {
 		cfg := nettrans.Config{Rank: t.rank, Size: ranks, Network: o.Transport, RegistryDir: registry, Epoch: epoch}
@@ -112,7 +108,7 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 		}
 	}
 	if err != nil {
-		s.release(true, false)
+		s.release(true)
 		return nil, err
 	}
 	t.start()
@@ -131,13 +127,12 @@ func Start(job string, ranks int, o Options) (*Session, error) {
 	return s, nil
 }
 
-// Close is the run's only exit: it stops the profiler, takes one
-// tracer snapshot and writes the requested dumps from it, delivers the
-// reporter's final flush with the verdict (runErr nil = ok), closes
-// the transport, waits for the worker ranks — kills them first when
-// the run failed, so none outlives a dead master — lets the collector
-// linger and closes it, and removes the registry it created. It
-// returns runErr, or else the first error of its own.
+// Close is the run's only exit: it stops the profiler, appends the
+// events stream's final record with the verdict (runErr nil = ok),
+// closes the transport, waits for the worker ranks — kills them first
+// when the run failed, so none outlives a dead master — and removes
+// the registry it created. It returns runErr, or else the first error
+// of its own.
 func (s *Session) Close(runErr error) error {
 	return s.shutdown(runErr, false)
 }
@@ -157,24 +152,22 @@ func (s *Session) shutdown(runErr error, interrupted bool) error {
 			err = fmt.Errorf("transport close: %w", cerr)
 		}
 	}
-	s.release(runErr != nil, !interrupted)
+	s.release(runErr != nil)
 	if runErr != nil {
 		return runErr
 	}
 	return err
 }
 
-// release reaps the fleet, stops the servers and removes the temp
-// registry, in that order: the collector must outlive every rank's
-// final flush, the registry every rank's rendezvous.
-func (s *Session) release(kill, linger bool) {
+// release reaps the fleet, then removes the temp registry: it must
+// outlive every rank's rendezvous.
+func (s *Session) release(kill bool) {
 	if s.fleet != nil {
 		if kill {
 			s.fleet.KillAll()
 		}
 		s.fleet.Wait()
 	}
-	s.tel.stop(linger)
 	if s.tempRegistry != "" {
 		os.RemoveAll(s.tempRegistry)
 	}

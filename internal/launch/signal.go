@@ -9,15 +9,15 @@ import (
 
 // OnSignal installs a SIGINT/SIGTERM handler that runs cleanup once
 // and then exits with the conventional 128+signal status. It gives
-// the command-line tools a graceful shutdown path: flush trace/event
-// dumps, deliver the reporter's final flush, and drain the
-// observability servers instead of dying with partial files.
+// the command-line tools a graceful shutdown path: append the events
+// stream's final record instead of dying with a stream that ends
+// mid-run.
 //
 // The handler runs in its own goroutine; cleanup must therefore only
 // touch state that is safe to read concurrently with the main run
-// (tracer dumps, reporter Close and server Shutdown all are). A
-// second signal during cleanup kills the process immediately — an
-// operator mashing Ctrl-C is asking to leave now.
+// (the tracer and the reporter's Close are). A second signal during
+// cleanup kills the process immediately — an operator mashing Ctrl-C
+// is asking to leave now.
 func OnSignal(cleanup func(sig os.Signal)) {
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)

@@ -1,12 +1,9 @@
 package launch
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"maps"
 	"math/rand"
-	"net/http"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -49,54 +46,8 @@ func runWorkload(store *seq.Store, tel *Telemetry) error {
 	return err
 }
 
-// TestOneTelemetrySurface: a run that serves a collector serves its
-// whole live surface at that one address — the collector's routes,
-// the run's own /metrics and /debug/pprof — and nothing else.
-func TestOneTelemetrySurface(t *testing.T) {
-	tel, err := StartTelemetry("surface-test", workloadRanks, Options{Collector: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runErr := runWorkload(workloadStore(), tel)
-	get := func(path string) (int, []byte) {
-		t.Helper()
-		resp, err := http.Get(tel.CollectorURL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, body
-	}
-
-	code, body := get("/metrics")
-	var m map[string]any
-	if code != 200 || json.Unmarshal(body, &m) != nil {
-		t.Fatalf("/metrics: code %d body %.200s", code, body)
-	}
-	if v, _ := m["cluster_pairs_aligned"].(float64); v <= 0 {
-		t.Fatalf("/metrics lacks the workload's cluster_pairs_aligned counter: %.300s", body)
-	}
-	for _, path := range []string{"/debug/pprof/", "/analyze?format=json"} {
-		if code, body := get(path); code != 200 {
-			t.Errorf("%s: code %d body %.200s", path, code, body)
-		}
-	}
-	for _, path := range []string{"/trace", "/timeline", "/profiles"} {
-		if code, _ := get(path); code != http.StatusNotFound {
-			t.Errorf("%s: code %d, want 404", path, code)
-		}
-	}
-	if err := tel.Close(runErr); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Telemetry must stay cheap: a run with the live collector streaming,
-// or with the labeled profiler capturing, may take at most 5 % plus a
+// Telemetry must stay cheap: a run streaming its events file, or with
+// the labeled profiler capturing, may take at most 5 % plus a
 // fixed 50 ms (timer and scheduler noise on a sub-second run) longer
 // than the same run with telemetry off.
 const (
@@ -117,7 +68,7 @@ func median(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// TestTelemetryTax runs off, collector-on and profiling-on iterations
+// TestTelemetryTax runs off, events-out and profiling-on iterations
 // of the fixed workload in rounds in one process, so CPU frequency,
 // caches and heap age are shared, rotating which variant leads each
 // round. A variant's tax is the median over rounds of its iteration
@@ -138,7 +89,7 @@ func TestTelemetryTax(t *testing.T) {
 		opts Options
 	}{
 		{"off", Options{}},
-		{"collector", Options{Collector: "127.0.0.1:0"}},
+		{"events-out", Options{EventsOut: filepath.Join(t.TempDir(), "events.json")}},
 		{"profiling", Options{ProfDir: t.TempDir()}},
 	}
 	var offs []time.Duration
@@ -148,10 +99,7 @@ func TestTelemetryTax(t *testing.T) {
 		took := make([]time.Duration, len(variants))
 		for k := range variants {
 			v := (round + k) % len(variants)
-			tel, err := StartTelemetry("tax-"+variants[v].name, workloadRanks, variants[v].opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tel := StartTelemetry("tax-"+variants[v].name, workloadRanks, variants[v].opts)
 			runtime.GC()
 			start := time.Now()
 			runErr := runWorkload(store, tel)
@@ -211,10 +159,7 @@ func TestProfileLabelExactness(t *testing.T) {
 	for run := 1; ; run++ {
 		dir := t.TempDir()
 		events := filepath.Join(dir, "events.json")
-		tel, err := StartTelemetry("profile-test", workloadRanks, Options{ProfDir: dir, EventsOut: events})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tel := StartTelemetry("profile-test", workloadRanks, Options{ProfDir: dir, EventsOut: events})
 		if err := tel.Close(runWorkload(store, tel)); err != nil {
 			t.Fatal(err)
 		}
@@ -228,11 +173,11 @@ func TestProfileLabelExactness(t *testing.T) {
 			t.Fatal(err)
 		}
 		cpus, allocs = append(cpus, c...), append(allocs, a...)
-		d, err := obs.ReadDumpFile(events)
+		s, err := obs.ReadStreamFile(events)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arep, err := analyze.Analyze(d, analyze.Options{TopSpans: 1})
+		arep, err := analyze.Analyze(s.Dump, analyze.Options{TopSpans: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

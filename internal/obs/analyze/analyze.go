@@ -37,11 +37,11 @@ type Options struct {
 	TopSpans int
 
 	// Partial says the dump is a mid-run prefix of an ongoing run (the
-	// collector's live view): a receive whose matching send has not
-	// been streamed yet is tolerated — counted in Report.Unmatched and
-	// analyzed without its message edge (its idle attribution is a
-	// lower bound until the sender's stream catches up) — instead of
-	// rejecting the dump as corrupt.
+	// live status view of its events streams): a receive whose matching
+	// send has not been streamed yet is tolerated — counted in
+	// Report.Unmatched and analyzed without its message edge (its idle
+	// attribution is a lower bound until the sender's stream catches
+	// up) — instead of rejecting the dump as corrupt.
 	Partial bool
 }
 

@@ -203,7 +203,7 @@ func TestAnnotatedChrome(t *testing.T) {
 // has not been streamed yet is counted, not fatal; strict mode keeps
 // rejecting it.
 func TestPartialToleratesUnmatchedRecv(t *testing.T) {
-	d := &obs.Dump{Version: obs.DumpVersion, Ranks: []obs.RankDump{{
+	d := &obs.Dump{Ranks: []obs.RankDump{{
 		Rank: 1,
 		Events: []obs.Event{
 			{Kind: obs.EvRecvBegin, Rank: 1, Comp: 1, A: 0, B: 7},

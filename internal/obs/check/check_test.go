@@ -237,7 +237,7 @@ func perProcessDumps(t *testing.T) []*obs.Dump {
 	full := tr.Dump()
 	var dumps []*obs.Dump
 	for r, rd := range full.Ranks {
-		d := &obs.Dump{Version: obs.DumpVersion}
+		d := &obs.Dump{}
 		for q := range full.Ranks {
 			if q == r {
 				d.Ranks = append(d.Ranks, rd)

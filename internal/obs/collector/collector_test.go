@@ -1,13 +1,10 @@
 package collector
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,18 +12,51 @@ import (
 	"repro/internal/obs/analyze"
 )
 
-// fakeClock is a settable Now hook.
-type fakeClock struct{ t time.Time }
+// t0 is the pinned time of every append a test stamps.
+var t0 = time.Unix(1000, 0)
 
-func (f *fakeClock) now() time.Time          { return f.t }
-func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
-
-func mkReport(rank int, seq uint64, evs []obs.Event) *Report {
-	rep := &Report{Version: ProtoVersion, Rank: rank, Seq: seq, PID: 100 + rank}
-	if len(evs) > 0 {
-		rep.Streams = []RankStream{{Rank: rank, Events: evs}}
+// appendRecords appends recs to the stream at path and stamps its
+// last append at t0.
+func appendRecords(t *testing.T, path string, recs ...obs.Record) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rep
+	for i := range recs {
+		if err := obs.WriteRecord(f, &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, t0, t0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rec is one record of rank r's own stream in a size-rank run.
+func rec(size, r int, evs []obs.Event) obs.Record {
+	rc := obs.Record{Job: "t", Rank: r, PID: 100 + r, Size: size, Covers: []int{r}}
+	if len(evs) > 0 {
+		rc.Streams = []obs.RankDump{{Rank: r, Events: evs}}
+	}
+	return rc
+}
+
+func final(rc obs.Record, ok bool) obs.Record {
+	rc.Final, rc.ExitOK = true, ok
+	return rc
+}
+
+func read(t *testing.T, path string, at time.Duration) *Status {
+	t.Helper()
+	st, err := Read(path, t0.Add(at))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func statusRank(t *testing.T, st *Status, r int) RankStatus {
@@ -41,137 +71,87 @@ func statusRank(t *testing.T, st *Status, r int) RankStatus {
 }
 
 // TestHealthModel walks one rank through the full state machine —
-// waiting, alive, late, dead, done — on a pinned clock, and checks
-// readyz/healthz verdicts along the way.
+// waiting, alive, late, dead, done — at pinned instants after its last
+// append, with the run's readiness and verdict along the way.
 func TestHealthModel(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c := New(Config{Ranks: 2, Job: "t", Now: clk.now})
-
-	st := c.Status()
-	if got := statusRank(t, st, 0).State; got != StateWaiting {
-		t.Fatalf("initial state = %q, want waiting", got)
-	}
-	if ok, missing := c.Readyz(); ok || len(missing) != 2 {
-		t.Fatalf("readyz before reports: ok=%v missing=%v", ok, missing)
-	}
-	if ok, _ := c.Healthz(); !ok {
-		t.Fatal("a merely-waiting run should still be healthy")
+	path := filepath.Join(t.TempDir(), "ev.json")
+	if st := read(t, path, 0); st.SeenRanks != 0 || len(st.Ranks) != 0 {
+		t.Fatalf("status before any stream: %+v", st)
 	}
 
 	evs := []obs.Event{
 		{Kind: obs.EvPhaseEnter, Rank: 0, A: obs.PhaseGST},
 		{Kind: obs.EvSendEnd, Rank: 0, Comm: 0.5, A: 1, B: 7, C: 64, Seq: 1},
 	}
-	if err := c.Ingest(mkReport(0, 1, evs)); err != nil {
-		t.Fatal(err)
-	}
-	row := statusRank(t, c.Status(), 0)
-	if row.State != StateAlive || row.MsgsSent != 1 || row.BytesSent != 64 || row.Events != 2 {
-		t.Fatalf("after first report: %+v", row)
+	appendRecords(t, path+".rank0", rec(2, 0, evs))
+	st := read(t, path, 0)
+	row := statusRank(t, st, 0)
+	if row.State != StateAlive || row.MsgsSent != 1 || row.BytesSent != 64 || row.Events != 2 || row.PID != 100 {
+		t.Fatalf("after first append: %+v", row)
 	}
 	if row.Phase != obs.PhaseName(obs.PhaseGST) {
 		t.Fatalf("phase = %q", row.Phase)
 	}
-	if ok, missing := c.Readyz(); ok || !reflect.DeepEqual(missing, []int{1}) {
-		t.Fatalf("readyz: ok=%v missing=%v", ok, missing)
+	if got := statusRank(t, st, 1).State; got != StateWaiting || st.SeenRanks != 1 || st.ExpectRanks != 2 {
+		t.Fatalf("rank 1 = %q, seen %d of %d: want waiting, 1 of 2", got, st.SeenRanks, st.ExpectRanks)
 	}
 
-	clk.advance(3 * time.Second) // past WarnAfter (2s), short of DeadAfter (8s)
-	if got := statusRank(t, c.Status(), 0).State; got != StateLate {
-		t.Fatalf("state after 3s = %q, want late", got)
-	}
-	if ok, _ := c.Healthz(); !ok {
-		t.Fatal("late is a warning, not unhealthy")
-	}
-
-	clk.advance(6 * time.Second) // total 9s: dead
-	if got := statusRank(t, c.Status(), 0).State; got != StateDead {
-		t.Fatalf("state after 9s = %q, want dead", got)
-	}
-	if ok, problems := c.Healthz(); ok || len(problems) == 0 {
-		t.Fatalf("a dead rank must be unhealthy (problems %v)", problems)
+	for _, c := range []struct {
+		at   time.Duration
+		want string
+	}{
+		{WarnAfter - time.Millisecond, StateAlive},
+		{WarnAfter, StateLate},
+		{DeadAfter - time.Millisecond, StateLate},
+		{DeadAfter, StateDead},
+	} {
+		if row := statusRank(t, read(t, path, c.at), 0); row.State != c.want || row.LagMs != c.at.Milliseconds() {
+			t.Fatalf("%v after the last append: %+v, want %s", c.at, row, c.want)
+		}
 	}
 
-	// Rank 1 reports; then rank 0's final flush completes the run and
-	// the verdict flips to the exit status.
-	if err := c.Ingest(mkReport(1, 1, nil)); err != nil {
-		t.Fatal(err)
+	// Rank 1 appends; then rank 0's final record completes the run and
+	// the verdict is its exit status, whatever the clock says.
+	appendRecords(t, path+".rank1", rec(2, 1, nil))
+	if st := read(t, path, 0); st.SeenRanks != 2 || st.Complete {
+		t.Fatalf("after both ranks appended: %+v", st)
 	}
-	if ok, missing := c.Readyz(); !ok {
-		t.Fatalf("readyz after both ranks: missing=%v", missing)
-	}
-	fin := mkReport(0, 2, nil)
-	fin.Final, fin.ExitOK = true, true
-	if err := c.Ingest(fin); err != nil {
-		t.Fatal(err)
-	}
-	st = c.Status()
-	if !st.Complete || !st.ExitOK {
+	appendRecords(t, path+".rank0", final(rec(2, 0, nil), true))
+	st = read(t, path, time.Hour)
+	if !st.Complete || !st.ExitOK || st.Records != 3 {
 		t.Fatalf("status after final: %+v", st)
 	}
-	if got := statusRank(t, st, 0).State; got != StateDone {
-		t.Fatalf("final state = %q, want done", got)
-	}
-	if ok, _ := c.Healthz(); !ok {
-		t.Fatal("completed-ok run must be healthy")
+	if row := statusRank(t, st, 0); row.State != StateDone || row.LagMs != -1 {
+		t.Fatalf("final row = %+v, want done with no lag", row)
 	}
 }
 
-// TestIngestIdempotent: a retried (duplicate-seq) report must not
-// double-count anything.
-func TestIngestIdempotent(t *testing.T) {
-	c := New(Config{Ranks: 1})
-	evs := []obs.Event{{Kind: obs.EvSendEnd, Rank: 0, A: 0, C: 10, Seq: 1}}
-	rep := mkReport(0, 1, evs)
-	if err := c.Ingest(rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ingest(rep); err != nil {
-		t.Fatal(err)
-	}
-	row := statusRank(t, c.Status(), 0)
-	if row.Reports != 1 || row.MsgsSent != 1 || row.Events != 1 {
-		t.Fatalf("duplicate report was applied: %+v", row)
-	}
-	if err := c.Ingest(&Report{Version: 99, Rank: 0, Seq: 2}); err == nil {
-		t.Fatal("wrong proto version accepted")
-	}
-}
-
-// TestCoversHeartbeat: one in-process reporter covering all ranks
-// keeps every rank's heartbeat fresh.
+// TestCoversHeartbeat: one in-process stream covering all ranks keeps
+// every rank's heartbeat fresh.
 func TestCoversHeartbeat(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c := New(Config{Ranks: 3, Now: clk.now})
-	rep := mkReport(0, 1, nil)
-	rep.Covers = []int{0, 1, 2}
-	if err := c.Ingest(rep); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(time.Second)
-	st := c.Status()
+	path := filepath.Join(t.TempDir(), "ev.json")
+	appendRecords(t, path, obs.Record{Size: 3, Covers: []int{0, 1, 2}})
+	st := read(t, path, time.Second)
 	for r := 0; r < 3; r++ {
 		if row := statusRank(t, st, r); row.State != StateAlive {
 			t.Fatalf("rank %d state = %q, want alive", r, row.State)
 		}
 	}
-	if ok, missing := c.Readyz(); !ok {
-		t.Fatalf("covered ranks should be ready (missing %v)", missing)
+	if st.SeenRanks != 3 || st.ExpectRanks != 3 {
+		t.Fatalf("covered ranks should all be seen: %+v", st)
 	}
 }
 
 // TestLeaseExpireAttribution: the master emits the lease-expire event,
 // but the tally belongs to the lost worker, and the master's final
-// dump, which repeats the streamed event, does not count it again.
+// record, which streams nothing new, does not count it again.
 func TestLeaseExpireAttribution(t *testing.T) {
-	c := New(Config{Ranks: 3})
+	path := filepath.Join(t.TempDir(), "ev.json")
 	evs := []obs.Event{{Kind: obs.EvLeaseExpire, Rank: 0, A: 2, B: 5}}
-	if err := c.Ingest(mkReport(0, 1, evs)); err != nil {
-		t.Fatal(err)
-	}
+	appendRecords(t, path+".rank0", rec(3, 0, evs))
 	check := func(when string) {
 		t.Helper()
-		st := c.Status()
+		st := read(t, path, 0)
 		if got := statusRank(t, st, 2).LeaseExpires; got != 1 {
 			t.Fatalf("%s: worker 2 lease expiries = %d, want 1", when, got)
 		}
@@ -180,13 +160,8 @@ func TestLeaseExpireAttribution(t *testing.T) {
 		}
 	}
 	check("streamed")
-	final := mkReport(0, 2, nil)
-	final.Final, final.ExitOK = true, true
-	final.FinalDump = &obs.Dump{Version: obs.DumpVersion, Ranks: []obs.RankDump{{Rank: 0, Events: evs}}}
-	if err := c.Ingest(final); err != nil {
-		t.Fatal(err)
-	}
-	check("after the final dump")
+	appendRecords(t, path+".rank0", final(rec(3, 0, nil), true))
+	check("after the final record")
 }
 
 // scriptProcess emits rank r's side of a tiny run into its own tracer
@@ -214,351 +189,301 @@ func scriptProcess(size, r int) (*obs.Tracer, *obs.Registry) {
 	return tr, reg
 }
 
-func httpGet(t *testing.T, url string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
+// sameRanks reports whether two dumps' ranks hold the same events and
+// drop counts (an empty stream equals a nil one).
+func sameRanks(a, b []obs.RankDump) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	for i := range a {
+		if a[i].Rank != b[i].Rank || a[i].Dropped != b[i].Dropped || len(a[i].Events) != len(b[i].Events) ||
+			len(a[i].Events) > 0 && !reflect.DeepEqual(a[i].Events, b[i].Events) {
+			return false
+		}
 	}
-	return resp.StatusCode, body
+	return true
 }
 
-// TestReporterIntegration runs a 4-"process" job (goroutine-level: one
-// tracer+registry+reporter per simulated rank) against a served
-// collector and checks the tentpole invariants end to end:
-//
-//   - every rank turns alive and readyz flips to ok,
-//   - after the final flushes /events is byte-identical to
-//     obs.MergeDumps over the per-process dumps,
-//   - /analyze agrees exactly with the post-hoc analysis of the
-//     merged dump,
-//   - per-rank metrics are reconstructed from the deltas.
-func TestReporterIntegration(t *testing.T) {
-	const size = 4
-	col := New(Config{Ranks: size, Job: "itest"})
-	srv, err := col.Serve("127.0.0.1:0", nil)
+// postHoc is the analysis asmprof derives after the run, reduced to
+// the live summary: the Partial analysis of the merged dumps.
+func postHoc(t *testing.T, dumps ...*obs.Dump) *LiveAnalysis {
+	t.Helper()
+	merged, err := obs.MergeDumps(dumps...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	base := "http://" + srv.Addr
+	rep, err := analyze.Analyze(merged, analyze.Options{Partial: true})
+	return liveAnalysis(rep, err)
+}
 
+// TestReporterIntegration runs a 4-"process" job (one tracer, registry
+// and reporter per simulated rank, each writing path.rank<r>) and
+// checks the contract end to end:
+//
+//   - every rank's stream appears and the run is seen whole mid-run,
+//   - after the final records every rank is done and the run complete,
+//   - each folded stream holds exactly its tracer's events, and its
+//     last registry,
+//   - the live analysis equals the post-hoc analysis of the tracers'
+//     own dumps.
+func TestReporterIntegration(t *testing.T) {
+	const size = 4
+	path := filepath.Join(t.TempDir(), "ev.json")
 	var reporters []*Reporter
 	var dumps []*obs.Dump
 	for r := 0; r < size; r++ {
 		tr, reg := scriptProcess(size, r)
 		reporters = append(reporters, StartReporter(ReporterConfig{
-			URL: base, Rank: r, Job: "itest",
-			Interval: 5 * time.Millisecond,
-			Tracer:   tr, Registry: reg,
+			Path: fmt.Sprintf("%s.rank%d", path, r), Run: 42, Rank: r, Size: size, Job: "itest",
+			Tracer: tr, Registry: reg,
 		}))
 		dumps = append(dumps, tr.Dump())
 	}
-
-	// Wait for every rank's stream to arrive.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		events := col.Status().EventsTotal
-		if ok, _ := col.Readyz(); ok && events >= 4+3*(size-1)+2*(size-1) {
-			break
+	for _, rep := range reporters {
+		if err := rep.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("streams never arrived: events=%d", events)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if code, _ := httpGet(t, base+"/readyz"); code != 200 {
-		t.Fatalf("/readyz = %d mid-run", code)
+	st, err := Read(path, time.Now())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, _ := httpGet(t, base+"/healthz"); code != 200 {
-		t.Fatalf("/healthz = %d mid-run", code)
+	if st.SeenRanks != size || st.Complete || st.Job != "itest" {
+		t.Fatalf("mid-run status: %+v", st)
 	}
 
-	// Final flushes: workers first, rank 0 last (it owns the verdict).
+	// Final records: workers first, rank 0 last (it owns the verdict).
 	for r := size - 1; r >= 0; r-- {
-		if err := reporters[r].Close(dumps[r], true, ""); err != nil {
+		if err := reporters[r].Close(true, ""); err != nil {
 			t.Fatalf("close reporter %d: %v", r, err)
 		}
 	}
-
-	var st Status
-	code, body := httpGet(t, base+"/status")
-	if code != 200 || json.Unmarshal(body, &st) != nil {
-		t.Fatalf("/status: %d %s", code, body)
+	st, err = Read(path, time.Now())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !st.Complete || !st.ExitOK || st.SeenRanks != size {
 		t.Fatalf("final status: %+v", st)
 	}
 	for r := 0; r < size; r++ {
-		if row := statusRank(t, &st, r); row.State != StateDone {
+		if row := statusRank(t, st, r); row.State != StateDone {
 			t.Fatalf("rank %d final state = %q", r, row.State)
 		}
-	}
-
-	// Byte-equivalence: /events vs obs.MergeDumps over the dump files.
-	merged, err := obs.MergeDumps(dumps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := merged.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	code, got := httpGet(t, base+"/events")
-	if code != 200 {
-		t.Fatalf("/events = %d", code)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("/events differs from MergeDumps output:\ngot  %d bytes\nwant %d bytes", len(got), want.Len())
-	}
-
-	// Live analysis == post-hoc analysis of the merged dump, exactly.
-	postHoc, err := analyze.Analyze(merged, analyze.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := col.LiveReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var liveJSON, postJSON bytes.Buffer
-	if err := live.WriteJSON(&liveJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := postHoc.WriteJSON(&postJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveJSON.Bytes(), postJSON.Bytes()) {
-		t.Fatalf("live analysis diverges from post-hoc:\nlive %s\npost %s", liveJSON.Bytes(), postJSON.Bytes())
-	}
-	code, body = httpGet(t, base+"/analyze?format=json")
-	if code != 200 || !bytes.Equal(body, liveJSON.Bytes()) {
-		t.Fatalf("/analyze = %d, or differs from LiveReport:\n%s", code, body)
-	}
-
-	// Metrics reconstructed from deltas.
-	var details []struct {
-		Rank    int            `json:"rank"`
-		Metrics map[string]any `json:"metrics"`
-	}
-	code, body = httpGet(t, base+"/ranks")
-	if code != 200 || json.Unmarshal(body, &details) != nil {
-		t.Fatalf("/ranks: %d %s", code, body)
-	}
-	if len(details) != size {
-		t.Fatalf("/ranks rows = %d", len(details))
-	}
-	for _, d := range details {
-		if got := d.Metrics["par_msgs_sent"]; got != float64(d.Rank+1) {
-			t.Fatalf("rank %d reconstructed counter = %v, want %d", d.Rank, got, d.Rank+1)
+		s, err := obs.ReadStreamFile(fmt.Sprintf("%s.rank%d", path, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRanks(s.Dump.Ranks, dumps[r].Ranks) {
+			t.Fatalf("rank %d: folded stream differs from its tracer's dump:\n%+v\n%+v", r, s.Dump.Ranks, dumps[r].Ranks)
+		}
+		if got := s.Metrics.Counters["par_msgs_sent"]; got != int64(r+1) {
+			t.Fatalf("rank %d streamed counter = %d, want %d", r, got, r+1)
 		}
 	}
-}
-
-// TestIngestHTTPErrors exercises the endpoint's failure modes.
-func TestIngestHTTPErrors(t *testing.T) {
-	col := New(Config{Ranks: 1})
-	srv, err := col.Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr
-
-	if code, _ := httpGet(t, base+"/ingest"); code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /ingest = %d", code)
-	}
-	resp, err := http.Post(base+"/ingest", "application/json", bytes.NewReader([]byte("{")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body = %d", resp.StatusCode)
-	}
-	bad, _ := json.Marshal(&Report{Version: 42, Rank: 0, Seq: 1})
-	resp, err = http.Post(base+"/ingest", "application/json", bytes.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad version = %d", resp.StatusCode)
-	}
-	// /events before any final dump.
-	if code, _ := httpGet(t, base+"/events"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/events without finals = %d", code)
+	if want := postHoc(t, dumps...); !reflect.DeepEqual(st.Live, want) {
+		t.Fatalf("live analysis diverges from post-hoc:\nlive %+v\npost %+v", st.Live, want)
 	}
 }
 
-// TestReporterBestEffort: a reporter pointed at nothing counts
-// failures and never blocks the caller; Close is idempotent and
-// nil-safe.
+// TestReporterBestEffort: a reporter whose stream cannot be written
+// reports the failure and never blocks the caller; Close is
+// idempotent and nil-safe.
 func TestReporterBestEffort(t *testing.T) {
 	tr := obs.NewTracer(1, 16)
 	tr.Emit(0, obs.EvClusterMerge, 0, 0, 1, 2, 0)
 	r := StartReporter(ReporterConfig{
-		URL: "http://127.0.0.1:1", Rank: 0, // nothing listens on port 1
-		Interval: time.Hour, // only explicit flushes
-		Tracer:   tr, Registry: obs.NewRegistry(),
-		Client: &http.Client{Timeout: 200 * time.Millisecond},
+		Path:   filepath.Join(t.TempDir(), "no", "such", "dir", "ev.json"),
+		Tracer: tr, Registry: obs.NewRegistry(),
 	})
 	if err := r.Flush(); err == nil {
-		t.Fatal("flush against a dead collector should error")
+		t.Fatal("an append to an unwritable stream should error")
 	}
-	if r.Failed() == 0 {
-		t.Fatal("failure not counted")
+	if err := r.Close(true, ""); err == nil {
+		t.Fatal("the final record of an unwritable stream should error")
 	}
-	if err := r.Close(nil, true, ""); err == nil {
-		t.Fatal("final flush against a dead collector should error")
-	}
-	if err := r.Close(nil, true, ""); err != nil {
+	if err := r.Close(true, ""); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
 	var nilRep *Reporter
-	if err := nilRep.Close(nil, true, ""); err != nil {
+	if err := nilRep.Close(true, ""); err != nil {
 		t.Fatalf("nil reporter Close: %v", err)
 	}
 }
 
 // TestLiveReportConvergesToPostHoc: streaming a run in batches —
 // receives arriving before their sends — and then each process's
-// final flush yields a live report identical to the post-hoc Partial
-// analysis of the merged dump.
+// final record yields a live analysis identical to the post-hoc
+// Partial analysis of the processes' own dumps.
 func TestLiveReportConvergesToPostHoc(t *testing.T) {
 	const size = 3
-	col := New(Config{Ranks: size})
+	path := filepath.Join(t.TempDir(), "ev.json")
 	var dumps []*obs.Dump
 	for r := 0; r < size; r++ {
 		tr, _ := scriptProcess(size, r)
 		dumps = append(dumps, tr.Dump())
 	}
-	stream := func(r int, seq uint64, evs []obs.Event) {
-		t.Helper()
-		if err := col.Ingest(mkReport(r, seq, evs)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stream := func(r int) string { return fmt.Sprintf("%s.rank%d", path, r) }
 
 	// Rank 0's receives stream first, in two batches; their sends have
 	// not arrived yet.
 	r0 := dumps[0].Ranks[0].Events
-	stream(0, 1, r0[:2])
-	stream(0, 2, r0[2:])
-	mid, err := col.LiveReport()
-	if err != nil {
-		t.Fatalf("mid-stream report: %v", err)
-	}
-	if mid.Unmatched != size-1 {
-		t.Fatalf("mid-stream Unmatched = %d, want %d", mid.Unmatched, size-1)
+	appendRecords(t, stream(0), rec(size, 0, r0[:2]), rec(size, 0, r0[2:]))
+	if lv := read(t, path, 0).Live; lv == nil || lv.Error != "" || lv.Unmatched != size-1 {
+		t.Fatalf("mid-stream analysis %+v, want %d unmatched", lv, size-1)
 	}
 	// The workers stream a prefix only: their phase exits come with
-	// the final dumps.
+	// their final records.
 	for r := 1; r < size; r++ {
 		evs := dumps[r].Ranks[r].Events
-		stream(r, 1, evs[:len(evs)-1])
+		appendRecords(t, stream(r), rec(size, r, evs[:len(evs)-1]))
 	}
-	if rep, err := col.LiveReport(); err != nil {
-		t.Fatal(err)
-	} else if rep.Unmatched != 0 {
-		t.Fatalf("after every send streamed: Unmatched = %d, want 0", rep.Unmatched)
+	if lv := read(t, path, 0).Live; lv.Unmatched != 0 {
+		t.Fatalf("after every send streamed: Unmatched = %d, want 0", lv.Unmatched)
 	}
 
 	for r := size - 1; r >= 0; r-- {
-		fin := mkReport(r, 3, nil)
-		fin.Final, fin.ExitOK, fin.FinalDump = true, true, dumps[r]
-		if err := col.Ingest(fin); err != nil {
-			t.Fatal(err)
+		var rest []obs.Event
+		if r > 0 {
+			evs := dumps[r].Ranks[r].Events
+			rest = evs[len(evs)-1:]
 		}
+		appendRecords(t, stream(r), final(rec(size, r, rest), true))
 	}
-	merged, err := col.MergedDump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := analyze.Analyze(merged, analyze.Options{Partial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := col.LiveReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotJSON, wantJSON bytes.Buffer
-	if err := got.WriteJSON(&gotJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.WriteJSON(&wantJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
-		t.Fatalf("live report diverges from post-hoc:\nlive %s\npost %s", gotJSON.Bytes(), wantJSON.Bytes())
-	}
-	// Nothing changed since: the memoized report comes back.
-	if again, _ := col.LiveReport(); again != got {
-		t.Fatal("unchanged streams should return the cached report")
+	if got, want := read(t, path, 0).Live, postHoc(t, dumps...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live analysis diverges from post-hoc:\nlive %+v\npost %+v", got, want)
 	}
 }
 
-// TestFailedPostMarksGap: a report the collector never received loses
-// its events from the live view, which must say so through the
-// rank's drop count, but no metrics: the next report carries the
-// whole registry.
-func TestFailedPostMarksGap(t *testing.T) {
-	col := New(Config{Ranks: 1})
-	mux := http.NewServeMux()
-	for _, ep := range col.Endpoints() {
-		mux.Handle(ep.Path, ep.Handler)
-	}
-	var ingests atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/ingest" && ingests.Add(1) == 1 {
-			http.Error(w, "injected failure", http.StatusInternalServerError)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
+// TestFailedWriteMarksGap: a record whose write failed loses its
+// events from the stream, which must say so through the rank's drop
+// count, but no metrics: the next record carries the whole registry.
+func TestFailedWriteMarksGap(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "later")
+	path := filepath.Join(dir, "ev.json")
 	tr := obs.NewTracer(1, 16)
 	reg := obs.NewRegistry()
 	hits := reg.Counter("hits")
-	rep := StartReporter(ReporterConfig{
-		URL: srv.URL, Rank: 0,
-		Interval: time.Hour, // only explicit flushes
-		Tracer:   tr, Registry: reg,
-	})
+	rep := StartReporter(ReporterConfig{Path: path, Tracer: tr, Registry: reg})
 	tr.Emit(0, obs.EvClusterMerge, 0, 0, 1, 2, 0)
 	tr.Emit(0, obs.EvClusterMerge, 0, 0, 3, 4, 0)
 	hits.Add(5)
 	if err := rep.Flush(); err == nil {
-		t.Fatal("the injected failure was not reported")
+		t.Fatal("the failed write was not reported")
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
 	}
 	tr.Emit(0, obs.EvClusterMerge, 0, 0, 5, 6, 0)
 	hits.Add(1)
 	if err := rep.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	live := col.LiveDump()
-	if len(live.Ranks) != 1 || len(live.Ranks[0].Events) != 1 || live.Ranks[0].Dropped != 2 {
-		t.Fatalf("live view after a lost post: %+v, want 1 event and 2 dropped", live.Ranks)
-	}
-	if got := col.ranks[0].metrics.Counters["hits"]; got != hits.Value() {
-		t.Fatalf("collector counter after a lost post = %d, registry = %d", got, hits.Value())
-	}
-
-	if err := rep.Close(nil, true, ""); err != nil {
+	if err := rep.Close(true, ""); err != nil {
 		t.Fatal(err)
 	}
-	live = col.LiveDump()
-	if len(live.Ranks) != 1 || len(live.Ranks[0].Events) != 3 || live.Ranks[0].Dropped != 0 {
-		t.Fatalf("live view after the final flush: %+v, want 3 events and none dropped", live.Ranks)
+	s, err := obs.ReadStreamFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := col.ranks[0].metrics.Counters["hits"]; got != hits.Value() {
-		t.Fatalf("collector counter = %d, registry = %d", got, hits.Value())
+	if rd := s.Dump.Ranks[0]; len(rd.Events) != 1 || rd.Dropped != 2 {
+		t.Fatalf("stream after a failed write: %+v, want 1 event and 2 dropped", rd)
+	}
+	if got := s.Metrics.Counters["hits"]; got != hits.Value() {
+		t.Fatalf("streamed counter after a failed write = %d, registry = %d", got, hits.Value())
+	}
+}
+
+// TestEarlierRunIgnored: files an earlier run left at the same path —
+// an interrupted rank 0's stream, finished worker streams, an
+// in-process run's single stream, an earlier format's dump — never
+// color the status of the run that follows, from the instant its rank
+// 0's reporter starts.
+func TestEarlierRunIgnored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ev.json")
+	old := func(rc obs.Record) obs.Record { rc.Run = 1; return rc }
+	merge := []obs.Event{{Kind: obs.EvClusterMerge, Rank: 1, A: 1, B: 2}}
+	appendRecords(t, path+".rank0.interrupted", old(final(rec(3, 0, nil), false)))
+	appendRecords(t, path+".rank1", old(final(rec(3, 1, merge), true)))
+	appendRecords(t, path+".rank2", old(final(rec(3, 2, merge), true)))
+	appendRecords(t, path, final(obs.Record{Size: 3, Covers: []int{0, 1, 2}}, true)) // older still
+	// An earlier build's single-document dump is no stream to follow.
+	if err := os.WriteFile(path+".rank3", []byte(`{"version":1,"ranks":[]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st := read(t, path, 0); !st.Complete || st.ExitOK {
+		t.Fatalf("before the next run starts, the status is the earlier run's: %+v", st)
+	}
+
+	tr := obs.NewTracer(2, 16)
+	rep := StartReporter(ReporterConfig{Path: path + ".rank0", Run: 2, Rank: 0, Size: 2, Tracer: tr})
+	defer rep.Close(true, "")
+	st, err := Read(path, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Complete || st.ExpectRanks != 2 || st.SeenRanks != 1 || st.EventsTotal != 0 {
+		t.Fatalf("the new run's status mixes in the earlier run's files: %+v", st)
+	}
+	if row := statusRank(t, st, 0); row.State != StateAlive {
+		t.Fatalf("the new rank 0 = %+v, want alive", row)
+	}
+	if row := statusRank(t, st, 1); row.State != StateWaiting {
+		t.Fatalf("rank 1 = %+v, want waiting: its file is the earlier run's", row)
+	}
+}
+
+// TestPublishOnlyWhenFinished: a stream is appended under its working
+// name and takes its own name only with its final record, so an
+// earlier run's finished stream at that name survives a successor cut
+// short — interrupted (published under .interrupted) or killed (left
+// under the working name) — and is replaced only by a finished one.
+func TestPublishOnlyWhenFinished(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ev.json")
+	appendRecords(t, path, final(obs.Record{Run: 1, Size: 1, Covers: []int{0}}, true))
+	earlier, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		if b, err := os.ReadFile(path); err != nil || string(b) != string(earlier) {
+			t.Fatalf("%s: the earlier run's finished stream was touched (%v)", when, err)
+		}
+	}
+
+	tr := obs.NewTracer(1, 16)
+	tr.Emit(0, obs.EvClusterMerge, 0, 0, 1, 2, 0)
+	killed := StartReporter(ReporterConfig{Path: path, Run: 2, Tracer: tr})
+	if err := killed.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("mid-run")
+	if st := read(t, path, 0); st.Complete || st.Ranks[0].Events != 1 {
+		t.Fatalf("the running stream is not the one read: %+v", st)
+	}
+	// killed is abandoned here, as a SIGKILL would leave it.
+	killed.stopOnce.Do(func() { close(killed.stop) })
+	<-killed.done
+	killed.f.Close()
+
+	interrupted := StartReporter(ReporterConfig{Path: path, Run: 3, Tracer: tr})
+	if err := interrupted.Interrupt("interrupted: terminated"); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("after an interrupted run")
+	s, err := obs.ReadStreamFile(path + ".interrupted")
+	if err != nil || !s.Final || s.ExitOK || s.Run != 3 {
+		t.Fatalf("interrupted stream: %+v, %v", s, err)
+	}
+
+	finished := StartReporter(ReporterConfig{Path: path, Run: 4, Tracer: tr})
+	if err := finished.Close(true, ""); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := obs.ReadStreamFile(path); err != nil || !s.Final || !s.ExitOK || s.Run != 4 {
+		t.Fatalf("finished stream: %+v, %v", s, err)
+	}
+	if _, err := os.Stat(path + PartSuffix); !os.IsNotExist(err) {
+		t.Fatalf("the finished stream left its working name behind: %v", err)
 	}
 }

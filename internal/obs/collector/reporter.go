@@ -1,53 +1,65 @@
 package collector
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"net/http"
+	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// ReporterConfig wires one process's telemetry stream to a collector.
+// interval is how often a running reporter appends a record.
+const interval = 200 * time.Millisecond
+
+// PartSuffix names a stream while its writer appends to it: Path +
+// PartSuffix. The final record publishes it under Path (Close) or
+// Path + ".interrupted" (Interrupt), so a stream cut short never
+// replaces a finished one an earlier run left at Path.
+const PartSuffix = ".part"
+
+// ReporterConfig wires one process's telemetry to its events stream.
 type ReporterConfig struct {
-	// URL is the collector's base URL (http://host:port).
-	URL string
+	// Path is the name the finished stream takes. The process covering
+	// rank 0, whose stream carries the run's verdict, creates its
+	// stream (Path + PartSuffix, replacing any earlier one) as the
+	// reporter starts; any other waits for its tracer's first event (or
+	// its final record), so a worker rank killed before it traced
+	// anything leaves no file.
+	Path string
+	// Run is the run's start in Unix nanoseconds, the same in every
+	// process of the run (default: now, for a run of one process).
+	// Readers of a path follow the newest run whose streams it holds.
+	Run int64
 	// Rank identifies this process; Covers lists the ranks whose rings
 	// this process's tracer owns (default: just Rank; an in-process
-	// machine passes every rank).
+	// machine passes every rank). Size is the machine size (default:
+	// the highest covered rank + 1).
 	Rank   int
 	Covers []int
+	Size   int
 	Job    string
-	// Interval between reports (default 200ms).
-	Interval time.Duration
-	Tracer   *obs.Tracer
+	Tracer *obs.Tracer
+	// Registry is captured whole into every record (nil: empty).
 	Registry *obs.Registry
-	// Client overrides the HTTP client (tests); default has a 5s
-	// timeout so a wedged collector cannot block the final flush.
-	Client *http.Client
 }
 
-// Reporter periodically ships the tracer's new events and a snapshot
-// of the registry to the collector. Delivery is best-effort by design:
-// telemetry must never take the run down, so a failed post is counted
-// and not retried. Cursors are not rewound; the next report adds the
-// lost events to each stream's drop count, so the collector marks the
-// gap, and the final flush carries the full dump that makes the
-// collector whole regardless of what streaming missed. Every report
-// carries the whole registry, so a lost one costs no metrics.
+// Reporter appends the tracer's new events and a snapshot of the
+// registry to the stream every interval. Telemetry must never take
+// the run down, so a failed write is not retried: the file is cut back
+// to its last whole record, and the next record adds the lost events
+// to each rank's drop count, so readers see the gap. Every record
+// carries the whole registry, so a lost one costs no metrics. The
+// stream is never synced: it is telemetry, not resume state.
 type Reporter struct {
-	cfg    ReporterConfig
-	client *http.Client
+	cfg ReporterConfig
 
-	mu      sync.Mutex // serializes flushes (ticker vs Close)
+	mu      sync.Mutex // serializes appends (ticker vs Close)
+	f       *os.File   // nil until the first append
+	off     int64      // length of the whole records written
 	cursors map[int]uint64
-	lost    map[int]uint64 // events of failed posts, per rank, not yet reported
-	seq     uint64
-	failed  uint64
+	lost    map[int]uint64 // events of failed writes, per rank, not yet reported
 	closed  bool
 
 	stopOnce sync.Once
@@ -57,22 +69,22 @@ type Reporter struct {
 
 // StartReporter begins streaming and returns the running reporter.
 func StartReporter(cfg ReporterConfig) *Reporter {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 200 * time.Millisecond
-	}
 	if len(cfg.Covers) == 0 {
 		cfg.Covers = []int{cfg.Rank}
 	}
-	r := &Reporter{
-		cfg:     cfg,
-		client:  cfg.Client,
-		cursors: map[int]uint64{},
-		lost:    map[int]uint64{},
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+	if cfg.Size == 0 {
+		cfg.Size = max(cfg.Rank, slices.Max(cfg.Covers)) + 1
 	}
-	if r.client == nil {
-		r.client = &http.Client{Timeout: 5 * time.Second}
+	if cfg.Run == 0 {
+		cfg.Run = time.Now().UnixNano()
+	}
+	r := &Reporter{cfg: cfg, cursors: map[int]uint64{}, lost: map[int]uint64{},
+		stop: make(chan struct{}), done: make(chan struct{})}
+	if slices.Contains(cfg.Covers, 0) {
+		// A watcher sees the run from its start, not an earlier
+		// run's streams left at the same path. A failed append is
+		// retried by the next one, like any other.
+		_ = r.Flush()
 	}
 	go r.loop()
 	return r
@@ -80,7 +92,7 @@ func StartReporter(cfg ReporterConfig) *Reporter {
 
 func (r *Reporter) loop() {
 	defer close(r.done)
-	tick := time.NewTicker(r.cfg.Interval)
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -92,15 +104,14 @@ func (r *Reporter) loop() {
 	}
 }
 
-// gather builds the next report under the flush lock.
-func (r *Reporter) gather() *Report {
-	r.seq++
-	rep := &Report{
-		Version: ProtoVersion,
+// gather builds the next record under the append lock.
+func (r *Reporter) gather() *obs.Record {
+	rec := &obs.Record{
+		Run:     r.cfg.Run,
 		Job:     r.cfg.Job,
 		Rank:    r.cfg.Rank,
 		PID:     os.Getpid(),
-		Seq:     r.seq,
+		Size:    r.cfg.Size,
 		Covers:  r.cfg.Covers,
 		Metrics: obs.CaptureMetrics(r.cfg.Registry),
 	}
@@ -110,67 +121,75 @@ func (r *Reporter) gather() *Report {
 		lost += r.lost[rank]
 		delete(r.lost, rank)
 		if len(evs) > 0 || lost > 0 {
-			rep.Streams = append(rep.Streams, RankStream{Rank: rank, Events: evs, Dropped: lost})
+			rec.Streams = append(rec.Streams, obs.RankDump{Rank: rank, Dropped: lost, Events: evs})
 		}
 	}
-	return rep
+	return rec
 }
 
-// send posts rep, and on failure counts it and keeps its events'
-// tally for the next report's drop counts.
-func (r *Reporter) send(rep *Report) error {
-	err := r.post(rep)
+// append writes rec, and on failure keeps its batches' tally for the
+// next record's drop counts.
+func (r *Reporter) append(rec *obs.Record) error {
+	if r.f == nil && len(rec.Streams) == 0 && !rec.Final && !slices.Contains(r.cfg.Covers, 0) {
+		return nil // a worker rank that has traced nothing yet
+	}
+	err := r.write(rec)
 	if err != nil {
-		r.failed++
-		for _, st := range rep.Streams {
+		for _, st := range rec.Streams {
 			r.lost[st.Rank] += uint64(len(st.Events)) + st.Dropped
 		}
 	}
 	return err
 }
 
-func (r *Reporter) post(rep *Report) error {
-	body, err := json.Marshal(rep)
-	if err != nil {
+func (r *Reporter) write(rec *obs.Record) error {
+	if r.f == nil {
+		f, err := os.OpenFile(r.cfg.Path+PartSuffix, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		r.f = f
+	}
+	if err := obs.WriteRecord(r.f, rec); err != nil {
+		r.f.Truncate(r.off) // best effort: no torn line before the next record
 		return err
 	}
-	resp, err := r.client.Post(r.cfg.URL+"/ingest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("collector: ingest returned %s", resp.Status)
-	}
+	r.off, _ = r.f.Seek(0, io.SeekCurrent)
 	return nil
 }
 
-// Flush gathers and posts one report now. Errors are also tallied in
-// Failed — the periodic loop ignores them.
+// Flush appends one record now.
 func (r *Reporter) Flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil
 	}
-	return r.send(r.gather())
+	return r.append(r.gather())
 }
 
-// Failed returns how many reports could not be delivered.
-func (r *Reporter) Failed() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failed
-}
-
-// Close stops the periodic loop and delivers the final flush: the
-// process's authoritative full dump (d, or the tracer's current dump
-// when nil), its metrics, and the exit verdict. Safe to
-// call once; a nil reporter is a no-op so call sites need no guards.
-func (r *Reporter) Close(d *obs.Dump, exitOK bool, reason string) error {
+// Close stops the periodic loop, appends the final record with the
+// exit verdict, closes the stream and publishes it under Path. A
+// stream whose final record failed stays under its working name. Safe
+// to call more than once; a nil reporter is a no-op so call sites need
+// no guards.
+func (r *Reporter) Close(exitOK bool, reason string) error {
 	if r == nil {
 		return nil
 	}
+	return r.finish(exitOK, reason, r.cfg.Path)
+}
+
+// Interrupt is Close for a process cut short by a signal: the stream,
+// its verdict failed, is published under Path + ".interrupted".
+func (r *Reporter) Interrupt(reason string) error {
+	if r == nil {
+		return nil
+	}
+	return r.finish(false, reason, r.cfg.Path+".interrupted")
+}
+
+func (r *Reporter) finish(exitOK bool, reason, name string) error {
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.done
 	r.mu.Lock()
@@ -179,13 +198,16 @@ func (r *Reporter) Close(d *obs.Dump, exitOK bool, reason string) error {
 		return nil
 	}
 	r.closed = true
-	if d == nil {
-		d = r.cfg.Tracer.Dump()
+	rec := r.gather()
+	rec.Final, rec.ExitOK, rec.ExitReason = true, exitOK, reason
+	err := r.append(rec)
+	if r.f != nil {
+		if cerr := r.f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	rep := r.gather()
-	rep.Final = true
-	rep.FinalDump = d
-	rep.ExitOK = exitOK
-	rep.ExitReason = reason
-	return r.send(rep)
+	if err == nil {
+		err = os.Rename(r.cfg.Path+PartSuffix, name)
+	}
+	return err
 }

@@ -123,7 +123,7 @@ type Config struct {
 	// gauges (runtime_gc_pause_p99_ns, runtime_sched_latency_p99_ns,
 	// runtime_heap_live_bytes, runtime_heap_goal_bytes,
 	// runtime_gc_cycles), sampled every 250 ms and once at Stop. They
-	// stream to a collector like any other gauge.
+	// reach the events stream like any other gauge.
 	Registry *obs.Registry
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // Runtime health gauges the sampler maintains. They live in the
-// ordinary metrics registry, so they stream to a run collector with
-// every report and surface in the runtime column of `asmprof URL`'s
-// live watch (runtimeCol in cmd/asmprof/watch.go).
+// ordinary metrics registry, so every record of the events stream
+// carries them and they surface in the runtime column of `asmprof
+// -watch` (runtimeCol in cmd/asmprof/watch.go).
 const (
 	GaugeGCPauseP99  = "runtime_gc_pause_p99_ns"
 	GaugeSchedLatP99 = "runtime_sched_latency_p99_ns"

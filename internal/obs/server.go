@@ -16,9 +16,8 @@ import (
 //	/metrics   expvar-style JSON snapshot of the registry
 //	/debug/pprof/...  the standard Go profiling endpoints
 //
-// plus any extra endpoints the caller mounts (a run collector mounts
-// its own). A nil registry serves an empty /metrics. The pprof
-// endpoints are always live.
+// A nil registry serves an empty /metrics. The pprof endpoints are
+// always live.
 type Server struct {
 	// Addr is the actual listen address (useful with ":0").
 	Addr string
@@ -27,15 +26,6 @@ type Server struct {
 	ln   net.Listener
 	once sync.Once
 	err  error
-}
-
-// Endpoint is an extra HTTP route a caller mounts on the
-// observability server. It keeps obs free of upward dependencies:
-// packages layered above obs (internal/obs/collector) export
-// Endpoints rather than obs importing them.
-type Endpoint struct {
-	Path    string
-	Handler http.Handler
 }
 
 // pprofEndpoints are the profiling routes the index advertises:
@@ -49,9 +39,8 @@ var pprofEndpoints = []string{
 
 // Serve starts an observability server on addr ("host:port"; ":0"
 // picks a free port) and returns once it is listening. The server
-// runs until Close. Extra endpoints are mounted verbatim and listed
-// on the index page.
-func Serve(addr string, reg *Registry, extra ...Endpoint) (*Server, error) {
+// runs until Close.
+func Serve(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
@@ -62,18 +51,11 @@ func Serve(addr string, reg *Registry, extra ...Endpoint) (*Server, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "observability endpoints:\n  /metrics\n")
-		for _, ep := range extra {
-			fmt.Fprintf(w, "  %s\n", ep.Path)
-		}
-		fmt.Fprintf(w, "  /debug/pprof/\n")
+		fmt.Fprintf(w, "observability endpoints:\n  /metrics\n  /debug/pprof/\n")
 		for _, p := range pprofEndpoints {
 			fmt.Fprintf(w, "  /debug/pprof/%s\n", p)
 		}
 	})
-	for _, ep := range extra {
-		mux.Handle(ep.Path, ep.Handler)
-	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := reg.WriteJSON(w); err != nil {

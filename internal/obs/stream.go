@@ -1,8 +1,8 @@
 package obs
 
-// Streaming telemetry primitives: what a per-rank process ships to a
-// run-scoped collector (internal/obs/collector) while it runs, instead
-// of one monolithic dump after the run.
+// Streaming telemetry primitives: what a process appends to its
+// events stream (Record) while it runs, instead of one monolithic dump
+// after the run.
 //
 //   - events: the tracer ring is an append-only log per rank (next is
 //     the count of events ever emitted), so a cursor — the reader's
@@ -11,9 +11,9 @@ package obs
 //     many events wraparound evicted before the reader got to them.
 //
 //   - metrics: CaptureMetrics snapshots a registry into a MetricsState,
-//     which every report carries whole. A registry is a few hundred
+//     which every record carries whole. A registry is a few hundred
 //     bytes to a few KB, so the latest state replaces the previous one
-//     and a lost report loses nothing the next one does not resend.
+//     and a lost record loses nothing the next one does not resend.
 
 // EventsSince returns rank's events at log positions >= cursor that
 // are still retained, the new cursor (pass it back next call), and how
@@ -94,36 +94,4 @@ func CaptureMetrics(r *Registry) *MetricsState {
 		s.Hists[name] = hs
 	}
 	return s
-}
-
-// Snapshot renders the state in the same flat expvar shape as
-// Registry.Snapshot (minus uptime), so a collector can serve
-// reconstructed per-rank metrics with the familiar layout.
-func (s *MetricsState) Snapshot() map[string]any {
-	out := make(map[string]any)
-	if s == nil {
-		return out
-	}
-	for name, v := range s.Counters {
-		out[name] = v
-	}
-	for name, v := range s.Gauges {
-		out[name] = v
-	}
-	for name, hs := range s.Hists {
-		buckets := make([]histBucket, 0, len(hs.Counts))
-		for i, c := range hs.Counts {
-			if i < len(hs.Bounds) {
-				buckets = append(buckets, histBucket{Le: hs.Bounds[i], Count: c})
-			} else {
-				buckets = append(buckets, histBucket{Le: "+Inf", Count: c})
-			}
-		}
-		var count int64
-		for _, c := range hs.Counts {
-			count += c
-		}
-		out[name] = map[string]any{"count": count, "sum": hs.Sum, "buckets": buckets}
-	}
-	return out
 }

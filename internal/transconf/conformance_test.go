@@ -22,14 +22,12 @@ import (
 )
 
 // Child-process environment: when set, the test binary is one worker
-// rank of a conformance job instead of the test driver. envCollector
-// additionally points the rank at a live telemetry collector.
+// rank of a conformance job instead of the test driver.
 const (
-	envRank      = "TRANSCONF_RANK"
-	envSize      = "TRANSCONF_SIZE"
-	envNet       = "TRANSCONF_NET"
-	envRegistry  = "TRANSCONF_REGISTRY"
-	envCollector = "TRANSCONF_COLLECTOR"
+	envRank     = "TRANSCONF_RANK"
+	envSize     = "TRANSCONF_SIZE"
+	envNet      = "TRANSCONF_NET"
+	envRegistry = "TRANSCONF_REGISTRY"
 )
 
 // Timing constants are sized for the race detector's ~10x slowdown: a
@@ -91,15 +89,28 @@ func newTransport(rank int, network, registry string) (*nettrans.Transport, erro
 	})
 }
 
+// eventsPath is the job's -events-out: every rank streams to
+// eventsPath.rank<r>, the naming asmcluster uses.
+func eventsPath(registry string) string {
+	return filepath.Join(registry, "events.json")
+}
+
 func dumpPath(registry string, rank int) string {
-	return filepath.Join(registry, fmt.Sprintf("events.rank%d.json", rank))
+	return fmt.Sprintf("%s.rank%d", eventsPath(registry), rank)
+}
+
+// startStream streams rank's tracer to its events file.
+func startStream(registry string, rank int, tr *obs.Tracer) *collector.Reporter {
+	return collector.StartReporter(collector.ReporterConfig{
+		Path: dumpPath(registry, rank), Run: jobEpoch, Rank: rank, Size: jobSize, Job: "transconf", Tracer: tr,
+	})
 }
 
 // childMain is one worker rank: regenerate the workload, cluster
-// through the socket transport, leave an events dump for the driver —
-// and, when envCollector names a collector, stream telemetry to it
-// while running and final-flush the same dump snapshot the dump file
-// gets (the byte-equivalence the live smoke test asserts).
+// through the socket transport, and stream its events to the file the
+// driver reads. The rank also appends a record the moment it enters
+// clustering, so a reader of its stream sees that phase at once (the
+// live smoke test kills it then).
 func childMain() {
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "transconf child:", err)
@@ -112,16 +123,15 @@ func childMain() {
 	registry := os.Getenv(envRegistry)
 	store := seq.NewStore(workload())
 	tr := obs.NewTracer(jobSize, 1<<16)
-	var rep *collector.Reporter
-	if colURL := os.Getenv(envCollector); colURL != "" {
-		rep = collector.StartReporter(collector.ReporterConfig{
-			URL: colURL, Rank: rank, Job: "transconf",
-			Interval: 50 * time.Millisecond, Tracer: tr,
-		})
-	}
+	rep := startStream(registry, rank, tr)
+	go func() {
+		if awaitClustering(tr, rank, nil) {
+			rep.Flush()
+		}
+	}()
 	t, err := newTransport(rank, os.Getenv(envNet), registry)
 	if err != nil {
-		rep.Close(nil, false, err.Error())
+		rep.Close(false, err.Error())
 		die(err)
 	}
 	_, _, exit, err := cluster.ParallelRank(store, cluster.DefaultConfig(), jobParallelConfig(tr), rank, t)
@@ -129,21 +139,12 @@ func childMain() {
 		err = cerr
 	}
 	if err != nil {
-		rep.Close(nil, false, err.Error())
+		rep.Close(false, err.Error())
 		die(err)
 	}
-	d := tr.Dump()
-	f, err := os.Create(dumpPath(registry, rank))
-	if err != nil {
+	if err := rep.Close(exit.OK, exit.Reason); err != nil {
 		die(err)
 	}
-	if err := d.WriteJSON(f); err == nil {
-		err = f.Close()
-	}
-	if err != nil {
-		die(err)
-	}
-	rep.Close(d, exit.OK, exit.Reason)
 	if !exit.OK {
 		die(fmt.Errorf("rank %d did not finish OK: %s", rank, exit.Reason))
 	}
@@ -156,8 +157,10 @@ func serialLabels(store *seq.Store) []int {
 }
 
 // spawnChildren re-executes this test binary as worker ranks
-// 1..jobSize-1, with cleanup that reaps whatever is still running.
-func spawnChildren(t *testing.T, network, registry string, extraEnv ...string) map[int]*exec.Cmd {
+// 1..jobSize-1, each in a process group of its own, with cleanup that
+// SIGKILLs every group and reaps whatever is still running — also
+// after a t.Fatal.
+func spawnChildren(t *testing.T, network, registry string) map[int]*exec.Cmd {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -172,22 +175,18 @@ func spawnChildren(t *testing.T, network, registry string, extraEnv ...string) m
 			envNet+"="+network,
 			envRegistry+"="+registry,
 		)
-		cmd.Env = append(cmd.Env, extraEnv...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
+		cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("spawn rank %d: %v", r, err)
 		}
 		children[r] = cmd
-	}
-	t.Cleanup(func() {
-		for _, cmd := range children {
-			if cmd.Process != nil {
-				_ = cmd.Process.Kill()
-			}
+		t.Cleanup(func() {
+			_ = syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
 			_ = cmd.Wait()
-		}
-	})
+		})
+	}
 	return children
 }
 
@@ -197,29 +196,43 @@ func spawnChildren(t *testing.T, network, registry string, extraEnv ...string) m
 // so the kill lands mid-phase however fast or slow the run is — no
 // delay to tune against the host. It gives up when stop closes.
 func killOnceClustering(tr *obs.Tracer, p *os.Process, stop <-chan struct{}) {
+	if awaitClustering(tr, 0, stop) {
+		_ = p.Signal(syscall.SIGKILL)
+	}
+}
+
+// awaitClustering reports, as soon as it happens, that rank's trace
+// entered the clustering phase; false when stop closed first.
+func awaitClustering(tr *obs.Tracer, rank int, stop <-chan struct{}) bool {
 	var cursor uint64
 	for {
 		var evs []obs.Event
-		evs, cursor, _ = tr.EventsSince(0, cursor)
-		for _, e := range evs {
-			if e.Kind == obs.EvPhaseEnter && e.A == obs.PhaseCluster {
-				_ = p.Signal(syscall.SIGKILL)
-				return
-			}
+		evs, cursor, _ = tr.EventsSince(rank, cursor)
+		if enteredClustering(evs) {
+			return true
 		}
 		select {
 		case <-stop:
-			return
+			return false
 		case <-time.After(time.Millisecond):
 		}
 	}
+}
+
+func enteredClustering(evs []obs.Event) bool {
+	for _, e := range evs {
+		if e.Kind == obs.EvPhaseEnter && e.A == obs.PhaseCluster {
+			return true
+		}
+	}
+	return false
 }
 
 // runJob drives one multi-process clustering job: worker ranks are
 // re-executions of this test binary, rank 0 runs in-test. killRank,
 // when ≥ 1, is SIGKILLed as clustering begins. It returns the
 // master's partition labels, the run statistics, and the merged
-// per-process event dump (the killed rank's dump is missing, which
+// per-process events streams (the killed rank's is left out, which
 // the merge marks as truncated).
 func runJob(t *testing.T, network string, killRank int) ([]int, cluster.Stats, *obs.Dump) {
 	t.Helper()
@@ -265,11 +278,11 @@ func runJob(t *testing.T, network string, killRank int) ([]int, cluster.Stats, *
 		if r == killRank {
 			continue
 		}
-		d, err := obs.ReadDumpFile(dumpPath(registry, r))
+		s, err := obs.ReadStreamFile(dumpPath(registry, r))
 		if err != nil {
-			t.Fatalf("rank %d events dump: %v", r, err)
+			t.Fatalf("rank %d events stream: %v", r, err)
 		}
-		dumps = append(dumps, d)
+		dumps = append(dumps, s.Dump)
 	}
 	merged, err := obs.MergeDumps(dumps...)
 	if err != nil {
@@ -339,9 +352,9 @@ func TestConformanceUnix(t *testing.T) {
 
 // TestConformanceSIGKILL kills a worker process mid-phase; the lease
 // protocol must detect the silent rank, re-execute its work, and
-// still converge on the canonical partition. The killed rank never
-// writes its events dump — the merge marks it truncated and the
-// remaining streams must still satisfy the causal invariants.
+// still converge on the canonical partition. The killed rank's stream
+// is left out — the merge marks it truncated and the remaining streams
+// must still satisfy the causal invariants.
 func TestConformanceSIGKILL(t *testing.T) {
 	labels, stats, merged := runJob(t, "tcp", 2)
 	assertCanonical(t, labels, merged)

@@ -1,105 +1,95 @@
 package transconf
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/check"
 	"repro/internal/obs/collector"
 	"repro/internal/par"
 	"repro/internal/seq"
 )
 
 // The live smoke tests (make obs-live-smoke) run the same 4-process
-// socket job as the conformance suite, but with every rank streaming
-// telemetry to a run collector, and assert the tentpole contract:
-// the collector is live and ready mid-run, its final merged trace is
-// byte-identical to merging the per-process dump files, and its live
-// causal analysis matches the post-hoc one.
+// socket job as the conformance suite, every rank streaming its events
+// file, and hold the status view (collector.Read) to its contract: it
+// reads the files while they are written, sees every rank before rank
+// 0's final record, judges health from append age at any instant the
+// test names, and ends with the analysis the post-hoc readers derive
+// from the same files.
 
-func getBody(t *testing.T, url string) (int, []byte) {
+func readStatus(t *testing.T, path string, now time.Time) *collector.Status {
 	t.Helper()
-	resp, err := http.Get(url)
+	st, err := collector.Read(path, now)
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatalf("status mid-write: %v", err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
+	return st
 }
 
-func getStatus(t *testing.T, base string) *collector.Status {
+func rankRow(t *testing.T, st *collector.Status, r int) collector.RankStatus {
 	t.Helper()
-	code, body := getBody(t, base+"/status")
-	if code != http.StatusOK {
-		t.Fatalf("/status = %d: %s", code, body)
+	if r >= len(st.Ranks) {
+		t.Fatalf("rank %d absent from the status (%d rows)", r, len(st.Ranks))
 	}
-	var st collector.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("decode /status: %v", err)
-	}
-	return &st
+	return st.Ranks[r]
 }
 
-// runLiveJob runs one collector-observed multi-process job and returns
-// the master's stats, the collector, its base URL, and the per-process
-// dumps post-hoc merging would use (rank → dump; killed ranks absent).
-func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config) (cluster.Stats, *collector.Collector, string, map[int]*obs.Dump) {
+// killWhenStreamedClustering SIGKILLs p once p's own events stream
+// (path, still under its working name) shows it entered clustering:
+// the killed rank's streamed events then include that phase, and it
+// still owes the master its reports.
+func killWhenStreamedClustering(path string, p *os.Process, stop <-chan struct{}) {
+	for {
+		if s, err := obs.ReadStreamFile(path); err == nil {
+			for _, rd := range s.Dump.Ranks {
+				if enteredClustering(rd.Events) {
+					_ = p.Signal(syscall.SIGKILL)
+					return
+				}
+			}
+		}
+		select {
+		case <-stop:
+			return
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// runLiveJob runs one multi-process job whose every rank streams its
+// events file, reading the run's status throughout. killRank, when
+// ≥ 1, is SIGKILLed once its stream shows it clustering. Rank 0's
+// final record is left to the caller: it returns the master's stats,
+// the run's -events-out path and rank 0's open reporter.
+func runLiveJob(t *testing.T, network string, killRank int) (cluster.Stats, string, *collector.Reporter) {
 	t.Helper()
 	registry := t.TempDir()
-	cfg.Ranks = jobSize
-	cfg.Job = "transconf"
-	col := collector.New(cfg)
-	srv, err := col.Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	base := "http://" + srv.Addr
-
-	children := spawnChildren(t, network, registry, envCollector+"="+base)
+	path := eventsPath(registry)
+	children := spawnChildren(t, network, registry)
 	store := seq.NewStore(workload())
 	tr := obs.NewTracer(jobSize, 1<<16)
 	if killRank >= 1 {
-		// Rank 0 joins only once the collector has heard from the rank
-		// to be killed (it reports while waiting at the rendezvous):
-		// its death then shows up as a growing heartbeat lag rather
-		// than a rank that never reported. The kill itself is ordered
-		// by the run, not by a clock: it fires as clustering begins.
-		deadline := time.Now().Add(2 * time.Minute)
-		for heard := false; !heard; time.Sleep(20 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("collector never heard from rank %d", killRank)
-			}
-			for _, row := range getStatus(t, base).Ranks {
-				heard = heard || row.Rank == killRank && row.State != collector.StateWaiting
-			}
-		}
 		finished := make(chan struct{})
 		defer close(finished)
-		go killOnceClustering(tr, children[killRank].Process, finished)
+		go killWhenStreamedClustering(dumpPath(registry, killRank)+collector.PartSuffix, children[killRank].Process, finished)
 	}
-
-	rep := collector.StartReporter(collector.ReporterConfig{
-		URL: base, Rank: 0, Job: "transconf",
-		Interval: 50 * time.Millisecond, Tracer: tr,
-	})
+	rep := startStream(registry, 0, tr)
+	t.Cleanup(func() { rep.Close(false, "test ended") })
 	trans, err := newTransport(0, network, registry)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Rank 0 runs in a goroutine so the test can poll the collector
-	// mid-run, exactly as asmprof URL would.
+	// Rank 0 runs in a goroutine so the test can read the status
+	// mid-run, exactly as asmprof -watch would.
 	type outcome struct {
 		stats cluster.Stats
 		exit  par.Exit
@@ -117,39 +107,26 @@ func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config
 		}
 		done <- outcome{stats: stats, exit: exit, err: err}
 	}()
-
-	// Mid-run: every rank reports within moments of rendezvous, so
-	// /readyz flips to ok while the job is still clustering.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if code, _ := getBody(t, base+"/readyz"); code == http.StatusOK {
-			break
+	var o outcome
+	for running := true; running; {
+		select {
+		case o = <-done:
+			running = false
+		case <-time.After(20 * time.Millisecond):
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("/readyz never turned ok")
+		if st := readStatus(t, path, time.Now()); st.Complete {
+			t.Fatal("run complete before rank 0's final record")
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	st := getStatus(t, base)
-	if st.SeenRanks != jobSize {
-		t.Fatalf("mid-run SeenRanks = %d, want %d", st.SeenRanks, jobSize)
-	}
-
-	o := <-done
 	if o.err != nil {
-		rep.Close(nil, false, o.err.Error())
 		t.Fatalf("master rank failed: %v", o.err)
 	}
 	if !o.exit.OK {
 		t.Fatalf("master did not finish OK: %s", o.exit.Reason)
 	}
-	dump0 := tr.Dump()
-	if err := rep.Close(dump0, true, ""); err != nil {
-		t.Fatalf("final flush: %v", err)
-	}
 
-	// Reap the workers; every surviving rank final-flushed on its way
-	// out (Close happens before exit).
+	// Reap the workers; every surviving rank appended its final record
+	// on its way out.
 	for r, cmd := range children {
 		werr := cmd.Wait()
 		delete(children, r)
@@ -157,184 +134,109 @@ func runLiveJob(t *testing.T, network string, killRank int, cfg collector.Config
 			t.Errorf("rank %d exited with error: %v", r, werr)
 		}
 	}
+	// Every rank has appended while rank 0 has no final record.
+	if err := rep.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := readStatus(t, path, time.Now()); st.SeenRanks != jobSize || st.Complete {
+		t.Fatalf("before rank 0's final record: %d of %d ranks seen, complete %v", st.SeenRanks, jobSize, st.Complete)
+	}
+	return o.stats, path, rep
+}
 
-	dumps := map[int]*obs.Dump{0: dump0}
-	for r := 1; r < jobSize; r++ {
-		if r == killRank {
-			continue
-		}
-		d, err := obs.ReadDumpFile(dumpPath(registry, r))
+// assertPostHoc: the files read after the run pass the stream
+// invariants, and the status's live analysis is the post-hoc analysis
+// of the same files, as asmprof FILE... derives it.
+func assertPostHoc(t *testing.T, path string, st *collector.Status) {
+	t.Helper()
+	var dumps []*obs.Dump
+	for _, p := range collector.Files(path) {
+		s, err := obs.ReadStreamFile(p)
 		if err != nil {
-			t.Fatalf("rank %d events dump: %v", r, err)
+			t.Fatal(err)
 		}
-		dumps[r] = d
+		dumps = append(dumps, s.Dump)
 	}
-	return o.stats, col, base, dumps
-}
-
-// assertMergedBytes: the collector's /events must be byte-identical to
-// obs.MergeDumps over the per-process dump files.
-func assertMergedBytes(t *testing.T, base string, dumps map[int]*obs.Dump) *obs.Dump {
-	t.Helper()
-	ordered := make([]*obs.Dump, 0, len(dumps))
-	for r := 0; r < jobSize; r++ {
-		if d, ok := dumps[r]; ok {
-			ordered = append(ordered, d)
-		}
-	}
-	merged, err := obs.MergeDumps(ordered...)
+	merged, err := obs.MergeDumps(dumps...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := merged.WriteJSON(&want); err != nil {
-		t.Fatal(err)
+	if _, err := check.Dump(merged, nil); err != nil {
+		t.Fatalf("merged streams violate the stream invariants: %v", err)
 	}
-	code, got := getBody(t, base+"/events")
-	if code != http.StatusOK {
-		t.Fatalf("/events = %d", code)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("/events (%d bytes) differs from MergeDumps over the dump files (%d bytes)", len(got), want.Len())
-	}
-	return merged
-}
-
-// assertLiveMatchesPostHoc: the collector's live analysis must
-// equal the post-hoc batch analysis (MergeDumps + Analyze) of the same
-// inputs, rendered identically. The live path analyzes the streams the
-// collector accumulated; the post-hoc path merges the dump files —
-// agreement is the convergence contract.
-func assertLiveMatchesPostHoc(t *testing.T, col *collector.Collector, merged *obs.Dump) {
-	t.Helper()
 	// Partial mode: a SIGKILLed rank's lost sends leave unmatched
-	// receives in the merged trace, exactly as the live analysis sees
-	// them. For a clean run Partial changes nothing.
-	want, err := analyze.Analyze(merged, analyze.Options{Partial: true})
+	// receives, as the live analysis sees them. For a clean run Partial
+	// changes nothing.
+	rep, err := analyze.Analyze(merged, analyze.Options{Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := col.LiveReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var liveJSON, postJSON bytes.Buffer
-	if err := live.WriteJSON(&liveJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.WriteJSON(&postJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(liveJSON.Bytes(), postJSON.Bytes()) {
-		t.Fatalf("live analysis diverges from post-hoc over the same merged trace:\nlive: %.400s\npost: %.400s",
-			liveJSON.Bytes(), postJSON.Bytes())
+	lv := st.Live
+	if lv == nil || lv.Error != "" || lv.AnalyzedEvents != rep.EventsTotal || lv.MakespanSec != rep.MakespanSec ||
+		lv.IdleSec != rep.IdleSec || lv.SlowestRank != rep.SlowestRank || lv.Unmatched != rep.Unmatched {
+		t.Fatalf("live analysis %+v diverges from the post-hoc one (%d events, makespan %v, idle %v, slowest %d, unmatched %d)",
+			lv, rep.EventsTotal, rep.MakespanSec, rep.IdleSec, rep.SlowestRank, rep.Unmatched)
 	}
 }
 
-// TestObsLiveTCP: clean 4-process TCP run under a collector.
+// TestObsLiveTCP: clean 4-process TCP run, watched through its files.
 func TestObsLiveTCP(t *testing.T) {
-	_, col, base, dumps := runLiveJob(t, "tcp", 0, collector.Config{})
-
-	st := getStatus(t, base)
+	_, path, rep := runLiveJob(t, "tcp", 0)
+	if err := rep.Close(true, ""); err != nil {
+		t.Fatalf("final record: %v", err)
+	}
+	st := readStatus(t, path, time.Now())
 	if !st.Complete || !st.ExitOK {
 		t.Fatalf("final status not complete-ok: %+v", st)
 	}
 	for _, row := range st.Ranks {
-		if row.State != collector.StateDone {
-			t.Fatalf("rank %d final state = %q, want done", row.Rank, row.State)
-		}
-		if row.Events == 0 {
-			t.Fatalf("rank %d shows no events", row.Rank)
+		if row.State != collector.StateDone || row.Events == 0 {
+			t.Fatalf("rank %d final row: %+v, want done with events", row.Rank, row)
 		}
 	}
-	if code, _ := getBody(t, base+"/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz after clean completion = %d", code)
+	// The finished run's view no longer depends on the clock: a reader
+	// after the run sees exactly what the last live read showed.
+	if later := readStatus(t, path, time.Now().Add(time.Hour)); !reflect.DeepEqual(later, st) {
+		t.Fatalf("the finished run reads differently an hour later:\n%+v\n%+v", later, st)
 	}
-	merged := assertMergedBytes(t, base, dumps)
-	assertLiveMatchesPostHoc(t, col, merged)
+	assertPostHoc(t, path, st)
 }
 
-// partialStream extracts one rank's stream from the collector's live
-// view as a standalone dump — the only record of a killed rank's
-// events, which died with the process before any dump file was
-// written.
-func partialStream(t *testing.T, col *collector.Collector, rank int) *obs.Dump {
-	t.Helper()
-	live := col.LiveDump()
-	for _, rd := range live.Ranks {
-		if rd.Rank == rank {
-			return &obs.Dump{Version: live.Version, Ranks: []obs.RankDump{rd}}
-		}
-	}
-	t.Fatalf("rank %d absent from the collector's live view", rank)
-	return nil
-}
-
-// TestObsLiveSIGKILL: a worker is SIGKILLed mid-run. The collector
-// must mark it dead (it can never final-flush), the run must still
-// complete ok via lease recovery, and the merged trace — with the
-// killed rank's stream truncation-marked — must still match post-hoc
-// merging and analysis.
+// TestObsLiveSIGKILL: a worker is SIGKILLed mid-run. Its streamed
+// events stay visible, it is charged the master's lease expiries, the
+// status turns it dead once its last append is DeadAfter old — judged
+// at that instant, not waited for — and the run still completes ok by
+// lease recovery.
 func TestObsLiveSIGKILL(t *testing.T) {
 	const killRank = 2
-	stats, col, base, dumps := runLiveJob(t, "tcp", killRank,
-		collector.Config{WarnAfter: 500 * time.Millisecond, DeadAfter: 2 * time.Second})
-
+	stats, path, rep := runLiveJob(t, "tcp", killRank)
 	if stats.WorkersLost < 1 {
 		t.Errorf("kill landed after the run finished: WorkersLost=%d (expected ≥ 1)", stats.WorkersLost)
 	}
-
-	// The killed rank's heartbeat lag only grows; wait for "dead".
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := getStatus(t, base)
-		var state string
-		for _, row := range st.Ranks {
-			if row.Rank == killRank {
-				state = row.State
-			}
-		}
-		if state == collector.StateDead {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rank %d never turned dead (state %q)", killRank, state)
-		}
-		time.Sleep(100 * time.Millisecond)
+	if err := rep.Close(true, ""); err != nil {
+		t.Fatalf("final record: %v", err)
 	}
 
-	st := getStatus(t, base)
+	// Killed before its final record, the rank's stream keeps its
+	// working name.
+	info, err := os.Stat(dumpPath(filepath.Dir(path), killRank) + collector.PartSuffix)
+	if err != nil {
+		t.Fatalf("the killed rank left no stream: %v", err)
+	}
+	last := info.ModTime()
+	if row := rankRow(t, readStatus(t, path, last.Add(collector.DeadAfter-time.Millisecond)), killRank); row.State != collector.StateLate {
+		t.Errorf("killed rank just short of DeadAfter: %q, want late", row.State)
+	}
+	st := readStatus(t, path, last.Add(collector.DeadAfter))
+	row := rankRow(t, st, killRank)
+	if row.State != collector.StateDead {
+		t.Errorf("killed rank at DeadAfter: %q, want dead", row.State)
+	}
+	if row.Events == 0 || row.LeaseExpires == 0 {
+		t.Errorf("killed rank shows %d streamed events and %d lease expiries, want both", row.Events, row.LeaseExpires)
+	}
 	if !st.Complete || !st.ExitOK {
 		t.Fatalf("run did not complete ok despite lease recovery: %+v", st)
 	}
-	// A completed-ok run is healthy even with a dead (recovered-from)
-	// rank in the roster.
-	if code, _ := getBody(t, base+"/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz after recovered completion = %d", code)
-	}
-	// The master observed the loss: lease expiries were attributed to
-	// the killed worker.
-	for _, row := range st.Ranks {
-		if row.Rank == killRank && row.LeaseExpires == 0 {
-			t.Errorf("killed rank shows no lease expiries")
-		}
-	}
-
-	assertMergedBytes(t, base, dumps)
-
-	// The live analysis additionally has whatever the killed rank
-	// streamed before dying — events no dump file ever recorded. Fold
-	// that prefix into the post-hoc merge so both sides analyze the
-	// same trace through different machinery.
-	survivors := make([]*obs.Dump, 0, jobSize)
-	for r := 0; r < jobSize; r++ {
-		if d, ok := dumps[r]; ok {
-			survivors = append(survivors, d)
-		}
-	}
-	full, err := obs.MergeDumps(append(survivors, partialStream(t, col, killRank))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLiveMatchesPostHoc(t, col, full)
+	assertPostHoc(t, path, st)
 }
