@@ -103,6 +103,7 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/seq/diskstore/testdata/fuzz/FuzzOpenIndex \
 	internal/seq/diskstore/testdata/fuzz/FuzzReadData \
 	internal/obs/testdata/fuzz/FuzzReadDump \
+	internal/obs/analyze/testdata/fuzz/FuzzAnalyze \
 	internal/obs/prof/testdata/fuzz/FuzzParseProfile \
 	internal/align/testdata/fuzz/FuzzAnchoredOverlap \
 	internal/align/testdata/fuzz/FuzzAnchoredOverlapAccept \
@@ -114,8 +115,8 @@ FUZZ_CORPORA := testdata/fuzz/FuzzReadFASTA \
 	internal/pgst/testdata/fuzz/FuzzBuildMatchesSerial
 
 # Short fuzz passes over every parser the pipeline feeds untrusted
-# bytes to: FASTA and qual readers, the wire-format decoders and the
-# events-stream fold — over
+# bytes to: FASTA and qual readers, the wire-format decoders, the
+# events-stream fold and the causal analysis asmprof runs on it — over
 # the banded extension kernel and its identity bound, the consensus
 # fitting kernel, assembly's overlap detector, the GST bucket builder,
 # its key sort and the distributed GST build, each held to its
@@ -140,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpenIndex -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzReadData -fuzztime=10s ./internal/seq/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzReadDump -fuzztime=10s ./internal/obs
+	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=10s ./internal/obs/analyze
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=10s ./internal/obs/prof
 	$(GO) test -run=NONE -fuzz='^FuzzAnchoredOverlap$$' -fuzztime=10s ./internal/align
 	$(GO) test -run=NONE -fuzz=FuzzAnchoredOverlapAccept -fuzztime=10s ./internal/align
@@ -150,13 +152,14 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSortKeyed -fuzztime=10s ./internal/suffixtree
 	$(GO) test -run=NONE -fuzz=FuzzBuildMatchesSerial -fuzztime=10s ./internal/pgst
 
-# Events-stream smoke: asmprof checks every stream before it explains
-# it. One sim case's stream must pass the invariants (check.Dump),
-# stitch into a causal DAG (an unmatched message edge, a cycle or a
-# critical path != makespan fails) and render as a Chrome trace; then
-# a 4-process TCP run's per-rank streams must merge and pass the same
-# invariants. The temp directory is made in the recipe, so parsing the
-# Makefile creates nothing, and the trap removes it when a step fails.
+# Events-stream smoke: asmprof checks every stream as it explains it.
+# One sim case's stream must pass the stream invariants and stitch
+# into a causal DAG (an unmatched message edge, a duplicate delivery, a
+# cycle or a critical path != makespan fails) and render as a Chrome
+# trace; then a 4-process TCP run's per-rank streams must merge and
+# pass the same invariants. The temp directory is made in the recipe,
+# so parsing the Makefile creates nothing, and the trap removes it when
+# a step fails.
 obs:
 	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT; set -e; \
 	$(GO) run ./cmd/simrunner -campaign 1 -case 3 -events-out "$$d/case3.events.json"; \

@@ -19,11 +19,13 @@
 //
 // Every events stream (-events-out files; a multi-process run writes
 // one per rank) is folded, merged and must pass the causal stream
-// invariants (check.Dump) before anything is derived from it. A stream
-// without its writer's final record (a killed process) counts as
-// truncated. Given dumps alone, asmprof prints a one-line trust
-// summary and the causal analysis: critical path, per-rank and
-// per-phase comm/comp/idle, stragglers.
+// invariants, which the causal analysis checks as it walks the run,
+// before anything is derived from it. A stream without its writer's
+// final record (a killed process) counts as truncated, which exempts
+// only that rank's own spans and the receives of its sends. Given
+// dumps alone, asmprof prints a one-line trust summary and the causal
+// analysis: critical path, per-rank and per-phase comm/comp/idle,
+// stragglers.
 // -chrome writes the run as Chrome trace_event JSON with the critical
 // path marked (crit:true), for ui.perfetto.dev.
 //
@@ -63,7 +65,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/check"
 	"repro/internal/obs/prof"
 )
 
@@ -154,35 +155,35 @@ func main() {
 	}
 }
 
-// loadDump reads the events streams at paths, merges them into one
+// analyzeDumps reads the events streams at paths, merges them into one
 // machine-wide dump (a rank no file covers counts as truncated) and
-// checks the causal stream invariants: nothing is derived from a dump
-// they reject. Streams of two runs (an earlier run's file left at the
+// analyzes it; nothing is derived from a dump that fails the stream
+// invariants. Streams of two runs (an earlier run's file left at the
 // same path) do not merge.
-func loadDump(paths []string) (*obs.Dump, check.StreamSummary, error) {
+func analyzeDumps(paths []string, top int) (*obs.Dump, *analyze.Report, error) {
 	dumps := make([]*obs.Dump, 0, len(paths))
 	var first *obs.Stream
 	for i, path := range paths {
 		s, err := obs.ReadStreamFile(path)
 		if err != nil {
-			return nil, check.StreamSummary{}, err
+			return nil, nil, err
 		}
 		if first == nil {
 			first = s
 		} else if s.Run != first.Run {
-			return nil, check.StreamSummary{}, fmt.Errorf("%s and %s are streams of different runs", paths[0], paths[i])
+			return nil, nil, fmt.Errorf("%s and %s are streams of different runs", paths[0], paths[i])
 		}
 		dumps = append(dumps, s.Dump)
 	}
 	merged, err := obs.MergeDumps(dumps...)
 	if err != nil {
-		return nil, check.StreamSummary{}, err
+		return nil, nil, err
 	}
-	sum, err := check.Dump(merged, nil)
+	rep, err := analyze.Analyze(merged, analyze.Options{TopSpans: top})
 	if err != nil {
-		return nil, sum, fmt.Errorf("%d dump(s) fail the stream invariants: %w", len(paths), err)
+		return nil, nil, fmt.Errorf("%d dump(s) fail the stream invariants: %w", len(paths), err)
 	}
-	return merged, sum, nil
+	return merged, rep, nil
 }
 
 // explain checks the dumps at paths and writes the trust line and the
@@ -191,11 +192,7 @@ func loadDump(paths []string) (*obs.Dump, check.StreamSummary, error) {
 // critical-path-annotated Chrome trace there. top is the number of
 // slowest spans to list (0: analyze's default).
 func explain(out, errOut io.Writer, paths []string, top int, jsonOut bool, chromePath string) error {
-	d, sum, err := loadDump(paths)
-	if err != nil {
-		return err
-	}
-	rep, err := analyze.Analyze(d, analyze.Options{TopSpans: top})
+	d, rep, err := analyzeDumps(paths, top)
 	if err != nil {
 		return err
 	}
@@ -217,7 +214,7 @@ func explain(out, errOut io.Writer, paths []string, top int, jsonOut bool, chrom
 		trust = errOut
 	}
 	fmt.Fprintf(trust, "trace ok: %d ranks, %d events, %d seq-matched recvs, %d truncated rank(s), %d rank(s) with no events, %d fault-model instants\n",
-		sum.Ranks, sum.Events, sum.SeqMatched, len(rep.DroppedRanks), len(rep.EmptyRanks), sum.Faults)
+		rep.Ranks, rep.EventsTotal, rep.SeqMatched, len(rep.DroppedRanks), len(rep.EmptyRanks), rep.Faults)
 	if jsonOut {
 		return rep.WriteJSON(out)
 	}
@@ -260,11 +257,7 @@ func loadCritPhases(dir string, dumps []string) []prof.CritPhaseSec {
 		}
 		dumps = []string{candidate}
 	}
-	d, _, err := loadDump(dumps)
-	if err != nil {
-		fail(err)
-	}
-	rep, err := analyze.Analyze(d, analyze.Options{TopSpans: 1})
+	_, rep, err := analyzeDumps(dumps, 1)
 	if err != nil {
 		fail(fmt.Errorf("analyzing %v: %w", dumps, err))
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/obs/analyze"
 	"repro/internal/par"
 )
 
@@ -85,11 +84,7 @@ func TestExplainMergesPerProcessDumps(t *testing.T) {
 		t.Errorf("report starts %q", report[:min(len(report), 40)])
 	}
 
-	d, _, err := loadDump(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := analyze.Analyze(d, analyze.Options{})
+	d, rep, err := analyzeDumps(paths, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +141,8 @@ func TestExplainRejectsDuplicateDelivery(t *testing.T) {
 }
 
 // TestEmptyRankIsNotWrapped: a serial run's dump holds no events,
-// since only the parallel runtime records, and that is not a wrapped
-// ring; a ring that did wrap is still reported as one.
+// since only the parallel runtime records, and that is not a truncated
+// stream; a ring that did wrap is still reported as one.
 func TestEmptyRankIsNotWrapped(t *testing.T) {
 	dir := t.TempDir()
 	explained := func(name string, tr *obs.Tracer) string {
@@ -158,7 +153,7 @@ func TestEmptyRankIsNotWrapped(t *testing.T) {
 		return errOut.String() + out.String()
 	}
 	got := explained("serial.json", obs.NewTracer(1, 0))
-	if !strings.Contains(got, "0 truncated rank(s), 1 rank(s) with no events") || strings.Contains(got, "wraparound") {
+	if !strings.Contains(got, "0 truncated rank(s), 1 rank(s) with no events") || strings.Contains(got, "truncated streams") {
 		t.Errorf("an empty one-rank dump reads as wrapped:\n%s", got)
 	}
 	tr := obs.NewTracer(1, 8)
@@ -167,7 +162,7 @@ func TestEmptyRankIsNotWrapped(t *testing.T) {
 		tr.EmitSeq(0, obs.EvSendEnd, float64(i+1), 0, 0, 7, 8, uint64(i+1))
 	}
 	got = explained("wrapped.json", tr)
-	if !strings.Contains(got, "1 truncated rank(s), 0 rank(s) with no events") || !strings.Contains(got, "WARNING: ring wraparound on ranks [0]") {
+	if !strings.Contains(got, "1 truncated rank(s), 0 rank(s) with no events") || !strings.Contains(got, "WARNING: truncated streams on ranks [0] (a wrapped ring, or a writer that stopped before its final record)") {
 		t.Errorf("a wrapped ring is not reported as wrapped:\n%s", got)
 	}
 }

@@ -157,27 +157,31 @@ const minParallel = 8
 // AssembleAll farms clusters across `workers` goroutines and returns
 // per-cluster contigs in input order.
 func AssembleAll(store seq.Seqs, clusters [][]int, cfg Config, workers int) [][]Contig {
-	if workers < 1 {
-		workers = 1
-	}
 	out := make([][]Contig, len(clusters))
+	farm(len(clusters), workers, func(i int) { out[i] = AssembleCluster(store, clusters[i], cfg) })
+	return out
+}
+
+// farm runs do(0..n-1) on `workers` goroutines (at least one), each
+// taking the next index as it frees up, so one large cluster does not
+// hold back the small ones behind it.
+func farm(n, workers int, do func(i int)) {
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(workers, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out[i] = AssembleCluster(store, clusters[i], cfg)
+				do(i)
 			}
 		}()
 	}
-	for i := range clusters {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return out
 }
 
 // anchor is one maximal match the seed walk extended:

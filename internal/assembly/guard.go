@@ -2,7 +2,6 @@ package assembly
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -158,26 +157,10 @@ func AssembleClusterGuarded(store seq.Seqs, id int, members []int, cfg Config, g
 // protection. The second return holds one Outcome per cluster, in
 // input order.
 func AssembleAllGuarded(store seq.Seqs, clusters [][]int, cfg Config, workers int, g Guard) ([][]Contig, []Outcome) {
-	if workers < 1 {
-		workers = 1
-	}
 	out := make([][]Contig, len(clusters))
 	outcomes := make([]Outcome, len(clusters))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i], outcomes[i] = AssembleClusterGuarded(store, i, clusters[i], cfg, g)
-			}
-		}()
-	}
-	for i := range clusters {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	farm(len(clusters), workers, func(i int) {
+		out[i], outcomes[i] = AssembleClusterGuarded(store, i, clusters[i], cfg, g)
+	})
 	return out, outcomes
 }

@@ -19,7 +19,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/obs/check"
+	"repro/internal/obs/analyze"
 	"repro/internal/obs/prof"
 	"repro/internal/seq"
 	"repro/internal/simulate"
@@ -159,12 +159,12 @@ func checkDumps(t *testing.T, base string, n int) {
 			paths = append(paths, fmt.Sprintf("%s.rank%d", base, r))
 		}
 	}
-	checkDumpFiles(t, nil, paths)
+	checkDumpFiles(t, analyze.Options{}, paths)
 }
 
 // checkDumpFiles merges the events dumps at paths and runs the causal
-// stream invariants; ok says which ranks finished (nil: all of them).
-func checkDumpFiles(t *testing.T, ok func(rank int) bool, paths []string) {
+// stream invariants; opt.Partial tolerates a run that did not finish.
+func checkDumpFiles(t *testing.T, opt analyze.Options, paths []string) {
 	t.Helper()
 	var dumps []*obs.Dump
 	for _, p := range paths {
@@ -178,7 +178,7 @@ func checkDumpFiles(t *testing.T, ok func(rank int) bool, paths []string) {
 	if err != nil {
 		t.Fatalf("merge %v: %v", paths, err)
 	}
-	if _, err := check.Dump(merged, ok); err != nil {
+	if _, err := analyze.Analyze(merged, opt); err != nil {
 		t.Errorf("merged dump of %v violates the stream invariants: %v", paths, err)
 	}
 }
@@ -331,12 +331,13 @@ func TestCLIContract(t *testing.T) {
 				t.Errorf("%s: interrupted run wrote the normal path ev.json.rank0", sig)
 			}
 			// The worker ranks were killed, so only the root wrote a dump.
-			// No rank finished, so spans may be open; everything else holds.
+			// No rank finished, so spans may be open (Partial); everything
+			// else holds.
 			interrupted, _ := filepath.Glob(filepath.Join(dir, "ev.json*"))
 			if len(interrupted) != 1 {
 				t.Errorf("%s: dumps %v, want ev.json.rank0.interrupted alone", sig, interrupted)
 			}
-			checkDumpFiles(t, func(int) bool { return false }, interrupted)
+			checkDumpFiles(t, analyze.Options{Partial: true}, interrupted)
 			c.assertClean(t, dir)
 		}
 	})

@@ -1,7 +1,10 @@
-// Package analyze stitches per-rank trace streams into a causal DAG
-// and derives whole-run performance structure from it: the critical
-// path through the modeled-clock execution, per-rank comm/comp/idle
-// decompositions per phase, and straggler reports.
+// Package analyze checks per-rank trace streams against the runtime's
+// stream invariants and, in the same walk, stitches them into a causal
+// DAG, from which it derives whole-run performance structure: the
+// critical path through the modeled-clock execution, per-rank
+// comm/comp/idle decompositions per phase, and straggler reports. The
+// walk that explains a run is the one that certifies it lost, invented
+// and duplicated no message.
 //
 // The runtime's modeled clocks are purely local: a rank blocked in
 // Recv does not advance its own clock while it waits, so the maximum
@@ -41,7 +44,8 @@ type Options struct {
 	// send has not been streamed yet is tolerated — counted in
 	// Report.Unmatched and analyzed without its message edge (its idle
 	// attribution is a lower bound until the sender's stream catches
-	// up) — instead of rejecting the dump as corrupt.
+	// up) — and so are open spans and channels received ahead of their
+	// sends, instead of rejecting the dump as corrupt.
 	Partial bool
 }
 
@@ -77,10 +81,18 @@ type Report struct {
 	MasterIdleSec float64 `json:"master_idle_sec"`
 
 	// Unmatched counts recv events whose send event is missing from
-	// the dump (possible only when a sender's ring wrapped).
+	// the dump (possible only when the sender's stream is truncated, or
+	// under Options.Partial).
 	Unmatched int `json:"unmatched,omitempty"`
-	// DroppedRanks lists ranks whose rings evicted events; their
-	// streams are truncated and cross-rank edges may be missing.
+	// SeqMatched counts receives matched to their exact send by (src,
+	// seq), and Faults the fault-model instants (retransmit,
+	// corrupt_frame, retry, quarantined): the trust counts, outside the
+	// JSON report.
+	SeqMatched int `json:"-"`
+	Faults     int `json:"-"`
+	// DroppedRanks lists ranks whose streams are truncated (a wrapped
+	// ring, or a writer that stopped before its final record), so
+	// cross-rank edges may be missing.
 	DroppedRanks []int `json:"dropped_ranks,omitempty"`
 	// EmptyRanks lists ranks with no events: nothing was traced there,
 	// or no dump covered them (a killed process).
@@ -211,159 +223,286 @@ type span struct {
 
 const clockEps = 1e-9
 
-// Analyze builds the causal DAG for one dumped run and reports on it.
-// The dump must come from a single run: a tracer reused across runs
-// resets its modeled clocks and sequence numbers, which Analyze
-// detects and rejects.
+// Analyze checks one dumped run against the stream invariants, builds
+// its causal DAG and reports on it. Nothing is derived from a dump it
+// rejects, which it does when
+//
+//   - a rank's modeled clocks decrease (a tracer reused across runs
+//     restarts them);
+//   - a rank's send seqs are not 1, 2, 3, ... (on a truncated stream:
+//     not increasing);
+//   - a span ends before it begins, or is left open, on a rank whose
+//     stream is whole and does not record its death (the crash or
+//     cascade instant a dying rank emits last);
+//   - a receive names a (src, seq) no traced send carried, or one an
+//     earlier receive consumed: exactly-once delivery;
+//   - a (src, dst, tag) channel has more receives than sends.
+//
+// A truncated stream (Dropped > 0: a wrapped ring, or a writer that
+// stopped before its final record) exempts only itself: its own span
+// balance, and the receives and channel counts of its sends, which may
+// have been evicted. Under Options.Partial unmatched receives, open
+// spans and channels received ahead of their sends are tolerated; a
+// duplicate delivery is not.
 func Analyze(d *obs.Dump, opt Options) (*Report, error) {
+	return analyze(d, opt, false)
+}
+
+// FromTracer analyzes a live tracer's retained events. Its ranks share
+// one wall clock, so it also rejects a receive that completed before
+// its send began.
+func FromTracer(t *obs.Tracer, opt Options) (*Report, error) {
+	return analyze(t.Dump(), opt, true)
+}
+
+func analyze(d *obs.Dump, opt Options, sharedClock bool) (*Report, error) {
 	if d == nil {
 		return nil, fmt.Errorf("analyze: nil dump")
+	}
+	if len(d.Ranks) == 0 && !opt.Partial {
+		return nil, fmt.Errorf("analyze: no ranks in dump")
 	}
 	if opt.TopSpans == 0 {
 		opt.TopSpans = 10
 	}
-
-	nranks := 0
-	for _, rd := range d.Ranks {
-		if rd.Rank+1 > nranks {
-			nranks = rd.Rank + 1
-		}
+	g, err := load(d)
+	if err != nil {
+		return nil, err
 	}
-	perRank := make([][]obs.Event, nranks)
-	dropped := make([]uint64, nranks)
-	for _, rd := range d.Ranks {
-		if rd.Rank < 0 {
-			return nil, fmt.Errorf("analyze: negative rank %d in dump", rd.Rank)
-		}
-		perRank[rd.Rank] = rd.Events
-		dropped[rd.Rank] = rd.Dropped
-	}
-
-	rep := &Report{Ranks: nranks}
-	anyDropped := false
-	for r, n := range dropped {
-		anyDropped = anyDropped || n > 0
+	rep := &Report{Ranks: len(g.perRank)}
+	for r, n := range g.dropped {
 		switch {
-		case len(perRank[r]) == 0:
+		case len(g.perRank[r]) == 0:
 			rep.EmptyRanks = append(rep.EmptyRanks, r)
 		case n > 0:
 			rep.DroppedRanks = append(rep.DroppedRanks, r)
 		}
 	}
-
-	// Pass 1: nodes, program edges, phase attribution, send registry.
-	var nodes []node
-	offset := make([]int, nranks) // global id of rank r's first node
-	sendIdx := map[msgKey]int32{}
-	recvIdx := map[msgKey]int32{}
-	var spans []span
-	openSpans := make([][]int, nranks) // stack of indices into spans
-	for r := 0; r < nranks; r++ {
-		offset[r] = len(nodes)
-		var prevComm, prevComp float64
-		var lastSeq uint64
-		var stack []int64
-		prog := int32(-1)
-		for i, e := range perRank[r] {
-			id := int32(len(nodes))
-			dComm := e.Comm - prevComm
-			dComp := e.Comp - prevComp
-			if dComm < -clockEps || dComp < -clockEps {
-				return nil, fmt.Errorf("analyze: rank %d event %d: modeled clock decreased (%.9f,%.9f -> %.9f,%.9f); dump contains more than one run",
-					r, i, prevComm, prevComp, e.Comm, e.Comp)
-			}
-			prevComm, prevComp = e.Comm, e.Comp
-
-			// Innermost-phase attribution. Enter charges the outer
-			// phase (the span had not started yet); exit charges the
-			// exiting phase.
-			attr := noPhase
-			if len(stack) > 0 {
-				attr = stack[len(stack)-1]
-			}
-			switch e.Kind {
-			case obs.EvPhaseEnter:
-				stack = append(stack, e.A)
-				openSpans[r] = append(openSpans[r], len(spans))
-				spans = append(spans, span{rank: r, phase: e.A, arg: e.B, enter: int(id), exit: -1})
-			case obs.EvPhaseExit:
-				if len(stack) > 0 {
-					stack = stack[:len(stack)-1]
-				}
-				if n := len(openSpans[r]); n > 0 {
-					spans[openSpans[r][n-1]].exit = int(id)
-					openSpans[r] = openSpans[r][:n-1]
-				}
-			case obs.EvSendBegin, obs.EvSsendBegin:
-				if e.Seq > 0 {
-					if e.Seq <= lastSeq {
-						return nil, fmt.Errorf("analyze: rank %d event %d: send seq %d after %d; dump contains more than one run",
-							r, i, e.Seq, lastSeq)
-					}
-					lastSeq = e.Seq
-					sendIdx[msgKey{r, e.Seq}] = id
-				}
-			}
-
-			nodes = append(nodes, node{
-				rank: r, idx: i,
-				dComm: dComm, dComp: dComp,
-				phase:    attr,
-				progPred: prog, msgPred: -1, ackPred: -1,
-				binding: -1,
-			})
-			prog = id
+	for r := range g.perRank {
+		if err := g.walkRank(r, rep, opt); err != nil {
+			return nil, err
 		}
 	}
+	if err := g.link(rep, opt, sharedClock); err != nil {
+		return nil, err
+	}
+	if err := g.schedule(); err != nil {
+		return nil, err
+	}
+	g.account(rep)
+	rep.CriticalPath = criticalPath(g.nodes, g.offset, g.perRank, rep.SlowestRank)
+	rep.TopSpans = g.topSpans(opt.TopSpans)
+	return rep, nil
+}
 
-	// Pass 2: cross-rank edges. A recv completion depends on its
-	// send's begin; an ssend completion additionally depends on the
-	// matching recv completion (the synchronous ack).
-	for gid := range nodes {
-		n := &nodes[gid]
-		e := perRank[n.rank][n.idx]
+// channel is one (src, dst, tag) message stream.
+type channel struct{ src, dst, tag int64 }
+
+// bucket is what span balance counts per rank: spans of one opening
+// kind, and of one phase for phase spans.
+type bucket struct {
+	open  obs.Kind
+	phase int64
+}
+
+// dag is a run's causal DAG with the registries its passes share.
+type dag struct {
+	perRank [][]obs.Event
+	dropped []uint64
+	nodes   []node
+	offset  []int // global id of rank r's first node
+	spans   []span
+	sendIdx map[msgKey]int32 // send begins by (rank, seq)
+	sends   map[channel]int
+	recvs   []int32 // completed receives, in node order
+	ssends  []int32 // ssend completions carrying a seq
+}
+
+func load(d *obs.Dump) (*dag, error) {
+	n := 0
+	for _, rd := range d.Ranks {
+		if rd.Rank < 0 {
+			return nil, fmt.Errorf("analyze: negative rank %d in dump", rd.Rank)
+		}
+		n = max(n, rd.Rank+1)
+	}
+	g := &dag{
+		perRank: make([][]obs.Event, n), dropped: make([]uint64, n), offset: make([]int, n),
+		sendIdx: map[msgKey]int32{}, sends: map[channel]int{},
+	}
+	for _, rd := range d.Ranks {
+		g.perRank[rd.Rank] = rd.Events
+		g.dropped[rd.Rank] = rd.Dropped
+	}
+	return g, nil
+}
+
+func (g *dag) event(gid int32) obs.Event {
+	return g.perRank[g.nodes[gid].rank][g.nodes[gid].idx]
+}
+
+// truncated reports whether rank r's stream lost events. A rank outside
+// the dump is not truncated: nothing of it was traced.
+func (g *dag) truncated(r int64) bool {
+	return r >= 0 && r < int64(len(g.dropped)) && g.dropped[r] > 0
+}
+
+// walkRank adds rank r's events in program order — nodes, their
+// innermost-phase attribution, phase spans, the send registry — and
+// checks the rank's own invariants: clocks, send seqs, span balance.
+func (g *dag) walkRank(r int, rep *Report, opt Options) error {
+	g.offset[r] = len(g.nodes)
+	whole := g.dropped[r] == 0
+	var prevComm, prevComp float64
+	var lastSeq uint64
+	var open []int            // the rank's open phase spans, innermost last
+	depth := map[bucket]int{} // open spans per bucket
+	var unbalanced error      // the first end before its begin
+	died := false
+	prog := int32(-1)
+	for i, e := range g.perRank[r] {
+		id := int32(len(g.nodes))
+		dComm, dComp := e.Comm-prevComm, e.Comp-prevComp
+		if dComm < -clockEps || dComp < -clockEps {
+			return fmt.Errorf("analyze: rank %d event %d: modeled clock decreased (%.9f,%.9f -> %.9f,%.9f); dump contains more than one run",
+				r, i, prevComm, prevComp, e.Comm, e.Comp)
+		}
+		prevComm, prevComp = e.Comm, e.Comp
+
+		// Innermost-phase attribution. Enter charges the outer
+		// phase (the span had not started yet); exit charges the
+		// exiting phase.
+		attr := noPhase
+		if n := len(open); n > 0 {
+			attr = g.spans[open[n-1]].phase
+		}
 		switch e.Kind {
-		case obs.EvRecvEnd:
-			if e.C < 0 || e.Seq == 0 {
-				break // timed-out recv, or pre-seq trace: no edge
+		case obs.EvPhaseEnter:
+			open = append(open, len(g.spans))
+			g.spans = append(g.spans, span{rank: r, phase: e.A, arg: e.B, enter: int(id), exit: -1})
+		case obs.EvPhaseExit:
+			if n := len(open); n > 0 {
+				g.spans[open[n-1]].exit = int(id)
+				open = open[:n-1]
 			}
-			src := int(e.A)
-			if sid, ok := sendIdx[msgKey{src, e.Seq}]; ok {
-				n.msgPred = sid
-			} else {
-				rep.Unmatched++
-				if !opt.Partial && src >= 0 && src < nranks && dropped[src] == 0 && !anyDropped {
-					return nil, fmt.Errorf("analyze: rank %d recv of (src=%d seq=%d) has no matching send and no events were dropped",
-						n.rank, src, e.Seq)
+		case obs.EvSendBegin, obs.EvSsendBegin:
+			g.sends[channel{int64(r), e.A, e.B}]++
+			if e.Seq > 0 {
+				switch {
+				case e.Seq <= lastSeq:
+					return fmt.Errorf("analyze: rank %d event %d: send seq %d after %d; dump contains more than one run",
+						r, i, e.Seq, lastSeq)
+				case whole && e.Seq != lastSeq+1:
+					return fmt.Errorf("analyze: rank %d event %d: send seq %d after %d (gap: a send went untraced)",
+						r, i, e.Seq, lastSeq)
 				}
+				lastSeq = e.Seq
+				g.sendIdx[msgKey{r, e.Seq}] = id
 			}
-			recvIdx[msgKey{int(e.A), e.Seq}] = int32(gid)
+		case obs.EvRecvEnd:
+			if e.C >= 0 { // C == -1: timed out, nothing received
+				g.recvs = append(g.recvs, id)
+			}
 		case obs.EvSsendEnd:
 			if e.Seq > 0 {
-				if rid, ok := recvIdx[msgKey{n.rank, e.Seq}]; ok {
-					n.ackPred = rid
-				}
+				g.ssends = append(g.ssends, id)
+			}
+		case obs.EvFault:
+			died = died || e.A == obs.FaultCrash || e.A == obs.FaultCascade
+		case obs.EvRetransmit, obs.EvCorruptFrame, obs.EvRetry, obs.EvQuarantine:
+			rep.Faults++
+		}
+		if edge, ok := spanEdges[e.Kind]; ok {
+			b := bucket{edge.open, noPhase}
+			if b.open == obs.EvPhaseEnter {
+				b.phase = e.A // phase spans balance per phase
+			}
+			if depth[b] += edge.step; depth[b] < 0 && unbalanced == nil {
+				unbalanced = fmt.Errorf("analyze: rank %d event %d: %v without its begin", r, i, e.Kind)
 			}
 		}
-	}
 
-	// Kahn topological order over program + message + ack edges.
+		g.nodes = append(g.nodes, node{rank: r, idx: i, dComm: dComm, dComp: dComp, phase: attr,
+			progPred: prog, msgPred: -1, ackPred: -1, binding: -1})
+		prog = id
+	}
+	if !whole || died {
+		return nil // a truncated or dying stream's spans prove nothing
+	}
+	if unbalanced != nil {
+		return unbalanced
+	}
+	for b, n := range depth {
+		if n != 0 && !opt.Partial {
+			return fmt.Errorf("analyze: rank %d: %d unclosed %v span(s) (phase %s) on a rank that did not die",
+				r, n, b.open, phaseName(b.phase))
+		}
+	}
+	return nil
+}
+
+// link adds the cross-rank edges — a receive completion depends on its
+// send's begin, an ssend completion on the receive that consumed it
+// (the synchronous ack) — and checks delivery: every receive names a
+// traced send, none is consumed twice, no channel is received more
+// often than sent.
+func (g *dag) link(rep *Report, opt Options, sharedClock bool) error {
+	recvIdx := map[msgKey]int32{}
+	received := map[channel]int{}
+	for _, gid := range g.recvs {
+		n, e := &g.nodes[gid], g.event(gid)
+		received[channel{e.A, int64(n.rank), e.B}]++
+		if e.Seq == 0 {
+			continue // pre-seq trace: no edge
+		}
+		key := msgKey{int(e.A), e.Seq}
+		if _, dup := recvIdx[key]; dup {
+			return fmt.Errorf("analyze: rank %d event %d: (src=%d seq=%d) delivered more than once",
+				n.rank, n.idx, e.A, e.Seq)
+		}
+		recvIdx[key] = gid
+		sid, ok := g.sendIdx[key]
+		switch {
+		case !ok:
+			rep.Unmatched++
+			if !opt.Partial && !g.truncated(e.A) {
+				return fmt.Errorf("analyze: rank %d event %d: received (src=%d seq=%d) but no such send was traced",
+					n.rank, n.idx, e.A, e.Seq)
+			}
+		case sharedClock && e.Wall < g.event(sid).Wall:
+			return fmt.Errorf("analyze: rank %d event %d: (src=%d seq=%d) received at %dns, before its send began at %dns",
+				n.rank, n.idx, e.A, e.Seq, e.Wall, g.event(sid).Wall)
+		default:
+			n.msgPred = sid
+			rep.SeqMatched++
+		}
+	}
+	for _, gid := range g.ssends {
+		if rid, ok := recvIdx[msgKey{g.nodes[gid].rank, g.event(gid).Seq}]; ok {
+			g.nodes[gid].ackPred = rid
+		}
+	}
+	for ch, k := range received {
+		if k > g.sends[ch] && !g.truncated(ch.src) && !opt.Partial {
+			return fmt.Errorf("analyze: channel %d→%d tag %d: %d receives but only %d sends",
+				ch.src, ch.dst, ch.tag, k, g.sends[ch])
+		}
+	}
+	return nil
+}
+
+// schedule assigns every node its synchronized time in Kahn
+// topological order over program, message and ack edges.
+func (g *dag) schedule() error {
+	nodes := g.nodes
 	indeg := make([]int32, len(nodes))
 	succs := make([][]int32, len(nodes))
-	addEdge := func(from, to int32) {
-		succs[from] = append(succs[from], to)
-		indeg[to]++
-	}
-	for gid := range nodes {
-		n := &nodes[gid]
-		if n.progPred >= 0 {
-			addEdge(n.progPred, int32(gid))
-		}
-		if n.msgPred >= 0 {
-			addEdge(n.msgPred, int32(gid))
-		}
-		if n.ackPred >= 0 {
-			addEdge(n.ackPred, int32(gid))
+	for gid, n := range nodes {
+		for _, pred := range [...]int32{n.progPred, n.msgPred, n.ackPred} {
+			if pred >= 0 {
+				succs[pred] = append(succs[pred], int32(gid))
+				indeg[gid]++
+			}
 		}
 	}
 	queue := make([]int32, 0, len(nodes))
@@ -380,9 +519,7 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 		n := &nodes[gid]
 
 		// arrival = max over predecessor completion times.
-		arrival := 0.0
-		progV := 0.0
-		n.binding = -1
+		var arrival, progV float64
 		if n.progPred >= 0 {
 			progV = nodes[n.progPred].v
 			arrival = progV
@@ -391,7 +528,6 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 		if n.msgPred >= 0 && nodes[n.msgPred].v > arrival+clockEps {
 			arrival = nodes[n.msgPred].v
 			n.binding = n.msgPred
-			n.ackEdge = false
 		}
 		if n.ackPred >= 0 && nodes[n.ackPred].v > arrival+clockEps {
 			arrival = nodes[n.ackPred].v
@@ -399,9 +535,6 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 			n.ackEdge = true
 		}
 		n.idle = arrival - progV
-		if n.progPred < 0 {
-			n.idle = arrival
-		}
 		n.v = arrival + n.dComm + n.dComp
 
 		for _, s := range succs[gid] {
@@ -411,11 +544,15 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 		}
 	}
 	if processed != len(nodes) {
-		return nil, fmt.Errorf("analyze: causal DAG has a cycle (%d of %d events unreachable); trace is corrupt",
+		return fmt.Errorf("analyze: causal DAG has a cycle (%d of %d events unreachable); trace is corrupt",
 			len(nodes)-processed, len(nodes))
 	}
+	return nil
+}
 
-	// Accumulate totals, per-rank, per-(rank,phase).
+// account fills the run, per-rank and per-(rank, phase) totals.
+func (g *dag) account(rep *Report) {
+	nranks := len(g.perRank)
 	type cell struct{ comm, comp, idle float64 }
 	rankCells := make([]cell, nranks)
 	phaseCells := make([]map[int64]*cell, nranks)
@@ -423,8 +560,8 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 	for r := range phaseCells {
 		phaseCells[r] = map[int64]*cell{}
 	}
-	for gid := range nodes {
-		n := &nodes[gid]
+	for gid := range g.nodes {
+		n := &g.nodes[gid]
 		rc := &rankCells[n.rank]
 		rc.comm += n.dComm
 		rc.comp += n.dComp
@@ -437,7 +574,7 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 		pc.comm += n.dComm
 		pc.comp += n.dComp
 		pc.idle += n.idle
-		e := perRank[n.rank][n.idx]
+		e := g.perRank[n.rank][n.idx]
 		if e.Kind == obs.EvRecvEnd && n.idle > 0 {
 			if n.rank == 0 {
 				rep.MasterIdleSec += n.idle
@@ -451,9 +588,9 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 	for r := 0; r < nranks; r++ {
 		rc := rankCells[r]
 		final := 0.0
-		if len(perRank[r]) > 0 {
-			final = nodes[offset[r]+len(perRank[r])-1].v
-			raw := perRank[r][len(perRank[r])-1]
+		if evs := g.perRank[r]; len(evs) > 0 {
+			final = g.nodes[g.offset[r]+len(evs)-1].v
+			raw := evs[len(evs)-1]
 			if raw.Comm+raw.Comp > rep.RawMakespanSec {
 				rep.RawMakespanSec = raw.Comm + raw.Comp
 			}
@@ -484,7 +621,7 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 	}
 	sort.Slice(phaseIDs, func(i, j int) bool { return phaseIDs[i] < phaseIDs[j] })
 	spanCount := map[int64]int{}
-	for _, s := range spans {
+	for _, s := range g.spans {
 		if s.exit >= 0 {
 			spanCount[s.phase]++
 		}
@@ -518,39 +655,37 @@ func Analyze(d *obs.Dump, opt Options) (*Report, error) {
 		}
 		rep.Phases = append(rep.Phases, ps)
 	}
+}
 
-	// Critical path: backward walk from the sink along binding edges.
-	rep.CriticalPath = criticalPath(nodes, offset, perRank, rep.SlowestRank)
-
-	// Slowest spans by synchronized duration, via prefix sums.
-	prefComm := make([]float64, len(nodes)+1)
-	prefComp := make([]float64, len(nodes)+1)
-	for gid := range nodes {
-		prefComm[gid+1] = prefComm[gid] + nodes[gid].dComm
-		prefComp[gid+1] = prefComp[gid] + nodes[gid].dComp
+// topSpans ranks the completed phase spans by synchronized duration,
+// via prefix sums, and keeps the k slowest.
+func (g *dag) topSpans(k int) []SpanStat {
+	prefComm := make([]float64, len(g.nodes)+1)
+	prefComp := make([]float64, len(g.nodes)+1)
+	for gid, n := range g.nodes {
+		prefComm[gid+1] = prefComm[gid] + n.dComm
+		prefComp[gid+1] = prefComp[gid] + n.dComp
 	}
 	var stats []SpanStat
-	for _, s := range spans {
+	for _, s := range g.spans {
 		if s.exit < 0 {
 			continue
 		}
-		dur := nodes[s.exit].v - nodes[s.enter].v
+		dur := g.nodes[s.exit].v - g.nodes[s.enter].v
 		comm := prefComm[s.exit+1] - prefComm[s.enter+1]
 		comp := prefComp[s.exit+1] - prefComp[s.enter+1]
 		stats = append(stats, SpanStat{
 			Rank: s.rank, Phase: phaseName(s.phase), Arg: s.arg,
-			StartSec: nodes[s.enter].v, DurSec: dur,
+			StartSec: g.nodes[s.enter].v, DurSec: dur,
 			CommSec: comm, CompSec: comp,
 			IdleSec: math.Max(0, dur-comm-comp),
 		})
 	}
 	sort.SliceStable(stats, func(i, j int) bool { return stats[i].DurSec > stats[j].DurSec })
-	if len(stats) > opt.TopSpans {
-		stats = stats[:opt.TopSpans]
+	if len(stats) > k {
+		stats = stats[:k]
 	}
-	rep.TopSpans = stats
-
-	return rep, nil
+	return stats
 }
 
 // criticalPath walks binding predecessors back from the slowest
@@ -620,7 +755,14 @@ func criticalPath(nodes []node, offset []int, perRank [][]obs.Event, slowest int
 	return cp
 }
 
-// FromTracer analyzes a live tracer's retained events.
-func FromTracer(t *obs.Tracer, opt Options) (*Report, error) {
-	return Analyze(t.Dump(), opt)
+// spanEdges maps each span event to the kind that opens its span and
+// to +1 when it opens it, -1 when it closes it.
+var spanEdges = map[obs.Kind]struct {
+	open obs.Kind
+	step int
+}{
+	obs.EvSendBegin: {obs.EvSendBegin, 1}, obs.EvSendEnd: {obs.EvSendBegin, -1},
+	obs.EvSsendBegin: {obs.EvSsendBegin, 1}, obs.EvSsendEnd: {obs.EvSsendBegin, -1},
+	obs.EvRecvBegin: {obs.EvRecvBegin, 1}, obs.EvRecvEnd: {obs.EvRecvBegin, -1},
+	obs.EvPhaseEnter: {obs.EvPhaseEnter, 1}, obs.EvPhaseExit: {obs.EvPhaseEnter, -1},
 }

@@ -18,7 +18,7 @@ import (
 //	rank 1: compute 1s, recv (blocks 2s+comm), compute 2s
 //
 // With alpha=1s, beta=10 B/s the transfer costs 2s on each side.
-func handScript(t *testing.T) *obs.Dump {
+func handScript(t testing.TB) *obs.Dump {
 	t.Helper()
 	epoch := time.Unix(0, 0)
 	tr := obs.NewTracerAt(2, 64, func() time.Time { return epoch })
@@ -200,12 +200,13 @@ func TestAnnotatedChrome(t *testing.T) {
 }
 
 // TestPartialToleratesUnmatchedRecv: in Partial mode a recv whose send
-// has not been streamed yet is counted, not fatal; strict mode keeps
-// rejecting it.
+// has not been streamed yet is counted, not fatal, and so is the phase
+// span still open around it; strict mode keeps rejecting both.
 func TestPartialToleratesUnmatchedRecv(t *testing.T) {
 	d := &obs.Dump{Ranks: []obs.RankDump{{
 		Rank: 1,
 		Events: []obs.Event{
+			{Kind: obs.EvPhaseEnter, Rank: 1, A: obs.PhaseCluster},
 			{Kind: obs.EvRecvBegin, Rank: 1, Comp: 1, A: 0, B: 7},
 			{Kind: obs.EvRecvEnd, Rank: 1, Comm: 2, Comp: 1, A: 0, B: 7, C: 10, Seq: 1},
 		},
@@ -213,6 +214,11 @@ func TestPartialToleratesUnmatchedRecv(t *testing.T) {
 	if _, err := Analyze(d, Options{}); err == nil {
 		t.Fatal("strict mode accepted an unmatched recv")
 	}
+	d.Ranks[0].Events[2].Seq = 0 // no seq to match: only the open span is left
+	if _, err := Analyze(d, Options{}); err == nil || !strings.Contains(err.Error(), "unclosed") {
+		t.Fatalf("strict mode, open span: err = %v", err)
+	}
+	d.Ranks[0].Events[2].Seq = 1
 	rep, err := Analyze(d, Options{Partial: true})
 	if err != nil {
 		t.Fatalf("partial mode: %v", err)

@@ -30,7 +30,7 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(bw, "  slowest rank      %d\n", r.SlowestRank)
 	fmt.Fprintf(bw, "  master idle       %.6fs\n", r.MasterIdleSec)
 	if len(r.DroppedRanks) > 0 {
-		fmt.Fprintf(bw, "  WARNING: ring wraparound on ranks %v; %d recvs unmatched — results are partial\n",
+		fmt.Fprintf(bw, "  WARNING: truncated streams on ranks %v (a wrapped ring, or a writer that stopped before its final record); %d recvs unmatched — results are partial\n",
 			r.DroppedRanks, r.Unmatched)
 	}
 	if len(r.EmptyRanks) > 0 {
@@ -91,23 +91,15 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // argument, so the path lights up under a search for "crit" in a
 // trace viewer. d must be the dump the report was computed from.
 func (r *Report) WriteAnnotatedChrome(w io.Writer, d *obs.Dump) error {
-	nranks := 0
-	for _, rd := range d.Ranks {
-		if rd.Rank+1 > nranks {
-			nranks = rd.Rank + 1
-		}
-	}
-	perRank := make([][]obs.Event, nranks)
-	dropped := make([]uint64, nranks)
-	for _, rd := range d.Ranks {
-		perRank[rd.Rank] = rd.Events
-		dropped[rd.Rank] = rd.Dropped
+	g, err := load(d)
+	if err != nil {
+		return err
 	}
 	// Per-rank inclusive index ranges covered by the path.
 	type span struct{ lo, hi int }
-	crit := make([][]span, nranks)
+	crit := make([][]span, len(g.perRank))
 	for _, s := range r.CriticalPath.Segments {
-		if s.Rank < nranks {
+		if s.Rank < len(crit) {
 			crit[s.Rank] = append(crit[s.Rank], span{s.FirstEvent, s.LastEvent})
 		}
 	}
@@ -119,5 +111,5 @@ func (r *Report) WriteAnnotatedChrome(w io.Writer, d *obs.Dump) error {
 		}
 		return nil
 	}
-	return obs.WriteChromeTraceEvents(w, perRank, dropped, annotate)
+	return obs.WriteChromeTraceEvents(w, g.perRank, g.dropped, annotate)
 }

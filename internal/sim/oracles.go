@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/check"
 	"repro/internal/par"
 	"repro/internal/pgst"
 	"repro/internal/pipeline"
@@ -172,19 +171,14 @@ func (r *Result) checkClustering(c Case, store seq.Seqs, ccfg cluster.Config, wa
 	r.WorkersLost = cres.Stats.WorkersLost
 	r.Retransmits = ph.GST.TotalRetransmits + ph.Cluster.TotalRetransmits
 
-	okRank := func(rank int) bool {
-		return ph.Exits == nil || ph.Exits[rank].OK
-	}
-	if _, err := check.Stream(tracer, okRank); err != nil {
-		r.failf("trace oracle: %v", err)
-	}
 	r.Trace = tracer
 
-	// Causal DAG oracle: the streams must assemble into an acyclic
-	// DAG whose critical path reproduces the synchronized makespan.
+	// Trace and causal DAG oracle: the streams must pass the stream
+	// invariants and assemble into an acyclic DAG whose critical path
+	// reproduces the synchronized makespan.
 	rep, err := analyze.FromTracer(tracer, analyze.Options{TopSpans: 1})
 	if err != nil {
-		r.failf("causal oracle: %v", err)
+		r.failf("trace oracle: %v", err)
 		return
 	}
 	if rep.MakespanSec > 0 {

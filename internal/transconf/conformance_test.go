@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/obs/check"
+	"repro/internal/obs/analyze"
 	"repro/internal/obs/collector"
 	"repro/internal/par"
 	"repro/internal/par/nettrans"
@@ -292,18 +292,19 @@ func runJob(t *testing.T, network string, killRank int) ([]int, cluster.Stats, *
 }
 
 // assertCanonical checks the partition oracle against the serial
-// transitive closure and the causal invariants over the merged trace.
-func assertCanonical(t *testing.T, got []int, merged *obs.Dump) {
+// transitive closure and the causal invariants over the merged trace,
+// and returns the trace's analysis.
+func assertCanonical(t *testing.T, got []int, merged *obs.Dump) *analyze.Report {
 	t.Helper()
 	want := serialLabels(seq.NewStore(workload()))
 	if !cluster.SamePartition(got, want) {
 		t.Fatalf("partition oracle: transport run diverged from the serial transitive closure (%d fragments)", len(want))
 	}
-	sum, err := check.Dump(merged, nil)
+	rep, err := analyze.Analyze(merged, analyze.Options{TopSpans: 1})
 	if err != nil {
 		t.Fatalf("trace oracle over merged per-process dumps: %v", err)
 	}
-	if sum.Events == 0 {
+	if rep.EventsTotal == 0 {
 		t.Fatal("merged trace is empty")
 	}
 	// Worker reports are the protocol's only rendezvous sends, and the
@@ -316,6 +317,7 @@ func assertCanonical(t *testing.T, got []int, merged *obs.Dump) {
 			}
 		}
 	}
+	return rep
 }
 
 // TestConformanceInproc anchors the suite: the in-process backend
@@ -327,15 +329,14 @@ func TestConformanceInproc(t *testing.T) {
 	tr := obs.NewTracer(jobSize, 1<<16)
 	pcfg := jobParallelConfig(tr)
 	pcfg.Faults = &par.FaultPlan{}
-	res, ph, err := cluster.Parallel(store, cluster.DefaultConfig(), pcfg)
+	res, _, err := cluster.Parallel(store, cluster.DefaultConfig(), pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cluster.SamePartition(cluster.PartitionLabels(res), serialLabels(store)) {
 		t.Fatal("partition oracle: in-process survivable run diverged from serial")
 	}
-	okRank := func(r int) bool { return ph.Exits == nil || ph.Exits[r].OK }
-	if _, err := check.Stream(tr, okRank); err != nil {
+	if _, err := analyze.FromTracer(tr, analyze.Options{TopSpans: 1}); err != nil {
 		t.Fatalf("trace oracle: %v", err)
 	}
 }
@@ -354,11 +355,38 @@ func TestConformanceUnix(t *testing.T) {
 // protocol must detect the silent rank, re-execute its work, and
 // still converge on the canonical partition. The killed rank's stream
 // is left out — the merge marks it truncated and the remaining streams
-// must still satisfy the causal invariants.
+// must still satisfy the causal invariants, exactly-once delivery
+// among the survivors included.
 func TestConformanceSIGKILL(t *testing.T) {
-	labels, stats, merged := runJob(t, "tcp", 2)
-	assertCanonical(t, labels, merged)
+	const killRank = 2
+	labels, stats, merged := runJob(t, "tcp", killRank)
+	rep := assertCanonical(t, labels, merged)
 	if stats.WorkersLost < 1 {
 		t.Errorf("kill landed after the run finished: WorkersLost=%d (expected ≥ 1); partition still canonical", stats.WorkersLost)
 	}
+	assertSurvivorsMatched(t, merged, rep, killRank)
+}
+
+// assertSurvivorsMatched: the killed rank's stream is the only
+// truncated one, so the strict analysis that accepted the merged trace
+// left unmatched only receives the killed rank sent, and matched the
+// rest by (src, seq).
+func assertSurvivorsMatched(t *testing.T, merged *obs.Dump, rep *analyze.Report, killRank int) {
+	t.Helper()
+	fromKilled := 0
+	for _, rd := range merged.Ranks {
+		if rd.Dropped > 0 && rd.Rank != killRank {
+			t.Errorf("rank %d's stream is truncated too: only the killed rank %d may be exempt", rd.Rank, killRank)
+		}
+		for _, e := range rd.Events {
+			if e.Kind == obs.EvRecvEnd && e.C >= 0 && e.Seq > 0 && e.A == int64(killRank) {
+				fromKilled++
+			}
+		}
+	}
+	if rep.SeqMatched == 0 || rep.Unmatched > fromKilled {
+		t.Errorf("%d receives seq-matched and %d unmatched, %d of them sent by the killed rank %d: want > 0 matched and every unmatched one from the killed rank",
+			rep.SeqMatched, rep.Unmatched, fromKilled, killRank)
+	}
+	t.Logf("%d receives seq-matched; %d unmatched, all sent by the killed rank %d", rep.SeqMatched, rep.Unmatched, killRank)
 }

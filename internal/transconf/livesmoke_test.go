@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/check"
 	"repro/internal/obs/collector"
 	"repro/internal/par"
 	"repro/internal/seq"
@@ -146,8 +145,9 @@ func runLiveJob(t *testing.T, network string, killRank int) (cluster.Stats, stri
 
 // assertPostHoc: the files read after the run pass the stream
 // invariants, and the status's live analysis is the post-hoc analysis
-// of the same files, as asmprof FILE... derives it.
-func assertPostHoc(t *testing.T, path string, st *collector.Status) {
+// of the same files, as asmprof FILE... derives it. It returns the
+// merged trace and its strict analysis.
+func assertPostHoc(t *testing.T, path string, st *collector.Status) (*obs.Dump, *analyze.Report) {
 	t.Helper()
 	var dumps []*obs.Dump
 	for _, p := range collector.Files(path) {
@@ -161,7 +161,8 @@ func assertPostHoc(t *testing.T, path string, st *collector.Status) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := check.Dump(merged, nil); err != nil {
+	strict, err := analyze.Analyze(merged, analyze.Options{})
+	if err != nil {
 		t.Fatalf("merged streams violate the stream invariants: %v", err)
 	}
 	// Partial mode: a SIGKILLed rank's lost sends leave unmatched
@@ -177,6 +178,7 @@ func assertPostHoc(t *testing.T, path string, st *collector.Status) {
 		t.Fatalf("live analysis %+v diverges from the post-hoc one (%d events, makespan %v, idle %v, slowest %d, unmatched %d)",
 			lv, rep.EventsTotal, rep.MakespanSec, rep.IdleSec, rep.SlowestRank, rep.Unmatched)
 	}
+	return merged, strict
 }
 
 // TestObsLiveTCP: clean 4-process TCP run, watched through its files.
@@ -238,5 +240,6 @@ func TestObsLiveSIGKILL(t *testing.T) {
 	if !st.Complete || !st.ExitOK {
 		t.Fatalf("run did not complete ok despite lease recovery: %+v", st)
 	}
-	assertPostHoc(t, path, st)
+	merged, strict := assertPostHoc(t, path, st)
+	assertSurvivorsMatched(t, merged, strict, killRank)
 }
