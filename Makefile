@@ -44,9 +44,10 @@ flake-check:
 # pair generation's first pass split a forest across goroutines, and
 # their identity tests run at GOMAXPROCS 4 on any host. The socket
 # transport's real-socket tests (reconnect after a cut, the mesh, crash
-# notify) and its link simulator run here too.
+# notify) and its link simulator run here too, and so do the disk
+# store's readers, which copy out of cache blocks a miss may reuse.
 race:
-	$(GO) test -race ./internal/par ./internal/par/nettrans ./internal/cluster ./internal/obs ./internal/obs/collector ./cmd/asmprof ./internal/align ./internal/assembly ./internal/pool ./internal/suffixtree ./internal/pairgen ./internal/pgst
+	$(GO) test -race ./internal/par ./internal/par/nettrans ./internal/cluster ./internal/obs ./internal/obs/collector ./cmd/asmprof ./internal/align ./internal/assembly ./internal/pool ./internal/suffixtree ./internal/pairgen ./internal/pgst ./internal/seq/diskstore
 
 # Race detector over the concurrency-heavy packages the simulation
 # harness exercises (runtime, clustering protocol, GST build, harness).

@@ -118,7 +118,7 @@ func assemble(store seq.Seqs, members []int, cfg Config, stop *atomic.Bool) []Co
 	rcs := make([][]byte, len(members))
 	for i, fid := range members {
 		seqs[i] = store.Seq(fid)
-		rcs[i] = seq.ReverseComplement(seqs[i])
+		rcs[i] = store.Seq(fid + store.N())
 	}
 	get := func(i int, rev bool) []byte {
 		if rev {

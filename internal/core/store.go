@@ -23,9 +23,9 @@ type StoreConfig struct {
 	// Backend is "mem" (default when empty) or "disk".
 	Backend string
 	// Dir holds the disk backend's files. Empty: a temporary
-	// directory, removed when the Result is closed. The checkpointed
-	// pipeline defaults it to <workdir>/store instead, so a resumed
-	// run reopens the same bytes.
+	// directory, removed when the Result is closed. A checkpointed
+	// pipeline run ignores it: its store is the preprocess checkpoint
+	// under <workdir>/store.
 	Dir string
 	// CacheBytes bounds the disk backend's block cache
 	// (default diskstore.DefaultCacheBytes).

@@ -6,20 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
 	"time"
 
-	"repro/internal/assembly"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/launch"
 	"repro/internal/pipeline"
-	"repro/internal/preprocess"
 	"repro/internal/seq"
 )
 
@@ -162,33 +158,11 @@ func RunJob(dir string) int {
 		return 1
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Cluster.Psi = spec.Psi
-	cfg.Cluster.W = spec.W
-	cfg.PreprocessEnabled = spec.Mask
-	if spec.Mask {
-		rng := rand.New(rand.NewSource(spec.Seed))
-		sample := preprocess.Sample(rng, frags, 0.3)
-		cfg.Preprocess.Repeats = preprocess.DetectRepeats(sample, 16, 4)
-	}
+	cfg := spec.coreConfig(frags)
 	if spec.Ranks >= 2 {
-		cfg.Parallel = cluster.DefaultParallelConfig(spec.Ranks)
-		cfg.Parallel.Trace = tel.Tracer
-		cfg.Parallel.Metrics = tel.Registry
+		cfg.Parallel.Trace, cfg.Parallel.Metrics = tel.Tracer, tel.Registry
 	}
-	cfg.AssemblyGuard = &assembly.Guard{
-		Retries: spec.AssemblyRetries,
-		Backoff: 10 * time.Millisecond,
-		Trace:   tel.Tracer,
-		Metrics: tel.Registry,
-	}
-	if spec.Store == "disk" {
-		// Dir is left empty: the pipeline anchors the store under the
-		// job's workdir and journals it in the manifest, so resumed
-		// attempts reopen the same bytes.
-		cfg.Store = core.StoreConfig{Backend: core.StoreDisk}
-	}
-	cfg.Cluster.MemBudget = spec.MemBudget
+	cfg.AssemblyGuard.Trace, cfg.AssemblyGuard.Metrics = tel.Tracer, tel.Registry
 
 	started := time.Now()
 	ranPhase := false

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/core"
 	"repro/internal/obs/collector"
 	"repro/internal/seq"
 	"repro/internal/simulate"
@@ -536,9 +537,25 @@ func TestDiskStoreJobMatchesMem(t *testing.T) {
 		t.Errorf("disk-backed job contigs differ from in-memory job (%d vs %d bytes)", len(got), len(want))
 	}
 
-	// The job workdir must actually hold the on-disk store.
-	matches, err := filepath.Glob(filepath.Join(dir, "jobs", "*", "work", "store", "store.data"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("expected exactly one on-disk store under the job dirs, got %v (err %v)", matches, err)
+	// Both backends checkpoint to a store under the workdir, so the
+	// files cannot tell them apart: the configuration each runner
+	// derived from its job's persisted spec can.
+	for _, j := range []struct {
+		id      string
+		backend string
+		budget  int64
+	}{{memJob.ID, "", 0}, {diskJob.ID, core.StoreDisk, 65536}} {
+		b, err := os.ReadFile(filepath.Join(dir, "jobs", j.id, specFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec Spec
+		if err := json.Unmarshal(b, &spec); err != nil {
+			t.Fatal(err)
+		}
+		cfg := spec.withDefaults().coreConfig(nil)
+		if cfg.Store.Backend != j.backend || cfg.Cluster.MemBudget != j.budget {
+			t.Errorf("job %s ran with store %q and mem budget %d, want %q and %d", j.id, cfg.Store.Backend, cfg.Cluster.MemBudget, j.backend, j.budget)
+		}
 	}
 }

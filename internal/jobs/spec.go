@@ -4,6 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"time"
+
+	"repro/internal/assembly"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/preprocess"
+	"repro/internal/seq"
 )
 
 // Spec is the per-job assembly configuration a client submits
@@ -84,6 +92,32 @@ func (s Spec) validate() error {
 		return fmt.Errorf("jobs: mem_budget=%d is negative", s.MemBudget)
 	}
 	return nil
+}
+
+// coreConfig is the pipeline configuration an attempt of this job
+// runs: the spec's parameters over core's defaults, with repeats
+// detected in frags when masking. The disk backend needs no directory:
+// the pipeline keeps its store under the job's workdir. The runner
+// adds the telemetry hooks.
+func (s Spec) coreConfig(frags []*seq.Fragment) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Cluster.Psi = s.Psi
+	cfg.Cluster.W = s.W
+	cfg.Cluster.MemBudget = s.MemBudget
+	cfg.PreprocessEnabled = s.Mask
+	if s.Mask {
+		rng := rand.New(rand.NewSource(s.Seed))
+		sample := preprocess.Sample(rng, frags, 0.3)
+		cfg.Preprocess.Repeats = preprocess.DetectRepeats(sample, 16, 4)
+	}
+	if s.Ranks >= 2 {
+		cfg.Parallel = cluster.DefaultParallelConfig(s.Ranks)
+	}
+	cfg.AssemblyGuard = &assembly.Guard{Retries: s.AssemblyRetries, Backoff: 10 * time.Millisecond}
+	if s.Store == "disk" {
+		cfg.Store.Backend = core.StoreDisk
+	}
+	return cfg
 }
 
 // Flags is the canonical configuration fingerprint. It doubles as the

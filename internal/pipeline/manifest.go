@@ -2,14 +2,15 @@ package pipeline
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"repro/internal/durable"
+	"repro/internal/seq"
 	"repro/internal/wire"
 )
 
@@ -27,12 +28,14 @@ var Phases = []Phase{PhasePreprocess, PhaseCluster, PhaseAssembly}
 
 const (
 	manifestMagic   = 0x706d6673 // "pmfs"
-	manifestVersion = 2
+	manifestVersion = 3
 	manifestFile    = "manifest"
-	// maxAuxRecords bounds the auxiliary artifact list (currently two
-	// entries: the disk store's data and index files).
-	maxAuxRecords = 8
 )
+
+// errOlderManifest marks a manifest an older build wrote (versions 1
+// and 2, whose preprocess artifact was not the store): a resumed run
+// starts afresh over it instead of trusting its artifacts.
+var errOlderManifest = errors.New("manifest written by an older build")
 
 // record marks one completed phase: the artifact file holding its
 // output and that file's SHA-256, so a torn or tampered artifact is
@@ -49,15 +52,10 @@ type record struct {
 // run (no workdir) passes a nil manifest around.
 type manifest struct {
 	dir     string
-	input   string // hex SHA-256 of the encoded input fragments
+	input   string // inputHash of the input fragments
 	flags   string // configuration fingerprint
 	records []record
-	// aux journals non-phase artifacts — files the run derives once
-	// and later runs must reuse byte-for-byte (the disk store's data
-	// and index files). Introduced by manifest version 2; a v1
-	// manifest simply has none.
-	aux []record
-	lk  *lock // exclusive workdir lease, held until close
+	lk      *lock // exclusive workdir lease, held until close
 }
 
 // close releases the workdir lock. Nil-safe (no-workdir runs carry a
@@ -75,11 +73,29 @@ func hashBytes(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
+// inputHash fingerprints the input fragments: every name, base and
+// quality streamed through SHA-256, each length-prefixed.
+func inputHash(frags []*seq.Fragment) string {
+	h := sha256.New()
+	var n [binary.MaxVarintLen64]byte
+	put := func(b []byte) {
+		h.Write(n[:binary.PutUvarint(n[:], uint64(len(b)))])
+		h.Write(b)
+	}
+	for _, f := range frags {
+		put([]byte(f.Name))
+		put(f.Bases)
+		put(f.Qual)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // openManifest prepares the workdir's manifest. With resume set an
 // existing manifest is loaded and verified against the input and
 // flags; otherwise any previous manifest is discarded and the run
-// starts from scratch.
-func openManifest(dir, inputHash, flags string, resume bool) (*manifest, error) {
+// starts from scratch. Without a workdir there is nothing to check the
+// input against, so it is not fingerprinted.
+func openManifest(dir string, frags []*seq.Fragment, flags string, resume bool) (*manifest, error) {
 	if dir == "" {
 		return nil, nil
 	}
@@ -90,39 +106,45 @@ func openManifest(dir, inputHash, flags string, resume bool) (*manifest, error) 
 	if err != nil {
 		return nil, err
 	}
-	m := &manifest{dir: dir, input: inputHash, flags: flags, lk: lk}
-	path := filepath.Join(dir, manifestFile)
+	m := &manifest{dir: dir, input: inputHash(frags), flags: flags, lk: lk}
+	if err := m.restore(resume); err != nil {
+		m.close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// restore takes over the records of the workdir's manifest when
+// resuming, and removes it otherwise. A missing manifest, or one an
+// older build wrote, leaves nothing to resume: the run starts afresh.
+func (m *manifest) restore(resume bool) error {
+	path := filepath.Join(m.dir, manifestFile)
 	if !resume {
 		if err := os.RemoveAll(path); err != nil {
-			m.close()
-			return nil, fmt.Errorf("pipeline: reset manifest: %w", err)
+			return fmt.Errorf("pipeline: reset manifest: %w", err)
 		}
-		return m, nil
+		return nil
 	}
 	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return m, nil // nothing to resume from: fresh run
+		return nil
 	}
 	if err != nil {
-		m.close()
-		return nil, fmt.Errorf("pipeline: read manifest: %w", err)
+		return fmt.Errorf("pipeline: read manifest: %w", err)
 	}
 	old, err := decodeManifest(b)
-	if err != nil {
-		m.close()
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	if old.input != inputHash {
-		m.close()
-		return nil, errors.New("pipeline: manifest was written for different input (refusing to resume)")
-	}
-	if old.flags != flags {
-		m.close()
-		return nil, fmt.Errorf("pipeline: manifest was written with different configuration %q (refusing to resume)", old.flags)
+	switch {
+	case errors.Is(err, errOlderManifest):
+		return nil
+	case err != nil:
+		return fmt.Errorf("pipeline: %w", err)
+	case old.input != m.input:
+		return errors.New("pipeline: manifest was written for different input (refusing to resume)")
+	case old.flags != m.flags:
+		return fmt.Errorf("pipeline: manifest was written with different configuration %q (refusing to resume)", old.flags)
 	}
 	m.records = old.records
-	m.aux = old.aux
-	return m, nil
+	return nil
 }
 
 func (m *manifest) encode() []byte {
@@ -133,12 +155,6 @@ func (m *manifest) encode() []byte {
 	w.PutString(m.flags)
 	w.PutUint(uint64(len(m.records)))
 	for _, r := range m.records {
-		w.PutString(r.name)
-		w.PutString(r.artifact)
-		w.PutString(r.sum)
-	}
-	w.PutUint(uint64(len(m.aux)))
-	for _, r := range m.aux {
 		w.PutString(r.name)
 		w.PutString(r.artifact)
 		w.PutString(r.sum)
@@ -154,11 +170,12 @@ func decodeManifest(b []byte) (*manifest, error) {
 		}
 		return nil, errors.New("not a pipeline manifest (bad magic)")
 	}
-	v := r.Uint()
-	if v != 1 && v != manifestVersion {
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
+	switch v := r.Uint(); {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case v == 1 || v == 2:
+		return nil, errOlderManifest
+	case v != manifestVersion:
 		return nil, fmt.Errorf("unsupported manifest version %d", v)
 	}
 	m := &manifest{input: r.String(), flags: r.String()}
@@ -176,22 +193,6 @@ func decodeManifest(b []byte) (*manifest, error) {
 			sum:      r.String(),
 		})
 	}
-	if v >= 2 {
-		na := int(r.Uint())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if na < 0 || na > maxAuxRecords {
-			return nil, fmt.Errorf("manifest aux count %d out of range", na)
-		}
-		for i := 0; i < na; i++ {
-			m.aux = append(m.aux, record{
-				name:     r.String(),
-				artifact: r.String(),
-				sum:      r.String(),
-			})
-		}
-	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -204,9 +205,10 @@ func decodeManifest(b []byte) (*manifest, error) {
 // Rollback truncates a workdir's manifest to its first keep phases,
 // exactly the state a run killed at that phase boundary leaves behind.
 // Artifacts of later phases stay on disk but are no longer recorded,
-// so a resumed run recomputes them. It is both an operator tool
-// ("re-run from clustering onward") and the harness behind the
-// kill-and-resume experiments.
+// so a resumed run recomputes them: at keep 0 that reruns
+// preprocessing and rewrites the store, at keep ≥ 1 the store is
+// reopened. It is both an operator tool ("re-run from clustering
+// onward") and the harness behind the kill-and-resume experiments.
 func Rollback(dir string, keep int) error {
 	b, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -244,35 +246,6 @@ func (m *manifest) load(p Phase) ([]byte, bool, error) {
 		return b, true, nil
 	}
 	return nil, false, nil
-}
-
-// auxSum returns the journaled checksum of a named auxiliary artifact.
-func (m *manifest) auxSum(name string) (string, bool) {
-	if m == nil {
-		return "", false
-	}
-	for _, r := range m.aux {
-		if r.name == name {
-			return r.sum, true
-		}
-	}
-	return "", false
-}
-
-// completeAux journals (or re-journals) an auxiliary artifact's
-// checksum and persists the manifest. The artifact itself must already
-// be durably on disk — same crash ordering as complete: a crash before
-// the manifest write just rebuilds the artifact on resume.
-func (m *manifest) completeAux(name, artifact, sum string) error {
-	if m == nil {
-		return nil
-	}
-	i := slices.IndexFunc(m.aux, func(r record) bool { return r.name == name })
-	if i < 0 {
-		i, m.aux = len(m.aux), append(m.aux, record{name: name})
-	}
-	m.aux[i].artifact, m.aux[i].sum = artifact, sum
-	return durable.WriteFile(filepath.Join(m.dir, manifestFile), m.encode())
 }
 
 // complete records a phase's artifact: the artifact is staged first,

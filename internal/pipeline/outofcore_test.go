@@ -54,8 +54,8 @@ func diskCoreConfig() core.Config {
 
 // TestOutOfCoreMatchesMem: the full out-of-core pipeline — disk store
 // under the workdir, spilling GST — must produce contigs byte-identical
-// to the in-memory pipeline, and must leave the store files journaled
-// in the manifest.
+// to the in-memory pipeline, and its manifest's preprocess record must
+// checksum the store files it left.
 func TestOutOfCoreMatchesMem(t *testing.T) {
 	memRes, err := Run(testFrags(4, 3, 2200, 90), Config{
 		Core: testCoreConfig(), Workdir: t.TempDir(), Flags: "ooc",
@@ -88,26 +88,35 @@ func TestOutOfCoreMatchesMem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{auxStoreData, auxStoreIdx} {
-		sum, ok := m.auxSum(name)
-		if !ok {
-			t.Fatalf("manifest does not journal %s", name)
-		}
-		got, err := hashFile(filepath.Join(dir, "store", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != sum {
-			t.Fatalf("journaled %s checksum does not match the file", name)
-		}
+	m.dir = dir
+	art, ok, err := m.load(PhasePreprocess)
+	if err != nil || !ok {
+		t.Fatalf("manifest has no valid preprocess record (ok %v, err %v)", ok, err)
+	}
+	if _, err := checkPreprocess(filepath.Join(dir, storeDir), art); err != nil {
+		t.Fatalf("preprocess record does not match the store files: %v", err)
 	}
 }
 
 // TestOutOfCoreResumeByteIdentical: kill the out-of-core pipeline
-// after each phase boundary; the resumed run must reopen the journaled
-// store (not rebuild it) and finish with byte-identical contigs.
+// after each phase boundary; the resumed run must finish with
+// byte-identical contigs, reopening the store at depths ≥ 1.
 func TestOutOfCoreResumeByteIdentical(t *testing.T) {
-	cfg := diskCoreConfig()
+	testResumeAtEveryDepth(t, diskCoreConfig())
+}
+
+// TestInMemoryResumeByteIdentical is the same on the in-memory
+// backend, whose preprocess checkpoint is the same disk store.
+func TestInMemoryResumeByteIdentical(t *testing.T) {
+	testResumeAtEveryDepth(t, testCoreConfig())
+}
+
+// testResumeAtEveryDepth rolls one workdir back to each phase boundary
+// and resumes it. The store's writes are deterministic, so its bytes
+// cannot tell reuse from rewrite; the files' identity can: rollback to
+// 0 reruns preprocessing and must replace them, any deeper rollback
+// must reopen them untouched.
+func testResumeAtEveryDepth(t *testing.T, cfg core.Config) {
 	full := t.TempDir()
 	ref, err := Run(testFrags(4, 3, 2200, 90), Config{Core: cfg, Workdir: full, Flags: "ooc"})
 	if err != nil {
@@ -115,13 +124,21 @@ func TestOutOfCoreResumeByteIdentical(t *testing.T) {
 	}
 	ref.Close()
 	refBytes := contigBytes(ref)
-	origIdx, err := hashFile(filepath.Join(full, "store", diskstore.IndexFile))
-	if err != nil {
-		t.Fatal(err)
+	statStore := func() (fis [len(storeFiles)]os.FileInfo) {
+		t.Helper()
+		for i, name := range storeFiles {
+			fi, err := os.Stat(filepath.Join(full, storeDir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fis[i] = fi
+		}
+		return fis
 	}
 
 	for k := 0; k < len(Phases); k++ {
 		t.Run(fmt.Sprintf("rollback_to_%d_phases", k), func(t *testing.T) {
+			before := statStore()
 			if err := Rollback(full, k); err != nil {
 				t.Fatal(err)
 			}
@@ -133,44 +150,44 @@ func TestOutOfCoreResumeByteIdentical(t *testing.T) {
 			}
 			defer res.Close()
 			if !bytes.Equal(contigBytes(res), refBytes) {
-				t.Error("resumed out-of-core contigs differ from uninterrupted run")
+				t.Error("resumed contigs differ from uninterrupted run")
 			}
-			gotIdx, err := hashFile(filepath.Join(full, "store", diskstore.IndexFile))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotIdx != origIdx {
-				t.Error("resume rewrote the store index; it must reuse the journaled bytes")
+			for i, after := range statStore() {
+				if same := os.SameFile(before[i], after); same != (k > 0) {
+					t.Errorf("%s: same file after resume = %v, want %v (rewrite only when preprocessing reruns)", storeFiles[i], same, k > 0)
+				}
 			}
 		})
 	}
 }
 
 // TestOutOfCoreResumeRefusesCorruptStore: a resumed run must refuse a
-// store file whose bytes no longer match the journaled checksum.
+// store file whose bytes no longer match the preprocess record's
+// checksum, on either backend.
 func TestOutOfCoreResumeRefusesCorruptStore(t *testing.T) {
-	cfg := diskCoreConfig()
-	dir := t.TempDir()
-	res, err := Run(testFrags(4, 3, 2200, 90), Config{Core: cfg, Workdir: dir, Flags: "ooc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Close()
+	for _, cfg := range []core.Config{diskCoreConfig(), testCoreConfig()} {
+		dir := t.TempDir()
+		res, err := Run(testFrags(4, 3, 2200, 90), Config{Core: cfg, Workdir: dir, Flags: "ooc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
 
-	dataPath := filepath.Join(dir, "store", diskstore.DataFile)
-	b, err := os.ReadFile(dataPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0xff
-	if err := os.WriteFile(dataPath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(testFrags(4, 3, 2200, 90), Config{
-		Core: cfg, Workdir: dir, Resume: true, Flags: "ooc",
-	})
-	if err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("resume with corrupt store: err=%v, want checksum refusal", err)
+		dataPath := filepath.Join(dir, storeDir, diskstore.DataFile)
+		b, err := os.ReadFile(dataPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0xff
+		if err := os.WriteFile(dataPath, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(testFrags(4, 3, 2200, 90), Config{
+			Core: cfg, Workdir: dir, Resume: true, Flags: "ooc",
+		})
+		if err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("backend %q: resume with corrupt store: err=%v, want checksum refusal", cfg.Store.Backend, err)
+		}
 	}
 }
 
@@ -194,12 +211,20 @@ type rssCell struct {
 	PeakRSS  uint64 // VmHWM at exit
 	Pairs    int64
 	PairHash uint64 // order-independent multiset hash
+	// PhaseRSS is VmHWM as each phase of a pipeline cell begins.
+	PhaseRSS []phaseRSS
+}
+
+type phaseRSS struct {
+	Phase Phase
+	HWM   uint64
 }
 
 // rssCellSpec is what a cell subprocess is told to run.
 type rssCellSpec struct {
-	Dir     string // staged disk store both backends read
-	Backend string // "mem" or "disk"
+	Dir     string // staged disk store both backends read; pipeline: its workdir
+	Backend string // "mem", "disk" or "pipeline"
+	Scale   int    // pipeline: the rssReads scale it generates
 }
 
 // rssScales are the two input sizes and the fixed-seed pair count each
@@ -295,6 +320,34 @@ func TestDiskPairsMatchMemAcrossTenfoldInput(t *testing.T) {
 	}
 }
 
+// TestPipelineRSSAcrossTenfoldInput logs, as a measurement and not a
+// gate, the peak RSS of the whole checkpointed pipeline on the disk
+// backend (spilling GST, store under the workdir) at ×1 and ×10 of the
+// input above, each cell in a fresh process: VmHWM as each phase
+// begins and at exit. Unlike the cells above it holds the reads in
+// memory from the start and assembles, as asmpipeline does.
+func TestPipelineRSSAcrossTenfoldInput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two subprocess pipeline runs")
+	}
+	if _, err := vmHWM(); err != nil {
+		t.Skipf("no peak RSS on this platform: %v", err)
+	}
+	var exit [len(rssScales)]uint64
+	for s, sc := range rssScales {
+		c, err := spawnRSSCell(rssCellSpec{Dir: t.TempDir(), Backend: "pipeline", Scale: sc.scale})
+		if err != nil {
+			t.Fatalf("pipeline ×%d: %v", sc.scale, err)
+		}
+		for _, p := range c.PhaseRSS {
+			t.Logf("pipeline ×%-2d %-10s begins at VmHWM %6.1f MB", sc.scale, p.Phase, float64(p.HWM)/(1<<20))
+		}
+		t.Logf("pipeline ×%-2d exit       VmHWM %6.1f MB", sc.scale, float64(c.PeakRSS)/(1<<20))
+		exit[s] = c.PeakRSS
+	}
+	t.Logf("pipeline ×%d/×1 peak RSS %.3f (logged, not gated)", rssScale, float64(exit[1])/float64(exit[0]))
+}
+
 // rssReads synthesizes the fixed input at a scale: the genome grows
 // with scale at fixed coverage, so reads and suffixes grow ×scale.
 func rssReads(scale int) []*seq.Fragment {
@@ -338,6 +391,9 @@ func rssCellMain(specJSON string) error {
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
 		return err
 	}
+	if spec.Backend == "pipeline" {
+		return pipelineCellMain(spec)
+	}
 	st, err := diskstore.Open(spec.Dir, diskstore.Options{CacheBytes: 1 << 20})
 	if err != nil {
 		return err
@@ -362,15 +418,38 @@ func rssCellMain(specJSON string) error {
 	case "mem":
 		// The all-RAM reference materializes the fragments and the
 		// monolithic forest, exactly like the in-memory pipeline.
-		frags := make([]*seq.Fragment, st.N())
-		for i := range frags {
-			frags[i] = &seq.Fragment{Name: st.FragName(i), Bases: st.Seq(i)}
-		}
+		frags := st.Fragments()
 		st.Close()
 		pairgen.Generate(cluster.BuildSerialTree(seq.NewStore(frags), ccfg), pg, count)
 	default:
 		return fmt.Errorf("unknown backend %q", spec.Backend)
 	}
+	if c.PeakRSS, err = vmHWM(); err != nil {
+		return err
+	}
+	return json.NewEncoder(os.Stdout).Encode(c)
+}
+
+// pipelineCellMain is a pipeline cell subprocess: generate the reads,
+// run the checkpointed disk-backed pipeline over them, print VmHWM per
+// phase and at exit as JSON.
+func pipelineCellMain(spec rssCellSpec) error {
+	cfg := core.DefaultConfig()
+	cfg.PreprocessEnabled = false
+	cfg.Store = core.StoreConfig{Backend: core.StoreDisk}
+	cfg.Cluster.MemBudget = rssSpillBudget
+	var c rssCell
+	res, err := Run(rssReads(spec.Scale), Config{
+		Core: cfg, Workdir: spec.Dir, Flags: "rss",
+		OnPhase: func(p Phase) {
+			hwm, _ := vmHWM()
+			c.PhaseRSS = append(c.PhaseRSS, phaseRSS{p, hwm})
+		},
+	})
+	if err != nil {
+		return err
+	}
+	res.Close()
 	if c.PeakRSS, err = vmHWM(); err != nil {
 		return err
 	}

@@ -3,9 +3,9 @@
 // killed at any point resumes from the last completed phase and
 // produces byte-identical output. The manifest fingerprints the input
 // and configuration; each phase's output is stored as a checksummed
-// artifact in the workdir (preprocessed fragments, the clustering
-// partition, per-cluster contigs) and a resumed run refuses artifacts
-// that do not match what it would have computed over.
+// artifact in the workdir (the preprocessed reads as a disk store, the
+// clustering partition, per-cluster contigs) and a resumed run refuses
+// artifacts that do not match what it would have computed over.
 package pipeline
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs/prof"
-	"repro/internal/preprocess"
 	"repro/internal/seq"
 	"repro/internal/wire"
 )
@@ -26,8 +25,11 @@ import (
 type Config struct {
 	// Core is the underlying pipeline configuration.
 	Core core.Config
-	// Workdir holds the manifest and phase artifacts; empty disables
-	// checkpointing entirely (Run degenerates to core.Run semantics).
+	// Workdir holds the manifest and phase artifacts: the preprocessed
+	// reads as a disk store under <Workdir>/store (whichever backend
+	// the run reads through), then the cluster and assembly artifacts.
+	// Empty disables checkpointing entirely (Run degenerates to
+	// core.Run semantics).
 	Workdir string
 	// Resume reuses completed phases recorded in Workdir's manifest.
 	// Without it any existing manifest is discarded.
@@ -56,22 +58,21 @@ type Config struct {
 // resuming the same workdir continues byte-identically.
 var ErrInterrupted = errors.New("pipeline: interrupted at phase boundary (checkpointed)")
 
-// InputHash fingerprints the input fragments for the manifest.
-func InputHash(frags []*seq.Fragment) string {
-	return hashBytes(encodeFragments(frags, preprocess.Stats{}))
-}
-
 // Run executes preprocess → cluster → assemble with a checkpoint at
 // every phase boundary. Completed phases are skipped on resume by
 // loading their artifacts, which yields byte-identical contigs to an
-// uninterrupted run.
+// uninterrupted run. The preprocess checkpoint is the disk store, so
+// it keeps names and bases but not qualities (no later phase reads
+// them), and it stores any base outside ACGTN as N: a resumed run is
+// byte-identical for input over ACGTN, which is all the FASTA reader
+// produces.
 func Run(frags []*seq.Fragment, cfg Config) (_ *core.Result, err error) {
 	if cfg.Core.Transport != nil && cfg.Core.TransportRank != 0 {
 		// Worker-rank processes never touch the manifest: only the
 		// master journals phases, so a resumed run sees one writer.
 		return core.Run(frags, cfg.Core)
 	}
-	m, err := openManifest(cfg.Workdir, InputHash(frags), cfg.Flags, cfg.Resume)
+	m, err := openManifest(cfg.Workdir, frags, cfg.Flags, cfg.Resume)
 	if err != nil {
 		return nil, err
 	}
@@ -106,26 +107,9 @@ func Run(frags []*seq.Fragment, cfg Config) (_ *core.Result, err error) {
 
 	// Phase 1: preprocessing (recorded even when disabled, so the
 	// cluster phase always resumes over the exact fragment set).
-	if art, ok, err := m.load(PhasePreprocess); err != nil {
-		return nil, err
-	} else if ok {
-		if frags, res.PreprocessStats, err = decodeFragments(art); err != nil {
-			return nil, fmt.Errorf("pipeline: preprocess artifact: %w", err)
-		}
-	} else {
-		onPhase(PhasePreprocess)
-		if ccfg.PreprocessEnabled {
-			frags, res.PreprocessStats = preprocess.Run(frags, ccfg.Preprocess)
-		}
-		if err := m.complete(PhasePreprocess, encodeFragments(frags, res.PreprocessStats)); err != nil {
-			return nil, err
-		}
-	}
-	var closeStore func() error
-	if res.Store, closeStore, err = attachStore(m, cfg, frags); err != nil {
+	if err := preprocessPhase(m, ccfg, frags, onPhase, res); err != nil {
 		return nil, err
 	}
-	res.SetStoreCloser(closeStore)
 	if interrupted() {
 		return nil, ErrInterrupted
 	}
@@ -178,59 +162,6 @@ func Run(frags []*seq.Fragment, cfg Config) (_ *core.Result, err error) {
 		}
 	}
 	return res, nil
-}
-
-// encodeFragments serializes preprocessing output: the survivor stats
-// and each fragment's name, bases, and optional qualities. (Simulator
-// Origin metadata is not carried across a checkpoint — it is a
-// validation aid, never an assembly input.)
-func encodeFragments(frags []*seq.Fragment, st preprocess.Stats) []byte {
-	w := wire.NewBuffer(64)
-	for _, v := range []int{st.FragsBefore, st.BasesBefore, st.FragsAfter,
-		st.BasesAfter, st.Trimmed, st.Repetitive, st.MaskedBases} {
-		w.PutInt(v)
-	}
-	w.PutUint(uint64(len(frags)))
-	for _, f := range frags {
-		w.PutString(f.Name)
-		w.PutBytes(f.Bases)
-		w.PutBool(f.Qual != nil)
-		if f.Qual != nil {
-			w.PutBytes(f.Qual)
-		}
-	}
-	return w.Bytes()
-}
-
-func decodeFragments(b []byte) ([]*seq.Fragment, preprocess.Stats, error) {
-	r := wire.NewReader(b)
-	var st preprocess.Stats
-	for _, p := range []*int{&st.FragsBefore, &st.BasesBefore, &st.FragsAfter,
-		&st.BasesAfter, &st.Trimmed, &st.Repetitive, &st.MaskedBases} {
-		*p = r.Int()
-	}
-	n := int(r.Uint())
-	if err := r.Err(); err != nil {
-		return nil, st, err
-	}
-	if n < 0 || n > r.Remaining() {
-		return nil, st, errors.New("fragment count exceeds payload")
-	}
-	frags := make([]*seq.Fragment, n)
-	for i := range frags {
-		f := &seq.Fragment{Name: r.String(), Bases: r.Bytes()}
-		if r.Bool() {
-			f.Qual = r.Bytes()
-		}
-		frags[i] = f
-	}
-	if err := r.Err(); err != nil {
-		return nil, st, err
-	}
-	if r.Remaining() != 0 {
-		return nil, st, fmt.Errorf("%d trailing bytes after fragments", r.Remaining())
-	}
-	return frags, st, nil
 }
 
 // encodeContigs serializes per-cluster contigs plus (optionally) the

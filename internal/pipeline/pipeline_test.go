@@ -14,6 +14,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/seq"
 	"repro/internal/simulate"
+	"repro/internal/wire"
 )
 
 func testFrags(seed int64, islands, islandLen, reads int) []*seq.Fragment {
@@ -93,20 +94,32 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 
 	// "Kill after phase k": a workdir holding only the first k records
-	// and their artifacts, exactly what a run killed at that boundary
-	// leaves behind.
+	// and their artifacts (the preprocess phase's includes the store),
+	// exactly what a run killed at that boundary leaves behind.
 	for k := 0; k <= len(fullManifest.records); k++ {
 		k := k
 		t.Run(fmt.Sprintf("killed_after_%d_phases", k), func(t *testing.T) {
 			dir := t.TempDir()
 			trunc := &manifest{dir: dir, input: fullManifest.input, flags: fullManifest.flags}
 			trunc.records = fullManifest.records[:k]
+			var files []string
 			for _, r := range trunc.records {
-				b, err := os.ReadFile(filepath.Join(full, r.artifact))
+				files = append(files, r.artifact)
+				if r.name == string(PhasePreprocess) {
+					for _, name := range storeFiles {
+						files = append(files, filepath.Join(storeDir, name))
+					}
+				}
+			}
+			if err := os.Mkdir(filepath.Join(dir, storeDir), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range files {
+				b, err := os.ReadFile(filepath.Join(full, name))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(filepath.Join(dir, r.artifact), b, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -207,5 +220,62 @@ func TestClusterArtifactRoundTrip(t *testing.T) {
 	}
 	if back.Stats.Merges != res.Stats.Merges {
 		t.Errorf("stats lost: merges %d vs %d", back.Stats.Merges, res.Stats.Merges)
+	}
+}
+
+// TestOlderManifestRestarts: a version 2 manifest (aux records, a
+// preprocess artifact of encoded fragments) was written by an older
+// build; resuming over it recomputes every phase and completes
+// byte-identically, while a newer version is still refused.
+func TestOlderManifestRestarts(t *testing.T) {
+	cfg := testCoreConfig()
+	want, err := Run(testFrags(1, 2, 1500, 40), Config{Core: cfg, Workdir: t.TempDir(), Flags: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestOf := func(version uint64) []byte {
+		w := wire.NewBuffer(64)
+		w.PutUint(manifestMagic)
+		w.PutUint(version)
+		w.PutString("input fingerprint of an older build")
+		w.PutString("t")
+		w.PutUint(1)
+		for _, f := range []string{"preprocess", "preprocess.bin", "sum"} {
+			w.PutString(f)
+		}
+		w.PutUint(1)
+		for _, f := range []string{"store.data", "store.data", "sum"} {
+			w.PutString(f)
+		}
+		return w.Bytes()
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), manifestOf(2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "preprocess.bin"), []byte("older encoding"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(testFrags(1, 2, 1500, 40), Config{Core: cfg, Workdir: dir, Resume: true, Flags: "t"})
+	if err != nil {
+		t.Fatalf("resume over a v2 manifest: %v", err)
+	}
+	if !bytes.Equal(contigBytes(got), contigBytes(want)) {
+		t.Error("run restarted over a v2 manifest differs from a fresh run")
+	}
+	mb, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := decodeManifest(mb); err != nil || len(m.records) != len(Phases) {
+		t.Fatalf("restarted run left a manifest that does not record every phase (err %v)", err)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), manifestOf(manifestVersion+1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(testFrags(1, 2, 1500, 40), Config{Core: cfg, Workdir: dir, Resume: true, Flags: "t"}); err == nil {
+		t.Error("resume accepted a manifest of a newer version")
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -9,15 +10,18 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/preprocess"
 	"repro/internal/seq"
 	"repro/internal/seq/diskstore"
+	"repro/internal/wire"
 )
 
-// Aux-record names for the disk store's files.
-const (
-	auxStoreData = "store.data"
-	auxStoreIdx  = "store.idx"
-)
+// storeDir is the workdir subdirectory holding the disk store, the
+// preprocess phase's artifact on both backends.
+const storeDir = "store"
+
+// storeFiles are the store members the preprocess record checksums.
+var storeFiles = [...]string{diskstore.DataFile, diskstore.IndexFile}
 
 // hashFile streams a file through SHA-256.
 func hashFile(path string) (string, error) {
@@ -33,65 +37,104 @@ func hashFile(path string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// attachStore materializes the sequence store for a checkpointed run.
-// The in-memory backend is trivial. The disk backend anchors its files
-// under <workdir>/store (unless the caller chose a directory) and
-// journals their checksums as manifest aux records, so a resumed run
-// verifies it is reading the exact bytes the original run wrote — the
-// store artifact participates in the byte-identical-resume contract
-// like any phase artifact. A checksum mismatch is an error, not a
-// silent rebuild.
-func attachStore(m *manifest, cfg Config, frags []*seq.Fragment) (seq.Seqs, func() error, error) {
-	sc := cfg.Core.Store
-	if sc.Backend == core.StoreDisk && sc.Dir == "" && cfg.Workdir != "" {
-		sc.Dir = filepath.Join(cfg.Workdir, "store")
+// preprocessPhase runs or reloads preprocessing and sets res's store
+// and preprocess stats. Without a manifest it is core.Run's path. With
+// one, the phase's artifact is the disk store under <workdir>/store on
+// both backends, and its record holds the stats and the SHA-256 of
+// both store files, so a resumed run verifies the exact bytes the
+// original run wrote (a mismatch is an error, never a silent rebuild).
+// The disk backend then reads the store in place; the in-memory one
+// keeps the fragments it preprocessed, or loads them back on resume.
+func preprocessPhase(m *manifest, cfg core.Config, frags []*seq.Fragment, onPhase func(Phase), res *core.Result) error {
+	sc := cfg.Store
+	if sc.Backend != "" && sc.Backend != core.StoreMem && sc.Backend != core.StoreDisk {
+		return fmt.Errorf("pipeline: unknown store backend %q", sc.Backend)
 	}
-	if sc.Backend != core.StoreDisk || m == nil {
-		return core.OpenStore(frags, sc)
-	}
-
-	dataPath := filepath.Join(sc.Dir, diskstore.DataFile)
-	idxPath := filepath.Join(sc.Dir, diskstore.IndexFile)
-	if wantData, ok := m.auxSum(auxStoreData); ok {
-		wantIdx, ok2 := m.auxSum(auxStoreIdx)
-		if !ok2 {
-			return nil, nil, fmt.Errorf("pipeline: manifest journals %s but not %s", auxStoreData, auxStoreIdx)
-		}
-		for _, f := range []struct{ path, want string }{
-			{dataPath, wantData}, {idxPath, wantIdx},
-		} {
-			got, err := hashFile(f.path)
-			if err != nil {
-				return nil, nil, fmt.Errorf("pipeline: store artifact: %w", err)
-			}
-			if got != f.want {
-				return nil, nil, fmt.Errorf("pipeline: store artifact %s fails its checksum (refusing to resume)", f.path)
-			}
-		}
-		st, err := diskstore.Open(sc.Dir, diskstore.Options{CacheBytes: sc.CacheBytes})
-		if err != nil {
-			return nil, nil, fmt.Errorf("pipeline: reopen store: %w", err)
-		}
-		return st, st.Close, nil
-	}
-
-	st, cleanup, err := core.OpenStore(frags, sc)
+	art, resumed, err := m.load(PhasePreprocess)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	for _, f := range []struct{ name, path string }{
-		{auxStoreData, dataPath}, {auxStoreIdx, idxPath},
-	} {
-		sum, err := hashFile(f.path)
-		if err == nil {
-			err = m.completeAux(f.name, f.name, sum)
+	if !resumed {
+		onPhase(PhasePreprocess)
+		if cfg.PreprocessEnabled {
+			frags, res.PreprocessStats = preprocess.Run(frags, cfg.Preprocess)
 		}
+	}
+	if m == nil {
+		st, closeStore, err := core.OpenStore(frags, sc)
+		res.Store = st
+		res.SetStoreCloser(closeStore)
+		return err
+	}
+	dir := filepath.Join(m.dir, storeDir)
+	if resumed {
+		if res.PreprocessStats, err = checkPreprocess(dir, art); err != nil {
+			return fmt.Errorf("pipeline: preprocess artifact: %w", err)
+		}
+	} else {
+		if err := diskstore.Write(dir, frags); err != nil {
+			return fmt.Errorf("pipeline: write store: %w", err)
+		}
+		art, err := encodePreprocess(dir, res.PreprocessStats)
 		if err != nil {
-			if cleanup != nil {
-				cleanup()
-			}
-			return nil, nil, fmt.Errorf("pipeline: journal store artifact: %w", err)
+			return fmt.Errorf("pipeline: %w", err)
+		}
+		if err := m.complete(PhasePreprocess, art); err != nil {
+			return err
 		}
 	}
-	return st, cleanup, nil
+	if sc.Backend != core.StoreDisk && !resumed {
+		res.Store = seq.NewStore(frags)
+		return nil
+	}
+	st, err := diskstore.Open(dir, diskstore.Options{CacheBytes: sc.CacheBytes})
+	switch {
+	case err != nil:
+		return fmt.Errorf("pipeline: open store: %w", err)
+	case sc.Backend == core.StoreDisk:
+		res.Store = st
+		res.SetStoreCloser(st.Close)
+		return nil
+	}
+	res.Store = seq.NewStore(st.Fragments())
+	return st.Close()
+}
+
+// statFields lists the preprocess stats in artifact order.
+func statFields(st *preprocess.Stats) []*int {
+	return []*int{&st.FragsBefore, &st.BasesBefore, &st.FragsAfter,
+		&st.BasesAfter, &st.Trimmed, &st.Repetitive, &st.MaskedBases}
+}
+
+// encodePreprocess builds the preprocess record: the stats, then the
+// SHA-256 of each store file under dir.
+func encodePreprocess(dir string, st preprocess.Stats) ([]byte, error) {
+	w := wire.NewBuffer(64)
+	for _, v := range statFields(&st) {
+		w.PutInt(*v)
+	}
+	for _, name := range storeFiles {
+		sum, err := hashFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, fmt.Errorf("store checksum: %w", err)
+		}
+		w.PutString(sum)
+	}
+	return w.Bytes(), nil
+}
+
+// checkPreprocess decodes a preprocess record's stats and verifies the
+// store files under dir against it: their checksums must rebuild the
+// record byte for byte.
+func checkPreprocess(dir string, b []byte) (preprocess.Stats, error) {
+	r := wire.NewReader(b)
+	var st preprocess.Stats
+	for _, p := range statFields(&st) {
+		*p = r.Int()
+	}
+	want, err := encodePreprocess(dir, st)
+	if err == nil && !bytes.Equal(b, want) {
+		err = fmt.Errorf("store under %s fails its checksum (refusing to resume)", dir)
+	}
+	return st, err
 }

@@ -47,17 +47,20 @@ func newBlockCache(f *os.File, size int64, budgetBytes int64) *blockCache {
 }
 
 // readAt fills dst from the data file at off, faulting blocks in as
-// needed. Offsets are pre-validated by Open, so running past EOF is a
-// real I/O error, not a caller bug.
+// needed. It copies under the lock, because a miss by another reader
+// may reuse the buffer of any block it evicts. Offsets are
+// pre-validated by Open, so running past EOF is a real I/O error, not
+// a caller bug.
 func (c *blockCache) readAt(dst []byte, off int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for len(dst) > 0 {
 		blockOff := off - off%blockSize
 		b, err := c.block(blockOff)
 		if err != nil {
 			return err
 		}
-		in := b[off-blockOff:]
-		n := copy(dst, in)
+		n := copy(dst, b[off-blockOff:])
 		if n == 0 {
 			return fmt.Errorf("diskstore: read past end of data file at offset %d", off)
 		}
@@ -67,11 +70,10 @@ func (c *blockCache) readAt(dst []byte, off int64) error {
 	return nil
 }
 
-// block returns the cached block at blockOff, reading and inserting it
-// on a miss and evicting from the LRU tail past the budget.
+// block returns the cached block at blockOff, reading it on a miss
+// into the buffer (and list element) of the least recently used block
+// once the budget is full. The caller holds mu.
 func (c *blockCache) block(blockOff int64) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.byOff[blockOff]; ok {
 		c.hits++
 		c.lru.MoveToFront(el)
@@ -85,18 +87,25 @@ func (c *blockCache) block(blockOff int64) ([]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("diskstore: block offset %d beyond data size %d", blockOff, c.size)
 	}
-	b := make([]byte, n)
-	if _, err := c.f.ReadAt(b, blockOff); err != nil {
+	var el *list.Element
+	if c.lru.Len() < c.max {
+		el = c.lru.PushFront(&cacheBlock{})
+	} else {
+		el = c.lru.Back()
+		delete(c.byOff, el.Value.(*cacheBlock).off)
+		c.lru.MoveToFront(el)
+	}
+	blk := el.Value.(*cacheBlock)
+	if cap(blk.b) < n {
+		blk.b = make([]byte, n)
+	}
+	blk.off, blk.b = blockOff, blk.b[:n]
+	if _, err := c.f.ReadAt(blk.b, blockOff); err != nil {
+		c.lru.Remove(el)
 		return nil, err
 	}
-	el := c.lru.PushFront(&cacheBlock{off: blockOff, b: b})
 	c.byOff[blockOff] = el
-	for c.lru.Len() > c.max {
-		tail := c.lru.Back()
-		delete(c.byOff, tail.Value.(*cacheBlock).off)
-		c.lru.Remove(tail)
-	}
-	return b, nil
+	return blk.b, nil
 }
 
 func (c *blockCache) stats() (hits, misses uint64) {

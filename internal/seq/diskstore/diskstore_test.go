@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/seq"
@@ -240,6 +241,83 @@ func TestConcurrentReaders(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal("concurrent reader saw wrong bases")
 		}
+	}
+}
+
+// multiBlockStore writes 2000 random 400-base reads, about 200 KB of
+// packed bases or four cache blocks, and opens them behind a one-block
+// cache, so reads of far-apart fragments miss every time.
+func multiBlockStore(t *testing.T) (*Store, *seq.Store) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	frags := make([]*seq.Fragment, 2000)
+	for i := range frags {
+		b := make([]byte, 400)
+		for j := range b {
+			b[j] = seq.Base(rng.Intn(4))
+		}
+		frags[i] = &seq.Fragment{Name: "r", Bases: b}
+	}
+	disk, err := Create(t.TempDir(), frags, Options{CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	return disk, seq.NewStore(frags)
+}
+
+// TestConcurrentMissesAcrossBlocks: readers that keep evicting each
+// other's block from a one-block cache still see the right bases (and
+// under -race, no reader copies out of a buffer a miss is refilling).
+func TestConcurrentMissesAcrossBlocks(t *testing.T) {
+	disk, mem := multiBlockStore(t)
+	done := make(chan bool, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			rng := rand.New(rand.NewSource(int64(g)))
+			ok := true
+			for i := 0; i < 300 && ok; i++ {
+				sid := rng.Intn(disk.NumSeqs())
+				ok = bytes.Equal(disk.Seq(sid), mem.Seq(sid))
+			}
+			done <- ok
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		if !<-done {
+			t.Fatal("a reader saw wrong bases")
+		}
+	}
+	if _, misses := disk.CacheStats(); misses < 100 {
+		t.Fatalf("only %d misses: the readers did not contend for the block", misses)
+	}
+}
+
+// TestMissReusesEvictedBlock: a miss reads into the buffer of the block
+// it evicts, so alternating misses on a one-block cache allocate next
+// to nothing, not a fresh 64 KiB block each.
+func TestMissReusesEvictedBlock(t *testing.T) {
+	disk, _ := multiBlockStore(t)
+	first, last := 0, disk.N()-1
+	buf := disk.AppendSeq(nil, first)
+	const rounds = 200
+	_, missesBefore := disk.CacheStats()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		buf = disk.AppendSeq(buf[:0], last)
+		buf = disk.AppendSeq(buf[:0], first)
+	}
+	runtime.ReadMemStats(&after)
+	_, missesAfter := disk.CacheStats()
+	misses := missesAfter - missesBefore
+	if misses != 2*rounds {
+		t.Fatalf("%d misses over %d alternating reads, want every read to miss", misses, 2*rounds)
+	}
+	perMiss := float64(after.TotalAlloc-before.TotalAlloc) / float64(misses)
+	t.Logf("%.1f bytes allocated per miss (block %d bytes)", perMiss, blockSize)
+	if perMiss > blockSize/16 {
+		t.Errorf("%.0f bytes allocated per miss: misses allocate blocks instead of reusing the evicted one", perMiss)
 	}
 }
 

@@ -189,6 +189,20 @@ func (s *Store) AppendSeq(dst []byte, sid int) []byte {
 	return dst
 }
 
+// Fragments reads every fragment back into memory, names and forward
+// bases (the store holds no qualities): the inverse of Write for bases
+// over ACGTN. The bases share one allocation.
+func (s *Store) Fragments() []*seq.Fragment {
+	frags := make([]*seq.Fragment, len(s.entries))
+	bases := make([]byte, 0, s.totalBases)
+	for i := range frags {
+		at := len(bases)
+		bases = s.AppendSeq(bases, i)
+		frags[i] = &seq.Fragment{Name: s.FragName(i), Bases: bases[at:len(bases):len(bases)]}
+	}
+	return frags
+}
+
 // fragID maps a sequence ID to its fragment ID.
 func (s *Store) fragID(sid int) int {
 	if n := len(s.entries); sid >= n {

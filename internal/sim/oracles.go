@@ -276,8 +276,8 @@ func (r *Result) checkPipeline(c Case, frags []*seq.Fragment, ccfg cluster.Confi
 	// Out-of-core cases run the resume oracle on the disk-backed
 	// pipeline instead: its contigs must match the in-memory reference
 	// byte for byte (oracle 7), and its rollback-resume — which reopens
-	// the journaled store rather than rebuilding it — must reproduce
-	// them again.
+	// the store the preprocess phase checkpointed, unless rolled back
+	// to phase 0 — must reproduce them again.
 	sutCfg, sutDir := coreCfg, workdir
 	if c.StoreDisk {
 		sutCfg.Store = core.StoreConfig{Backend: core.StoreDisk, CacheBytes: 32 << 10}

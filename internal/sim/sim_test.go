@@ -164,7 +164,8 @@ func TestFailureReportCarriesRepro(t *testing.T) {
 
 // TestRunCaseDiskStore: the out-of-core axis — disk-backed store,
 // spilling GST at a tight budget — must pass every oracle, including
-// the cross-backend contig identity and journaled-store resume.
+// the cross-backend contig identity and resume over the store
+// checkpoint.
 func TestRunCaseDiskStore(t *testing.T) {
 	res := RunCase(Case{
 		Campaign: -1, Index: 2, Seed: 777,
